@@ -361,7 +361,7 @@ def _cmd_commensurate_solve(args):
         surface, u0, v0, args.theta0, omega0=omegas[0],
         t_span=(0.0, args.t_max), rel_tol=args.rel_tol, abs_tol=args.abs_tol,
         max_steps=args.max_steps, eps_asym=args.eps_asym,
-        eps_den=args.eps_den, method=args.method)
+        eps_den=args.eps_den)
 
     if len(omegas) > 1 and (args.output is None or args.output == "-"):
         raise ExprError("a sweep needs --output (one file per seed)")
@@ -471,13 +471,11 @@ def build_parser():
     p.add_argument("--omega0", default="0.0",
                    help="initial theta' seed, or sweep 'a:b:step'")
     p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--rel-tol", type=float, default=1e-8)
-    p.add_argument("--abs-tol", type=float, default=1e-10)
+    p.add_argument("--rel-tol", type=float, default=1e-10)
+    p.add_argument("--abs-tol", type=float, default=1e-12)
     p.add_argument("--eps-asym", type=float, default=1e-4)
     p.add_argument("--eps-den", type=float, default=1e-10)
     p.add_argument("--max-steps", type=int, default=100_000)
-    p.add_argument("--method", choices=("rosenbrock", "dopri5"),
-                   default="rosenbrock")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path; sweeps write one file per "
                                     "seed with _NN suffixes")

@@ -10,7 +10,7 @@ form on a').  The curve condition equating the two integrands,
 is linear in the highest derivative once the parameter path is written as
 u' = cos(theta), v' = sin(theta); solving for theta'' turns the condition
 into a 4-dimensional first-order system (u, v, theta, omega) integrated by
-the stiff-capable kernels in :mod:`.numerics`.
+the Dormand-Prince stepper in :mod:`.numerics`.
 
 Sign conventions: the cube on the right-hand side is signed, so on
 surfaces with an indefinite form the condition remains meaningful where
@@ -308,12 +308,12 @@ class CommensurateIVP:
     theta0: float
     omega0: float = 0.0
     t_span: tuple = (0.0, 1.0)
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
     max_steps: int = 100_000
     eps_asym: float = 1e-4
     eps_den: float = 1e-10
-    method: str = "rosenbrock"
+    method: str = "dopri5"          # the only stepper
 
 
 @dataclass(frozen=True)
@@ -371,39 +371,48 @@ def integrate_commensurate(ivp):
             f"initial direction theta0 = {ivp.theta0!r} is asymptotic: "
             f"form value {parts0['q']!r}")
 
+    # one geometry evaluation per state: the events at an accepted node
+    # reuse the right-hand side's last stage, which is taken there
+    y0 = np.array([ivp.u0, ivp.v0, ivp.theta0, ivp.omega0], dtype=float)
+    last = [y0.tobytes(), parts0]
+
+    def parts_at(y):
+        key = y.tobytes()
+        if key != last[0]:
+            last[1] = _condition_parts(surface, *(float(c) for c in y))
+            last[0] = key
+        return last[1]
+
     def rhs(t, y):
-        u, v, theta, omega = y
         try:
-            parts = _condition_parts(surface, u, v, theta, omega)
-            denom = parts["denom"]
-            if denom == 0.0:
-                return np.full(4, np.nan)
-            omega_dot = -parts["residual0"] / denom
+            parts = parts_at(y)
         except AffineMetricsError:
             return np.full(4, np.nan)
-        return np.array([math.cos(theta), math.sin(theta), omega, omega_dot])
+        denom = parts["denom"]
+        if denom == 0.0:
+            return np.full(4, np.nan)
+        theta, omega = y[2], y[3]
+        return np.array([math.cos(theta), math.sin(theta), omega,
+                         -parts["residual0"] / denom])
 
     def guarded(func):
         def g(t, y):
             try:
-                return func(t, y)
+                return func(parts_at(y))
             except AffineMetricsError:
                 return math.nan
         return g
 
-    def g_asym(t, y):
-        parts = _condition_parts(surface, y[0], y[1], y[2], y[3])
+    def g_asym(parts):
         return abs(parts["q"]) / max(parts["gm"], 1e-300) - ivp.eps_asym
 
-    def g_cone(t, y):
+    def g_cone(parts):
         # signed form value: a zero crossing means the tangent passed
         # straight through the asymptotic cone, where |q| < eps_asym holds
         # however thin the dip is
-        parts = _condition_parts(surface, y[0], y[1], y[2], y[3])
         return parts["q"] / max(parts["gm"], 1e-300)
 
-    def g_den(t, y):
-        parts = _condition_parts(surface, y[0], y[1], y[2], y[3])
+    def g_den(parts):
         return (abs(parts["denom"]) / max(parts["denom_scale"], 1e-300)
                 - ivp.eps_den)
 
@@ -423,7 +432,6 @@ def integrate_commensurate(ivp):
     opts = OdeOptions(rel_tol=ivp.rel_tol, abs_tol=ivp.abs_tol,
                       max_steps=ivp.max_steps, method=ivp.method,
                       events=events)
-    y0 = np.array([ivp.u0, ivp.v0, ivp.theta0, ivp.omega0])
 
     termination = "completed"
     try:
@@ -436,11 +444,11 @@ def integrate_commensurate(ivp):
 
     nodes = []
     max_residual = 0.0
-    for t, y in zip(result.ts, result.ys):
+    for t, y, f in zip(result.ts, result.ys, result.fs):
         u, v, theta, omega = (float(c) for c in y)
+        # theta'' is the right-hand side the solve stored at this node
+        omega_dot = float(f[3])
         try:
-            omega_dot = solve_theta_dd(surface, u, v, theta, omega,
-                                       eps_den=ivp.eps_den)
             residual = commensurate_residual(surface,
                                              (u, v, theta, omega, omega_dot))
         except AffineMetricsError:
@@ -577,7 +585,7 @@ def sphere_reference_curve(s_max, step, rel_tol=1e-10, abs_tol=1e-12):
                    1.0, 0.0, 0.0,
                    0.0, 1.0, 0.0,
                    0.0, 0.0, 1.0])
-    opts = OdeOptions(rel_tol=rel_tol, abs_tol=abs_tol, method="dopri5")
+    opts = OdeOptions(rel_tol=rel_tol, abs_tol=abs_tol)
     result = ode_solve(rhs, y0, (0.0, s_max), opts)
 
     samples = np.arange(0.0, s_max + 0.5 * step, step)

@@ -2,10 +2,10 @@
 with event detection, a bracketing root finder, and finite differences.
 
 All kernels are deterministic: fixed evaluation order, no randomized
-subdivision.  The ODE driver offers a linearly-implicit Rosenbrock method
-(L-stable, numerical Jacobian, suitable for the stiff curve condition) and
-an explicit Dormand-Prince 5(4) pair for smooth problems; both share the
-step controller and the event machinery.
+subdivision.  The ODE integrator is the explicit Dormand-Prince 5(4) pair with
+its 4th-order continuous extension, which serves dense output and event
+location; a stiffness estimate on every accepted step reports problems
+that an explicit method handles poorly.
 """
 
 from __future__ import annotations
@@ -138,19 +138,31 @@ class OdeOptions:
     initial_step: float | None = None
     max_step: float = math.inf
     max_steps: int = 100_000
-    method: str = "rosenbrock"        # rosenbrock | dopri5
+    method: str = "dopri5"             # the only stepper
     events: tuple = ()
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.method != "dopri5":
+            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
 class OdeResult:
+    """The accepted step mesh of one solve.
+
+    ``dense[i]`` is the continuous extension of the step that starts at
+    ``ts[i]``: its length h and the coefficient rows of ``_dense_eval``.  A
+    trace ended by an event cuts its last step at the event time and keeps
+    that step's polynomial.  ``n_steps`` counts attempted steps, rejected
+    ones included; ``stiff_steps`` counts the accepted steps whose
+    stiffness estimate h*|lambda| exceeded ``STIFF_THRESHOLD``.
+    """
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     fs: list = field(default_factory=list)
+    dense: list = field(default_factory=list)
     status: str = "completed"          # completed | event
     event_name: str | None = None
     event_index: int | None = None
@@ -158,9 +170,11 @@ class OdeResult:
     y_event: np.ndarray | None = None
     n_steps: int = 0
     n_rhs: int = 0
+    stiff_steps: int = 0
 
     def interpolate(self, t):
-        """Cubic-Hermite dense output on the stored step mesh."""
+        """The state at t from the 4th-order continuous extension of the
+        step containing t; clamped to the ends of the trace."""
         ts = self.ts
         if not ts:
             raise ValueError("empty trace")
@@ -169,94 +183,15 @@ class OdeResult:
         if t >= ts[-1]:
             return np.array(self.ys[-1], copy=True)
         i = bisect.bisect_right(ts, t) - 1
-        return _hermite(ts[i], self.ys[i], self.fs[i],
-                        ts[i + 1], self.ys[i + 1], self.fs[i + 1], t)
+        h, rows = self.dense[i]
+        return _dense_eval(rows, (t - ts[i]) / h)
 
 
-def _hermite(t0, y0, f0, t1, y1, f1, t):
-    h = t1 - t0
-    s = (t - t0) / h
-    s2, s3 = s * s, s * s * s
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
-
-
-# Rosenbrock tableau: L-stable, order 3, embedded order 2 error estimate
-# (the classical 3-stage ROS3 coefficients, 2 function evaluations).
-_ROS3 = {
-    "S": 3,
-    "A": (1.0, 1.0, 0.0),
-    "C": (-0.10156171083877702091975600115545e+01,
-          0.40759956452537699824805835358067e+01,
-          0.92076794298330791242156818474003e+01),
-    "M": (0.1e+01,
-          0.61697947043828245592553615689730e+01,
-          -0.42772256543218573326238373806514),
-    "E": (0.5,
-          -0.29079558716805469821718236208017e+01,
-          0.22354069897811569627360909276199),
-    "alpha": (0.0,
-              0.43586652150845899941601945119356,
-              0.43586652150845899941601945119356),
-    "gamma": (0.43586652150845899941601945119356,
-              0.24291996454816804366592249683314,
-              0.21851380027664058511513169485832e+01),
-    "order": 3.0,
-    "new_f": (True, True, False),
-}
-
-
-def _numerical_jacobian(f, t, y, f0, n_rhs_box):
-    n = y.size
-    jac = np.empty((n, n))
-    for k in range(n):
-        dy = math.sqrt(np.finfo(float).eps) * max(abs(y[k]), 1e-5)
-        yp = y.copy()
-        yp[k] += dy
-        jac[:, k] = (f(t, yp) - f0) / dy
-        n_rhs_box[0] += 1
-    return jac
-
-
-def _rosenbrock_step(f, t, y, h, f0, jac, n_rhs_box):
-    """One ROS3 step; returns (y_new, error_vector)."""
-    tab = _ROS3
-    n = y.size
-    gamma0 = tab["gamma"][0]
-    lhs = np.eye(n) / (h * gamma0) - jac
-    k = [None] * tab["S"]
-
-    def solve(rhs):
-        return np.linalg.solve(lhs, rhs)
-
-    fcn = f0
-    k[0] = solve(fcn)
-    for stage in range(2, tab["S"] + 1):
-        if tab["new_f"][stage - 1]:
-            ynew = y.copy()
-            for j in range(stage - 1):
-                ynew += tab["A"][(stage - 1) * (stage - 2) // 2 + j] * k[j]
-            fcn = f(t + tab["alpha"][stage - 1] * h, ynew)
-            n_rhs_box[0] += 1
-        rhs = fcn.copy()
-        for j in range(stage - 1):
-            rhs += (tab["C"][(stage - 1) * (stage - 2) // 2 + j] / h) * k[j]
-        k[stage - 1] = solve(rhs)
-
-    y_new = y.copy()
-    err = np.zeros(n)
-    for j in range(tab["S"]):
-        y_new += tab["M"][j] * k[j]
-        err += tab["E"][j] * k[j]
-    return y_new, err
-
-
-# Dormand-Prince 5(4) coefficients (exact rationals)
+# Dormand-Prince 5(4) coefficients (exact rationals).  Row 6 of _DP_A is
+# the 5th-order solution, so the last stage is f at the new state and
+# serves as the next step's first stage.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
+_DP_A = tuple(np.array(row) for row in (
     (),
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -264,21 +199,64 @@ _DP_A = (
     (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
+))
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
+                   11 / 84, 0.0])
+_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
+                   -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
+# weights of the 4th-order continuous extension (Hairer, Norsett & Wanner,
+# Solving Ordinary Differential Equations I, section II.6; CONTD5 of their
+# dopri5 code)
+_DP_D = np.array([-12715105075 / 11282082432, 0.0,
+                  87487479700 / 32700410799, -10690763975 / 1880347072,
+                  701980252875 / 199316789632, -1453857185 / 822651844,
+                  69997945 / 29380423])
+
+#: h*|lambda| above which an accepted step counts as stiff: the stability
+#: boundary of DOPRI5 on the negative real axis (Hairer & Wanner, Solving
+#: Ordinary Differential Equations II, section IV.2)
+STIFF_THRESHOLD = 3.25
 
 
-def _dopri5_step(f, t, y, h, f0, n_rhs_box):
-    ks = [f0]
+def _dopri5_step(f, t, y, h, f0):
+    """One step of length h from (t, y), where f0 = f(t, y).
+
+    Returns the 5th-order state, the embedded error vector, the seven
+    stages (the last one is f at the new state) and the state of the sixth
+    stage.
+    """
+    ks = np.empty((7, y.size))
+    ks[0] = f0
+    y_stage = y
     for i in range(1, 7):
-        yi = y + h * sum(a * k for a, k in zip(_DP_A[i], ks))
-        ks.append(f(t + _DP_C[i] * h, yi))
-        n_rhs_box[0] += 1
-    y_new = y + h * sum(b * k for b, k in zip(_DP_B5, ks))
-    y4 = y + h * sum(b * k for b, k in zip(_DP_B4, ks))
-    return y_new, y_new - y4, ks[6]   # FSAL: ks[6] = f(t+h, y_new)
+        y_prev = y_stage
+        y_stage = y + h * (_DP_A[i] @ ks[:i])
+        ks[i] = f(t + _DP_C[i] * h, y_stage)
+    return y_stage, h * (_DP_E @ ks), ks, y_prev
+
+
+def _stiffness(h, ks, y_new, y6):
+    """h*|lambda| estimated from the last two stages, which share t + h."""
+    den = float(np.sum((y_new - y6) ** 2))
+    if den == 0.0:
+        return 0.0
+    return h * math.sqrt(float(np.sum((ks[6] - ks[5]) ** 2)) / den)
+
+
+def _dense_rows(y, y_new, h, ks):
+    """Coefficient rows of one step's continuous extension."""
+    dy = y_new - y
+    bspl = h * ks[0] - dy
+    return (y, dy, bspl, dy - h * ks[6] - bspl, h * (_DP_D @ ks))
+
+
+def _dense_eval(rows, s):
+    """The continuous extension at s = (t - t_step) / h in [0, 1]; it
+    matches the state and the derivative at both ends of the step."""
+    y, dy, bspl, c4, c5 = rows
+    s1 = 1.0 - s
+    return y + s * (dy + s1 * (bspl + s * (c4 + s1 * c5)))
 
 
 def _error_norm(err, y, y_new, rel_tol, abs_tol):
@@ -287,148 +265,111 @@ def _error_norm(err, y, y_new, rel_tol, abs_tol):
 
 
 def ode_solve(f, y0, t_span, opts=None):
-    """Integrate y' = f(t, y) over t_span with adaptive step control and
-    dense event location.
+    """Integrate y' = f(t, y) over t_span with the Dormand-Prince 5(4)
+    pair, adaptive step control and dense event location.
 
-    Events are detected by sign change across each accepted step and
-    located by bisection on the cubic-Hermite dense output to 1e-10 in t.
-    The first triggered terminal event ends the trace.  Raises StepFailure
-    on step-size underflow and MaxSteps on budget exhaustion; both carry
-    the partial OdeResult in their ``trace`` attribute.
-
-    The Rosenbrock path integrates the autonomized system (t appended as a
-    state with t' = 1) so the numerical Jacobian picks up df/dt; the
-    appended component is resynchronized to the exact step time after each
-    accepted step.
+    Each accepted step keeps its 4th-order continuous extension, which
+    serves ``OdeResult.interpolate``, event location and the state at a
+    terminal event.  Terminal events are detected by sign change across
+    each accepted step and located by Brent's method on the continuous
+    extension to a bracket of 1e-10 in t; the first one ends the trace.
+    Steps whose stiffness estimate exceeds ``STIFF_THRESHOLD`` are counted
+    in ``stiff_steps`` and change nothing else.  Raises StepFailure on
+    step-size underflow and MaxSteps on budget exhaustion; both carry the
+    partial OdeResult in their ``trace`` attribute.
     """
     opts = opts or OdeOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
         raise ValueError("t_span must be increasing")
     y = np.asarray(y0, dtype=float).copy()
-    n = y.size
-    n_rhs_box = [0]
+    result = OdeResult()
 
     def rhs(t, yy):
+        result.n_rhs += 1
         return np.asarray(f(t, yy), dtype=float)
 
-    rosenbrock = opts.method == "rosenbrock"
-    if not rosenbrock and opts.method != "dopri5":
-        raise ValueError(f"unknown method {opts.method!r}")
-
-    if rosenbrock:
-        def work_rhs(_t, w):
-            return np.concatenate([rhs(w[n], w[:n]), [1.0]])
-        w = np.concatenate([y, [t0]])
-    else:
-        work_rhs = rhs
-        w = y
-
-    f_now = work_rhs(t0, w)
-    n_rhs_box[0] += 1
+    f_now = rhs(t0, y)
     if not np.all(np.isfinite(f_now)):
         raise NonFiniteValue("right-hand side not finite at the initial point")
 
-    result = OdeResult()
     result.ts.append(t0)
-    result.ys.append(w[:n].copy())
-    result.fs.append(f_now[:n].copy())
+    result.ys.append(y)
+    result.fs.append(f_now)
 
-    g_now = [ev.func(t0, w[:n]) for ev in opts.events]
+    g_now = [ev.func(t0, y) for ev in opts.events]
 
     span = t_end - t0
     h = opts.initial_step if opts.initial_step else min(span / 100.0, opts.max_step)
     h = min(h, opts.max_step, span)
     t = t0
     facmin, facmax, safety = 0.2, 6.0, 0.9
-    order = 3.0 if rosenbrock else 5.0
     rejected = False
 
     while t < t_end:
-        if result.n_steps >= opts.max_steps:
-            raise MaxSteps(f"exceeded {opts.max_steps} steps", trace=result)
         h = min(h, t_end - t)
         if h < 1e-14 * max(abs(t), 1.0):
             raise StepFailure(f"step size underflow at t = {t!r}", trace=result)
 
-        if rosenbrock:
-            jac = _numerical_jacobian(work_rhs, t, w, f_now, n_rhs_box)
-        accepted = False
-        while not accepted:
-            result.n_steps += 1
-            if result.n_steps > opts.max_steps:
+        while True:
+            if result.n_steps >= opts.max_steps:
                 raise MaxSteps(f"exceeded {opts.max_steps} steps", trace=result)
-            try:
-                if rosenbrock:
-                    w_new, err_vec = _rosenbrock_step(work_rhs, t, w, h, f_now,
-                                                      jac, n_rhs_box)
-                    f_new = None
-                else:
-                    w_new, err_vec, f_new = _dopri5_step(work_rhs, t, w, h,
-                                                         f_now, n_rhs_box)
-            except np.linalg.LinAlgError:
-                w_new, err_vec, f_new = w, None, None
-            bad = (err_vec is None or not np.all(np.isfinite(w_new))
-                   or not np.all(np.isfinite(err_vec)))
-            err = math.inf if bad else _error_norm(err_vec, w, w_new,
+            result.n_steps += 1
+            y_new, err_vec, ks, y6 = _dopri5_step(rhs, t, y, h, f_now)
+            bad = not (np.all(np.isfinite(y_new))
+                       and np.all(np.isfinite(err_vec)))
+            err = math.inf if bad else _error_norm(err_vec, y, y_new,
                                                    opts.rel_tol, opts.abs_tol)
             if err <= 1.0:
-                accepted = True
-            else:
-                fac = facmin if bad else max(facmin, safety * err ** (-1.0 / order))
-                h *= min(fac, 0.5 if rejected else 1.0)
-                rejected = True
-                if h < 1e-14 * max(abs(t), 1.0):
-                    raise StepFailure(f"step size underflow at t = {t!r}",
-                                      trace=result)
+                break
+            fac = facmin if bad else max(facmin, safety * err ** -0.2)
+            h *= min(fac, 0.5 if rejected else 1.0)
+            rejected = True
+            if h < 1e-14 * max(abs(t), 1.0):
+                raise StepFailure(f"step size underflow at t = {t!r}",
+                                  trace=result)
 
         t_new = t + h
-        if rosenbrock:
-            w_new[n] = t_new       # resync the appended time component
-        y_new = w_new[:n]
-        if f_new is None:
-            f_new = work_rhs(t_new, w_new)
-            n_rhs_box[0] += 1
-        y_old, fy_old, fy_new = w[:n], f_now[:n], f_new[:n]
+        f_new = ks[6]
+        dense = (h, _dense_rows(y, y_new, h, ks))
+        if _stiffness(h, ks, y_new, y6) > STIFF_THRESHOLD:
+            result.stiff_steps += 1
 
-        # event detection on this step
+        # terminal-event detection on this step
         g_new = [ev.func(t_new, y_new) for ev in opts.events]
         hit = None
         for i, ev in enumerate(opts.events):
-            if _crossed(g_now[i], g_new[i], ev.direction):
-                t_hit = _locate_event(ev, t, y_old, fy_old, t_new, y_new,
-                                      fy_new)
+            if ev.terminal and _crossed(g_now[i], g_new[i], ev.direction):
+                t_hit = _locate_event(ev.func, t, g_now[i], t_new, g_new[i],
+                                      dense)
                 if hit is None or t_hit < hit[0]:
                     hit = (t_hit, i)
         if hit is not None:
             t_hit, i = hit
-            ev = opts.events[i]
-            y_hit = _hermite(t, y_old, fy_old, t_new, y_new, fy_new, t_hit)
-            if ev.terminal:
-                result.ts.append(t_hit)
-                result.ys.append(y_hit)
-                result.fs.append(rhs(t_hit, y_hit))
-                n_rhs_box[0] += 1
-                result.status = "event"
-                result.event_name = ev.name
-                result.event_index = i
-                result.t_event = t_hit
-                result.y_event = y_hit
-                result.n_rhs = n_rhs_box[0]
-                return result
+            y_hit = _dense_eval(dense[1], (t_hit - t) / h)
+            result.ts.append(t_hit)
+            result.ys.append(y_hit)
+            result.fs.append(rhs(t_hit, y_hit))
+            result.dense.append(dense)
+            result.status = "event"
+            result.event_name = opts.events[i].name
+            result.event_index = i
+            result.t_event = t_hit
+            result.y_event = y_hit
+            return result
 
         result.ts.append(t_new)
-        result.ys.append(y_new.copy())
-        result.fs.append(fy_new.copy())
-        t, w, f_now, g_now = t_new, w_new, f_new, g_new
+        result.ys.append(y_new)
+        result.fs.append(f_new)
+        result.dense.append(dense)
+        t, y, f_now, g_now = t_new, y_new, f_new, g_new
 
-        fac = max(facmin, min(facmax, safety * max(err, 1e-10) ** (-1.0 / order)))
+        fac = max(facmin, min(facmax, safety * max(err, 1e-10) ** -0.2))
         if rejected:
             fac = min(fac, 1.0)
         rejected = False
         h = min(h * fac, opts.max_step)
 
-    result.n_rhs = n_rhs_box[0]
     return result
 
 
@@ -442,29 +383,31 @@ def _crossed(g0, g1, direction):
     return (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
 
 
-def _locate_event(ev, t0, y0, f0, t1, y1, f1, tol=1e-10):
-    """Bisect g(t, dense(t)) on [t0, t1] down to a bracket of width tol."""
-    g0 = ev.func(t0, y0)
-    lo, hi = t0, t1
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        gm = ev.func(mid, _hermite(t0, y0, f0, t1, y1, f1, mid))
-        if gm == 0.0:
-            return mid
-        if (g0 < 0) != (gm < 0):
-            hi = mid
-        else:
-            lo, g0 = mid, gm
-    return 0.5 * (lo + hi)
+def _locate_event(g, t0, g0, t1, g1, dense, tol=1e-10):
+    """Root of g(t, y(t)) on [t0, t1], with y(t) the step's continuous
+    extension, by Brent's method down to a bracket of width tol; g0 and g1
+    are the values of g the step already has at its ends."""
+    h, rows = dense
+
+    def g_dense(t):
+        return g(t, _dense_eval(rows, (t - t0) / h))
+
+    return find_root_bracketed(g_dense, t0, t1, tol=tol, f_lo=g0, f_hi=g1)
 
 
 # ---------------------------------------------------------------------------
 # root finding
 
-def find_root_bracketed(f, lo, hi, tol=1e-12, max_iter=200):
-    """Brent's method on a sign-changing bracket [lo, hi]."""
+def find_root_bracketed(f, lo, hi, tol=1e-12, max_iter=200, f_lo=None,
+                        f_hi=None):
+    """Brent's method on a sign-changing bracket [lo, hi].
+
+    ``f_lo`` and ``f_hi`` pass values of f at the ends that the caller
+    already has, so they are not evaluated again.
+    """
     a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
+    fa = f(a) if f_lo is None else f_lo
+    fb = f(b) if f_hi is None else f_hi
     if fa == 0.0:
         return a
     if fb == 0.0:

@@ -157,6 +157,14 @@ class TestIntegration:
                              order=1, step=1e-3)
             assert du * du + dv * dv == pytest.approx(1.0, abs=1e-9)
 
+    def test_sphere_trace_is_not_stiff(self):
+        # a criterion-08 start: the stiffness estimate never trips
+        ivp = CommensurateIVP(SPHERE, 0.2, 0.1, 0.7, omega0=-0.3,
+                              t_span=(0.0, 1.0))
+        trace = integrate_commensurate(ivp)
+        assert trace.completed
+        assert trace.ode_result.stiff_steps == 0
+
     def test_family_sweep(self):
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, t_span=(0.0, 0.2))
         traces = run_family(ivp, [-1.0, -0.5, 0.0, 0.5, 1.0], max_workers=2)
@@ -293,3 +301,15 @@ class TestBreakdownSeeds:
         assert trace.termination in ("AsymptoticProximity",
                                      "SingularDenominator")
         assert trace.t_stop < seed["t_max"]
+
+    def test_converged_breakdown_time(self):
+        # the second hyperboloid seed at the default tolerances stops at
+        # the converged event time 7.4214 (an rtol-1e-8 solve stops near
+        # 7.342, off by its global error)
+        seed = BREAKDOWN_SEEDS["hyperboloid"][1]
+        ivp = CommensurateIVP(CATALOG["hyperboloid"], seed["u0"], seed["v0"],
+                              seed["theta0"], omega0=seed["omega0"],
+                              t_span=(0.0, seed["t_max"]))
+        trace = integrate_commensurate(ivp)
+        assert trace.termination == "AsymptoticProximity"
+        assert trace.t_stop == pytest.approx(7.4214, rel=5e-4)

@@ -152,6 +152,25 @@ class TestOdeSolve:
         with pytest.raises((StepFailure, NonFiniteValue)):
             ode_solve(bad, [1.0], (0.0, 1.0), OdeOptions())
 
+    def test_dense_output_accuracy(self):
+        # y'' = -y: the 4th-order continuous extension tracks sin t between
+        # the steps to about the step tolerance (cubic Hermite on the same
+        # steps is off by 1.7e-7)
+        res = ode_solve(lambda t, y: np.array([y[1], -y[0]]), [0.0, 1.0],
+                        (0.0, 5.0), OdeOptions())
+        assert res.n_steps <= 100
+        ts = np.linspace(0.0, 5.0, 99)[1:-1]
+        worst = max(abs(res.interpolate(float(t))[0] - math.sin(t))
+                    for t in ts)
+        assert worst <= 3e-8
+
+    def test_stiffness_tripwire_fires_on_stiff_problem(self):
+        # at a loose tolerance the step size settles on the stability
+        # boundary h*lambda ~ 3.3, which the estimate reports
+        res = ode_solve(_stiff_rhs, [1.0], (0.0, 1.0),
+                        OdeOptions(rel_tol=1e-4, abs_tol=1e-6))
+        assert res.stiff_steps >= (len(res.ts) - 1) // 4
+
     def test_dense_output_linear(self):
         res = ode_solve(lambda t, y: np.array([2.0]), [1.0], (0.0, 1.0),
                         OdeOptions())
