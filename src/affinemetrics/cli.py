@@ -12,8 +12,7 @@ Exit codes: 0 success, 1 identity failure, 2 parse/config error,
 
 Output is CSV (RFC-4180-style, header row, 17 significant digits) or JSON
 with a top-level ``"schema": "affinemetrics/1"``.  Files are written
-atomically (temp file + rename).  AFFINEMETRICS_THREADS caps the sweep
-thread pool.
+atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -366,9 +365,7 @@ def _cmd_commensurate_solve(args):
     if len(omegas) > 1 and (args.output is None or args.output == "-"):
         raise ExprError("a sweep needs --output (one file per seed)")
 
-    threads = os.environ.get("AFFINEMETRICS_THREADS")
-    max_workers = int(threads) if threads else None
-    traces = run_family(ivp, omegas, max_workers=max_workers)
+    traces = run_family(ivp, omegas)
 
     for k, trace in enumerate(traces):
         path = args.output

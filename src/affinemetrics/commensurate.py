@@ -118,20 +118,11 @@ class TraceCurve:
             raise UnsupportedOrder(
                 "surface-embedded curves support derivative order <= 3")
         u, v, theta, omega = self.trace.state_at(t)
-        c, s = math.cos(theta), math.sin(theta)
-        du = [u, c, -omega * s]
-        dv = [v, s, omega * c]
-        if order >= 3:
-            omega_dot = solve_theta_dd(self.surface, u, v, theta, omega)
-            du.append(-omega_dot * s - omega * omega * c)
-            dv.append(omega_dot * c - omega * omega * s)
-        return (Jet1.from_derivatives(du[:order + 1]),
-                Jet1.from_derivatives(dv[:order + 1]))
+        omega_dot = (solve_theta_dd(self.surface, u, v, theta, omega)
+                     if order >= 3 else 0.0)
+        return _theta_jets(u, v, theta, omega, omega_dot, order)
 
-    def curve_jets(self, t, order):
-        u, v = self.param_jets(t, order)
-        X = surface_jets(self.surface, u.value, v.value, order)
-        return compose_curve_in_surface(X, u, v, order)
+    curve_jets = ParamCurve.curve_jets
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +201,27 @@ def induced_arclength(pc, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
 # ---------------------------------------------------------------------------
 # the curve condition
 
-def _theta_state_derivs(theta, omega, omega_dot):
-    """(u', v', u'', v'', u''', v''') for u' = cos(theta), v' = sin(theta)."""
+def _theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
+    """Jets of the parameter path u' = cos(theta), v' = sin(theta) with
+    theta' = omega and theta'' = omega_dot, up to ``order`` (at most 3):
+
+        u'' = -omega sin,  u''' = -omega_dot sin - omega^2 cos
+        v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
+
+    This is the one place the theta parametrization is differentiated.
+    """
     c, s = math.cos(theta), math.sin(theta)
-    return (c, s,
-            -omega * s, omega * c,
-            -omega_dot * s - omega * omega * c,
-            omega_dot * c - omega * omega * s)
+    du = (u, c, -omega * s, -omega_dot * s - omega * omega * c)
+    dv = (v, s, omega * c, omega_dot * c - omega * omega * s)
+    return Jet1(du[:order + 1]), Jet1(dv[:order + 1])
+
+
+def _residual(surface, u_jet, v_jet):
+    X = surface_jets(surface, u_jet.value, v_jet.value, 3)
+    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
+    d1, d2, d3 = ([comp.coeffs[k] for comp in a] for k in (1, 2, 3))
+    q = form_from_jets(X).apply(u_jet.coeffs[1], v_jet.coeffs[1])
+    return det3(d1, d2, d3) - q ** 3
 
 
 def commensurate_residual_general(surface, u, v, derivs):
@@ -226,22 +231,13 @@ def commensurate_residual_general(surface, u, v, derivs):
     the embedded derivatives are assembled by the bivariate chain rule.
     """
     u1, v1, u2, v2, u3, v3 = derivs
-    u_jet = Jet1.from_derivatives((u, u1, u2, u3))
-    v_jet = Jet1.from_derivatives((v, v1, v2, v3))
-    X = surface_jets(surface, u, v, 3)
-    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
-    d1, d2, d3 = ([comp.coeffs[k] for comp in a] for k in (1, 2, 3))
-    det = det3(d1, d2, d3)
-    q = form_from_jets(X).apply(u1, v1)
-    return det - q ** 3
+    return _residual(surface, Jet1((u, u1, u2, u3)), Jet1((v, v1, v2, v3)))
 
 
 def commensurate_residual(surface, state):
     """Residual of the curve condition for a theta-parametrized state
     (u, v, theta, theta', theta'')."""
-    u, v, theta, omega, omega_dot = state
-    return commensurate_residual_general(
-        surface, u, v, _theta_state_derivs(theta, omega, omega_dot))
+    return _residual(surface, *_theta_jets(*state))
 
 
 def _condition_parts(surface, u, v, theta, omega):
@@ -249,9 +245,8 @@ def _condition_parts(surface, u, v, theta, omega):
     by the solver and its events.  One jet evaluation serves the form, the
     determinant and the denominator."""
     X = surface_jets(surface, u, v, 3, check_domain=False)
-    c, s = math.cos(theta), math.sin(theta)
-    u_jet = Jet1.from_derivatives((u, c, -omega * s, -omega * omega * c))
-    v_jet = Jet1.from_derivatives((v, s, omega * c, -omega * omega * s))
+    u_jet, v_jet = _theta_jets(u, v, theta, omega)        # at theta'' = 0
+    c, s = u_jet.coeffs[1], v_jet.coeffs[1]
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
     d1 = np.array([comp.coeffs[1] for comp in a])
     d2 = np.array([comp.coeffs[2] for comp in a])
@@ -465,15 +460,10 @@ def integrate_commensurate(ivp):
                          ode_result=result)
 
 
-def run_family(ivp, omega0_values, max_workers=None):
-    """Integrate one IVP per omega0 seed (the 1-parameter family);
-    independent solves may run on a thread pool."""
-    ivps = [replace(ivp, omega0=float(w)) for w in omega0_values]
-    if max_workers is None or max_workers <= 1 or len(ivps) <= 1:
-        return [integrate_commensurate(one) for one in ivps]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(integrate_commensurate, ivps))
+def run_family(ivp, omega0_values):
+    """Integrate one IVP per omega0 seed (the 1-parameter family)."""
+    return [integrate_commensurate(replace(ivp, omega0=float(w)))
+            for w in omega0_values]
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +486,13 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     theta'' may be supplied (e.g. from finite differences) to keep the
     left side independent of the curve condition.
     """
-    if omega_dot is not None:
-        u, v, theta, omega = pc.trace.state_at(t)
-        derivs = _theta_state_derivs(theta, omega, omega_dot)
-        u_jet = Jet1.from_derivatives((u, derivs[0], derivs[2], derivs[4]))
-        v_jet = Jet1.from_derivatives((v, derivs[1], derivs[3], derivs[5]))
-        X = surface_jets(pc.surface, u, v, 3)
-        a = compose_curve_in_surface(X, u_jet, v_jet, 3)
-    else:
+    if omega_dot is None:
         u_jet, v_jet = pc.param_jets(t, 3)
-        u, v = u_jet.value, v_jet.value
-        a = pc.curve_jets(t, 3)
+    else:
+        u_jet, v_jet = _theta_jets(*pc.trace.state_at(t), omega_dot)
+    u, v = u_jet.value, v_jet.value
+    a = compose_curve_in_surface(surface_jets(pc.surface, u, v, 3),
+                                 u_jet, v_jet, 3)
 
     d1 = np.array([comp.coeffs[1] for comp in a])
     d2 = np.array([comp.coeffs[2] for comp in a])

@@ -31,6 +31,7 @@ from .errors import (
     UnexpectedEnd,
     UnknownIdentifier,
 )
+from .jets import power_int
 
 __all__ = [
     "Token", "Ast", "Const", "Var", "Neg", "BinOp", "Call",
@@ -235,7 +236,7 @@ def _apply_func(func, x):
 
 
 def _pow(base, exponent):
-    """a ^ b.  Integer constant exponents use repeated multiplication so
+    """a ^ b.  Integer constant exponents use square-and-multiply so
     negative bases stay legal; anything else goes through exp(b*log(a))."""
     n = _as_integer(exponent)
     if n is not None:
@@ -259,19 +260,16 @@ def _as_integer(x):
 
 
 def _pow_int(base, n):
+    if hasattr(base, "pow_int"):
+        return base.pow_int(n)
     if n == 0:
-        return base * 0 + 1.0 if hasattr(base, "sin") else 1.0
+        return 1.0
     if n < 0:
-        inv = _pow_int(base, -n)
-        if hasattr(inv, "sin"):
-            return (inv * 0 + 1.0) / inv
+        inv = power_int(base, -n)
         if inv == 0.0:
             raise DomainError("division by zero in negative power")
         return 1.0 / inv
-    result = base
-    for _ in range(n - 1):
-        result = result * base
-    return result
+    return power_int(base, n)
 
 
 def eval_ast(ast, bindings):

@@ -16,6 +16,7 @@ import numpy as np
 from .commensurate import (
     ParamCurve,
     check_condition_euclidean,
+    commensurate_residual,
     commensurate_residual_general,
 )
 from .curvegeo import (
@@ -249,14 +250,10 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8,
             worst = max(worst,
                         max(abs(f0.a - f1.a), abs(f0.b - f1.b),
                             abs(f0.c - f1.c)) / scale)
-            theta, omega, omega_dot = rng.uniform(-1.0, 1.0, size=3)
-            derivs = (math.cos(theta), math.sin(theta),
-                      -omega * math.sin(theta), omega * math.cos(theta),
-                      -omega_dot * math.sin(theta) - omega ** 2 * math.cos(theta),
-                      omega_dot * math.cos(theta) - omega ** 2 * math.sin(theta))
+            state = (u, v, *rng.uniform(-1.0, 1.0, size=3))
             try:
-                r0 = commensurate_residual_general(surface, u, v, derivs)
-                r1 = commensurate_residual_general(moved, u, v, derivs)
+                r0 = commensurate_residual(surface, state)
+                r1 = commensurate_residual(moved, state)
             except AffineMetricsError:
                 continue
             worst = max(worst, abs(r0 - r1) / max(abs(r0), abs(r1), 1.0))

@@ -2,21 +2,21 @@
 
 A :class:`Jet1` holds a value together with raw derivatives d^k/dt^k up to a
 fixed order (at most 6); a :class:`Jet2` holds raw partial derivatives
-d^{i+j}/du^i dv^j for i+j up to a fixed total order (at most 4).  Arithmetic
-propagates exact derivatives: Leibniz for products, triangular recurrences
-for quotients and the elementary functions, so evaluating a parsed
-expression over a seed jet yields the true derivatives of that expression
-up to floating-point rounding.
+d^{i+j}/du^i dv^j for i+j up to a fixed total order (at most 3, all that the
+invariants of curves in surfaces need).  Arithmetic propagates exact
+derivatives: Leibniz for products, triangular recurrences for quotients and
+the elementary functions, so evaluating a parsed expression over a seed jet
+yields the true derivatives of that expression up to floating-point
+rounding.
 
 Raw derivatives (not Taylor coefficients) are stored, because the geometry
 layers consume a', a'', a''' directly.  Internally the elementary-function
 kernels convert to normalized Taylor coefficients, apply the classical
 power-series recurrences, and convert back.
 
-:func:`compose_curve_in_surface` implements the bivariate chain rule for
-a(t) = X(u(t), v(t)) by evaluating the truncated Taylor polynomial of X in
-the jet algebra of t; since the increments carry no constant term the
-truncated result is the exact multivariate Faa di Bruno sum.
+:func:`compose_curve_in_surface` gives the derivatives of a(t) =
+X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
+floats.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ import math
 
 from .errors import DomainError, OrderMismatch, UnsupportedOrder
 
-__all__ = ["Jet1", "Jet2", "compose_curve_in_surface",
+__all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "power_int",
            "dot3", "cross3", "det3", "MAX_ORDER_1", "MAX_ORDER_2"]
 
 MAX_ORDER_1 = 6
-MAX_ORDER_2 = 4
+MAX_ORDER_2 = 3
 
 _FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
 _BINOM = tuple(tuple(math.comb(k, j) for j in range(k + 1)) for k in range(7))
@@ -40,6 +40,21 @@ _IDX2 = {
     for n in range(MAX_ORDER_2 + 1)
 }
 _POS2 = {n: {ij: k for k, ij in enumerate(_IDX2[n])} for n in _IDX2}
+
+
+def power_int(base, n):
+    """base ** n for an integer n >= 1 by square-and-multiply, in any ring
+    with ``*`` (floats, Jet1, Jet2): at most 2 log2(n) products.  Products
+    rather than float ``**``, which raises OverflowError, and they keep
+    negative bases legal."""
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else base * result
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
 
 
 def _check_order(order, maximum, what):
@@ -69,11 +84,6 @@ class Jet1:
     def constant(cls, value, order):
         _check_order(order, MAX_ORDER_1, "Jet1")
         return cls((float(value),) + (0.0,) * order)
-
-    @classmethod
-    def from_derivatives(cls, derivs):
-        """Build a jet from explicit raw derivatives (value first)."""
-        return cls(derivs)
 
     @property
     def order(self):
@@ -173,11 +183,8 @@ class Jet1:
         if n == 0:
             return Jet1.constant(1.0, self.order)
         if n < 0:
-            return Jet1.constant(1.0, self.order) / self.pow_int(-n)
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+            return Jet1.constant(1.0, self.order) / power_int(self, -n)
+        return power_int(self, n)
 
     # -- elementary functions (normalized Taylor recurrences) ---------------
 
@@ -408,11 +415,8 @@ class Jet2:
         if n == 0:
             return Jet2.constant(1.0, self.order)
         if n < 0:
-            return self.pow_int(-n)._reciprocal()
-        result = self
-        for _ in range(n - 1):
-            result = result * self
-        return result
+            return power_int(self, -n)._reciprocal()
+        return power_int(self, n)
 
     # -- elementary functions via univariate composition --------------------
     #
@@ -482,11 +486,18 @@ class Jet2:
 
 def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
     """Jets of a(t) = X(u(t), v(t)) from Jet2 components of X and Jet1
-    components of u, v.
+    components of u, v, by the chain rule up to order 3:
+
+        a'   = X_u u' + X_v v'
+        a''  = X_uu u'^2 + 2 X_uv u'v' + X_vv v'^2 + X_u u'' + X_v v''
+        a''' = X_uuu u'^3 + 3 X_uuv u'^2 v' + 3 X_uvv u'v'^2 + X_vvv v'^3
+               + 3 (X_uu u'u'' + X_uv (u'v'' + u''v') + X_vv v'v'')
+               + X_u u''' + X_v v'''
 
     ``surface_jets`` is a 3-tuple of Jet2 expanded at (u_jet.value,
     v_jet.value).  The output order defaults to the largest the inputs
-    support; requesting more raises OrderMismatch.
+    support (at most MAX_ORDER_2 = 3); requesting more raises
+    OrderMismatch.
     """
     available = min(min(c.order for c in surface_jets),
                     u_jet.order, v_jet.order)
@@ -496,25 +507,25 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
         raise OrderMismatch(
             f"requested order {order} exceeds available input order {available}")
 
-    du = Jet1((0.0,) + u_jet.coeffs[1:order + 1])
-    dv = Jet1((0.0,) + v_jet.coeffs[1:order + 1])
-    one = Jet1.constant(1.0, order)
-    du_pows = [one]
-    dv_pows = [one]
-    for _ in range(order):
-        du_pows.append(du_pows[-1] * du)
-        dv_pows.append(dv_pows[-1] * dv)
-
+    pad = (0.0,) * (3 - order)
+    u1, u2, u3 = u_jet.coeffs[1:order + 1] + pad
+    v1, v2, v3 = v_jet.coeffs[1:order + 1] + pad
+    uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
     out = []
     for comp in surface_jets:
-        acc = Jet1.constant(0.0, order)
-        for (i, j) in _IDX2[comp.order]:
-            if i + j > order:
-                continue
-            c = comp.partial(i, j) / (_FACT[i] * _FACT[j])
-            if c != 0.0:
-                acc = acc + du_pows[i] * dv_pows[j] * c
-        out.append(acc)
+        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
+        x = comp.coeffs
+        d = [x[0], x[1] * u1 + x[2] * v1]
+        if order >= 2:
+            d.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
+                     + x[1] * u2 + x[2] * v2)
+        if order >= 3:
+            d.append(x[6] * uu * u1 + 3.0 * x[7] * uu * v1
+                     + 3.0 * x[8] * u1 * vv + x[9] * vv * v1
+                     + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
+                              + x[5] * v1 * v2)
+                     + x[1] * u3 + x[2] * v3)
+        out.append(Jet1(d))
     return tuple(out)
 
 

@@ -31,7 +31,7 @@ from .errors import (
     ZeroDirection,
 )
 from .expr import eval_ast, parse_expression
-from .jets import Jet2, cross3, det3
+from .jets import MAX_ORDER_2, Jet2, cross3, det3
 
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "PointClassification",
@@ -132,14 +132,15 @@ class PointClassification:
 
 
 def surface_jets(surface, u, v, order, check_domain=True):
-    """Exact partial derivatives of the surface components, orders 1..4.
+    """Exact partial derivatives of the surface components, orders 1..3.
 
     ``check_domain=False`` skips the parameter-box check; the solver uses
     it because its steps may transiently evaluate just past the boundary
     that its exit event then locates.
     """
-    if not isinstance(order, int) or not 1 <= order <= 4:
-        raise UnsupportedOrder(f"surface jets support orders 1..4, got {order}")
+    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_2:
+        raise UnsupportedOrder(
+            f"surface jets support orders 1..{MAX_ORDER_2}, got {order}")
     if check_domain and not surface.contains(u, v):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
@@ -199,12 +200,11 @@ def gauss_curvature(surface, u, v):
     return second.det / first.det
 
 
-def _classification_threshold(surface, u, v):
-    jets = surface_jets(surface, u, v, 1)
-    xu = _partial_vec(jets, 1, 0)
-    xv = _partial_vec(jets, 0, 1)
-    cross = np.array(cross3(xu, xv))
-    return EPS_CLASSIFY * float(np.dot(cross, cross))   # = eps * (EG - F^2)
+def _degeneracy_threshold(jets):
+    """The bound below which |ln - m^2| counts as degenerate:
+    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2)."""
+    cross = np.array(cross3(_partial_vec(jets, 1, 0), _partial_vec(jets, 0, 1)))
+    return EPS_CLASSIFY * float(np.dot(cross, cross))
 
 
 def form_from_jets(jets):
@@ -212,10 +212,7 @@ def form_from_jets(jets):
     (order >= 2); see affine_first_fundamental."""
     l, m, n = _lmn_from_jets(jets)
     disc = l * n - m * m
-    xu = _partial_vec(jets, 1, 0)
-    xv = _partial_vec(jets, 0, 1)
-    cross = np.array(cross3(xu, xv))
-    eps = EPS_CLASSIFY * float(np.dot(cross, cross))
+    eps = _degeneracy_threshold(jets)
     if abs(disc) <= eps:
         raise DegenerateSurfacePoint(
             f"ln - m^2 = {disc!r} is within {eps!r} of zero",
@@ -259,9 +256,10 @@ def normal_curvature(surface, u, v, du, dv):
 
 
 def classify_point(surface, u, v):
-    lmn = affine_lmn(surface, u, v)
-    disc = lmn.det
-    eps = _classification_threshold(surface, u, v)
+    jets = surface_jets(surface, u, v, 2)
+    l, m, n = _lmn_from_jets(jets)
+    disc = l * n - m * m
+    eps = _degeneracy_threshold(jets)
     if disc > eps:
         kind = "elliptic"
     elif disc < -eps:

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -49,6 +50,14 @@ class TestSurfaceInfo:
     def test_parse_error_exit_code(self, capsys):
         assert run(["surface-info", "--surface-expr", "u*;v;0",
                     "--domain", "-1:1,-1:1", "--at", "0,0"]) == 2
+
+    def test_huge_integer_power_ends_quickly(self, capsys):
+        start = time.perf_counter()
+        code = run(["surface-info", "--surface-expr", "u^2147483647;v;u*v",
+                    "--at", "0.5,0.5"])
+        assert time.perf_counter() - start < 5.0
+        assert 0 <= code <= 5
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_surface_exit_code(self, capsys):
         assert run(["surface-info", "--surface", "torus", "--at", "0,0"]) == 2
@@ -121,7 +130,6 @@ class TestCommensurateSolve:
 
     def test_family_sweep_writes_five_files(self, tmp_path, capsys,
                                             monkeypatch):
-        monkeypatch.setenv("AFFINEMETRICS_THREADS", "2")
         out = tmp_path / "fam.csv"
         assert run(["commensurate-solve", "--surface", "sphere",
                     "--at", "0,0", "--theta0", "0",

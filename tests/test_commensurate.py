@@ -167,7 +167,7 @@ class TestIntegration:
 
     def test_family_sweep(self):
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, t_span=(0.0, 0.2))
-        traces = run_family(ivp, [-1.0, -0.5, 0.0, 0.5, 1.0], max_workers=2)
+        traces = run_family(ivp, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert len(traces) == 5
         assert [t.ivp.omega0 for t in traces] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert all(t.completed for t in traces)

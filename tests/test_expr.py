@@ -131,6 +131,16 @@ class TestEval:
         ast = parse_expression("t^3", {"t"})
         assert eval_ast(ast, {"t": -2.0}) == -8.0
 
+    def test_large_integer_power_of_jet(self):
+        # square-and-multiply: u^n and its u-partials against n u^(n-1) etc.
+        n, u0 = 20000, 1.0001
+        jet = eval_ast(parse_expression(f"u^{n}", {"u", "v"}),
+                       {"u": Jet2.seed_u(u0, 3), "v": Jet2.seed_v(0.0, 3)})
+        want = (u0 ** n, n * u0 ** (n - 1), n * (n - 1) * u0 ** (n - 2),
+                n * (n - 1) * (n - 2) * u0 ** (n - 3))
+        for k, w in enumerate(want):
+            assert jet.partial(k, 0) == pytest.approx(w, rel=1e-10)
+
     def test_fractional_power_negative_base_fails(self):
         ast = parse_expression("t^(1/2)", {"t"})
         with pytest.raises(DomainError):

@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinemetrics.errors import DomainError, OrderMismatch, UnsupportedOrder
-from affinemetrics.expr import eval_ast, parse_expression
+from affinemetrics.expr import eval_ast, parse_expression, pretty
 from affinemetrics.jets import Jet1, Jet2, compose_curve_in_surface, det3
 from affinemetrics.numerics import finite_diff
-from affinemetrics.surfgeo import CATALOG
+from affinemetrics.surfgeo import CATALOG, surface_jets
 
 
 class TestJet1Basics:
@@ -251,6 +251,49 @@ class TestCompose:
                               {"t": seed})
             for a, b in zip(comp.coeffs, direct.coeffs):
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-12)
+
+
+class TestComposeSympyOracle:
+    """compose_curve_in_surface at orders 1..3 against sympy's derivatives
+    of X(u(t), v(t)) for every catalog surface."""
+
+    U_OF_T = "0.3 + 0.5*t + 0.2*sin(t)"
+    V_OF_T = "0.6 - 0.4*t + 0.1*cos(2*t)"
+    T0 = 0.4
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_surface(self, name):
+        sp = pytest.importorskip("sympy")
+        t, u, v = sp.symbols("t u v")
+        names = {"t": t, "u": u, "v": v, "pi": sp.pi, "e": sp.E}
+        path = {u: sp.sympify(self.U_OF_T, locals=names),
+                v: sp.sympify(self.V_OF_T, locals=names)}
+        surface = CATALOG[name]
+        curve = [sp.sympify(pretty(c).replace("^", "**"), locals=names)
+                 .subs(path) for c in surface.components]
+        t0 = sp.Float(self.T0, 30)
+        want = [[float(sp.diff(a, t, k).subs(t, t0).evalf(30))
+                 for k in range(4)] for a in curve]
+
+        for order in (1, 2, 3):
+            seed = Jet1.seed(self.T0, order)
+            u_jet = eval_ast(parse_expression(self.U_OF_T, {"t"}), {"t": seed})
+            v_jet = eval_ast(parse_expression(self.V_OF_T, {"t"}), {"t": seed})
+            X = surface_jets(surface, u_jet.value, v_jet.value, order)
+            got = compose_curve_in_surface(X, u_jet, v_jet, order)
+            for jet, ref in zip(got, want):
+                assert jet.order == order
+                for k in range(order + 1):
+                    assert jet.coeffs[k] == pytest.approx(
+                        ref[k], rel=1e-12, abs=1e-12)
+
+
+class TestOrderCap:
+    def test_bivariate_order_four_unsupported(self):
+        with pytest.raises(UnsupportedOrder):
+            Jet2.seed_u(0.0, 4)
+        with pytest.raises(UnsupportedOrder):
+            surface_jets(CATALOG["sphere"], 0.0, 0.0, 4)
 
 
 @st.composite
