@@ -62,11 +62,12 @@ from .errors import (
 from .surfgeo import (
     CATALOG,
     SurfaceDef,
-    affine_first_fundamental,
-    affine_lmn,
-    classify_point,
-    fundamental_forms_euclid,
-    gauss_curvature,
+    classify_from_jets,
+    form_from_jets,
+    forms_from_jets,
+    gauss_from_forms,
+    lmn_from_jets,
+    surface_jets,
 )
 
 SCHEMA = "affinemetrics/1"
@@ -175,6 +176,18 @@ def _parse_range(text):
     return a, b
 
 
+def _positive_float(text):
+    """argparse type of a flag that must be a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def _parse_sweep(text):
     """A float, or 'start:stop:step' meaning an inclusive sweep."""
     parts = text.split(":")
@@ -195,11 +208,12 @@ def _parse_sweep(text):
 def _cmd_surface_info(args):
     surface = _surface_from_args(args)
     u, v = _parse_pair(args.at, "--at")
-    first, second, _ = fundamental_forms_euclid(surface, u, v)
-    lmn = affine_lmn(surface, u, v)
-    K = gauss_curvature(surface, u, v)
-    form = affine_first_fundamental(surface, u, v)     # raises on degeneracy
-    cls = classify_point(surface, u, v)
+    jets = surface_jets(surface, u, v, 2)
+    first, second, _ = forms_from_jets(jets, u, v)
+    lmn = lmn_from_jets(jets)
+    K = gauss_from_forms(first, second)
+    form = form_from_jets(jets)                 # raises on degeneracy
+    cls = classify_from_jets(jets)
     fields = [
         ("u", u), ("v", v),
         ("E", first.a), ("F", first.b), ("G", first.c),
@@ -451,7 +465,7 @@ def build_parser():
                    help="parameter curve 'u_expr;v_expr' in variable t")
     p.add_argument("--t-range", required=True, help="parameter range 'a:b'")
     p.add_argument("--samples", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-10,
+    p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
                    help="mirror the curve when its determinant is negative")
@@ -467,9 +481,9 @@ def build_parser():
                    help="initial direction angle (radians)")
     p.add_argument("--omega0", default="0.0",
                    help="initial theta' seed, or sweep 'a:b:step'")
-    p.add_argument("--t-max", type=float, default=1.0)
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
+    p.add_argument("--t-max", type=_positive_float, default=1.0)
+    p.add_argument("--rel-tol", type=_positive_float, default=1e-10)
+    p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
     p.add_argument("--eps-asym", type=float, default=1e-4)
     p.add_argument("--eps-den", type=float, default=1e-10)
     p.add_argument("--max-steps", type=int, default=100_000)

@@ -42,8 +42,8 @@ from .numerics import OdeEvent, OdeOptions, ode_solve, quad_adaptive
 from .surfgeo import (
     affine_first_fundamental,
     form_from_jets,
-    fundamental_forms_euclid,
-    gauss_curvature,
+    forms_from_jets,
+    gauss_from_forms,
     surface_jets,
 )
 
@@ -491,8 +491,8 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     else:
         u_jet, v_jet = _theta_jets(*pc.trace.state_at(t), omega_dot)
     u, v = u_jet.value, v_jet.value
-    a = compose_curve_in_surface(surface_jets(pc.surface, u, v, 3),
-                                 u_jet, v_jet, 3)
+    X = surface_jets(pc.surface, u, v, 3)
+    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
 
     d1 = np.array([comp.coeffs[1] for comp in a])
     d2 = np.array([comp.coeffs[2] for comp in a])
@@ -509,12 +509,12 @@ def check_condition_euclidean(pc, t, omega_dot=None):
         tau = float(det3(d1, d2, d3)) / cross_sq
         lhs = kappa_sq * tau
 
-    first, second, _ = fundamental_forms_euclid(pc.surface, u, v)
+    first, second, _ = forms_from_jets(X, u, v)
     du, dv = u_jet.coeffs[1], v_jet.coeffs[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
-    K = gauss_curvature(pc.surface, u, v)
-    sigma = affine_first_fundamental(pc.surface, u, v).orientation_sign
+    K = gauss_from_forms(first, second)
+    sigma = form_from_jets(X).orientation_sign
     rhs = (abs(K) ** (-0.25) * k_n * sigma) ** 3
     return ConditionCheck(lhs, rhs, degenerate)
 

@@ -231,8 +231,8 @@ def _apply_func(func, x):
         if func == "sqrt" and x < 0.0:
             raise DomainError("sqrt of a negative value")
         return getattr(math, func)(x)
-    except ValueError as exc:
-        raise DomainError(str(exc)) from exc
+    except (ValueError, OverflowError) as exc:      # sin(inf), exp(1000)
+        raise DomainError(f"{func}({x!r}): {exc}") from exc
 
 
 def _pow(base, exponent):
@@ -245,8 +245,12 @@ def _pow(base, exponent):
         return (base.log() * exponent).exp()
     if base <= 0.0:
         raise DomainError("power with nonpositive base and non-integer exponent")
-    return math.exp(exponent * math.log(base)) if not hasattr(exponent, "sin") \
-        else (exponent * math.log(base)).exp()
+    if hasattr(exponent, "sin"):
+        return (exponent * math.log(base)).exp()
+    try:
+        return math.exp(exponent * math.log(base))
+    except OverflowError as exc:
+        raise DomainError(f"{base!r}^{exponent!r}: {exc}") from exc
 
 
 def _as_integer(x):

@@ -4,15 +4,34 @@ A :class:`Jet1` holds a value together with raw derivatives d^k/dt^k up to a
 fixed order (at most 6); a :class:`Jet2` holds raw partial derivatives
 d^{i+j}/du^i dv^j for i+j up to a fixed total order (at most 3, all that the
 invariants of curves in surfaces need).  Arithmetic propagates exact
-derivatives: Leibniz for products, triangular recurrences for quotients and
-the elementary functions, so evaluating a parsed expression over a seed jet
-yields the true derivatives of that expression up to floating-point
-rounding.
+derivatives, so evaluating a parsed expression over a seed jet yields the
+true derivatives of that expression up to floating-point rounding.
 
 Raw derivatives (not Taylor coefficients) are stored, because the geometry
-layers consume a', a'', a''' directly.  Internally the elementary-function
-kernels convert to normalized Taylor coefficients, apply the classical
-power-series recurrences, and convert back.
+layers consume a', a'', a''' directly.
+
+Products follow Leibniz's rule through tables built at import: for each
+order and each output coefficient, the tuple of its (binomial weight,
+index into a, index into b) terms, so that a product is one flat loop.
+
+A Jet2 elementary function g = phi(f) is the bivariate chain rule on the
+graded partials, written out to order 3:
+
+    g_u   = phi' f_u
+    g_uv  = phi'' f_u f_v + phi' f_uv
+    g_uuv = phi''' f_u^2 f_v + phi'' (2 f_u f_uv + f_uu f_v) + phi' f_uuv
+
+and so on.  phi and its first three derivatives at f's value come from one
+closed-form table per function (``_PHI``), which is the only place the jets
+call :mod:`math`; it reports a math overflow or domain error as DomainError.
+The Jet1 elementary functions, which go up to order 6, serve Jet1 only:
+they convert to normalized Taylor coefficients, apply the classical
+power-series recurrences and convert back.
+
+Results built inside this module go through the unchecked ``_make``
+constructors; the public ``Jet1(coeffs)`` and ``Jet2(order, coeffs)``
+validate.  A plain-number operand of + - * / takes a fast path instead of
+being wrapped in a constant jet.
 
 :func:`compose_curve_in_surface` gives the derivatives of a(t) =
 X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
@@ -40,6 +59,115 @@ _IDX2 = {
     for n in range(MAX_ORDER_2 + 1)
 }
 _POS2 = {n: {ij: k for k, ij in enumerate(_IDX2[n])} for n in _IDX2}
+
+# Leibniz product tables: per order, per output coefficient, its terms
+# (binomial weight, index into a, index into b).
+_MUL1 = {
+    n: tuple(tuple((_BINOM[k][j], j, k - j) for j in range(k + 1))
+             for k in range(n + 1))
+    for n in range(1, MAX_ORDER_1 + 1)
+}
+_MUL2 = {
+    n: tuple(tuple((_BINOM[i][p] * _BINOM[j][q], _POS2[n][(p, q)],
+                    _POS2[n][(i - p, j - q)])
+                   for p in range(i + 1) for q in range(j + 1))
+             for (i, j) in _IDX2[n])
+    for n in range(1, MAX_ORDER_2 + 1)
+}
+
+
+# ---------------------------------------------------------------------------
+# (phi, phi', phi'', phi''') of each elementary function at x
+
+def _d_sin(x):
+    s, c = math.sin(x), math.cos(x)
+    return s, c, -s, -c
+
+
+def _d_cos(x):
+    s, c = math.sin(x), math.cos(x)
+    return c, -s, -c, s
+
+
+def _d_tan(x):
+    c = math.cos(x)
+    if c == 0.0:
+        raise DomainError("tan at a pole")
+    t = math.sin(x) / c
+    sec2 = 1.0 + t * t
+    return t, sec2, 2.0 * t * sec2, 2.0 * sec2 * (sec2 + 2.0 * t * t)
+
+
+def _d_sinh(x):
+    s, c = math.sinh(x), math.cosh(x)
+    return s, c, s, c
+
+
+def _d_cosh(x):
+    s, c = math.sinh(x), math.cosh(x)
+    return c, s, c, s
+
+
+def _d_tanh(x):
+    # sech^2 from exp(-2|x|): no cancellation in 1 - tanh^2, no overflow
+    e = math.exp(-2.0 * abs(x))
+    t = math.tanh(x)
+    sech2 = 4.0 * e / ((1.0 + e) * (1.0 + e))
+    return t, sech2, -2.0 * t * sech2, 2.0 * sech2 * (2.0 * t * t - sech2)
+
+
+def _d_exp(x):
+    e = math.exp(x)
+    return e, e, e, e
+
+
+def _d_log(x):
+    if x <= 0.0:
+        raise DomainError("log of a nonpositive jet value")
+    r = 1.0 / x
+    return math.log(x), r, -r * r, 2.0 * r * r * r
+
+
+def _d_sqrt(x):
+    if x <= 0.0:
+        raise DomainError("sqrt of a nonpositive jet value")
+    s = math.sqrt(x)
+    d1 = 0.5 / s
+    d2 = -0.5 * d1 / x
+    return s, d1, d2, -1.5 * d2 / x
+
+
+def _d_reciprocal(x):
+    if x == 0.0:
+        raise DomainError("jet division by zero value")
+    r = 1.0 / x
+    r2 = r * r
+    return r, -r2, 2.0 * r2 * r, -6.0 * r2 * r2
+
+
+_PHI = {"sin": _d_sin, "cos": _d_cos, "tan": _d_tan, "sinh": _d_sinh,
+        "cosh": _d_cosh, "tanh": _d_tanh, "exp": _d_exp, "log": _d_log,
+        "sqrt": _d_sqrt, "reciprocal": _d_reciprocal}
+
+
+def _phi(name, x):
+    """(phi, phi', phi'', phi''') of the named function at x.  A math
+    overflow (exp(1000)) or domain error (sin(inf)) is a DomainError."""
+    try:
+        return _PHI[name](x)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"{name}({x!r}): {exc}") from None
+
+
+def _leibniz(table, a, b):
+    """The coefficients of a product from its table in _MUL1 or _MUL2."""
+    out = []
+    for terms in table:
+        acc = 0.0
+        for w, i, j in terms:
+            acc += w * a[i] * b[j]
+        out.append(acc)
+    return tuple(out)
 
 
 def power_int(base, n):
@@ -74,16 +202,23 @@ class Jet1:
                 f"Jet1 supports orders 1..{MAX_ORDER_1}, got {len(coeffs) - 1}")
         self.coeffs = coeffs
 
+    @staticmethod
+    def _make(coeffs):
+        """A Jet1 over a tuple of floats of a valid length, unchecked."""
+        jet = object.__new__(Jet1)
+        jet.coeffs = coeffs
+        return jet
+
     @classmethod
     def seed(cls, value, order):
         """The identity function t at t = value."""
         _check_order(order, MAX_ORDER_1, "Jet1")
-        return cls((float(value), 1.0) + (0.0,) * (order - 1))
+        return Jet1._make((float(value), 1.0) + (0.0,) * (order - 1))
 
     @classmethod
     def constant(cls, value, order):
         _check_order(order, MAX_ORDER_1, "Jet1")
-        return cls((float(value),) + (0.0,) * order)
+        return Jet1._make((float(value),) + (0.0,) * order)
 
     @property
     def order(self):
@@ -100,78 +235,87 @@ class Jet1:
         """The jet of f', one order lower."""
         if self.order < 2:
             raise OrderMismatch("cannot differentiate an order-1 jet")
-        return Jet1(self.coeffs[1:])
+        return Jet1._make(self.coeffs[1:])
 
     def truncated(self, order):
         if order > self.order:
             raise OrderMismatch(
                 f"cannot extend a jet of order {self.order} to {order}")
-        return Jet1(self.coeffs[:order + 1])
+        return Jet1._make(self.coeffs[:order + 1])
 
     def __repr__(self):
         return f"Jet1({list(self.coeffs)!r})"
 
     # -- ring operations ----------------------------------------------------
+    #
+    # _other gives the coefficients of a Jet1 operand of the same order,
+    # NotImplemented for a Jet2, and None for a plain number.
 
-    def _coerce(self, other):
+    def _other(self, other):
         if isinstance(other, Jet1):
-            if other.order != self.order:
+            if len(other.coeffs) != len(self.coeffs):
                 raise OrderMismatch(
                     f"jet orders differ: {self.order} vs {other.order}")
-            return other
+            return other.coeffs
         if isinstance(other, Jet2):
             return NotImplemented
-        return Jet1.constant(float(other), self.order)
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            return Jet1._make((a[0] + float(other),) + a[1:])
+        if b is NotImplemented:
             return NotImplemented
-        return Jet1(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet1._make(tuple([x + y for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet1(tuple(-a for a in self.coeffs))
+        return Jet1._make(tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            return Jet1._make((a[0] - float(other),) + a[1:])
+        if b is NotImplemented:
             return NotImplemented
-        return Jet1(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet1._make(tuple([x - y for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
-        return (-self) + other
+        a = self.coeffs
+        return Jet1._make((float(other) - a[0],) + tuple([-x for x in a[1:]]))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            s = float(other)
+            return Jet1._make(tuple([x * s for x in a]))
+        if b is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(len(a)):
-            binom = _BINOM[k]
-            out.append(math.fsum(binom[j] * a[j] * b[k - j] for j in range(k + 1)))
-        return Jet1(tuple(out))
+        return Jet1._make(_leibniz(_MUL1[len(a) - 1], a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            s = float(other)
+            if s == 0.0:
+                raise DomainError("jet division by zero value")
+            return Jet1._make(tuple([x / s for x in a]))
+        if b is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if b[0] == 0.0:
-            raise DomainError("jet division by zero value")
-        c = [0.0] * len(a)
-        for k in range(len(a)):
-            binom = _BINOM[k]
-            acc = a[k] - math.fsum(binom[j] * c[j] * b[k - j] for j in range(k))
-            c[k] = acc / b[0]
-        return Jet1(tuple(c))
+        return Jet1._make(_divide1(a, b))
 
     def __rtruediv__(self, other):
-        return Jet1.constant(float(other), self.order) / self
+        b = self.coeffs
+        a = (float(other),) + (0.0,) * (len(b) - 1)
+        return Jet1._make(_divide1(a, b))
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (
@@ -183,7 +327,7 @@ class Jet1:
         if n == 0:
             return Jet1.constant(1.0, self.order)
         if n < 0:
-            return Jet1.constant(1.0, self.order) / power_int(self, -n)
+            return 1.0 / power_int(self, -n)
         return power_int(self, n)
 
     # -- elementary functions (normalized Taylor recurrences) ---------------
@@ -193,84 +337,83 @@ class Jet1:
 
     @staticmethod
     def _from_taylor(tay):
-        return Jet1(tuple(c * _FACT[k] for k, c in enumerate(tay)))
+        return Jet1._make(tuple([c * _FACT[k] for k, c in enumerate(tay)]))
 
-    def _sin_cos(self):
+    def _pair(self, name, sign):
+        """(phi(f), phi'(f)) where phi'' = sign * phi: (sin, cos) for sign
+        -1, (sinh, cosh) for sign +1, by the coupled recurrence."""
         u = self._taylor()
         n = self.order
         s = [0.0] * (n + 1)
         c = [0.0] * (n + 1)
-        s[0] = math.sin(u[0])
-        c[0] = math.cos(u[0])
+        s[0], c[0] = _phi(name, u[0])[:2]
+        fsum = math.fsum
         for k in range(1, n + 1):
-            s[k] = math.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            c[k] = -math.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
+            s[k] = fsum([j * u[j] * c[k - j] for j in range(1, k + 1)]) / k
+            c[k] = sign * fsum([j * u[j] * s[k - j]
+                                for j in range(1, k + 1)]) / k
         return Jet1._from_taylor(s), Jet1._from_taylor(c)
 
     def sin(self):
-        return self._sin_cos()[0]
+        return self._pair("sin", -1.0)[0]
 
     def cos(self):
-        return self._sin_cos()[1]
+        return self._pair("sin", -1.0)[1]
 
     def tan(self):
-        s, c = self._sin_cos()
+        s, c = self._pair("sin", -1.0)
         if c.value == 0.0:
             raise DomainError("tan at a pole")
         return s / c
 
-    def _sinh_cosh(self):
-        u = self._taylor()
-        n = self.order
-        s = [0.0] * (n + 1)
-        c = [0.0] * (n + 1)
-        s[0] = math.sinh(u[0])
-        c[0] = math.cosh(u[0])
-        for k in range(1, n + 1):
-            s[k] = math.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k
-            c[k] = math.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k
-        return Jet1._from_taylor(s), Jet1._from_taylor(c)
-
     def sinh(self):
-        return self._sinh_cosh()[0]
+        return self._pair("sinh", 1.0)[0]
 
     def cosh(self):
-        return self._sinh_cosh()[1]
+        return self._pair("sinh", 1.0)[1]
 
     def tanh(self):
-        s, c = self._sinh_cosh()
-        return s / c
+        # t' = w u' with w = 1 - t^2; w's value sech^2 never overflows
+        u = self._taylor()
+        n = self.order
+        t = [0.0] * (n + 1)
+        w = [0.0] * (n + 1)
+        t[0], w[0] = _phi("tanh", u[0])[:2]
+        fsum = math.fsum
+        for k in range(1, n + 1):
+            t[k] = fsum([j * u[j] * w[k - j] for j in range(1, k + 1)]) / k
+            w[k] = -fsum([t[i] * t[k - i] for i in range(k + 1)])
+        return Jet1._from_taylor(t)
 
     def exp(self):
         u = self._taylor()
         n = self.order
         v = [0.0] * (n + 1)
-        v[0] = math.exp(u[0])
+        v[0] = _phi("exp", u[0])[0]
+        fsum = math.fsum
         for k in range(1, n + 1):
-            v[k] = math.fsum(j * u[j] * v[k - j] for j in range(1, k + 1)) / k
+            v[k] = fsum([j * u[j] * v[k - j] for j in range(1, k + 1)]) / k
         return Jet1._from_taylor(v)
 
     def log(self):
         u = self._taylor()
-        if u[0] <= 0.0:
-            raise DomainError("log of a nonpositive jet value")
         n = self.order
         v = [0.0] * (n + 1)
-        v[0] = math.log(u[0])
+        v[0] = _phi("log", u[0])[0]
+        fsum = math.fsum
         for k in range(1, n + 1):
-            conv = math.fsum(j * v[j] * u[k - j] for j in range(1, k))
+            conv = fsum([j * v[j] * u[k - j] for j in range(1, k)])
             v[k] = (u[k] - conv / k) / u[0]
         return Jet1._from_taylor(v)
 
     def sqrt(self):
         u = self._taylor()
-        if u[0] <= 0.0:
-            raise DomainError("sqrt of a nonpositive jet value")
         n = self.order
         v = [0.0] * (n + 1)
-        v[0] = math.sqrt(u[0])
+        v[0] = _phi("sqrt", u[0])[0]
+        fsum = math.fsum
         for k in range(1, n + 1):
-            conv = math.fsum(v[j] * v[k - j] for j in range(1, k))
+            conv = fsum([v[j] * v[k - j] for j in range(1, k)])
             v[k] = (u[k] - conv) / (2.0 * v[0])
         return Jet1._from_taylor(v)
 
@@ -282,6 +425,20 @@ class Jet1:
         raise DomainError("abs is not differentiable at zero")
 
     __abs__ = abs
+
+
+def _divide1(a, b):
+    """Raw derivatives of a / b, solving Leibniz's rule for them in turn."""
+    if b[0] == 0.0:
+        raise DomainError("jet division by zero value")
+    c = []
+    for k, terms in enumerate(_MUL1[len(a) - 1]):
+        acc = a[k]
+        # the last term, (1, k, 0), is the unknown c[k] * b[0]
+        for w, i, j in terms[:-1]:
+            acc -= w * c[i] * b[j]
+        c.append(acc / b[0])
+    return tuple(c)
 
 
 class Jet2:
@@ -298,26 +455,35 @@ class Jet2:
         self.order = order
         self.coeffs = coeffs
 
-    @classmethod
-    def seed_u(cls, value, order):
+    @staticmethod
+    def _make(order, coeffs):
+        """A Jet2 over a tuple of floats of a valid length, unchecked."""
+        jet = object.__new__(Jet2)
+        jet.order = order
+        jet.coeffs = coeffs
+        return jet
+
+    @staticmethod
+    def _seed(value, order, ij):
         _check_order(order, MAX_ORDER_2, "Jet2")
         coeffs = [0.0] * len(_IDX2[order])
         coeffs[0] = float(value)
-        coeffs[_POS2[order][(1, 0)]] = 1.0
-        return cls(order, coeffs)
+        coeffs[_POS2[order][ij]] = 1.0
+        return Jet2._make(order, tuple(coeffs))
+
+    @classmethod
+    def seed_u(cls, value, order):
+        return Jet2._seed(value, order, (1, 0))
 
     @classmethod
     def seed_v(cls, value, order):
-        _check_order(order, MAX_ORDER_2, "Jet2")
-        coeffs = [0.0] * len(_IDX2[order])
-        coeffs[0] = float(value)
-        coeffs[_POS2[order][(0, 1)]] = 1.0
-        return cls(order, coeffs)
+        return Jet2._seed(value, order, (0, 1))
 
     @classmethod
     def constant(cls, value, order):
         _check_order(order, MAX_ORDER_2, "Jet2")
-        return cls(order, (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
+        return Jet2._make(order,
+                          (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
 
     @property
     def value(self):
@@ -337,72 +503,70 @@ class Jet2:
     def __repr__(self):
         return f"Jet2(order={self.order}, {list(self.coeffs)!r})"
 
-    # -- ring operations ----------------------------------------------------
+    # -- ring operations (operands as for Jet1) -----------------------------
 
-    def _coerce(self, other):
+    def _other(self, other):
         if isinstance(other, Jet2):
             if other.order != self.order:
                 raise OrderMismatch(
                     f"jet orders differ: {self.order} vs {other.order}")
-            return other
+            return other.coeffs
         if isinstance(other, Jet1):
             return NotImplemented
-        return Jet2.constant(float(other), self.order)
+        return None
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            return Jet2._make(self.order, (a[0] + float(other),) + a[1:])
+        if b is NotImplemented:
             return NotImplemented
-        return Jet2(self.order,
-                    tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet2._make(self.order, tuple([x + y for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, tuple(-a for a in self.coeffs))
+        return Jet2._make(self.order, tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            return Jet2._make(self.order, (a[0] - float(other),) + a[1:])
+        if b is NotImplemented:
             return NotImplemented
-        return Jet2(self.order,
-                    tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return Jet2._make(self.order, tuple([x - y for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
-        return (-self) + other
+        a = self.coeffs
+        return Jet2._make(self.order, (float(other) - a[0],)
+                          + tuple([-x for x in a[1:]]))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        a = self.coeffs
+        b = self._other(other)
+        if b is None:
+            s = float(other)
+            return Jet2._make(self.order, tuple([x * s for x in a]))
+        if b is NotImplemented:
             return NotImplemented
-        n = self.order
-        idx = _IDX2[n]
-        pos = _POS2[n]
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for (i, j) in idx:
-            bi, bj = _BINOM[i], _BINOM[j]
-            acc = 0.0
-            for p in range(i + 1):
-                for q in range(j + 1):
-                    acc += (bi[p] * bj[q]
-                            * a[pos[(p, q)]] * b[pos[(i - p, j - q)]])
-            out.append(acc)
-        return Jet2(n, tuple(out))
+        return Jet2._make(self.order, _leibniz(_MUL2[self.order], a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        b = self._other(other)
+        if b is None:
+            s = float(other)
+            if s == 0.0:
+                raise DomainError("jet division by zero value")
+            return self * (1.0 / s)
+        if b is NotImplemented:
             return NotImplemented
-        if other.value == 0.0:
-            raise DomainError("jet division by zero value")
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        if self.value == 0.0:
-            raise DomainError("jet division by zero value")
         return self._reciprocal() * other
 
     def __pow__(self, exponent):
@@ -418,58 +582,57 @@ class Jet2:
             return power_int(self, -n)._reciprocal()
         return power_int(self, n)
 
-    # -- elementary functions via univariate composition --------------------
-    #
-    # For g = phi(f): expand phi as a Taylor polynomial at f's value (its
-    # derivatives supplied by the Jet1 kernels) and evaluate it by Horner
-    # in the Jet2 algebra on w = f - f(0,0).  w has no constant term, so
-    # truncation at the jet order is exact.
+    # -- elementary functions by the order-3 chain rule ---------------------
 
-    def _apply_univariate(self, scalar_func):
-        n = self.order
-        derivs = scalar_func(Jet1.seed(self.value, max(n, 1))).coeffs
-        taylor = [derivs[k] / _FACT[k] for k in range(n + 1)]
-        w = Jet2(n, (0.0,) + self.coeffs[1:])
-        result = Jet2.constant(taylor[n], n)
-        for k in range(n - 1, -1, -1):
-            result = result * w + taylor[k]
-        return result
+    def _apply(self, name):
+        """phi(f) for the function ``name`` of the _PHI table."""
+        f = self.coeffs
+        p0, p1, p2, p3 = _phi(name, f[0])
+        fu, fv = f[1], f[2]
+        if self.order == 1:
+            return Jet2._make(1, (p0, p1 * fu, p1 * fv))
+        fuu, fuv, fvv = f[3], f[4], f[5]
+        g = (p0, p1 * fu, p1 * fv,
+             p2 * fu * fu + p1 * fuu,
+             p2 * fu * fv + p1 * fuv,
+             p2 * fv * fv + p1 * fvv)
+        if self.order == 2:
+            return Jet2._make(2, g)
+        return Jet2._make(3, g + (
+            p3 * fu * fu * fu + 3.0 * p2 * fu * fuu + p1 * f[6],
+            p3 * fu * fu * fv + p2 * (2.0 * fu * fuv + fuu * fv) + p1 * f[7],
+            p3 * fu * fv * fv + p2 * (2.0 * fv * fuv + fu * fvv) + p1 * f[8],
+            p3 * fv * fv * fv + 3.0 * p2 * fv * fvv + p1 * f[9]))
 
     def _reciprocal(self):
-        if self.value == 0.0:
-            raise DomainError("jet division by zero value")
-        return self._apply_univariate(lambda j: 1.0 / j)
+        return self._apply("reciprocal")
 
     def sin(self):
-        return self._apply_univariate(Jet1.sin)
+        return self._apply("sin")
 
     def cos(self):
-        return self._apply_univariate(Jet1.cos)
+        return self._apply("cos")
 
     def tan(self):
-        return self._apply_univariate(Jet1.tan)
+        return self._apply("tan")
 
     def sinh(self):
-        return self._apply_univariate(Jet1.sinh)
+        return self._apply("sinh")
 
     def cosh(self):
-        return self._apply_univariate(Jet1.cosh)
+        return self._apply("cosh")
 
     def tanh(self):
-        return self._apply_univariate(Jet1.tanh)
+        return self._apply("tanh")
 
     def exp(self):
-        return self._apply_univariate(Jet1.exp)
+        return self._apply("exp")
 
     def log(self):
-        if self.value <= 0.0:
-            raise DomainError("log of a nonpositive jet value")
-        return self._apply_univariate(Jet1.log)
+        return self._apply("log")
 
     def sqrt(self):
-        if self.value <= 0.0:
-            raise DomainError("sqrt of a nonpositive jet value")
-        return self._apply_univariate(Jet1.sqrt)
+        return self._apply("sqrt")
 
     def abs(self):
         if self.value > 0.0:
@@ -525,7 +688,7 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
                      + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
                               + x[5] * v1 * v2)
                      + x[1] * u3 + x[2] * v3)
-        out.append(Jet1(d))
+        out.append(Jet1._make(tuple(d)))
     return tuple(out)
 
 

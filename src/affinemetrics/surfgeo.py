@@ -36,8 +36,9 @@ from .jets import MAX_ORDER_2, Jet2, cross3, det3
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "PointClassification",
     "surface_jets", "fundamental_forms_euclid", "affine_lmn",
-    "gauss_curvature", "affine_first_fundamental", "form_from_jets",
-    "iaff_apply", "normal_curvature", "classify_point",
+    "gauss_curvature", "affine_first_fundamental", "forms_from_jets",
+    "lmn_from_jets", "gauss_from_forms", "form_from_jets",
+    "classify_from_jets", "iaff_apply", "normal_curvature", "classify_point",
     "check_reparam_covariance", "CATALOG", "catalog_surface",
 ]
 
@@ -165,7 +166,12 @@ def fundamental_forms_euclid(surface, u, v):
     The normal is X_u x X_v normalized; e, f, g are the dot products of the
     second partials with it.
     """
-    jets = surface_jets(surface, u, v, 2)
+    return forms_from_jets(surface_jets(surface, u, v, 2), u, v)
+
+
+def forms_from_jets(jets, u, v):
+    """fundamental_forms_euclid from already-evaluated surface jets (order
+    >= 2) at (u, v); the point is used only in the IrregularPoint message."""
     xu = _partial_vec(jets, 1, 0)
     xv = _partial_vec(jets, 0, 1)
     cross = np.array(cross3(xu, xv))
@@ -182,21 +188,27 @@ def fundamental_forms_euclid(surface, u, v):
     return first, second, normal
 
 
-def _lmn_from_jets(jets):
-    xu = _partial_vec(jets, 1, 0)
-    xv = _partial_vec(jets, 0, 1)
-    return (float(det3(xu, xv, _partial_vec(jets, 2, 0))),
-            float(det3(xu, xv, _partial_vec(jets, 1, 1))),
-            float(det3(xu, xv, _partial_vec(jets, 0, 2))))
-
-
 def affine_lmn(surface, u, v):
     """The raw determinant form (l, m, n) as a QuadForm."""
-    return QuadForm(*_lmn_from_jets(surface_jets(surface, u, v, 2)))
+    return lmn_from_jets(surface_jets(surface, u, v, 2))
+
+
+def lmn_from_jets(jets):
+    """affine_lmn from already-evaluated surface jets (order >= 2)."""
+    xu = _partial_vec(jets, 1, 0)
+    xv = _partial_vec(jets, 0, 1)
+    return QuadForm(float(det3(xu, xv, _partial_vec(jets, 2, 0))),
+                    float(det3(xu, xv, _partial_vec(jets, 1, 1))),
+                    float(det3(xu, xv, _partial_vec(jets, 0, 2))))
 
 
 def gauss_curvature(surface, u, v):
     first, second, _ = fundamental_forms_euclid(surface, u, v)
+    return gauss_from_forms(first, second)
+
+
+def gauss_from_forms(first, second):
+    """Gauss curvature (eg - f^2)/(EG - F^2) from the two Euclidean forms."""
     return second.det / first.det
 
 
@@ -210,7 +222,7 @@ def _degeneracy_threshold(jets):
 def form_from_jets(jets):
     """Affine fundamental form from already-evaluated surface jets
     (order >= 2); see affine_first_fundamental."""
-    l, m, n = _lmn_from_jets(jets)
+    l, m, n = lmn_from_jets(jets).coefficients()
     disc = l * n - m * m
     eps = _degeneracy_threshold(jets)
     if abs(disc) <= eps:
@@ -256,8 +268,12 @@ def normal_curvature(surface, u, v, du, dv):
 
 
 def classify_point(surface, u, v):
-    jets = surface_jets(surface, u, v, 2)
-    l, m, n = _lmn_from_jets(jets)
+    return classify_from_jets(surface_jets(surface, u, v, 2))
+
+
+def classify_from_jets(jets):
+    """classify_point from already-evaluated surface jets (order >= 2)."""
+    l, m, n = lmn_from_jets(jets).coefficients()
     disc = l * n - m * m
     eps = _degeneracy_threshold(jets)
     if disc > eps:
@@ -293,7 +309,7 @@ def check_reparam_covariance(surface, u, v, jacobian):
         if not isinstance(value, Jet2):
             value = Jet2.constant(value, 2)
         jets.append(value)
-    lb, mb, nb = _lmn_from_jets(tuple(jets))
+    lb, mb, nb = lmn_from_jets(tuple(jets)).coefficients()
     lhs = lb * nb - mb * mb
 
     lmn = affine_lmn(surface, u, v)

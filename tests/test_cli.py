@@ -6,6 +6,7 @@ import time
 import pytest
 
 from affinemetrics.cli import main
+from affinemetrics.surfgeo import CATALOG
 
 SQRT_2PI = 2.5066282746310002
 
@@ -65,6 +66,90 @@ class TestSurfaceInfo:
     def test_negative_coordinates_accepted(self, capsys):
         assert run(["surface-info", "--surface", "sphere",
                     "--at", "-1,0.5"]) == 0
+
+
+    def test_one_surface_jet_evaluation(self, capsys, monkeypatch):
+        from affinemetrics import cli, surfgeo
+
+        orders = []
+        original = surfgeo.surface_jets
+
+        def counting(surface, u, v, order, check_domain=True):
+            orders.append(order)
+            return original(surface, u, v, order, check_domain)
+
+        for module in (cli, surfgeo):
+            monkeypatch.setattr(module, "surface_jets", counting)
+        assert run(["surface-info", "--surface", "sphere",
+                    "--at", "0.3,0.2"]) == 0
+        assert orders == [2]
+
+    @pytest.mark.parametrize("name,at", [("sphere", (0.3, 0.2)),
+                                         ("helicoid", (1.0, 0.4)),
+                                         ("hyperboloid", (0.5, -0.7))])
+    def test_fields_match_the_per_point_functions(self, capsys, name, at):
+        from affinemetrics import surfgeo
+
+        surface = CATALOG[name]
+        assert run(["surface-info", "--surface", name,
+                    "--at", f"{at[0]!r},{at[1]!r}"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        first, second, _ = surfgeo.fundamental_forms_euclid(surface, *at)
+        lmn = surfgeo.affine_lmn(surface, *at)
+        form = surfgeo.affine_first_fundamental(surface, *at)
+        want = {"E": first.a, "F": first.b, "G": first.c,
+                "e": second.a, "f": second.b, "g": second.c,
+                "l": lmn.a, "m": lmn.b, "n": lmn.c,
+                "K": surfgeo.gauss_curvature(surface, *at),
+                "iaff_a": form.a, "iaff_b": form.b, "iaff_c": form.c,
+                "iaff_flipped": form.flipped,
+                "classification": surfgeo.classify_point(surface, *at).kind}
+        assert {k: payload[k] for k in want} == want
+
+
+class TestExitContract:
+    """Hostile inputs end in the documented exit codes, with one error
+    line and no traceback."""
+
+    @pytest.mark.parametrize("args", [
+        ["surface-info", "--surface-expr", "exp(1000*u);v;u*v",
+         "--domain", "-1:1,-1:1", "--at", "0.9,0.1"],
+        ["arclen-compare", "--surface-expr", "u;v;exp(800*u)",
+         "--domain", "-1:1,-1:1", "--curve", "t;0.2*t", "--t-range", "0:1"],
+        ["surface-info", "--surface-expr", "exp(1000);v;u*v",
+         "--at", "0.5,0.5"],
+        ["surface-info", "--surface-expr", "10^400.5*u;v;u*v",
+         "--at", "0.5,0.5"],
+    ])
+    def test_overflow_is_a_numerical_failure(self, capsys, args):
+        assert run(args) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "DomainError" in errors[0]
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--t-max", "-1"), ("--t-max", "0"), ("--t-max", "nan"),
+        ("--t-max", "inf"), ("--rel-tol", "0"), ("--rel-tol", "-1e-8"),
+        ("--abs-tol", "0"), ("--abs-tol", "abc")])
+    def test_bad_solver_flag_is_a_usage_error(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["commensurate-solve", "--surface", "sphere",
+                 "--at", "0.1,0.1", "--theta0", "0.3", f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-1e-10"])
+    def test_bad_quadrature_tolerance_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            run(["arclen-compare", "--surface", "sphere", "--curve",
+                 "t;0.2*t", "--t-range", "0:1", f"--tol={value}"])
+        assert exc.value.code == 2
+        assert "argument --tol" in capsys.readouterr().err
 
 
 class TestArclenCompare:

@@ -241,6 +241,28 @@ class TestConditionCheck:
             assert abs(chk.lhs - chk.rhs) \
                 <= 1e-6 * max(abs(chk.lhs), abs(chk.rhs), 1.0)
 
+    def test_one_surface_jet_evaluation(self, monkeypatch):
+        from affinemetrics import commensurate, surfgeo
+
+        orders = []
+        original = surfgeo.surface_jets
+
+        def counting(surface, u, v, order, check_domain=True):
+            orders.append(order)
+            return original(surface, u, v, order, check_domain)
+
+        for module in (commensurate, surfgeo):
+            monkeypatch.setattr(module, "surface_jets", counting)
+        check_condition_euclidean(SPH_HELIX, 0.4)
+        assert orders == [3]
+
+        ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, omega0=0.5,
+                              t_span=(0.0, 0.3))
+        tc = TraceCurve(integrate_commensurate(ivp))
+        orders.clear()
+        check_condition_euclidean(tc, 0.2, omega_dot=0.1)
+        assert orders == [3]
+
     def test_great_circle_not_commensurate(self):
         chk = check_condition_euclidean(GREAT_CIRCLE, 0.5)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)

@@ -146,6 +146,15 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_ast(ast, {"t": -4.0})
 
+    @pytest.mark.parametrize("source,x", [("exp(t)", 1000.0),
+                                          ("sinh(t)", -800.0),
+                                          ("cosh(t)", 800.0),
+                                          ("sin(t)", math.inf),
+                                          ("10^(t + 0.5)", 400.0)])
+    def test_float_overflow_is_a_domain_error(self, source, x):
+        with pytest.raises(DomainError):
+            eval_ast(parse_expression(source, {"t"}), {"t": x})
+
     def test_all_functions_evaluate(self):
         for name in ("sin", "cos", "tan", "sinh", "cosh", "tanh",
                      "exp", "sqrt", "abs"):
