@@ -31,6 +31,7 @@ import numpy as np
 from . import identities as idn
 from .commensurate import (
     CommensurateIVP,
+    NodeTable,
     ParamCurve,
     induced_arclength,
     induced_arclength_integrand,
@@ -188,6 +189,19 @@ def _positive_float(text):
     return value
 
 
+def _positive_int(text):
+    """argparse type of a flag that must be an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_sweep(text):
     """A float, or 'start:stop:step' meaning an inclusive sweep."""
     parts = text.split(":")
@@ -246,6 +260,12 @@ def _split_curve(text):
     return parts
 
 
+def _tally(totals, seg):
+    """Add one segment's quadrature statistics to [error, evaluations]."""
+    totals[0] += seg.error_estimate
+    totals[1] += seg.evaluations
+
+
 def _cmd_arclen_compare(args):
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_curve(args.curve)
@@ -272,6 +292,10 @@ def _cmd_arclen_compare(args):
     if probe_failures == 5:
         alpha_degenerate = True
 
+    # one table of node evaluations per segment, shared by both
+    # quadratures and by the sample row at the segment's end
+    nodes = NodeTable(pc)
+    quad = {"alpha": [0.0, 0], "sigma": [0.0, 0]}
     sigma_orientation = None
     rows = []
     s_alpha = 0.0
@@ -279,24 +303,28 @@ def _cmd_arclen_compare(args):
     sigma_flagged = False
     for i, t in enumerate(ts):
         t = float(t)
+        nodes.clear()
         if i > 0:
             prev = float(ts[i - 1])
             if not alpha_degenerate:
-                s_alpha += affine_arclength(pc, prev, t, rel_tol=args.tol,
-                                            abs_tol=args.tol * 1e-2,
-                                            mirror=mirror).value
-            seg = induced_arclength(pc, prev, t, rel_tol=args.tol,
+                seg = affine_arclength(nodes, prev, t, rel_tol=args.tol,
+                                       abs_tol=args.tol * 1e-2,
+                                       mirror=mirror)
+                s_alpha += seg.value
+                _tally(quad["alpha"], seg)
+            seg = induced_arclength(nodes, prev, t, rel_tol=args.tol,
                                     abs_tol=args.tol * 1e-2,
                                     orientation=sigma_orientation)
             s_sigma += seg.value
+            _tally(quad["sigma"], seg)
             sigma_flagged = sigma_flagged or seg.degenerate
         try:
-            ia = 0.0 if alpha_degenerate else affine_integrand(pc, t,
+            ia = 0.0 if alpha_degenerate else affine_integrand(nodes, t,
                                                                mirror=mirror)
         except (DegenerateCurve, NegativeOrientation):
             ia = 0.0
         try:
-            js = induced_arclength_integrand(pc, t)
+            js = induced_arclength_integrand(nodes, t)
         except NegativeForm as exc:
             js = math.sqrt(abs(exc.value))
             if sigma_orientation is None:
@@ -315,7 +343,10 @@ def _cmd_arclen_compare(args):
                    "curve": {"u": u_expr, "v": v_expr},
                    "t_range": [t0, t1], "tolerance": args.tol,
                    "columns": header,
-                   "rows": rows}
+                   "rows": rows,
+                   "quadrature": {
+                       side: {"error_estimate": err, "evaluations": evals}
+                       for side, (err, evals) in quad.items()}}
         text = _json_text(payload)
     else:
         text = _csv_text(header, rows)
@@ -464,7 +495,7 @@ def build_parser():
     p.add_argument("--curve", required=True,
                    help="parameter curve 'u_expr;v_expr' in variable t")
     p.add_argument("--t-range", required=True, help="parameter range 'a:b'")
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_positive_int, default=50)
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
@@ -484,9 +515,9 @@ def build_parser():
     p.add_argument("--t-max", type=_positive_float, default=1.0)
     p.add_argument("--rel-tol", type=_positive_float, default=1e-10)
     p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
-    p.add_argument("--eps-asym", type=float, default=1e-4)
-    p.add_argument("--eps-den", type=float, default=1e-10)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--eps-asym", type=_positive_float, default=1e-4)
+    p.add_argument("--eps-den", type=_positive_float, default=1e-10)
+    p.add_argument("--max-steps", type=_positive_int, default=100_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path; sweeps write one file per "
                                     "seed with _NN suffixes")
@@ -495,7 +526,7 @@ def build_parser():
     p = subs.add_parser("check-identities",
                         help="randomized structural identity checks")
     _add_surface_args(p)
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--reference",
                    help="check closed forms of this catalog name against "

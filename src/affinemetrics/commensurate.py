@@ -37,8 +37,14 @@ from .errors import (
     UnsupportedOrder,
 )
 from .expr import eval_ast, parse_expression
-from .jets import Jet1, compose_curve_in_surface, cross3, det3
-from .numerics import OdeEvent, OdeOptions, ode_solve, quad_adaptive
+from .jets import Jet1, compose_curve_in_surface, cross3, det3, dot3
+from .numerics import (
+    OdeEvent,
+    OdeOptions,
+    gk15_nodes,
+    ode_solve,
+    quad_adaptive,
+)
 from .surfgeo import (
     affine_first_fundamental,
     form_from_jets,
@@ -48,8 +54,8 @@ from .surfgeo import (
 )
 
 __all__ = [
-    "ParamCurve", "TraceCurve", "CommensurateIVP", "SolutionTrace",
-    "TraceNode", "ConditionCheck",
+    "ParamCurve", "TraceCurve", "NodeTable", "CommensurateIVP",
+    "SolutionTrace", "TraceNode", "ConditionCheck",
     "induced_arclength_integrand", "induced_arclength",
     "commensurate_residual", "commensurate_residual_general",
     "solve_theta_dd", "integrate_commensurate", "run_family",
@@ -61,8 +67,34 @@ __all__ = [
 EPS_FORM = 1e-12
 
 
+class _EmbeddedCurve:
+    """Evaluation of a curve a(t) = X(u(t), v(t)) in a surface from its
+    parameter jets; subclasses provide ``surface`` and ``param_jets``."""
+
+    def node_jets(self, t, order):
+        """(u, v, X, a) at t: the parameter jets, the surface jets at
+        (u(t), v(t)) and the jets of the embedded curve, up to ``order``."""
+        if order > 3:
+            raise UnsupportedOrder(
+                "surface-embedded curves support derivative order <= 3")
+        u, v = self.param_jets(t, order)
+        X = surface_jets(self.surface, u.value, v.value, order)
+        return u, v, X, compose_curve_in_surface(X, u, v, order)
+
+    def curve_jets(self, t, order):
+        """Jets of the embedded curve X(u(t), v(t))."""
+        return self.node_jets(t, order)[3]
+
+    def form_direction(self, t):
+        """(form, u', v') at t: the affine fundamental form at (u(t), v(t))
+        from order-2 surface jets, and the parameter direction."""
+        u, v = self.param_jets(t, 1)
+        form = affine_first_fundamental(self.surface, u.value, v.value)
+        return form, u.coeffs[1], v.coeffs[1]
+
+
 @dataclass(frozen=True)
-class ParamCurve:
+class ParamCurve(_EmbeddedCurve):
     """A parameter-plane curve (u(t), v(t)) inside a surface, with the
     parameter functions given as expressions in t."""
 
@@ -89,17 +121,8 @@ class ParamCurve:
             v = Jet1.constant(v, order)
         return u, v
 
-    def curve_jets(self, t, order):
-        """Jets of the embedded curve X(u(t), v(t))."""
-        if order > 3:
-            raise UnsupportedOrder(
-                "surface-embedded curves support derivative order <= 3")
-        u, v = self.param_jets(t, order)
-        X = surface_jets(self.surface, u.value, v.value, order)
-        return compose_curve_in_surface(X, u, v, order)
 
-
-class TraceCurve:
+class TraceCurve(_EmbeddedCurve):
     """ParamCurve-compatible view of a numerically generated trace.
 
     Parameter values come from the dense output of the underlying solve;
@@ -122,7 +145,45 @@ class TraceCurve:
                      if order >= 3 else 0.0)
         return _theta_jets(u, v, theta, omega, omega_dot, order)
 
-    curve_jets = ParamCurve.curve_jets
+
+class NodeTable(_EmbeddedCurve):
+    """A curve in a surface whose order-3 node evaluations are kept, so
+    that consumers evaluating the same t share one evaluation.
+
+    arclen-compare integrates both arc lengths over the same segment, so
+    the first GK15 panels of the two quadratures (and the sample row at
+    the segment's end) have the same nodes.  The equiaffine side evaluates
+    a node once at order 3 (parameter jets, surface jets and curve jets);
+    the induced side reads the affine form and (u', v') off that entry,
+    and evaluates order-2 surface jets itself only at nodes the table
+    lacks.  ``clear`` drops the entries when a segment is done.
+    """
+
+    def __init__(self, curve):
+        self.curve = curve
+        self.surface = curve.surface
+        self._entries = {}
+
+    def clear(self):
+        self._entries.clear()
+
+    def param_jets(self, t, order):
+        return self.curve.param_jets(t, order)
+
+    def node_jets(self, t, order):
+        if order != 3:
+            return super().node_jets(t, order)
+        entry = self._entries.get(t)
+        if entry is None:
+            entry = self._entries[t] = super().node_jets(t, 3)
+        return entry
+
+    def form_direction(self, t):
+        entry = self._entries.get(t)
+        if entry is None:
+            return super().form_direction(t)
+        u, v, X, _ = entry
+        return form_from_jets(X), u.coeffs[1], v.coeffs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +194,21 @@ def _form_threshold(form, du, dv):
     return EPS_FORM * max(1.0, mag) * max(1.0, du * du + dv * dv)
 
 
+def _sigma_integrand(form, du, dv, orientation):
+    """(sqrt(orientation * form(du, dv)), degenerate).  Within the
+    threshold of zero the value is 0 and ``degenerate`` is set (asymptotic
+    directions measure zero length); below the negative threshold
+    NegativeForm is raised, carrying form(du, dv)."""
+    q = form.apply(du, dv)
+    oriented = orientation * q
+    eps = _form_threshold(form, du, dv)
+    if oriented < -eps:
+        raise NegativeForm(q)
+    if oriented <= eps:
+        return 0.0, True
+    return math.sqrt(oriented), False
+
+
 def induced_arclength_integrand(pc, t, orientation=1.0):
     """sqrt of the affine fundamental form on a'(t).
 
@@ -141,25 +217,20 @@ def induced_arclength_integrand(pc, t, orientation=1.0):
     threshold raise NegativeForm; values within the threshold of zero
     clamp to zero (asymptotic directions measure zero length).
     """
-    u, v = pc.param_jets(t, 1)
-    form = affine_first_fundamental(pc.surface, u.value, v.value)
-    q = form.apply(u.coeffs[1], v.coeffs[1])
-    oriented = orientation * q
-    eps = _form_threshold(form, u.coeffs[1], v.coeffs[1])
-    if oriented < -eps:
-        raise NegativeForm(q)
-    return math.sqrt(max(oriented, 0.0))
+    return _sigma_integrand(*pc.form_direction(t), orientation)[0]
 
 
-def _probe_orientation(pc, t0, t1):
+def _probe_orientation(pc, t0, t1, nodes):
+    """The sign of form(a') of largest magnitude at the nodes of the first
+    GK15 panel over [t0, t1]; nodes whose geometry fails are skipped.  The
+    evaluations that succeed are kept in ``nodes`` for the quadrature."""
     best = 0.0
-    for t in np.linspace(t0, t1, 7):
+    for t in gk15_nodes(t0, t1):
         try:
-            u, v = pc.param_jets(float(t), 1)
-            form = affine_first_fundamental(pc.surface, u.value, v.value)
-            q = form.apply(u.coeffs[1], v.coeffs[1])
+            node = nodes[t] = pc.form_direction(t)
         except AffineMetricsError:
             continue
+        q = node[0].apply(node[1], node[2])
         if abs(q) > abs(best):
             best = q
     return -1.0 if best < 0.0 else 1.0
@@ -170,28 +241,24 @@ def induced_arclength(pc, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     """Induced arc length over [t0, t1] by adaptive quadrature.
 
     With ``orientation=None`` the sign branch is probed from the curve
-    itself, so curves living in the negative cone of an indefinite form
-    are measured with sqrt(-form); a genuine sign change along the curve
-    still raises NegativeForm.
+    itself: the form value of largest magnitude among the quadrature's
+    first-panel nodes gives the sign, and the panel then reuses those
+    evaluations.  So curves living in the negative cone of an indefinite
+    form are measured with sqrt(-form); a genuine sign change along the
+    curve still raises NegativeForm.
     """
     if t0 == t1:
         return ArcLength(0.0, 0.0, 0, False)
+    nodes = {}
     if orientation is None:
-        orientation = _probe_orientation(pc, t0, t1)
+        orientation = _probe_orientation(pc, t0, t1, nodes)
     flagged = [False]
 
     def integrand(t):
-        u, v = pc.param_jets(t, 1)
-        form = affine_first_fundamental(pc.surface, u.value, v.value)
-        q = form.apply(u.coeffs[1], v.coeffs[1])
-        oriented = orientation * q
-        eps = _form_threshold(form, u.coeffs[1], v.coeffs[1])
-        if oriented < -eps:
-            raise NegativeForm(q)
-        if oriented <= eps:
-            flagged[0] = True
-            return 0.0
-        return math.sqrt(oriented)
+        node = nodes.pop(t, None) or pc.form_direction(t)
+        value, degenerate = _sigma_integrand(*node, orientation)
+        flagged[0] = flagged[0] or degenerate
+        return value
 
     res = quad_adaptive(integrand, t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
     return ArcLength(res.value, res.error_estimate, res.evaluations,
@@ -248,20 +315,17 @@ def _condition_parts(surface, u, v, theta, omega):
     u_jet, v_jet = _theta_jets(u, v, theta, omega)        # at theta'' = 0
     c, s = u_jet.coeffs[1], v_jet.coeffs[1]
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
-    d1 = np.array([comp.coeffs[1] for comp in a])
-    d2 = np.array([comp.coeffs[2] for comp in a])
-    d3_base = np.array([comp.coeffs[3] for comp in a])
-    xu = np.array([comp.partial(1, 0) for comp in X])
-    xv = np.array([comp.partial(0, 1) for comp in X])
-    w = -s * xu + c * xv
+    d1, d2, d3_base = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
+    # graded layout: X_u and X_v are coefficients 1 and 2
+    xu, xv = (tuple(comp.coeffs[k] for comp in X) for k in (1, 2))
+    w = tuple(-s * x + c * y for x, y in zip(xu, xv))
 
     form = form_from_jets(X)
     q = form.apply(c, s)
-    residual0 = float(det3(d1, d2, d3_base)) - q ** 3
-    denom = float(det3(d1, d2, w))
-    cross = np.array(cross3(xu, xv))
-    denom_scale = (float(np.linalg.norm(d1)) * float(np.linalg.norm(d2))
-                   * float(np.linalg.norm(cross)))
+    residual0 = det3(d1, d2, d3_base) - q ** 3
+    denom = det3(d1, d2, w)
+    denom_scale = (math.hypot(*d1) * math.hypot(*d2)
+                   * math.hypot(*cross3(xu, xv)))
     return {
         "residual0": residual0,
         "denom": denom,
@@ -494,19 +558,17 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     X = surface_jets(pc.surface, u, v, 3)
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
 
-    d1 = np.array([comp.coeffs[1] for comp in a])
-    d2 = np.array([comp.coeffs[2] for comp in a])
-    d3 = np.array([comp.coeffs[3] for comp in a])
-    speed = float(np.linalg.norm(d1))
-    cross = np.array(cross3(d1, d2))
-    cross_sq = float(np.dot(cross, cross))
+    d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
+    speed = math.hypot(*d1)
+    cross = cross3(d1, d2)
+    cross_sq = dot3(cross, cross)
     degenerate = False
-    if cross_sq <= 1e-24 * max(speed, 1e-300) ** 2 * max(float(np.dot(d2, d2)), 1e-300):
+    if cross_sq <= 1e-24 * max(speed, 1e-300) ** 2 * max(dot3(d2, d2), 1e-300):
         lhs = 0.0          # kappa = 0: both kappa and tau are degenerate
         degenerate = True
     else:
         kappa_sq = cross_sq / speed ** 6
-        tau = float(det3(d1, d2, d3)) / cross_sq
+        tau = det3(d1, d2, d3) / cross_sq
         lhs = kappa_sq * tau
 
     first, second, _ = forms_from_jets(X, u, v)

@@ -9,6 +9,7 @@ the parsed component expressions, never from numerical differentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,10 +125,6 @@ def curve_jets(curve, t, order):
     return tuple(jets)
 
 
-def _deriv_vec(jets, k):
-    return np.array([j.coeffs[k] for j in jets])
-
-
 def _jets3(curve, t):
     """Order-3 jets of a CurveDef or of anything exposing curve_jets
     (embedded parameter-plane curves do)."""
@@ -137,11 +134,29 @@ def _jets3(curve, t):
 
 
 def _det_and_scale(jets):
-    d1, d2, d3 = (_deriv_vec(jets, k) for k in (1, 2, 3))
+    """det[a', a'', a'''], the scale max(1, |a'| |a''| |a'''|) of its
+    degeneracy threshold, and a', a'', a''' as plain 3-tuples.  Each norm
+    is a math.hypot, so it stays finite; a product past the float range is
+    inf, and then every determinant counts as degenerate."""
+    d1, d2, d3 = (tuple(j.coeffs[k] for j in jets) for k in (1, 2, 3))
     det = det3(d1, d2, d3)
-    scale = max(1.0, float(np.linalg.norm(d1) * np.linalg.norm(d2)
-                           * np.linalg.norm(d3)))
+    scale = max(1.0, math.hypot(*d1) * math.hypot(*d2) * math.hypot(*d3))
     return det, scale, (d1, d2, d3)
+
+
+def _alpha_integrand(jets, mirror):
+    """(|det|^(1/6), det, degenerate) on order-3 curve jets, with det =
+    det[a', a'', a'''] negated when ``mirror``.  ``degenerate`` is set when
+    |det| is within the scale-aware threshold; past it, a negative det
+    raises NegativeOrientation carrying it."""
+    det, scale, _ = _det_and_scale(jets)
+    if mirror:
+        det = -det
+    if abs(det) <= EPS_DEGENERATE * scale:
+        return abs(det) ** (1.0 / 6.0), det, True
+    if det < 0.0:
+        raise NegativeOrientation(det)
+    return det ** (1.0 / 6.0), det, False
 
 
 def affine_integrand(curve, t, mirror=False):
@@ -152,16 +167,11 @@ def affine_integrand(curve, t, mirror=False):
     it is negative.  ``mirror=True`` evaluates the reflected curve instead,
     whose determinant has the opposite sign.
     """
-    det, scale, _ = _det_and_scale(_jets3(curve, t))
-    if mirror:
-        det = -det
-    eps = EPS_DEGENERATE * scale
-    if abs(det) <= eps:
+    value, det, degenerate = _alpha_integrand(_jets3(curve, t), mirror)
+    if degenerate:
         raise DegenerateCurve(
             f"det[a', a'', a'''] = {det!r} is degenerate at t = {t!r}")
-    if det < 0.0:
-        raise NegativeOrientation(det)
-    return det ** (1.0 / 6.0)
+    return value
 
 
 def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
@@ -178,15 +188,9 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     flagged = [False]
 
     def integrand(t):
-        det, scale, _ = _det_and_scale(_jets3(curve, t))
-        if mirror:
-            det = -det
-        if abs(det) <= EPS_DEGENERATE * scale:
-            flagged[0] = True
-            return abs(det) ** (1.0 / 6.0)
-        if det < 0.0:
-            raise NegativeOrientation(det)
-        return det ** (1.0 / 6.0)
+        value, _, degenerate = _alpha_integrand(_jets3(curve, t), mirror)
+        flagged[0] = flagged[0] or degenerate
+        return value
 
     res = quad_adaptive(integrand, t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
     return ArcLength(res.value, res.error_estimate, res.evaluations,
@@ -195,8 +199,8 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
 
 def euclidean_frenet(curve, t):
     """Frenet frame, speed, curvature and (possibly flagged) torsion."""
-    jets = _jets3(curve, t)
-    det, scale, (d1, d2, d3) = _det_and_scale(jets)
+    det, scale, (d1, d2, _) = _det_and_scale(_jets3(curve, t))
+    d1, d2 = np.array(d1), np.array(d2)
     v = float(np.linalg.norm(d1))
     if v <= 1e-300:
         raise ZeroSpeed(f"|a'(t)| = 0 at t = {t!r}")

@@ -11,7 +11,9 @@ Grammar (EBNF, also reproduced in the README):
 Numbers accept integer, decimal and scientific forms.  Identifiers are the
 declared parameters ("u", "v" for surfaces, "t" for curves), the reserved
 constants "pi" and "e", or one of the builtin function names.  Implicit
-multiplication is not supported ("2u" is a syntax error).
+multiplication is not supported ("2u" is a syntax error).  Expressions
+nested deeper than MAX_DEPTH levels are a syntax error too, raised at the
+token where the bound is passed.
 
 Evaluation is generic over the scalar ring: the same AST evaluates over
 plain floats or over the truncated-derivative jets of :mod:`.jets`, which
@@ -119,11 +121,20 @@ _ADD, _MUL, _UNARY, _POW = 10, 20, 30, 40
 _BINARY_PREC = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}
 
 
+#: deepest expression accepted, counted both as the parser's nesting
+#: (parentheses, function arguments, unary and right operands) and as the
+#: height of the tree; eval_ast and pretty recurse once per tree level
+MAX_DEPTH = 200
+
+
 class _Parser:
+    """Recursive descent; each parse method returns (ast, tree height)."""
+
     def __init__(self, tokens, allowed_vars):
         self.tokens = tokens
         self.allowed = frozenset(allowed_vars)
         self.i = 0
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -145,45 +156,61 @@ class _Parser:
         self.i += 1
         return tok
 
+    @staticmethod
+    def bounded(depth, tok):
+        """``depth``, or ExprSyntaxError at ``tok`` past MAX_DEPTH."""
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels",
+                tok.position if tok is not None else None)
+        return depth
+
     def parse_expr(self, min_prec=0):
-        left = self.parse_unary()
+        self.nesting += 1
+        self.bounded(self.nesting, self.peek())
+        left, height = self.parse_unary()
         while True:
             tok = self.peek()
             if tok is None or tok.kind != "operator":
-                return left
+                break
             prec = _BINARY_PREC[tok.text]
             if prec < min_prec:
-                return left
+                break
             self.advance()
             # ^ is right associative, everything else left associative
-            right = self.parse_expr(prec if tok.text == "^" else prec + 1)
+            right, right_height = self.parse_expr(
+                prec if tok.text == "^" else prec + 1)
             left = BinOp(tok.text, left, right)
+            height = self.bounded(max(height, right_height) + 1, tok)
+        self.nesting -= 1
+        return left, height
 
     def parse_unary(self):
         tok = self.peek()
         if tok is not None and tok.text == "-":
             self.advance()
-            return Neg(self.parse_expr(_UNARY))
+            child, height = self.parse_expr(_UNARY)
+            return Neg(child), self.bounded(height + 1, tok)
         return self.parse_atom()
 
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "number":
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 1
         if tok.kind == "identifier":
             nxt = self.peek()
             if nxt is not None and nxt.text == "(":
                 if tok.text not in FUNCTIONS:
                     raise UnknownIdentifier(tok.text, tok.position)
                 self.advance()
-                arg = self.parse_expr()
+                arg, height = self.parse_expr()
                 self.expect(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), self.bounded(height + 1, tok)
             if tok.text in CONSTANTS:
-                return Const(CONSTANTS[tok.text], name=tok.text)
+                return Const(CONSTANTS[tok.text], name=tok.text), 1
             if tok.text not in self.allowed:
                 raise UnknownIdentifier(tok.text, tok.position)
-            return Var(tok.text)
+            return Var(tok.text), 1
         if tok.text == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -199,7 +226,7 @@ def parse(tokens, allowed_vars):
     UnknownIdentifier.
     """
     parser = _Parser(tokens, allowed_vars)
-    ast = parser.parse_expr()
+    ast, _ = parser.parse_expr()
     tok = parser.peek()
     if tok is not None:
         raise ExprSyntaxError(f"unexpected trailing token {tok.text!r}",

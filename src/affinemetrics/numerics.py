@@ -26,7 +26,7 @@ from .errors import (
 )
 
 __all__ = [
-    "QuadResult", "quad_adaptive",
+    "QuadResult", "quad_adaptive", "gk15_nodes",
     "OdeOptions", "OdeEvent", "OdeResult", "ode_solve",
     "find_root_bracketed", "finite_diff",
 ]
@@ -62,15 +62,25 @@ class QuadResult:
     evaluations: int
 
 
-def _gk15_panel(f, a, b):
+def gk15_nodes(a, b):
+    """The fifteen abscissae of the GK15 panel over [a, b], in the order
+    the panel evaluates them.  quad_adaptive(f, a, b) evaluates exactly
+    these floats first, for a and b in either order."""
+    if b < a:
+        a, b = b, a
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
+    return [mid + half * node for node, _, _ in _GK15]
+
+
+def _gk15_panel(f, a, b):
+    half = 0.5 * (b - a)
     gauss = 0.0
     kronrod = 0.0
-    for node, wg, wk in _GK15:
-        y = f(mid + half * node)
+    for x, (_, wg, wk) in zip(gk15_nodes(a, b), _GK15):
+        y = f(x)
         if not math.isfinite(y):
-            raise NonFiniteValue(f"integrand returned {y!r} near x = {mid + half * node!r}")
+            raise NonFiniteValue(f"integrand returned {y!r} near x = {x!r}")
         gauss += wg * y
         kronrod += wk * y
     return kronrod * half, abs(kronrod - gauss) * abs(half)

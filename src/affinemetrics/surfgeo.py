@@ -31,7 +31,7 @@ from .errors import (
     ZeroDirection,
 )
 from .expr import eval_ast, parse_expression
-from .jets import MAX_ORDER_2, Jet2, cross3, det3
+from .jets import MAX_ORDER_2, Jet2, cross3, det3, dot3
 
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "PointClassification",
@@ -156,8 +156,10 @@ def surface_jets(surface, u, v, order, check_domain=True):
     return tuple(jets)
 
 
-def _partial_vec(jets, i, j):
-    return np.array([jet.partial(i, j) for jet in jets])
+def _partials(jets):
+    """X_u, X_v, X_uu, X_uv, X_vv as plain 3-tuples, read from the graded
+    layout of surface jets of order >= 2 (coefficients 1 to 5)."""
+    return tuple(tuple(jet.coeffs[k] for jet in jets) for k in range(1, 6))
 
 
 def fundamental_forms_euclid(surface, u, v):
@@ -172,20 +174,17 @@ def fundamental_forms_euclid(surface, u, v):
 def forms_from_jets(jets, u, v):
     """fundamental_forms_euclid from already-evaluated surface jets (order
     >= 2) at (u, v); the point is used only in the IrregularPoint message."""
-    xu = _partial_vec(jets, 1, 0)
-    xv = _partial_vec(jets, 0, 1)
-    cross = np.array(cross3(xu, xv))
-    cross_sq = float(np.dot(cross, cross))
-    scale = float(np.dot(xu, xu) * np.dot(xv, xv))
-    if cross_sq <= EPS_REGULAR * max(scale, 1e-300):
+    xu, xv, xuu, xuv, xvv = _partials(jets)
+    cross = cross3(xu, xv)
+    cross_sq = dot3(cross, cross)
+    E, F, G = dot3(xu, xu), dot3(xu, xv), dot3(xv, xv)
+    if cross_sq <= EPS_REGULAR * max(E * G, 1e-300):
         raise IrregularPoint(f"X_u x X_v vanishes at ({u!r}, {v!r})")
-    normal = cross / math.sqrt(cross_sq)
-    first = QuadForm(float(np.dot(xu, xu)), float(np.dot(xu, xv)),
-                     float(np.dot(xv, xv)))
-    second = QuadForm(float(np.dot(_partial_vec(jets, 2, 0), normal)),
-                      float(np.dot(_partial_vec(jets, 1, 1), normal)),
-                      float(np.dot(_partial_vec(jets, 0, 2), normal)))
-    return first, second, normal
+    norm = math.sqrt(cross_sq)
+    normal = tuple(c / norm for c in cross)
+    second = QuadForm(dot3(xuu, normal), dot3(xuv, normal),
+                      dot3(xvv, normal))
+    return QuadForm(E, F, G), second, np.array(normal)
 
 
 def affine_lmn(surface, u, v):
@@ -195,11 +194,16 @@ def affine_lmn(surface, u, v):
 
 def lmn_from_jets(jets):
     """affine_lmn from already-evaluated surface jets (order >= 2)."""
-    xu = _partial_vec(jets, 1, 0)
-    xv = _partial_vec(jets, 0, 1)
-    return QuadForm(float(det3(xu, xv, _partial_vec(jets, 2, 0))),
-                    float(det3(xu, xv, _partial_vec(jets, 1, 1))),
-                    float(det3(xu, xv, _partial_vec(jets, 0, 2))))
+    return QuadForm(*_lmn_and_threshold(jets)[:3])
+
+
+def _lmn_and_threshold(jets):
+    """l, m, n and the bound below which |ln - m^2| counts as degenerate:
+    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2)."""
+    xu, xv, xuu, xuv, xvv = _partials(jets)
+    cross = cross3(xu, xv)
+    return (det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv),
+            EPS_CLASSIFY * dot3(cross, cross))
 
 
 def gauss_curvature(surface, u, v):
@@ -212,19 +216,11 @@ def gauss_from_forms(first, second):
     return second.det / first.det
 
 
-def _degeneracy_threshold(jets):
-    """The bound below which |ln - m^2| counts as degenerate:
-    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2)."""
-    cross = np.array(cross3(_partial_vec(jets, 1, 0), _partial_vec(jets, 0, 1)))
-    return EPS_CLASSIFY * float(np.dot(cross, cross))
-
-
 def form_from_jets(jets):
     """Affine fundamental form from already-evaluated surface jets
     (order >= 2); see affine_first_fundamental."""
-    l, m, n = lmn_from_jets(jets).coefficients()
+    l, m, n, eps = _lmn_and_threshold(jets)
     disc = l * n - m * m
-    eps = _degeneracy_threshold(jets)
     if abs(disc) <= eps:
         raise DegenerateSurfacePoint(
             f"ln - m^2 = {disc!r} is within {eps!r} of zero",
@@ -273,9 +269,8 @@ def classify_point(surface, u, v):
 
 def classify_from_jets(jets):
     """classify_point from already-evaluated surface jets (order >= 2)."""
-    l, m, n = lmn_from_jets(jets).coefficients()
+    l, m, n, eps = _lmn_and_threshold(jets)
     disc = l * n - m * m
-    eps = _degeneracy_threshold(jets)
     if disc > eps:
         kind = "elliptic"
     elif disc < -eps:

@@ -3,6 +3,7 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
 
 from affinemetrics.cli import main
@@ -151,6 +152,61 @@ class TestExitContract:
         assert exc.value.code == 2
         assert "argument --tol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("commensurate-solve", "--max-steps", "0"),
+        ("commensurate-solve", "--max-steps", "-5"),
+        ("commensurate-solve", "--max-steps", "1.5"),
+        ("commensurate-solve", "--eps-asym", "-1"),
+        ("commensurate-solve", "--eps-asym", "0"),
+        ("commensurate-solve", "--eps-den", "-1"),
+        ("commensurate-solve", "--eps-den", "nan"),
+        ("arclen-compare", "--samples", "0"),
+        ("check-identities", "--samples", "0"),
+        ("check-identities", "--samples", "-3"),
+    ])
+    def test_bad_count_or_threshold_is_a_usage_error(self, capsys, command,
+                                                     flag, value):
+        args = {"commensurate-solve": ["--at", "0.1,0.1", "--theta0", "0.3"],
+                "arclen-compare": ["--curve", "t;0.2*t", "--t-range", "0:1"],
+                "check-identities": []}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--surface", "sphere", *args, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_derivatives_raise_no_warning(self, capsys):
+        # the degeneracy scale of det[a', a'', a'''] overflowed in numpy's
+        # norm here; with warnings as errors that ended in a traceback
+        assert run(["arclen-compare", "--surface-expr", "u;v;exp(800*u)",
+                    "--domain", "-1:1,-1:1", "--curve", "t;0.2*t",
+                    "--t-range", "0:1"]) == 5
+        assert capsys.readouterr().err == (
+            "error: DomainError: exp(799.9999992): math range error\n")
+
+    @pytest.mark.parametrize("expr", ["(" * 3000 + "u" + ")" * 3000,
+                                      "-" * 3000 + "u",
+                                      "+".join(["u"] * 3000)],
+                             ids=["parentheses", "unary-minus", "sum"])
+    def test_deep_expression_is_a_parse_error(self, capsys, expr):
+        assert run(["surface-info", "--surface-expr", f"{expr};v;u*v",
+                    "--at", "0.5,0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: expression nested deeper than")
+        assert "Traceback" not in err
+
+    def test_hundred_deep_expression_parses(self, capsys):
+        expr = "(" * 100 + "u" + ")" * 100
+        assert run(["surface-info", "--surface-expr", f"{expr};v;u*v",
+                    "--at", "0.5,0.5", "--format", "csv"]) == 0
+        deep = capsys.readouterr().out
+        assert run(["surface-info", "--surface-expr", "u;v;u*v",
+                    "--at", "0.5,0.5", "--format", "csv"]) == 0
+        assert deep == capsys.readouterr().out
+
 
 class TestArclenCompare:
     def test_spherical_helix_row_values(self, capsys):
@@ -196,6 +252,112 @@ class TestArclenCompare:
         first = capsys.readouterr().out
         assert run(args) == 0
         assert capsys.readouterr().out == first
+
+
+#: (surface, curve, extra flags): the README curve, a curve in the negative
+#: cone of the hyperbolic paraboloid's form, and a curve of negative
+#: det[a', a'', a'''] measured with --auto-orient
+SHARED_NODE_CURVES = [
+    ("sphere", "8*t;t", []),
+    ("hyperbolic-paraboloid", "-0.3 - 1.1*t;0.3*t + 0.3*t^2", []),
+    ("sphere",
+     "0.06 + 0.13*sin(1.8*t) - 0.12*t;-0.07 - 0.34*sin(1.07*t) - 0.14*t",
+     ["--auto-orient"]),
+]
+
+
+def _standalone_sums(surface, curve, mirror, samples, tol=1e-10):
+    """Running sums and quadrature totals of stand-alone affine_arclength
+    and induced_arclength calls over the CLI's segments."""
+    from affinemetrics import ParamCurve, affine_arclength, induced_arclength
+
+    pc = ParamCurve.from_strings(CATALOG[surface], *curve.split(";"),
+                                 0.0, 1.0)
+    ts = [float(t) for t in np.linspace(0.0, 1.0, samples)]
+    sums = [(0.0, 0.0)]
+    totals = {"alpha": [0.0, 0], "sigma": [0.0, 0]}
+    for prev, t in zip(ts, ts[1:]):
+        alpha = affine_arclength(pc, prev, t, rel_tol=tol, abs_tol=tol * 1e-2,
+                                 mirror=mirror)
+        sigma = induced_arclength(pc, prev, t, rel_tol=tol,
+                                  abs_tol=tol * 1e-2)
+        sums.append((sums[-1][0] + alpha.value, sums[-1][1] + sigma.value))
+        for side, seg in (("alpha", alpha), ("sigma", sigma)):
+            totals[side][0] += seg.error_estimate
+            totals[side][1] += seg.evaluations
+    return sums, totals
+
+
+class TestArclenSharedNodes:
+    """arclen-compare evaluates each quadrature node once for both arc
+    lengths; its sums must be those of the stand-alone functions."""
+
+    @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES)
+    def test_rows_are_running_sums_of_standalone_calls(self, capsys, surface,
+                                                       curve, flags):
+        samples = 50 if curve == "8*t;t" else 8
+        assert run(["arclen-compare", "--surface", surface, "--curve", curve,
+                    "--t-range", "0:1", f"--samples={samples}",
+                    *flags]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        sums, _ = _standalone_sums(surface, curve, bool(flags), samples)
+        assert [(float(r["s_alpha"]), float(r["s_sigma"]))
+                for r in rows] == sums
+
+    @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES[1:])
+    def test_json_reports_quadrature_totals(self, capsys, surface, curve,
+                                            flags):
+        assert run(["arclen-compare", "--surface", surface, "--curve", curve,
+                    "--t-range", "0:1", "--samples=8", "--format=json",
+                    *flags]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema"] == "affinemetrics/1"
+        assert payload["columns"][:3] == ["t", "s_alpha", "s_sigma"]
+        _, totals = _standalone_sums(surface, curve, bool(flags), 8)
+        assert payload["quadrature"] == {
+            side: {"error_estimate": err, "evaluations": evals}
+            for side, (err, evals) in totals.items()}
+
+    def test_degenerate_alpha_reports_no_alpha_evaluations(self, capsys):
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "t;0", "--t-range", "0:1", "--samples=3",
+                    "--format=json"]) == 0
+        quad = json.loads(capsys.readouterr().out)["quadrature"]
+        assert quad["alpha"] == {"error_estimate": 0.0, "evaluations": 0}
+        assert quad["sigma"]["evaluations"] >= 2 * 15
+
+    def _surface_jet_orders(self, monkeypatch, args):
+        from affinemetrics import commensurate, surfgeo
+
+        orders = []
+        original = surfgeo.surface_jets
+
+        def counting(surface, u, v, order, check_domain=True):
+            orders.append(order)
+            return original(surface, u, v, order, check_domain)
+
+        for module in (commensurate, surfgeo):
+            monkeypatch.setattr(module, "surface_jets", counting)
+        assert run(args) == 0
+        return orders
+
+    @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES)
+    def test_no_order_two_evaluations(self, capsys, monkeypatch, surface,
+                                      curve, flags):
+        orders = self._surface_jet_orders(monkeypatch, [
+            "arclen-compare", "--surface", surface, "--curve", curve,
+            "--t-range", "0:1", "--samples=8", *flags])
+        assert orders and set(orders) == {3}
+
+    def test_degenerate_alpha_evaluates_order_two(self, capsys, monkeypatch):
+        orders = self._surface_jet_orders(monkeypatch, [
+            "arclen-compare", "--surface", "sphere", "--curve", "t;0",
+            "--t-range", "0:1", "--samples=3"])
+        # the five equiaffine classification probes, then the induced side
+        # alone: one order-2 evaluation per node and per sample row
+        assert orders[:5] == [3] * 5
+        assert set(orders[5:]) == {2}
+        assert len(orders) - 5 == 2 * 15 + 3
 
 
 class TestCommensurateSolve:

@@ -6,6 +6,7 @@ import pytest
 from affinemetrics.commensurate import (
     BREAKDOWN_SEEDS,
     CommensurateIVP,
+    NodeTable,
     ParamCurve,
     TraceCurve,
     check_condition_euclidean,
@@ -75,6 +76,50 @@ class TestInducedArcLength:
 
     def test_empty_interval(self):
         assert induced_arclength(SPIRAL, 0.5, 0.5).value == 0.0
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("pc", [SPH_HELIX, SPIRAL, RULING],
+                             ids=["helix", "spiral", "ruling"])
+    def test_entries_match_direct_evaluation(self, pc):
+        table = NodeTable(pc)
+        for t in (0.1, 0.45, 0.9):
+            jets = table.curve_jets(t, 3)
+            assert [j.coeffs for j in jets] \
+                == [j.coeffs for j in pc.curve_jets(t, 3)]
+            # the form read off the order-3 entry is the order-2 one
+            assert table.form_direction(t) == pc.form_direction(t)
+        table.clear()
+        assert table.form_direction(0.45) == pc.form_direction(0.45)
+
+    @pytest.fixture
+    def jet_orders(self, monkeypatch):
+        """The order of every surface_jets call made during the test."""
+        from affinemetrics import commensurate, surfgeo
+
+        orders = []
+        original = surfgeo.surface_jets
+
+        def counting(surface, u, v, order, check_domain=True):
+            orders.append(order)
+            return original(surface, u, v, order, check_domain)
+
+        for module in (commensurate, surfgeo):
+            monkeypatch.setattr(module, "surface_jets", counting)
+        return orders
+
+    def test_probe_costs_no_extra_evaluation(self, jet_orders):
+        res = induced_arclength(SPIRAL, 0.0, 1.0)
+        assert jet_orders == [2] * res.evaluations
+
+    def test_nodes_evaluated_once_for_both_arc_lengths(self, jet_orders):
+        table = NodeTable(SPH_HELIX)
+        alpha = affine_arclength(table, 0.2, 0.3)
+        sigma = induced_arclength(table, 0.2, 0.3)
+        assert alpha.evaluations == sigma.evaluations == 15
+        assert jet_orders == [3] * 15
+        assert alpha.value == affine_arclength(SPH_HELIX, 0.2, 0.3).value
+        assert sigma.value == induced_arclength(SPH_HELIX, 0.2, 0.3).value
 
 
 class TestResidual:

@@ -12,6 +12,7 @@ from affinemetrics.errors import (
     UnknownIdentifier,
 )
 from affinemetrics.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -93,6 +94,34 @@ class TestParse:
     def test_functions_take_one_argument(self):
         with pytest.raises(ExprSyntaxError):
             parse_expression("sin(u, v)", {"u", "v"})
+
+    def test_nesting_bound_reports_its_position(self):
+        depth = MAX_DEPTH + 50
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression("(" * depth + "u" + ")" * depth, {"u"})
+        assert exc.value.position == MAX_DEPTH
+
+    @pytest.mark.parametrize("source", [
+        "-" * 300 + "u",
+        "sin(" * 300 + "u" + ")" * 300,
+        "^".join(["u"] * 300),
+        "+".join(["u"] * 300),
+        # chains inside nested parentheses: shallow parse, tall tree
+        "(" * 30 + "u" + "+u" * 10 + (")" + "+u" * 10) * 30,
+    ], ids=["unary", "calls", "power", "sum", "nested-chains"])
+    def test_deep_trees_are_refused(self, source):
+        with pytest.raises(ExprSyntaxError, match="nested deeper"):
+            parse_expression(source, {"u"})
+
+    def test_hundred_deep_expressions_parse(self):
+        assert parse_expression("(" * 100 + "u" + ")" * 100, {"u"}) == Var("u")
+        ast = parse_expression("sin(" * 100 + "u" + ")" * 100, {"u"})
+        x = 0.5
+        for _ in range(100):
+            x = math.sin(x)
+        assert eval_ast(ast, {"u": 0.5}) == x
+        ast = parse_expression("+".join(["u"] * 100), {"u"})
+        assert eval_ast(ast, {"u": 0.5}) == 50.0
 
     def test_reserved_constants(self):
         ast = parse_expression("pi", set())
