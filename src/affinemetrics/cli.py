@@ -161,57 +161,64 @@ def _surface_from_args(args):
             f"{', '.join(sorted(CATALOG))}") from None
 
 
-def _parse_pair(text, what):
-    try:
-        a, b = (float(x) for x in text.split(","))
-    except ValueError:
-        raise ExprError(f"bad {what} {text!r}, expected 'a,b'") from None
-    return a, b
-
-
-def _parse_range(text):
-    try:
-        a, b = (float(x) for x in text.split(":"))
-    except ValueError:
-        raise ExprError(f"bad range {text!r}, expected 'a:b'") from None
-    return a, b
-
-
-def _positive_float(text):
-    """argparse type of a flag that must be a finite number > 0."""
+def _finite_float(text):
+    """argparse type of a finite number; pairs and sweeps use it too."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid number {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number, got {text!r}")
+    return value
+
+
+def _parse_pair(sep):
+    """argparse type of 'a<sep>b': a point (',') or a range (':')."""
+    def pair(text):
+        parts = text.split(sep)
+        if len(parts) != 2:
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r}, expected 'a{sep}b'")
+        return tuple(_finite_float(x) for x in parts)
+    return pair
+
+
+def _positive_float(text):
+    """argparse type of a flag that must be a finite number > 0."""
+    value = _finite_float(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}")
     return value
 
 
-def _positive_int(text):
-    """argparse type of a flag that must be an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_at_least(minimum):
+    """argparse type of a flag that must be an integer >= ``minimum``."""
+    def integer(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text!r}")
+        return value
+    return integer
 
 
 def _parse_sweep(text):
-    """A float, or 'start:stop:step' meaning an inclusive sweep."""
-    parts = text.split(":")
+    """argparse type of a float, or 'start:stop:step' meaning an inclusive
+    sweep."""
+    parts = [_finite_float(x) for x in text.split(":")]
     if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise ExprError(f"bad sweep {text!r}, expected 'x' or 'a:b:step'")
-    start, stop, step = (float(x) for x in parts)
-    if step <= 0.0 or stop < start:
-        raise ExprError(f"bad sweep {text!r}: need step > 0 and stop >= start")
+        return parts
+    if len(parts) != 3 or parts[2] <= 0.0 or parts[1] < parts[0]:
+        raise argparse.ArgumentTypeError(
+            f"bad sweep {text!r}, expected 'x' or 'a:b:step' with step > 0 "
+            "and b >= a")
+    start, stop, step = parts
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     return [start + k * step for k in range(count)]
 
@@ -221,7 +228,7 @@ def _parse_sweep(text):
 
 def _cmd_surface_info(args):
     surface = _surface_from_args(args)
-    u, v = _parse_pair(args.at, "--at")
+    u, v = args.at
     jets = surface_jets(surface, u, v, 2)
     first, second, _ = forms_from_jets(jets, u, v)
     lmn = lmn_from_jets(jets)
@@ -269,7 +276,7 @@ def _tally(totals, seg):
 def _cmd_arclen_compare(args):
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_curve(args.curve)
-    t0, t1 = _parse_range(args.t_range)
+    t0, t1 = args.t_range
     pc = ParamCurve.from_strings(surface, u_expr, v_expr, t0, t1)
     ts = np.linspace(t0, t1, args.samples)
 
@@ -399,8 +406,8 @@ def _sweep_path(base, index):
 
 def _cmd_commensurate_solve(args):
     surface = _surface_from_args(args)
-    u0, v0 = _parse_pair(args.at, "--at")
-    omegas = _parse_sweep(args.omega0)
+    u0, v0 = args.at
+    omegas = args.omega0
     ivp = CommensurateIVP(
         surface, u0, v0, args.theta0, omega0=omegas[0],
         t_span=(0.0, args.t_max), rel_tol=args.rel_tol, abs_tol=args.abs_tol,
@@ -484,7 +491,8 @@ def build_parser():
     p = subs.add_parser("surface-info",
                         help="invariants of one surface point")
     _add_surface_args(p)
-    p.add_argument("--at", required=True, help="evaluation point 'u,v'")
+    p.add_argument("--at", type=_parse_pair(","), required=True,
+                   help="evaluation point 'u,v'")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_surface_info)
@@ -494,8 +502,9 @@ def build_parser():
     _add_surface_args(p)
     p.add_argument("--curve", required=True,
                    help="parameter curve 'u_expr;v_expr' in variable t")
-    p.add_argument("--t-range", required=True, help="parameter range 'a:b'")
-    p.add_argument("--samples", type=_positive_int, default=50)
+    p.add_argument("--t-range", type=_parse_pair(":"), required=True,
+                   help="parameter range 'a:b'")
+    p.add_argument("--samples", type=_int_at_least(1), default=50)
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
@@ -507,17 +516,18 @@ def build_parser():
     p = subs.add_parser("commensurate-solve",
                         help="integrate the curve condition from initial data")
     _add_surface_args(p)
-    p.add_argument("--at", required=True, help="initial point 'u0,v0'")
-    p.add_argument("--theta0", type=float, required=True,
+    p.add_argument("--at", type=_parse_pair(","), required=True,
+                   help="initial point 'u0,v0'")
+    p.add_argument("--theta0", type=_finite_float, required=True,
                    help="initial direction angle (radians)")
-    p.add_argument("--omega0", default="0.0",
+    p.add_argument("--omega0", type=_parse_sweep, default="0.0",
                    help="initial theta' seed, or sweep 'a:b:step'")
     p.add_argument("--t-max", type=_positive_float, default=1.0)
     p.add_argument("--rel-tol", type=_positive_float, default=1e-10)
     p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
     p.add_argument("--eps-asym", type=_positive_float, default=1e-4)
     p.add_argument("--eps-den", type=_positive_float, default=1e-10)
-    p.add_argument("--max-steps", type=_positive_int, default=100_000)
+    p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path; sweeps write one file per "
                                     "seed with _NN suffixes")
@@ -526,8 +536,8 @@ def build_parser():
     p = subs.add_parser("check-identities",
                         help="randomized structural identity checks")
     _add_surface_args(p)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--reference",
                    help="check closed forms of this catalog name against "
                         "the supplied expressions")

@@ -137,13 +137,22 @@ class TraceCurve(_EmbeddedCurve):
         self.t_max = trace.nodes[-1].t
 
     def param_jets(self, t, order):
-        if order > 3:
-            raise UnsupportedOrder(
-                "surface-embedded curves support derivative order <= 3")
+        if order >= 3:
+            return self.node_jets(t, order)[:2]
+        return _theta_jets(*self.trace.state_at(t), 0.0, order)
+
+    def node_jets(self, t, order):
+        """As for any curve in a surface; at order 3 the theta'' solve and
+        the composition share one evaluation of the surface jets, which
+        raises DomainExit outside the surface's domain."""
+        if order != 3:
+            return super().node_jets(t, order)
         u, v, theta, omega = self.trace.state_at(t)
-        omega_dot = (solve_theta_dd(self.surface, u, v, theta, omega)
-                     if order >= 3 else 0.0)
-        return _theta_jets(u, v, theta, omega, omega_dot, order)
+        X = surface_jets(self.surface, u, v, 3)
+        omega_dot = _theta_dd(_parts_from_jets(X, u, v, theta, omega),
+                              u, v, theta)
+        u_jet, v_jet = _theta_jets(u, v, theta, omega, omega_dot)
+        return u_jet, v_jet, X, compose_curve_in_surface(X, u_jet, v_jet, 3)
 
 
 class NodeTable(_EmbeddedCurve):
@@ -311,7 +320,12 @@ def _condition_parts(surface, u, v, theta, omega):
     """Split the residual as R + D * theta'' and return the geometry needed
     by the solver and its events.  One jet evaluation serves the form, the
     determinant and the denominator."""
-    X = surface_jets(surface, u, v, 3, check_domain=False)
+    return _parts_from_jets(surface_jets(surface, u, v, 3, check_domain=False),
+                            u, v, theta, omega)
+
+
+def _parts_from_jets(X, u, v, theta, omega):
+    """_condition_parts from already-evaluated order-3 surface jets."""
     u_jet, v_jet = _theta_jets(u, v, theta, omega)        # at theta'' = 0
     c, s = u_jet.coeffs[1], v_jet.coeffs[1]
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
@@ -343,7 +357,12 @@ def solve_theta_dd(surface, u, v, theta, omega, eps_den=1e-10):
     D = det[a', a'', -sin(theta) X_u + cos(theta) X_v]; raises
     SingularDenominator when |D| is below eps_den times its natural scale.
     """
-    parts = _condition_parts(surface, u, v, theta, omega)
+    return _theta_dd(_condition_parts(surface, u, v, theta, omega),
+                     u, v, theta, eps_den)
+
+
+def _theta_dd(parts, u, v, theta, eps_den=1e-10):
+    """solve_theta_dd from the _condition_parts of the state."""
     if abs(parts["denom"]) <= eps_den * max(parts["denom_scale"], 1e-300):
         raise SingularDenominator(
             f"theta'' coefficient {parts['denom']!r} is singular at "
@@ -405,14 +424,6 @@ class SolutionTrace:
     def state_at(self, t):
         y = self.ode_result.interpolate(t)
         return float(y[0]), float(y[1]), float(y[2]), float(y[3])
-
-    def as_columns(self):
-        """Column dict in the trace export order."""
-        cols = {}
-        for name in ("t", "u", "v", "theta", "theta_prime",
-                     "x", "y", "z", "residual"):
-            cols[name] = np.array([getattr(n, name) for n in self.nodes])
-        return cols
 
 
 def integrate_commensurate(ivp):
@@ -551,12 +562,12 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     left side independent of the curve condition.
     """
     if omega_dot is None:
-        u_jet, v_jet = pc.param_jets(t, 3)
+        u_jet, v_jet, X, a = pc.node_jets(t, 3)
     else:
         u_jet, v_jet = _theta_jets(*pc.trace.state_at(t), omega_dot)
+        X = surface_jets(pc.surface, u_jet.value, v_jet.value, 3)
+        a = compose_curve_in_surface(X, u_jet, v_jet, 3)
     u, v = u_jet.value, v_jet.value
-    X = surface_jets(pc.surface, u, v, 3)
-    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
 
     d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
     speed = math.hypot(*d1)

@@ -33,7 +33,7 @@ from .errors import (
     UnexpectedEnd,
     UnknownIdentifier,
 )
-from .jets import power_int
+from .jets import _Jet, power_int
 
 __all__ = [
     "Token", "Ast", "Const", "Var", "Neg", "BinOp", "Call",
@@ -242,13 +242,13 @@ def parse_expression(source, allowed_vars):
 # ---------------------------------------------------------------------------
 # evaluation, generic over the ring of the bound values
 
-def _lib_for(x):
-    # Jets provide their own elementary functions; plain numbers use math.
-    return x if hasattr(x, "sin") else math
+def _is_jet(x):
+    """True for a jet, which brings its own functions and checks."""
+    return isinstance(x, _Jet)
 
 
 def _apply_func(func, x):
-    if hasattr(x, "sin"):
+    if _is_jet(x):
         return getattr(x, func)()
     try:
         if func == "abs":
@@ -268,11 +268,11 @@ def _pow(base, exponent):
     n = _as_integer(exponent)
     if n is not None:
         return _pow_int(base, n)
-    if hasattr(base, "sin"):
+    if _is_jet(base):
         return (base.log() * exponent).exp()
     if base <= 0.0:
         raise DomainError("power with nonpositive base and non-integer exponent")
-    if hasattr(exponent, "sin"):
+    if _is_jet(exponent):
         return (exponent * math.log(base)).exp()
     try:
         return math.exp(exponent * math.log(base))
@@ -281,7 +281,7 @@ def _pow(base, exponent):
 
 
 def _as_integer(x):
-    if hasattr(x, "is_constant"):
+    if _is_jet(x):
         if not x.is_constant():
             return None
         x = x.value
@@ -291,7 +291,7 @@ def _as_integer(x):
 
 
 def _pow_int(base, n):
-    if hasattr(base, "pow_int"):
+    if _is_jet(base):
         return base.pow_int(n)
     if n == 0:
         return 1.0
@@ -332,7 +332,7 @@ def eval_ast(ast, bindings):
         if ast.op == "*":
             return left * right
         # division: guard the scalar case; jets guard internally
-        if not hasattr(right, "sin") and right == 0.0:
+        if not _is_jet(right) and right == 0.0:
             raise DomainError("division by zero")
         return left / right
     raise TypeError(f"not an Ast node: {ast!r}")

@@ -9,7 +9,7 @@ functions with pinned seeds and tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,8 +134,8 @@ def random_nondegenerate_curve(rng, max_tries=50):
 
 
 def transformed_surface(surface, matrix, shift):
-    """X -> A X + b applied at the expression level, so the transformed
-    surface runs through the identical evaluation pipeline."""
+    """A surface (or a curve) under X -> A X + b, applied at the expression
+    level, so that it runs through the identical evaluation pipeline."""
     comps = []
     for i in range(3):
         acc = None
@@ -143,19 +143,10 @@ def transformed_surface(surface, matrix, shift):
             term = BinOp("*", Const(float(matrix[i][j])), comp)
             acc = term if acc is None else BinOp("+", acc, term)
         comps.append(BinOp("+", acc, Const(float(shift[i]))))
-    return type(surface)(tuple(comps), surface.u_min, surface.u_max,
-                         surface.v_min, surface.v_max, surface.name)
+    return replace(surface, components=tuple(comps))
 
 
-def transformed_curve(curve, matrix, shift):
-    comps = []
-    for i in range(3):
-        acc = None
-        for j, comp in enumerate(curve.components):
-            term = BinOp("*", Const(float(matrix[i][j])), comp)
-            acc = term if acc is None else BinOp("+", acc, term)
-        comps.append(BinOp("+", acc, Const(float(shift[i]))))
-    return CurveDef(tuple(comps), curve.t_min, curve.t_max, curve.name)
+transformed_curve = transformed_surface
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +220,12 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
                           len(points))
 
 
-def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8,
-                                matrices=None):
+def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
     """Affine form coefficients and the curve-condition residual are
     unchanged under volume-preserving maps of the ambient space."""
     worst = 0.0
     count = 0
-    n_mats = matrices if matrices is not None else max(1, samples // 4)
-    for _ in range(n_mats):
+    for _ in range(max(1, samples // 4)):
         A = random_sl3(rng)
         b = rng.uniform(-1.0, 1.0, size=3)
         moved = transformed_surface(surface, A, b)

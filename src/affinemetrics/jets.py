@@ -10,28 +10,34 @@ true derivatives of that expression up to floating-point rounding.
 Raw derivatives (not Taylor coefficients) are stored, because the geometry
 layers consume a', a'', a''' directly.
 
-Products follow Leibniz's rule through tables built at import: for each
-order and each output coefficient, the tuple of its (binomial weight,
-index into a, index into b) terms, so that a product is one flat loop.
+The two kinds are one ring over two coefficient layouts, written once in
+their base class ``_Jet``: the operand check (a jet of the same kind and
+order; NotImplemented for the other kind; a fast path for a plain number),
++ - * and their reflected forms, negation, / by a number or a jet, integer
+and real powers, abs, ``value`` and ``is_constant``.  Results built here
+skip validation (``_make``, ``_like``); the public ``Jet1(coeffs)`` and
+``Jet2(order, coeffs)`` validate.  Each kind adds what its layout decides:
+its constructor, seeds and ``constant``; its derivative access
+(``derivative`` and ``truncated``, or ``partial``); its Leibniz product
+tables (``_MUL1``, ``_MUL2``: per order and output coefficient, the
+(binomial weight, index into a, index into b) terms, so that a product is
+one flat loop); its quotient kernel (Jet1 solves Leibniz's rule for the
+quotient, and divides each coefficient by a plain divisor; Jet2 multiplies
+by the reciprocal, of a jet or of a plain divisor); and its elementary
+functions.
 
-A Jet2 elementary function g = phi(f) is the bivariate chain rule on the
-graded partials, written out to order 3:
+A Jet2 function g = phi(f) is the bivariate chain rule on the graded
+partials, written out to order 3:
 
     g_u   = phi' f_u
     g_uv  = phi'' f_u f_v + phi' f_uv
     g_uuv = phi''' f_u^2 f_v + phi'' (2 f_u f_uv + f_uu f_v) + phi' f_uuv
 
-and so on.  phi and its first three derivatives at f's value come from one
-closed-form table per function (``_PHI``), which is the only place the jets
-call :mod:`math`; it reports a math overflow or domain error as DomainError.
-The Jet1 elementary functions, which go up to order 6, serve Jet1 only:
-they convert to normalized Taylor coefficients, apply the classical
-power-series recurrences and convert back.
-
-Results built inside this module go through the unchecked ``_make``
-constructors; the public ``Jet1(coeffs)`` and ``Jet2(order, coeffs)``
-validate.  A plain-number operand of + - * / takes a fast path instead of
-being wrapped in a constant jet.
+and so on.  The Jet1 functions, which go up to order 6, apply the classical
+power-series recurrences to normalized Taylor coefficients.  phi and its
+first three derivatives at f's value come from one closed-form table per
+function (``_PHI``), the only place the jets call :mod:`math`; it reports a
+math overflow or domain error as DomainError.
 
 :func:`compose_curve_in_surface` gives the derivatives of a(t) =
 X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
@@ -41,6 +47,7 @@ floats.
 from __future__ import annotations
 
 import math
+import types
 
 from .errors import DomainError, OrderMismatch, UnsupportedOrder
 
@@ -190,39 +197,37 @@ def _check_order(order, maximum, what):
         raise UnsupportedOrder(f"{what} supports orders 1..{maximum}, got {order}")
 
 
-class Jet1:
-    """Univariate jet: raw derivatives (f, f', ..., f^(N)) at a point."""
+class _Jet:
+    """The ring Jet1 and Jet2 share.  A subclass provides ``_MUL``, its
+    Leibniz tables by order; ``constant``; its quotient kernel
+    (``_quotient``, ``__rtruediv__``, ``_reciprocal``); and the elementary
+    functions that ``**`` and ``eval_ast`` call."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs):
-        coeffs = tuple(float(c) for c in coeffs)
-        if not 1 <= len(coeffs) - 1 <= MAX_ORDER_1:
-            raise UnsupportedOrder(
-                f"Jet1 supports orders 1..{MAX_ORDER_1}, got {len(coeffs) - 1}")
-        self.coeffs = coeffs
+    def __init_subclass__(cls):
+        # each kind runs its own copy of this code: CPython 3.11 specializes
+        # attribute access per code object and type, so a copy shared by
+        # interleaved Jet1 and Jet2 operands runs unspecialized (arclen 5%)
+        for name, f in list(vars(_Jet).items()):
+            if isinstance(f, types.FunctionType) and name not in vars(cls):
+                setattr(cls, name, types.FunctionType(
+                    f.__code__.replace(), f.__globals__, name))
 
-    @staticmethod
-    def _make(coeffs):
-        """A Jet1 over a tuple of floats of a valid length, unchecked."""
-        jet = object.__new__(Jet1)
+    @classmethod
+    def _make(cls, order, coeffs):
+        """A jet over a tuple of floats of a valid length, unchecked."""
+        jet = object.__new__(cls)
+        jet.order = order
         jet.coeffs = coeffs
         return jet
 
-    @classmethod
-    def seed(cls, value, order):
-        """The identity function t at t = value."""
-        _check_order(order, MAX_ORDER_1, "Jet1")
-        return Jet1._make((float(value), 1.0) + (0.0,) * (order - 1))
-
-    @classmethod
-    def constant(cls, value, order):
-        _check_order(order, MAX_ORDER_1, "Jet1")
-        return Jet1._make((float(value),) + (0.0,) * order)
-
-    @property
-    def order(self):
-        return len(self.coeffs) - 1
+    def _like(self, coeffs):
+        """A jet of this one's kind and order over ``coeffs``, unchecked."""
+        jet = object.__new__(self.__class__)
+        jet.order = self.order
+        jet.coeffs = coeffs
+        return jet
 
     @property
     def value(self):
@@ -231,91 +236,70 @@ class Jet1:
     def is_constant(self):
         return all(c == 0.0 for c in self.coeffs[1:])
 
-    def derivative(self):
-        """The jet of f', one order lower."""
-        if self.order < 2:
-            raise OrderMismatch("cannot differentiate an order-1 jet")
-        return Jet1._make(self.coeffs[1:])
-
-    def truncated(self, order):
-        if order > self.order:
-            raise OrderMismatch(
-                f"cannot extend a jet of order {self.order} to {order}")
-        return Jet1._make(self.coeffs[:order + 1])
-
-    def __repr__(self):
-        return f"Jet1({list(self.coeffs)!r})"
-
     # -- ring operations ----------------------------------------------------
     #
-    # _other gives the coefficients of a Jet1 operand of the same order,
-    # NotImplemented for a Jet2, and None for a plain number.
+    # _other gives the coefficients of a jet operand of the same kind and
+    # order, NotImplemented for a jet of the other kind, and None for a
+    # plain number.
 
     def _other(self, other):
-        if isinstance(other, Jet1):
-            if len(other.coeffs) != len(self.coeffs):
+        if isinstance(other, _Jet):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            if other.order != self.order:
                 raise OrderMismatch(
                     f"jet orders differ: {self.order} vs {other.order}")
             return other.coeffs
-        if isinstance(other, Jet2):
-            return NotImplemented
         return None
 
     def __add__(self, other):
         a = self.coeffs
         b = self._other(other)
         if b is None:
-            return Jet1._make((a[0] + float(other),) + a[1:])
+            return self._like((a[0] + float(other),) + a[1:])
         if b is NotImplemented:
             return NotImplemented
-        return Jet1._make(tuple([x + y for x, y in zip(a, b)]))
+        return self._like(tuple([x + y for x, y in zip(a, b)]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet1._make(tuple([-x for x in self.coeffs]))
+        return self._like(tuple([-x for x in self.coeffs]))
 
     def __sub__(self, other):
         a = self.coeffs
         b = self._other(other)
         if b is None:
-            return Jet1._make((a[0] - float(other),) + a[1:])
+            return self._like((a[0] - float(other),) + a[1:])
         if b is NotImplemented:
             return NotImplemented
-        return Jet1._make(tuple([x - y for x, y in zip(a, b)]))
+        return self._like(tuple([x - y for x, y in zip(a, b)]))
 
     def __rsub__(self, other):
         a = self.coeffs
-        return Jet1._make((float(other) - a[0],) + tuple([-x for x in a[1:]]))
+        return self._like((float(other) - a[0],) + tuple([-x for x in a[1:]]))
 
     def __mul__(self, other):
         a = self.coeffs
         b = self._other(other)
         if b is None:
             s = float(other)
-            return Jet1._make(tuple([x * s for x in a]))
+            return self._like(tuple([x * s for x in a]))
         if b is NotImplemented:
             return NotImplemented
-        return Jet1._make(_leibniz(_MUL1[len(a) - 1], a, b))
+        return self._like(_leibniz(self._MUL[self.order], a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a = self.coeffs
         b = self._other(other)
         if b is None:
-            s = float(other)
-            if s == 0.0:
+            other = float(other)
+            if other == 0.0:
                 raise DomainError("jet division by zero value")
-            return Jet1._make(tuple([x / s for x in a]))
-        if b is NotImplemented:
+        elif b is NotImplemented:
             return NotImplemented
-        return Jet1._make(_divide1(a, b))
-
-    def __rtruediv__(self, other):
-        b = self.coeffs
-        a = (float(other),) + (0.0,) * (len(b) - 1)
-        return Jet1._make(_divide1(a, b))
+        return self._quotient(other)
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (
@@ -325,19 +309,82 @@ class Jet1:
 
     def pow_int(self, n):
         if n == 0:
-            return Jet1.constant(1.0, self.order)
+            return self.constant(1.0, self.order)
         if n < 0:
-            return 1.0 / power_int(self, -n)
+            return power_int(self, -n)._reciprocal()
         return power_int(self, n)
+
+    def abs(self):
+        if self.value > 0.0:
+            return self
+        if self.value < 0.0:
+            return -self
+        raise DomainError("abs is not differentiable at zero")
+
+    __abs__ = abs
+
+
+class Jet1(_Jet):
+    """Univariate jet: raw derivatives (f, f', ..., f^(N)) at a point."""
+
+    __slots__ = ()
+    _MUL = _MUL1
+
+    def __init__(self, coeffs):
+        coeffs = tuple(float(c) for c in coeffs)
+        if not 1 <= len(coeffs) - 1 <= MAX_ORDER_1:
+            raise UnsupportedOrder(
+                f"Jet1 supports orders 1..{MAX_ORDER_1}, got {len(coeffs) - 1}")
+        self.order = len(coeffs) - 1
+        self.coeffs = coeffs
+
+    @classmethod
+    def seed(cls, value, order):
+        """The identity function t at t = value."""
+        _check_order(order, MAX_ORDER_1, "Jet1")
+        return Jet1._make(order, (float(value), 1.0) + (0.0,) * (order - 1))
+
+    @classmethod
+    def constant(cls, value, order):
+        _check_order(order, MAX_ORDER_1, "Jet1")
+        return Jet1._make(order, (float(value),) + (0.0,) * order)
+
+    def derivative(self):
+        """The jet of f', one order lower."""
+        if self.order < 2:
+            raise OrderMismatch("cannot differentiate an order-1 jet")
+        return Jet1._make(self.order - 1, self.coeffs[1:])
+
+    def truncated(self, order):
+        if order > self.order:
+            raise OrderMismatch(
+                f"cannot extend a jet of order {self.order} to {order}")
+        return Jet1._make(order, self.coeffs[:order + 1])
+
+    def __repr__(self):
+        return f"Jet1({list(self.coeffs)!r})"
+
+    # -- quotient kernel: Leibniz's rule solved for the quotient ------------
+
+    def _quotient(self, other):
+        if isinstance(other, float):
+            return self._like(tuple([x / other for x in self.coeffs]))
+        return self._like(_divide1(self.coeffs, other.coeffs))
+
+    def __rtruediv__(self, other):
+        numerator = (float(other),) + (0.0,) * self.order
+        return self._like(_divide1(numerator, self.coeffs))
+
+    def _reciprocal(self):
+        return self.__rtruediv__(1.0)
 
     # -- elementary functions (normalized Taylor recurrences) ---------------
 
     def _taylor(self):
         return [c / _FACT[k] for k, c in enumerate(self.coeffs)]
 
-    @staticmethod
-    def _from_taylor(tay):
-        return Jet1._make(tuple([c * _FACT[k] for k, c in enumerate(tay)]))
+    def _from_taylor(self, tay):
+        return self._like(tuple([c * _FACT[k] for k, c in enumerate(tay)]))
 
     def _pair(self, name, sign):
         """(phi(f), phi'(f)) where phi'' = sign * phi: (sin, cos) for sign
@@ -352,7 +399,7 @@ class Jet1:
             s[k] = fsum([j * u[j] * c[k - j] for j in range(1, k + 1)]) / k
             c[k] = sign * fsum([j * u[j] * s[k - j]
                                 for j in range(1, k + 1)]) / k
-        return Jet1._from_taylor(s), Jet1._from_taylor(c)
+        return self._from_taylor(s), self._from_taylor(c)
 
     def sin(self):
         return self._pair("sin", -1.0)[0]
@@ -383,48 +430,31 @@ class Jet1:
         for k in range(1, n + 1):
             t[k] = fsum([j * u[j] * w[k - j] for j in range(1, k + 1)]) / k
             w[k] = -fsum([t[i] * t[k - i] for i in range(k + 1)])
-        return Jet1._from_taylor(t)
+        return self._from_taylor(t)
+
+    def _series(self, name, step):
+        """phi(f), for ``name`` in _PHI, from the recurrence v[0] = phi(u[0]),
+        v[k] = step(u, v, k) on normalized Taylor coefficients."""
+        u = self._taylor()
+        v = [_phi(name, u[0])[0]]
+        for k in range(1, self.order + 1):
+            v.append(step(u, v, k))
+        return self._from_taylor(v)
 
     def exp(self):
-        u = self._taylor()
-        n = self.order
-        v = [0.0] * (n + 1)
-        v[0] = _phi("exp", u[0])[0]
-        fsum = math.fsum
-        for k in range(1, n + 1):
-            v[k] = fsum([j * u[j] * v[k - j] for j in range(1, k + 1)]) / k
-        return Jet1._from_taylor(v)
+        # v' = v u'
+        return self._series("exp", lambda u, v, k: math.fsum(
+            [j * u[j] * v[k - j] for j in range(1, k + 1)]) / k)
 
     def log(self):
-        u = self._taylor()
-        n = self.order
-        v = [0.0] * (n + 1)
-        v[0] = _phi("log", u[0])[0]
-        fsum = math.fsum
-        for k in range(1, n + 1):
-            conv = fsum([j * v[j] * u[k - j] for j in range(1, k)])
-            v[k] = (u[k] - conv / k) / u[0]
-        return Jet1._from_taylor(v)
+        # u v' = u'
+        return self._series("log", lambda u, v, k: (u[k] - math.fsum(
+            [j * v[j] * u[k - j] for j in range(1, k)]) / k) / u[0])
 
     def sqrt(self):
-        u = self._taylor()
-        n = self.order
-        v = [0.0] * (n + 1)
-        v[0] = _phi("sqrt", u[0])[0]
-        fsum = math.fsum
-        for k in range(1, n + 1):
-            conv = fsum([v[j] * v[k - j] for j in range(1, k)])
-            v[k] = (u[k] - conv) / (2.0 * v[0])
-        return Jet1._from_taylor(v)
-
-    def abs(self):
-        if self.value > 0.0:
-            return self
-        if self.value < 0.0:
-            return -self
-        raise DomainError("abs is not differentiable at zero")
-
-    __abs__ = abs
+        # v^2 = u
+        return self._series("sqrt", lambda u, v, k: (u[k] - math.fsum(
+            [v[j] * v[k - j] for j in range(1, k)])) / (2.0 * v[0]))
 
 
 def _divide1(a, b):
@@ -441,10 +471,11 @@ def _divide1(a, b):
     return tuple(c)
 
 
-class Jet2:
+class Jet2(_Jet):
     """Bivariate jet: raw partials d^{i+j}f/du^i dv^j for i+j <= N."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ()
+    _MUL = _MUL2
 
     def __init__(self, order, coeffs):
         _check_order(order, MAX_ORDER_2, "Jet2")
@@ -454,14 +485,6 @@ class Jet2:
                 f"Jet2 of order {order} needs {len(_IDX2[order])} coefficients")
         self.order = order
         self.coeffs = coeffs
-
-    @staticmethod
-    def _make(order, coeffs):
-        """A Jet2 over a tuple of floats of a valid length, unchecked."""
-        jet = object.__new__(Jet2)
-        jet.order = order
-        jet.coeffs = coeffs
-        return jet
 
     @staticmethod
     def _seed(value, order, ij):
@@ -485,10 +508,6 @@ class Jet2:
         return Jet2._make(order,
                           (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
 
-    @property
-    def value(self):
-        return self.coeffs[0]
-
     def partial(self, i, j):
         """Raw partial derivative d^{i+j}f/du^i dv^j."""
         try:
@@ -497,90 +516,21 @@ class Jet2:
             raise OrderMismatch(
                 f"partial ({i},{j}) exceeds jet order {self.order}") from None
 
-    def is_constant(self):
-        return all(c == 0.0 for c in self.coeffs[1:])
-
     def __repr__(self):
         return f"Jet2(order={self.order}, {list(self.coeffs)!r})"
 
-    # -- ring operations (operands as for Jet1) -----------------------------
+    # -- quotient kernel: a product with the reciprocal ---------------------
 
-    def _other(self, other):
-        if isinstance(other, Jet2):
-            if other.order != self.order:
-                raise OrderMismatch(
-                    f"jet orders differ: {self.order} vs {other.order}")
-            return other.coeffs
-        if isinstance(other, Jet1):
-            return NotImplemented
-        return None
-
-    def __add__(self, other):
-        a = self.coeffs
-        b = self._other(other)
-        if b is None:
-            return Jet2._make(self.order, (a[0] + float(other),) + a[1:])
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet2._make(self.order, tuple([x + y for x, y in zip(a, b)]))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet2._make(self.order, tuple([-x for x in self.coeffs]))
-
-    def __sub__(self, other):
-        a = self.coeffs
-        b = self._other(other)
-        if b is None:
-            return Jet2._make(self.order, (a[0] - float(other),) + a[1:])
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet2._make(self.order, tuple([x - y for x, y in zip(a, b)]))
-
-    def __rsub__(self, other):
-        a = self.coeffs
-        return Jet2._make(self.order, (float(other) - a[0],)
-                          + tuple([-x for x in a[1:]]))
-
-    def __mul__(self, other):
-        a = self.coeffs
-        b = self._other(other)
-        if b is None:
-            s = float(other)
-            return Jet2._make(self.order, tuple([x * s for x in a]))
-        if b is NotImplemented:
-            return NotImplemented
-        return Jet2._make(self.order, _leibniz(_MUL2[self.order], a, b))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._other(other)
-        if b is None:
-            s = float(other)
-            if s == 0.0:
-                raise DomainError("jet division by zero value")
-            return self * (1.0 / s)
-        if b is NotImplemented:
-            return NotImplemented
+    def _quotient(self, other):
+        if isinstance(other, float):
+            return self * (1.0 / other)
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
 
-    def __pow__(self, exponent):
-        if isinstance(exponent, int) or (
-                isinstance(exponent, float) and exponent.is_integer()):
-            return self.pow_int(int(exponent))
-        return (self.log() * exponent).exp()
-
-    def pow_int(self, n):
-        if n == 0:
-            return Jet2.constant(1.0, self.order)
-        if n < 0:
-            return power_int(self, -n)._reciprocal()
-        return power_int(self, n)
+    def _reciprocal(self):
+        return self._apply("reciprocal")
 
     # -- elementary functions by the order-3 chain rule ---------------------
 
@@ -590,22 +540,19 @@ class Jet2:
         p0, p1, p2, p3 = _phi(name, f[0])
         fu, fv = f[1], f[2]
         if self.order == 1:
-            return Jet2._make(1, (p0, p1 * fu, p1 * fv))
+            return self._like((p0, p1 * fu, p1 * fv))
         fuu, fuv, fvv = f[3], f[4], f[5]
         g = (p0, p1 * fu, p1 * fv,
              p2 * fu * fu + p1 * fuu,
              p2 * fu * fv + p1 * fuv,
              p2 * fv * fv + p1 * fvv)
         if self.order == 2:
-            return Jet2._make(2, g)
-        return Jet2._make(3, g + (
+            return self._like(g)
+        return self._like(g + (
             p3 * fu * fu * fu + 3.0 * p2 * fu * fuu + p1 * f[6],
             p3 * fu * fu * fv + p2 * (2.0 * fu * fuv + fuu * fv) + p1 * f[7],
             p3 * fu * fv * fv + p2 * (2.0 * fv * fuv + fu * fvv) + p1 * f[8],
             p3 * fv * fv * fv + 3.0 * p2 * fv * fvv + p1 * f[9]))
-
-    def _reciprocal(self):
-        return self._apply("reciprocal")
 
     def sin(self):
         return self._apply("sin")
@@ -633,15 +580,6 @@ class Jet2:
 
     def sqrt(self):
         return self._apply("sqrt")
-
-    def abs(self):
-        if self.value > 0.0:
-            return self
-        if self.value < 0.0:
-            return -self
-        raise DomainError("abs is not differentiable at zero")
-
-    __abs__ = abs
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +626,7 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
                      + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
                               + x[5] * v1 * v2)
                      + x[1] * u3 + x[2] * v3)
-        out.append(Jet1._make(tuple(d)))
+        out.append(Jet1._make(order, tuple(d)))
     return tuple(out)
 
 

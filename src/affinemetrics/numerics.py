@@ -145,8 +145,6 @@ class OdeEvent:
 class OdeOptions:
     rel_tol: float = 1e-8
     abs_tol: float = 1e-10
-    initial_step: float | None = None
-    max_step: float = math.inf
     max_steps: int = 100_000
     method: str = "dopri5"             # the only stepper
     events: tuple = ()
@@ -175,9 +173,7 @@ class OdeResult:
     dense: list = field(default_factory=list)
     status: str = "completed"          # completed | event
     event_name: str | None = None
-    event_index: int | None = None
     t_event: float | None = None
-    y_event: np.ndarray | None = None
     n_steps: int = 0
     n_rhs: int = 0
     stiff_steps: int = 0
@@ -309,9 +305,7 @@ def ode_solve(f, y0, t_span, opts=None):
 
     g_now = [ev.func(t0, y) for ev in opts.events]
 
-    span = t_end - t0
-    h = opts.initial_step if opts.initial_step else min(span / 100.0, opts.max_step)
-    h = min(h, opts.max_step, span)
+    h = (t_end - t0) / 100.0
     t = t0
     facmin, facmax, safety = 0.2, 6.0, 0.9
     rejected = False
@@ -363,9 +357,7 @@ def ode_solve(f, y0, t_span, opts=None):
             result.dense.append(dense)
             result.status = "event"
             result.event_name = opts.events[i].name
-            result.event_index = i
             result.t_event = t_hit
-            result.y_event = y_hit
             return result
 
         result.ts.append(t_new)
@@ -378,7 +370,7 @@ def ode_solve(f, y0, t_span, opts=None):
         if rejected:
             fac = min(fac, 1.0)
         rejected = False
-        h = min(h * fac, opts.max_step)
+        h *= fac
 
     return result
 

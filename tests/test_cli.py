@@ -177,6 +177,28 @@ class TestExitContract:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("check-identities", "--seed", "-1"),
+        ("commensurate-solve", "--theta0", "nan"),
+        ("commensurate-solve", "--at", "nan,0"),
+        ("commensurate-solve", "--omega0", "inf"),
+        ("surface-info", "--at", "nan,0"),
+        ("arclen-compare", "--t-range", "0:nan"),
+    ])
+    def test_negative_seed_or_non_finite_value_is_a_usage_error(
+            self, capsys, command, flag, value):
+        args = {"commensurate-solve": ["--at", "0.1,0.1", "--theta0", "0.3"],
+                "arclen-compare": ["--curve", "t;0.2*t", "--t-range", "0:1"],
+                "surface-info": ["--at", "0.3,0.2"],
+                "check-identities": ["--samples", "2"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--surface", "sphere", *args, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_derivatives_raise_no_warning(self, capsys):
         # the degeneracy scale of det[a', a'', a'''] overflowed in numpy's

@@ -308,6 +308,52 @@ class TestConditionCheck:
         check_condition_euclidean(tc, 0.2, omega_dot=0.1)
         assert orders == [3]
 
+    def test_trace_curve_evaluates_each_point_once(self, monkeypatch):
+        from affinemetrics import commensurate, surfgeo
+
+        orders = []
+        original = surfgeo.surface_jets
+
+        def counting(surface, u, v, order, check_domain=True):
+            orders.append(order)
+            return original(surface, u, v, order, check_domain)
+
+        ivp = CommensurateIVP(SPHERE, 0.1, 0.1, 0.3, omega0=0.5,
+                              t_span=(0.0, 0.3))
+        tc = TraceCurve(integrate_commensurate(ivp))
+        for module in (commensurate, surfgeo):
+            monkeypatch.setattr(module, "surface_jets", counting)
+        jets = tc.curve_jets(0.1, 3)
+        assert orders == [3]
+        orders.clear()
+        check_condition_euclidean(tc, 0.1)
+        assert orders == [3]
+        # the same jets as solving for theta'' and then evaluating the
+        # surface jets again, as the generic curve-in-surface path does
+        state = tc.trace.state_at(0.1)
+        omega_dot = commensurate.solve_theta_dd(SPHERE, *state)
+        u, v = commensurate._theta_jets(*state, omega_dot)
+        X = original(SPHERE, u.value, v.value, 3)
+        want = commensurate.compose_curve_in_surface(X, u, v, 3)
+        assert [j.coeffs for j in jets] == [j.coeffs for j in want]
+
+    def test_trace_curve_outside_the_domain_is_a_domain_exit(self):
+        from dataclasses import replace
+
+        from affinemetrics.errors import DomainExit
+        from affinemetrics.surfgeo import SurfaceDef
+
+        ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, t_span=(0.0, 0.3))
+        trace = integrate_commensurate(ivp)
+        # the same sphere on a box that the trace leaves at u = 0.1
+        box = SurfaceDef(SPHERE.components, SPHERE.u_min, 0.1,
+                         SPHERE.v_min, SPHERE.v_max)
+        tc = TraceCurve(replace(trace, surface=box))
+        tc.curve_jets(0.05, 3)
+        for order in (1, 2, 3):
+            with pytest.raises(DomainExit):
+                tc.curve_jets(0.2, order)
+
     def test_great_circle_not_commensurate(self):
         chk = check_condition_euclidean(GREAT_CIRCLE, 0.5)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
