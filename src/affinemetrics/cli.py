@@ -80,6 +80,9 @@ EXIT_DEGENERATE = 3
 EXIT_INVALID_IVP = 4
 EXIT_NUMERICAL = 5
 
+#: most seeds one --omega0 'a:b:step' sweep may ask for
+MAX_SWEEP_SEEDS = 10_000
+
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
                       EuclideanDegenerate, IrregularPoint, NegativeForm,
                       NegativeOrientation, NonpositiveTorsion, ZeroDirection,
@@ -137,10 +140,11 @@ def _json_text(payload):
 def _parse_domain(text):
     try:
         u_part, v_part = text.split(",")
-        u0, u1 = (float(x) for x in u_part.split(":"))
-        v0, v1 = (float(x) for x in v_part.split(":"))
-    except ValueError:
-        raise ExprError(f"bad domain {text!r}, expected 'a:b,c:d'") from None
+        u0, u1 = (_finite_float(x) for x in u_part.split(":"))
+        v0, v1 = (_finite_float(x) for x in v_part.split(":"))
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ExprError(f"bad domain {text!r}, expected 'a:b,c:d' with "
+                        "finite numbers") from None
     return (u0, u1), (v0, v1)
 
 
@@ -219,7 +223,11 @@ def _parse_sweep(text):
             f"bad sweep {text!r}, expected 'x' or 'a:b:step' with step > 0 "
             "and b >= a")
     start, stop, step = parts
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    span = (stop - start) / step            # inf past the float range
+    count = math.floor(span + 0.5) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_SWEEP_SEEDS:
+        raise argparse.ArgumentTypeError(
+            f"sweep {text!r} asks for more than {MAX_SWEEP_SEEDS} seeds")
     return [start + k * step for k in range(count)]
 
 

@@ -4,7 +4,11 @@ The central quantity is det[a'(t), a''(t), a'''(t)]: its sixth root is the
 integrand of the equiaffine arc length, and the cross-check route expresses
 the same integrand through the Euclidean curvature and torsion as
 (kappa^2 tau)^(1/6) * |a'|.  All derivatives come from jet evaluation of
-the parsed component expressions, never from numerical differentiation.
+the component expressions, never from numerical differentiation.
+
+A caller that already holds a point's order-3 jets (from curve_jets) reads
+the Frenet data off them with frenet_from_jets instead of evaluating the
+curve again through euclidean_frenet.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .numerics import quad_adaptive
 __all__ = [
     "CurveDef", "FrenetData", "AffineFrenetData", "ArcLength",
     "curve_jets", "affine_integrand", "affine_arclength",
-    "euclidean_frenet", "affine_integrand_via_euclidean", "affine_frenet",
+    "euclidean_frenet", "frenet_from_jets", "affine_integrand_via_euclidean",
+    "affine_frenet",
 ]
 
 #: relative determinant-degeneracy threshold (scaled by |a'||a''||a'''|)
@@ -199,7 +204,13 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
 
 def euclidean_frenet(curve, t):
     """Frenet frame, speed, curvature and (possibly flagged) torsion."""
-    det, scale, (d1, d2, _) = _det_and_scale(_jets3(curve, t))
+    return frenet_from_jets(_jets3(curve, t), t)
+
+
+def frenet_from_jets(jets, t):
+    """euclidean_frenet from already-evaluated order-3 curve jets at t; t
+    is used only in the error messages."""
+    det, scale, (d1, d2, _) = _det_and_scale(jets)
     d1, d2 = np.array(d1), np.array(d2)
     v = float(np.linalg.norm(d1))
     if v <= 1e-300:

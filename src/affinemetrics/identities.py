@@ -4,12 +4,17 @@ Each suite draws deterministic samples from a seeded generator, evaluates
 one of the package's structural identities along two independent routes,
 and reports the worst relative deviation.  The test suite drives the same
 functions with pinned seeds and tolerances.
+
+Random curves are built directly as expression trees, never written out
+and parsed, and each sample's jets are evaluated once and shared by both
+routes and by the sample filter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 
 import numpy as np
 
@@ -19,20 +24,19 @@ from .commensurate import (
     commensurate_residual,
     commensurate_residual_general,
 )
-from .curvegeo import (
-    CurveDef,
-    affine_integrand,
-    affine_integrand_via_euclidean,
-    euclidean_frenet,
-)
+from .curvegeo import CurveDef, _alpha_integrand, curve_jets, frenet_from_jets
 from .errors import AffineMetricsError
-from .expr import BinOp, Const
+from .expr import BinOp, Call, Const, Var
 from .surfgeo import (
+    AffineForm,
+    QuadForm,
     affine_first_fundamental,
-    affine_lmn,
     check_reparam_covariance,
-    fundamental_forms_euclid,
-    gauss_curvature,
+    form_from_jets,
+    forms_from_jets,
+    gauss_from_forms,
+    lmn_from_jets,
+    surface_jets,
 )
 
 __all__ = [
@@ -102,14 +106,50 @@ def random_points(surface, rng, count, margin=0.02):
     return list(zip(us.tolist(), vs.tolist()))
 
 
+# Sample curves are trees in the shape the parser gives their written form.
+# The parser reads "(c)" with c < 0 as Neg(Const(-c)); Const(c) evaluates
+# to the same float.
+_T = Var("t")
+
+
+def _sum(terms):
+    """The left-associated tree the parser makes of "a + b + c"."""
+    return reduce(partial(BinOp, "+"), terms)
+
+
+def _times(coeff, factor):
+    return BinOp("*", Const(coeff), factor)
+
+
 def _poly_trig_component(rng):
+    """The tree of "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t)
+    + (b)*cos((g)*t)" with random coefficients."""
     coeffs = rng.uniform(-2.0, 2.0, size=5).tolist()
-    poly = " + ".join(f"({c!r})*t^{k}" if k else f"({c!r})"
-                      for k, c in enumerate(coeffs))
     amp_s, amp_c = rng.uniform(-2.0, 2.0, size=2).tolist()
     freq_s, freq_c = rng.uniform(0.5, 2.5, size=2).tolist()
-    return (f"{poly} + ({amp_s!r})*sin(({freq_s!r})*t)"
-            f" + ({amp_c!r})*cos(({freq_c!r})*t)")
+    powers = [_times(c, BinOp("^", _T, Const(float(k))))
+              for k, c in enumerate(coeffs) if k]
+    return _sum([Const(coeffs[0]), *powers,
+                 _times(amp_s, Call("sin", _times(freq_s, _T))),
+                 _times(amp_c, Call("cos", _times(freq_c, _T)))])
+
+
+def _draw_curve(rng, max_tries=50):
+    """(curve, t, order-3 jets at t, Frenet data at t) for
+    random_nondegenerate_curve, with the jets evaluated once."""
+    for _ in range(max_tries):
+        curve = CurveDef(tuple(_poly_trig_component(rng) for _ in range(3)),
+                         -1.5, 1.5)
+        t = float(rng.uniform(-1.0, 1.0))
+        try:
+            jets = curve_jets(curve, t, 3)
+            fr = frenet_from_jets(jets, t)
+        except AffineMetricsError:
+            continue
+        if (fr.tau is not None and fr.tau > 1e-3
+                and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
+            return curve, t, jets, fr
+    raise RuntimeError("could not draw a well-conditioned curve")
 
 
 def random_nondegenerate_curve(rng, max_tries=50):
@@ -119,18 +159,7 @@ def random_nondegenerate_curve(rng, max_tries=50):
     The conditioning filters (torsion, curvature, speed bounded away from
     zero) keep the sixth-root comparison meaningful in float arithmetic.
     """
-    for _ in range(max_tries):
-        curve = CurveDef.from_strings(
-            [_poly_trig_component(rng) for _ in range(3)], -1.5, 1.5)
-        t = float(rng.uniform(-1.0, 1.0))
-        try:
-            fr = euclidean_frenet(curve, t)
-        except AffineMetricsError:
-            continue
-        if (fr.tau is not None and fr.tau > 1e-3
-                and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
-            return curve, t
-    raise RuntimeError("could not draw a well-conditioned curve")
+    return _draw_curve(rng, max_tries)[:2]
 
 
 def transformed_surface(surface, matrix, shift):
@@ -161,12 +190,27 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
     random curves with positive torsion."""
     worst = 0.0
     for _ in range(samples):
-        curve, t = random_nondegenerate_curve(rng)
-        direct = affine_integrand(curve, t)
-        euclid = affine_integrand_via_euclidean(curve, t)
+        # the draw holds tau > 0, so the determinant is positive and past
+        # the degeneracy threshold: neither route can raise here
+        _, _, jets, fr = _draw_curve(rng)
+        direct = _alpha_integrand(jets, False)[0]
+        euclid = (fr.kappa ** 2 * fr.tau) ** (1.0 / 6.0) * fr.speed
         worst = max(worst, _rel_dev(direct, euclid))
     return IdentityReport("integrand-det-vs-euclidean-route", worst, tolerance,
                           samples)
+
+
+@dataclass(frozen=True)
+class _Point:
+    """A sample point with its order-2 surface jets, its affine form and
+    its Euclidean first and second forms, all from one evaluation."""
+
+    u: float
+    v: float
+    jets: tuple
+    form: AffineForm
+    first: QuadForm
+    second: QuadForm
 
 
 def _regular_nondegenerate_points(surface, rng, count):
@@ -176,11 +220,12 @@ def _regular_nondegenerate_points(surface, rng, count):
         tries += 1
         (u, v), = random_points(surface, rng, 1)
         try:
-            affine_first_fundamental(surface, u, v)
-            fundamental_forms_euclid(surface, u, v)
+            jets = surface_jets(surface, u, v, 2)
+            form = form_from_jets(jets)
+            first, second, _ = forms_from_jets(jets, u, v)
         except AffineMetricsError:
             continue
-        points.append((u, v))
+        points.append(_Point(u, v, jets, form, first, second))
     return points
 
 
@@ -188,12 +233,11 @@ def lmn_route_suite(surface, rng, samples, tolerance=1e-10):
     """l = e sqrt(EG - F^2) and the m, n analogues."""
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
-    for (u, v) in points:
-        first, second, _ = fundamental_forms_euclid(surface, u, v)
-        root = math.sqrt(first.det)
-        lmn = affine_lmn(surface, u, v)
-        for det_val, dot_val in ((lmn.a, second.a), (lmn.b, second.b),
-                                 (lmn.c, second.c)):
+    for p in points:
+        root = math.sqrt(p.first.det)
+        lmn = lmn_from_jets(p.jets)
+        for det_val, dot_val in zip(lmn.coefficients(),
+                                    p.second.coefficients()):
             scale = max(abs(det_val), abs(dot_val), root, 1.0)
             worst = max(worst, abs(det_val - dot_val * root) / scale)
     return IdentityReport("lmn-determinant-vs-dot-route", worst, tolerance,
@@ -206,13 +250,10 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
     cross-product normal)."""
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
-    for (u, v) in points:
-        form = affine_first_fundamental(surface, u, v)
-        _, second, _ = fundamental_forms_euclid(surface, u, v)
-        K = gauss_curvature(surface, u, v)
-        factor = abs(K) ** (-0.25)
-        expected = np.array([second.a, second.b, second.c]) * factor
-        got = np.array([form.a, form.b, form.c])
+    for p in points:
+        factor = abs(gauss_from_forms(p.first, p.second)) ** (-0.25)
+        expected = np.array(p.second.coefficients()) * factor
+        got = np.array(p.form.coefficients())
         sign = -1.0 if float(expected @ got) < 0.0 else 1.0
         scale = max(float(np.abs(expected).max()), 1e-30)
         worst = max(worst, float(np.abs(got - sign * expected).max()) / scale)
@@ -229,9 +270,9 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
         A = random_sl3(rng)
         b = rng.uniform(-1.0, 1.0, size=3)
         moved = transformed_surface(surface, A, b)
-        for (u, v) in _regular_nondegenerate_points(surface, rng, 4):
+        for p in _regular_nondegenerate_points(surface, rng, 4):
+            u, v, f0 = p.u, p.v, p.form
             try:
-                f0 = affine_first_fundamental(surface, u, v)
                 f1 = affine_first_fundamental(moved, u, v)
             except AffineMetricsError:
                 continue
@@ -256,12 +297,18 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
     Jacobian determinant."""
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
-    for (u, v) in points:
+    for p in points:
         jac = random_invertible_2x2(rng)
-        lhs, rhs = check_reparam_covariance(surface, u, v, jac)
+        lhs, rhs = check_reparam_covariance(surface, p.u, p.v, jac)
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return IdentityReport("reparam-fourth-power-law", worst, tolerance,
                           len(points))
+
+
+def _quadratic(c0, c1, c2):
+    """The tree of "(c0) + (c1)*t + (c2)*t^2"."""
+    return _sum([Const(c0), _times(c1, _T),
+                 _times(c2, BinOp("^", _T, Const(2.0)))])
 
 
 def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
@@ -271,16 +318,14 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
     worst = 0.0
     count = 0
     points = _regular_nondegenerate_points(surface, rng, samples)
-    for (u, v) in points:
+    for p in points:
+        u, v = p.u, p.v
         c1u, c2u, c1v, c2v = rng.uniform(-1.0, 1.0, size=4).tolist()
         norm = math.hypot(c1u, c1v)
         if norm < 0.3:
             continue
-        pc = ParamCurve.from_strings(
-            surface,
-            f"({u!r}) + ({c1u!r})*t + ({c2u!r})*t^2",
-            f"({v!r}) + ({c1v!r})*t + ({c2v!r})*t^2",
-            -0.1, 0.1)
+        pc = ParamCurve(surface, _quadratic(u, c1u, c2u),
+                        _quadratic(v, c1v, c2v), -0.1, 0.1)
         derivs = (c1u, c1v, 2.0 * c2u, 2.0 * c2v, 0.0, 0.0)
         try:
             residual = commensurate_residual_general(surface, u, v, derivs)
@@ -328,21 +373,22 @@ def reference_form_suite(surface, reference, rng, samples, tolerance=1e-9):
     forms = REFERENCE_FORMS[reference]
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
-    for (u, v) in points:
+    for p in points:
+        u, v = p.u, p.v
         if "iaff" in forms:
-            form = affine_first_fundamental(surface, u, v)
+            form = p.form
             exp = forms["iaff"](u, v)
             scale = max(max(abs(x) for x in exp), 1.0)
             worst = max(worst, max(abs(form.a - exp[0]), abs(form.b - exp[1]),
                                    abs(form.c - exp[2])) / scale)
         if "lmn" in forms:
-            lmn = affine_lmn(surface, u, v)
+            lmn = lmn_from_jets(p.jets)
             exp = forms["lmn"](u, v)
             scale = max(max(abs(x) for x in exp), 1.0)
             worst = max(worst, max(abs(lmn.a - exp[0]), abs(lmn.b - exp[1]),
                                    abs(lmn.c - exp[2])) / scale)
         if "gauss" in forms:
-            K = gauss_curvature(surface, u, v)
+            K = gauss_from_forms(p.first, p.second)
             exp = forms["gauss"](u, v)
             worst = max(worst, abs(K - exp) / max(abs(exp), 1.0))
     return IdentityReport(f"reference-forms-{reference}", worst, tolerance,

@@ -356,6 +356,8 @@ class Jet1(_Jet):
         return Jet1._make(self.order - 1, self.coeffs[1:])
 
     def truncated(self, order):
+        if not isinstance(order, int) or order < 1:
+            raise UnsupportedOrder(f"cannot truncate a jet to order {order!r}")
         if order > self.order:
             raise OrderMismatch(
                 f"cannot extend a jet of order {self.order} to {order}")

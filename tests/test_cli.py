@@ -199,6 +199,50 @@ class TestExitContract:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["surface-info", "arclen-compare",
+                                         "check-identities"])
+    @pytest.mark.parametrize("domain", ["nan:1,-1:1", "-1:1,-inf:1",
+                                        "-1:inf,-1:1", "-1:1,-1:1e999"])
+    def test_non_finite_domain_bound_is_a_config_error(self, capsys, command,
+                                                       domain):
+        args = {"surface-info": ["--at", "0.5,0.5"],
+                "arclen-compare": ["--curve", "t;0.2*t", "--t-range", "0:1"],
+                "check-identities": ["--samples", "2"]}[command]
+        assert run([command, "--surface-expr", "u;v;u*v", "--domain", domain,
+                    *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad domain {domain!r}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sweep", ["-1e308:1e308:1e-300", "0:1e10:1e-5",
+                                       "0:1:0.0001"])
+    def test_oversized_sweep_is_a_usage_error(self, capsys, monkeypatch,
+                                              sweep):
+        from affinemetrics import cli
+
+        def bounded_range(n):
+            # a sweep past the bound must be refused before its seeds are
+            # listed, so no list this long is ever built here
+            assert n <= cli.MAX_SWEEP_SEEDS + 1
+            return range(n)
+
+        monkeypatch.setattr(cli, "range", bounded_range, raising=False)
+        with pytest.raises(SystemExit) as exc:
+            run(["commensurate-solve", "--surface", "sphere", "--at",
+                 "0.1,0.1", "--theta0", "0.3", "--omega0", sweep])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert f"more than {cli.MAX_SWEEP_SEEDS} seeds" in err
+        assert "Traceback" not in err
+
+    def test_sweep_at_the_bound_is_accepted(self):
+        from affinemetrics import cli
+        step = 1.0 / (cli.MAX_SWEEP_SEEDS - 1)
+        seeds = cli._parse_sweep(f"0:1:{step!r}")
+        assert len(seeds) == cli.MAX_SWEEP_SEEDS
+        assert seeds[0] == 0.0 and seeds[-1] == pytest.approx(1.0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_derivatives_raise_no_warning(self, capsys):
         # the degeneracy scale of det[a', a'', a'''] overflowed in numpy's

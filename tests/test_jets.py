@@ -34,6 +34,18 @@ class TestJet1Basics:
         with pytest.raises(OrderMismatch):
             Jet1.seed(0.0, 3) + Jet1.seed(0.0, 2)
 
+    @pytest.mark.parametrize("order", [0, -1, 1.0, 2.5])
+    def test_truncated_below_one_or_not_an_int(self, order):
+        with pytest.raises(UnsupportedOrder):
+            Jet1.seed(0.5, 3).truncated(order)
+
+    def test_truncated_keeps_leading_coefficients(self):
+        jet = Jet1.seed(0.5, 3).sin()
+        assert jet.truncated(1).coeffs == jet.coeffs[:2]
+        assert jet.truncated(3).coeffs == jet.coeffs
+        with pytest.raises(OrderMismatch):
+            jet.truncated(4)
+
     def test_division_by_zero_value(self):
         with pytest.raises(DomainError):
             Jet1.constant(1.0, 2) / Jet1.seed(0.0, 2)
