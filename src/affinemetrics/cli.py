@@ -142,10 +142,21 @@ def _parse_domain(text):
         u_part, v_part = text.split(",")
         u0, u1 = (_finite_float(x) for x in u_part.split(":"))
         v0, v1 = (_finite_float(x) for x in v_part.split(":"))
+        if not (u0 < u1 and v0 < v1):
+            raise ValueError
     except (ValueError, argparse.ArgumentTypeError):
         raise ExprError(f"bad domain {text!r}, expected 'a:b,c:d' with "
-                        "finite numbers") from None
+                        "finite numbers, a < b and c < d") from None
     return (u0, u1), (v0, v1)
+
+
+def _split_exprs(text, flag, expected):
+    """The ';'-separated expressions of ``flag``, as many as ``expected``
+    ('x;y;z' or 'u_expr;v_expr') names."""
+    parts = [part.strip() for part in text.split(";")]
+    if len(parts) != expected.count(";") + 1:
+        raise ExprError(f"bad {flag} {text!r}, expected {expected!r}")
+    return parts
 
 
 def _surface_from_args(args):
@@ -154,7 +165,8 @@ def _surface_from_args(args):
             raise ExprError("give either --surface or --surface-expr, not both")
         domain = _parse_domain(args.domain) if args.domain else ((-1.0, 1.0),
                                                                  (-1.0, 1.0))
-        return SurfaceDef.from_strings(args.surface_expr, domain)
+        exprs = _split_exprs(args.surface_expr, "--surface-expr", "x;y;z")
+        return SurfaceDef.from_strings(exprs, domain)
     if args.surface is None:
         raise ExprError("a surface is required (--surface or --surface-expr)")
     try:
@@ -267,14 +279,6 @@ def _cmd_surface_info(args):
 # ---------------------------------------------------------------------------
 # arclen-compare
 
-def _split_curve(text):
-    parts = [p.strip() for p in text.split(";")]
-    if len(parts) != 2:
-        raise ExprError(
-            f"bad --curve {text!r}, expected 'u_expr;v_expr'")
-    return parts
-
-
 def _tally(totals, seg):
     """Add one segment's quadrature statistics to [error, evaluations]."""
     totals[0] += seg.error_estimate
@@ -283,7 +287,7 @@ def _tally(totals, seg):
 
 def _cmd_arclen_compare(args):
     surface = _surface_from_args(args)
-    u_expr, v_expr = _split_curve(args.curve)
+    u_expr, v_expr = _split_exprs(args.curve, "--curve", "u_expr;v_expr")
     t0, t1 = args.t_range
     pc = ParamCurve.from_strings(surface, u_expr, v_expr, t0, t1)
     ts = np.linspace(t0, t1, args.samples)
@@ -546,7 +550,7 @@ def build_parser():
     _add_surface_args(p)
     p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--reference",
+    p.add_argument("--reference", choices=sorted(idn.REFERENCE_FORMS),
                    help="check closed forms of this catalog name against "
                         "the supplied expressions")
     p.set_defaults(handler=_cmd_check_identities)

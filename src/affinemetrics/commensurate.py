@@ -29,6 +29,7 @@ import numpy as np
 from .curvegeo import ArcLength
 from .errors import (
     AffineMetricsError,
+    DomainError,
     InvalidIVP,
     MaxSteps,
     NegativeForm,
@@ -77,9 +78,7 @@ class _EmbeddedCurve:
         if order > 3:
             raise UnsupportedOrder(
                 "surface-embedded curves support derivative order <= 3")
-        u, v = self.param_jets(t, order)
-        X = surface_jets(self.surface, u.value, v.value, order)
-        return u, v, X, compose_curve_in_surface(X, u, v, order)
+        return _node(self.surface, *self.param_jets(t, order), order)
 
     def curve_jets(self, t, order):
         """Jets of the embedded curve X(u(t), v(t))."""
@@ -113,13 +112,9 @@ class ParamCurve(_EmbeddedCurve):
 
     def param_jets(self, t, order):
         seed = Jet1.seed(float(t), order)
-        u = eval_ast(self.u_of_t, {"t": seed})
-        v = eval_ast(self.v_of_t, {"t": seed})
-        if not isinstance(u, Jet1):
-            u = Jet1.constant(u, order)
-        if not isinstance(v, Jet1):
-            v = Jet1.constant(v, order)
-        return u, v
+        bindings = {"t": seed}
+        return (seed.lift(eval_ast(self.u_of_t, bindings)),
+                seed.lift(eval_ast(self.v_of_t, bindings)))
 
 
 class TraceCurve(_EmbeddedCurve):
@@ -285,18 +280,30 @@ def _theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
         v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
 
     This is the one place the theta parametrization is differentiated.
+    An infinite theta, as a trial stage past the float range gives, is a
+    DomainError.
     """
-    c, s = math.cos(theta), math.sin(theta)
+    try:
+        c, s = math.cos(theta), math.sin(theta)
+    except ValueError:
+        raise DomainError(f"cos({theta!r}) of an infinite angle") from None
     du = (u, c, -omega * s, -omega_dot * s - omega * omega * c)
     dv = (v, s, omega * c, omega_dot * c - omega * omega * s)
     return Jet1(du[:order + 1]), Jet1(dv[:order + 1])
 
 
-def _residual(surface, u_jet, v_jet):
-    X = surface_jets(surface, u_jet.value, v_jet.value, 3)
-    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
+def _node(surface, u, v, order=3):
+    """(u, v, X, a): parameter jets, the surface jets at (u(t), v(t)) and
+    the curve jets of X(u(t), v(t)).  Builds every node but a trace's."""
+    X = surface_jets(surface, u.value, v.value, order)
+    return u, v, X, compose_curve_in_surface(X, u, v, order)
+
+
+def _residual(node):
+    """det[a', a'', a'''] - [form(a')]^3 at an order-3 node."""
+    u, v, X, a = node
     d1, d2, d3 = ([comp.coeffs[k] for comp in a] for k in (1, 2, 3))
-    q = form_from_jets(X).apply(u_jet.coeffs[1], v_jet.coeffs[1])
+    q = form_from_jets(X).apply(u.coeffs[1], v.coeffs[1])
     return det3(d1, d2, d3) - q ** 3
 
 
@@ -307,13 +314,14 @@ def commensurate_residual_general(surface, u, v, derivs):
     the embedded derivatives are assembled by the bivariate chain rule.
     """
     u1, v1, u2, v2, u3, v3 = derivs
-    return _residual(surface, Jet1((u, u1, u2, u3)), Jet1((v, v1, v2, v3)))
+    return _residual(_node(surface, Jet1((u, u1, u2, u3)),
+                           Jet1((v, v1, v2, v3))))
 
 
 def commensurate_residual(surface, state):
     """Residual of the curve condition for a theta-parametrized state
     (u, v, theta, theta', theta'')."""
-    return _residual(surface, *_theta_jets(*state))
+    return _residual(_node(surface, *_theta_jets(*state)))
 
 
 def _condition_parts(surface, u, v, theta, omega):
@@ -564,9 +572,8 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     if omega_dot is None:
         u_jet, v_jet, X, a = pc.node_jets(t, 3)
     else:
-        u_jet, v_jet = _theta_jets(*pc.trace.state_at(t), omega_dot)
-        X = surface_jets(pc.surface, u_jet.value, v_jet.value, 3)
-        a = compose_curve_in_surface(X, u_jet, v_jet, 3)
+        u_jet, v_jet, X, a = _node(
+            pc.surface, *_theta_jets(*pc.trace.state_at(t), omega_dot))
     u, v = u_jet.value, v_jet.value
 
     d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))

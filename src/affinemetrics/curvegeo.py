@@ -6,9 +6,9 @@ the same integrand through the Euclidean curvature and torsion as
 (kappa^2 tau)^(1/6) * |a'|.  All derivatives come from jet evaluation of
 the component expressions, never from numerical differentiation.
 
-A caller that already holds a point's order-3 jets (from curve_jets) reads
-the Frenet data off them with frenet_from_jets instead of evaluating the
-curve again through euclidean_frenet.
+A curve is anything with ``curve_jets(t, order)``: a CurveDef, or a curve
+in a surface (orders <= 3).  A caller holding a point's order-3 jets reads
+the Frenet data off them with frenet_from_jets, not euclidean_frenet.
 """
 
 from __future__ import annotations
@@ -64,6 +64,10 @@ class CurveDef:
 
     def contains(self, t):
         return self.t_min <= t <= self.t_max
+
+    def curve_jets(self, t, order):
+        """The jets of the components at t; see the module's curve_jets."""
+        return curve_jets(self, t, order)
 
 
 @dataclass(frozen=True)
@@ -121,21 +125,9 @@ def curve_jets(curve, t, order):
     if not curve.contains(t):
         raise DomainExit(f"t = {t!r} outside [{curve.t_min}, {curve.t_max}]")
     seed = Jet1.seed(t, order)
-    jets = []
-    for comp in curve.components:
-        value = eval_ast(comp, {"t": seed})
-        if not isinstance(value, Jet1):
-            value = Jet1.constant(value, order)
-        jets.append(value)
-    return tuple(jets)
-
-
-def _jets3(curve, t):
-    """Order-3 jets of a CurveDef or of anything exposing curve_jets
-    (embedded parameter-plane curves do)."""
-    if hasattr(curve, "curve_jets"):
-        return curve.curve_jets(t, 3)
-    return curve_jets(curve, t, 3)
+    bindings = {"t": seed}
+    return tuple([seed.lift(eval_ast(comp, bindings))
+                  for comp in curve.components])
 
 
 def _det_and_scale(jets):
@@ -172,7 +164,7 @@ def affine_integrand(curve, t, mirror=False):
     it is negative.  ``mirror=True`` evaluates the reflected curve instead,
     whose determinant has the opposite sign.
     """
-    value, det, degenerate = _alpha_integrand(_jets3(curve, t), mirror)
+    value, det, degenerate = _alpha_integrand(curve.curve_jets(t, 3), mirror)
     if degenerate:
         raise DegenerateCurve(
             f"det[a', a'', a'''] = {det!r} is degenerate at t = {t!r}")
@@ -193,7 +185,7 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     flagged = [False]
 
     def integrand(t):
-        value, _, degenerate = _alpha_integrand(_jets3(curve, t), mirror)
+        value, _, degenerate = _alpha_integrand(curve.curve_jets(t, 3), mirror)
         flagged[0] = flagged[0] or degenerate
         return value
 
@@ -204,7 +196,7 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
 
 def euclidean_frenet(curve, t):
     """Frenet frame, speed, curvature and (possibly flagged) torsion."""
-    return frenet_from_jets(_jets3(curve, t), t)
+    return frenet_from_jets(curve.curve_jets(t, 3), t)
 
 
 def frenet_from_jets(jets, t):
@@ -245,15 +237,10 @@ def affine_frenet(curve, t):
     respect to its affine arc length; they are produced by applying the
     operator d/ds = (1/s'(t)) d/dt in jet arithmetic, where s'(t) is the
     sixth root of the determinant carried as an order-3 jet.  kappa1 and
-    kappa2 solve e3'(s) = kappa1 e1 + kappa2 e2.
+    kappa2 solve e3'(s) = kappa1 e1 + kappa2 e2.  They need order-6 jets,
+    so a curve in a surface raises UnsupportedOrder.
     """
-    if hasattr(curve, "curve_jets"):
-        # surface-embedded curves carry order-3 jets only; the affine
-        # curvatures need order 6
-        raise UnsupportedOrder(
-            "affine curvatures need order-6 derivatives; curves constrained "
-            "to a surface provide order 3")
-    jets = curve_jets(curve, t, 6)
+    jets = curve.curve_jets(t, 6)
     a1 = tuple(j.derivative() for j in jets)                 # order 5
     a2 = tuple(j.derivative() for j in a1)                   # order 4
     a3 = tuple(j.derivative() for j in a2)                   # order 3

@@ -19,10 +19,11 @@ from functools import partial, reduce
 import numpy as np
 
 from .commensurate import (
+    NodeTable,
     ParamCurve,
+    _residual,
     check_condition_euclidean,
     commensurate_residual,
-    commensurate_residual_general,
 )
 from .curvegeo import CurveDef, _alpha_integrand, curve_jets, frenet_from_jets
 from .errors import AffineMetricsError
@@ -30,8 +31,8 @@ from .expr import BinOp, Call, Const, Var
 from .surfgeo import (
     AffineForm,
     QuadForm,
+    _reparam_discriminant,
     affine_first_fundamental,
-    check_reparam_covariance,
     form_from_jets,
     forms_from_jets,
     gauss_from_forms,
@@ -298,8 +299,9 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
     for p in points:
-        jac = random_invertible_2x2(rng)
-        lhs, rhs = check_reparam_covariance(surface, p.u, p.v, jac)
+        lhs, jdet = _reparam_discriminant(surface, p.u, p.v,
+                                          random_invertible_2x2(rng))
+        rhs = lmn_from_jets(p.jets).det * jdet ** 4
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return IdentityReport("reparam-fourth-power-law", worst, tolerance,
                           len(points))
@@ -324,18 +326,19 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
         norm = math.hypot(c1u, c1v)
         if norm < 0.3:
             continue
-        pc = ParamCurve(surface, _quadratic(u, c1u, c2u),
-                        _quadratic(v, c1v, c2v), -0.1, 0.1)
-        derivs = (c1u, c1v, 2.0 * c2u, 2.0 * c2v, 0.0, 0.0)
+        # one order-3 node at t = 0 serves the residual, the Euclidean
+        # route and the speed
+        pc = NodeTable(ParamCurve(surface, _quadratic(u, c1u, c2u),
+                                  _quadratic(v, c1v, c2v), -0.1, 0.1))
         try:
-            residual = commensurate_residual_general(surface, u, v, derivs)
+            node = pc.node_jets(0.0, 3)
+            residual = _residual(node)
             check = check_condition_euclidean(pc, 0.0)
         except AffineMetricsError:
             continue
         if check.degenerate:
             continue
-        speed = float(np.linalg.norm(
-            [comp.coeffs[1] for comp in pc.curve_jets(0.0, 3)]))
+        speed = float(np.linalg.norm([comp.coeffs[1] for comp in node[3]]))
         other = speed ** 6 * (check.lhs - check.rhs)
         worst = max(worst,
                     abs(residual - other) / max(abs(residual), abs(other), 1.0))

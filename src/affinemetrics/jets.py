@@ -14,8 +14,9 @@ The two kinds are one ring over two coefficient layouts, written once in
 their base class ``_Jet``: the operand check (a jet of the same kind and
 order; NotImplemented for the other kind; a fast path for a plain number),
 + - * and their reflected forms, negation, / by a number or a jet, integer
-and real powers, abs, ``value`` and ``is_constant``.  Results built here
-skip validation (``_make``, ``_like``); the public ``Jet1(coeffs)`` and
+and real powers, abs, ``value``, ``is_constant`` and ``lift`` (a number
+as a constant jet like the seed).  Results built here skip validation
+(``_make``, ``_like``); the public ``Jet1(coeffs)`` and
 ``Jet2(order, coeffs)`` validate.  Each kind adds what its layout decides:
 its constructor, seeds and ``constant``; its derivative access
 (``derivative`` and ``truncated``, or ``partial``); its Leibniz product
@@ -235,6 +236,11 @@ class _Jet:
 
     def is_constant(self):
         return all(c == 0.0 for c in self.coeffs[1:])
+
+    def lift(self, x):
+        """``x`` if it is a jet, else the constant jet of this one's kind
+        and order."""
+        return x if isinstance(x, _Jet) else self.constant(x, self.order)
 
     # -- ring operations ----------------------------------------------------
     #

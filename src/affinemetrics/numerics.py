@@ -230,16 +230,18 @@ def _dopri5_step(f, t, y, h, f0):
 
     Returns the 5th-order state, the embedded error vector, the seven
     stages (the last one is f at the new state) and the state of the sixth
-    stage.
+    stage.  A stage past the float range is inf or nan, silently: the
+    caller rejects a step whose state or error is not finite.
     """
     ks = np.empty((7, y.size))
     ks[0] = f0
     y_stage = y
-    for i in range(1, 7):
-        y_prev = y_stage
-        y_stage = y + h * (_DP_A[i] @ ks[:i])
-        ks[i] = f(t + _DP_C[i] * h, y_stage)
-    return y_stage, h * (_DP_E @ ks), ks, y_prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, 7):
+            y_prev = y_stage
+            y_stage = y + h * (_DP_A[i] @ ks[:i])
+            ks[i] = f(t + _DP_C[i] * h, y_stage)
+        return y_stage, h * (_DP_E @ ks), ks, y_prev
 
 
 def _stiffness(h, ks, y_new, y6):

@@ -146,13 +146,11 @@ def surface_jets(surface, u, v, order, check_domain=True):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
-    bindings = {"u": Jet2.seed_u(u, order), "v": Jet2.seed_v(v, order)}
+    seed = Jet2.seed_u(u, order)
+    bindings = {"u": seed, "v": Jet2.seed_v(v, order)}
     jets = []
     for comp in surface.components:
-        value = eval_ast(comp, bindings)
-        if not isinstance(value, Jet2):
-            value = Jet2.constant(value, order)
-        jets.append(value)
+        jets.append(seed.lift(eval_ast(comp, bindings)))
     return tuple(jets)
 
 
@@ -280,13 +278,9 @@ def classify_from_jets(jets):
     return PointClassification(kind, disc, eps)
 
 
-def check_reparam_covariance(surface, u, v, jacobian):
-    """Transformation law of ln - m^2 under a linear change of parameters.
-
-    Evaluates the surface in new parameters (s, w) with (u, v) = (u, v) +
-    jacobian @ (s, w) and returns (lhs, rhs) where lhs is the transformed
-    discriminant at the origin and rhs = (ln - m^2) det(jacobian)^4.
-    """
+def _reparam_discriminant(surface, u, v, jacobian):
+    """(ln - m^2 of the surface in new parameters (s, w) at the origin,
+    det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w)."""
     jac = np.asarray(jacobian, dtype=float)
     if jac.shape != (2, 2):
         raise ValueError("jacobian must be 2x2")
@@ -298,18 +292,20 @@ def check_reparam_covariance(surface, u, v, jacobian):
     w = Jet2.seed_v(0.0, 2)
     bindings = {"u": s * jac[0, 0] + w * jac[0, 1] + float(u),
                 "v": s * jac[1, 0] + w * jac[1, 1] + float(v)}
-    jets = []
-    for comp in surface.components:
-        value = eval_ast(comp, bindings)
-        if not isinstance(value, Jet2):
-            value = Jet2.constant(value, 2)
-        jets.append(value)
-    lb, mb, nb = lmn_from_jets(tuple(jets)).coefficients()
-    lhs = lb * nb - mb * mb
+    jets = tuple([s.lift(eval_ast(comp, bindings))
+                  for comp in surface.components])
+    return lmn_from_jets(jets).det, jdet
 
-    lmn = affine_lmn(surface, u, v)
-    rhs = lmn.det * jdet ** 4
-    return lhs, rhs
+
+def check_reparam_covariance(surface, u, v, jacobian):
+    """Transformation law of ln - m^2 under a linear change of parameters.
+
+    Evaluates the surface in new parameters (s, w) with (u, v) = (u, v) +
+    jacobian @ (s, w) and returns (lhs, rhs) where lhs is the transformed
+    discriminant at the origin and rhs = (ln - m^2) det(jacobian)^4.
+    """
+    lhs, jdet = _reparam_discriminant(surface, u, v, jacobian)
+    return lhs, affine_lmn(surface, u, v).det * jdet ** 4
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,41 @@ class TestExitContract:
                     "--at", "0.5,0.5", "--format", "csv"]) == 0
         assert deep == capsys.readouterr().out
 
+    @pytest.mark.parametrize("exprs", ["u;v", "u;v;u*v;1", "u*v"])
+    def test_wrong_component_count_is_a_config_error(self, capsys, exprs):
+        assert run(["surface-info", "--surface-expr", exprs,
+                    "--at", "0,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --surface-expr {exprs!r}, expected 'x;y;z'\n")
+
+    def test_unknown_reference_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["check-identities", "--surface", "sphere",
+                 "--reference", "foo"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --reference: invalid choice: 'foo'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_stage_past_the_float_range_is_a_rejected_step(self, capsys):
+        # the first trial step is 1e298 long: its stages overflow to an
+        # infinite theta, which the stepper must reject, not raise on
+        assert run(["commensurate-solve", "--surface", "sphere",
+                    "--at", "0.1,0.1", "--theta0", "0.3", "--t-max", "1e300",
+                    "--max-steps", "50"]) == 0
+        assert "StepFailure at t=0," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("domain", ["1:-1,-1:1", "-1:1,0:0",
+                                        "-1:1,1:-1"])
+    def test_non_increasing_domain_is_a_config_error(self, capsys, domain):
+        assert run(["surface-info", "--surface-expr", "u;v;u*v",
+                    "--domain", domain, "--at", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad domain {domain!r}")
+        assert "Traceback" not in err
+
 
 class TestArclenCompare:
     def test_spherical_helix_row_values(self, capsys):

@@ -143,7 +143,8 @@ class TestEvaluationCounts:
         assert parses == []
 
     @pytest.mark.parametrize("suite", [idn.lmn_route_suite,
-                                       idn.form_routes_suite])
+                                       idn.form_routes_suite,
+                                       idn.reparam_law_suite])
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "plane"])
     def test_one_order_two_evaluation_per_drawn_point(self, monkeypatch,
                                                       suite, name):
@@ -154,3 +155,41 @@ class TestEvaluationCounts:
         assert report.samples == (0 if name == "plane" else 6)
         assert len(draws) == (300 if name == "plane" else 6)
         assert [args[3] for args in jet_calls] == [2] * len(draws)
+
+    @pytest.mark.parametrize("name", ["sphere", "helicoid", "paraboloid"])
+    def test_one_order_three_evaluation_per_condition_sample(self,
+                                                             monkeypatch,
+                                                             name):
+        jet_calls = record_calls(monkeypatch, surfgeo, "surface_jets")
+        report = idn.condition_routes_suite(surfgeo.CATALOG[name],
+                                            np.random.default_rng(5), 12)
+        order3 = [args[1:3] for args in jet_calls if args[3] == 3]
+        # residual, Euclidean route and speed all read one node
+        assert report.samples > 0
+        assert len(order3) == report.samples
+        assert len(set(order3)) == len(order3)
+
+
+def evaluated_again(monkeypatch, argv):
+    """The surface_jets calls of one CLI run that ask for a point at an
+    order it already has: at or below an order evaluated there before."""
+    calls = record_calls(monkeypatch, surfgeo, "surface_jets")
+    assert main(argv) == 0
+    held = {}
+    again = 0
+    for surface, u, v, order in (args[:4] for args in calls):
+        # the recorded arguments keep each surface alive, so ids stay unique
+        key = (id(surface), u, v)
+        again += held.get(key, 0) >= order
+        held[key] = max(held.get(key, 0), order)
+    return again
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-identities", "--surface", "helicoid", "--samples", "8"],
+    ["arclen-compare", "--surface", "sphere", "--curve", "8*t;t",
+     "--t-range", "0:1", "--samples", "50"],
+    ["surface-info", "--surface", "sphere", "--at", "0,0"],
+], ids=["check-identities", "arclen-compare", "surface-info"])
+def test_no_point_is_evaluated_twice_at_one_order(capsys, monkeypatch, argv):
+    assert evaluated_again(monkeypatch, argv) == 0
