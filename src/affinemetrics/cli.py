@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -142,11 +143,14 @@ def _parse_domain(text):
         u_part, v_part = text.split(",")
         u0, u1 = (_finite_float(x) for x in u_part.split(":"))
         v0, v1 = (_finite_float(x) for x in v_part.split(":"))
-        if not (u0 < u1 and v0 < v1):
+        # the widths must be finite too: the samplers draw from them
+        if not (u0 < u1 and v0 < v1 and math.isfinite(u1 - u0)
+                and math.isfinite(v1 - v0)):
             raise ValueError
     except (ValueError, argparse.ArgumentTypeError):
         raise ExprError(f"bad domain {text!r}, expected 'a:b,c:d' with "
-                        "finite numbers, a < b and c < d") from None
+                        "finite numbers, a < b, c < d and finite widths "
+                        "b - a and d - c") from None
     return (u0, u1), (v0, v1)
 
 
@@ -473,11 +477,22 @@ def _cmd_check_identities(args):
             surface, reference, np.random.default_rng(args.seed + 6),
             samples))
     failed = [r for r in reports if not r.passed]
+    # every suite but the first samples the surface; one that found no
+    # usable regular nondegenerate point checked nothing, so its PASS is
+    # vacuous
+    unchecked = [r for r in reports[1:] if r.samples == 0]
     for report in reports:
         print(report.line())
     if failed:
         print(f"FAILED: {', '.join(r.name for r in failed)}", file=sys.stderr)
+    if unchecked:
+        print("error: no sample checked, for want of a usable regular "
+              f"nondegenerate point: {', '.join(r.name for r in unchecked)}",
+              file=sys.stderr)
+    if failed:
         return EXIT_IDENTITY
+    if unchecked:
+        return EXIT_DEGENERATE
     return EXIT_OK
 
 
@@ -578,11 +593,23 @@ def _preprocess_argv(argv):
     return out
 
 
+# main's parser: built by the first call and kept for the process, since
+# each call's state lives in the Namespace that parse_args returns
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
+    """Run one command and return its exit code; a usage error raises
+    SystemExit(2).
+
+    May be called repeatedly in one process.  The parser is built once,
+    by the first call, and the handlers and argparse type converters are
+    bound at that build: to stub one out, patch the module it calls, not
+    ``cli._cmd_*``.
+    """
     if argv is None:
         argv = sys.argv[1:]
-    args = parser.parse_args(_preprocess_argv(list(argv)))
+    args = _parser().parse_args(_preprocess_argv(list(argv)))
     try:
         return args.handler(args)
     except ExprError as exc:

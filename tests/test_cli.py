@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -308,6 +309,23 @@ class TestExitContract:
         assert err.startswith(f"error: bad domain {domain!r}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["surface-info", "arclen-compare",
+                                         "check-identities"])
+    @pytest.mark.parametrize("domain", ["-1e308:1e308,-1:1",
+                                        "-1:1,-1.7e308:1.7e308"])
+    def test_overflowing_domain_width_is_a_config_error(self, capsys, command,
+                                                        domain):
+        # each bound is finite and they increase, but b - a is inf, which
+        # numpy's uniform sampler refused with an OverflowError traceback
+        args = {"surface-info": ["--at", "0.5,0.5"],
+                "arclen-compare": ["--curve", "t;0.2*t", "--t-range", "0:1"],
+                "check-identities": ["--samples", "2"]}[command]
+        assert run([command, "--surface-expr", "u;v;u*v", "--domain", domain,
+                    *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad domain {domain!r}")
+        assert "Traceback" not in err
+
 
 class TestArclenCompare:
     def test_spherical_helix_row_values(self, capsys):
@@ -524,3 +542,121 @@ class TestCheckIdentities:
                     "--samples", "15", "--seed", "7"]) == 1
         captured = capsys.readouterr()
         assert "reference-forms-sphere" in captured.err
+
+    def test_surface_without_usable_points_is_degenerate(self, capsys):
+        # the plane has no nondegenerate point: every suite that samples
+        # it checks nothing, which must not read as a pass
+        assert run(["check-identities", "--surface", "plane",
+                    "--samples", "2"]) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 6 and lines[0].endswith("samples=2 PASS")
+        assert all("samples=0" in line for line in lines[1:])
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: no sample checked")
+        for line in lines[1:]:
+            assert line.split()[1].rstrip(":") in errors[0]
+        assert "integrand-det-vs-euclidean-route" not in errors[0]
+
+
+@pytest.fixture
+def fresh_parser():
+    """The cli module with main's parser dropped before and after."""
+    from affinemetrics import cli
+
+    cli._parser.cache_clear()
+    yield cli
+    cli._parser.cache_clear()
+
+
+MIRROR_CURVE = SHARED_NODE_CURVES[2][1]
+SOLVE = ["commensurate-solve", "--surface", "sphere", "--at", "0.1,0.1",
+         "--theta0", "0.3"]
+
+#: (first argv, second argv): the second call must not see the first
+CARRY_OVER_PAIRS = {
+    "csv-then-default-json": (
+        ["surface-info", "--surface", "sphere", "--at", "0.3,0.2",
+         "--format", "csv", "--output", "point.csv"],
+        ["surface-info", "--surface", "sphere", "--at", "0.3,0.2"]),
+    "auto-orient-then-without": (
+        ["arclen-compare", "--surface", "sphere", "--curve", MIRROR_CURVE,
+         "--t-range", "0:1", "--samples", "3", "--auto-orient"],
+        ["arclen-compare", "--surface", "sphere", "--curve", MIRROR_CURVE,
+         "--t-range", "0:1", "--samples", "3"]),
+    "usage-error-then-valid": (
+        [*SOLVE, "--t-max=0"],
+        [*SOLVE, "--t-max", "0.2"]),
+    "refused-sweep-then-single": (
+        [*SOLVE, "--omega0", "-1:1:0.5", "--t-max", "0.2"],
+        [*SOLVE, "--t-max", "0.2", "--output", "one.csv"]),
+}
+
+
+class TestCachedParser:
+    """main builds its parser once per process and carries nothing from
+    one call to the next."""
+
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch,
+                                         fresh_parser):
+        import argparse
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        per_call = []
+        for argv in (["surface-info", "--surface", "sphere", "--at", "0,0"],
+                     ["check-identities", "--surface", "sphere",
+                      "--samples", "2"],
+                     ["arclen-compare", "--surface", "sphere", "--curve",
+                      "8*t;t", "--t-range", "0:1", "--samples", "2"]):
+            before = len(built)
+            assert run(argv) == 0
+            per_call.append(len(built) - before)
+        assert per_call[0] > 0
+        assert per_call[1:] == [0, 0]
+
+    @staticmethod
+    def _outcomes(cli, capsys, argvs, fresh):
+        """(exit code, stdout, stderr, files in the working directory)
+        after each call, building a new parser before each one if
+        ``fresh``."""
+        results = []
+        for argv in argvs:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            files = {path.name: path.read_bytes()
+                     for path in sorted(Path.cwd().iterdir())}
+            results.append((code, out, err, files))
+        return results
+
+    @pytest.mark.parametrize("pair", list(CARRY_OVER_PAIRS))
+    def test_no_state_carries_over(self, capsys, monkeypatch, tmp_path,
+                                   fresh_parser, pair):
+        argvs = CARRY_OVER_PAIRS[pair]
+        seen = {}
+        for mode in ("fresh", "cached"):
+            (tmp_path / mode).mkdir()
+            monkeypatch.chdir(tmp_path / mode)
+            seen[mode] = self._outcomes(fresh_parser, capsys, argvs,
+                                        fresh=mode == "fresh")
+        assert seen["cached"] == seen["fresh"]
+        # the first call of each pair differs from the second in what the
+        # second must not inherit
+        assert seen["cached"][0] != seen["cached"][1]
+
+    def test_build_parser_is_a_factory(self, fresh_parser):
+        cli = fresh_parser
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
