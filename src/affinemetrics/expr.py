@@ -308,33 +308,36 @@ def eval_ast(ast, bindings):
 
     All variables occurring in the tree must be bound; the ring must
     support +, -, *, / and the builtin function set (floats and jets do).
+    Dispatch is on the exact node type, the most frequent first.
     """
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        try:
-            return bindings[ast.name]
-        except KeyError:
-            raise UnknownIdentifier(ast.name) from None
-    if isinstance(ast, Neg):
-        return -eval_ast(ast.child, bindings)
-    if isinstance(ast, Call):
-        return _apply_func(ast.func, eval_ast(ast.arg, bindings))
-    if isinstance(ast, BinOp):
+    kind = type(ast)
+    if kind is BinOp:
         left = eval_ast(ast.left, bindings)
-        if ast.op == "^":
+        op = ast.op
+        if op == "^":
             return _pow(left, eval_ast(ast.right, bindings))
         right = eval_ast(ast.right, bindings)
-        if ast.op == "+":
-            return left + right
-        if ast.op == "-":
-            return left - right
-        if ast.op == "*":
+        if op == "*":
             return left * right
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
         # division: guard the scalar case; jets guard internally
         if not _is_jet(right) and right == 0.0:
             raise DomainError("division by zero")
         return left / right
+    if kind is Var:
+        try:
+            return bindings[ast.name]
+        except KeyError:
+            raise UnknownIdentifier(ast.name) from None
+    if kind is Const:
+        return ast.value
+    if kind is Call:
+        return _apply_func(ast.func, eval_ast(ast.arg, bindings))
+    if kind is Neg:
+        return -eval_ast(ast.child, bindings)
     raise TypeError(f"not an Ast node: {ast!r}")
 
 

@@ -19,13 +19,17 @@ as a constant jet like the seed).  Results built here skip validation
 (``_make``, ``_like``); the public ``Jet1(coeffs)`` and
 ``Jet2(order, coeffs)`` validate.  Each kind adds what its layout decides:
 its constructor, seeds and ``constant``; its derivative access
-(``derivative`` and ``truncated``, or ``partial``); its Leibniz product
-tables (``_MUL1``, ``_MUL2``: per order and output coefficient, the
-(binomial weight, index into a, index into b) terms, so that a product is
-one flat loop); its quotient kernel (Jet1 solves Leibniz's rule for the
+(``derivative`` and ``truncated``, or ``partial``); its product kernels
+(``_PRODUCT``); its quotient kernel (Jet1 solves Leibniz's rule for the
 quotient, and divides each coefficient by a plain divisor; Jet2 multiplies
 by the reciprocal, of a jet or of a plain divisor); and its elementary
 functions.
+
+A product is one straight-line function per kind and order, generated at
+import from the Leibniz tables ``_MUL1`` and ``_MUL2`` (per order and
+output coefficient, the (binomial weight, index into a, index into b)
+terms): each coefficient is 0.0 plus its terms in table order, the same
+float operations in the same order as a loop over the table.
 
 A Jet2 function g = phi(f) is the bivariate chain rule on the graded
 partials, written out to order 3:
@@ -34,11 +38,14 @@ partials, written out to order 3:
     g_uv  = phi'' f_u f_v + phi' f_uv
     g_uuv = phi''' f_u^2 f_v + phi'' (2 f_u f_uv + f_uu f_v) + phi' f_uuv
 
-and so on.  The Jet1 functions, which go up to order 6, apply the classical
-power-series recurrences to normalized Taylor coefficients.  phi and its
-first three derivatives at f's value come from one closed-form table per
-function (``_PHI``), the only place the jets call :mod:`math`; it reports a
-math overflow or domain error as DomainError.
+and so on.  A Jet1 function of order at most 3 is the same rule in one
+variable, g''' = phi''' f'^3 + 3 phi'' f' f'' + phi' f'''.  Orders 4 to 6
+need phi beyond phi''', so there Jet1 applies the classical power-series
+recurrences to normalized Taylor coefficients; only order-6 curve jets
+(the affine Frenet frame) reach them.  phi and its first three derivatives
+at f's value come from one closed-form table per function (``_PHI``),
+which reports a math overflow or domain error as DomainError; the
+recurrences report a sum past the float range the same way.
 
 :func:`compose_curve_in_surface` gives the derivatives of a(t) =
 X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
@@ -167,15 +174,42 @@ def _phi(name, x):
         raise DomainError(f"{name}({x!r}): {exc}") from None
 
 
-def _leibniz(table, a, b):
-    """The coefficients of a product from its table in _MUL1 or _MUL2."""
-    out = []
+def _fsum(terms):
+    """math.fsum for the Jet1 recurrences: a sum it cannot form (inf - inf,
+    or finite terms past the largest float) is a DomainError."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise DomainError(f"jet recurrence: {exc}") from None
+
+
+def _unrolled(table):
+    """The product kernel of one _MUL1 or _MUL2 table, as straight-line
+    code: f(a, b) is the tuple of product coefficients.  Each coefficient
+    is 0.0 plus its terms w * a[i] * b[j] in table order, left to right,
+    which is what summing the table in a loop computes: the leading 0.0
+    makes a sum of -0.0 terms +0.0, as the loop's accumulator did, and a
+    weight of 1 is left out, since 1.0 * x is x."""
+    sums = []
     for terms in table:
-        acc = 0.0
-        for w, i, j in terms:
-            acc += w * a[i] * b[j]
-        out.append(acc)
-    return tuple(out)
+        sums.append(" + ".join(["0.0"] + [
+            f"a{i} * b{j}" if w == 1 else f"{float(w)!r} * a{i} * b{j}"
+            for w, i, j in terms]))
+    a = ", ".join(f"a{k}" for k in range(len(table)))
+    b = ", ".join(f"b{k}" for k in range(len(table)))
+    namespace = {}
+    exec(f"def product(a, b):\n"
+         f"    {a} = a\n"
+         f"    {b} = b\n"
+         f"    return ({', '.join(sums)},)\n", namespace)
+    return namespace["product"]
+
+
+# per kind, the product kernel of each order, indexed by order
+_PRODUCT1 = (None,) + tuple(_unrolled(_MUL1[n])
+                            for n in range(1, MAX_ORDER_1 + 1))
+_PRODUCT2 = (None,) + tuple(_unrolled(_MUL2[n])
+                            for n in range(1, MAX_ORDER_2 + 1))
 
 
 def power_int(base, n):
@@ -199,8 +233,8 @@ def _check_order(order, maximum, what):
 
 
 class _Jet:
-    """The ring Jet1 and Jet2 share.  A subclass provides ``_MUL``, its
-    Leibniz tables by order; ``constant``; its quotient kernel
+    """The ring Jet1 and Jet2 share.  A subclass provides ``_PRODUCT``, its
+    product kernels indexed by order; ``constant``; its quotient kernel
     (``_quotient``, ``__rtruediv__``, ``_reciprocal``); and the elementary
     functions that ``**`` and ``eval_ast`` call."""
 
@@ -293,7 +327,7 @@ class _Jet:
             return self._like(tuple([x * s for x in a]))
         if b is NotImplemented:
             return NotImplemented
-        return self._like(_leibniz(self._MUL[self.order], a, b))
+        return self._like(self._PRODUCT[self.order](a, b))
 
     __rmul__ = __mul__
 
@@ -334,7 +368,7 @@ class Jet1(_Jet):
     """Univariate jet: raw derivatives (f, f', ..., f^(N)) at a point."""
 
     __slots__ = ()
-    _MUL = _MUL1
+    _PRODUCT = _PRODUCT1
 
     def __init__(self, coeffs):
         coeffs = tuple(float(c) for c in coeffs)
@@ -386,7 +420,26 @@ class Jet1(_Jet):
     def _reciprocal(self):
         return self.__rtruediv__(1.0)
 
-    # -- elementary functions (normalized Taylor recurrences) ---------------
+    # -- elementary functions ------------------------------------------------
+    #
+    # Orders <= 3 take the chain rule on phi and its first three
+    # derivatives; orders 4..6 need phi's higher derivatives too and take
+    # the power-series recurrences on normalized Taylor coefficients.
+
+    def _apply(self, name):
+        """phi(f) for the function ``name`` of the _PHI table at order <= 3:
+        Jet2._apply's chain rule in one variable."""
+        f = self.coeffs
+        p0, p1, p2, p3 = _phi(name, f[0])
+        f1 = f[1]
+        if self.order == 1:
+            return self._like((p0, p1 * f1))
+        f2 = f[2]
+        g = (p0, p1 * f1, p2 * f1 * f1 + p1 * f2)
+        if self.order == 2:
+            return self._like(g)
+        return self._like(g + (
+            p3 * f1 * f1 * f1 + 3.0 * p2 * f1 * f2 + p1 * f[3],))
 
     def _taylor(self):
         return [c / _FACT[k] for k, c in enumerate(self.coeffs)]
@@ -402,42 +455,52 @@ class Jet1(_Jet):
         s = [0.0] * (n + 1)
         c = [0.0] * (n + 1)
         s[0], c[0] = _phi(name, u[0])[:2]
-        fsum = math.fsum
         for k in range(1, n + 1):
-            s[k] = fsum([j * u[j] * c[k - j] for j in range(1, k + 1)]) / k
-            c[k] = sign * fsum([j * u[j] * s[k - j]
-                                for j in range(1, k + 1)]) / k
+            s[k] = _fsum([j * u[j] * c[k - j] for j in range(1, k + 1)]) / k
+            c[k] = sign * _fsum([j * u[j] * s[k - j]
+                                 for j in range(1, k + 1)]) / k
         return self._from_taylor(s), self._from_taylor(c)
 
     def sin(self):
+        if self.order <= 3:
+            return self._apply("sin")
         return self._pair("sin", -1.0)[0]
 
     def cos(self):
+        if self.order <= 3:
+            return self._apply("cos")
         return self._pair("sin", -1.0)[1]
 
     def tan(self):
+        if self.order <= 3:
+            return self._apply("tan")
         s, c = self._pair("sin", -1.0)
         if c.value == 0.0:
             raise DomainError("tan at a pole")
         return s / c
 
     def sinh(self):
+        if self.order <= 3:
+            return self._apply("sinh")
         return self._pair("sinh", 1.0)[0]
 
     def cosh(self):
+        if self.order <= 3:
+            return self._apply("cosh")
         return self._pair("sinh", 1.0)[1]
 
     def tanh(self):
+        if self.order <= 3:
+            return self._apply("tanh")
         # t' = w u' with w = 1 - t^2; w's value sech^2 never overflows
         u = self._taylor()
         n = self.order
         t = [0.0] * (n + 1)
         w = [0.0] * (n + 1)
         t[0], w[0] = _phi("tanh", u[0])[:2]
-        fsum = math.fsum
         for k in range(1, n + 1):
-            t[k] = fsum([j * u[j] * w[k - j] for j in range(1, k + 1)]) / k
-            w[k] = -fsum([t[i] * t[k - i] for i in range(k + 1)])
+            t[k] = _fsum([j * u[j] * w[k - j] for j in range(1, k + 1)]) / k
+            w[k] = -_fsum([t[i] * t[k - i] for i in range(k + 1)])
         return self._from_taylor(t)
 
     def _series(self, name, step):
@@ -450,18 +513,24 @@ class Jet1(_Jet):
         return self._from_taylor(v)
 
     def exp(self):
+        if self.order <= 3:
+            return self._apply("exp")
         # v' = v u'
-        return self._series("exp", lambda u, v, k: math.fsum(
+        return self._series("exp", lambda u, v, k: _fsum(
             [j * u[j] * v[k - j] for j in range(1, k + 1)]) / k)
 
     def log(self):
+        if self.order <= 3:
+            return self._apply("log")
         # u v' = u'
-        return self._series("log", lambda u, v, k: (u[k] - math.fsum(
+        return self._series("log", lambda u, v, k: (u[k] - _fsum(
             [j * v[j] * u[k - j] for j in range(1, k)]) / k) / u[0])
 
     def sqrt(self):
+        if self.order <= 3:
+            return self._apply("sqrt")
         # v^2 = u
-        return self._series("sqrt", lambda u, v, k: (u[k] - math.fsum(
+        return self._series("sqrt", lambda u, v, k: (u[k] - _fsum(
             [v[j] * v[k - j] for j in range(1, k)])) / (2.0 * v[0]))
 
 
@@ -483,7 +552,7 @@ class Jet2(_Jet):
     """Bivariate jet: raw partials d^{i+j}f/du^i dv^j for i+j <= N."""
 
     __slots__ = ()
-    _MUL = _MUL2
+    _PRODUCT = _PRODUCT2
 
     def __init__(self, order, coeffs):
         _check_order(order, MAX_ORDER_2, "Jet2")

@@ -327,6 +327,20 @@ class TestExitContract:
         assert "Traceback" not in err
 
 
+    def test_overflowing_curve_derivatives_are_a_numerical_failure(
+            self, capsys):
+        # sin(1e200 t^2) is finite but its third derivative is not; the
+        # Taylor recurrence for sin ended in fsum's ValueError traceback
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "sin(1e200*t^2);t", "--t-range", "0:1",
+                    "--samples", "3"]) == 5
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "NonFiniteValue" in errors[0]
+
+
 class TestArclenCompare:
     def test_spherical_helix_row_values(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere",

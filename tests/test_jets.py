@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 import zlib
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinemetrics import jets
 from affinemetrics.errors import DomainError, OrderMismatch, UnsupportedOrder
 from affinemetrics.expr import eval_ast, parse_expression, pretty
 from affinemetrics.jets import Jet1, Jet2, compose_curve_in_surface, det3
@@ -491,11 +494,95 @@ class TestRandomExpressionSympyOracle:
 
 
 # ---------------------------------------------------------------------------
+# straight-line kernels against the routes they replaced
+
+def _table_product(table, a, b):
+    """The product as a loop over its _MUL1/_MUL2 table, summing each
+    coefficient's terms in order from 0.0: the reference the unrolled
+    products must match bit for bit."""
+    out = []
+    for terms in table:
+        acc = 0.0
+        for w, i, j in terms:
+            acc += w * a[i] * b[j]
+        out.append(acc)
+    return tuple(out)
+
+
+_SPECIAL = (0.0, -0.0, 1e200, -1e200, 1e-200, -1e-200,
+            math.inf, -math.inf, math.nan)
+
+
+def _operand(rng, size):
+    """``size`` coefficients: three in ten special values, the rest finite
+    numbers of either sign over ten decades."""
+    return tuple(rng.choice(_SPECIAL) if rng.random() < 0.3
+                 else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-5, 5)
+                 for _ in range(size))
+
+
+def _bits(coeffs):
+    """Each coefficient's IEEE bits, or "nan" for a NaN: CPython's float
+    + and * give a NaN of either sign from two NaN operands depending on
+    whether the instruction is specialized yet, so a NaN's bits are not a
+    property of the code that made it."""
+    return ["nan" if c != c else struct.pack("<d", c) for c in coeffs]
+
+
+class TestUnrolledProducts:
+    KINDS = ([("Jet1", n) for n in range(1, jets.MAX_ORDER_1 + 1)]
+             + [("Jet2", n) for n in range(1, jets.MAX_ORDER_2 + 1)])
+
+    @pytest.mark.parametrize("kind,order", KINDS)
+    def test_bit_identical_to_the_table_loop(self, kind, order):
+        if kind == "Jet1":
+            table, make = jets._MUL1[order], Jet1
+        else:
+            table, make = jets._MUL2[order], lambda c: Jet2(order, c)
+        size = len(table)
+        rng = random.Random(zlib.crc32(f"{kind}{order}".encode()))
+        pairs = [((-0.0,) * size, (1.0,) * size),
+                 ((0.0,) * size, (-1.0,) * size),
+                 ((math.inf,) * size, (0.0,) * size)]
+        pairs += [(_operand(rng, size), _operand(rng, size))
+                  for _ in range(3000)]
+        for a, b in pairs:
+            got = (make(a) * make(b)).coeffs
+            assert type(got) is tuple and len(got) == size
+            assert _bits(got) == _bits(_table_product(table, a, b)), (a, b)
+
+
+class TestJet1FunctionRoutes:
+    """Jet1 takes the chain rule at orders <= 3 and the Taylor recurrences
+    at orders 4..6; on one argument the two agree."""
+
+    TAIL = (0.8, -0.5, 1.3, 0.4, -0.7, 0.2)
+    POINTS = {"log": (0.4, 1.0, 2.5), "sqrt": (0.4, 1.0, 2.5),
+              "tan": (-1.0, -0.3, 0.5, 1.1)}
+
+    @pytest.mark.parametrize("func", ["sin", "cos", "tan", "sinh", "cosh",
+                                      "tanh", "exp", "log", "sqrt"])
+    def test_chain_rule_matches_the_recurrence(self, func):
+        for x0 in self.POINTS.get(func, (-1.3, -0.4, 0.2, 0.9, 2.1)):
+            high = Jet1((x0,) + self.TAIL)
+            want = getattr(high, func)().truncated(3).coeffs
+            got = getattr(high.truncated(3), func)().coeffs
+            tol = 8 * math.ulp(max(abs(c) for c in want))
+            assert all(abs(g - w) <= tol for g, w in zip(got, want)), (
+                x0, got, want)
+            # orders 1 and 2 are the leading terms of the order-3 rule
+            for order in (1, 2):
+                low = getattr(high.truncated(order), func)().coeffs
+                assert low == got[:order + 1]
+
+
+# ---------------------------------------------------------------------------
 # error behaviour and plain-number operands
 
 class TestJetErrors:
     @pytest.mark.parametrize("make", [
-        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3)])
+        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     @pytest.mark.parametrize("func", ["log", "sqrt"])
     @pytest.mark.parametrize("x", [0.0, -1.5])
     def test_log_sqrt_of_nonpositive(self, make, func, x):
@@ -503,7 +590,8 @@ class TestJetErrors:
             getattr(make(x), func)()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3)])
+        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_division_by_zero_value_and_abs_at_zero(self, make):
         zero, one = make(0.0), make(1.0)
         for call in (lambda: one / zero, lambda: 1.0 / zero,
@@ -513,7 +601,8 @@ class TestJetErrors:
                 call()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3)])
+        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_tan_at_a_pole(self, make, monkeypatch):
         # no double has cos(x) == 0, so stand in a math whose cos is 0
         import types
@@ -526,7 +615,8 @@ class TestJetErrors:
             make(math.pi / 2).tan()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3)])
+        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     @pytest.mark.parametrize("func", ["exp", "sinh", "cosh"])
     def test_overflow_is_a_domain_error(self, make, func):
         with pytest.raises(DomainError):
@@ -535,7 +625,8 @@ class TestJetErrors:
             make(float("inf")).sin()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3)])
+        lambda x: Jet1.seed(x, 4), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_tanh_of_a_large_argument_is_finite(self, make):
         jet = make(1000.0).tanh()
         assert jet.value == 1.0
@@ -569,6 +660,18 @@ class TestJetErrors:
             Jet2(4, [0.0] * 15)
         assert Jet1([1, 2]).coeffs == (1.0, 2.0)
         assert type(Jet2(1, [1, 2, 3]).coeffs[2]) is float
+
+    @pytest.mark.parametrize("func", ["sin", "cos", "tan"])
+    def test_recurrence_with_infinite_terms_is_a_domain_error(self, func):
+        # at order 6 phi(f) is finite, but the Taylor terms the recurrence
+        # sums are inf and -inf
+        with pytest.raises(DomainError):
+            getattr(Jet1.seed(0.5, 6) ** 2 * 1e200, func)()
+
+    def test_recurrence_summing_past_the_largest_float_is_a_domain_error(
+            self):
+        with pytest.raises(DomainError):
+            Jet1((0.0, 1.3e154, 1.69e308, 0.0, 0.0)).exp()
 
 
 class TestScalarOperands:
