@@ -34,12 +34,14 @@ from .commensurate import (
     CommensurateIVP,
     NodeTable,
     ParamCurve,
+    _probe_orientation,
+    _sigma_integrand,
     induced_arclength,
     induced_arclength_integrand,
     integrate_commensurate,
     run_family,
 )
-from .curvegeo import affine_arclength, affine_integrand
+from .curvegeo import _alpha_integrand, affine_arclength, affine_integrand
 from .errors import (
     AffineMetricsError,
     DegenerateCurve,
@@ -61,6 +63,7 @@ from .errors import (
     ZeroDirection,
     ZeroSpeed,
 )
+from .numerics import ChebResult, cheb_cumulative, cheb_points
 from .surfgeo import (
     CATALOG,
     SurfaceDef,
@@ -83,6 +86,8 @@ EXIT_NUMERICAL = 5
 
 #: most seeds one --omega0 'a:b:step' sweep may ask for
 MAX_SWEEP_SEEDS = 10_000
+#: most rows one arclen-compare run may ask for (--samples)
+MAX_SAMPLES = 100_000
 
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
                       EuclideanDegenerate, IrregularPoint, NegativeForm,
@@ -213,8 +218,9 @@ def _positive_float(text):
     return value
 
 
-def _int_at_least(minimum):
-    """argparse type of a flag that must be an integer >= ``minimum``."""
+def _int_in_range(minimum, maximum=None):
+    """argparse type of a flag that must be an integer >= ``minimum`` and,
+    if ``maximum`` is given, <= ``maximum``."""
     def integer(text):
         try:
             value = int(text)
@@ -224,6 +230,9 @@ def _int_at_least(minimum):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be an integer >= {minimum}, got {text!r}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer <= {maximum}, got {text!r}")
         return value
     return integer
 
@@ -289,6 +298,40 @@ def _tally(totals, seg):
     totals[1] += seg.evaluations
 
 
+def _sampler(evaluate):
+    """``evaluate(t)`` -> (value, ..., degenerate) as an integrand for
+    cheb_cumulative: NaN where it raises or meets a degenerate point, which
+    sends the side back to the per-segment GK15 loop."""
+    def sample(t):
+        try:
+            result = evaluate(t)
+        except AffineMetricsError:
+            return math.nan
+        return math.nan if result[-1] else result[0]
+    return sample
+
+
+def _chebyshev_sums(nodes, ts, mirror, alpha_degenerate, tol):
+    """Each side's running sums at ``ts`` from one Chebyshev interpolant of
+    its integrand over [ts[0], ts[-1]], as ChebResults; ``values`` is None
+    for a side that needs the GK15 loop.  The equiaffine side samples
+    first, so the induced side reads its nodes, and its sign branch, from
+    the table."""
+    a, b = float(ts[0]), float(ts[-1])
+    if alpha_degenerate:
+        alpha = ChebResult(np.zeros(len(ts)), 0.0, 0)
+    else:
+        alpha = cheb_cumulative(
+            _sampler(lambda t: _alpha_integrand(nodes.curve_jets(t, 3),
+                                                mirror)), a, b, ts, tol)
+    orientation = (_probe_orientation(nodes, cheb_points(a, b, 9), {})
+                   if a != b else 1.0)
+    sigma = cheb_cumulative(
+        _sampler(lambda t: _sigma_integrand(*nodes.form_direction(t),
+                                            orientation)), a, b, ts, tol)
+    return {"alpha": alpha, "sigma": sigma}
+
+
 def _cmd_arclen_compare(args):
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_exprs(args.curve, "--curve", "u_expr;v_expr")
@@ -315,32 +358,37 @@ def _cmd_arclen_compare(args):
     if probe_failures == 5:
         alpha_degenerate = True
 
-    # one table of node evaluations per segment, shared by both
-    # quadratures and by the sample row at the segment's end
-    nodes = NodeTable(pc)
-    quad = {"alpha": [0.0, 0], "sigma": [0.0, 0]}
+    # one table of node evaluations, each at order 3 unless the equiaffine
+    # side is skipped, shared by both sides and by the sample rows
+    nodes = NodeTable(pc, order=2 if alpha_degenerate else 3)
+    cheb = _chebyshev_sums(nodes, ts, mirror, alpha_degenerate, args.tol)
+    # a side whose interpolant failed sums GK15 panels segment by segment
+    gk15 = {side: [0.0, 0] for side, res in cheb.items() if res.values is None}
+    sums = {"alpha": 0.0, "sigma": 0.0}
     sigma_orientation = None
     rows = []
-    s_alpha = 0.0
-    s_sigma = 0.0
     sigma_flagged = False
     for i, t in enumerate(ts):
         t = float(t)
-        nodes.clear()
-        if i > 0:
+        if i > 0 and gk15:
+            nodes.clear()
             prev = float(ts[i - 1])
-            if not alpha_degenerate:
+            if "alpha" in gk15:
                 seg = affine_arclength(nodes, prev, t, rel_tol=args.tol,
                                        abs_tol=args.tol * 1e-2,
                                        mirror=mirror)
-                s_alpha += seg.value
-                _tally(quad["alpha"], seg)
-            seg = induced_arclength(nodes, prev, t, rel_tol=args.tol,
-                                    abs_tol=args.tol * 1e-2,
-                                    orientation=sigma_orientation)
-            s_sigma += seg.value
-            _tally(quad["sigma"], seg)
-            sigma_flagged = sigma_flagged or seg.degenerate
+                sums["alpha"] += seg.value
+                _tally(gk15["alpha"], seg)
+            if "sigma" in gk15:
+                seg = induced_arclength(nodes, prev, t, rel_tol=args.tol,
+                                        abs_tol=args.tol * 1e-2,
+                                        orientation=sigma_orientation)
+                sums["sigma"] += seg.value
+                _tally(gk15["sigma"], seg)
+                sigma_flagged = sigma_flagged or seg.degenerate
+        for side, res in cheb.items():
+            if res.values is not None:
+                sums[side] = float(res.values[i])
         try:
             ia = 0.0 if alpha_degenerate else affine_integrand(nodes, t,
                                                                mirror=mirror)
@@ -355,21 +403,29 @@ def _cmd_arclen_compare(args):
         except (DegenerateSurfacePoint, AffineMetricsError):
             js = 0.0
             sigma_flagged = True
-        rows.append([t, s_alpha, s_sigma, ia, js,
+        # the interpolants' nodes stay for the rows that land on them; a
+        # row's own node goes once the row is read
+        nodes.discard(t)
+        rows.append([t, sums["alpha"], sums["sigma"], ia, js,
                      alpha_degenerate, sigma_flagged])
 
     header = ["t", "s_alpha", "s_sigma", "integrand_alpha",
               "integrand_sigma", "alpha_degenerate", "sigma_degenerate"]
     if args.format == "json":
+        quad = {}
+        for side, res in cheb.items():
+            # a GK15 side adds its panels to the Chebyshev points it tried
+            err, evals = gk15.get(side, (res.error_estimate, 0))
+            quad[side] = {"path": "gk15" if side in gk15 else "chebyshev",
+                          "points": res.points, "error_estimate": err,
+                          "evaluations": res.points + evals}
         payload = {"schema": SCHEMA, "command": "arclen-compare",
                    "surface": surface.name or "inline",
                    "curve": {"u": u_expr, "v": v_expr},
                    "t_range": [t0, t1], "tolerance": args.tol,
                    "columns": header,
                    "rows": rows,
-                   "quadrature": {
-                       side: {"error_estimate": err, "evaluations": evals}
-                       for side, (err, evals) in quad.items()}}
+                   "quadrature": quad}
         text = _json_text(payload)
     else:
         text = _csv_text(header, rows)
@@ -479,10 +535,15 @@ def _cmd_check_identities(args):
     failed = [r for r in reports if not r.passed]
     # every suite but the first samples the surface; one that found no
     # usable regular nondegenerate point checked nothing, so its PASS is
-    # vacuous
-    unchecked = [r for r in reports[1:] if r.samples == 0]
+    # vacuous.  One whose own filter rejected every point it found says
+    # so, and does not blame the surface.
+    unchecked = [r for r in reports if r.points == 0]
+    rejected = [r for r in reports if r.samples == 0 and r.points]
     for report in reports:
         print(report.line())
+    for r in rejected:
+        print(f"note: {r.name} checked no sample: its own filter rejected "
+              f"every draw (usable points: {r.points})", file=sys.stderr)
     if failed:
         print(f"FAILED: {', '.join(r.name for r in failed)}", file=sys.stderr)
     if unchecked:
@@ -531,7 +592,8 @@ def build_parser():
                    help="parameter curve 'u_expr;v_expr' in variable t")
     p.add_argument("--t-range", type=_parse_pair(":"), required=True,
                    help="parameter range 'a:b'")
-    p.add_argument("--samples", type=_int_at_least(1), default=50)
+    p.add_argument("--samples", type=_int_in_range(1, MAX_SAMPLES),
+                   default=50)
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
@@ -554,7 +616,7 @@ def build_parser():
     p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
     p.add_argument("--eps-asym", type=_positive_float, default=1e-4)
     p.add_argument("--eps-den", type=_positive_float, default=1e-10)
-    p.add_argument("--max-steps", type=_int_at_least(1), default=100_000)
+    p.add_argument("--max-steps", type=_int_in_range(1), default=100_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path; sweeps write one file per "
                                     "seed with _NN suffixes")
@@ -563,8 +625,8 @@ def build_parser():
     p = subs.add_parser("check-identities",
                         help="randomized structural identity checks")
     _add_surface_args(p)
-    p.add_argument("--samples", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--samples", type=_int_in_range(1), default=200)
+    p.add_argument("--seed", type=_int_in_range(0), default=0)
     p.add_argument("--reference", choices=sorted(idn.REFERENCE_FORMS),
                    help="check closed forms of this catalog name against "
                         "the supplied expressions")

@@ -151,31 +151,36 @@ class TraceCurve(_EmbeddedCurve):
 
 
 class NodeTable(_EmbeddedCurve):
-    """A curve in a surface whose order-3 node evaluations are kept, so
-    that consumers evaluating the same t share one evaluation.
+    """A curve in a surface whose node evaluations are kept, so that
+    consumers evaluating the same t share one evaluation.
 
-    arclen-compare integrates both arc lengths over the same segment, so
-    the first GK15 panels of the two quadratures (and the sample row at
-    the segment's end) have the same nodes.  The equiaffine side evaluates
-    a node once at order 3 (parameter jets, surface jets and curve jets);
-    the induced side reads the affine form and (u', v') off that entry,
-    and evaluates order-2 surface jets itself only at nodes the table
-    lacks.  ``clear`` drops the entries when a segment is done.
+    arclen-compare samples both arc lengths' integrands at the same nodes.
+    With ``order=3`` a node is evaluated once at order 3 (parameter jets,
+    surface jets and curve jets): the equiaffine side reads det[a', a'',
+    a'''] off the entry, and the induced side reads the affine form and
+    (u', v') off it, evaluating the entry itself where the table lacks
+    one.  With ``order=2``, for when the equiaffine side is skipped, the
+    table keeps the order-2 forms instead.  ``discard`` drops one entry,
+    ``clear`` all of them.
     """
 
-    def __init__(self, curve):
+    def __init__(self, curve, order=3):
         self.curve = curve
         self.surface = curve.surface
+        self.order = order
         self._entries = {}
 
     def clear(self):
         self._entries.clear()
 
+    def discard(self, t):
+        self._entries.pop(t, None)
+
     def param_jets(self, t, order):
         return self.curve.param_jets(t, order)
 
     def node_jets(self, t, order):
-        if order != 3:
+        if order != 3 or self.order != 3:
             return super().node_jets(t, order)
         entry = self._entries.get(t)
         if entry is None:
@@ -183,11 +188,13 @@ class NodeTable(_EmbeddedCurve):
         return entry
 
     def form_direction(self, t):
+        if self.order == 3:
+            u, v, X, _ = self.node_jets(t, 3)
+            return form_from_jets(X), u.coeffs[1], v.coeffs[1]
         entry = self._entries.get(t)
         if entry is None:
-            return super().form_direction(t)
-        u, v, X, _ = entry
-        return form_from_jets(X), u.coeffs[1], v.coeffs[1]
+            entry = self._entries[t] = super().form_direction(t)
+        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +231,12 @@ def induced_arclength_integrand(pc, t, orientation=1.0):
     return _sigma_integrand(*pc.form_direction(t), orientation)[0]
 
 
-def _probe_orientation(pc, t0, t1, nodes):
-    """The sign of form(a') of largest magnitude at the nodes of the first
-    GK15 panel over [t0, t1]; nodes whose geometry fails are skipped.  The
-    evaluations that succeed are kept in ``nodes`` for the quadrature."""
+def _probe_orientation(pc, ts, nodes):
+    """The sign of form(a') of largest magnitude at the nodes ``ts``;
+    nodes whose geometry fails are skipped.  The evaluations that succeed
+    are kept in the dict ``nodes``."""
     best = 0.0
-    for t in gk15_nodes(t0, t1):
+    for t in ts:
         try:
             node = nodes[t] = pc.form_direction(t)
         except AffineMetricsError:
@@ -255,7 +262,7 @@ def induced_arclength(pc, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
         return ArcLength(0.0, 0.0, 0, False)
     nodes = {}
     if orientation is None:
-        orientation = _probe_orientation(pc, t0, t1, nodes)
+        orientation = _probe_orientation(pc, gk15_nodes(t0, t1), nodes)
     flagged = [False]
 
     def integrand(t):
@@ -443,7 +450,10 @@ def integrate_commensurate(ivp):
     failing.  Starting on an asymptotic direction raises InvalidIVP.
     """
     surface = ivp.surface
-    parts0 = _condition_parts(surface, ivp.u0, ivp.v0, ivp.theta0, ivp.omega0)
+    # theta0 reduced into [-pi, pi] once, so that theta keeps turning for a
+    # large theta0; it is returned unchanged when it lies there already
+    theta0 = math.remainder(ivp.theta0, math.tau)
+    parts0 = _condition_parts(surface, ivp.u0, ivp.v0, theta0, ivp.omega0)
     if abs(parts0["q"]) <= ivp.eps_asym * max(parts0["gm"], 1e-300):
         raise InvalidIVP(
             f"initial direction theta0 = {ivp.theta0!r} is asymptotic: "
@@ -451,7 +461,7 @@ def integrate_commensurate(ivp):
 
     # one geometry evaluation per state: the events at an accepted node
     # reuse the right-hand side's last stage, which is taken there
-    y0 = np.array([ivp.u0, ivp.v0, ivp.theta0, ivp.omega0], dtype=float)
+    y0 = np.array([ivp.u0, ivp.v0, theta0, ivp.omega0], dtype=float)
     last = [y0.tobytes(), parts0]
 
     def parts_at(y):

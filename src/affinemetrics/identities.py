@@ -51,10 +51,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IdentityReport:
+    """One suite's outcome.  ``samples`` counts the samples checked;
+    ``points`` counts the regular nondegenerate surface points the suite
+    found to draw them at (None for a suite that samples no surface), so
+    samples == 0 < points means the suite's own filter rejected every
+    draw."""
+
     name: str
     max_deviation: float
     tolerance: float
     samples: int
+    points: int | None = None
 
     @property
     def passed(self):
@@ -242,7 +249,7 @@ def lmn_route_suite(surface, rng, samples, tolerance=1e-10):
             scale = max(abs(det_val), abs(dot_val), root, 1.0)
             worst = max(worst, abs(det_val - dot_val * root) / scale)
     return IdentityReport("lmn-determinant-vs-dot-route", worst, tolerance,
-                          len(points))
+                          len(points), len(points))
 
 
 def form_routes_suite(surface, rng, samples, tolerance=1e-9):
@@ -259,7 +266,7 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
         scale = max(float(np.abs(expected).max()), 1e-30)
         worst = max(worst, float(np.abs(got - sign * expected).max()) / scale)
     return IdentityReport("form-det-vs-euclidean-route", worst, tolerance,
-                          len(points))
+                          len(points), len(points))
 
 
 def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
@@ -267,11 +274,14 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
     unchanged under volume-preserving maps of the ambient space."""
     worst = 0.0
     count = 0
+    found = 0
     for _ in range(max(1, samples // 4)):
         A = random_sl3(rng)
         b = rng.uniform(-1.0, 1.0, size=3)
         moved = transformed_surface(surface, A, b)
-        for p in _regular_nondegenerate_points(surface, rng, 4):
+        points = _regular_nondegenerate_points(surface, rng, 4)
+        found += len(points)
+        for p in points:
             u, v, f0 = p.u, p.v, p.form
             try:
                 f1 = affine_first_fundamental(moved, u, v)
@@ -290,7 +300,7 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
             worst = max(worst, abs(r0 - r1) / max(abs(r0), abs(r1), 1.0))
             count += 1
     return IdentityReport("equiaffine-invariance", worst, tolerance,
-                          count)
+                          count, found)
 
 
 def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
@@ -304,7 +314,7 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
         rhs = lmn_from_jets(p.jets).det * jdet ** 4
         worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return IdentityReport("reparam-fourth-power-law", worst, tolerance,
-                          len(points))
+                          len(points), len(points))
 
 
 def _quadratic(c0, c1, c2):
@@ -344,7 +354,7 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
                     abs(residual - other) / max(abs(residual), abs(other), 1.0))
         count += 1
     return IdentityReport("condition-det-vs-euclidean-route", worst,
-                          tolerance, count)
+                          tolerance, count, len(points))
 
 
 # closed forms from the worked examples, used as reference checks for the
@@ -395,4 +405,4 @@ def reference_form_suite(surface, reference, rng, samples, tolerance=1e-9):
             exp = forms["gauss"](u, v)
             worst = max(worst, abs(K - exp) / max(abs(exp), 1.0))
     return IdentityReport(f"reference-forms-{reference}", worst, tolerance,
-                          len(points))
+                          len(points), len(points))

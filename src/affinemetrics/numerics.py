@@ -1,5 +1,6 @@
-"""Shared numerical kernels: adaptive quadrature, adaptive ODE integration
-with event detection, a bracketing root finder, and finite differences.
+"""Shared numerical kernels: adaptive quadrature, Chebyshev interpolation
+with cumulative integration, adaptive ODE integration with event
+detection, a bracketing root finder, and finite differences.
 
 All kernels are deterministic: fixed evaluation order, no randomized
 subdivision.  The ODE integrator is the explicit Dormand-Prince 5(4) pair with
@@ -27,6 +28,7 @@ from .errors import (
 
 __all__ = [
     "QuadResult", "quad_adaptive", "gk15_nodes",
+    "ChebResult", "cheb_points", "cheb_cumulative",
     "OdeOptions", "OdeEvent", "OdeResult", "ode_solve",
     "find_root_bracketed", "finite_diff",
 ]
@@ -123,6 +125,104 @@ def quad_adaptive(f, a, b, rel_tol=1e-10, abs_tol=1e-12, max_panels=2000):
         counter += 1
         heapq.heappush(heap, (-re, counter, mid, hi, rv, re))
     return QuadResult(float(sign * total), float(total_err), evaluations)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev interpolation with cumulative integration (Trefethen,
+# Approximation Theory and Approximation Practice, SIAM 2013, chs. 3, 19)
+
+#: the finest Chebyshev-Lobatto grid cheb_cumulative samples
+CHEB_MAX_POINTS = 257
+
+
+@dataclass(frozen=True)
+class ChebResult:
+    """Integrals from a to each requested t, read off one interpolant.
+
+    ``values`` is None when the interpolant's tail did not decay within
+    CHEB_MAX_POINTS points or a sampled value was not finite.
+    ``error_estimate`` is |b - a| times the largest of the last three
+    Chebyshev coefficients; ``points`` is the size of the last grid
+    sampled, so f was called that many times.
+    """
+    values: object
+    error_estimate: float
+    points: int
+
+
+def cheb_points(a, b, n):
+    """The n Chebyshev-Lobatto points of [a, b], from a to b, ends exact.
+
+    For n = 2^k + 1 the grids nest bit for bit: the n-point grid is every
+    other point of the (2n - 1)-point grid."""
+    m = n - 1
+    t = 0.5 * (a + b) + 0.5 * (b - a) * np.sin(
+        np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+    t[0], t[-1] = a, b
+    return t
+
+
+def _cheb_coefficients(values):
+    """Coefficients c_0..c_m of the interpolant through ``values`` at the
+    ascending Lobatto points: a DCT-I of the descending values."""
+    m = len(values) - 1
+    w = values[::-1].copy()
+    w[[0, -1]] *= 0.5
+    jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
+    c = (np.cos(np.pi * jk / m) @ w) * (2.0 / m)
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _clenshaw(c, x):
+    """sum c_k T_k(x) for an array x."""
+    b1 = b2 = np.zeros_like(x)
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def cheb_cumulative(f, a, b, ts, tol):
+    """The integrals of f from a to each t in ts, from one Chebyshev
+    interpolant of f over [a, b] (Clenshaw-Curtis, read cumulatively).
+
+    f is sampled at 9, 17, 33, ... Lobatto points, each grid reusing the
+    values of the one before, until the last three coefficients are at
+    most tol * max|f|.  Reversed ranges give negated integrals.
+    """
+    if a == b:
+        return ChebResult(np.zeros(len(ts)), 0.0, 0)
+    n = 9
+    values = np.array([f(float(t)) for t in cheb_points(a, b, n)])
+    while True:
+        if not np.isfinite(values).all():
+            return ChebResult(None, math.inf, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = _cheb_coefficients(values)
+        tail = float(np.abs(c[-3:]).max())
+        if tail <= tol * float(np.abs(values).max()):
+            break
+        if n >= CHEB_MAX_POINTS:
+            return ChebResult(None, tail * abs(b - a), n)
+        n = 2 * n - 1
+        grown = np.empty(n)
+        grown[0::2] = values
+        grown[1::2] = [f(float(t)) for t in cheb_points(a, b, n)[1::2]]
+        values = grown
+    # antiderivative coefficients C_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
+    # counted twice; F(x) - F(x(a)) fixes the constant
+    d = np.concatenate([c, [0.0, 0.0]])
+    d[0] *= 2.0
+    C = np.concatenate([[0.0],
+                        (d[:-2] - d[2:]) / (2.0 * np.arange(1, n + 1))])
+    half = 0.5 * (b - a)
+    x = (np.concatenate([[a], ts]) - 0.5 * (a + b)) / half
+    with np.errstate(over="ignore", invalid="ignore"):
+        F = _clenshaw(C, x)
+        integrals = half * (F[1:] - F[0])
+    if not np.isfinite(integrals).all():
+        return ChebResult(None, math.inf, n)
+    return ChebResult(integrals, tail * abs(b - a), n)
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,25 @@ class TestExitContract:
         assert f"more than {cli.MAX_SWEEP_SEEDS} seeds" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("samples", ["100001", "100000000"])
+    def test_oversized_sample_count_is_a_usage_error(self, capsys, samples):
+        # refused while parsing, before any row is evaluated or kept
+        with pytest.raises(SystemExit) as exc:
+            run(["arclen-compare", "--surface", "sphere", "--curve",
+                 "8*t;t", "--t-range", "0:1", f"--samples={samples}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "argument --samples: must be an integer <= 100000" in err
+        assert "Traceback" not in err
+
+    def test_sample_count_at_the_bound_is_accepted(self):
+        from affinemetrics import cli
+        args = cli.build_parser().parse_args([
+            "arclen-compare", "--surface", "sphere", "--curve=8*t;t",
+            "--t-range=0:1", f"--samples={cli.MAX_SAMPLES}"])
+        assert args.samples == cli.MAX_SAMPLES == 100_000
+
     def test_sweep_at_the_bound_is_accepted(self):
         from affinemetrics import cli
         step = 1.0 / (cli.MAX_SWEEP_SEEDS - 1)
@@ -398,32 +417,59 @@ SHARED_NODE_CURVES = [
      ["--auto-orient"]),
 ]
 
+#: (surface, curve, t-range) whose two integrands both take the GK15 loop:
+#: form(a') = 6 t^2 and det[a', a'', a'''] touch zero at t = 0, a node of
+#: the first grid on -0.5:0.5 (degenerate there) and between nodes on
+#: -0.4:0.6 (a kink whose tail never decays)
+FALLBACK_CURVES = [
+    ("hyperbolic-paraboloid", "t;t^3", "-0.5:0.5"),
+    ("hyperbolic-paraboloid", "t;t^3", "-0.4:0.6"),
+]
 
-def _standalone_sums(surface, curve, mirror, samples, tol=1e-10):
-    """Running sums and quadrature totals of stand-alone affine_arclength
-    and induced_arclength calls over the CLI's segments."""
+
+def _standalone_sums(surface, curve, mirror, samples, tol=1e-10, t0=0.0,
+                     t1=1.0):
+    """Running sums of stand-alone affine_arclength and induced_arclength
+    calls over the segments between the CLI's samples."""
     from affinemetrics import ParamCurve, affine_arclength, induced_arclength
 
-    pc = ParamCurve.from_strings(CATALOG[surface], *curve.split(";"),
-                                 0.0, 1.0)
-    ts = [float(t) for t in np.linspace(0.0, 1.0, samples)]
+    pc = ParamCurve.from_strings(CATALOG[surface], *curve.split(";"), t0, t1)
+    ts = [float(t) for t in np.linspace(t0, t1, samples)]
     sums = [(0.0, 0.0)]
-    totals = {"alpha": [0.0, 0], "sigma": [0.0, 0]}
     for prev, t in zip(ts, ts[1:]):
         alpha = affine_arclength(pc, prev, t, rel_tol=tol, abs_tol=tol * 1e-2,
                                  mirror=mirror)
         sigma = induced_arclength(pc, prev, t, rel_tol=tol,
                                   abs_tol=tol * 1e-2)
         sums.append((sums[-1][0] + alpha.value, sums[-1][1] + sigma.value))
-        for side, seg in (("alpha", alpha), ("sigma", sigma)):
-            totals[side][0] += seg.error_estimate
-            totals[side][1] += seg.evaluations
-    return sums, totals
+    return sums
+
+
+def _sums(rows):
+    return [(float(r["s_alpha"]), float(r["s_sigma"])) for r in rows]
+
+
+def _surface_jet_orders(monkeypatch, args):
+    """The order of every surface_jets call of one arclen-compare run."""
+    from affinemetrics import commensurate, surfgeo
+
+    orders = []
+    original = surfgeo.surface_jets
+
+    def counting(surface, u, v, order, check_domain=True):
+        orders.append(order)
+        return original(surface, u, v, order, check_domain)
+
+    for module in (commensurate, surfgeo):
+        monkeypatch.setattr(module, "surface_jets", counting)
+    assert run(args) == 0
+    return orders
 
 
 class TestArclenSharedNodes:
-    """arclen-compare evaluates each quadrature node once for both arc
-    lengths; its sums must be those of the stand-alone functions."""
+    """arclen-compare reads both arc lengths off one Chebyshev interpolant
+    per integrand, sampled at nodes that are evaluated once for both; its
+    sums must be those of the stand-alone functions."""
 
     @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES)
     def test_rows_are_running_sums_of_standalone_calls(self, capsys, surface,
@@ -433,64 +479,122 @@ class TestArclenSharedNodes:
                     "--t-range", "0:1", f"--samples={samples}",
                     *flags]) == 0
         rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-        sums, _ = _standalone_sums(surface, curve, bool(flags), samples)
-        assert [(float(r["s_alpha"]), float(r["s_sigma"]))
-                for r in rows] == sums
+        sums = _standalone_sums(surface, curve, bool(flags), samples,
+                                tol=1e-13)
+        assert _sums(rows) == [pytest.approx(pair, rel=1e-12)
+                               for pair in sums]
 
     @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES[1:])
-    def test_json_reports_quadrature_totals(self, capsys, surface, curve,
-                                            flags):
-        assert run(["arclen-compare", "--surface", surface, "--curve", curve,
-                    "--t-range", "0:1", "--samples=8", "--format=json",
-                    *flags]) == 0
+    def test_json_reports_quadrature_totals(self, capsys, monkeypatch,
+                                            surface, curve, flags):
+        orders = _surface_jet_orders(monkeypatch, [
+            "arclen-compare", "--surface", surface, "--curve", curve,
+            "--t-range", "0:1", "--samples=8", "--format=json", *flags])
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == "affinemetrics/1"
         assert payload["columns"][:3] == ["t", "s_alpha", "s_sigma"]
-        _, totals = _standalone_sums(surface, curve, bool(flags), 8)
-        assert payload["quadrature"] == {
-            side: {"error_estimate": err, "evaluations": evals}
-            for side, (err, evals) in totals.items()}
+        quad = payload["quadrature"]
+        for side in ("alpha", "sigma"):
+            assert quad[side]["path"] == "chebyshev"
+            assert quad[side]["points"] in (9, 17, 33, 65, 129, 257)
+            assert quad[side]["evaluations"] == quad[side]["points"]
+            assert 0.0 <= quad[side]["error_estimate"] <= 1e-9
+        # the equiaffine classification probe (a second one after the
+        # mirror), the finer side's grid, and the six sample rows that
+        # fall between its nodes (t = 0 and 1 are nodes)
+        probes = 2 if flags else 1
+        grid = max(quad[side]["points"] for side in quad)
+        assert len(orders) == probes + grid + 6
 
     def test_degenerate_alpha_reports_no_alpha_evaluations(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere", "--curve",
                     "t;0", "--t-range", "0:1", "--samples=3",
                     "--format=json"]) == 0
         quad = json.loads(capsys.readouterr().out)["quadrature"]
-        assert quad["alpha"] == {"error_estimate": 0.0, "evaluations": 0}
-        assert quad["sigma"]["evaluations"] >= 2 * 15
-
-    def _surface_jet_orders(self, monkeypatch, args):
-        from affinemetrics import commensurate, surfgeo
-
-        orders = []
-        original = surfgeo.surface_jets
-
-        def counting(surface, u, v, order, check_domain=True):
-            orders.append(order)
-            return original(surface, u, v, order, check_domain)
-
-        for module in (commensurate, surfgeo):
-            monkeypatch.setattr(module, "surface_jets", counting)
-        assert run(args) == 0
-        return orders
+        assert quad["alpha"] == {"path": "chebyshev", "points": 0,
+                                 "error_estimate": 0.0, "evaluations": 0}
+        assert quad["sigma"]["path"] == "chebyshev"
+        assert quad["sigma"]["evaluations"] == quad["sigma"]["points"] >= 9
 
     @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES)
     def test_no_order_two_evaluations(self, capsys, monkeypatch, surface,
                                       curve, flags):
-        orders = self._surface_jet_orders(monkeypatch, [
+        orders = _surface_jet_orders(monkeypatch, [
             "arclen-compare", "--surface", surface, "--curve", curve,
             "--t-range", "0:1", "--samples=8", *flags])
         assert orders and set(orders) == {3}
 
     def test_degenerate_alpha_evaluates_order_two(self, capsys, monkeypatch):
-        orders = self._surface_jet_orders(monkeypatch, [
+        orders = _surface_jet_orders(monkeypatch, [
             "arclen-compare", "--surface", "sphere", "--curve", "t;0",
-            "--t-range", "0:1", "--samples=3"])
+            "--t-range", "0:1", "--samples=3", "--format=json"])
+        quad = json.loads(capsys.readouterr().out)["quadrature"]
         # the five equiaffine classification probes, then the induced side
-        # alone: one order-2 evaluation per node and per sample row
+        # alone: one order-2 evaluation per node; the sample rows at t = 0,
+        # 0.5 and 1 are nodes of every grid and evaluate nothing more
         assert orders[:5] == [3] * 5
         assert set(orders[5:]) == {2}
-        assert len(orders) - 5 == 2 * 15 + 3
+        assert len(orders) - 5 == quad["sigma"]["points"]
+
+    @pytest.mark.parametrize("surface,curve,t_range", FALLBACK_CURVES)
+    def test_fallback_sums_are_the_standalone_sums(self, capsys, surface,
+                                                   curve, t_range):
+        assert run(["arclen-compare", "--surface", surface, "--curve", curve,
+                    "--t-range", t_range, "--samples=8",
+                    "--format=json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for side in ("alpha", "sigma"):
+            assert payload["quadrature"][side]["path"] == "gk15"
+        t0, t1 = (float(x) for x in t_range.split(":"))
+        sums = _standalone_sums(surface, curve, False, 8, t0=t0, t1=t1)
+        assert [tuple(row[1:3]) for row in payload["rows"]] == sums
+
+    def test_readme_example_evaluation_budget(self, capsys, monkeypatch):
+        orders = _surface_jet_orders(monkeypatch, [
+            "arclen-compare", "--surface", "sphere", "--curve", "8*t;t",
+            "--t-range", "0:1", "--samples=50"])
+        assert len(orders) <= 100
+
+    def test_reversed_range_negates_the_sums(self, capsys):
+        args = ["arclen-compare", "--surface", "sphere", "--curve", "8*t;t",
+                "--samples=50"]
+        assert run([*args, "--t-range", "0:1"]) == 0
+        forward = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert run([*args, "--t-range", "1:0"]) == 0
+        reverse = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        s_alpha, s_sigma = _sums(reverse)[-1]
+        assert s_alpha == pytest.approx(-5.2359293, abs=1e-7)
+        assert s_sigma == pytest.approx(-6.8079108, abs=1e-7)
+        assert s_alpha == pytest.approx(-_sums(forward)[-1][0], rel=1e-12)
+        assert s_sigma == pytest.approx(-_sums(forward)[-1][1], rel=1e-12)
+
+    def test_zero_width_range_gives_zero_sums(self, capsys):
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "8*t;t", "--t-range", "1:1", "--samples=4",
+                    "--format=json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [tuple(row[:3]) for row in payload["rows"]] \
+            == [(1.0, 0.0, 0.0)] * 4
+        assert all(row[3] > 0.0 and row[4] > 0.0 for row in payload["rows"])
+        assert {side: q["points"] for side, q
+                in payload["quadrature"].items()} == {"alpha": 0, "sigma": 0}
+
+    def test_one_sample(self, capsys):
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "8*t;t", "--t-range", "0:1", "--samples=1"]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 1
+        assert float(rows[0]["t"]) == 0.0
+        assert _sums(rows) == [(0.0, 0.0)]
+        assert float(rows[0]["integrand_sigma"]) == pytest.approx(
+            math.sqrt(65.0), rel=1e-12)
+
+    def test_orientation_change_still_exits_degenerate(self, capsys):
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "t;t^3", "--t-range", "-1:1"]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: NegativeOrientation")
 
 
 class TestCommensurateSolve:
@@ -556,6 +660,21 @@ class TestCheckIdentities:
                     "--samples", "15", "--seed", "7"]) == 1
         captured = capsys.readouterr()
         assert "reference-forms-sphere" in captured.err
+
+    def test_suite_rejecting_every_draw_is_not_degenerate(self, capsys):
+        # seed 19 draws one point whose random direction the condition
+        # suite's own filter rejects; the surface is not to blame
+        assert run(["check-identities", "--surface", "sphere",
+                    "--samples", "1", "--seed", "19"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 7 and all(line.endswith("PASS")
+                                       for line in lines)
+        assert ("identity condition-det-vs-euclidean-route: max_dev=0.000e+00 "
+                "tol=1.0e-08 samples=0 PASS") in lines
+        assert captured.err.splitlines() == [
+            "note: condition-det-vs-euclidean-route checked no sample: its "
+            "own filter rejected every draw (usable points: 1)"]
 
     def test_surface_without_usable_points_is_degenerate(self, capsys):
         # the plane has no nondegenerate point: every suite that samples
@@ -674,3 +793,20 @@ class TestCachedParser:
         cli = fresh_parser
         assert cli.build_parser() is not cli.build_parser()
         assert cli._parser() is cli._parser()
+
+
+def test_import_loads_neither_numpy_polynomial_nor_scipy():
+    # each would add milliseconds to every command's start-up
+    import subprocess
+    import sys
+
+    import affinemetrics
+
+    src = str(Path(affinemetrics.__file__).resolve().parents[1])
+    code = ("import sys, affinemetrics.cli; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.polynomial')))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={"PYTHONPATH": src}).stdout
+    assert out.strip() == "[]"

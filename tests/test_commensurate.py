@@ -210,6 +210,30 @@ class TestIntegration:
         assert trace.completed
         assert trace.ode_result.stiff_steps == 0
 
+    def test_theta0_is_reduced_once_at_the_start(self):
+        # a theta0 many turns out traces the same curve; unreduced, each
+        # increment of theta fell below one ulp and the direction never
+        # turned
+        def trace(theta0):
+            return integrate_commensurate(CommensurateIVP(
+                SPHERE, 0.1, 0.1, theta0, omega0=0.5, t_span=(0.0, 0.5)))
+        near = trace(0.3)
+        far = trace(0.3 + 2.0 * math.pi * 1000)
+        assert far.nodes[0].theta == pytest.approx(0.3, abs=1e-9)
+        assert near.completed and far.completed
+        # the reduced theta0 differs from 0.3 in the last bits, so the two
+        # step meshes differ; compare where both end, at t = 0.5
+        a, b = near.nodes[-1], far.nodes[-1]
+        assert a.t == b.t == 0.5
+        assert (b.x, b.y, b.z) == pytest.approx((a.x, a.y, a.z), abs=1e-9)
+        assert trace(1e300).nodes[0].theta == math.remainder(1e300, math.tau)
+
+    def test_theta0_within_pi_is_kept_exactly(self):
+        for theta0 in (0.3, -3.04, math.pi, -math.pi):
+            trace = integrate_commensurate(CommensurateIVP(
+                SPHERE, 0.1, 0.1, theta0, omega0=0.5, t_span=(0.0, 0.05)))
+            assert trace.nodes[0].theta == theta0
+
     def test_family_sweep(self):
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, t_span=(0.0, 0.2))
         traces = run_family(ivp, [-1.0, -0.5, 0.0, 0.5, 1.0])

@@ -153,6 +153,7 @@ class TestEvaluationCounts:
         report = suite(surfgeo.CATALOG[name], np.random.default_rng(5), 6)
         # the plane's points are all rejected, the others' all accepted
         assert report.samples == (0 if name == "plane" else 6)
+        assert report.points == report.samples
         assert len(draws) == (300 if name == "plane" else 6)
         assert [args[3] for args in jet_calls] == [2] * len(draws)
 

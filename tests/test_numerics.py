@@ -11,8 +11,11 @@ from affinemetrics.errors import (
     StepFailure,
 )
 from affinemetrics.numerics import (
+    CHEB_MAX_POINTS,
     OdeEvent,
     OdeOptions,
+    cheb_cumulative,
+    cheb_points,
     find_root_bracketed,
     finite_diff,
     ode_solve,
@@ -75,6 +78,63 @@ STIFF_LAMBDA = 1000.0
 
 def _stiff_rhs(t, y):
     return np.array([-STIFF_LAMBDA * (y[0] - math.cos(t)) - math.sin(t)])
+
+
+class TestChebCumulative:
+    def test_grids_nest_bit_for_bit(self):
+        fine = cheb_points(0.1, 0.7, CHEB_MAX_POINTS)
+        for n in (9, 17, 33, 65, 129):
+            grid = cheb_points(0.1, 0.7, n)
+            assert grid[0] == 0.1 and grid[-1] == 0.7
+            assert np.array_equal(grid, fine[::(CHEB_MAX_POINTS - 1)
+                                             // (n - 1)])
+
+    def test_running_integrals_of_exp(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return math.exp(t)
+
+        res = cheb_cumulative(f, 0.0, 1.0, ts, 1e-10)
+        assert res.values[0] == 0.0
+        assert res.values == pytest.approx(np.exp(ts) - 1.0, abs=1e-15)
+        # each node sampled once, across the grids
+        assert len(calls) == len(set(calls)) == res.points
+        assert res.error_estimate <= 1e-10
+
+    def test_spherical_helix_oracle(self):
+        res = cheb_cumulative(
+            lambda t: math.sqrt(1.0 + 64.0 * math.cos(t) ** 2), 0.0, 1.0,
+            [1.0], 1e-10)
+        assert res.values[-1] == pytest.approx(SPHERICAL_HELIX_SIGMA,
+                                               rel=1e-13)
+
+    def test_reversed_range_negates(self):
+        ts = np.linspace(1.0, 0.0, 5)
+        res = cheb_cumulative(math.cos, 1.0, 0.0, ts, 1e-10)
+        assert res.values == pytest.approx(np.sin(ts) - math.sin(1.0),
+                                           abs=1e-15)
+
+    def test_zero_width_range_samples_nothing(self):
+        res = cheb_cumulative(lambda t: pytest.fail("sampled"), 0.5, 0.5,
+                              [0.5, 0.5], 1e-10)
+        assert list(res.values) == [0.0, 0.0]
+        assert (res.error_estimate, res.points) == (0.0, 0)
+
+    def test_kink_does_not_converge(self):
+        res = cheb_cumulative(lambda t: abs(t - 0.3) ** (1.0 / 3.0), 0.0,
+                              1.0, [1.0], 1e-10)
+        assert res.values is None
+        assert res.points == CHEB_MAX_POINTS
+        assert res.error_estimate > 1e-10
+
+    def test_non_finite_value_stops_at_its_grid(self):
+        res = cheb_cumulative(lambda t: math.nan if t == 0.5 else 1.0, 0.0,
+                              1.0, [1.0], 1e-10)
+        assert res.values is None
+        assert res.points == 9
 
 
 class TestOdeSolve:
