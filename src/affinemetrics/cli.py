@@ -32,18 +32,13 @@ import numpy as np
 from . import identities as idn
 from .commensurate import (
     CommensurateIVP,
-    NodeTable,
     ParamCurve,
-    _probe_orientation,
-    _sigma_integrand,
-    induced_arclength,
-    induced_arclength_integrand,
     integrate_commensurate,
     run_family,
+    running_arclengths,
 )
-from .curvegeo import _alpha_integrand, affine_arclength, affine_integrand
+from .curvegeo import affine_integrand
 from .errors import (
-    AffineMetricsError,
     DegenerateCurve,
     DegenerateSurfacePoint,
     DomainError,
@@ -63,7 +58,6 @@ from .errors import (
     ZeroDirection,
     ZeroSpeed,
 )
-from .numerics import ChebResult, cheb_cumulative, cheb_points
 from .surfgeo import (
     CATALOG,
     SurfaceDef,
@@ -292,46 +286,6 @@ def _cmd_surface_info(args):
 # ---------------------------------------------------------------------------
 # arclen-compare
 
-def _tally(totals, seg):
-    """Add one segment's quadrature statistics to [error, evaluations]."""
-    totals[0] += seg.error_estimate
-    totals[1] += seg.evaluations
-
-
-def _sampler(evaluate):
-    """``evaluate(t)`` -> (value, ..., degenerate) as an integrand for
-    cheb_cumulative: NaN where it raises or meets a degenerate point, which
-    sends the side back to the per-segment GK15 loop."""
-    def sample(t):
-        try:
-            result = evaluate(t)
-        except AffineMetricsError:
-            return math.nan
-        return math.nan if result[-1] else result[0]
-    return sample
-
-
-def _chebyshev_sums(nodes, ts, mirror, alpha_degenerate, tol):
-    """Each side's running sums at ``ts`` from one Chebyshev interpolant of
-    its integrand over [ts[0], ts[-1]], as ChebResults; ``values`` is None
-    for a side that needs the GK15 loop.  The equiaffine side samples
-    first, so the induced side reads its nodes, and its sign branch, from
-    the table."""
-    a, b = float(ts[0]), float(ts[-1])
-    if alpha_degenerate:
-        alpha = ChebResult(np.zeros(len(ts)), 0.0, 0)
-    else:
-        alpha = cheb_cumulative(
-            _sampler(lambda t: _alpha_integrand(nodes.curve_jets(t, 3),
-                                                mirror)), a, b, ts, tol)
-    orientation = (_probe_orientation(nodes, cheb_points(a, b, 9), {})
-                   if a != b else 1.0)
-    sigma = cheb_cumulative(
-        _sampler(lambda t: _sigma_integrand(*nodes.form_direction(t),
-                                            orientation)), a, b, ts, tol)
-    return {"alpha": alpha, "sigma": sigma}
-
-
 def _cmd_arclen_compare(args):
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_exprs(args.curve, "--curve", "u_expr;v_expr")
@@ -358,74 +312,24 @@ def _cmd_arclen_compare(args):
     if probe_failures == 5:
         alpha_degenerate = True
 
-    # one table of node evaluations, each at order 3 unless the equiaffine
-    # side is skipped, shared by both sides and by the sample rows
-    nodes = NodeTable(pc, order=2 if alpha_degenerate else 3)
-    cheb = _chebyshev_sums(nodes, ts, mirror, alpha_degenerate, args.tol)
-    # a side whose interpolant failed sums GK15 panels segment by segment
-    gk15 = {side: [0.0, 0] for side, res in cheb.items() if res.values is None}
-    sums = {"alpha": 0.0, "sigma": 0.0}
-    sigma_orientation = None
-    rows = []
-    sigma_flagged = False
-    for i, t in enumerate(ts):
-        t = float(t)
-        if i > 0 and gk15:
-            nodes.clear()
-            prev = float(ts[i - 1])
-            if "alpha" in gk15:
-                seg = affine_arclength(nodes, prev, t, rel_tol=args.tol,
-                                       abs_tol=args.tol * 1e-2,
-                                       mirror=mirror)
-                sums["alpha"] += seg.value
-                _tally(gk15["alpha"], seg)
-            if "sigma" in gk15:
-                seg = induced_arclength(nodes, prev, t, rel_tol=args.tol,
-                                        abs_tol=args.tol * 1e-2,
-                                        orientation=sigma_orientation)
-                sums["sigma"] += seg.value
-                _tally(gk15["sigma"], seg)
-                sigma_flagged = sigma_flagged or seg.degenerate
-        for side, res in cheb.items():
-            if res.values is not None:
-                sums[side] = float(res.values[i])
-        try:
-            ia = 0.0 if alpha_degenerate else affine_integrand(nodes, t,
-                                                               mirror=mirror)
-        except (DegenerateCurve, NegativeOrientation):
-            ia = 0.0
-        try:
-            js = induced_arclength_integrand(nodes, t)
-        except NegativeForm as exc:
-            js = math.sqrt(abs(exc.value))
-            if sigma_orientation is None:
-                sigma_orientation = -1.0
-        except (DegenerateSurfacePoint, AffineMetricsError):
-            js = 0.0
-            sigma_flagged = True
-        # the interpolants' nodes stay for the rows that land on them; a
-        # row's own node goes once the row is read
-        nodes.discard(t)
-        rows.append([t, sums["alpha"], sums["sigma"], ia, js,
-                     alpha_degenerate, sigma_flagged])
+    res = running_arclengths(pc, ts, tol=args.tol, mirror=mirror,
+                             alpha_degenerate=alpha_degenerate)
+    rows = [[float(t), *row, alpha_degenerate, flagged]
+            for t, *row, flagged in zip(ts, res.s_alpha, res.s_sigma,
+                                        res.integrand_alpha,
+                                        res.integrand_sigma,
+                                        res.sigma_degenerate)]
 
     header = ["t", "s_alpha", "s_sigma", "integrand_alpha",
               "integrand_sigma", "alpha_degenerate", "sigma_degenerate"]
     if args.format == "json":
-        quad = {}
-        for side, res in cheb.items():
-            # a GK15 side adds its panels to the Chebyshev points it tried
-            err, evals = gk15.get(side, (res.error_estimate, 0))
-            quad[side] = {"path": "gk15" if side in gk15 else "chebyshev",
-                          "points": res.points, "error_estimate": err,
-                          "evaluations": res.points + evals}
         payload = {"schema": SCHEMA, "command": "arclen-compare",
                    "surface": surface.name or "inline",
                    "curve": {"u": u_expr, "v": v_expr},
                    "t_range": [t0, t1], "tolerance": args.tol,
                    "columns": header,
                    "rows": rows,
-                   "quadrature": quad}
+                   "quadrature": res.quadrature}
         text = _json_text(payload)
     else:
         text = _csv_text(header, rows)

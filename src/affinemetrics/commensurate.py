@@ -21,18 +21,22 @@ refuses curves that cross the asymptotic cone.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .curvegeo import ArcLength
+from .curvegeo import ArcLength, affine_arclength, affine_integrand
 from .errors import (
     AffineMetricsError,
+    DegenerateCurve,
     DomainError,
     InvalidIVP,
     MaxSteps,
     NegativeForm,
+    NegativeOrientation,
     SingularDenominator,
     StepFailure,
     UnsupportedOrder,
@@ -40,8 +44,11 @@ from .errors import (
 from .expr import eval_ast, parse_expression
 from .jets import Jet1, compose_curve_in_surface, cross3, det3, dot3
 from .numerics import (
+    ChebResult,
     OdeEvent,
     OdeOptions,
+    cheb_cumulative,
+    cheb_points,
     gk15_nodes,
     ode_solve,
     quad_adaptive,
@@ -58,6 +65,7 @@ __all__ = [
     "ParamCurve", "TraceCurve", "NodeTable", "CommensurateIVP",
     "SolutionTrace", "TraceNode", "ConditionCheck",
     "induced_arclength_integrand", "induced_arclength",
+    "ArcLengthRows", "running_arclengths",
     "commensurate_residual", "commensurate_residual_general",
     "solve_theta_dd", "integrate_commensurate", "run_family",
     "check_condition_euclidean", "sphere_reference_curve",
@@ -155,45 +163,48 @@ class NodeTable(_EmbeddedCurve):
     consumers evaluating the same t share one evaluation.
 
     arclen-compare samples both arc lengths' integrands at the same nodes.
-    With ``order=3`` a node is evaluated once at order 3 (parameter jets,
-    surface jets and curve jets): the equiaffine side reads det[a', a'',
-    a'''] off the entry, and the induced side reads the affine form and
-    (u', v') off it, evaluating the entry itself where the table lacks
-    one.  With ``order=2``, for when the equiaffine side is skipped, the
-    table keeps the order-2 forms instead.  ``discard`` drops one entry,
-    ``clear`` all of them.
+    The equiaffine side evaluates a node once at order 3 (parameter jets,
+    surface jets and curve jets) and reads det[a', a'', a'''] off the
+    entry; the induced side reads the affine form and (u', v') off that
+    entry where there is one, and otherwise keeps the order-2 form it
+    evaluates.  ``discard`` drops one node, ``clear`` all of them.
     """
 
-    def __init__(self, curve, order=3):
+    def __init__(self, curve):
         self.curve = curve
         self.surface = curve.surface
-        self.order = order
-        self._entries = {}
+        self._jets = {}
+        self._forms = {}
 
     def clear(self):
-        self._entries.clear()
+        self._jets.clear()
+        self._forms.clear()
 
     def discard(self, t):
-        self._entries.pop(t, None)
+        self._jets.pop(t, None)
+        self._forms.pop(t, None)
 
     def param_jets(self, t, order):
         return self.curve.param_jets(t, order)
 
     def node_jets(self, t, order):
-        if order != 3 or self.order != 3:
+        if order != 3:
             return super().node_jets(t, order)
-        entry = self._entries.get(t)
+        entry = self._jets.get(t)
         if entry is None:
-            entry = self._entries[t] = super().node_jets(t, 3)
+            entry = self._jets[t] = super().node_jets(t, 3)
         return entry
 
     def form_direction(self, t):
-        if self.order == 3:
-            u, v, X, _ = self.node_jets(t, 3)
-            return form_from_jets(X), u.coeffs[1], v.coeffs[1]
-        entry = self._entries.get(t)
+        entry = self._forms.get(t)
         if entry is None:
-            entry = self._entries[t] = super().form_direction(t)
+            jets = self._jets.get(t)
+            if jets is None:
+                entry = super().form_direction(t)
+            else:
+                u, v, X, _ = jets
+                entry = form_from_jets(X), u.coeffs[1], v.coeffs[1]
+            self._forms[t] = entry
         return entry
 
 
@@ -274,6 +285,173 @@ def induced_arclength(pc, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     res = quad_adaptive(integrand, t0, t1, rel_tol=rel_tol, abs_tol=abs_tol)
     return ArcLength(res.value, res.error_estimate, res.evaluations,
                      flagged[0])
+
+
+# ---------------------------------------------------------------------------
+# both arc lengths at a list of samples
+
+@dataclass(frozen=True)
+class ArcLengthRows:
+    """Both arc lengths of a curve in a surface at samples ts[0], ts[1], ...
+
+    ``s_alpha`` and ``s_sigma`` are running sums from ts[0];
+    ``integrand_alpha`` and ``integrand_sigma`` are the integrands at each
+    sample (0 where undefined; sqrt|form(a')| on the induced side);
+    ``sigma_degenerate`` says whether the induced side has met a
+    degenerate point up to each sample.  ``quadrature`` maps "alpha" and
+    "sigma" to the side's ``path`` ("chebyshev" or "gk15"), the ``points``
+    of its last Chebyshev grid, its ``error_estimate`` and its integrand
+    ``evaluations``.
+    """
+    s_alpha: list
+    s_sigma: list
+    integrand_alpha: list
+    integrand_sigma: list
+    sigma_degenerate: list
+    quadrature: dict
+
+
+def _sampled(evaluate):
+    """``evaluate`` as an integrand for cheb_cumulative: NaN where it
+    raises, which keeps the side off the Chebyshev path."""
+    def sample(t):
+        try:
+            return evaluate(t)
+        except AffineMetricsError:
+            return math.nan
+    return sample
+
+
+def _strict_sigma(node, orientation):
+    """The induced integrand at a (form, u', v') node; NaN where it is
+    degenerate or off the ``orientation`` branch."""
+    try:
+        value, degenerate = _sigma_integrand(*node, orientation)
+    except NegativeForm:
+        return math.nan
+    return math.nan if degenerate else value
+
+
+def running_arclengths(pc, ts, tol=1e-10, mirror=False,
+                       alpha_degenerate=False):
+    """Both arc lengths of ``pc`` from ts[0] to each sample in ``ts``, as
+    ArcLengthRows.
+
+    Each side's running sums are read off one Chebyshev interpolant of its
+    integrand over [ts[0], ts[-1]] (cheb_cumulative at tolerance ``tol``).
+    The integrands are then evaluated at every sample for their columns,
+    and each value is checked against its interpolant: the grid says
+    nothing of a feature between its nodes, and the samples, which grow
+    with their number, see it.  A side whose interpolant fails (a tail
+    that does not decay, a failing, degenerate or non-finite node, or a
+    sample that disagrees) sums GK15 quadratures segment by segment
+    instead, so its sums and errors are those of affine_arclength and
+    induced_arclength.  One NodeTable serves both sides, so a node is
+    evaluated once.  ``mirror`` measures the reflected curve on the
+    equiaffine side; ``alpha_degenerate`` skips that side (zero sums and
+    integrands).
+    """
+    ts = [float(t) for t in ts]
+    a, b = ts[0], ts[-1]
+    nodes = NodeTable(pc)
+    # the equiaffine side samples first, so that the induced side reads
+    # its nodes, and its sign branch, from the table
+    if alpha_degenerate:
+        alpha_fit = ChebResult([0.0] * len(ts), 0.0, 0)
+    else:
+        alpha_fit = cheb_cumulative(
+            _sampled(lambda t: affine_integrand(nodes, t, mirror=mirror)),
+            a, b, ts, tol)
+    orientation = (_probe_orientation(nodes, cheb_points(a, b, 9), {})
+                   if a != b else 1.0)
+    sigma_fit = cheb_cumulative(
+        _sampled(lambda t: _strict_sigma(nodes.form_direction(t),
+                                         orientation)), a, b, ts, tol)
+    fits = {"alpha": alpha_fit, "sigma": sigma_fit}
+    gk15 = {side for side, fit in fits.items() if fit.values is None}
+
+    # the integrand columns, one node per sample, each value checked
+    # against its side's interpolant
+    columns = {"alpha": [], "sigma": []}
+    row_flags = []
+    first_negative = len(ts)    # GK15 segments after it take sqrt(-form)
+    failure = None
+    for i, t in enumerate(ts):
+        ia = alpha = 0.0
+        if not alpha_degenerate:
+            try:
+                ia = alpha = affine_integrand(nodes, t, mirror=mirror)
+            except (DegenerateCurve, NegativeOrientation):
+                ia, alpha = 0.0, math.nan
+            except AffineMetricsError as exc:
+                failure = exc
+                break
+        flagged = False
+        try:
+            node = nodes.form_direction(t)
+        except AffineMetricsError:
+            js, sigma, flagged = 0.0, math.nan, True
+        else:
+            sigma = _strict_sigma(node, orientation)
+            try:
+                js = _sigma_integrand(*node, 1.0)[0]
+            except NegativeForm as exc:
+                js = math.sqrt(abs(exc.value))
+                first_negative = min(first_negative, i)
+        # the grids' nodes stay for the samples that land on them; a
+        # sample's own node goes once it is read
+        nodes.discard(t)
+        for side, value in (("alpha", alpha), ("sigma", sigma)):
+            if not fits[side].agrees(i, value, tol):
+                gk15.add(side)
+        columns["alpha"].append(ia)
+        columns["sigma"].append(js)
+        row_flags.append(flagged)
+
+    # the GK15 sides segment by segment, the segment before a sample ahead
+    # of it as in a stand-alone loop, so that a sample that failed raises
+    # only if no segment up to it raised first
+    sums = {side: [0.0] for side in gk15}
+    totals = {side: [0.0, 0] for side in gk15}
+    seg_flags = [False] * len(ts)
+    last = len(row_flags) if failure is not None else len(ts) - 1
+    for j in range(1, last + 1):
+        nodes.clear()
+        prev, t = ts[j - 1], ts[j]
+        segs = []
+        if "alpha" in gk15:
+            segs.append(("alpha", affine_arclength(
+                nodes, prev, t, rel_tol=tol, abs_tol=tol * 1e-2,
+                mirror=mirror)))
+        if "sigma" in gk15:
+            seg = induced_arclength(
+                nodes, prev, t, rel_tol=tol, abs_tol=tol * 1e-2,
+                orientation=-1.0 if first_negative < j else None)
+            seg_flags[j] = seg.degenerate
+            segs.append(("sigma", seg))
+        for side, seg in segs:
+            sums[side].append(sums[side][-1] + seg.value)
+            totals[side][0] += seg.error_estimate
+            totals[side][1] += seg.evaluations
+    if failure is not None:
+        raise failure
+
+    quadrature = {}
+    for side, fit in fits.items():
+        if side in gk15:
+            err, evaluations = totals[side]
+            quadrature[side] = {"path": "gk15", "points": fit.points,
+                                "error_estimate": err,
+                                "evaluations": fit.points + evaluations}
+        else:
+            sums[side] = [float(s) for s in fit.values]
+            quadrature[side] = {"path": "chebyshev", "points": fit.points,
+                                "error_estimate": fit.error_estimate,
+                                "evaluations": fit.points}
+    sigma_degenerate = list(itertools.accumulate(
+        map(operator.or_, row_flags, seg_flags), operator.or_))
+    return ArcLengthRows(sums["alpha"], sums["sigma"], columns["alpha"],
+                         columns["sigma"], sigma_degenerate, quadrature)
 
 
 # ---------------------------------------------------------------------------

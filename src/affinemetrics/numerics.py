@@ -143,11 +143,24 @@ class ChebResult:
     CHEB_MAX_POINTS points or a sampled value was not finite.
     ``error_estimate`` is |b - a| times the largest of the last three
     Chebyshev coefficients; ``points`` is the size of the last grid
-    sampled, so f was called that many times.
+    sampled, so f was called that many times.  ``fitted`` holds the
+    interpolant itself at each t (None where nothing was interpolated)
+    and ``scale`` is max|f| over the grid.
     """
     values: object
     error_estimate: float
     points: int
+    fitted: object = None
+    scale: float = 0.0
+
+    def agrees(self, i, value, tol):
+        """Whether ``value``, f at the i-th t, lies within tol * max|f| of
+        the interpolant there.  The grid says nothing of f between its
+        nodes, so a caller that evaluates f at the t anyway checks it
+        here; a NaN never agrees."""
+        if self.fitted is None:
+            return True
+        return abs(self.fitted[i] - value) <= tol * self.scale
 
 
 def cheb_points(a, b, n):
@@ -200,7 +213,8 @@ def cheb_cumulative(f, a, b, ts, tol):
         with np.errstate(over="ignore", invalid="ignore"):
             c = _cheb_coefficients(values)
         tail = float(np.abs(c[-3:]).max())
-        if tail <= tol * float(np.abs(values).max()):
+        scale = float(np.abs(values).max())
+        if tail <= tol * scale:
             break
         if n >= CHEB_MAX_POINTS:
             return ChebResult(None, tail * abs(b - a), n)
@@ -220,9 +234,10 @@ def cheb_cumulative(f, a, b, ts, tol):
     with np.errstate(over="ignore", invalid="ignore"):
         F = _clenshaw(C, x)
         integrals = half * (F[1:] - F[0])
+        fitted = _clenshaw(c, x[1:])
     if not np.isfinite(integrals).all():
         return ChebResult(None, math.inf, n)
-    return ChebResult(integrals, tail * abs(b - a), n)
+    return ChebResult(integrals, tail * abs(b - a), n, fitted, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -449,8 +449,9 @@ def _sums(rows):
     return [(float(r["s_alpha"]), float(r["s_sigma"])) for r in rows]
 
 
-def _surface_jet_orders(monkeypatch, args):
-    """The order of every surface_jets call of one arclen-compare run."""
+def _surface_jet_orders(monkeypatch, args, points=None):
+    """The order of every surface_jets call of one arclen-compare run; the
+    (u, v) of each call go to ``points`` when it is given."""
     from affinemetrics import commensurate, surfgeo
 
     orders = []
@@ -458,6 +459,8 @@ def _surface_jet_orders(monkeypatch, args):
 
     def counting(surface, u, v, order, check_domain=True):
         orders.append(order)
+        if points is not None:
+            points.append((u, v))
         return original(surface, u, v, order, check_domain)
 
     for module in (commensurate, surfgeo):
@@ -517,12 +520,22 @@ class TestArclenSharedNodes:
         assert quad["sigma"]["evaluations"] == quad["sigma"]["points"] >= 9
 
     @pytest.mark.parametrize("surface,curve,flags", SHARED_NODE_CURVES)
-    def test_no_order_two_evaluations(self, capsys, monkeypatch, surface,
+    def test_each_node_evaluated_once(self, capsys, monkeypatch, surface,
                                       curve, flags):
+        points = []
         orders = _surface_jet_orders(monkeypatch, [
             "arclen-compare", "--surface", surface, "--curve", curve,
-            "--t-range", "0:1", "--samples=8", *flags])
-        assert orders and set(orders) == {3}
+            "--t-range", "0:1", "--samples=8", "--format=json", *flags],
+            points)
+        quad = json.loads(capsys.readouterr().out)["quadrature"]
+        # after the classification probes, no point is evaluated twice: the
+        # induced side reads the equiaffine side's order-3 nodes, and only
+        # the nodes of its own finer grid, if it has one, are order 2
+        probes = 2 if flags else 1
+        assert len(set(points[probes:])) == len(points) - probes
+        extra = max(0, quad["sigma"]["points"] - quad["alpha"]["points"])
+        assert orders.count(2) == extra
+        assert orders.count(3) == probes + quad["alpha"]["points"] + 6
 
     def test_degenerate_alpha_evaluates_order_two(self, capsys, monkeypatch):
         orders = _surface_jet_orders(monkeypatch, [
@@ -548,6 +561,28 @@ class TestArclenSharedNodes:
         t0, t1 = (float(x) for x in t_range.split(":"))
         sums = _standalone_sums(surface, curve, False, 8, t0=t0, t1=t1)
         assert [tuple(row[1:3]) for row in payload["rows"]] == sums
+
+    def test_feature_between_grid_nodes_takes_gk15(self, capsys):
+        # v = 1e-3 exp(-1e6 (t - 0.1)^2) vanishes to the last bit at every
+        # node of the first grid, which then reads a constant integrand; the
+        # sample row at t = 5/49 sees the bump, so the induced side measures
+        # it segment by segment (the equiaffine side is degenerate)
+        from affinemetrics import ParamCurve, induced_arclength
+
+        curve = "t;1e-3*exp(-1e6*(t-0.1)^2)"
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    curve, "--t-range", "0:1", "--format=json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["quadrature"]["sigma"]["path"] == "gk15"
+        pc = ParamCurve.from_strings(CATALOG["sphere"], *curve.split(";"),
+                                     0.0, 1.0)
+        ts = [float(t) for t in np.linspace(0.0, 1.0, 50)]
+        sums = [0.0]
+        for prev, t in zip(ts, ts[1:]):
+            sums.append(sums[-1] + induced_arclength(
+                pc, prev, t, rel_tol=1e-10, abs_tol=1e-12).value)
+        assert [row[2] for row in payload["rows"]] == sums
+        assert sums[-1] > 1.0005
 
     def test_readme_example_evaluation_budget(self, capsys, monkeypatch):
         orders = _surface_jet_orders(monkeypatch, [
@@ -588,6 +623,27 @@ class TestArclenSharedNodes:
         assert _sums(rows) == [(0.0, 0.0)]
         assert float(rows[0]["integrand_sigma"]) == pytest.approx(
             math.sqrt(65.0), rel=1e-12)
+
+    def test_sign_change_raises_the_standalone_error(self, capsys):
+        # form(a') = 1 - 2 t^2 changes sign inside the range: the induced
+        # side takes the GK15 loop, whose first failing node names the form
+        # value, as the stand-alone loop over the same segments does
+        from affinemetrics import ParamCurve, affine_arclength, \
+            induced_arclength
+        from affinemetrics.errors import NegativeForm
+
+        assert run(["arclen-compare", "--surface", "hyperbolic-paraboloid",
+                    "--curve", "t;t^2", "--t-range", "-0.5:0.5",
+                    "--samples=8"]) == 3
+        pc = ParamCurve.from_strings(CATALOG["hyperbolic-paraboloid"], "t",
+                                     "t^2", -0.5, 0.5)
+        ts = [float(t) for t in np.linspace(-0.5, 0.5, 8)]
+        with pytest.raises(NegativeForm) as standalone:
+            for prev, t in zip(ts, ts[1:]):
+                affine_arclength(pc, prev, t)
+                induced_arclength(pc, prev, t)
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: NegativeForm: {standalone.value}"]
 
     def test_orientation_change_still_exits_degenerate(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere", "--curve",

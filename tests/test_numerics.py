@@ -104,6 +104,18 @@ class TestChebCumulative:
         assert len(calls) == len(set(calls)) == res.points
         assert res.error_estimate <= 1e-10
 
+    def test_fitted_values_check_f_between_the_nodes(self):
+        ts = np.linspace(0.0, 1.0, 7)
+        res = cheb_cumulative(math.exp, 0.0, 1.0, ts, 1e-10)
+        assert res.fitted == pytest.approx(np.exp(ts), rel=1e-14)
+        assert res.scale == math.e
+        assert all(res.agrees(i, math.exp(t), 1e-10)
+                   for i, t in enumerate(ts))
+        # a bump the grid does not see, or a value that is not a number,
+        # disagrees with the interpolant
+        assert not res.agrees(3, math.exp(ts[3]) + 1e-6, 1e-10)
+        assert not res.agrees(3, math.nan, 1e-10)
+
     def test_spherical_helix_oracle(self):
         res = cheb_cumulative(
             lambda t: math.sqrt(1.0 + 64.0 * math.cos(t) ** 2), 0.0, 1.0,
