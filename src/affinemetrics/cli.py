@@ -80,7 +80,8 @@ EXIT_NUMERICAL = 5
 
 #: most seeds one --omega0 'a:b:step' sweep may ask for
 MAX_SWEEP_SEEDS = 10_000
-#: most rows one arclen-compare run may ask for (--samples)
+#: most rows one arclen-compare run, or samples per suite one
+#: check-identities run, may ask for (--samples)
 MAX_SAMPLES = 100_000
 
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
@@ -353,6 +354,7 @@ def _trace_text(trace, fmt):
     if fmt == "csv":
         return _csv_text(_TRACE_HEADER, _trace_rows(trace))
     ivp = trace.ivp
+    res = trace.ode_result
     payload = {
         "schema": SCHEMA,
         "command": "commensurate-solve",
@@ -367,6 +369,11 @@ def _trace_text(trace, fmt):
             "eps_asym": ivp.eps_asym, "eps_den": ivp.eps_den,
         },
         "event": {"termination": trace.termination, "t_stop": trace.t_stop},
+        "solver": {
+            "steps_accepted": res.steps_accepted,
+            "steps_rejected": res.steps_rejected,
+            "rhs_calls": res.n_rhs, "stiff_steps": res.stiff_steps,
+        },
         "max_residual": trace.max_residual,
         "node_count": len(trace.nodes),
         "columns": _TRACE_HEADER,
@@ -529,7 +536,8 @@ def build_parser():
     p = subs.add_parser("check-identities",
                         help="randomized structural identity checks")
     _add_surface_args(p)
-    p.add_argument("--samples", type=_int_in_range(1), default=200)
+    p.add_argument("--samples", type=_int_in_range(1, MAX_SAMPLES),
+                   default=200)
     p.add_argument("--seed", type=_int_in_range(0), default=0)
     p.add_argument("--reference", choices=sorted(idn.REFERENCE_FORMS),
                    help="check closed forms of this catalog name against "

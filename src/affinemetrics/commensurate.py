@@ -567,6 +567,8 @@ def _theta_dd(parts, u, v, theta, eps_den=1e-10):
 # ---------------------------------------------------------------------------
 # the initial value problem
 
+_NAN4 = (math.nan,) * 4
+
 _EVENT_KINDS = ("AsymptoticProximity", "SingularDenominator", "DomainExit",
                 "StepFailure")
 
@@ -639,27 +641,27 @@ def integrate_commensurate(ivp):
 
     # one geometry evaluation per state: the events at an accepted node
     # reuse the right-hand side's last stage, which is taken there
-    y0 = np.array([ivp.u0, ivp.v0, theta0, ivp.omega0], dtype=float)
-    last = [y0.tobytes(), parts0]
+    # (the solver passes each state as a tuple of floats)
+    y0 = (float(ivp.u0), float(ivp.v0), theta0, float(ivp.omega0))
+    last = [y0, parts0]
 
     def parts_at(y):
-        key = y.tobytes()
-        if key != last[0]:
-            last[1] = _condition_parts(surface, *(float(c) for c in y))
-            last[0] = key
+        if y != last[0]:
+            last[1] = _condition_parts(surface, *y)
+            last[0] = y
         return last[1]
 
     def rhs(t, y):
         try:
             parts = parts_at(y)
         except AffineMetricsError:
-            return np.full(4, np.nan)
+            return _NAN4
         denom = parts["denom"]
         if denom == 0.0:
-            return np.full(4, np.nan)
+            return _NAN4
         theta, omega = y[2], y[3]
-        return np.array([math.cos(theta), math.sin(theta), omega,
-                         -parts["residual0"] / denom])
+        return (math.cos(theta), math.sin(theta), omega,
+                -parts["residual0"] / denom)
 
     def guarded(func):
         def g(t, y):
@@ -711,9 +713,9 @@ def integrate_commensurate(ivp):
     nodes = []
     max_residual = 0.0
     for t, y, f in zip(result.ts, result.ys, result.fs):
-        u, v, theta, omega = (float(c) for c in y)
+        u, v, theta, omega = y
         # theta'' is the right-hand side the solve stored at this node
-        omega_dot = float(f[3])
+        omega_dot = f[3]
         try:
             residual = commensurate_residual(surface,
                                              (u, v, theta, omega, omega_dot))
@@ -831,6 +833,7 @@ def sphere_reference_curve(s_max, step, rel_tol=1e-10, abs_tol=1e-12):
         return 1.0 / (s * s + 1.0)
 
     def rhs(s, y):
+        y = np.asarray(y)
         e1, e2, e3 = y[3:6], y[6:9], y[9:12]
         k, tors = kappa(s), tau(s)
         return np.concatenate([e1, k * e2, -k * e1 + tors * e3, -tors * e2])

@@ -275,12 +275,15 @@ class OdeOptions:
 class OdeResult:
     """The accepted step mesh of one solve.
 
-    ``dense[i]`` is the continuous extension of the step that starts at
-    ``ts[i]``: its length h and the coefficient rows of ``_dense_eval``.  A
-    trace ended by an event cuts its last step at the event time and keeps
-    that step's polynomial.  ``n_steps`` counts attempted steps, rejected
-    ones included; ``stiff_steps`` counts the accepted steps whose
-    stiffness estimate h*|lambda| exceeded ``STIFF_THRESHOLD``.
+    ``ys`` and ``fs`` hold each node's state and right-hand side as
+    tuples of floats.  ``dense[i]`` is the continuous extension of the step
+    that starts at ``ts[i]``: its length h and the coefficient rows of
+    ``_dense_eval``.  A trace ended by an event cuts its last step at the
+    event time and keeps that step's polynomial.  ``n_steps`` counts
+    attempted steps, rejected ones included; ``n_rhs`` counts every call
+    of f, the starting step's included; ``stiff_steps`` counts the
+    accepted steps whose stiffness estimate h*|lambda| exceeded
+    ``STIFF_THRESHOLD``.
     """
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
@@ -293,6 +296,14 @@ class OdeResult:
     n_rhs: int = 0
     stiff_steps: int = 0
 
+    @property
+    def steps_accepted(self):
+        return len(self.ts) - 1
+
+    @property
+    def steps_rejected(self):
+        return self.n_steps - self.steps_accepted
+
     def interpolate(self, t):
         """The state at t from the 4th-order continuous extension of the
         step containing t; clamped to the ends of the trace."""
@@ -300,39 +311,39 @@ class OdeResult:
         if not ts:
             raise ValueError("empty trace")
         if t <= ts[0]:
-            return np.array(self.ys[0], copy=True)
+            return np.array(self.ys[0])
         if t >= ts[-1]:
-            return np.array(self.ys[-1], copy=True)
+            return np.array(self.ys[-1])
         i = bisect.bisect_right(ts, t) - 1
         h, rows = self.dense[i]
-        return _dense_eval(rows, (t - ts[i]) / h)
+        return np.array(_dense_eval(rows, (t - ts[i]) / h))
 
 
-# Dormand-Prince 5(4) coefficients (exact rationals).  Row 6 of _DP_A is
-# the 5th-order solution, so the last stage is f at the new state and
-# serves as the next step's first stage.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = tuple(np.array(row) for row in (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-))
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784,
-                   11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
-# weights of the 4th-order continuous extension (Hairer, Norsett & Wanner,
-# Solving Ordinary Differential Equations I, section II.6; CONTD5 of their
-# dopri5 code)
-_DP_D = np.array([-12715105075 / 11282082432, 0.0,
-                  87487479700 / 32700410799, -10690763975 / 1880347072,
-                  701980252875 / 199316789632, -1453857185 / 822651844,
-                  69997945 / 29380423])
+# Dormand-Prince 5(4) coefficients (exact rationals): the nodes _C*, the
+# stage rows _A*, the 5th-order weights _B* (also the row of the seventh
+# stage, so that stage is f at the new state and serves as the next step's
+# first), the error weights _E* (5th minus 4th order) and the weights _D*
+# of the 4th-order continuous extension (Hairer, Norsett & Wanner, Solving
+# Ordinary Differential Equations I, section II.6; CONTD5 of their dopri5
+# code).  The steps run on tuples of floats: on a state of a few components
+# numpy's per-call overhead costs more than the arithmetic.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = (19372 / 6561, -25360 / 2187, 64448 / 6561,
+                          -212 / 729)
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
+                                49 / 176, -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = (35 / 384, 500 / 1113, 125 / 192, -2187 / 6784,
+                           11 / 84)
+_E1, _E3, _E4, _E5, _E6, _E7 = (
+    _B1 - 5179 / 57600, _B3 - 7571 / 16695, _B4 - 393 / 640,
+    _B5 + 92097 / 339200, _B6 - 187 / 2100, -1 / 40)
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075 / 11282082432, 87487479700 / 32700410799,
+    -10690763975 / 1880347072, 701980252875 / 199316789632,
+    -1453857185 / 822651844, 69997945 / 29380423)
 
 #: h*|lambda| above which an accepted step counts as stiff: the stability
 #: boundary of DOPRI5 on the negative real axis (Hairer & Wanner, Solving
@@ -340,80 +351,147 @@ _DP_D = np.array([-12715105075 / 11282082432, 0.0,
 STIFF_THRESHOLD = 3.25
 
 
-def _dopri5_step(f, t, y, h, f0):
-    """One step of length h from (t, y), where f0 = f(t, y).
+def _dopri5_step(f, t, y, h, k1):
+    """One step of length h from (t, y), where k1 = f(t, y).
 
-    Returns the 5th-order state, the embedded error vector, the seven
-    stages (the last one is f at the new state) and the state of the sixth
-    stage.  A stage past the float range is inf or nan, silently: the
-    caller rejects a step whose state or error is not finite.
+    Returns the 5th-order state, the embedded error, the seven stages (the
+    last one is f at the new state) and the state of the sixth stage, all
+    tuples of floats.  A stage past the float range is inf or nan,
+    silently (float products do not raise): the caller rejects a step
+    whose state or error is not finite.
     """
-    ks = np.empty((7, y.size))
-    ks[0] = f0
-    y_stage = y
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, 7):
-            y_prev = y_stage
-            y_stage = y + h * (_DP_A[i] @ ks[:i])
-            ks[i] = f(t + _DP_C[i] * h, y_stage)
-        return y_stage, h * (_DP_E @ ks), ks, y_prev
+    k2 = f(t + _C2 * h, tuple([a + h * (_A21 * p) for a, p in zip(y, k1)]))
+    k3 = f(t + _C3 * h, tuple([a + h * (_A31 * p + _A32 * q)
+                               for a, p, q in zip(y, k1, k2)]))
+    k4 = f(t + _C4 * h, tuple([a + h * (_A41 * p + _A42 * q + _A43 * r)
+                               for a, p, q, r in zip(y, k1, k2, k3)]))
+    k5 = f(t + _C5 * h, tuple([
+        a + h * (_A51 * p + _A52 * q + _A53 * r + _A54 * s)
+        for a, p, q, r, s in zip(y, k1, k2, k3, k4)]))
+    y6 = tuple([a + h * (_A61 * p + _A62 * q + _A63 * r + _A64 * s
+                         + _A65 * w)
+                for a, p, q, r, s, w in zip(y, k1, k2, k3, k4, k5)])
+    k6 = f(t + h, y6)
+    y_new = tuple([a + h * (_B1 * p + _B3 * r + _B4 * s + _B5 * w + _B6 * x)
+                   for a, p, r, s, w, x in zip(y, k1, k3, k4, k5, k6)])
+    k7 = f(t + h, y_new)
+    err = tuple([h * (_E1 * p + _E3 * r + _E4 * s + _E5 * w + _E6 * x
+                      + _E7 * z)
+                 for p, r, s, w, x, z in zip(k1, k3, k4, k5, k6, k7)])
+    return y_new, err, (k1, k2, k3, k4, k5, k6, k7), y6
 
 
 def _stiffness(h, ks, y_new, y6):
     """h*|lambda| estimated from the last two stages, which share t + h."""
-    den = float(np.sum((y_new - y6) ** 2))
+    num = den = 0.0
+    for p, q, a, b in zip(ks[6], ks[5], y_new, y6):
+        num += (p - q) * (p - q)
+        den += (a - b) * (a - b)
     if den == 0.0:
         return 0.0
-    return h * math.sqrt(float(np.sum((ks[6] - ks[5]) ** 2)) / den)
+    return h * math.sqrt(num / den)
 
 
 def _dense_rows(y, y_new, h, ks):
     """Coefficient rows of one step's continuous extension."""
-    dy = y_new - y
-    bspl = h * ks[0] - dy
-    return (y, dy, bspl, dy - h * ks[6] - bspl, h * (_DP_D @ ks))
+    k1, _, k3, k4, k5, k6, k7 = ks
+    dy = tuple([b - a for a, b in zip(y, y_new)])
+    bspl = tuple([h * p - d for p, d in zip(k1, dy)])
+    c4 = tuple([d - h * z - b for d, z, b in zip(dy, k7, bspl)])
+    c5 = tuple([h * (_D1 * p + _D3 * r + _D4 * s + _D5 * w + _D6 * x
+                     + _D7 * z)
+                for p, r, s, w, x, z in zip(k1, k3, k4, k5, k6, k7)])
+    return (y, dy, bspl, c4, c5)
 
 
 def _dense_eval(rows, s):
     """The continuous extension at s = (t - t_step) / h in [0, 1]; it
     matches the state and the derivative at both ends of the step."""
-    y, dy, bspl, c4, c5 = rows
     s1 = 1.0 - s
-    return y + s * (dy + s1 * (bspl + s * (c4 + s1 * c5)))
+    return tuple([a + s * (d + s1 * (b + s * (c + s1 * e)))
+                  for a, d, b, c, e in zip(*rows)])
+
+
+def _rms(vec, scale):
+    """Root mean square of vec / scale; squares are products, so a value
+    past the float range gives inf, not OverflowError."""
+    total = 0.0
+    for x, sc in zip(vec, scale):
+        q = x / sc
+        total += q * q
+    return math.sqrt(total / len(scale))
 
 
 def _error_norm(err, y, y_new, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-    return math.sqrt(float(np.mean((err / scale) ** 2)))
+    return _rms(err, [abs_tol + rel_tol * max(abs(a), abs(b))
+                      for a, b in zip(y, y_new)])
+
+
+def _finite(vec):
+    return all(map(math.isfinite, vec))
+
+
+def _initial_step(rhs, t0, y0, f0, h_max, rel_tol, abs_tol):
+    """The starting step of Hairer, Norsett & Wanner, Solving Ordinary
+    Differential Equations I, section II.4 (HINIT of their dopri5 code, at
+    order 5), in the error test's norm.
+
+    A step h0 = 0.01 |y0| / |f0| moves the state by about 1%; one explicit
+    Euler step of that length estimates |y''|, and the step h1 at which
+    h1^5 max(|f0|, |y''|) = 0.01 is taken if it is at most 100 h0.  Costs
+    one call of rhs.  A norm past the float range (a tolerance near the
+    underflow bound) falls back to h0 = 1e-6, and a non-finite |y''| or a
+    zero h1 to h0.
+    """
+    scale = [abs_tol + rel_tol * abs(a) for a in y0]
+    d0, d1 = _rms(y0, scale), _rms(f0, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if not h0 > 0.0:                    # nan or 0 from an infinite norm
+        h0 = 1e-6
+    h0 = min(h0, h_max)
+    f1 = rhs(t0 + h0, tuple([a + h0 * p for a, p in zip(y0, f0)]))
+    d2 = _rms([q - p for p, q in zip(f0, f1)], scale) / h0
+    if not math.isfinite(d2):
+        return h0
+    d12 = max(d1, d2)
+    h1 = max(1e-6, 1e-3 * h0) if d12 <= 1e-15 else (0.01 / d12) ** 0.2
+    return min(100.0 * h0, h1, h_max) if h1 > 0.0 else h0
 
 
 def ode_solve(f, y0, t_span, opts=None):
     """Integrate y' = f(t, y) over t_span with the Dormand-Prince 5(4)
     pair, adaptive step control and dense event location.
 
-    Each accepted step keeps its 4th-order continuous extension, which
-    serves ``OdeResult.interpolate``, event location and the state at a
-    terminal event.  Terminal events are detected by sign change across
-    each accepted step and located by Brent's method on the continuous
-    extension to a bracket of 1e-10 in t; the first one ends the trace.
-    Steps whose stiffness estimate exceeds ``STIFF_THRESHOLD`` are counted
-    in ``stiff_steps`` and change nothing else.  Raises StepFailure on
-    step-size underflow and MaxSteps on budget exhaustion; both carry the
-    partial OdeResult in their ``trace`` attribute.
+    f receives y as a tuple of floats and returns a sequence of floats;
+    ``OdeResult.ys`` and ``fs`` hold tuples.  The first step is HNW's
+    starting step (``_initial_step``), and a step that would end within
+    1% of t_span[1] is stretched to end exactly there, as their dopri5
+    does; that last step is exempt from the underflow test, so a span
+    shorter than the underflow bound is one step.  Each accepted step
+    keeps its 4th-order continuous extension, which serves
+    ``OdeResult.interpolate``, event location and the state at a terminal
+    event.  Terminal events are detected by sign change
+    across each accepted step and located by Brent's method on the
+    continuous extension to a bracket of 1e-10 in t; the first one ends
+    the trace.  Steps whose stiffness estimate exceeds
+    ``STIFF_THRESHOLD`` are counted in ``stiff_steps`` and change nothing
+    else.  Raises StepFailure on step-size underflow and MaxSteps on
+    budget exhaustion; both carry the partial OdeResult in their
+    ``trace`` attribute.
     """
     opts = opts or OdeOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end <= t0:
         raise ValueError("t_span must be increasing")
-    y = np.asarray(y0, dtype=float).copy()
+    y = tuple(map(float, y0))
     result = OdeResult()
 
     def rhs(t, yy):
         result.n_rhs += 1
-        return np.asarray(f(t, yy), dtype=float)
+        return tuple(map(float, f(t, yy)))
 
     f_now = rhs(t0, y)
-    if not np.all(np.isfinite(f_now)):
+    if not _finite(f_now):
         raise NonFiniteValue("right-hand side not finite at the initial point")
 
     result.ts.append(t0)
@@ -422,35 +500,34 @@ def ode_solve(f, y0, t_span, opts=None):
 
     g_now = [ev.func(t0, y) for ev in opts.events]
 
-    h = (t_end - t0) / 100.0
+    h = _initial_step(rhs, t0, y, f_now, t_end - t0, opts.rel_tol,
+                      opts.abs_tol)
     t = t0
     facmin, facmax, safety = 0.2, 6.0, 0.9
     rejected = False
 
     while t < t_end:
-        h = min(h, t_end - t)
-        if h < 1e-14 * max(abs(t), 1.0):
-            raise StepFailure(f"step size underflow at t = {t!r}", trace=result)
-
         while True:
+            last = t + 1.01 * h >= t_end
+            if last:
+                h = t_end - t
+            elif h < 1e-14 * max(abs(t), 1.0):
+                raise StepFailure(f"step size underflow at t = {t!r}",
+                                  trace=result)
             if result.n_steps >= opts.max_steps:
                 raise MaxSteps(f"exceeded {opts.max_steps} steps", trace=result)
             result.n_steps += 1
             y_new, err_vec, ks, y6 = _dopri5_step(rhs, t, y, h, f_now)
-            bad = not (np.all(np.isfinite(y_new))
-                       and np.all(np.isfinite(err_vec)))
-            err = math.inf if bad else _error_norm(err_vec, y, y_new,
-                                                   opts.rel_tol, opts.abs_tol)
+            err = (_error_norm(err_vec, y, y_new, opts.rel_tol, opts.abs_tol)
+                   if _finite(y_new) and _finite(err_vec) else math.inf)
+            bad = not math.isfinite(err)
             if err <= 1.0:
                 break
             fac = facmin if bad else max(facmin, safety * err ** -0.2)
             h *= min(fac, 0.5 if rejected else 1.0)
             rejected = True
-            if h < 1e-14 * max(abs(t), 1.0):
-                raise StepFailure(f"step size underflow at t = {t!r}",
-                                  trace=result)
 
-        t_new = t + h
+        t_new = t_end if last else t + h
         f_new = ks[6]
         dense = (h, _dense_rows(y, y_new, h, ks))
         if _stiffness(h, ks, y_new, y6) > STIFF_THRESHOLD:

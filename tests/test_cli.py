@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from affinemetrics.cli import main
+from affinemetrics.errors import StepFailure
+from affinemetrics.numerics import ode_solve
 from affinemetrics.surfgeo import CATALOG
 
 SQRT_2PI = 2.5066282746310002
@@ -237,12 +239,17 @@ class TestExitContract:
         assert f"more than {cli.MAX_SWEEP_SEEDS} seeds" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["arclen-compare",
+                                         "check-identities"])
     @pytest.mark.parametrize("samples", ["100001", "100000000"])
-    def test_oversized_sample_count_is_a_usage_error(self, capsys, samples):
-        # refused while parsing, before any row is evaluated or kept
+    def test_oversized_sample_count_is_a_usage_error(self, capsys, command,
+                                                     samples):
+        # refused while parsing, before any row or sample is evaluated
+        args = {"arclen-compare": ["--curve", "8*t;t", "--t-range", "0:1"],
+                "check-identities": []}[command]
         with pytest.raises(SystemExit) as exc:
-            run(["arclen-compare", "--surface", "sphere", "--curve",
-                 "8*t;t", "--t-range", "0:1", f"--samples={samples}"])
+            run([command, "--surface", "sphere", *args,
+                 f"--samples={samples}"])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage:")
@@ -312,12 +319,27 @@ class TestExitContract:
 
     @pytest.mark.filterwarnings("error")
     def test_stage_past_the_float_range_is_a_rejected_step(self, capsys):
-        # the first trial step is 1e298 long: its stages overflow to an
-        # infinite theta, which the stepper must reject, not raise on
+        # y' = 1 overflows to inf once y passes 0.5, at t = 0.5: every
+        # trial step across it has a stage past the float range, which the
+        # stepper must reject, not raise on, until the step underflows
+        values = []
+
+        def overflowing(t, y):
+            value = 1.0 + max(y[0] - 0.5, 0.0) * 1e300 * 1e300
+            values.append(value)
+            return (value,)
+
+        with pytest.raises(StepFailure) as exc:
+            ode_solve(overflowing, [0.0], (0.0, 1.0))
+        assert math.inf in values
+        trace = exc.value.trace
+        assert trace.ts[-1] == pytest.approx(0.5, abs=1e-12)
+        assert all(math.isfinite(y[0]) for y in trace.ys)
+        # a span of 1e300 ends at the step budget, exit 0
         assert run(["commensurate-solve", "--surface", "sphere",
                     "--at", "0.1,0.1", "--theta0", "0.3", "--t-max", "1e300",
                     "--max-steps", "50"]) == 0
-        assert "StepFailure at t=0," in capsys.readouterr().err
+        assert "StepFailure at t=" in capsys.readouterr().err
 
     @pytest.mark.parametrize("domain", ["1:-1,-1:1", "-1:1,0:0",
                                         "-1:1,1:-1"])
@@ -694,6 +716,37 @@ class TestCommensurateSolve:
         assert payload["node_count"] == len(payload["nodes"])
         assert payload["tolerances"]["eps_asym"] == 1e-4
         assert payload["ivp"]["u0"] == 0.0
+
+    def test_json_reports_solver_counts(self, capsys):
+        # HNW's starting step: three accepted steps of six new stages
+        # each, after f at t = 0 and the starting step's one Euler probe
+        # (a first step of t_max / 100 took 4 steps and 25 calls)
+        assert run(["commensurate-solve", "--surface", "sphere",
+                    "--at", "0.1,0.1", "--theta0", "0.3", "--omega0", "0.5",
+                    "--t-max", "0.03", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        solver = payload["solver"]
+        assert list(solver) == ["steps_accepted", "steps_rejected",
+                                "rhs_calls", "stiff_steps"]
+        assert solver["steps_accepted"] == payload["node_count"] - 1 <= 3
+        assert solver["steps_rejected"] == 0
+        assert solver["rhs_calls"] <= 20
+        assert solver["stiff_steps"] == 0
+        assert captured.err == (
+            "seed omega0=0.5: completed at t=0.03, 4 nodes, max residual "
+            f"{payload['max_residual']:.3e} -> stdout\n")
+
+    def test_last_step_lands_on_t_max(self, capsys):
+        # t + (t_max - t) rounded one ulp short of 0.0309, and the sliver
+        # step left over was reported as a step-size underflow
+        assert run(["commensurate-solve", "--surface", "sphere",
+                    "--at", "0.1,0.1", "--theta0", "0.3", "--omega0", "0.5",
+                    "--t-max", "0.0309", "--format", "csv"]) == 0
+        captured = capsys.readouterr()
+        assert "completed at t=0.0309," in captured.err
+        rows = list(csv.DictReader(captured.out.splitlines()))
+        assert float(rows[-1]["t"]) == 0.0309
 
 
 class TestCheckIdentities:

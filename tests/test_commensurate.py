@@ -26,7 +26,8 @@ from affinemetrics.errors import (
     SingularDenominator,
     UnsupportedOrder,
 )
-from affinemetrics.numerics import finite_diff
+from affinemetrics.jets import det3, dot3
+from affinemetrics.numerics import finite_diff, quad_adaptive
 from affinemetrics.surfgeo import CATALOG
 
 SQRT_2PI = 2.5066282746310002
@@ -240,6 +241,45 @@ class TestIntegration:
         assert len(traces) == 5
         assert [t.ivp.omega0 for t in traces] == [-1.0, -0.5, 0.0, 0.5, 1.0]
         assert all(t.completed for t in traces)
+
+
+def _geodesic_curvature_and_speed(curve, t):
+    """kappa_g = det[a, a', a''] / |a'|^3 and |a'| of a curve in the unit
+    sphere, where the position a is the unit normal.  Needs no theta'',
+    so it does not read the curve condition."""
+    a = curve.curve_jets(t, 2)
+    p, d1, d2 = ([comp.coeffs[k] for comp in a] for k in (0, 1, 2))
+    speed = math.sqrt(dot3(d1, d1))
+    return det3(p, d1, d2) / speed ** 3, speed
+
+
+class TestSphereGlobalError:
+    @pytest.mark.parametrize("omega0", [0.5, -1.0])
+    def test_geodesic_curvature_changes_by_arclength(self, omega0):
+        # on the unit sphere kappa^2 tau = 1 holds exactly when kappa_g' =
+        # +-1, so along a commensurate trace kappa_g changes by exactly the
+        # Euclidean arc length s; |delta kappa_g| - s is the solve's global
+        # error (at rtol 1e-6, 1e-8, 1e-10: 3.7e-5, 6.8e-8, 1.6e-10 for
+        # omega0 = 0.5 and 2.2e-6, 1.3e-9, 3.6e-11 for omega0 = -1 with the
+        # stepper's former starting step t_span / 100)
+        gaps = []
+        for rtol in (1e-6, 1e-8, 1e-10):
+            trace = integrate_commensurate(CommensurateIVP(
+                SPHERE, 0.1, 0.1, 0.3, omega0=omega0, t_span=(0.0, 3.0),
+                rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.completed
+            curve = TraceCurve(trace)
+            ts = [n.t for n in trace.nodes]
+            s = math.fsum(quad_adaptive(
+                lambda t: _geodesic_curvature_and_speed(curve, t)[1], a, b,
+                rel_tol=1e-13, abs_tol=1e-15).value
+                for a, b in zip(ts, ts[1:]))
+            k0 = _geodesic_curvature_and_speed(curve, ts[0])[0]
+            k1 = _geodesic_curvature_and_speed(curve, ts[-1])[0]
+            gap = abs(abs(k1 - k0) - s)
+            assert gap <= 100.0 * rtol
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
 
 
 class TestConditionEquivalence:

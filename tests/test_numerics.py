@@ -243,6 +243,29 @@ class TestOdeSolve:
                         OdeOptions(rel_tol=1e-4, abs_tol=1e-6))
         assert res.stiff_steps >= (len(res.ts) - 1) // 4
 
+    def test_last_step_lands_on_t_end(self):
+        # stretched to end at t_end itself, not one ulp short of it
+        for t_end in (0.0309, 1.0 / 3.0, 7.0):
+            res = ode_solve(lambda t, y: (math.cos(t),), [0.0], (0.0, t_end))
+            assert res.ts[-1] == t_end
+            assert res.ys[-1][0] == pytest.approx(math.sin(t_end), abs=1e-8)
+
+    def test_span_below_the_underflow_bound_is_one_step(self):
+        res = ode_solve(lambda t, y: (1.0,), [0.0], (0.0, 1e-15))
+        assert res.status == "completed"
+        assert res.ts == [0.0, 1e-15]
+        assert res.ys[-1][0] == pytest.approx(1e-15, rel=1e-12)
+
+    def test_tolerance_near_the_underflow_bound_fails_fast(self):
+        # |y0| and |f0| over abs_tol overflow the starting step's norms;
+        # the start falls back to 1e-6 instead of a nan step that is
+        # rejected until the step budget runs out
+        with pytest.raises(StepFailure) as exc:
+            ode_solve(lambda t, y: (math.cos(t),), [1.0], (0.0, 1.0),
+                      OdeOptions(rel_tol=1e-300, abs_tol=1e-300,
+                                 max_steps=1000))
+        assert exc.value.trace.n_steps < 100
+
     def test_dense_output_linear(self):
         res = ode_solve(lambda t, y: np.array([2.0]), [1.0], (0.0, 1.0),
                         OdeOptions())
