@@ -4,12 +4,10 @@ numerical generation of curves on which the two agree."""
 
 from . import errors
 from .curvegeo import (
-    AffineFrenetData,
     ArcLength,
     CurveDef,
     FrenetData,
     affine_arclength,
-    affine_frenet,
     affine_integrand,
     affine_integrand_via_euclidean,
     curve_jets,

@@ -83,6 +83,10 @@ MAX_SWEEP_SEEDS = 10_000
 #: most rows one arclen-compare run, or samples per suite one
 #: check-identities run, may ask for (--samples)
 MAX_SAMPLES = 100_000
+#: smallest commensurate-solve --rel-tol, 100 machine epsilons (scipy's
+#: solve_ivp floor): a step's error test cannot ask for less than the
+#: rounding of the state itself
+MIN_REL_TOL = 100 * sys.float_info.epsilon
 
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
                       EuclideanDegenerate, IrregularPoint, NegativeForm,
@@ -210,6 +214,15 @@ def _positive_float(text):
     if value <= 0.0:
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _rel_tol(text):
+    """argparse type of --rel-tol: a finite number >= MIN_REL_TOL."""
+    value = _positive_float(text)
+    if value < MIN_REL_TOL:
+        raise argparse.ArgumentTypeError(
+            f"must be >= {MIN_REL_TOL!r} (100 machine epsilons), got {text!r}")
     return value
 
 
@@ -523,7 +536,7 @@ def build_parser():
     p.add_argument("--omega0", type=_parse_sweep, default="0.0",
                    help="initial theta' seed, or sweep 'a:b:step'")
     p.add_argument("--t-max", type=_positive_float, default=1.0)
-    p.add_argument("--rel-tol", type=_positive_float, default=1e-10)
+    p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
     p.add_argument("--eps-asym", type=_positive_float, default=1e-4)
     p.add_argument("--eps-den", type=_positive_float, default=1e-10)

@@ -6,9 +6,10 @@ the same integrand through the Euclidean curvature and torsion as
 (kappa^2 tau)^(1/6) * |a'|.  All derivatives come from jet evaluation of
 the component expressions, never from numerical differentiation.
 
-A curve is anything with ``curve_jets(t, order)``: a CurveDef, or a curve
-in a surface (orders <= 3).  A caller holding a point's order-3 jets reads
-the Frenet data off them with frenet_from_jets, not euclidean_frenet.
+A curve is anything with ``curve_jets(t, order)`` for orders 1..3: a
+CurveDef, or a curve in a surface.  A caller holding a point's order-3
+jets reads the Frenet data off them with frenet_from_jets, not
+euclidean_frenet.
 """
 
 from __future__ import annotations
@@ -28,14 +29,13 @@ from .errors import (
     ZeroSpeed,
 )
 from .expr import eval_ast, parse_expression
-from .jets import Jet1, cross3, det3
+from .jets import MAX_ORDER_1, Jet1, cross3, det3
 from .numerics import quad_adaptive
 
 __all__ = [
-    "CurveDef", "FrenetData", "AffineFrenetData", "ArcLength",
+    "CurveDef", "FrenetData", "ArcLength",
     "curve_jets", "affine_integrand", "affine_arclength",
     "euclidean_frenet", "frenet_from_jets", "affine_integrand_via_euclidean",
-    "affine_frenet",
 ]
 
 #: relative determinant-degeneracy threshold (scaled by |a'||a''||a'''|)
@@ -91,20 +91,6 @@ class FrenetData:
 
 
 @dataclass(frozen=True)
-class AffineFrenetData:
-    """Affine frame (the s-derivatives of the curve) and the two affine
-    curvature functions."""
-
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-    kappa1: float
-    kappa2: float
-    frame_det: float        # should be 1 for exact arithmetic
-    solve_residual: float   # third component of the structure-equation solve
-
-
-@dataclass(frozen=True)
 class ArcLength:
     """Arc-length value plus quadrature metadata.  ``degenerate`` is set
     when the integrand ran through (near-)degenerate points."""
@@ -119,9 +105,10 @@ class ArcLength:
 
 
 def curve_jets(curve, t, order):
-    """Exact derivatives of the curve components at t, orders 1..6."""
-    if not isinstance(order, int) or not 1 <= order <= 6:
-        raise UnsupportedOrder(f"curve jets support orders 1..6, got {order}")
+    """Exact derivatives of the curve components at t, orders 1..3."""
+    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_1:
+        raise UnsupportedOrder(
+            f"curve jets support orders 1..{MAX_ORDER_1}, got {order}")
     if not curve.contains(t):
         raise DomainExit(f"t = {t!r} outside [{curve.t_min}, {curve.t_max}]")
     seed = Jet1.seed(t, order)
@@ -229,44 +216,3 @@ def affine_integrand_via_euclidean(curve, t):
             f"tau = {fr.tau!r} at t = {t!r}; the sixth-root route needs tau > 0")
     return (fr.kappa ** 2 * fr.tau) ** (1.0 / 6.0) * fr.speed
 
-
-def affine_frenet(curve, t):
-    """Affine Frenet frame and affine curvatures at t.
-
-    The frame vectors are the first three derivatives of the curve with
-    respect to its affine arc length; they are produced by applying the
-    operator d/ds = (1/s'(t)) d/dt in jet arithmetic, where s'(t) is the
-    sixth root of the determinant carried as an order-3 jet.  kappa1 and
-    kappa2 solve e3'(s) = kappa1 e1 + kappa2 e2.  They need order-6 jets,
-    so a curve in a surface raises UnsupportedOrder.
-    """
-    jets = curve.curve_jets(t, 6)
-    a1 = tuple(j.derivative() for j in jets)                 # order 5
-    a2 = tuple(j.derivative() for j in a1)                   # order 4
-    a3 = tuple(j.derivative() for j in a2)                   # order 3
-    det_jet = det3(tuple(j.truncated(3) for j in a1),
-                   tuple(j.truncated(3) for j in a2),
-                   a3)
-    scale = max(1.0, float(np.linalg.norm([j.value for j in a1])
-                           * np.linalg.norm([j.value for j in a2])
-                           * np.linalg.norm([j.value for j in a3])))
-    if abs(det_jet.value) <= EPS_DEGENERATE * scale:
-        raise DegenerateCurve(f"degenerate at t = {t!r}")
-    if det_jet.value < 0.0:
-        raise NegativeOrientation(det_jet.value)
-
-    inv_speed = det_jet ** (-1.0 / 6.0)                      # 1/s'(t), order 3
-    g1 = tuple(j.truncated(3) * inv_speed for j in a1)       # da/ds
-    g2 = tuple(j.derivative() * inv_speed.truncated(2) for j in g1)
-    g3 = tuple(j.derivative() * inv_speed.truncated(1) for j in g2)
-    e1 = np.array([j.value for j in g1])
-    e2 = np.array([j.value for j in g2])
-    e3 = np.array([j.value for j in g3])
-    e3_prime = np.array([j.coeffs[1] * inv_speed.value for j in g3])
-
-    frame = np.column_stack([e1, e2, e3])
-    coeffs = np.linalg.solve(frame, e3_prime)
-    return AffineFrenetData(e1, e2, e3,
-                            kappa1=float(coeffs[0]), kappa2=float(coeffs[1]),
-                            frame_det=float(np.linalg.det(frame)),
-                            solve_residual=float(abs(coeffs[2])))

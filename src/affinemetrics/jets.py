@@ -1,11 +1,12 @@
 """Truncated derivative ("jet") arithmetic.
 
 A :class:`Jet1` holds a value together with raw derivatives d^k/dt^k up to a
-fixed order (at most 6); a :class:`Jet2` holds raw partial derivatives
-d^{i+j}/du^i dv^j for i+j up to a fixed total order (at most 3, all that the
-invariants of curves in surfaces need).  Arithmetic propagates exact
-derivatives, so evaluating a parsed expression over a seed jet yields the
-true derivatives of that expression up to floating-point rounding.
+fixed order; a :class:`Jet2` holds raw partial derivatives d^{i+j}/du^i dv^j
+for i+j up to a fixed total order.  Both stop at order 3, all that the two
+arc lengths and the invariants of curves in surfaces need.  Arithmetic
+propagates exact derivatives, so evaluating a parsed expression over a seed
+jet yields the true derivatives of that expression up to floating-point
+rounding.
 
 Raw derivatives (not Taylor coefficients) are stored, because the geometry
 layers consume a', a'', a''' directly.
@@ -14,16 +15,16 @@ The two kinds are one ring over two coefficient layouts, written once in
 their base class ``_Jet``: the operand check (a jet of the same kind and
 order; NotImplemented for the other kind; a fast path for a plain number),
 + - * and their reflected forms, negation, / by a number or a jet, integer
-and real powers, abs, ``value``, ``is_constant`` and ``lift`` (a number
-as a constant jet like the seed).  Results built here skip validation
-(``_make``, ``_like``); the public ``Jet1(coeffs)`` and
-``Jet2(order, coeffs)`` validate.  Each kind adds what its layout decides:
-its constructor, seeds and ``constant``; its derivative access
-(``derivative`` and ``truncated``, or ``partial``); its product kernels
-(``_PRODUCT``); its quotient kernel (Jet1 solves Leibniz's rule for the
-quotient, and divides each coefficient by a plain divisor; Jet2 multiplies
-by the reciprocal, of a jet or of a plain divisor); and its elementary
-functions.
+and real powers, abs, the elementary functions, ``value``,
+``is_constant`` and ``lift`` (a number as a constant jet like the seed).
+Results built here skip validation (``_make``, ``_like``); the public
+``Jet1(coeffs)`` and ``Jet2(order, coeffs)`` validate.  Each kind adds
+what its layout decides: its constructor, seeds and ``constant``; Jet2's
+``partial``; its product kernels (``_PRODUCT``); its quotient kernel (Jet1
+solves Leibniz's rule for the quotient, and divides each coefficient by a
+plain divisor; Jet2 multiplies by the reciprocal, of a jet or of a plain
+divisor); and its chain rule (``_apply``), which the elementary functions
+call.
 
 A product is one straight-line function per kind and order, generated at
 import from the Leibniz tables ``_MUL1`` and ``_MUL2`` (per order and
@@ -38,14 +39,10 @@ partials, written out to order 3:
     g_uv  = phi'' f_u f_v + phi' f_uv
     g_uuv = phi''' f_u^2 f_v + phi'' (2 f_u f_uv + f_uu f_v) + phi' f_uuv
 
-and so on.  A Jet1 function of order at most 3 is the same rule in one
-variable, g''' = phi''' f'^3 + 3 phi'' f' f'' + phi' f'''.  Orders 4 to 6
-need phi beyond phi''', so there Jet1 applies the classical power-series
-recurrences to normalized Taylor coefficients; only order-6 curve jets
-(the affine Frenet frame) reach them.  phi and its first three derivatives
-at f's value come from one closed-form table per function (``_PHI``),
-which reports a math overflow or domain error as DomainError; the
-recurrences report a sum past the float range the same way.
+and so on.  A Jet1 function is the same rule in one variable,
+g''' = phi''' f'^3 + 3 phi'' f' f'' + phi' f'''.  phi and its first three
+derivatives at f's value come from one closed-form table per function
+(``_PHI``), which reports a math overflow or domain error as DomainError.
 
 :func:`compose_curve_in_surface` gives the derivatives of a(t) =
 X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
@@ -62,11 +59,11 @@ from .errors import DomainError, OrderMismatch, UnsupportedOrder
 __all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "power_int",
            "dot3", "cross3", "det3", "MAX_ORDER_1", "MAX_ORDER_2"]
 
-MAX_ORDER_1 = 6
+MAX_ORDER_1 = 3
 MAX_ORDER_2 = 3
 
-_FACT = (1.0, 1.0, 2.0, 6.0, 24.0, 120.0, 720.0)
-_BINOM = tuple(tuple(math.comb(k, j) for j in range(k + 1)) for k in range(7))
+_BINOM = tuple(tuple(math.comb(k, j) for j in range(k + 1))
+               for k in range(MAX_ORDER_1 + 1))
 
 # Jet2 coefficient layout: graded order, u-degree descending within a grade.
 _IDX2 = {
@@ -174,15 +171,6 @@ def _phi(name, x):
         raise DomainError(f"{name}({x!r}): {exc}") from None
 
 
-def _fsum(terms):
-    """math.fsum for the Jet1 recurrences: a sum it cannot form (inf - inf,
-    or finite terms past the largest float) is a DomainError."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError) as exc:
-        raise DomainError(f"jet recurrence: {exc}") from None
-
-
 def _unrolled(table):
     """The product kernel of one _MUL1 or _MUL2 table, as straight-line
     code: f(a, b) is the tuple of product coefficients.  Each coefficient
@@ -235,8 +223,9 @@ def _check_order(order, maximum, what):
 class _Jet:
     """The ring Jet1 and Jet2 share.  A subclass provides ``_PRODUCT``, its
     product kernels indexed by order; ``constant``; its quotient kernel
-    (``_quotient``, ``__rtruediv__``, ``_reciprocal``); and the elementary
-    functions that ``**`` and ``eval_ast`` call."""
+    (``_quotient``, ``__rtruediv__``, ``_reciprocal``); and ``_apply``, the
+    chain rule under the elementary functions that ``**`` and ``eval_ast``
+    call."""
 
     __slots__ = ("order", "coeffs")
 
@@ -363,6 +352,35 @@ class _Jet:
 
     __abs__ = abs
 
+    # -- elementary functions: each kind's order-3 chain rule ---------------
+
+    def sin(self):
+        return self._apply("sin")
+
+    def cos(self):
+        return self._apply("cos")
+
+    def tan(self):
+        return self._apply("tan")
+
+    def sinh(self):
+        return self._apply("sinh")
+
+    def cosh(self):
+        return self._apply("cosh")
+
+    def tanh(self):
+        return self._apply("tanh")
+
+    def exp(self):
+        return self._apply("exp")
+
+    def log(self):
+        return self._apply("log")
+
+    def sqrt(self):
+        return self._apply("sqrt")
+
 
 class Jet1(_Jet):
     """Univariate jet: raw derivatives (f, f', ..., f^(N)) at a point."""
@@ -389,20 +407,6 @@ class Jet1(_Jet):
         _check_order(order, MAX_ORDER_1, "Jet1")
         return Jet1._make(order, (float(value),) + (0.0,) * order)
 
-    def derivative(self):
-        """The jet of f', one order lower."""
-        if self.order < 2:
-            raise OrderMismatch("cannot differentiate an order-1 jet")
-        return Jet1._make(self.order - 1, self.coeffs[1:])
-
-    def truncated(self, order):
-        if not isinstance(order, int) or order < 1:
-            raise UnsupportedOrder(f"cannot truncate a jet to order {order!r}")
-        if order > self.order:
-            raise OrderMismatch(
-                f"cannot extend a jet of order {self.order} to {order}")
-        return Jet1._make(order, self.coeffs[:order + 1])
-
     def __repr__(self):
         return f"Jet1({list(self.coeffs)!r})"
 
@@ -420,15 +424,11 @@ class Jet1(_Jet):
     def _reciprocal(self):
         return self.__rtruediv__(1.0)
 
-    # -- elementary functions ------------------------------------------------
-    #
-    # Orders <= 3 take the chain rule on phi and its first three
-    # derivatives; orders 4..6 need phi's higher derivatives too and take
-    # the power-series recurrences on normalized Taylor coefficients.
+    # -- chain rule --------------------------------------------------------
 
     def _apply(self, name):
-        """phi(f) for the function ``name`` of the _PHI table at order <= 3:
-        Jet2._apply's chain rule in one variable."""
+        """phi(f) for the function ``name`` of the _PHI table: Jet2._apply's
+        chain rule in one variable."""
         f = self.coeffs
         p0, p1, p2, p3 = _phi(name, f[0])
         f1 = f[1]
@@ -440,98 +440,6 @@ class Jet1(_Jet):
             return self._like(g)
         return self._like(g + (
             p3 * f1 * f1 * f1 + 3.0 * p2 * f1 * f2 + p1 * f[3],))
-
-    def _taylor(self):
-        return [c / _FACT[k] for k, c in enumerate(self.coeffs)]
-
-    def _from_taylor(self, tay):
-        return self._like(tuple([c * _FACT[k] for k, c in enumerate(tay)]))
-
-    def _pair(self, name, sign):
-        """(phi(f), phi'(f)) where phi'' = sign * phi: (sin, cos) for sign
-        -1, (sinh, cosh) for sign +1, by the coupled recurrence."""
-        u = self._taylor()
-        n = self.order
-        s = [0.0] * (n + 1)
-        c = [0.0] * (n + 1)
-        s[0], c[0] = _phi(name, u[0])[:2]
-        for k in range(1, n + 1):
-            s[k] = _fsum([j * u[j] * c[k - j] for j in range(1, k + 1)]) / k
-            c[k] = sign * _fsum([j * u[j] * s[k - j]
-                                 for j in range(1, k + 1)]) / k
-        return self._from_taylor(s), self._from_taylor(c)
-
-    def sin(self):
-        if self.order <= 3:
-            return self._apply("sin")
-        return self._pair("sin", -1.0)[0]
-
-    def cos(self):
-        if self.order <= 3:
-            return self._apply("cos")
-        return self._pair("sin", -1.0)[1]
-
-    def tan(self):
-        if self.order <= 3:
-            return self._apply("tan")
-        s, c = self._pair("sin", -1.0)
-        if c.value == 0.0:
-            raise DomainError("tan at a pole")
-        return s / c
-
-    def sinh(self):
-        if self.order <= 3:
-            return self._apply("sinh")
-        return self._pair("sinh", 1.0)[0]
-
-    def cosh(self):
-        if self.order <= 3:
-            return self._apply("cosh")
-        return self._pair("sinh", 1.0)[1]
-
-    def tanh(self):
-        if self.order <= 3:
-            return self._apply("tanh")
-        # t' = w u' with w = 1 - t^2; w's value sech^2 never overflows
-        u = self._taylor()
-        n = self.order
-        t = [0.0] * (n + 1)
-        w = [0.0] * (n + 1)
-        t[0], w[0] = _phi("tanh", u[0])[:2]
-        for k in range(1, n + 1):
-            t[k] = _fsum([j * u[j] * w[k - j] for j in range(1, k + 1)]) / k
-            w[k] = -_fsum([t[i] * t[k - i] for i in range(k + 1)])
-        return self._from_taylor(t)
-
-    def _series(self, name, step):
-        """phi(f), for ``name`` in _PHI, from the recurrence v[0] = phi(u[0]),
-        v[k] = step(u, v, k) on normalized Taylor coefficients."""
-        u = self._taylor()
-        v = [_phi(name, u[0])[0]]
-        for k in range(1, self.order + 1):
-            v.append(step(u, v, k))
-        return self._from_taylor(v)
-
-    def exp(self):
-        if self.order <= 3:
-            return self._apply("exp")
-        # v' = v u'
-        return self._series("exp", lambda u, v, k: _fsum(
-            [j * u[j] * v[k - j] for j in range(1, k + 1)]) / k)
-
-    def log(self):
-        if self.order <= 3:
-            return self._apply("log")
-        # u v' = u'
-        return self._series("log", lambda u, v, k: (u[k] - _fsum(
-            [j * v[j] * u[k - j] for j in range(1, k)]) / k) / u[0])
-
-    def sqrt(self):
-        if self.order <= 3:
-            return self._apply("sqrt")
-        # v^2 = u
-        return self._series("sqrt", lambda u, v, k: (u[k] - _fsum(
-            [v[j] * v[k - j] for j in range(1, k)])) / (2.0 * v[0]))
 
 
 def _divide1(a, b):
@@ -609,7 +517,7 @@ class Jet2(_Jet):
     def _reciprocal(self):
         return self._apply("reciprocal")
 
-    # -- elementary functions by the order-3 chain rule ---------------------
+    # -- chain rule --------------------------------------------------------
 
     def _apply(self, name):
         """phi(f) for the function ``name`` of the _PHI table."""
@@ -630,33 +538,6 @@ class Jet2(_Jet):
             p3 * fu * fu * fv + p2 * (2.0 * fu * fuv + fuu * fv) + p1 * f[7],
             p3 * fu * fv * fv + p2 * (2.0 * fv * fuv + fu * fvv) + p1 * f[8],
             p3 * fv * fv * fv + 3.0 * p2 * fv * fvv + p1 * f[9]))
-
-    def sin(self):
-        return self._apply("sin")
-
-    def cos(self):
-        return self._apply("cos")
-
-    def tan(self):
-        return self._apply("tan")
-
-    def sinh(self):
-        return self._apply("sinh")
-
-    def cosh(self):
-        return self._apply("cosh")
-
-    def tanh(self):
-        return self._apply("tanh")
-
-    def exp(self):
-        return self._apply("exp")
-
-    def log(self):
-        return self._apply("log")
-
-    def sqrt(self):
-        return self._apply("sqrt")
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ class TestExitContract:
     @pytest.mark.parametrize("flag,value", [
         ("--t-max", "-1"), ("--t-max", "0"), ("--t-max", "nan"),
         ("--t-max", "inf"), ("--rel-tol", "0"), ("--rel-tol", "-1e-8"),
-        ("--abs-tol", "0"), ("--abs-tol", "abc")])
+        ("--rel-tol", "1e-300"), ("--abs-tol", "0"), ("--abs-tol", "abc")])
     def test_bad_solver_flag_is_a_usage_error(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             run(["commensurate-solve", "--surface", "sphere",

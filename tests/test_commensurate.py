@@ -434,11 +434,6 @@ class TestConditionCheck:
         with pytest.raises(UnsupportedOrder):
             tc.param_jets(0.1, 4)
 
-    def test_affine_curvatures_unsupported_for_embedded_curves(self):
-        from affinemetrics.curvegeo import affine_frenet
-        with pytest.raises(UnsupportedOrder):
-            affine_frenet(SPH_HELIX, 0.2)
-
 
 class TestSphereReferenceCurve:
     def test_initial_invariants(self):

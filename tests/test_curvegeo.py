@@ -6,7 +6,6 @@ import pytest
 from affinemetrics.curvegeo import (
     CurveDef,
     affine_arclength,
-    affine_frenet,
     affine_integrand,
     affine_integrand_via_euclidean,
     curve_jets,
@@ -50,6 +49,8 @@ class TestCurveJets:
     def test_order_seven_rejected(self):
         with pytest.raises(UnsupportedOrder):
             curve_jets(TWISTED_CUBIC, 0.0, 7)
+        with pytest.raises(UnsupportedOrder):
+            curve_jets(TWISTED_CUBIC, 0.0, 4)
 
     def test_domain_exit(self):
         with pytest.raises(DomainExit):
@@ -156,40 +157,6 @@ class TestEuclideanRoute:
         report = integrand_routes_suite(np.random.default_rng(101), 100,
                               tolerance=1e-9)
         assert report.passed, report.line()
-
-
-class TestAffineFrenet:
-    def test_frame_determinant_is_one(self):
-        data = affine_frenet(TWISTED_CUBIC, 1.0)
-        assert data.frame_det == pytest.approx(1.0, abs=1e-9)
-
-    def test_twisted_cubic_constant_curvatures(self):
-        values = [affine_frenet(TWISTED_CUBIC, float(t))
-                  for t in np.linspace(-1.0, 1.0, 10)]
-        k1 = [d.kappa1 for d in values]
-        k2 = [d.kappa2 for d in values]
-        assert max(k1) - min(k1) < 1e-8
-        assert max(k2) - min(k2) < 1e-8
-        # the twisted cubic is an orbit curve with vanishing curvatures
-        assert abs(k1[0]) < 1e-10 and abs(k2[0]) < 1e-10
-
-    def test_helix_curvatures(self):
-        # s = t for this helix; e3' = -alpha'' gives (kappa1, kappa2) = (0, -1)
-        data = affine_frenet(HELIX, 0.4)
-        assert data.kappa1 == pytest.approx(0.0, abs=1e-12)
-        assert data.kappa2 == pytest.approx(-1.0, rel=1e-12)
-
-    def test_structure_equation_residual(self):
-        curve = CurveDef.from_strings(
-            "t + 0.3*t^3; t^2 - 0.1*t^4; t^3 + 0.2*t^2", 0.2, 2.0)
-        for t in (0.5, 1.0, 1.5):
-            data = affine_frenet(curve, t)
-            assert data.solve_residual < 1e-8
-            assert data.frame_det == pytest.approx(1.0, abs=1e-9)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegenerateCurve):
-            affine_frenet(CIRCLE, 0.1)
 
 
 class TestInvarianceProperties:
