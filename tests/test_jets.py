@@ -544,12 +544,42 @@ class TestJet1FunctionRoutes:
             assert low == full[:order + 1]
 
 
+_IDENTITY_COEFFS = (0.4, 0.8, -0.3, -0.5, 0.2, 0.9, 1.3, -0.7, 0.6, 0.1)
+
+
+class TestChainRuleIdentities:
+    """Each function's chain rule against another route to the same jet,
+    on both kinds at every order, so that a wrong phi', phi'' or phi''' in
+    the _PHI table shows without sympy."""
+
+    @pytest.mark.parametrize("make", [
+        lambda n: Jet1(_IDENTITY_COEFFS[:n + 1]),
+        lambda n: Jet2(n, _IDENTITY_COEFFS[:(n + 1) * (n + 2) // 2])])
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("identity", [
+        lambda f: (f.tan(), f.sin() / f.cos(), f.sin(), f.cos()),
+        lambda f: (f.tanh(), f.sinh() / f.cosh(), f.sinh(), f.cosh()),
+        lambda f: (f.log().exp(), f, f.log()),
+        lambda f: (f.sqrt() * f.sqrt(), f, f.sqrt())],
+        ids=["tan_is_sin_over_cos", "tanh_is_sinh_over_cosh",
+             "exp_inverts_log", "sqrt_squared"])
+    def test_identity_within_ulps(self, make, order, identity):
+        lhs, rhs, *parts = identity(make(order))
+        assert lhs.order == rhs.order == order
+        # rounding grows with the largest coefficient either route forms
+        scale = max(abs(c) for jet in (lhs, rhs, *parts) for c in jet.coeffs)
+        tol = 16 * math.ulp(scale)
+        pairs = zip(lhs.coeffs, rhs.coeffs)
+        assert all(abs(a - b) <= tol for a, b in pairs), (lhs, rhs)
+
+
 # ---------------------------------------------------------------------------
 # error behaviour and plain-number operands
 
 class TestJetErrors:
     @pytest.mark.parametrize("make", [
-        lambda x: Jet2.seed_u(x, 3), lambda x: Jet1.seed(x, 3)])
+        lambda x: Jet1.seed(x, 1), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     @pytest.mark.parametrize("func", ["log", "sqrt"])
     @pytest.mark.parametrize("x", [0.0, -1.5])
     def test_log_sqrt_of_nonpositive(self, make, func, x):
@@ -557,7 +587,8 @@ class TestJetErrors:
             getattr(make(x), func)()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet2.seed_u(x, 3), lambda x: Jet1.seed(x, 3)])
+        lambda x: Jet1.seed(x, 1), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_division_by_zero_value_and_abs_at_zero(self, make):
         zero, one = make(0.0), make(1.0)
         for call in (lambda: one / zero, lambda: 1.0 / zero,
@@ -567,7 +598,8 @@ class TestJetErrors:
                 call()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet2.seed_u(x, 3), lambda x: Jet1.seed(x, 3)])
+        lambda x: Jet1.seed(x, 1), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_tan_at_a_pole(self, make, monkeypatch):
         # no double has cos(x) == 0, so stand in a math whose cos is 0
         import types
@@ -580,7 +612,8 @@ class TestJetErrors:
             make(math.pi / 2).tan()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet2.seed_u(x, 3), lambda x: Jet1.seed(x, 3)])
+        lambda x: Jet1.seed(x, 1), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     @pytest.mark.parametrize("func", ["exp", "sinh", "cosh"])
     def test_overflow_is_a_domain_error(self, make, func):
         with pytest.raises(DomainError):
@@ -589,7 +622,8 @@ class TestJetErrors:
             make(float("inf")).sin()
 
     @pytest.mark.parametrize("make", [
-        lambda x: Jet2.seed_u(x, 3), lambda x: Jet1.seed(x, 3)])
+        lambda x: Jet1.seed(x, 1), lambda x: Jet2.seed_u(x, 3),
+        lambda x: Jet1.seed(x, 3)])
     def test_tanh_of_a_large_argument_is_finite(self, make):
         jet = make(1000.0).tanh()
         assert jet.value == 1.0
