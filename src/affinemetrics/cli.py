@@ -37,7 +37,6 @@ from .commensurate import (
     run_family,
     running_arclengths,
 )
-from .curvegeo import affine_integrand
 from .errors import (
     DegenerateCurve,
     DegenerateSurfacePoint,
@@ -306,29 +305,9 @@ def _cmd_arclen_compare(args):
     t0, t1 = args.t_range
     pc = ParamCurve.from_strings(surface, u_expr, v_expr, t0, t1)
     ts = np.linspace(t0, t1, args.samples)
-
-    # classify the equiaffine side once: degenerate everywhere, mirrored,
-    # or plain
-    mirror = False
-    alpha_degenerate = False
-    probe_failures = 0
-    for t in np.linspace(t0 + 1e-9 * (t1 - t0), t1 - 1e-9 * (t1 - t0), 5):
-        try:
-            affine_integrand(pc, float(t), mirror=mirror)
-            break
-        except NegativeOrientation:
-            if args.auto_orient and not mirror:
-                mirror = True
-                continue
-            raise
-        except DegenerateCurve:
-            probe_failures += 1
-    if probe_failures == 5:
-        alpha_degenerate = True
-
-    res = running_arclengths(pc, ts, tol=args.tol, mirror=mirror,
-                             alpha_degenerate=alpha_degenerate)
-    rows = [[float(t), *row, alpha_degenerate, flagged]
+    res = running_arclengths(pc, ts, tol=args.tol,
+                             auto_orient=args.auto_orient)
+    rows = [[float(t), *row, res.alpha_degenerate, flagged]
             for t, *row, flagged in zip(ts, res.s_alpha, res.s_sigma,
                                         res.integrand_alpha,
                                         res.integrand_sigma,
@@ -521,7 +500,8 @@ def build_parser():
     p.add_argument("--tol", type=_positive_float, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
-                   help="mirror the curve when its determinant is negative")
+                   help="mirror the curve when its determinant is negative "
+                        "at the first nondegenerate node of the first grid")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path (default stdout)")
     p.set_defaults(handler=_cmd_arclen_compare)

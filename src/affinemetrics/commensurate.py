@@ -14,9 +14,9 @@ the Dormand-Prince stepper in :mod:`.numerics`.
 
 Sign conventions: the cube on the right-hand side is signed, so on
 surfaces with an indefinite form the condition remains meaningful where
-the form is negative on a'.  The induced arc length itself measures
-sqrt(|form(a')|); its driver picks the sign branch from the curve and
-refuses curves that cross the asymptotic cone.
+the form is negative on a'.  The induced arc length measures
+sqrt(|form(a')|); running_arclengths reads both sign branches off its first
+Chebyshev grid, so a curve crossing the asymptotic cone is refused.
 """
 
 from __future__ import annotations
@@ -297,6 +297,8 @@ class ArcLengthRows:
     ``s_alpha`` and ``s_sigma`` are running sums from ts[0];
     ``integrand_alpha`` and ``integrand_sigma`` are the integrands at each
     sample (0 where undefined; sqrt|form(a')| on the induced side);
+    ``alpha_degenerate`` says whether the equiaffine side was skipped, its
+    determinant degenerate at every node of the first grid;
     ``sigma_degenerate`` says whether the induced side has met a
     degenerate point up to each sample.  ``quadrature`` maps "alpha" and
     "sigma" to the side's ``path`` ("chebyshev" or "gk15"), the ``points``
@@ -307,6 +309,7 @@ class ArcLengthRows:
     s_sigma: list
     integrand_alpha: list
     integrand_sigma: list
+    alpha_degenerate: bool
     sigma_degenerate: list
     quadrature: dict
 
@@ -332,10 +335,34 @@ def _strict_sigma(node, orientation):
     return math.nan if degenerate else value
 
 
-def running_arclengths(pc, ts, tol=1e-10, mirror=False,
-                       alpha_degenerate=False):
+def _alpha_branch(nodes, grid, auto_orient):
+    """(mirror, degenerate): the first node of ``grid`` whose det[a', a'',
+    a'''] is not degenerate decides; a negative det there mirrors the curve
+    if ``auto_orient`` and raises NegativeOrientation if not.  A failure
+    before that node is raised; every node degenerate is ``degenerate``."""
+    for t in grid:
+        try:
+            affine_integrand(nodes, t)
+        except DegenerateCurve:
+            continue
+        except NegativeOrientation:
+            if not auto_orient:
+                raise
+            return True, False
+        return False, False
+    return False, True
+
+
+def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     """Both arc lengths of ``pc`` from ts[0] to each sample in ``ts``, as
     ArcLengthRows.
+
+    Both sign branches are decided once, on the nodes of the first
+    Chebyshev grid ([ts[0]] for a zero-width range): the equiaffine one by
+    _alpha_branch (a degenerate side has zero sums and integrands), the
+    induced one by _probe_orientation.  Every later step keeps them, so a
+    curve that crosses the asymptotic cone raises NegativeForm whichever
+    way it runs.
 
     Each side's running sums are read off one Chebyshev interpolant of its
     integrand over [ts[0], ts[-1]] (cheb_cumulative at tolerance ``tol``).
@@ -345,25 +372,24 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
     with their number, see it.  A side whose interpolant fails (a tail
     that does not decay, a failing, degenerate or non-finite node, or a
     sample that disagrees) sums GK15 quadratures segment by segment
-    instead, so its sums and errors are those of affine_arclength and
-    induced_arclength.  One NodeTable serves both sides, so a node is
-    evaluated once.  ``mirror`` measures the reflected curve on the
-    equiaffine side; ``alpha_degenerate`` skips that side (zero sums and
-    integrands).
+    instead, on its decided branch, so its sums and errors are those of
+    affine_arclength and induced_arclength given that branch.  One
+    NodeTable serves both sides, so a node is evaluated once.
     """
     ts = [float(t) for t in ts]
     a, b = ts[0], ts[-1]
     nodes = NodeTable(pc)
+    grid = [float(t) for t in cheb_points(a, b, 9)] if a != b else [a]
     # the equiaffine side samples first, so that the induced side reads
     # its nodes, and its sign branch, from the table
+    mirror, alpha_degenerate = _alpha_branch(nodes, grid, auto_orient)
     if alpha_degenerate:
         alpha_fit = ChebResult([0.0] * len(ts), 0.0, 0)
     else:
         alpha_fit = cheb_cumulative(
             _sampled(lambda t: affine_integrand(nodes, t, mirror=mirror)),
             a, b, ts, tol)
-    orientation = (_probe_orientation(nodes, cheb_points(a, b, 9), {})
-                   if a != b else 1.0)
+    orientation = _probe_orientation(nodes, grid, {})
     sigma_fit = cheb_cumulative(
         _sampled(lambda t: _strict_sigma(nodes.form_direction(t),
                                          orientation)), a, b, ts, tol)
@@ -374,7 +400,6 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
     # against its side's interpolant
     columns = {"alpha": [], "sigma": []}
     row_flags = []
-    first_negative = len(ts)    # GK15 segments after it take sqrt(-form)
     failure = None
     for i, t in enumerate(ts):
         ia = alpha = 0.0
@@ -386,7 +411,6 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
             except AffineMetricsError as exc:
                 failure = exc
                 break
-        flagged = False
         try:
             node = nodes.form_direction(t)
         except AffineMetricsError:
@@ -394,10 +418,9 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
         else:
             sigma = _strict_sigma(node, orientation)
             try:
-                js = _sigma_integrand(*node, 1.0)[0]
+                js, flagged = _sigma_integrand(*node, 1.0)
             except NegativeForm as exc:
-                js = math.sqrt(abs(exc.value))
-                first_negative = min(first_negative, i)
+                js, flagged = math.sqrt(abs(exc.value)), False
         # the grids' nodes stay for the samples that land on them; a
         # sample's own node goes once it is read
         nodes.discard(t)
@@ -426,7 +449,7 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
         if "sigma" in gk15:
             seg = induced_arclength(
                 nodes, prev, t, rel_tol=tol, abs_tol=tol * 1e-2,
-                orientation=-1.0 if first_negative < j else None)
+                orientation=orientation)
             seg_flags[j] = seg.degenerate
             segs.append(("sigma", seg))
         for side, seg in segs:
@@ -451,7 +474,8 @@ def running_arclengths(pc, ts, tol=1e-10, mirror=False,
     sigma_degenerate = list(itertools.accumulate(
         map(operator.or_, row_flags, seg_flags), operator.or_))
     return ArcLengthRows(sums["alpha"], sums["sigma"], columns["alpha"],
-                         columns["sigma"], sigma_degenerate, quadrature)
+                         columns["sigma"], alpha_degenerate,
+                         sigma_degenerate, quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -689,13 +713,10 @@ def integrate_commensurate(ivp):
                    y[1] - surface.v_min, surface.v_max - y[1])
 
     events = (
-        OdeEvent(guarded(g_asym), terminal=True, direction=-1,
-                 name="AsymptoticProximity"),
-        OdeEvent(guarded(g_cone), terminal=True, direction=0,
-                 name="AsymptoticProximity"),
-        OdeEvent(guarded(g_den), terminal=True, direction=-1,
-                 name="SingularDenominator"),
-        OdeEvent(g_domain, terminal=True, direction=-1, name="DomainExit"),
+        OdeEvent(guarded(g_asym), direction=-1, name="AsymptoticProximity"),
+        OdeEvent(guarded(g_cone), direction=0, name="AsymptoticProximity"),
+        OdeEvent(guarded(g_den), direction=-1, name="SingularDenominator"),
+        OdeEvent(g_domain, direction=-1, name="DomainExit"),
     )
     opts = OdeOptions(rel_tol=ivp.rel_tol, abs_tol=ivp.abs_tol,
                       max_steps=ivp.max_steps, method=ivp.method,

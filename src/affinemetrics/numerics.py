@@ -245,13 +245,12 @@ def cheb_cumulative(f, a, b, ts, tol):
 
 @dataclass
 class OdeEvent:
-    """Scalar event g(t, y); a root of g terminates or marks the solve.
+    """Scalar event g(t, y); a root of g terminates the solve.
 
     direction: +1 triggers only on - to + crossings, -1 only on + to -,
     0 on any sign change.
     """
     func: object
-    terminal: bool = True
     direction: int = 0
     name: str = ""
 
@@ -469,15 +468,14 @@ def ode_solve(f, y0, t_span, opts=None):
     does; that last step is exempt from the underflow test, so a span
     shorter than the underflow bound is one step.  Each accepted step
     keeps its 4th-order continuous extension, which serves
-    ``OdeResult.interpolate``, event location and the state at a terminal
-    event.  Terminal events are detected by sign change
-    across each accepted step and located by Brent's method on the
-    continuous extension to a bracket of 1e-10 in t; the first one ends
-    the trace.  Steps whose stiffness estimate exceeds
-    ``STIFF_THRESHOLD`` are counted in ``stiff_steps`` and change nothing
-    else.  Raises StepFailure on step-size underflow and MaxSteps on
-    budget exhaustion; both carry the partial OdeResult in their
-    ``trace`` attribute.
+    ``OdeResult.interpolate``, event location and the state at an event.
+    Events are detected by sign change across each accepted step and
+    located by Brent's method on the continuous extension to a bracket of
+    1e-10 in t; the first one ends the trace.  Steps whose stiffness
+    estimate exceeds ``STIFF_THRESHOLD`` are counted in ``stiff_steps``
+    and change nothing else.  Raises StepFailure on step-size underflow
+    and MaxSteps on budget exhaustion; both carry the partial OdeResult in
+    their ``trace`` attribute.
     """
     opts = opts or OdeOptions()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -533,11 +531,11 @@ def ode_solve(f, y0, t_span, opts=None):
         if _stiffness(h, ks, y_new, y6) > STIFF_THRESHOLD:
             result.stiff_steps += 1
 
-        # terminal-event detection on this step
+        # event detection on this step
         g_new = [ev.func(t_new, y_new) for ev in opts.events]
         hit = None
         for i, ev in enumerate(opts.events):
-            if ev.terminal and _crossed(g_now[i], g_new[i], ev.direction):
+            if _crossed(g_now[i], g_new[i], ev.direction):
                 t_hit = _locate_event(ev.func, t, g_now[i], t_new, g_new[i],
                                       dense)
                 if hit is None or t_hit < hit[0]:

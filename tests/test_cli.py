@@ -278,7 +278,7 @@ class TestExitContract:
                     "--domain", "-1:1,-1:1", "--curve", "t;0.2*t",
                     "--t-range", "0:1"]) == 5
         assert capsys.readouterr().err == (
-            "error: DomainError: exp(799.9999992): math range error\n")
+            "error: DomainError: exp(769.5518130045147): math range error\n")
 
     @pytest.mark.parametrize("expr", ["(" * 3000 + "u" + ")" * 3000,
                                       "-" * 3000 + "u",
@@ -524,12 +524,11 @@ class TestArclenSharedNodes:
             assert quad[side]["points"] in (9, 17, 33, 65, 129, 257)
             assert quad[side]["evaluations"] == quad[side]["points"]
             assert 0.0 <= quad[side]["error_estimate"] <= 1e-9
-        # the equiaffine classification probe (a second one after the
-        # mirror), the finer side's grid, and the six sample rows that
-        # fall between its nodes (t = 0 and 1 are nodes)
-        probes = 2 if flags else 1
+        # the finer side's grid, and the six sample rows that fall between
+        # its nodes (t = 0 and 1 are nodes); both sign branches are read
+        # off the first grid's nodes
         grid = max(quad[side]["points"] for side in quad)
-        assert len(orders) == probes + grid + 6
+        assert len(orders) == grid + 6
 
     def test_degenerate_alpha_reports_no_alpha_evaluations(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere", "--curve",
@@ -550,26 +549,28 @@ class TestArclenSharedNodes:
             "--t-range", "0:1", "--samples=8", "--format=json", *flags],
             points)
         quad = json.loads(capsys.readouterr().out)["quadrature"]
-        # after the classification probes, no point is evaluated twice: the
-        # induced side reads the equiaffine side's order-3 nodes, and only
-        # the nodes of its own finer grid, if it has one, are order 2
-        probes = 2 if flags else 1
-        assert len(set(points[probes:])) == len(points) - probes
+        # no point is evaluated twice: the sign branches are read off the
+        # first grid's nodes, the induced side reads the equiaffine side's
+        # order-3 nodes, and only the nodes of its own finer grid, if it
+        # has one, are order 2
+        assert len(set(points)) == len(points)
         extra = max(0, quad["sigma"]["points"] - quad["alpha"]["points"])
         assert orders.count(2) == extra
-        assert orders.count(3) == probes + quad["alpha"]["points"] + 6
+        assert orders.count(3) == quad["alpha"]["points"] + 6
 
     def test_degenerate_alpha_evaluates_order_two(self, capsys, monkeypatch):
         orders = _surface_jet_orders(monkeypatch, [
             "arclen-compare", "--surface", "sphere", "--curve", "t;0",
             "--t-range", "0:1", "--samples=3", "--format=json"])
         quad = json.loads(capsys.readouterr().out)["quadrature"]
-        # the five equiaffine classification probes, then the induced side
-        # alone: one order-2 evaluation per node; the sample rows at t = 0,
-        # 0.5 and 1 are nodes of every grid and evaluate nothing more
-        assert orders[:5] == [3] * 5
-        assert set(orders[5:]) == {2}
-        assert len(orders) - 5 == quad["sigma"]["points"]
+        # the first grid's nine nodes at order 3, which find the
+        # determinant degenerate at each, then the induced side alone: it
+        # reads those nine and evaluates each node of its finer grids at
+        # order 2; the sample rows at t = 0, 0.5 and 1 are nodes of every
+        # grid and evaluate nothing more
+        assert orders[:9] == [3] * 9
+        assert set(orders[9:]) <= {2}
+        assert len(orders) == quad["sigma"]["points"]
 
     @pytest.mark.parametrize("surface,curve,t_range", FALLBACK_CURVES)
     def test_fallback_sums_are_the_standalone_sums(self, capsys, surface,
@@ -666,6 +667,29 @@ class TestArclenSharedNodes:
                 induced_arclength(pc, prev, t)
         assert capsys.readouterr().err.splitlines() == [
             f"error: NegativeForm: {standalone.value}"]
+
+    @pytest.mark.parametrize("curve", ["t;t^2/2", "-t;-t^2/2", "t;-t^2/2",
+                                       "-t;t^2/2"])
+    def test_cone_crossing_exits_degenerate_either_way(self, capsys, curve):
+        # form(a') changes sign at the sample t = 0: the sign branch read
+        # off the first grid holds on every GK15 segment, so each direction
+        # of travel raises NegativeForm
+        assert run(["arclen-compare", "--surface", "hyperbolic-paraboloid",
+                    "--curve", curve, "--t-range", "-1:1",
+                    "--samples=3"]) == 3
+        errors = capsys.readouterr().err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith("error: NegativeForm")
+
+    def test_asymptotic_sample_flags_its_row(self, capsys):
+        # form(a') = 6 t^2 vanishes at the sample t = 0, where no GK15 node
+        # lands; the row itself flags the induced side from there on
+        assert run(["arclen-compare", "--surface", "hyperbolic-paraboloid",
+                    "--curve", "t;t^3", "--t-range", "-0.5:0.5",
+                    "--samples=3", "--format=json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[1][4] == 0.0
+        assert [row[6] for row in rows] == [False, True, True]
 
     def test_orientation_change_still_exits_degenerate(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere", "--curve",

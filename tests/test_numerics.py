@@ -177,8 +177,7 @@ class TestOdeSolve:
         assert errors[2] <= 10.0 * errors[1]
 
     def test_terminal_event_location(self):
-        ev = OdeEvent(lambda t, y: y[0] - 0.5, terminal=True, direction=0,
-                      name="crossing")
+        ev = OdeEvent(lambda t, y: y[0] - 0.5, direction=0, name="crossing")
         res = ode_solve(lambda t, y: np.array([1.0]), [0.0], (0.0, 1.0),
                         OdeOptions(events=(ev,)))
         assert res.status == "event"
@@ -188,27 +187,18 @@ class TestOdeSolve:
     def test_event_direction_filter(self):
         # y = sin crosses zero downward only at pi on (0.5, 4); an
         # upward-only event must ignore it
-        up = OdeEvent(lambda t, y: y[0], terminal=True, direction=1,
-                      name="up")
+        up = OdeEvent(lambda t, y: y[0], direction=1, name="up")
         opts = dict(rel_tol=1e-10, abs_tol=1e-12)
         res = ode_solve(lambda t, y: np.array([math.cos(t)]),
                         [math.sin(0.5)], (0.5, 4.0),
                         OdeOptions(events=(up,), **opts))
         assert res.status == "completed"
-        down = OdeEvent(lambda t, y: y[0], terminal=True, direction=-1,
-                        name="down")
+        down = OdeEvent(lambda t, y: y[0], direction=-1, name="down")
         res = ode_solve(lambda t, y: np.array([math.cos(t)]),
                         [math.sin(0.5)], (0.5, 4.0),
                         OdeOptions(events=(down,), **opts))
         assert res.status == "event"
         assert res.t_event == pytest.approx(math.pi, abs=1e-8)
-
-    def test_non_terminal_event_continues(self):
-        ev = OdeEvent(lambda t, y: y[0] - 0.5, terminal=False, direction=0)
-        res = ode_solve(lambda t, y: np.array([1.0]), [0.0], (0.0, 1.0),
-                        OdeOptions(events=(ev,)))
-        assert res.status == "completed"
-        assert res.ts[-1] == pytest.approx(1.0)
 
     def test_max_steps_carries_trace(self):
         with pytest.raises(MaxSteps) as err:
