@@ -13,6 +13,11 @@ Exit codes: 0 success, 1 identity failure, 2 parse/config error,
 Output is CSV (RFC-4180-style, header row, 17 significant digits) or JSON
 with a top-level ``"schema": "affinemetrics/1"``.  Files are written
 atomically (temp file + rename).
+
+numpy is imported by the two handlers that build arrays (arclen-compare's
+sample grid, check-identities' generators), not here: surface-info and
+commensurate-solve never load it, which keeps a fresh process's start
+short.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import identities as idn
 from .commensurate import (
@@ -300,6 +303,8 @@ def _cmd_surface_info(args):
 # arclen-compare
 
 def _cmd_arclen_compare(args):
+    import numpy as np
+
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_exprs(args.curve, "--curve", "u_expr;v_expr")
     t0, t1 = args.t_range
@@ -365,6 +370,7 @@ def _trace_text(trace, fmt):
             "steps_accepted": res.steps_accepted,
             "steps_rejected": res.steps_rejected,
             "rhs_calls": res.n_rhs, "stiff_steps": res.stiff_steps,
+            "event_evals": res.event_evals,
         },
         "max_residual": trace.max_residual,
         "node_count": len(trace.nodes),
@@ -411,6 +417,8 @@ def _cmd_commensurate_solve(args):
 # check-identities
 
 def _cmd_check_identities(args):
+    import numpy as np
+
     surface = _surface_from_args(args)
     reference = args.reference
     if reference is None and args.surface in idn.REFERENCE_FORMS:

@@ -26,8 +26,6 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .curvegeo import ArcLength, affine_arclength, affine_integrand
 from .errors import (
     AffineMetricsError,
@@ -220,12 +218,12 @@ def _sigma_integrand(form, du, dv, orientation):
     """(sqrt(orientation * form(du, dv)), degenerate).  Within the
     threshold of zero the value is 0 and ``degenerate`` is set (asymptotic
     directions measure zero length); below the negative threshold
-    NegativeForm is raised, carrying form(du, dv)."""
+    NegativeForm is raised, carrying form(du, dv) and ``orientation``."""
     q = form.apply(du, dv)
     oriented = orientation * q
     eps = _form_threshold(form, du, dv)
     if oriented < -eps:
-        raise NegativeForm(q)
+        raise NegativeForm(q, orientation)
     if oriented <= eps:
         return 0.0, True
     return math.sqrt(oriented), False
@@ -641,8 +639,8 @@ class SolutionTrace:
         return self.termination == "completed"
 
     def state_at(self, t):
-        y = self.ode_result.interpolate(t)
-        return float(y[0]), float(y[1]), float(y[2]), float(y[3])
+        """(u, v, theta, omega) at t, floats from the solve's dense output."""
+        return self.ode_result.interpolate(t)
 
 
 def integrate_commensurate(ivp):
@@ -815,13 +813,16 @@ def check_condition_euclidean(pc, t, omega_dot=None):
 
 @dataclass(frozen=True)
 class ReferenceCurve:
-    s: np.ndarray
-    kappa: np.ndarray
-    tau: np.ndarray
-    position: np.ndarray      # (n, 3)
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
+    """Samples of the reference curve, each field a numpy array: one
+    value per sample, or one row of three per sample for ``position`` and
+    the frame."""
+    s: object
+    kappa: object
+    tau: object
+    position: object      # (n, 3)
+    e1: object
+    e2: object
+    e3: object
 
     def center(self, i):
         """Osculating-sphere center at sample i; constant (and at unit
@@ -844,6 +845,8 @@ def sphere_reference_curve(s_max, step, rel_tol=1e-10, abs_tol=1e-12):
     is the canonical curve whose equiaffine and induced arc lengths agree
     on the unit sphere (every other one is a Euclidean motion of it).
     """
+    import numpy as np
+
     if s_max <= 0.0:
         raise ValueError("s_max must be positive")
 

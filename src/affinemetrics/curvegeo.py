@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateCurve,
     DomainExit,
@@ -74,13 +72,14 @@ class CurveDef:
 class FrenetData:
     """Euclidean frame and invariants at one parameter value.
 
-    ``tau`` is None when det[a', a'', a'''] is below the degeneracy
-    threshold (the torsion of a numerically planar configuration carries
-    no information)."""
+    ``e1``, ``e2`` and ``e3`` are numpy arrays of three floats.  ``tau``
+    is None when det[a', a'', a'''] is below the degeneracy threshold (the
+    torsion of a numerically planar configuration carries no
+    information)."""
 
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
+    e1: object
+    e2: object
+    e3: object
     speed: float
     kappa: float
     tau: float | None
@@ -189,6 +188,8 @@ def euclidean_frenet(curve, t):
 def frenet_from_jets(jets, t):
     """euclidean_frenet from already-evaluated order-3 curve jets at t; t
     is used only in the error messages."""
+    import numpy as np
+
     det, scale, (d1, d2, _) = _det_and_scale(jets)
     d1, d2 = np.array(d1), np.array(d2)
     v = float(np.linalg.norm(d1))

@@ -117,12 +117,18 @@ class DomainExit(AffineMetricsError):
 # commensurate curves
 
 class NegativeForm(AffineMetricsError):
-    """The affine fundamental form is negative on the requested tangent
-    direction, so the induced arc-length integrand is undefined there."""
+    """The affine fundamental form has the wrong sign on the requested
+    tangent direction for the sign branch in use, so the induced
+    arc-length integrand is undefined there.  ``value`` is the raw form
+    value and ``orientation`` the branch: +1 for sqrt(form), -1 for
+    sqrt(-form)."""
 
-    def __init__(self, value):
-        super().__init__(f"form value {value!r} is negative on this direction")
+    def __init__(self, value, orientation=1.0):
+        branch = "negative" if orientation < 0.0 else "positive"
+        super().__init__(f"form value {value!r} has the wrong sign for the "
+                         f"decided {branch} branch")
         self.value = value
+        self.orientation = orientation
 
 
 class SingularDenominator(AffineMetricsError):

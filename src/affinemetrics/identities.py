@@ -8,6 +8,9 @@ functions with pinned seeds and tolerances.
 Random curves are built directly as expression trees, never written out
 and parsed, and each sample's jets are evaluated once and shared by both
 routes and by the sample filter.
+
+The generators are numpy's; the functions that build arrays import numpy
+themselves, so importing this module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial, reduce
-
-import numpy as np
 
 from .commensurate import (
     NodeTable,
@@ -79,6 +80,8 @@ class IdentityReport:
 def random_sl3(rng):
     """Random volume-preserving 3x3 matrix: QR factor a Gaussian matrix,
     fix the orthogonal factor's orientation, rescale to determinant one."""
+    import numpy as np
+
     while True:
         m = rng.normal(size=(3, 3))
         q, r = np.linalg.qr(m)
@@ -256,6 +259,8 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
     """I_aff against |K|^(-1/4) II_Euc, coefficientwise up to one common
     sign (the affine form is sign-normalized, the second form follows the
     cross-product normal)."""
+    import numpy as np
+
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
     for p in points:
@@ -327,6 +332,8 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
     """The residual of the curve condition computed from determinants
     agrees with speed^6 times the Euclidean-invariant form of the same
     condition (curvature-torsion route)."""
+    import numpy as np
+
     worst = 0.0
     count = 0
     points = _regular_nondegenerate_points(surface, rng, samples)

@@ -3,10 +3,14 @@ with cumulative integration, adaptive ODE integration with event
 detection, a bracketing root finder, and finite differences.
 
 All kernels are deterministic: fixed evaluation order, no randomized
-subdivision.  The ODE integrator is the explicit Dormand-Prince 5(4) pair with
-its 4th-order continuous extension, which serves dense output and event
-location; a stiffness estimate on every accepted step reports problems
-that an explicit method handles poorly.
+subdivision.  The ODE integrator is the explicit Dormand-Prince 5(4) pair
+with its 4th-order continuous extension, which serves dense output and
+event location; a stiffness estimate on every accepted step reports
+problems that an explicit method handles poorly.
+
+Only the Chebyshev block works on numpy arrays, and each of its functions
+imports numpy itself; everything else runs on floats and tuples, so
+importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -14,9 +18,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     MaxSteps,
@@ -168,6 +171,8 @@ def cheb_points(a, b, n):
 
     For n = 2^k + 1 the grids nest bit for bit: the n-point grid is every
     other point of the (2n - 1)-point grid."""
+    import numpy as np
+
     m = n - 1
     t = 0.5 * (a + b) + 0.5 * (b - a) * np.sin(
         np.pi * np.arange(-m, m + 1, 2) / (2 * m))
@@ -178,6 +183,8 @@ def cheb_points(a, b, n):
 def _cheb_coefficients(values):
     """Coefficients c_0..c_m of the interpolant through ``values`` at the
     ascending Lobatto points: a DCT-I of the descending values."""
+    import numpy as np
+
     m = len(values) - 1
     w = values[::-1].copy()
     w[[0, -1]] *= 0.5
@@ -189,6 +196,8 @@ def _cheb_coefficients(values):
 
 def _clenshaw(c, x):
     """sum c_k T_k(x) for an array x."""
+    import numpy as np
+
     b1 = b2 = np.zeros_like(x)
     for ck in c[:0:-1]:
         b1, b2 = ck + 2.0 * x * b1 - b2, b1
@@ -203,6 +212,8 @@ def cheb_cumulative(f, a, b, ts, tol):
     values of the one before, until the last three coefficients are at
     most tol * max|f|.  Reversed ranges give negated integrals.
     """
+    import numpy as np
+
     if a == b:
         return ChebResult(np.zeros(len(ts)), 0.0, 0)
     n = 9
@@ -282,7 +293,9 @@ class OdeResult:
     attempted steps, rejected ones included; ``n_rhs`` counts every call
     of f, the starting step's included; ``stiff_steps`` counts the
     accepted steps whose stiffness estimate h*|lambda| exceeded
-    ``STIFF_THRESHOLD``.
+    ``STIFF_THRESHOLD``; ``event_evals`` counts the calls of event
+    functions that locating sign changes made, the step ends' values
+    excluded (0 when no event crossed).
     """
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
@@ -294,6 +307,7 @@ class OdeResult:
     n_steps: int = 0
     n_rhs: int = 0
     stiff_steps: int = 0
+    event_evals: int = 0
 
     @property
     def steps_accepted(self):
@@ -304,18 +318,19 @@ class OdeResult:
         return self.n_steps - self.steps_accepted
 
     def interpolate(self, t):
-        """The state at t from the 4th-order continuous extension of the
-        step containing t; clamped to the ends of the trace."""
+        """The state at t, a tuple of floats as in ``ys``, from the
+        4th-order continuous extension of the step containing t; clamped to
+        the ends of the trace."""
         ts = self.ts
         if not ts:
             raise ValueError("empty trace")
         if t <= ts[0]:
-            return np.array(self.ys[0])
+            return self.ys[0]
         if t >= ts[-1]:
-            return np.array(self.ys[-1])
+            return self.ys[-1]
         i = bisect.bisect_right(ts, t) - 1
         h, rows = self.dense[i]
-        return np.array(_dense_eval(rows, (t - ts[i]) / h))
+        return _dense_eval(rows, (t - ts[i]) / h)
 
 
 # Dormand-Prince 5(4) coefficients (exact rationals): the nodes _C*, the
@@ -536,8 +551,9 @@ def ode_solve(f, y0, t_span, opts=None):
         hit = None
         for i, ev in enumerate(opts.events):
             if _crossed(g_now[i], g_new[i], ev.direction):
-                t_hit = _locate_event(ev.func, t, g_now[i], t_new, g_new[i],
-                                      dense)
+                t_hit, evals = _locate_event(ev.func, t, g_now[i], t_new,
+                                             g_new[i], dense)
+                result.event_evals += evals
                 if hit is None or t_hit < hit[0]:
                     hit = (t_hit, i)
         if hit is not None:
@@ -580,13 +596,18 @@ def _crossed(g0, g1, direction):
 def _locate_event(g, t0, g0, t1, g1, dense, tol=1e-10):
     """Root of g(t, y(t)) on [t0, t1], with y(t) the step's continuous
     extension, by Brent's method down to a bracket of width tol; g0 and g1
-    are the values of g the step already has at its ends."""
+    are the values of g the step already has at its ends.  Returns the root
+    and the number of calls of g the search made."""
     h, rows = dense
+    calls = 0
 
     def g_dense(t):
+        nonlocal calls
+        calls += 1
         return g(t, _dense_eval(rows, (t - t0) / h))
 
-    return find_root_bracketed(g_dense, t0, t1, tol=tol, f_lo=g0, f_hi=g1)
+    root = find_root_bracketed(g_dense, t0, t1, tol=tol, f_lo=g0, f_hi=g1)
+    return root, calls
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +638,7 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, max_iter=200, f_lo=None,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * tol
+        tol1 = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * tol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     DegenerateSurfacePoint,
     DomainExit,
@@ -76,9 +74,9 @@ class SurfaceDef:
                 and self.v_min <= v <= self.v_max)
 
     def point(self, u, v):
-        """Embedded point X(u, v) as a plain array."""
-        return np.array([eval_ast(c, {"u": float(u), "v": float(v)})
-                         for c in self.components])
+        """Embedded point X(u, v) as a tuple of three floats."""
+        bindings = {"u": float(u), "v": float(v)}
+        return tuple([eval_ast(c, bindings) for c in self.components])
 
 
 @dataclass(frozen=True)
@@ -163,8 +161,8 @@ def _partials(jets):
 def fundamental_forms_euclid(surface, u, v):
     """(first form, second form, unit normal) at (u, v).
 
-    The normal is X_u x X_v normalized; e, f, g are the dot products of the
-    second partials with it.
+    The normal is X_u x X_v normalized, a tuple of three floats; e, f, g
+    are the dot products of the second partials with it.
     """
     return forms_from_jets(surface_jets(surface, u, v, 2), u, v)
 
@@ -182,7 +180,7 @@ def forms_from_jets(jets, u, v):
     normal = tuple(c / norm for c in cross)
     second = QuadForm(dot3(xuu, normal), dot3(xuv, normal),
                       dot3(xvv, normal))
-    return QuadForm(E, F, G), second, np.array(normal)
+    return QuadForm(E, F, G), second, normal
 
 
 def affine_lmn(surface, u, v):
@@ -281,6 +279,8 @@ def classify_from_jets(jets):
 def _reparam_discriminant(surface, u, v, jacobian):
     """(ln - m^2 of the surface in new parameters (s, w) at the origin,
     det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w)."""
+    import numpy as np
+
     jac = np.asarray(jacobian, dtype=float)
     if jac.shape != (2, 2):
         raise ValueError("jacobian must be 2x2")

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import math
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from affinemetrics.cli import main
 from affinemetrics.errors import StepFailure
-from affinemetrics.numerics import ode_solve
+from affinemetrics.numerics import find_root_bracketed, ode_solve
 from affinemetrics.surfgeo import CATALOG
 
 SQRT_2PI = 2.5066282746310002
@@ -681,6 +682,16 @@ class TestArclenSharedNodes:
         assert len(errors) == 1
         assert errors[0].startswith("error: NegativeForm")
 
+    def test_cone_crossing_names_the_decided_branch(self, capsys):
+        # the first grid decides the negative branch, so the positive form
+        # value met on it is named as off that branch, not as negative
+        assert run(["arclen-compare", "--surface", "hyperbolic-paraboloid",
+                    "--curve", "t;t^2/2", "--t-range", "-1:1",
+                    "--samples", "3"]) == 3
+        assert capsys.readouterr().err == (
+            "error: NegativeForm: form value 1.949107912342759 has the "
+            "wrong sign for the decided negative branch\n")
+
     def test_asymptotic_sample_flags_its_row(self, capsys):
         # form(a') = 6 t^2 vanishes at the sample t = 0, where no GK15 node
         # lands; the row itself flags the induced side from there on
@@ -752,14 +763,30 @@ class TestCommensurateSolve:
         payload = json.loads(captured.out)
         solver = payload["solver"]
         assert list(solver) == ["steps_accepted", "steps_rejected",
-                                "rhs_calls", "stiff_steps"]
+                                "rhs_calls", "stiff_steps", "event_evals"]
         assert solver["steps_accepted"] == payload["node_count"] - 1 <= 3
         assert solver["steps_rejected"] == 0
         assert solver["rhs_calls"] <= 20
         assert solver["stiff_steps"] == 0
+        # no event crossed, so no event function was called to locate one
+        assert solver["event_evals"] == 0
         assert captured.err == (
             "seed omega0=0.5: completed at t=0.03, 4 nodes, max residual "
             f"{payload['max_residual']:.3e} -> stdout\n")
+
+    def test_json_reports_event_location_calls(self, capsys):
+        # the stop at AsymptoticProximity is placed by Brent's method on
+        # the step's continuous extension, in at most max_iter calls
+        assert run(["commensurate-solve", "--surface", "helicoid",
+                    "--at", "0.5,0.3", "--theta0", "1.62", "--omega0", "-1.7",
+                    "--t-max", "0.1", "--format", "json"]) == 0
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["event"]["termination"] == "AsymptoticProximity"
+        assert "AsymptoticProximity at t=0.054332," in captured.err
+        max_iter = inspect.signature(
+            find_root_bracketed).parameters["max_iter"].default
+        assert 1 <= payload["solver"]["event_evals"] <= max_iter
 
     def test_last_step_lands_on_t_max(self, capsys):
         # t + (t_max - t) rounded one ulp short of 0.0309, and the sliver

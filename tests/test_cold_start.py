@@ -1,0 +1,101 @@
+"""The command in a fresh process, as ``python -m affinemetrics`` runs it.
+
+surface-info and commensurate-solve compute on floats and tuples, so a
+fresh process running them must not load numpy: its import is most of a
+cold start.  arclen-compare and check-identities import it where they
+build arrays, and must print in a fresh process what they print in-process.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import affinemetrics
+from affinemetrics.cli import main
+
+SRC = str(Path(affinemetrics.__file__).resolve().parent.parent)
+
+
+def _python(argv, cwd):
+    """Run ``python argv`` in a new interpreter that imports this
+    checkout's package; stdout and stderr are decoded without newline
+    translation, so CSV's CRLF rows stay as written."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC] + [p for p in (env.get("PYTHONPATH"),) if p])
+    proc = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                          capture_output=True, timeout=60)
+    return proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+
+
+def _fresh(args, cwd, importtime=False):
+    """``python -m affinemetrics args``, under ``-X importtime`` if asked."""
+    flags = ["-X", "importtime"] if importtime else []
+    return _python([*flags, "-m", "affinemetrics", *args], cwd)
+
+
+def _in_process(args, capsys):
+    code = main(list(args))
+    return code, capsys.readouterr().out
+
+
+def test_import_and_parser_leave_numpy_unloaded(tmp_path):
+    code = ("import sys, affinemetrics, affinemetrics.cli as c; "
+            "c.build_parser(); print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy'))")
+    assert _python(["-c", code], tmp_path)[:2] == (0, "[]\n")
+
+
+def test_help_exits_zero(tmp_path):
+    code, out, _ = _fresh(["--help"], tmp_path)
+    assert code == 0
+    assert out.startswith("usage: affinemetrics")
+
+
+SOLVE = ["commensurate-solve", "--surface", "sphere", "--at", "0.1,0.1",
+         "--theta0", "0.3", "--t-max", "0.2"]
+
+NUMPY_FREE = {
+    "surface-info-csv": ["surface-info", "--surface", "helicoid",
+                         "--at", "1,0", "--format", "csv"],
+    "surface-info-json": ["surface-info", "--surface", "sphere",
+                          "--at", "0.1,0.2", "--format", "json"],
+    "solve-csv": SOLVE,
+    "solve-json-sweep": SOLVE + ["--omega0", "-0.5:0.5:0.5", "--format",
+                                 "json", "--output", "fam.json"],
+    "solve-asymptotic-stop": ["commensurate-solve", "--surface", "helicoid",
+                              "--at", "0.5,0.3", "--theta0", "1.62",
+                              "--omega0", "-1.7", "--t-max", "0.1",
+                              "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_FREE))
+def test_numpy_stays_unloaded(name, tmp_path, capsys):
+    args = NUMPY_FREE[name]
+    code, out, err = _fresh(args, tmp_path, importtime=True)
+    assert code == 0, err
+    timings = [line for line in err.splitlines()
+               if line.startswith("import time:")]
+    assert timings, "no -X importtime output"
+    assert [line for line in timings if "numpy" in line] == []
+    if name == "solve-json-sweep":
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "fam_00.json", "fam_01.json", "fam_02.json"]
+    else:
+        assert (0, out) == _in_process(args, capsys)
+
+
+@pytest.mark.parametrize("args", [
+    ["arclen-compare", "--surface", "sphere", "--curve", "8*t;t",
+     "--t-range", "0:1", "--samples", "5"],
+    ["check-identities", "--surface", "helicoid", "--samples", "5",
+     "--seed", "3"],
+], ids=["arclen-compare", "check-identities"])
+def test_numpy_commands_match_in_process(args, tmp_path, capsys):
+    code, out, err = _fresh(args, tmp_path)
+    assert code == 0, err
+    assert (0, out) == _in_process(args, capsys)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -200,6 +201,30 @@ class TestOdeSolve:
         assert res.status == "event"
         assert res.t_event == pytest.approx(math.pi, abs=1e-8)
 
+    @pytest.mark.parametrize("direction, status", [(1, "completed"),
+                                                   (-1, "event")])
+    def test_event_evals_counts_the_location_calls(self, direction, status):
+        # the event function runs at t0, at the end of each accepted step
+        # (a crossing step cut at the event included) and, only where it
+        # crossed, event_evals times to locate the root
+        calls = []
+
+        def g(t, y):
+            calls.append(t)
+            return y[0]
+
+        res = ode_solve(lambda t, y: (math.cos(t),), [math.sin(0.5)],
+                        (0.5, 4.0),
+                        OdeOptions(events=(OdeEvent(g, direction),)))
+        assert res.status == status
+        assert len(calls) == 1 + res.steps_accepted + res.event_evals
+        if status == "completed":
+            assert res.event_evals == 0
+        else:
+            max_iter = inspect.signature(
+                find_root_bracketed).parameters["max_iter"].default
+            assert 1 <= res.event_evals <= max_iter
+
     def test_max_steps_carries_trace(self):
         with pytest.raises(MaxSteps) as err:
             ode_solve(_stiff_rhs, [1.0], (0.0, 1.0),
@@ -255,6 +280,15 @@ class TestOdeSolve:
                       OdeOptions(rel_tol=1e-300, abs_tol=1e-300,
                                  max_steps=1000))
         assert exc.value.trace.n_steps < 100
+
+    def test_interpolate_returns_the_state_format_of_ys(self):
+        res = ode_solve(lambda t, y: (y[1], -y[0]), [0.0, 1.0], (0.0, 2.0))
+        assert res.interpolate(-1.0) == res.ys[0]
+        assert res.interpolate(3.0) == res.ys[-1]
+        mid = res.interpolate(1.0)
+        assert type(mid) is tuple
+        assert all(type(x) is float for x in mid)
+        assert mid[0] == pytest.approx(math.sin(1.0), abs=1e-8)
 
     def test_dense_output_linear(self):
         res = ode_solve(lambda t, y: np.array([2.0]), [1.0], (0.0, 1.0),
