@@ -52,8 +52,10 @@ from .numerics import (
     quad_adaptive,
 )
 from .surfgeo import (
+    _partials,
     affine_first_fundamental,
     form_from_jets,
+    form_from_partials,
     forms_from_jets,
     gauss_from_forms,
     surface_jets,
@@ -150,7 +152,7 @@ class TraceCurve(_EmbeddedCurve):
             return super().node_jets(t, order)
         u, v, theta, omega = self.trace.state_at(t)
         X = surface_jets(self.surface, u, v, 3)
-        omega_dot = _theta_dd(_parts_from_jets(X, u, v, theta, omega),
+        omega_dot = _theta_dd(_parts_from_jets(X, theta, omega),
                               u, v, theta)
         u_jet, v_jet = _theta_jets(u, v, theta, omega, omega_dot)
         return u_jet, v_jet, X, compose_curve_in_surface(X, u_jet, v_jet, 3)
@@ -479,6 +481,16 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
 # ---------------------------------------------------------------------------
 # the curve condition
 
+def _direction(theta):
+    """(cos(theta), sin(theta)), the parameter direction (u', v').  An
+    infinite theta, as a trial stage past the float range gives, is a
+    DomainError."""
+    try:
+        return math.cos(theta), math.sin(theta)
+    except ValueError:
+        raise DomainError(f"cos({theta!r}) of an infinite angle") from None
+
+
 def _theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
     """Jets of the parameter path u' = cos(theta), v' = sin(theta) with
     theta' = omega and theta'' = omega_dot, up to ``order`` (at most 3):
@@ -486,22 +498,54 @@ def _theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
         u'' = -omega sin,  u''' = -omega_dot sin - omega^2 cos
         v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
 
-    This is the one place the theta parametrization is differentiated.
-    An infinite theta, as a trial stage past the float range gives, is a
-    DomainError.
+    _state_geometry differentiates the same path on floats.
     """
-    try:
-        c, s = math.cos(theta), math.sin(theta)
-    except ValueError:
-        raise DomainError(f"cos({theta!r}) of an infinite angle") from None
+    c, s = _direction(theta)
     du = (u, c, -omega * s, -omega_dot * s - omega * omega * c)
     dv = (v, s, omega * c, omega_dot * c - omega * omega * s)
     return Jet1(du[:order + 1]), Jet1(dv[:order + 1])
 
 
+def _state_geometry(X, c, s, omega, omega_dot=0.0):
+    """(a', a'', a''', w, form(a'), ln - m^2, X_u x X_v) at a theta-state,
+    each a float or a 3-sequence of floats, from its order-3 surface jets
+    X and its direction (c, s) = (cos(theta), sin(theta)).  w = -s X_u +
+    c X_v is the column that theta'' multiplies in a'''.
+
+    This is _theta_jets' path pushed through compose_curve_in_surface's
+    chain rule, with form_from_jets' form, in the same float operations
+    in the same order, so every value equals the one that route gives.
+    It reads the jets' coefficient tuples and builds no jet.  Raises
+    DegenerateSurfacePoint where the form is undefined.
+    """
+    u2, v2 = -omega * s, omega * c
+    u3 = -omega_dot * s - omega * omega * c
+    v3 = omega_dot * c - omega * omega * s
+    uu, uv, vv = c * c, c * s, s * s
+    d1, d2, d3 = [], [], []
+    for comp in X:
+        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
+        x = comp.coeffs
+        d1.append(x[1] * c + x[2] * s)
+        d2.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
+                  + x[1] * u2 + x[2] * v2)
+        d3.append(x[6] * uu * c + 3.0 * x[7] * uu * s
+                  + 3.0 * x[8] * c * vv + x[9] * vv * s
+                  + 3.0 * (x[3] * c * u2 + x[4] * (c * v2 + u2 * s)
+                           + x[5] * s * v2)
+                  + x[1] * u3 + x[2] * v3)
+    xu, xv, xuu, xuv, xvv = _partials(X)
+    a, b, cc, disc, _, cross = form_from_partials(xu, xv, xuu, xuv, xvv)
+    w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
+         -s * xu[2] + c * xv[2])
+    q = a * c * c + 2.0 * b * c * s + cc * s * s
+    return d1, d2, d3, w, q, disc, cross
+
+
 def _node(surface, u, v, order=3):
     """(u, v, X, a): parameter jets, the surface jets at (u(t), v(t)) and
-    the curve jets of X(u(t), v(t)).  Builds every node but a trace's."""
+    the curve jets of X(u(t), v(t)).  Builds every node but a
+    theta-state's, which _state_geometry gives on floats."""
     X = surface_jets(surface, u.value, v.value, order)
     return u, v, X, compose_curve_in_surface(X, u, v, order)
 
@@ -528,40 +572,39 @@ def commensurate_residual_general(surface, u, v, derivs):
 def commensurate_residual(surface, state):
     """Residual of the curve condition for a theta-parametrized state
     (u, v, theta, theta', theta'')."""
-    return _residual(_node(surface, *_theta_jets(*state)))
+    u, v, theta, omega, omega_dot = state
+    c, s = _direction(theta)
+    # floats, as the jets that the node route builds hold: the identity
+    # suites pass numpy scalars, whose overflow would warn, not raise
+    X = surface_jets(surface, float(u), float(v), 3)
+    d1, d2, d3, _, q, _, _ = _state_geometry(X, c, s, float(omega),
+                                             float(omega_dot))
+    return det3(d1, d2, d3) - q ** 3
 
 
 def _condition_parts(surface, u, v, theta, omega):
     """Split the residual as R + D * theta'' and return the geometry needed
-    by the solver and its events.  One jet evaluation serves the form, the
-    determinant and the denominator."""
+    by the solver and its events, from one evaluation of the order-3
+    surface jets; _parts_from_jets lists the keys."""
     return _parts_from_jets(surface_jets(surface, u, v, 3, check_domain=False),
-                            u, v, theta, omega)
+                            theta, omega)
 
 
-def _parts_from_jets(X, u, v, theta, omega):
-    """_condition_parts from already-evaluated order-3 surface jets."""
-    u_jet, v_jet = _theta_jets(u, v, theta, omega)        # at theta'' = 0
-    c, s = u_jet.coeffs[1], v_jet.coeffs[1]
-    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
-    d1, d2, d3_base = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
-    # graded layout: X_u and X_v are coefficients 1 and 2
-    xu, xv = (tuple(comp.coeffs[k] for comp in X) for k in (1, 2))
-    w = tuple(-s * x + c * y for x, y in zip(xu, xv))
-
-    form = form_from_jets(X)
-    q = form.apply(c, s)
-    residual0 = det3(d1, d2, d3_base) - q ** 3
-    denom = det3(d1, d2, w)
-    denom_scale = (math.hypot(*d1) * math.hypot(*d2)
-                   * math.hypot(*cross3(xu, xv)))
+def _parts_from_jets(X, theta, omega):
+    """_condition_parts from already-evaluated order-3 surface jets: a dict
+    of ``residual0``, the residual at theta'' = 0; ``denom``, the
+    coefficient D = det[a', a'', w] of theta''; ``denom_scale``, its
+    Euclidean scale |a'| |a''| |X_u x X_v|; ``q``, the raw form value
+    form(a'); and ``gm``, |ln - m^2|^(1/4), the chart scale of q."""
+    d1, d2, d3_base, w, q, disc, cross = _state_geometry(
+        X, *_direction(theta), omega)                 # at theta'' = 0
     return {
-        "residual0": residual0,
-        "denom": denom,
-        "denom_scale": denom_scale,
+        "residual0": det3(d1, d2, d3_base) - q ** 3,
+        "denom": det3(d1, d2, w),
+        "denom_scale": (math.hypot(*d1) * math.hypot(*d2)
+                        * math.hypot(*cross)),
         "q": q,
-        "form": form,
-        "gm": abs(form.discriminant) ** 0.25,
+        "gm": abs(disc) ** 0.25,
     }
 
 

@@ -71,6 +71,12 @@ _IDX2 = {
     for n in range(MAX_ORDER_2 + 1)
 }
 _POS2 = {n: {ij: k for k, ij in enumerate(_IDX2[n])} for n in _IDX2}
+# per order, the coefficients after the value of the seeds u and v
+_SEED_TAILS = {
+    n: tuple(tuple(float(ij == unit) for ij in _IDX2[n][1:])
+             for unit in ((1, 0), (0, 1)))
+    for n in range(1, MAX_ORDER_2 + 1)
+}
 
 # Leibniz product tables: per order, per output coefficient, its terms
 # (binomial weight, index into a, index into b).
@@ -471,21 +477,15 @@ class Jet2(_Jet):
         self.order = order
         self.coeffs = coeffs
 
-    @staticmethod
-    def _seed(value, order, ij):
-        _check_order(order, MAX_ORDER_2, "Jet2")
-        coeffs = [0.0] * len(_IDX2[order])
-        coeffs[0] = float(value)
-        coeffs[_POS2[order][ij]] = 1.0
-        return Jet2._make(order, tuple(coeffs))
-
     @classmethod
     def seed_u(cls, value, order):
-        return Jet2._seed(value, order, (1, 0))
+        _check_order(order, MAX_ORDER_2, "Jet2")
+        return Jet2._make(order, (float(value),) + _SEED_TAILS[order][0])
 
     @classmethod
     def seed_v(cls, value, order):
-        return Jet2._seed(value, order, (0, 1))
+        _check_order(order, MAX_ORDER_2, "Jet2")
+        return Jet2._make(order, (float(value),) + _SEED_TAILS[order][1])
 
     @classmethod
     def constant(cls, value, order):

@@ -36,6 +36,7 @@ __all__ = [
     "surface_jets", "fundamental_forms_euclid", "affine_lmn",
     "gauss_curvature", "affine_first_fundamental", "forms_from_jets",
     "lmn_from_jets", "gauss_from_forms", "form_from_jets",
+    "form_from_partials",
     "classify_from_jets", "iaff_apply", "normal_curvature", "classify_point",
     "check_reparam_covariance", "CATALOG", "catalog_surface",
 ]
@@ -155,7 +156,9 @@ def surface_jets(surface, u, v, order, check_domain=True):
 def _partials(jets):
     """X_u, X_v, X_uu, X_uv, X_vv as plain 3-tuples, read from the graded
     layout of surface jets of order >= 2 (coefficients 1 to 5)."""
-    return tuple(tuple(jet.coeffs[k] for jet in jets) for k in range(1, 6))
+    x, y, z = jets[0].coeffs, jets[1].coeffs, jets[2].coeffs
+    return ((x[1], y[1], z[1]), (x[2], y[2], z[2]), (x[3], y[3], z[3]),
+            (x[4], y[4], z[4]), (x[5], y[5], z[5]))
 
 
 def fundamental_forms_euclid(surface, u, v):
@@ -190,16 +193,16 @@ def affine_lmn(surface, u, v):
 
 def lmn_from_jets(jets):
     """affine_lmn from already-evaluated surface jets (order >= 2)."""
-    return QuadForm(*_lmn_and_threshold(jets)[:3])
+    return QuadForm(*_lmn_and_threshold(*_partials(jets))[:3])
 
 
-def _lmn_and_threshold(jets):
-    """l, m, n and the bound below which |ln - m^2| counts as degenerate:
-    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2)."""
-    xu, xv, xuu, xuv, xvv = _partials(jets)
+def _lmn_and_threshold(xu, xv, xuu, xuv, xvv):
+    """l, m, n, the bound below which |ln - m^2| counts as degenerate,
+    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2), and
+    X_u x X_v, from the first and second partials."""
     cross = cross3(xu, xv)
     return (det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv),
-            EPS_CLASSIFY * dot3(cross, cross))
+            EPS_CLASSIFY * dot3(cross, cross), cross)
 
 
 def gauss_curvature(surface, u, v):
@@ -215,7 +218,16 @@ def gauss_from_forms(first, second):
 def form_from_jets(jets):
     """Affine fundamental form from already-evaluated surface jets
     (order >= 2); see affine_first_fundamental."""
-    l, m, n, eps = _lmn_and_threshold(jets)
+    a, b, c, disc, flipped, _ = form_from_partials(*_partials(jets))
+    return AffineForm(a, b, c, discriminant=disc, flipped=flipped)
+
+
+def form_from_partials(xu, xv, xuu, xuv, xvv):
+    """(a, b, c, ln - m^2, flipped, X_u x X_v): the affine fundamental
+    form's coefficients from the first and second partials, as plain
+    floats; the one place where DegenerateSurfacePoint is raised and a
+    negative-definite form is flipped (see affine_first_fundamental)."""
+    l, m, n, eps, cross = _lmn_and_threshold(xu, xv, xuu, xuv, xvv)
     disc = l * n - m * m
     if abs(disc) <= eps:
         raise DegenerateSurfacePoint(
@@ -227,8 +239,7 @@ def form_from_jets(jets):
     if flipped:
         a, b, c = -a, -b, -c
     # + 0.0 normalizes negative zeros out of the coefficients
-    return AffineForm(a + 0.0, b + 0.0, c + 0.0, discriminant=disc,
-                      flipped=flipped)
+    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, cross
 
 
 def affine_first_fundamental(surface, u, v):
@@ -265,7 +276,7 @@ def classify_point(surface, u, v):
 
 def classify_from_jets(jets):
     """classify_point from already-evaluated surface jets (order >= 2)."""
-    l, m, n, eps = _lmn_and_threshold(jets)
+    l, m, n, eps, _ = _lmn_and_threshold(*_partials(jets))
     disc = l * n - m * m
     if disc > eps:
         kind = "elliptic"

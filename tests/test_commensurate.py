@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ from affinemetrics.commensurate import (
     NodeTable,
     ParamCurve,
     TraceCurve,
+    _condition_parts,
+    _node,
+    _residual,
+    _theta_jets,
     check_condition_euclidean,
     commensurate_residual,
     commensurate_residual_general,
@@ -21,14 +26,29 @@ from affinemetrics.commensurate import (
 )
 from affinemetrics.curvegeo import affine_arclength
 from affinemetrics.errors import (
+    AffineMetricsError,
+    DegenerateSurfacePoint,
+    DomainError,
+    DomainExit,
     InvalidIVP,
     NegativeForm,
     SingularDenominator,
     UnsupportedOrder,
 )
-from affinemetrics.jets import det3, dot3
+from affinemetrics.jets import (
+    Jet1,
+    compose_curve_in_surface,
+    cross3,
+    det3,
+    dot3,
+)
 from affinemetrics.numerics import finite_diff, quad_adaptive
-from affinemetrics.surfgeo import CATALOG
+from affinemetrics.surfgeo import (
+    CATALOG,
+    SurfaceDef,
+    form_from_jets,
+    surface_jets,
+)
 
 SQRT_2PI = 2.5066282746310002
 SPIRAL_RESIDUAL_AT_0 = 832.5047596464132     # 6 pi^4 + 8 pi^3
@@ -162,6 +182,142 @@ class TestResidual:
             solve_theta_dd(HYP_PAR, 0.0, 0.0, 0.0, 0.0)
 
 
+def _jet1_route_parts(X, u, v, theta, omega):
+    """_parts_from_jets by the Jet1 route: _theta_jets, then
+    compose_curve_in_surface, form_from_jets, det3 and hypot."""
+    u_jet, v_jet = _theta_jets(u, v, theta, omega)
+    c, s = u_jet.coeffs[1], v_jet.coeffs[1]
+    a = compose_curve_in_surface(X, u_jet, v_jet, 3)
+    d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
+    xu, xv = (tuple(comp.coeffs[k] for comp in X) for k in (1, 2))
+    w = tuple(-s * x + c * y for x, y in zip(xu, xv))
+    form = form_from_jets(X)
+    q = form.apply(c, s)
+    return {
+        "residual0": det3(d1, d2, d3) - q ** 3,
+        "denom": det3(d1, d2, w),
+        "denom_scale": (math.hypot(*d1) * math.hypot(*d2)
+                        * math.hypot(*cross3(xu, xv))),
+        "q": q,
+        "gm": abs(form.discriminant) ** 0.25,
+    }
+
+
+def _outcome(func, *args):
+    """func(*args), or the class of the AffineMetricsError it raises."""
+    try:
+        return func(*args)
+    except AffineMetricsError as exc:
+        return type(exc)
+
+
+def _kind(outcome):
+    """The exception class of an _outcome, or the type of its value."""
+    return outcome if isinstance(outcome, type) else type(outcome)
+
+
+def _counting(calls, func):
+    """``func``, appending its arguments to ``calls`` on each call."""
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+    return counted
+
+
+def record_calls(monkeypatch, original):
+    """Arguments of every call of the function ``original``, seen under
+    each binding of its name in the package's modules."""
+    calls = []
+    name = original.__name__
+    for key, mod in list(sys.modules.items()):
+        if (key.startswith("affinemetrics")
+                and getattr(mod, name, None) is original):
+            monkeypatch.setattr(mod, name, _counting(calls, original))
+    return calls
+
+
+def _kernel_parts(surface, state):
+    return _condition_parts(surface, *state[:4])
+
+
+def _jet1_parts(surface, state):
+    u, v, theta, omega = state[:4]
+    X = surface_jets(surface, u, v, 3, check_domain=False)
+    return _jet1_route_parts(X, u, v, theta, omega)
+
+
+def _jet1_residual(surface, state):
+    return _residual(_node(surface, *_theta_jets(*state)))
+
+
+QUOTIENT = SurfaceDef.from_strings("u;v;u*v/(1+u^2)", ((-3.0, 3.0),
+                                                        (-3.0, 3.0)))
+
+
+class TestStateGeometry:
+    """The solver's float kernel gives every value of the Jet1 route, bit
+    for bit, and fails where it fails with the same exception class."""
+
+    @pytest.mark.parametrize("surface", [*CATALOG.values(), QUOTIENT],
+                             ids=[*CATALOG, "quotient"])
+    def test_equals_the_jet1_route(self, surface):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for _ in range(50):
+            state = (float(rng.uniform(surface.u_min, surface.u_max)),
+                     float(rng.uniform(surface.v_min, surface.v_max)),
+                     *rng.uniform(-4.0, 4.0, size=3).tolist())
+            parts = _outcome(_kernel_parts, surface, state)
+            assert parts == _outcome(_jet1_parts, surface, state)
+            residual = _outcome(commensurate_residual, surface, state)
+            assert residual == _outcome(_jet1_residual, surface, state)
+            outcomes.add(_kind(parts))
+        # every plane point is degenerate, no point of the others is
+        plane = surface is CATALOG["plane"]
+        assert outcomes == {DegenerateSurfacePoint if plane else dict}
+
+    @pytest.mark.parametrize("surface, state, parts_kind, residual_kind", [
+        (CATALOG["plane"], (0.2, 0.3, 0.4, 0.5, 0.6),
+         DegenerateSurfacePoint, DegenerateSurfacePoint),
+        (SPHERE, (0.1, 0.1, math.inf, 0.5, 0.6), DomainError, DomainError),
+        # the angle fails before the surface jets check the domain
+        (SPHERE, (0.1, 5.0, math.inf, 0.5, 0.6), DomainError, DomainError),
+        (SPHERE, (0.1, 5.0, 0.3, 0.5, 0.6), dict, DomainExit),
+    ], ids=["degenerate", "infinite-angle", "infinite-angle-outside",
+            "outside"])
+    def test_failures_raise_the_jet1_routes_class(self, surface, state,
+                                                  parts_kind,
+                                                  residual_kind):
+        parts = _outcome(_kernel_parts, surface, state)
+        assert parts == _outcome(_jet1_parts, surface, state)
+        assert _kind(parts) is parts_kind
+        residual = _outcome(commensurate_residual, surface, state)
+        assert residual == _outcome(_jet1_residual, surface, state)
+        assert _kind(residual) is residual_kind
+
+    def test_solve_builds_no_jet(self, monkeypatch):
+        compose = record_calls(monkeypatch, compose_curve_in_surface)
+        forms = record_calls(monkeypatch, form_from_jets)
+        jet_calls = record_calls(monkeypatch, surface_jets)
+        builds = []
+        monkeypatch.setattr(Jet1, "__init__", _counting(builds, Jet1.__init__))
+        monkeypatch.setattr(Jet1, "_like", _counting(builds, Jet1._like))
+        monkeypatch.setattr(Jet1, "_make", classmethod(
+            _counting(builds, Jet1._make.__func__)))
+        trace = integrate_commensurate(CommensurateIVP(
+            SPHERE, 0.1, 0.1, 0.3, omega0=0.5, t_span=(0.0, 1.0)))
+        assert trace.completed
+        assert compose == forms == builds == []
+        # one order-3 evaluation per right-hand side (254) and per node
+        # (43), as many as the Jet1 route made
+        assert trace.ode_result.n_rhs + len(trace.nodes) == 297
+        assert [args[3] for args in jet_calls] == [3] * 297
+        # the counters see the Jet1 route where a trace curve takes it
+        TraceCurve(trace).curve_jets(0.5, 3)
+        assert len(compose) == 1
+        assert len(builds) == 5
+
+
 class TestIntegration:
     def test_sphere_trace_self_consistency(self):
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, omega0=0.5,
@@ -280,6 +436,66 @@ class TestSphereGlobalError:
             assert gap <= 100.0 * rtol
             gaps.append(gap)
         assert gaps[0] > gaps[1] > gaps[2]
+
+
+class TestQuadricOracle:
+    @pytest.mark.parametrize("omega0", [0.7, -1.3])
+    def test_round_paraboloid_theta_is_quadratic(self, omega0):
+        # On X = (u, v, (u^2 + v^2)/2) write g = (u, v), g' = (c, s) =
+        # (cos theta, sin theta) and n = (-s, c), so g'' = theta' n and
+        # g''' = theta'' n - theta'^2 g'.  Each column of det[a', a'', a''']
+        # is (g^(k), third entry); subtracting g . (first two entries)
+        # from the third entry leaves 0 for a', g' . g' = 1 for a'' and
+        # 3 g' . g'' = 0 for a'''.  Expanding along that row, det =
+        # -(c g'''_v - s g'''_u) = -theta''.  l = n = 1 and m = 0, so
+        # form(a') = c^2 + s^2 = 1, and the condition -theta'' = 1 gives
+        # theta'' = -1: theta = theta0 + omega0 t - t^2/2 exactly, which
+        # DOPRI5 integrates without truncation error, so the gap checks
+        # the condition's implementation.  The third partials vanish here;
+        # the sphere oracle covers them.
+        surface = SurfaceDef.from_strings("u;v;(u^2+v^2)/2",
+                                          ((-5.0, 5.0), (-5.0, 5.0)))
+        theta0 = 0.4
+        for rtol in (1e-6, 1e-8, 1e-10):
+            trace = integrate_commensurate(CommensurateIVP(
+                surface, 0.3, -0.2, theta0, omega0=omega0,
+                t_span=(0.0, 4.0), rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.completed
+            for node in trace.nodes:
+                t = node.t
+                assert abs(node.theta - (theta0 + omega0 * t - t * t / 2)) \
+                    <= 1e-13
+                assert abs(node.theta_prime - (omega0 - t)) <= 1e-13
+
+
+class TestEquiaffineTraces:
+    @pytest.mark.parametrize("name, start", [
+        ("hyperbolic-paraboloid", BREAKDOWN_SEEDS["hyperbolic-paraboloid"][0]),
+        ("hyperboloid", BREAKDOWN_SEEDS["hyperboloid"][0]),
+        ("sphere", {"u0": 0.1, "v0": 0.1, "theta0": 0.3, "omega0": 0.5,
+                    "t_max": 3.0}),
+    ], ids=["hyperbolic-paraboloid", "hyperboloid", "sphere"])
+    def test_trace_is_invariant_under_sl3(self, name, start):
+        # q, gm, the residual and theta'' are invariant under X -> A X + b
+        # with det A = 1, so the whole trace is; the node times are not
+        # (the step controller sees rounding), so states are compared at
+        # equal t from the dense output
+        from affinemetrics.identities import random_sl3, transformed_surface
+
+        rng = np.random.default_rng(3)
+        A = random_sl3(rng)
+        b = rng.uniform(-1.0, 1.0, size=3)
+        surface = CATALOG[name]
+        traces = [integrate_commensurate(CommensurateIVP(
+            s, start["u0"], start["v0"], start["theta0"],
+            omega0=start["omega0"], t_span=(0.0, start["t_max"])))
+            for s in (surface, transformed_surface(surface, A, b))]
+        assert traces[0].termination == traces[1].termination
+        assert abs(traces[0].t_stop - traces[1].t_stop) <= 1e-9
+        t_end = min(trace.t_stop for trace in traces)
+        for t in np.linspace(0.0, t_end, 50).tolist():
+            here, moved = (trace.state_at(t) for trace in traces)
+            assert max(abs(p - q) for p, q in zip(here, moved)) <= 1e-12
 
 
 class TestConditionEquivalence:
