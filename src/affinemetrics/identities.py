@@ -5,9 +5,14 @@ one of the package's structural identities along two independent routes,
 and reports the worst relative deviation.  The test suite drives the same
 functions with pinned seeds and tolerances.
 
-Random curves are built directly as expression trees, never written out
-and parsed, and each sample's jets are evaluated once and shared by both
-routes and by the sample filter.
+Random curves are drawn as coefficients, never written out and parsed.
+The integrand suite reads each sample's order-3 jets off one straight-line
+kernel on those coefficients, bit-identical to evaluating the curve's
+expression trees over jets, and shares them between both routes and the
+sample filter; a tree is built only for a caller that asks for the curve
+(random_nondegenerate_curve).  The condition suite's quadratic parameter
+curves are expression trees, as are the moved surfaces of the invariance
+suite.
 
 The generators are numpy's; the functions that build arrays import numpy
 themselves, so importing this module (as the CLI does) does not load it.
@@ -26,9 +31,10 @@ from .commensurate import (
     check_condition_euclidean,
     commensurate_residual,
 )
-from .curvegeo import CurveDef, _alpha_integrand, curve_jets, frenet_from_jets
+from .curvegeo import CurveDef, _alpha_integrand, frenet_from_jets
 from .errors import AffineMetricsError
 from .expr import BinOp, Call, Const, Var
+from .jets import _PRODUCT1, Jet1, _phi
 from .surfgeo import (
     AffineForm,
     QuadForm,
@@ -117,10 +123,11 @@ def random_points(surface, rng, count, margin=0.02):
     return list(zip(us.tolist(), vs.tolist()))
 
 
-# Sample curves are trees in the shape the parser gives their written form.
+# A sample curve's tree has the shape the parser gives its written form.
 # The parser reads "(c)" with c < 0 as Neg(Const(-c)); Const(c) evaluates
 # to the same float.
 _T = Var("t")
+_product = _PRODUCT1[3]
 
 
 def _sum(terms):
@@ -132,34 +139,77 @@ def _times(coeff, factor):
     return BinOp("*", Const(coeff), factor)
 
 
-def _poly_trig_component(rng):
-    """The tree of "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t)
-    + (b)*cos((g)*t)" with random coefficients."""
+def _draw_component(rng):
+    """The nine coefficients (c0, ..., c4, a, b, f, g) of one component
+    "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t) + (b)*cos((g)*t)",
+    drawn in that order."""
     coeffs = rng.uniform(-2.0, 2.0, size=5).tolist()
-    amp_s, amp_c = rng.uniform(-2.0, 2.0, size=2).tolist()
-    freq_s, freq_c = rng.uniform(0.5, 2.5, size=2).tolist()
+    amps = rng.uniform(-2.0, 2.0, size=2).tolist()
+    freqs = rng.uniform(0.5, 2.5, size=2).tolist()
+    return (*coeffs, *amps, *freqs)
+
+
+def _component_tree(coeffs):
+    """The tree of the component with these nine coefficients."""
+    *poly, amp_s, amp_c, freq_s, freq_c = coeffs
     powers = [_times(c, BinOp("^", _T, Const(float(k))))
-              for k, c in enumerate(coeffs) if k]
-    return _sum([Const(coeffs[0]), *powers,
+              for k, c in enumerate(poly) if k]
+    return _sum([Const(poly[0]), *powers,
                  _times(amp_s, Call("sin", _times(freq_s, _T))),
                  _times(amp_c, Call("cos", _times(freq_c, _T)))])
 
 
+def _poly_trig_component(rng):
+    """The tree of one component with random coefficients."""
+    return _component_tree(_draw_component(rng))
+
+
+def _poly_trig_jets(components, t):
+    """The order-3 Jet1s at t of the curve whose components have these
+    coefficients: what eval_ast gives on their trees over Jet1.seed(t, 3),
+    by the same float operations in the same order.  There t^k is
+    square-and-multiply on the seed (t^2 = t t, t^3 = t^2 t, t^4 = t^2
+    t^2), a constant times a jet scales each coefficient, the leading
+    constant adds to the value, the terms add coefficientwise from the
+    left, and sin and cos take Jet1's chain rule."""
+    seed = (t, 1.0, 0.0, 0.0)
+    t2 = _product(seed, seed)
+    powers = (t2, _product(t2, seed), _product(t2, t2))
+    jets = []
+    for c0, c1, *poly, amp_s, amp_c, freq_s, freq_c in components:
+        d0, d1, d2, d3 = t * c1 + c0, 1.0 * c1, 0.0 * c1, 0.0 * c1
+        for (q0, q1, q2, q3), c in zip(powers, poly):
+            d0 = d0 + q0 * c
+            d1 = d1 + q1 * c
+            d2 = d2 + q2 * c
+            d3 = d3 + q3 * c
+        for name, amp, freq in (("sin", amp_s, freq_s),
+                                ("cos", amp_c, freq_c)):
+            # the chain rule on (freq t), whose jet is the seed times freq
+            f1, f2, f3 = 1.0 * freq, 0.0 * freq, 0.0 * freq
+            p0, p1, p2, p3 = _phi(name, t * freq)
+            d0 = d0 + p0 * amp
+            d1 = d1 + p1 * f1 * amp
+            d2 = d2 + (p2 * f1 * f1 + p1 * f2) * amp
+            d3 = d3 + (p3 * f1 * f1 * f1 + 3.0 * p2 * f1 * f2 + p1 * f3) * amp
+        jets.append(Jet1._make(3, (d0, d1, d2, d3)))
+    return tuple(jets)
+
+
 def _draw_curve(rng, max_tries=50):
-    """(curve, t, order-3 jets at t, Frenet data at t) for
-    random_nondegenerate_curve, with the jets evaluated once."""
+    """(component coefficients, t, order-3 jets at t, Frenet data at t)
+    for random_nondegenerate_curve, with the jets evaluated once."""
     for _ in range(max_tries):
-        curve = CurveDef(tuple(_poly_trig_component(rng) for _ in range(3)),
-                         -1.5, 1.5)
+        components = tuple(_draw_component(rng) for _ in range(3))
         t = float(rng.uniform(-1.0, 1.0))
+        jets = _poly_trig_jets(components, t)
         try:
-            jets = curve_jets(curve, t, 3)
             fr = frenet_from_jets(jets, t)
         except AffineMetricsError:
             continue
         if (fr.tau is not None and fr.tau > 1e-3
                 and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
-            return curve, t, jets, fr
+            return components, t, jets, fr
     raise RuntimeError("could not draw a well-conditioned curve")
 
 
@@ -170,7 +220,8 @@ def random_nondegenerate_curve(rng, max_tries=50):
     The conditioning filters (torsion, curvature, speed bounded away from
     zero) keep the sixth-root comparison meaningful in float arithmetic.
     """
-    return _draw_curve(rng, max_tries)[:2]
+    components, t, _, _ = _draw_curve(rng, max_tries)
+    return CurveDef(tuple(map(_component_tree, components)), -1.5, 1.5), t
 
 
 def transformed_surface(surface, matrix, shift):
@@ -276,7 +327,13 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
 
 def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
     """Affine form coefficients and the curve-condition residual are
-    unchanged under volume-preserving maps of the ambient space."""
+    unchanged under volume-preserving maps of the ambient space.
+
+    ``samples // 4`` random maps (at least one) are each checked at 4
+    drawn points.  The check-identities command passes ``max(4, samples
+    // 4)``, so its count is divided by 4 twice: ``--samples 20`` checks
+    4 points and ``--samples 200`` checks 48, fewer where a point or its
+    residual is rejected."""
     worst = 0.0
     count = 0
     found = 0

@@ -467,6 +467,51 @@ class TestQuadricOracle:
                     <= 1e-13
                 assert abs(node.theta_prime - (omega0 - t)) <= 1e-13
 
+    @pytest.mark.parametrize("start", [
+        (0.3, -0.2, 0.5, 0.8),
+        (0.1, 0.4, -0.5, 0.3),          # the negative cone, sin 2 theta < 0
+        (0.2, 0.1, 1.1, -0.4),
+    ])
+    def test_hyperbolic_paraboloid_first_integral(self, start):
+        # On X = (u, v, g^T H g / 2) with g = (u, v), g' = (c, s) = (cos
+        # theta, sin theta), n = (-s, c) and Q(g') = g'^T H g', the third
+        # entries of a', a'', a''' less H g . (their first two entries) are
+        # 0, Q(g') and 3 theta' g'^T H n (g'' = theta' n, g''' = theta'' n
+        # - theta'^2 g').  Expanding along that row, det[a', a'', a'''] =
+        # -Q(g') theta'' + 3 theta'^2 g'^T H n.  The catalog surface (u, v,
+        # uv) has H = [[0, 1], [1, 0]], so Q = sin 2theta, g'^T H n = cos
+        # 2theta and, with l = n = 0 and m = 1, form(a') = 2 u'v' = sin
+        # 2theta.  Writing S = sin 2theta, the condition is
+        #     -S theta'' + 3 theta'^2 cos 2theta = S^3.
+        # Differentiating along a trace, with theta'' from the condition,
+        # d/dt (theta'^2 / |S|^3) = 2 theta' theta''/|S|^3 - 6 theta'^3
+        # cos 2theta / (|S|^3 S) = -2 theta' / |S|, and d/dt (sgn S
+        # ln|tan theta|) = 2 theta' / |S| while S keeps its sign, so
+        #     E = 2 theta'^2 / |sin 2theta|^3 + 2 sgn(sin 2theta) ln|tan theta|
+        # is constant on every trace.  Its drift over the nodes is the
+        # solve's error in the first integral (measured at most 1.0e-4,
+        # 5.4e-7 and 3.8e-9 over these three starts at rtol 1e-6, 1e-8 and
+        # 1e-10).
+        def first_integral(node):
+            s = math.sin(2.0 * node.theta)
+            return (2.0 * node.theta_prime ** 2 / abs(s) ** 3
+                    + 2.0 * math.copysign(1.0, s)
+                    * math.log(abs(math.tan(node.theta))))
+
+        u0, v0, theta0, omega0 = start
+        drifts = []
+        for rtol in (1e-6, 1e-8, 1e-10):
+            trace = integrate_commensurate(CommensurateIVP(
+                HYP_PAR, u0, v0, theta0, omega0=omega0, t_span=(0.0, 5.0),
+                rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.completed
+            e0 = first_integral(trace.nodes[0])
+            drift = max(abs(first_integral(node) - e0)
+                        for node in trace.nodes)
+            assert drift <= 300.0 * rtol
+            drifts.append(drift)
+        assert drifts[0] > drifts[1] > drifts[2]
+
 
 class TestEquiaffineTraces:
     @pytest.mark.parametrize("name, start", [

@@ -1,9 +1,11 @@
 """The identity suites' sample construction and evaluation counts.
 
-Random curves are built as expression trees; the written forms they
-replace are kept here as references, and the trees must evaluate
-bit-identically to the parsed strings.  The golden lines pin the
-check-identities output to what the string-built samples printed.
+Random curves are drawn as coefficients.  The integrand suite reads their
+jets off a straight-line kernel, which must give, bit for bit, what the
+curves' expression trees give under eval_ast; the trees, built only when
+a caller asks for the curve, must equal the parsed written forms, which
+are kept here as references.  The golden lines pin the check-identities
+output to what the string-built samples printed.
 """
 
 import sys
@@ -14,6 +16,8 @@ import pytest
 from affinemetrics import expr, surfgeo
 from affinemetrics import identities as idn
 from affinemetrics.cli import main
+from affinemetrics.curvegeo import CurveDef, curve_jets, frenet_from_jets
+from affinemetrics.errors import AffineMetricsError
 from affinemetrics.expr import (
     BinOp,
     Call,
@@ -86,6 +90,64 @@ class TestBuiltTrees:
             assert_same_values(built, parsed)
 
 
+def coefficient_reprs(jets):
+    """Every jet coefficient as its repr, so a signed zero counts."""
+    return [[repr(c) for c in jet.coeffs] for jet in jets]
+
+
+def tree_route_draw(rng, max_tries=50):
+    """The curve draw as it was made from expression trees: three
+    components, then t, with the jets from eval_ast."""
+    for _ in range(max_tries):
+        curve = CurveDef(tuple(idn._poly_trig_component(rng)
+                               for _ in range(3)), -1.5, 1.5)
+        t = float(rng.uniform(-1.0, 1.0))
+        jets = curve_jets(curve, t, 3)
+        try:
+            fr = frenet_from_jets(jets, t)
+        except AffineMetricsError:
+            continue
+        if (fr.tau is not None and fr.tau > 1e-3
+                and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
+            return curve, t, jets
+    raise RuntimeError("could not draw a well-conditioned curve")
+
+
+class TestCurveKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 41, 2012])
+    def test_kernel_jets_equal_tree_evaluation(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            components = tuple(idn._draw_component(rng) for _ in range(3))
+            trees = [idn._component_tree(c) for c in components]
+            drawn = float(rng.uniform(-1.0, 1.0))
+            for t in (drawn, -drawn, 0.0, -1.4, 1.3):
+                seed_jet = {"t": Jet1.seed(t, 3)}
+                assert (coefficient_reprs(idn._poly_trig_jets(components, t))
+                        == coefficient_reprs(eval_ast(tree, seed_jet)
+                                             for tree in trees))
+
+    @pytest.mark.parametrize("seed", [0, 3, 7, 41, 2012])
+    def test_random_curve_matches_the_tree_route(self, seed):
+        kernel_rng = np.random.default_rng(seed)
+        curve_rng = np.random.default_rng(seed)
+        tree_rng = np.random.default_rng(seed)
+        for _ in range(8):
+            components, t, jets, _ = idn._draw_curve(kernel_rng)
+            curve, t_curve = idn.random_nondegenerate_curve(curve_rng)
+            tree_curve, t_tree, tree_jets = tree_route_draw(tree_rng)
+            assert t == t_curve == t_tree
+            assert curve == tree_curve
+            assert curve.components == tuple(map(idn._component_tree,
+                                                 components))
+            assert (coefficient_reprs(curve_jets(curve, t, 3))
+                    == coefficient_reprs(jets)
+                    == coefficient_reprs(tree_jets))
+        # all three routes draw the same numbers in the same order
+        assert (kernel_rng.random() == curve_rng.random()
+                == tree_rng.random())
+
+
 # stdout of check-identities --samples 20 --seed 7 while the samples were
 # still written out and parsed
 GOLDEN = {
@@ -141,6 +203,14 @@ class TestEvaluationCounts:
         assert main(["check-identities", "--surface", "sphere",
                      "--samples", "8", "--seed", "3"]) == 0
         assert parses == []
+
+    def test_integrand_suite_builds_and_walks_no_tree(self, monkeypatch):
+        walks = record_calls(monkeypatch, expr, "eval_ast")
+        builds = record_calls(monkeypatch, idn, "_poly_trig_component")
+        report = idn.integrand_routes_suite(np.random.default_rng(4), 20)
+        assert report.samples == 20 and report.passed
+        assert walks == []
+        assert builds == []
 
     @pytest.mark.parametrize("suite", [idn.lmn_route_suite,
                                        idn.form_routes_suite,
