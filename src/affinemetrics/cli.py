@@ -288,6 +288,12 @@ def _cmd_surface_info(args):
         ("iaff_flipped", form.flipped),
         ("classification", cls.kind),
     ]
+    # JSON has no inf or nan, and no other command prints them either
+    bad = [k for k, x in fields
+           if isinstance(x, float) and not math.isfinite(x)]
+    if bad:
+        raise NonFiniteValue(f"{', '.join(bad)} not finite at (u, v) = "
+                             f"({u!r}, {v!r})")
     if args.format == "csv":
         text = _csv_text([k for k, _ in fields], [[x for _, x in fields]])
     else:

@@ -8,7 +8,8 @@ Grammar (EBNF, also reproduced in the README):
     power   = atom [ "^" unary ] ;              (* right associative *)
     atom    = NUMBER | IDENT | IDENT "(" expr ")" | "(" expr ")" ;
 
-Numbers accept integer, decimal and scientific forms.  Identifiers are the
+Numbers accept integer, decimal and scientific forms; a number that
+overflows a double (1e999) is a syntax error.  Identifiers are the
 declared parameters ("u", "v" for surfaces, "t" for curves), the reserved
 constants "pi" and "e", or one of the builtin function names.  Implicit
 multiplication is not supported ("2u" is a syntax error).  Expressions
@@ -196,7 +197,12 @@ class _Parser:
     def parse_atom(self):
         tok = self.advance()
         if tok.kind == "number":
-            return Const(float(tok.text)), 1
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(
+                    f"number {tok.text!r} is not finite as a double",
+                    tok.position)
+            return Const(value), 1
         if tok.kind == "identifier":
             nxt = self.peek()
             if nxt is not None and nxt.text == "(":

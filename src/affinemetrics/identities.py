@@ -32,7 +32,7 @@ from .commensurate import (
     commensurate_residual,
 )
 from .curvegeo import CurveDef, _alpha_integrand, frenet_from_jets
-from .errors import AffineMetricsError
+from .errors import AffineMetricsError, NonFiniteValue
 from .expr import BinOp, Call, Const, Var
 from .jets import _PRODUCT1, Jet1, _phi
 from .surfgeo import (
@@ -247,6 +247,16 @@ def _rel_dev(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-30)
 
 
+def _worse(worst, *devs):
+    """The running maximum of ``worst`` and ``devs``, nan from the first nan
+    on: max() keeps its first argument against a nan, so a nan deviation
+    would pass."""
+    for dev in devs:
+        if dev > worst or dev != dev:
+            worst = dev
+    return worst
+
+
 def integrand_routes_suite(rng, samples, tolerance=1e-8):
     """Determinant route against the (kappa^2 tau)^(1/6) |a'| route on
     random curves with positive torsion."""
@@ -257,7 +267,7 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
         _, _, jets, fr = _draw_curve(rng)
         direct = _alpha_integrand(jets, False)[0]
         euclid = (fr.kappa ** 2 * fr.tau) ** (1.0 / 6.0) * fr.speed
-        worst = max(worst, _rel_dev(direct, euclid))
+        worst = _worse(worst, _rel_dev(direct, euclid))
     return IdentityReport("integrand-det-vs-euclidean-route", worst, tolerance,
                           samples)
 
@@ -283,6 +293,14 @@ def _regular_nondegenerate_points(surface, rng, count):
         (u, v), = random_points(surface, rng, 1)
         try:
             jets = surface_jets(surface, u, v, 2)
+        except AffineMetricsError:
+            continue
+        # a non-finite surface ends the run, as in the other commands; its
+        # deviations would be nan or 0 * inf
+        if not all(math.isfinite(c) for jet in jets for c in jet.coeffs):
+            raise NonFiniteValue(
+                f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
+        try:
             form = form_from_jets(jets)
             first, second, _ = forms_from_jets(jets, u, v)
         except AffineMetricsError:
@@ -301,7 +319,7 @@ def lmn_route_suite(surface, rng, samples, tolerance=1e-10):
         for det_val, dot_val in zip(lmn.coefficients(),
                                     p.second.coefficients()):
             scale = max(abs(det_val), abs(dot_val), root, 1.0)
-            worst = max(worst, abs(det_val - dot_val * root) / scale)
+            worst = _worse(worst, abs(det_val - dot_val * root) / scale)
     return IdentityReport("lmn-determinant-vs-dot-route", worst, tolerance,
                           len(points), len(points))
 
@@ -320,7 +338,8 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
         got = np.array(p.form.coefficients())
         sign = -1.0 if float(expected @ got) < 0.0 else 1.0
         scale = max(float(np.abs(expected).max()), 1e-30)
-        worst = max(worst, float(np.abs(got - sign * expected).max()) / scale)
+        worst = _worse(worst,
+                       float(np.abs(got - sign * expected).max()) / scale)
     return IdentityReport("form-det-vs-euclidean-route", worst, tolerance,
                           len(points), len(points))
 
@@ -350,16 +369,15 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
             except AffineMetricsError:
                 continue
             scale = max(abs(f0.a), abs(f0.b), abs(f0.c), 1e-30)
-            worst = max(worst,
-                        max(abs(f0.a - f1.a), abs(f0.b - f1.b),
-                            abs(f0.c - f1.c)) / scale)
+            worst = _worse(worst, abs(f0.a - f1.a) / scale,
+                           abs(f0.b - f1.b) / scale, abs(f0.c - f1.c) / scale)
             state = (u, v, *rng.uniform(-1.0, 1.0, size=3))
             try:
                 r0 = commensurate_residual(surface, state)
                 r1 = commensurate_residual(moved, state)
             except AffineMetricsError:
                 continue
-            worst = max(worst, abs(r0 - r1) / max(abs(r0), abs(r1), 1.0))
+            worst = _worse(worst, abs(r0 - r1) / max(abs(r0), abs(r1), 1.0))
             count += 1
     return IdentityReport("equiaffine-invariance", worst, tolerance,
                           count, found)
@@ -374,7 +392,7 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
         lhs, jdet = _reparam_discriminant(surface, p.u, p.v,
                                           random_invertible_2x2(rng))
         rhs = lmn_from_jets(p.jets).det * jdet ** 4
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
+        worst = _worse(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return IdentityReport("reparam-fourth-power-law", worst, tolerance,
                           len(points), len(points))
 
@@ -414,8 +432,8 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
             continue
         speed = float(np.linalg.norm([comp.coeffs[1] for comp in node[3]]))
         other = speed ** 6 * (check.lhs - check.rhs)
-        worst = max(worst,
-                    abs(residual - other) / max(abs(residual), abs(other), 1.0))
+        worst = _worse(worst, abs(residual - other)
+                       / max(abs(residual), abs(other), 1.0))
         count += 1
     return IdentityReport("condition-det-vs-euclidean-route", worst,
                           tolerance, count, len(points))
@@ -456,17 +474,17 @@ def reference_form_suite(surface, reference, rng, samples, tolerance=1e-9):
             form = p.form
             exp = forms["iaff"](u, v)
             scale = max(max(abs(x) for x in exp), 1.0)
-            worst = max(worst, max(abs(form.a - exp[0]), abs(form.b - exp[1]),
-                                   abs(form.c - exp[2])) / scale)
+            worst = _worse(worst, *(abs(x - y) / scale for x, y in
+                                    zip(form.coefficients(), exp)))
         if "lmn" in forms:
             lmn = lmn_from_jets(p.jets)
             exp = forms["lmn"](u, v)
             scale = max(max(abs(x) for x in exp), 1.0)
-            worst = max(worst, max(abs(lmn.a - exp[0]), abs(lmn.b - exp[1]),
-                                   abs(lmn.c - exp[2])) / scale)
+            worst = _worse(worst, *(abs(x - y) / scale for x, y in
+                                    zip(lmn.coefficients(), exp)))
         if "gauss" in forms:
             K = gauss_from_forms(p.first, p.second)
             exp = forms["gauss"](u, v)
-            worst = max(worst, abs(K - exp) / max(abs(exp), 1.0))
+            worst = _worse(worst, abs(K - exp) / max(abs(exp), 1.0))
     return IdentityReport(f"reference-forms-{reference}", worst, tolerance,
                           len(points), len(points))

@@ -490,8 +490,8 @@ class Jet2(_Jet):
     @classmethod
     def constant(cls, value, order):
         _check_order(order, MAX_ORDER_2, "Jet2")
-        return Jet2._make(order,
-                          (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
+        return cls._make(order,
+                         (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
 
     def partial(self, i, j):
         """Raw partial derivative d^{i+j}f/du^i dv^j."""

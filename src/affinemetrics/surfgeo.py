@@ -18,10 +18,11 @@ Indefinite forms are returned as-is.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateSurfacePoint,
+    DomainError,
     DomainExit,
     IrregularPoint,
     SingularJacobian,
@@ -45,6 +46,11 @@ __all__ = [
 EPS_CLASSIFY = 1e-10
 #: relative threshold on |X_u x X_v|^2 for regularity
 EPS_REGULAR = 1e-24
+#: evaluations of one surface at one order before its jets are recorded as
+#: a kernel: recording costs 0.4-2.2 ms for a catalog surface, more than a
+#: surface evaluated a few times (one surface-info point, one moved surface
+#: of the invariance suite) would save
+RECORD_AFTER = 64
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,10 @@ class SurfaceDef:
     v_min: float
     v_max: float
     name: str | None = None
+    # per order, the count of jet evaluations until RECORD_AFTER, then the
+    # recorded kernel, or None for components that cannot be replayed
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def from_strings(cls, exprs, domain, name=None):
@@ -78,6 +88,25 @@ class SurfaceDef:
         """Embedded point X(u, v) as a tuple of three floats."""
         bindings = {"u": float(u), "v": float(v)}
         return tuple([eval_ast(c, bindings) for c in self.components])
+
+    def __getstate__(self):
+        # a kernel is a function made by exec, which pickle cannot name: a
+        # copy counts its evaluations afresh
+        return {**self.__dict__, "_kernels": {}}
+
+    def _jet_kernel(self, order):
+        """The recorded jet kernel at ``order`` from the RECORD_AFTER-th
+        evaluation on; None before it, and for components that cannot be
+        replayed."""
+        kernels = self._kernels
+        entry = kernels.get(order, 0)
+        if entry.__class__ is int:
+            if entry + 1 < RECORD_AFTER:
+                kernels[order] = entry + 1
+                return None
+            from .tape import record_surface    # compiled when first needed
+            kernels[order] = entry = record_surface(self.components, order)
+        return entry
 
 
 @dataclass(frozen=True)
@@ -137,6 +166,11 @@ def surface_jets(surface, u, v, order, check_domain=True):
     ``check_domain=False`` skips the parameter-box check; the solver uses
     it because its steps may transiently evaluate just past the boundary
     that its exit event then locates.
+
+    The jets come from eval_ast over Jet2 seeds until the surface has been
+    evaluated RECORD_AFTER times at ``order``; from then on they are read
+    off its recorded kernel (tape.record_surface), bit for bit the same,
+    with eval_ast again wherever the kernel hands a point back.
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_2:
         raise UnsupportedOrder(
@@ -145,6 +179,16 @@ def surface_jets(surface, u, v, order, check_domain=True):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
+    kernel = surface._jet_kernel(order)
+    if kernel is not None:
+        try:
+            coeffs = kernel(float(u), float(v))
+        except (DomainError, OverflowError, ValueError):
+            coeffs = None       # eval_ast raises it with its own message
+        if coeffs is not None:
+            x, y, z = coeffs
+            return (Jet2._make(order, x), Jet2._make(order, y),
+                    Jet2._make(order, z))
     seed = Jet2.seed_u(u, order)
     bindings = {"u": seed, "v": Jet2.seed_v(v, order)}
     jets = []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from affinemetrics import surfgeo, tape
 from affinemetrics.cli import main
 from affinemetrics.errors import StepFailure
 from affinemetrics.numerics import find_root_bracketed, ode_solve
@@ -57,6 +58,26 @@ class TestSurfaceInfo:
         assert run(["surface-info", "--surface-expr", "u*;v;0",
                     "--domain", "-1:1,-1:1", "--at", "0,0"]) == 2
 
+    def test_non_finite_literal_is_a_parse_error(self, capsys):
+        assert run(["surface-info", "--surface-expr", "u;v;1e999*u*v",
+                    "--domain", "-1:1,-1:1", "--at", "0.5,0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: number '1e999' is not finite as a double "
+            "(at position 0)\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_non_finite_values_are_a_numerical_failure(self, capsys, fmt):
+        # JSON has no Infinity or NaN; the other commands end this surface
+        # in NonFiniteValue too
+        assert run(["surface-info", "--surface-expr", "u;v;1e308*10*u",
+                    "--domain", "-1:1,-1:1", "--at", "0.5,0.5",
+                    "--format", fmt]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: NonFiniteValue: E, F, G, e, f, g, l, m, n, K, iaff_a, "
+            "iaff_b, iaff_c not finite at (u, v) = (0.5, 0.5)\n")
+
     def test_huge_integer_power_ends_quickly(self, capsys):
         start = time.perf_counter()
         code = run(["surface-info", "--surface-expr", "u^2147483647;v;u*v",
@@ -93,7 +114,7 @@ class TestSurfaceInfo:
                                          ("helicoid", (1.0, 0.4)),
                                          ("hyperboloid", (0.5, -0.7))])
     def test_fields_match_the_per_point_functions(self, capsys, name, at):
-        from affinemetrics import surfgeo
+        from affinemetrics import surfgeo, tape
 
         surface = CATALOG[name]
         assert run(["surface-info", "--surface", name,
@@ -801,6 +822,16 @@ class TestCommensurateSolve:
 
 
 class TestCheckIdentities:
+    def test_non_finite_surface_is_a_numerical_failure(self, capsys):
+        # its deviations were nan or 0, and max() dropped each nan: six
+        # PASS lines and exit 0
+        assert run(["check-identities", "--surface-expr", "u;v;1e308*10*u*v",
+                    "--domain", "-1:1,-1:1", "--samples", "3"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: NonFiniteValue: surface jets not finite at (u, v) = ")
+
     def test_sphere_passes(self, capsys):
         assert run(["check-identities", "--surface", "sphere",
                     "--samples", "25", "--seed", "7"]) == 0
@@ -885,6 +916,64 @@ CARRY_OVER_PAIRS = {
         [*SOLVE, "--omega0", "-1:1:0.5", "--t-max", "0.2"],
         [*SOLVE, "--t-max", "0.2", "--output", "one.csv"]),
 }
+
+
+SPHERE_EXPR = "cos(u)*cos(v);sin(u)*cos(v);sin(v)"
+
+
+class TestRecordedKernels:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """(order, whether a kernel came of it) per recording."""
+        calls = []
+        record = tape.record_surface
+
+        def spy(components, order):
+            kernel = record(components, order)
+            calls.append((order, kernel is not None))
+            return kernel
+
+        monkeypatch.setattr(tape, "record_surface", spy)
+        return calls
+
+    @pytest.mark.parametrize("exprs, at, code, kernel", [
+        ("u;v;abs(u)^3+v^2", "0.5,0.5", 0, False),
+        ("u;v;u^v", "0.5,0.5", 0, False),
+        ("u;v;u*v/0", "0.5,0.5", 5, False),
+        ("u;v;exp(1000)", "0.5,0.5", 5, False),
+        ("u;v;(u*v)^-3", "0.5,0", 5, True),
+        # ^0 drops the jet of log((uv)^2), whose partials feed no zero
+        # term, but eval_ast evaluated it: so does the kernel, which keeps
+        # every _phi call
+        ("u;v;u*v + log((u*v)^2)^0", "0,0.5", 5, True),
+    ])
+    def test_fallbacks_keep_eval_asts_outcome(self, capsys, monkeypatch,
+                                              recorded, exprs, at, code,
+                                              kernel):
+        argv = ["surface-info", "--surface-expr", exprs, "--at", at]
+        # eval_ast alone, as before kernels were recorded
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 2 ** 62)
+        expected = run(argv), capsys.readouterr()
+        assert expected[0] == code
+        assert recorded == []
+        # recorded at the first evaluation: the kernel that the (u*v)^-3
+        # recording gives raises at v = 0, and eval_ast reports it
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        assert (run(argv), capsys.readouterr()) == expected
+        assert recorded == [(2, kernel)]
+
+    def test_one_shot_surface_info_records_nothing(self, capsys, recorded):
+        assert run(["surface-info", "--surface-expr", SPHERE_EXPR,
+                    "--at", "0.1,0.2"]) == 0
+        assert recorded == []
+
+    def test_sphere_solve_records_one_order_three_kernel(self, capsys,
+                                                         recorded):
+        assert run(["commensurate-solve", "--surface-expr", SPHERE_EXPR,
+                    "--domain", "-12.5:12.5,-1.45:1.45", "--at", "0.1,0.1",
+                    "--theta0", "0.3", "--omega0", "0.5",
+                    "--t-max", "3"]) == 0
+        assert recorded == [(3, True)]
 
 
 class TestCachedParser:

@@ -49,6 +49,18 @@ def test_import_and_parser_leave_numpy_unloaded(tmp_path):
     assert _python(["-c", code], tmp_path)[:2] == (0, "[]\n")
 
 
+def test_import_and_parser_record_no_kernel(tmp_path):
+    # a kernel is recorded after surfgeo.RECORD_AFTER evaluations of one
+    # surface; importing the CLI and building its parser evaluates none,
+    # and leaves the recorder's module unloaded
+    code = ("import sys, affinemetrics.cli as c; c.build_parser(); "
+            "from affinemetrics.surfgeo import CATALOG; "
+            "print([s._kernels for s in CATALOG.values()], "
+            "'affinemetrics.tape' in sys.modules)")
+    assert _python(["-c", code], tmp_path)[:2] == (
+        0, "[{}, {}, {}, {}, {}, {}] False\n")
+
+
 def test_help_exits_zero(tmp_path):
     code, out, _ = _fresh(["--help"], tmp_path)
     assert code == 0

@@ -512,6 +512,51 @@ class TestQuadricOracle:
             drifts.append(drift)
         assert drifts[0] > drifts[1] > drifts[2]
 
+    @pytest.mark.parametrize("start", [
+        (0.5, 0.5, 0.3, 0.0),
+        (0.0, 1.0, 0.9, 0.2),
+        (-0.8, 1.5, 1.8, -0.2),
+    ])
+    def test_paraboloid_planar_curvature_changes_by_arclength(self, start):
+        # The catalog paraboloid (v cos u, v sin u, v^2) is the graph of
+        # g^T H g / 2 with H = 2I over g = (x, y) = (v cos u, v sin u).  As
+        # in the first-integral test, det[a', a'', a'''] = -Q(g') phi'' +
+        # 3 phi'^2 g'^T H n for g' = (cos phi, sin phi) at unit planar
+        # speed; here Q = 2 and g'^T H n = 0, and form(a') = |det H|^(-1/4)
+        # Q = sqrt 2, so the condition -2 phi'' = 2 sqrt 2 gives phi'' =
+        # -sqrt 2.  The condition does not depend on the parametrization,
+        # so the planar curvature k = phi' of the (x, y) projection of a
+        # trace changes by -sqrt 2 per unit of its arc length s:
+        # ||delta k| - sqrt 2 s| is the solve's global error (measured at
+        # most 3.4e-6, 3.6e-8 and 2.0e-10 over these criterion-08 starts
+        # at rtol 1e-6, 1e-8 and 1e-10).  k and s read only the state
+        # (theta, theta'), not the condition.
+        def curvature_and_speed(curve, t):
+            x, y, _ = curve.curve_jets(t, 2)
+            x1, y1 = x.coeffs[1], y.coeffs[1]
+            speed = math.hypot(x1, y1)
+            return (x1 * y.coeffs[2] - y1 * x.coeffs[2]) / speed ** 3, speed
+
+        u0, v0, theta0, omega0 = start
+        gaps = []
+        for rtol, bound in ((1e-6, 1e-5), (1e-8, 1e-7), (1e-10, 6e-10)):
+            trace = integrate_commensurate(CommensurateIVP(
+                PARABOLOID, u0, v0, theta0, omega0=omega0, t_span=(0.0, 1.0),
+                rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.completed
+            curve = TraceCurve(trace)
+            ts = [n.t for n in trace.nodes]
+            s = math.fsum(quad_adaptive(
+                lambda t: curvature_and_speed(curve, t)[1], a, b,
+                rel_tol=1e-13, abs_tol=1e-15).value
+                for a, b in zip(ts, ts[1:]))
+            k0 = curvature_and_speed(curve, ts[0])[0]
+            k1 = curvature_and_speed(curve, ts[-1])[0]
+            gap = abs(abs(k1 - k0) - math.sqrt(2.0) * s)
+            assert gap <= bound
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
+
 
 class TestEquiaffineTraces:
     @pytest.mark.parametrize("name, start", [

@@ -132,6 +132,22 @@ class TestParse:
         # pi stays a constant even when a variable could be bound
         assert eval_ast(parse_expression("pi", {"u"}), {"u": 9.0}) == math.pi
 
+    @pytest.mark.parametrize("source, position", [
+        ("1e999", 0), ("u + 2.5e400*v", 4), ("1.8e308", 0)])
+    def test_non_finite_number_is_refused_at_its_token(self, source,
+                                                       position):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expression(source, {"u", "v"})
+        assert exc.value.position == position
+        assert "not finite as a double" in str(exc.value)
+
+    def test_overflowing_arithmetic_on_literals_still_evaluates(self):
+        # 1e308 and 10 are finite literals; their product is inf, as the
+        # float arithmetic gives it
+        ast = parse_expression("1e308*10*u", {"u"})
+        assert eval_ast(ast, {"u": 0.5}) == math.inf
+        assert parse_expression("1e-400", set()) == Const(0.0)
+
 
 class TestEval:
     def test_product_at_origin(self):

@@ -8,6 +8,7 @@ are kept here as references.  The golden lines pin the check-identities
 output to what the string-built samples printed.
 """
 
+import math
 import sys
 
 import numpy as np
@@ -264,3 +265,14 @@ def evaluated_again(monkeypatch, argv):
 ], ids=["check-identities", "arclen-compare", "surface-info"])
 def test_no_point_is_evaluated_twice_at_one_order(capsys, monkeypatch, argv):
     assert evaluated_again(monkeypatch, argv) == 0
+
+
+def test_a_nan_deviation_never_passes():
+    # max() keeps its first argument against a nan: max(0.0, nan) is 0.0
+    assert math.isnan(idn._worse(0.0, math.nan))
+    assert math.isnan(idn._worse(math.nan, 1.0))
+    assert math.isnan(idn._worse(0.5, 0.1, math.nan, 2.0))
+    assert idn._worse(0.5, 0.1, 0.7, 0.2) == 0.7
+    report = idn.IdentityReport("x", idn._worse(0.0, math.nan), 1e-8, 1)
+    assert not report.passed
+    assert report.line().endswith("FAIL")

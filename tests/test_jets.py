@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import struct
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinemetrics import jets
+from affinemetrics import jets, tape
 from affinemetrics.errors import DomainError, OrderMismatch, UnsupportedOrder
 from affinemetrics.expr import eval_ast, parse_expression, pretty
 from affinemetrics.jets import Jet1, Jet2, compose_curve_in_surface, det3
@@ -473,6 +474,97 @@ class TestRandomExpressionSympyOracle:
                 self._check(jet.coeffs, want[:order + 1])
 
 
+class TestTapeFolds:
+    """Each rewrite of the recording tape against the float operation it
+    stands for.  Operands are literals, run-time values (the seed's value
+    u), or run-time zero terms (v * 0.0); each value is a signed zero, a
+    finite number, an infinity or nan.  The result r is used as is, and
+    only through 0.0 + r, r * 0.0 + 1.0 and 2.0 + r, where a zero term
+    folds away and is never written out."""
+
+    VALUES = (0.0, -0.0, 2.5, -3.0, 1e308, math.inf, -math.inf, math.nan)
+    USES = (lambda r: (r, -r, r), lambda r: (0.0 + r, r * 0.0 + 1.0, 2.0 + r))
+
+    def test_folds_are_exact(self):
+        ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)
+        kinds = [("literal", x) for x in self.VALUES] + [("u", None),
+                                                         ("zero", None)]
+        for op in ops:
+            for (a_kind, a_lit), (b_kind, b_lit) in itertools.product(
+                    kinds, repeat=2):
+                for uses in self.USES:
+                    def operand(kind, literal, u, v):
+                        return {"literal": literal, "u": u,
+                                "zero": v * 0.0}[kind]
+
+                    def evaluate(u, v):
+                        r = op(operand(a_kind, a_lit, u.value, v.value),
+                               operand(b_kind, b_lit, u.value, v.value))
+                        return [Jet2._make(1, uses(r))]
+
+                    try:
+                        kernel = tape.record_kernel(evaluate, 1)
+                    except tape.NotReplayable:      # inf or nan in the code
+                        continue
+                    for u, v in itertools.product(self.VALUES, repeat=2):
+                        r = op(operand(a_kind, a_lit, u, v),
+                               operand(b_kind, b_lit, u, v))
+                        got = kernel(u, v)
+                        if got is None:             # a guard saw inf or nan
+                            assert not all(map(math.isfinite, (u, v, r)))
+                            continue
+                        assert _bits(got[0]) == _bits(uses(r)), (
+                            a_kind, a_lit, b_kind, b_lit, u, v)
+
+
+class TestRecordedKernelOracle:
+    """tape.record_kernel on the seeded random expressions of the sympy
+    oracle, bit for bit against eval_ast over Jet2 seeds (a nan equal to
+    any nan), at points that include signed zeros.  A recording fails only
+    on abs, which branches on the value; the kernel returns None only
+    where a coefficient is not finite."""
+
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            rows = f(*args)
+        except (DomainError, OverflowError, ValueError):
+            return DomainError
+        return [_bits(row) for row in rows]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6])
+    def test_bit_identical_to_eval_ast(self, seed):
+        sources = _random_jet_sources(
+            seed, ["u", "v", "(u*v)", "(u - v)"], 2,
+            {"u": Jet2.seed_u(0.31, 1), "v": Jet2.seed_v(-0.47, 1)})
+        rng = random.Random(seed)
+        points = [(0.31, -0.47), (0.0, -0.47), (-0.0, 0.2), (0.5, 0.0),
+                  (0.7, -0.0), (0.0, -0.0), (-0.0, -0.0)]
+        points += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0))
+                   for _ in range(40)]
+        recorded = 0
+        for source in sources:
+            ast = parse_expression(source, {"u", "v"})
+
+            def evaluate(u, v):
+                return [u.lift(eval_ast(ast, {"u": u, "v": v}))]
+
+            for order in (1, 2, 3):
+                try:
+                    kernel = tape.record_kernel(evaluate, order)
+                except tape.NotReplayable:
+                    assert "abs(" in source
+                    continue
+                recorded += 1
+                for u, v in points:
+                    seeds = Jet2.seed_u(u, order), Jet2.seed_v(v, order)
+                    want = self._outcome(
+                        lambda: [jet.coeffs for jet in evaluate(*seeds)])
+                    assert self._outcome(kernel, u, v) == want, (
+                        source, order, u, v)
+        assert recorded >= 2 * len(sources)
+
+
 # ---------------------------------------------------------------------------
 # straight-line kernels against the routes they replaced
 
@@ -604,7 +696,7 @@ class TestJetErrors:
         # no double has cos(x) == 0, so stand in a math whose cos is 0
         import types
 
-        from affinemetrics import jets
+        from affinemetrics import jets, tape
         fake = types.SimpleNamespace(**vars(math))
         fake.cos = lambda x: 0.0
         monkeypatch.setattr(jets, "math", fake)

@@ -1,16 +1,21 @@
 import math
+import pickle
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from affinemetrics import surfgeo, tape
 from affinemetrics.errors import (
+    AffineMetricsError,
     DegenerateSurfacePoint,
     DomainExit,
     SingularJacobian,
     UnsupportedOrder,
     ZeroDirection,
 )
-from affinemetrics.expr import BinOp, Call, Const, Neg, Var
+from affinemetrics.expr import BinOp, Call, Const, Neg, Var, eval_ast
 from affinemetrics.identities import (
     equiaffine_invariance_suite,
     reparam_law_suite,
@@ -34,6 +39,7 @@ from affinemetrics.surfgeo import (
     normal_curvature,
     surface_jets,
 )
+from affinemetrics.jets import Jet2
 
 SPHERE = CATALOG["sphere"]
 HELICOID = CATALOG["helicoid"]
@@ -317,3 +323,101 @@ class TestIdentitySuites:
                                       v_min=-2.0, v_max=2.0)
         report = reparam_law_suite(surface, np.random.default_rng(24), 40)
         assert report.passed, report.line()
+
+
+def _interpreted(surface, u, v, order):
+    """The coefficients of surface_jets's eval_ast route."""
+    seed = Jet2.seed_u(u, order)
+    bindings = {"u": seed, "v": Jet2.seed_v(v, order)}
+    return tuple(seed.lift(eval_ast(comp, bindings)).coeffs
+                 for comp in surface.components)
+
+
+def _bits(rows):
+    """Coefficient rows by IEEE bits: -0.0 is not 0.0, every nan is one."""
+    return tuple(tuple(x.hex() for x in row) for row in rows)
+
+
+def _outcome(f, *args):
+    try:
+        return _bits(f(*args))
+    except AffineMetricsError as exc:
+        return type(exc), str(exc)
+
+
+class TestRecordedKernel:
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_catalog_kernels_are_bit_identical(self, name):
+        surface = CATALOG[name]
+        rng = random.Random(name)
+        for order in (1, 2, 3):
+            kernel = tape.record_surface(surface.components, order)
+            assert kernel is not None
+            for k in range(500):
+                u = rng.uniform(surface.u_min, surface.u_max)
+                v = rng.uniform(surface.v_min, surface.v_max)
+                if k % 4 == 1:
+                    u = rng.choice((0.0, -0.0))
+                elif k % 4 == 2:
+                    v = rng.choice((0.0, -0.0))
+                elif k % 4 == 3:
+                    u, v = rng.choice((0.0, -0.0)), rng.choice((0.0, -0.0))
+                got = kernel(u, v)
+                # finite points pass the kernel's guard: no fallback here
+                assert got is not None
+                assert _bits(got) == _bits(
+                    _interpreted(surface, u, v, order)), (u, v, order)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_non_finite_points_give_what_eval_ast_gives(self, name,
+                                                        monkeypatch):
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        surface = replace(CATALOG[name])
+        for order in (1, 2, 3):
+            for u, v in [(math.inf, 0.5), (0.5, -math.inf), (math.nan, 0.1),
+                         (0.2, math.nan), (1e300, -1e300), (1e200, 0.3)]:
+                assert _outcome(
+                    lambda *a: [j.coeffs for j in surface_jets(*a)],
+                    surface, u, v, order, False) == _outcome(
+                    _interpreted, surface, u, v, order)
+            assert callable(surface._kernels[order])
+
+    def test_kernel_waits_for_record_after_evaluations(self, monkeypatch):
+        recorded = []
+        original = tape.record_surface
+        monkeypatch.setattr(tape, "record_surface", lambda comps, order: (
+            recorded.append(order), original(comps, order))[1])
+        surface = replace(SPHERE)
+        for _ in range(surfgeo.RECORD_AFTER - 1):
+            surface_jets(surface, 0.1, 0.2, 3)
+        assert recorded == []
+        assert surface._kernels == {3: surfgeo.RECORD_AFTER - 1}
+        surface_jets(surface, 0.1, 0.2, 3)
+        surface_jets(surface, 0.1, 0.2, 3)
+        assert recorded == [3]
+        assert callable(surface._kernels[3])
+        # a moved, copied or unpickled surface counts afresh
+        assert replace(surface)._kernels == {}
+        copy = pickle.loads(pickle.dumps(surface))
+        assert copy == surface and copy._kernels == {}
+        assert _bits(j.coeffs for j in surface_jets(copy, 0.1, 0.2, 3)) == \
+            _bits(_interpreted(surface, 0.1, 0.2, 3))
+
+    @pytest.mark.parametrize("exprs", [
+        "u;v;abs(u)", "u;v;u^v", "u;v;v^(u*0 + 2)", "u;abs(v - 3);u*v"])
+    def test_branching_trees_stay_interpreted(self, exprs):
+        surface = SurfaceDef.from_strings(exprs, ((-1.0, 1.0), (-1.0, 1.0)))
+        assert all(tape.record_surface(surface.components, order) is None
+                   for order in (1, 2, 3))
+
+    @pytest.mark.parametrize("exprs", [
+        "u;v;1e308*10*u",
+        # inf times a zero term is nan, not a zero term
+        "u;v;u*0*(1e308*10)*(v*0)"])
+    def test_overflowing_constant_stays_interpreted(self, exprs):
+        # inf reaches the kernel, whose source cannot spell it: the
+        # surface stays with eval_ast, and gives what it gives
+        surface = SurfaceDef.from_strings(exprs, ((-1.0, 1.0), (-1.0, 1.0)))
+        assert tape.record_surface(surface.components, 2) is None
+        assert _bits(j.coeffs for j in surface_jets(surface, 0.5, 0.5, 2)) \
+            == _bits(_interpreted(surface, 0.5, 0.5, 2))
