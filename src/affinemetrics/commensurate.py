@@ -26,10 +26,9 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 
-from .curvegeo import ArcLength, affine_arclength, affine_integrand
+from .curvegeo import ArcLength, _alpha_integrand, affine_arclength
 from .errors import (
     AffineMetricsError,
-    DegenerateCurve,
     DomainError,
     InvalidIVP,
     MaxSteps,
@@ -40,7 +39,14 @@ from .errors import (
     UnsupportedOrder,
 )
 from .expr import eval_ast, parse_expression
-from .jets import Jet1, compose_curve_in_surface, cross3, det3, dot3
+from .jets import (
+    Jet1,
+    compose_columns,
+    compose_curve_in_surface,
+    cross3,
+    det3,
+    dot3,
+)
 from .numerics import (
     ChebResult,
     OdeEvent,
@@ -163,25 +169,37 @@ class NodeTable(_EmbeddedCurve):
     consumers evaluating the same t share one evaluation.
 
     arclen-compare samples both arc lengths' integrands at the same nodes.
-    The equiaffine side evaluates a node once at order 3 (parameter jets,
-    surface jets and curve jets) and reads det[a', a'', a'''] off the
-    entry; the induced side reads the affine form and (u', v') off that
-    entry where there is one, and otherwise keeps the order-2 form it
-    evaluates.  ``discard`` drops one node, ``clear`` all of them.
+    Its Chebyshev path reads ``sample``, a node on floats: u', v', the
+    order-3 surface jets and the columns a', a'', a''' of the curve.  The
+    first sample records the parameter path of a ParamCurve as one
+    straight-line kernel (tape.record_curve), which then gives u(t), v(t)
+    and their derivatives at every t; a path that cannot be recorded, and
+    a t where the kernel hands back, take the curve's param_jets.  Other
+    consumers, the GK15 quadratures among them, read ``node_jets``: the
+    Jet route, evaluated once per t at order 3.  The induced side reads
+    the affine form and (u', v') off either entry where there is one, and
+    otherwise keeps the order-2 form it evaluates.  ``discard`` drops one
+    node, ``clear`` all of them.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.surface = curve.surface
         self._jets = {}
+        self._samples = {}
         self._forms = {}
+        # the recorded path: None until the first sample, then the kernel
+        # or False
+        self._kernel = None
 
     def clear(self):
         self._jets.clear()
+        self._samples.clear()
         self._forms.clear()
 
     def discard(self, t):
         self._jets.pop(t, None)
+        self._samples.pop(t, None)
         self._forms.pop(t, None)
 
     def param_jets(self, t, order):
@@ -195,17 +213,60 @@ class NodeTable(_EmbeddedCurve):
             entry = self._jets[t] = super().node_jets(t, 3)
         return entry
 
+    def sample(self, t):
+        """(u', v', X, (a', a'', a''')) at t: the node on floats, with the
+        order-3 surface jets X.  Every value is the one node_jets gives."""
+        entry = self._samples.get(t)
+        if entry is None:
+            (u, du, u2, u3), (v, dv, v2, v3) = self._path(t)
+            X = surface_jets(self.surface, u, v, 3)
+            entry = self._samples[t] = (
+                du, dv, X, compose_columns(X, du, u2, u3, dv, v2, v3))
+        return entry
+
+    def _path(self, t):
+        """(u, u', u'', u''') and (v, v', v'', v''') at t, from the recorded
+        kernel where it gives them; recorded at the first call."""
+        kernel = self._kernel
+        if kernel is None:
+            kernel = self._kernel = _path_kernel(self.curve)
+        if kernel:
+            try:
+                coeffs = kernel(t)
+            except (DomainError, OverflowError, ValueError):
+                coeffs = None       # eval_ast raises it with its own message
+            if coeffs is not None:
+                return coeffs
+        return [jet.coeffs for jet in self.curve.param_jets(t, 3)]
+
     def form_direction(self, t):
         entry = self._forms.get(t)
         if entry is None:
+            sample = self._samples.get(t)
             jets = self._jets.get(t)
-            if jets is None:
-                entry = super().form_direction(t)
-            else:
+            if sample is not None:
+                du, dv, X, _ = sample
+                entry = form_from_jets(X), du, dv
+            elif jets is not None:
                 u, v, X, _ = jets
                 entry = form_from_jets(X), u.coeffs[1], v.coeffs[1]
+            elif self._kernel is not None:  # sampled: read the path alike
+                (u, du, _, _), (v, dv, _, _) = self._path(t)
+                entry = affine_first_fundamental(self.surface, u, v), du, dv
+            else:
+                entry = super().form_direction(t)
             self._forms[t] = entry
         return entry
+
+
+def _path_kernel(curve):
+    """The recorded jet kernel of a ParamCurve's trees u(t), v(t)
+    (tape.record_curve); False for any other curve and for trees that
+    cannot be replayed."""
+    if type(curve) is not ParamCurve:
+        return False
+    from .tape import record_curve      # loaded when first needed
+    return record_curve((curve.u_of_t, curve.v_of_t)) or False
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +396,18 @@ def _strict_sigma(node, orientation):
     return math.nan if degenerate else value
 
 
+def _alpha_at(nodes, t, mirror):
+    """_alpha_integrand on the columns of the float node at t."""
+    return _alpha_integrand(*nodes.sample(t)[3], mirror)
+
+
+def _alpha_value(nodes, t, mirror):
+    """The equiaffine integrand at t for cheb_cumulative: NaN where it is
+    degenerate or, by raising, off the ``mirror`` branch."""
+    value, _, degenerate = _alpha_at(nodes, t, mirror)
+    return math.nan if degenerate else value
+
+
 def _alpha_branch(nodes, grid, auto_orient):
     """(mirror, degenerate): the first node of ``grid`` whose det[a', a'',
     a'''] is not degenerate decides; a negative det there mirrors the curve
@@ -342,14 +415,13 @@ def _alpha_branch(nodes, grid, auto_orient):
     before that node is raised; every node degenerate is ``degenerate``."""
     for t in grid:
         try:
-            affine_integrand(nodes, t)
-        except DegenerateCurve:
-            continue
+            degenerate = _alpha_at(nodes, t, False)[2]
         except NegativeOrientation:
             if not auto_orient:
                 raise
             return True, False
-        return False, False
+        if not degenerate:
+            return False, False
     return False, True
 
 
@@ -374,7 +446,10 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     sample that disagrees) sums GK15 quadratures segment by segment
     instead, on its decided branch, so its sums and errors are those of
     affine_arclength and induced_arclength given that branch.  One
-    NodeTable serves both sides, so a node is evaluated once.
+    NodeTable serves both sides, so a node is evaluated once: on floats
+    (NodeTable.sample, with the curve's parameter path recorded at the
+    first node) up to the fallback, and by the Jet route (node_jets) in
+    the GK15 quadratures, as the stand-alone functions evaluate it.
     """
     ts = [float(t) for t in ts]
     a, b = ts[0], ts[-1]
@@ -387,8 +462,7 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
         alpha_fit = ChebResult([0.0] * len(ts), 0.0, 0)
     else:
         alpha_fit = cheb_cumulative(
-            _sampled(lambda t: affine_integrand(nodes, t, mirror=mirror)),
-            a, b, ts, tol)
+            _sampled(lambda t: _alpha_value(nodes, t, mirror)), a, b, ts, tol)
     orientation = _probe_orientation(nodes, grid, {})
     sigma_fit = cheb_cumulative(
         _sampled(lambda t: _strict_sigma(nodes.form_direction(t),
@@ -405,12 +479,15 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
         ia = alpha = 0.0
         if not alpha_degenerate:
             try:
-                ia = alpha = affine_integrand(nodes, t, mirror=mirror)
-            except (DegenerateCurve, NegativeOrientation):
-                ia, alpha = 0.0, math.nan
+                ia, _, degenerate = _alpha_at(nodes, t, mirror)
+            except NegativeOrientation:
+                degenerate = True
             except AffineMetricsError as exc:
                 failure = exc
                 break
+            alpha = ia
+            if degenerate:
+                ia, alpha = 0.0, math.nan
         try:
             node = nodes.form_direction(t)
         except AffineMetricsError:
@@ -512,28 +589,15 @@ def _state_geometry(X, c, s, omega, omega_dot=0.0):
     X and its direction (c, s) = (cos(theta), sin(theta)).  w = -s X_u +
     c X_v is the column that theta'' multiplies in a'''.
 
-    This is _theta_jets' path pushed through compose_curve_in_surface's
-    chain rule, with form_from_jets' form, in the same float operations
-    in the same order, so every value equals the one that route gives.
-    It reads the jets' coefficient tuples and builds no jet.  Raises
-    DegenerateSurfacePoint where the form is undefined.
+    This is _theta_jets' path pushed through compose_columns, the chain
+    rule under compose_curve_in_surface, with form_from_jets' form, in the
+    same float operations in the same order, so every value equals the one
+    that route gives.  It reads the jets' coefficient tuples and builds no
+    jet.  Raises DegenerateSurfacePoint where the form is undefined.
     """
-    u2, v2 = -omega * s, omega * c
-    u3 = -omega_dot * s - omega * omega * c
-    v3 = omega_dot * c - omega * omega * s
-    uu, uv, vv = c * c, c * s, s * s
-    d1, d2, d3 = [], [], []
-    for comp in X:
-        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
-        x = comp.coeffs
-        d1.append(x[1] * c + x[2] * s)
-        d2.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
-                  + x[1] * u2 + x[2] * v2)
-        d3.append(x[6] * uu * c + 3.0 * x[7] * uu * s
-                  + 3.0 * x[8] * c * vv + x[9] * vv * s
-                  + 3.0 * (x[3] * c * u2 + x[4] * (c * v2 + u2 * s)
-                           + x[5] * s * v2)
-                  + x[1] * u3 + x[2] * v3)
+    d1, d2, d3 = compose_columns(
+        X, c, -omega * s, -omega_dot * s - omega * omega * c,
+        s, omega * c, omega_dot * c - omega * omega * s)
     xu, xv, xuu, xuv, xvv = _partials(X)
     a, b, cc, disc, _, cross = form_from_partials(xu, xv, xuu, xuv, xvv)
     w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],

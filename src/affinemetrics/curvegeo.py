@@ -116,23 +116,28 @@ def curve_jets(curve, t, order):
                   for comp in curve.components])
 
 
-def _det_and_scale(jets):
-    """det[a', a'', a'''], the scale max(1, |a'| |a''| |a'''|) of its
-    degeneracy threshold, and a', a'', a''' as plain 3-tuples.  Each norm
-    is a math.hypot, so it stays finite; a product past the float range is
-    inf, and then every determinant counts as degenerate."""
-    d1, d2, d3 = (tuple(j.coeffs[k] for j in jets) for k in (1, 2, 3))
+def _columns(jets):
+    """a', a'', a''' of order-3 curve jets, as plain 3-tuples."""
+    return tuple([tuple([j.coeffs[k] for j in jets]) for k in (1, 2, 3)])
+
+
+def _det_and_scale(d1, d2, d3):
+    """det[a', a'', a'''] and the scale max(1, |a'| |a''| |a'''|) of its
+    degeneracy threshold, from the columns a', a'', a'''.  Each norm is a
+    math.hypot, so it stays finite; a product past the float range is inf,
+    and then every determinant counts as degenerate."""
     det = det3(d1, d2, d3)
     scale = max(1.0, math.hypot(*d1) * math.hypot(*d2) * math.hypot(*d3))
-    return det, scale, (d1, d2, d3)
+    return det, scale
 
 
-def _alpha_integrand(jets, mirror):
-    """(|det|^(1/6), det, degenerate) on order-3 curve jets, with det =
-    det[a', a'', a'''] negated when ``mirror``.  ``degenerate`` is set when
-    |det| is within the scale-aware threshold; past it, a negative det
-    raises NegativeOrientation carrying it."""
-    det, scale, _ = _det_and_scale(jets)
+def _alpha_integrand(d1, d2, d3, mirror):
+    """(|det|^(1/6), det, degenerate) on the columns a', a'', a''' of a
+    curve, with det = det[a', a'', a'''] negated when ``mirror``.
+    ``degenerate`` is set when |det| is within the scale-aware threshold;
+    past it, a negative det raises NegativeOrientation carrying it.  Every
+    route to the equiaffine integrand decides here."""
+    det, scale = _det_and_scale(d1, d2, d3)
     if mirror:
         det = -det
     if abs(det) <= EPS_DEGENERATE * scale:
@@ -150,7 +155,8 @@ def affine_integrand(curve, t, mirror=False):
     it is negative.  ``mirror=True`` evaluates the reflected curve instead,
     whose determinant has the opposite sign.
     """
-    value, det, degenerate = _alpha_integrand(curve.curve_jets(t, 3), mirror)
+    value, det, degenerate = _alpha_integrand(
+        *_columns(curve.curve_jets(t, 3)), mirror)
     if degenerate:
         raise DegenerateCurve(
             f"det[a', a'', a'''] = {det!r} is degenerate at t = {t!r}")
@@ -171,7 +177,8 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     flagged = [False]
 
     def integrand(t):
-        value, _, degenerate = _alpha_integrand(curve.curve_jets(t, 3), mirror)
+        value, _, degenerate = _alpha_integrand(
+            *_columns(curve.curve_jets(t, 3)), mirror)
         flagged[0] = flagged[0] or degenerate
         return value
 
@@ -190,7 +197,8 @@ def frenet_from_jets(jets, t):
     is used only in the error messages."""
     import numpy as np
 
-    det, scale, (d1, d2, _) = _det_and_scale(jets)
+    d1, d2, d3 = _columns(jets)
+    det, scale = _det_and_scale(d1, d2, d3)
     d1, d2 = np.array(d1), np.array(d2)
     v = float(np.linalg.norm(d1))
     if v <= 1e-300:

@@ -31,7 +31,7 @@ from .commensurate import (
     check_condition_euclidean,
     commensurate_residual,
 )
-from .curvegeo import CurveDef, _alpha_integrand, frenet_from_jets
+from .curvegeo import CurveDef, _alpha_integrand, _columns, frenet_from_jets
 from .errors import AffineMetricsError, NonFiniteValue
 from .expr import BinOp, Call, Const, Var
 from .jets import _PRODUCT1, Jet1, _phi
@@ -265,7 +265,7 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
         # the draw holds tau > 0, so the determinant is positive and past
         # the degeneracy threshold: neither route can raise here
         _, _, jets, fr = _draw_curve(rng)
-        direct = _alpha_integrand(jets, False)[0]
+        direct = _alpha_integrand(*_columns(jets), False)[0]
         euclid = (fr.kappa ** 2 * fr.tau) ** (1.0 / 6.0) * fr.speed
         worst = _worse(worst, _rel_dev(direct, euclid))
     return IdentityReport("integrand-det-vs-euclidean-route", worst, tolerance,

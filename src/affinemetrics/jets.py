@@ -44,9 +44,9 @@ g''' = phi''' f'^3 + 3 phi'' f' f'' + phi' f'''.  phi and its first three
 derivatives at f's value come from one closed-form table per function
 (``_PHI``), which reports a math overflow or domain error as DomainError.
 
-:func:`compose_curve_in_surface` gives the derivatives of a(t) =
-X(u(t), v(t)) up to order 3 by the chain rule, written out term by term on
-floats.
+:func:`compose_columns` gives the derivatives of a(t) = X(u(t), v(t))
+up to order 3 by the chain rule, written out term by term on floats;
+:func:`compose_curve_in_surface` gives them as Jet1s.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ import types
 
 from .errors import DomainError, OrderMismatch, UnsupportedOrder
 
-__all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "power_int",
-           "dot3", "cross3", "det3", "MAX_ORDER_1", "MAX_ORDER_2"]
+__all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "compose_columns",
+           "power_int", "dot3", "cross3", "det3", "MAX_ORDER_1",
+           "MAX_ORDER_2"]
 
 MAX_ORDER_1 = 3
 MAX_ORDER_2 = 3
@@ -411,7 +412,7 @@ class Jet1(_Jet):
     @classmethod
     def constant(cls, value, order):
         _check_order(order, MAX_ORDER_1, "Jet1")
-        return Jet1._make(order, (float(value),) + (0.0,) * order)
+        return cls._make(order, (float(value),) + (0.0,) * order)
 
     def __repr__(self):
         return f"Jet1({list(self.coeffs)!r})"
@@ -543,15 +544,44 @@ class Jet2(_Jet):
 # ---------------------------------------------------------------------------
 # composition and small vector helpers
 
-def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
-    """Jets of a(t) = X(u(t), v(t)) from Jet2 components of X and Jet1
-    components of u, v, by the chain rule up to order 3:
+def compose_columns(surface_jets, u1, u2, u3, v1, v2, v3, order=3):
+    """The columns a', ..., a^(order) of a(t) = X(u(t), v(t)), each a list
+    of three floats, from Jet2 components of X at (u(t), v(t)) and the
+    derivatives of u and v there, by the chain rule up to order 3:
 
         a'   = X_u u' + X_v v'
         a''  = X_uu u'^2 + 2 X_uv u'v' + X_vv v'^2 + X_u u'' + X_v v''
         a''' = X_uuu u'^3 + 3 X_uuv u'^2 v' + 3 X_uvv u'v'^2 + X_vvv v'^3
                + 3 (X_uu u'u'' + X_uv (u'v'' + u''v') + X_vv v'v'')
                + X_u u''' + X_v v'''
+
+    This is the one chain rule of a curve in a surface: the solver and
+    the Chebyshev path of arclen-compare read it on floats, and
+    compose_curve_in_surface wraps it in Jet1s.  Derivatives past
+    ``order`` are not read.
+    """
+    uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
+    d1, d2, d3 = [], [], []
+    for comp in surface_jets:
+        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
+        x = comp.coeffs
+        d1.append(x[1] * u1 + x[2] * v1)
+        if order >= 2:
+            d2.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
+                      + x[1] * u2 + x[2] * v2)
+        if order >= 3:
+            d3.append(x[6] * uu * u1 + 3.0 * x[7] * uu * v1
+                      + 3.0 * x[8] * u1 * vv + x[9] * vv * v1
+                      + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
+                               + x[5] * v1 * v2)
+                      + x[1] * u3 + x[2] * v3)
+    return (d1, d2, d3)[:order]
+
+
+def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
+    """Jets of a(t) = X(u(t), v(t)) from Jet2 components of X and Jet1
+    components of u, v: each component's value X(u, v) followed by its
+    entries of compose_columns.
 
     ``surface_jets`` is a 3-tuple of Jet2 expanded at (u_jet.value,
     v_jet.value).  The output order defaults to the largest the inputs
@@ -569,23 +599,9 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
     pad = (0.0,) * (3 - order)
     u1, u2, u3 = u_jet.coeffs[1:order + 1] + pad
     v1, v2, v3 = v_jet.coeffs[1:order + 1] + pad
-    uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
-    out = []
-    for comp in surface_jets:
-        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
-        x = comp.coeffs
-        d = [x[0], x[1] * u1 + x[2] * v1]
-        if order >= 2:
-            d.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
-                     + x[1] * u2 + x[2] * v2)
-        if order >= 3:
-            d.append(x[6] * uu * u1 + 3.0 * x[7] * uu * v1
-                     + 3.0 * x[8] * u1 * vv + x[9] * vv * v1
-                     + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
-                              + x[5] * v1 * v2)
-                     + x[1] * u3 + x[2] * v3)
-        out.append(Jet1._make(order, tuple(d)))
-    return tuple(out)
+    columns = compose_columns(surface_jets, u1, u2, u3, v1, v2, v3, order)
+    return tuple([Jet1._make(order, (comp.coeffs[0],) + d)
+                  for comp, d in zip(surface_jets, zip(*columns))])
 
 
 def dot3(a, b):

@@ -180,6 +180,11 @@ def cheb_points(a, b, n):
     return t
 
 
+# m -> the (m + 1) x (m + 1) DCT-I matrix cos(pi j k / m): one per grid
+# size, at most six (m = 8 ... 256, 0.5 MB for the largest)
+_DCT = {}
+
+
 def _cheb_coefficients(values):
     """Coefficients c_0..c_m of the interpolant through ``values`` at the
     ascending Lobatto points: a DCT-I of the descending values."""
@@ -188,20 +193,44 @@ def _cheb_coefficients(values):
     m = len(values) - 1
     w = values[::-1].copy()
     w[[0, -1]] *= 0.5
-    jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
-    c = (np.cos(np.pi * jk / m) @ w) * (2.0 / m)
+    matrix = _DCT.get(m)
+    if matrix is None:
+        jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
+        matrix = _DCT[m] = np.cos(np.pi * jk / m)
+    c = (matrix @ w) * (2.0 / m)
     c[[0, -1]] *= 0.5
     return c
 
 
-def _clenshaw(c, x):
-    """sum c_k T_k(x) for an array x."""
-    import numpy as np
+#: most points at which _clenshaw runs on Python floats: a numpy pass pays
+#: a few microseconds per coefficient, a float one about 0.12 us per
+#: coefficient and point, and the two break even near 50 points
+CLENSHAW_FLOAT_POINTS = 48
 
-    b1 = b2 = np.zeros_like(x)
-    for ck in c[:0:-1]:
-        b1, b2 = ck + 2.0 * x * b1 - b2, b1
-    return c[0] + x * b1 - b2
+
+def _clenshaw(c, xs):
+    """[sum c_k T_k(x) for x in xs] for lists of floats c and xs, as a list
+    of floats.  Each x runs the recurrence b_k = c_k + 2 x b_(k+1) -
+    b_(k+2) in the same float operations in the same order, on Python
+    floats up to CLENSHAW_FLOAT_POINTS points and over one numpy array of
+    them beyond, so every value is the same either way, bit for bit."""
+    rest = c[:0:-1]
+    if len(xs) > CLENSHAW_FLOAT_POINTS:
+        import numpy as np
+
+        x = np.array(xs)
+        b1 = b2 = np.zeros_like(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ck in rest:
+                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+            return (c[0] + x * b1 - b2).tolist()
+    out = []
+    for x in xs:
+        b1 = b2 = 0.0
+        for ck in rest:
+            b1, b2 = ck + 2.0 * x * b1 - b2, b1
+        out.append(c[0] + x * b1 - b2)
+    return out
 
 
 def cheb_cumulative(f, a, b, ts, tol):
@@ -215,7 +244,7 @@ def cheb_cumulative(f, a, b, ts, tol):
     import numpy as np
 
     if a == b:
-        return ChebResult(np.zeros(len(ts)), 0.0, 0)
+        return ChebResult([0.0] * len(ts), 0.0, 0)
     n = 9
     values = np.array([f(float(t)) for t in cheb_points(a, b, n)])
     while True:
@@ -240,15 +269,16 @@ def cheb_cumulative(f, a, b, ts, tol):
     d[0] *= 2.0
     C = np.concatenate([[0.0],
                         (d[:-2] - d[2:]) / (2.0 * np.arange(1, n + 1))])
+    a, b = float(a), float(b)
     half = 0.5 * (b - a)
-    x = (np.concatenate([[a], ts]) - 0.5 * (a + b)) / half
-    with np.errstate(over="ignore", invalid="ignore"):
-        F = _clenshaw(C, x)
-        integrals = half * (F[1:] - F[0])
-        fitted = _clenshaw(c, x[1:])
-    if not np.isfinite(integrals).all():
+    mid = 0.5 * (a + b)
+    x = [(float(t) - mid) / half for t in (a, *ts)]
+    F = _clenshaw(C.tolist(), x)
+    integrals = [half * (f - F[0]) for f in F[1:]]
+    if not all(map(math.isfinite, integrals)):
         return ChebResult(None, math.inf, n)
-    return ChebResult(integrals, tail * abs(b - a), n, fitted, scale)
+    return ChebResult(integrals, tail * abs(b - a), n,
+                      _clenshaw(c.tolist(), x[1:]), scale)
 
 
 # ---------------------------------------------------------------------------

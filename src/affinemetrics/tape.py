@@ -1,4 +1,4 @@
-"""Recorded jet kernels: one evaluation over Jet2 seeds, replayed on floats.
+"""Recorded jet kernels: one evaluation over jet seeds, replayed on floats.
 
 A surface's jets come from walking its three expression trees with
 ``eval_ast`` over Jet2 seeds, and at every point the walk performs the
@@ -6,10 +6,11 @@ same float operations; only the values of u and v change.  Recording
 those operations once, "taping" (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008), gives a straight-line Python function
 of (u, v) that performs them in the same order, so its coefficients are
-the interpreter's bit for bit.  The recording runs ``eval_ast`` itself,
-over seeds whose coefficients are symbolic: the jets' own products,
-chain rule, quotients and integer powers produce the tape, and the
-chain rule exists in one place only.
+the interpreter's bit for bit.  A parameter path (u(t), v(t)) is
+recorded the same way over a Jet1 seed, as a function of t.  The
+recording runs ``eval_ast`` itself, over seeds whose coefficients are
+symbolic: the jets' own products, chain rule, quotients and integer
+powers produce the tape, and the chain rule exists in one place only.
 
 Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
@@ -17,8 +18,9 @@ is not recorded, and a kernel hands back to ``eval_ast`` wherever its
 folds might not hold or an elementary function fails: it returns None,
 or raises what the function raised, and the caller evaluates again with
 ``eval_ast``, which reports it.  surfgeo imports this module when it
-first records a kernel, so a command that evaluates a surface only a few
-times never loads it.
+first records a kernel, and NodeTable when it first samples a curve for
+arclen-compare, so a command that evaluates a surface only a few times
+never loads it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,16 @@ import math
 import types
 
 from .expr import BinOp, Call, Neg, Var, eval_ast
-from .jets import _PHI, _SEED_TAILS, MAX_ORDER_2, Jet2, _check_order, _phi
+from .jets import (
+    _PHI,
+    _SEED_TAILS,
+    MAX_ORDER_1,
+    MAX_ORDER_2,
+    Jet1,
+    Jet2,
+    _check_order,
+    _phi,
+)
 
 
 class NotReplayable(Exception):
@@ -165,10 +176,11 @@ class _Tape:
                 self.node("item", (call,))
         return tuple(self.nodes[call.index + 1:call.index + 5])
 
-    def kernel(self, outputs):
-        """The function (u, v) -> ``outputs``, a tuple of coefficient
-        tuples: the live operations in recorded order, then the guard,
-        which returns None if a guarded value is not finite."""
+    def kernel(self, outputs, names):
+        """The function of the inputs ``names`` (u and v, or t) to
+        ``outputs``, a tuple of coefficient tuples: the live operations in
+        recorded order, then the guard, which returns None if a guarded
+        value is not finite."""
         live = set()
         stack = [x for coeffs in outputs for x in coeffs
                  if x.__class__ is _Sym]
@@ -202,8 +214,8 @@ class _Tape:
         lines.append(f"return ({rows},)")
         # _phi's table itself: its errors are eval_ast's to report
         namespace = {f"_d_{name}": f for name, f in _PHI.items()}
-        exec("def kernel(u, v):\n    " + "\n    ".join(lines) + "\n",
-             namespace)
+        exec(f"def kernel({', '.join(names)}):\n    "
+             + "\n    ".join(lines) + "\n", namespace)
         return namespace["kernel"]
 
 
@@ -220,9 +232,18 @@ def _recorded_phi(name, x):
     return x.tape.phi(name, x) if x.__class__ is _Sym else _phi(name, x)
 
 
-class _RecordingJet2(Jet2):
-    """Jet2 over recorded floats: Jet2's own code, whose chain rule records
+class _RecordingJet1(Jet1):
+    """Jet1 over recorded floats: Jet1's own code, whose chain rule records
     a _phi call where the argument is known only at run time."""
+
+    __slots__ = ()
+    _apply = types.FunctionType(
+        Jet1._apply.__code__,
+        {**Jet1._apply.__globals__, "_phi": _recorded_phi}, "_apply")
+
+
+class _RecordingJet2(Jet2):
+    """Jet2 over recorded floats, as _RecordingJet1."""
 
     __slots__ = ()
     _apply = types.FunctionType(
@@ -230,24 +251,37 @@ class _RecordingJet2(Jet2):
         {**Jet2._apply.__globals__, "_phi": _recorded_phi}, "_apply")
 
 
-def record_kernel(evaluate, order):
+# per kind, the names of its seeds and its recording class
+_SEEDS = {Jet1: ("t", _RecordingJet1), Jet2: ("uv", _RecordingJet2)}
+
+
+def record_kernel(evaluate, order, kind=Jet2):
     """Record ``evaluate`` once as a straight-line float function.
 
     ``evaluate(u, v)`` maps the Jet2 seeds u and v of ``order`` to a
-    sequence of Jet2s through the jets' own arithmetic.  The result is
-    kernel(u, v) -> one coefficient tuple per jet: the same float
-    operations in the same order, so each coefficient is what evaluate
-    gives at the float seeds, bit for bit.  The kernel returns None where
-    a value folded at record time would not have been finite.  It calls
-    the functions of _phi's table directly, so where _phi would raise
-    DomainError it raises that, OverflowError or ValueError.  A branch on
-    a value known only at run time raises NotReplayable here.
+    sequence of Jet2s through the jets' own arithmetic; with ``kind``
+    Jet1, ``evaluate(t)`` maps the Jet1 seed t to a sequence of Jet1s.
+    The result is kernel(u, v), or kernel(t), -> one coefficient tuple
+    per jet: the same float operations in the same order, so each
+    coefficient is what evaluate gives at the float seeds, bit for bit.
+    The kernel returns None where a value folded at record time would not
+    have been finite.  It calls the functions of _phi's table directly, so
+    where _phi would raise DomainError it raises that, OverflowError or
+    ValueError.  A branch on a value known only at run time raises
+    NotReplayable here.
     """
-    _check_order(order, MAX_ORDER_2, "Jet2")
+    names, recording = _SEEDS[kind]
+    if kind is Jet1:
+        _check_order(order, MAX_ORDER_1, "Jet1")
+        tails = ((1.0,) + (0.0,) * (order - 1),)
+    else:
+        _check_order(order, MAX_ORDER_2, "Jet2")
+        tails = _SEED_TAILS[order]
     tape = _Tape()
-    u, v = (_RecordingJet2._make(order, (tape.node("in", (name,)),) + tail)
-            for name, tail in zip("uv", _SEED_TAILS[order]))
-    return tape.kernel(tuple([jet.coeffs for jet in evaluate(u, v)]))
+    seeds = [recording._make(order, (tape.node("in", (name,)),) + tail)
+             for name, tail in zip(names, tails)]
+    return tape.kernel(tuple([jet.coeffs for jet in evaluate(*seeds)]),
+                       names)
 
 
 def _subtrees(ast):
@@ -263,24 +297,38 @@ def _subtrees(ast):
         yield from _subtrees(ast.child)
 
 
-def record_surface(components, order):
-    """The jet kernel of a surface's component trees at ``order``
-    (record_kernel), or None where a recording cannot stand for eval_ast.
-    That is a power whose exponent depends on u or v (over jets, eval_ast
-    picks square-and-multiply or exp(b log a) by the exponent's value),
-    abs of a jet (it branches on the value), a non-finite constant that
-    the kernel's source would have to spell, and any other failure to
-    record."""
+def _record_trees(trees, order, kind):
+    """The jet kernel of ``eval_ast`` over ``trees`` (record_kernel), or
+    None where a recording cannot stand for eval_ast.  That is a power
+    whose exponent depends on a variable (over jets, eval_ast picks
+    square-and-multiply or exp(b log a) by the exponent's value), abs of a
+    jet (it branches on the value), a quotient or a negative power of a
+    Jet1 (its quotient branches on the divisor, or divides each
+    coefficient), a non-finite constant that the kernel's source would
+    have to spell, and any other failure to record."""
     if any(type(node) is BinOp and node.op == "^"
            and any(type(sub) is Var for sub in _subtrees(node.right))
-           for comp in components for node in _subtrees(comp)):
+           for tree in trees for node in _subtrees(tree)):
         return None
 
-    def evaluate(u, v):
-        bindings = {"u": u, "v": v}
-        return [u.lift(eval_ast(comp, bindings)) for comp in components]
+    def evaluate(*seeds):
+        bindings = dict(zip(_SEEDS[kind][0], seeds))
+        return [seeds[0].lift(eval_ast(tree, bindings)) for tree in trees]
 
     try:
-        return record_kernel(evaluate, order)
+        return record_kernel(evaluate, order, kind)
     except Exception:       # eval_ast raises what it should, if anything
         return None
+
+
+def record_surface(components, order):
+    """The jet kernel (u, v) -> three coefficient tuples of a surface's
+    component trees at ``order``, or None (see _record_trees)."""
+    return _record_trees(components, order, Jet2)
+
+
+def record_curve(trees):
+    """The order-3 jet kernel t -> ((u, u', u'', u'''), (v, v', v'', v'''))
+    of a parameter path's trees (u(t), v(t)), or None (see
+    _record_trees)."""
+    return _record_trees(trees, MAX_ORDER_1, Jet1)

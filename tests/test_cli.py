@@ -976,6 +976,112 @@ class TestRecordedKernels:
         assert recorded == [(3, True)]
 
 
+class TestRecordedCurveKernels:
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        """Per curve recording, whether a kernel came of it."""
+        calls = []
+        record = tape.record_curve
+
+        def spy(trees):
+            kernel = record(trees)
+            calls.append(kernel is not None)
+            return kernel
+
+        monkeypatch.setattr(tape, "record_curve", spy)
+        return calls
+
+    @pytest.mark.parametrize("surface, curve, t_range, code, kernel", [
+        ("sphere", "2*t;t/(1+t^2)", "0.1:1", 0, False),
+        ("hyperboloid", "t/(1+t^2);0.3*t^2", "0.1:1", 0, False),
+        ("hyperboloid", "t;abs(t-0.45)*t", "0:1", 5, False),
+        ("sphere", "abs(t-0.45);t", "0:1", 3, False),
+        ("helicoid", "t^t;t^2", "0:1", 5, False),
+        ("paraboloid", "1+t^t;1+t", "0.1:1", 3, False),
+        ("paraboloid", "1+log(t);1+t", "-0.5:1", 5, True),
+        ("paraboloid", "1+log(t);1+t", "0:1", 5, True),
+        # exp(1000 t) overflows past t = 0.7098: eval_ast's DomainError,
+        # or a NaN integrand where the jet it feeds is dropped
+        ("sphere", "t+exp(1000*t)*0.0;t^2", "0.1:1", 5, True),
+        ("hyperboloid", "t;0.5+0.1*sin(exp(1000*t))", "0.1:1", 5, True),
+    ])
+    def test_fallbacks_keep_eval_asts_outcome(self, capsys, monkeypatch,
+                                              recorded, surface, curve,
+                                              t_range, code, kernel):
+        # a path that cannot be recorded (a division, abs, a t-dependent
+        # exponent) stays with eval_ast; a recorded one whose _phi fails
+        # (log at t <= 0, exp past the float range) hands those t back
+        argv = ["arclen-compare", "--surface", surface, "--curve", curve,
+                "--t-range", t_range, "--samples", "11", "--auto-orient",
+                "--format", "json"]
+        got = run(argv), capsys.readouterr()
+        assert got[0] == code
+        assert recorded == [kernel]
+        # eval_ast alone, as before curves were recorded
+        monkeypatch.setattr(tape, "record_curve", lambda trees: None)
+        assert (run(argv), capsys.readouterr()) == got
+
+    def test_one_node_table_records_nothing(self, recorded):
+        # the condition suite's use: one order-3 node of a fresh curve
+        from affinemetrics.commensurate import NodeTable, ParamCurve
+
+        pc = ParamCurve.from_strings(CATALOG["sphere"], "0.3 + 0.2*t",
+                                     "0.1 - 0.5*t + t^2", -0.1, 0.1)
+        NodeTable(pc).node_jets(0.0, 3)
+        assert recorded == []
+
+    @pytest.mark.parametrize("surface, u, v, samples", [
+        ("sphere", "8*t", "t", 50),
+        # a benchmark item whose induced side needs 17 points and the
+        # equiaffine side 9: eight nodes evaluate only the order-2 form
+        ("hyperbolic-paraboloid", "(-0.3258) + (-1.1168)*t + (0.0233)*t^2",
+         "(-0.0180) + (0.3164)*t + (0.3152)*t^2", 8),
+    ], ids=["readme", "form-only-nodes"])
+    def test_chebyshev_path_runs_on_floats(self, monkeypatch, recorded,
+                                           surface, u, v, samples):
+        # one curve kernel, no Jet1 built, no jet composed and no
+        # affine_integrand on the Chebyshev path, and the rows that
+        # eval_ast's route gives
+        from affinemetrics import commensurate, curvegeo
+        from affinemetrics.commensurate import (
+            ParamCurve,
+            running_arclengths,
+        )
+        from affinemetrics.jets import Jet1
+
+        pc = ParamCurve.from_strings(CATALOG[surface], u, v, 0.0, 1.0)
+        ts = np.linspace(0.0, 1.0, samples)
+        builds = []
+
+        def counting(name, method):
+            # a Jet1 built, not a recording jet of tape's
+            def counted(self_or_cls, *args, **kwargs):
+                if self_or_cls is Jet1 or type(self_or_cls) is Jet1:
+                    builds.append(name)
+                return method(self_or_cls, *args, **kwargs)
+            return counted
+
+        def refused(*args, **kwargs):
+            pytest.fail("the Jet route ran")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Jet1, "__init__", counting("init", Jet1.__init__))
+            patch.setattr(Jet1, "_like", counting("like", Jet1._like))
+            patch.setattr(Jet1, "_make", classmethod(
+                counting("make", Jet1._make.__func__)))
+            patch.setattr(commensurate, "compose_curve_in_surface", refused)
+            patch.setattr(curvegeo, "affine_integrand", refused)
+            rows = running_arclengths(pc, ts)
+        assert builds == []
+        assert recorded == [True]
+        assert {side["path"] for side in rows.quadrature.values()} == {
+            "chebyshev"}
+        assert rows.quadrature["alpha"]["points"] <= rows.quadrature[
+            "sigma"]["points"]
+        monkeypatch.setattr(tape, "record_curve", lambda trees: None)
+        assert running_arclengths(pc, ts) == rows
+
+
 class TestCachedParser:
     """main builds its parser once per process and carries nothing from
     one call to the next."""

@@ -467,6 +467,45 @@ class TestQuadricOracle:
                     <= 1e-13
                 assert abs(node.theta_prime - (omega0 - t)) <= 1e-13
 
+    @pytest.mark.parametrize("omega0", [0.7, -1.3])
+    def test_round_paraboloid_path_is_a_fresnel_spiral(self, omega0):
+        # With theta'' = -1 (the test above), theta(t) = theta0 + omega0 t
+        # - t^2/2 = phi - (t - omega0)^2/2 with phi = theta0 + omega0^2/2,
+        # and the solver's path u' = cos theta, v' = sin theta gives
+        #     u + i v = u0 + i v0 + int_0^t exp(i theta(s)) ds
+        #             = u0 + i v0 + sqrt(pi) e^(i phi) [C(z) - i S(z)],
+        # the Fresnel integrals C and S taken between z = -omega0/sqrt(pi)
+        # and (t - omega0)/sqrt(pi): an Euler spiral in the (u, v) plane.
+        # The reference integrates exp(i theta) node to node by mpmath at
+        # 30 digits.  Unlike theta, u and v carry the stepper's truncation
+        # error, so the gap is the solve's global error in the state: at
+        # most 2.5e-7, 2.8e-9 and 3.3e-11 (omega0 = 0.7) and 3.2e-7, 3.1e-9
+        # and 3.0e-11 (omega0 = -1.3) at rtol 1e-6, 1e-8 and 1e-10 as
+        # measured, so rtol itself bounds it with a margin of 3 or more.
+        mpmath = pytest.importorskip("mpmath")
+        surface = SurfaceDef.from_strings("u;v;(u^2+v^2)/2",
+                                          ((-5.0, 5.0), (-5.0, 5.0)))
+        theta0 = 0.4
+        gaps = []
+        for rtol in (1e-6, 1e-8, 1e-10):
+            trace = integrate_commensurate(CommensurateIVP(
+                surface, 0.3, -0.2, theta0, omega0=omega0,
+                t_span=(0.0, 4.0), rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.completed
+            gap = 0.0
+            with mpmath.workdps(30):
+                z, prev = mpmath.mpc(0.3, -0.2), 0.0
+                for node in trace.nodes:
+                    z += mpmath.quad(
+                        lambda s: mpmath.expj(theta0 + omega0 * s - s * s / 2),
+                        [prev, node.t], method="gauss-legendre")
+                    prev = node.t
+                    gap = max(gap, abs(node.u - float(z.real)),
+                              abs(node.v - float(z.imag)))
+            assert gap <= rtol
+            gaps.append(gap)
+        assert gaps[0] > gaps[1] > gaps[2]
+
     @pytest.mark.parametrize("start", [
         (0.3, -0.2, 0.5, 0.8),
         (0.1, 0.4, -0.5, 0.3),          # the negative cone, sin 2 theta < 0

@@ -565,6 +565,86 @@ class TestRecordedKernelOracle:
         assert recorded >= 2 * len(sources)
 
 
+def _arclen_item_paths(rng, count):
+    """(u, v) sources in the grammar of the benchmark's arclen items:
+    "(c0) + (c1)*t + (c2)*t^2" and "(c0) + (c1)*sin((f)*t) + (c2)*t"."""
+    def num():
+        return f"({rng.uniform(-3.0, 3.0):.4f})"
+
+    def poly():
+        return f"{num()} + {num()}*t + {num()}*t^2"
+
+    def trig():
+        return f"{num()} + {num()}*sin(({rng.uniform(1.0, 2.5):.4f})*t) + " \
+               f"{num()}*t"
+
+    return [(poly(), poly()) for _ in range(count)] + \
+        [(trig(), trig()) for _ in range(count)] + \
+        [(poly(), trig()) for _ in range(count)]
+
+
+class TestRecordedCurveKernel:
+    """tape.record_curve against eval_ast over Jet1.seed(t, 3), bit for bit
+    (a NaN equal to any NaN), at 520 values of t per parameter path, among
+    them +-0.0: the paths of arclen-compare's items, the README's 8*t;t and
+    the elementary functions whose _phi may fail.  Where the kernel hands
+    back with None, eval_ast gives a coefficient that is not finite; where
+    it raises, eval_ast raises."""
+
+    PATHS = [("8*t", "t"), ("exp(t)", "log(t)"), ("sqrt(t)", "t^0.5"),
+             ("exp(-t^2)*cos(3*t)", "log(1+t^2) - sqrt(2+sin(t))"),
+             ("t^3 - 2*t^2", "tan(t) + cosh(t)*tanh(t)"),
+             ("0.5", "-t"), ("exp(1000*t)", "sinh(700*t)")]
+
+    @staticmethod
+    def _outcome(f, t):
+        try:
+            rows = f(t)
+        except (DomainError, OverflowError, ValueError):
+            return DomainError
+        return None if rows is None else [_bits(row) for row in rows]
+
+    @pytest.mark.parametrize(
+        "u_src, v_src", PATHS + _arclen_item_paths(random.Random(19), 4))
+    def test_bit_identical_to_eval_ast(self, u_src, v_src):
+        trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
+        kernel = tape.record_curve(trees)
+        assert kernel is not None
+
+        def interpreted(t):
+            seed = Jet1.seed(t, 3)
+            return [seed.lift(eval_ast(tree, {"t": seed})).coeffs
+                    for tree in trees]
+
+        rng = random.Random(zlib.crc32((u_src + v_src).encode()))
+        ts = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 0.75, 2.0]
+        ts += [rng.uniform(-3.0, 3.0) for _ in range(500)]
+        ts += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 3)
+               for _ in range(12)]
+        handed_back = 0
+        for t in ts:
+            got = self._outcome(kernel, t)
+            if got is None:
+                # a guard fired: eval_ast's coefficients are not all finite
+                assert not all(map(math.isfinite, sum(interpreted(t), ()))), (
+                    u_src, v_src, t)
+                handed_back += 1
+            else:
+                assert got == self._outcome(interpreted, t), (u_src, v_src, t)
+        assert handed_back <= 10
+
+    @pytest.mark.parametrize("u_src, v_src", [
+        ("t/(1+t^2)", "t"), ("t", "t/2"), ("t^-2", "t"), ("abs(t)", "t"),
+        ("t^t", "t"), ("1e308*10*t", "t")])
+    def test_refused_paths(self, u_src, v_src):
+        # a division or a negative power (Jet1's quotient branches on its
+        # divisor, or divides coefficient by coefficient), abs, a
+        # t-dependent exponent and a literal past the float range stay
+        # with eval_ast
+        trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
+        assert tape.record_curve(trees) is None
+
+
 # ---------------------------------------------------------------------------
 # straight-line kernels against the routes they replaced
 

@@ -150,6 +150,83 @@ class TestChebCumulative:
         assert res.points == 9
 
 
+def _rebuilt_cheb_coefficients(values):
+    """The DCT-I with its cosine matrix rebuilt on every call."""
+    m = len(values) - 1
+    w = values[::-1].copy()
+    w[[0, -1]] *= 0.5
+    jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
+    c = (np.cos(np.pi * jk / m) @ w) * (2.0 / m)
+    c[[0, -1]] *= 0.5
+    return c
+
+
+def _numpy_clenshaw(c, x):
+    """Clenshaw's recurrence over a numpy array of x."""
+    b1 = b2 = np.zeros_like(x)
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+class TestChebyshevKernels:
+    """The cached DCT-I matrix and the float Clenshaw recurrence give what
+    the numpy formulas they replaced give, bit for bit, at every grid size
+    cheb_cumulative uses, on random, signed-zero and non-finite values."""
+
+    SIZES = [2 ** k + 1 for k in range(3, 9)]       # 9 ... 257
+
+    @staticmethod
+    def _arrays(rng, n):
+        """Random values, with signed zeros, and with non-finite values."""
+        base = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+        zeros = base.copy()
+        zeros[rng.integers(0, n, n // 3)] = 0.0
+        zeros[rng.integers(0, n, n // 3)] = -0.0
+        wild = zeros.copy()
+        wild[rng.integers(0, n, 3)] = [math.inf, -math.inf, math.nan]
+        wild[rng.integers(0, n, 2)] = 1e308
+        return base, zeros, np.array([0.0] * n), np.array([-0.0] * n), wild
+
+    @staticmethod
+    def _bits(values):
+        """Each value exactly, a NaN of either sign as one value: CPython
+        gives a NaN of either sign from two NaN operands (see test_jets)."""
+        return ["nan" if x != x else x.hex() for x in map(float, values)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_cached_matrix_coefficients(self, n):
+        from affinemetrics.numerics import _cheb_coefficients
+
+        rng = np.random.default_rng(n)
+        for values in self._arrays(rng, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _rebuilt_cheb_coefficients(values)
+                # the first call may build the matrix, the second reads it
+                for _ in range(2):
+                    got = _cheb_coefficients(values)
+                    assert self._bits(got) == self._bits(want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_clenshaw_on_floats_and_on_arrays(self, n):
+        from affinemetrics.numerics import CLENSHAW_FLOAT_POINTS, _clenshaw
+
+        rng = np.random.default_rng(1000 + n)
+        xs = np.concatenate([
+            [0.0, -0.0, 1.0, -1.0, 0.5, 1e300, -1e300, math.inf, -math.inf,
+             math.nan],
+            rng.uniform(-1.0, 1.0, 2 * CLENSHAW_FLOAT_POINTS)])
+        for c in self._arrays(rng, n + 1) + self._arrays(rng, n):
+            # on Python floats up to the cut, over one array past it
+            for m in (1, CLENSHAW_FLOAT_POINTS, CLENSHAW_FLOAT_POINTS + 1,
+                      len(xs)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = _numpy_clenshaw(c, xs[:m])
+                got = _clenshaw(c.tolist(), xs[:m].tolist())
+                assert all(type(value) is float for value in got)
+                assert self._bits(got) == self._bits(want)
+
+
 class TestOdeSolve:
     def test_exponential(self):
         res = ode_solve(lambda t, y: y, [1.0], (0.0, 1.0),
