@@ -886,10 +886,16 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     left side independent of the curve condition.
     """
     if omega_dot is None:
-        u_jet, v_jet, X, a = pc.node_jets(t, 3)
+        node = pc.node_jets(t, 3)
     else:
-        u_jet, v_jet, X, a = _node(
-            pc.surface, *_theta_jets(*pc.trace.state_at(t), omega_dot))
+        node = _node(pc.surface,
+                     *_theta_jets(*pc.trace.state_at(t), omega_dot))
+    return _condition_check(node)
+
+
+def _condition_check(node):
+    """check_condition_euclidean at an order-3 node (u, v, X, a)."""
+    u_jet, v_jet, X, a = node
     u, v = u_jet.value, v_jet.value
 
     d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))

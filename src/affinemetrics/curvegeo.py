@@ -198,23 +198,40 @@ def frenet_from_jets(jets, t):
     import numpy as np
 
     d1, d2, d3 = _columns(jets)
+    v, kappa, tau = _frenet_invariants(d1, d2, d3, t)
+    e1 = np.array(d1) / v
+    d2 = np.array(d2)
+    e2_raw = d2 - float(np.dot(d2, e1)) * e1
+    e2 = e2_raw / _norm(e2_raw)
+    e3 = np.array(cross3(e1, e2))
+    return FrenetData(e1, e2, e3, v, kappa, tau)
+
+
+def _frenet_invariants(d1, d2, d3, t):
+    """(speed, kappa, tau) of frenet_from_jets from the columns a', a'',
+    a''' at t, with its checks but not its frame."""
     det, scale = _det_and_scale(d1, d2, d3)
-    d1, d2 = np.array(d1), np.array(d2)
-    v = float(np.linalg.norm(d1))
+    v = _norm(d1)
     if v <= 1e-300:
         raise ZeroSpeed(f"|a'(t)| = 0 at t = {t!r}")
-    cross = np.array(cross3(d1, d2))
-    cross_norm = float(np.linalg.norm(cross))
-    if cross_norm <= 1e-12 * v * max(float(np.linalg.norm(d2)), 1e-300):
+    cross_norm = _norm(cross3(d1, d2))
+    if cross_norm <= 1e-12 * v * max(_norm(d2), 1e-300):
         raise EuclideanDegenerate(
             f"a' and a'' are parallel at t = {t!r}; frame undefined")
     kappa = cross_norm / v ** 3
     tau = det / cross_norm ** 2 if abs(det) > EPS_DEGENERATE * scale else None
-    e1 = d1 / v
-    e2_raw = d2 - float(np.dot(d2, e1)) * e1
-    e2 = e2_raw / np.linalg.norm(e2_raw)
-    e3 = np.array(cross3(e1, e2))
-    return FrenetData(e1, e2, e3, v, kappa, tau)
+    return v, kappa, tau
+
+
+def _norm(x):
+    """float(np.linalg.norm(x)) of a vector of floats, bit for bit: numpy
+    takes the norm of a float64 vector as sqrt(x.dot(x)), and this skips
+    its wrapper.  Not math.hypot or a sum of squares in Python, which
+    round differently from the BLAS dot product."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    return math.sqrt(x.dot(x))
 
 
 def affine_integrand_via_euclidean(curve, t):

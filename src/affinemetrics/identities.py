@@ -11,11 +11,14 @@ kernel on those coefficients, bit-identical to evaluating the curve's
 expression trees over jets, and shares them between both routes and the
 sample filter; a tree is built only for a caller that asks for the curve
 (random_nondegenerate_curve).  The condition suite's quadratic parameter
-curves are expression trees, as are the moved surfaces of the invariance
-suite.
+paths are coefficients too, their jets at t = 0 read off a kernel of their
+own; only the moved surfaces of the invariance suite are expression trees.
 
-The generators are numpy's; the functions that build arrays import numpy
-themselves, so importing this module (as the CLI does) does not load it.
+The generators are numpy's.  Every uniform draw is a scaled rng.random
+draw (_uniform), bit for bit what rng.uniform gives for the same bounds,
+and each sample takes all its numbers from one rng.random call.  The
+functions that build arrays import numpy themselves, so importing this
+module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
@@ -23,25 +26,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial, reduce
+from typing import NamedTuple
 
 from .commensurate import (
-    NodeTable,
-    ParamCurve,
+    _condition_check,
+    _node,
     _residual,
-    check_condition_euclidean,
     commensurate_residual,
 )
-from .curvegeo import CurveDef, _alpha_integrand, _columns, frenet_from_jets
+from .curvegeo import (
+    CurveDef,
+    _alpha_integrand,
+    _columns,
+    _frenet_invariants,
+    _norm,
+)
 from .errors import AffineMetricsError, NonFiniteValue
 from .expr import BinOp, Call, Const, Var
 from .jets import _PRODUCT1, Jet1, _phi
 from .surfgeo import (
     AffineForm,
     QuadForm,
+    _partials,
     _reparam_discriminant,
     affine_first_fundamental,
-    form_from_jets,
-    forms_from_jets,
+    form_from_partials,
+    forms_from_partials,
     gauss_from_forms,
     lmn_from_jets,
     surface_jets,
@@ -83,6 +93,23 @@ class IdentityReport:
 # ---------------------------------------------------------------------------
 # random generators
 
+def _scaled(units, low, high):
+    """The standard-uniform draws ``units`` moved to [low, high): numpy's
+    Generator.uniform(low, high) is low + (high - low) U, for the U that
+    Generator.random gives, and refuses a span past the float range, as
+    this does."""
+    span = high - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    return [low + span * x for x in units]
+
+
+def _uniform(rng, low, high, count):
+    """rng.uniform(low, high, size=count).tolist(), bit for bit, from one
+    rng.random(count) call, which costs a fraction of numpy's uniform."""
+    return _scaled(rng.random(count).tolist(), low, high)
+
+
 def random_sl3(rng):
     """Random volume-preserving 3x3 matrix: QR factor a Gaussian matrix,
     fix the orthogonal factor's orientation, rescale to determinant one."""
@@ -107,20 +134,25 @@ def random_invertible_2x2(rng):
     # |det| bounded away from zero: the transformation-law check divides
     # by det^4, and near-singular maps push the comparison into the
     # cancellation noise of l n - m^2
+    import numpy as np
+
     while True:
-        m = rng.uniform(-2.0, 2.0, size=(2, 2))
-        if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > 0.4:
-            return m
+        m00, m01, m10, m11 = _uniform(rng, -2.0, 2.0, 4)
+        if abs(m00 * m11 - m01 * m10) > 0.4:
+            return np.array([[m00, m01], [m10, m11]])
 
 
 def random_points(surface, rng, count, margin=0.02):
+    """``count`` points (u, v) inside the domain less ``margin`` of each
+    side: the us, then the vs, from one rng.random call."""
     du = surface.u_max - surface.u_min
     dv = surface.v_max - surface.v_min
-    us = rng.uniform(surface.u_min + margin * du, surface.u_max - margin * du,
-                     size=count)
-    vs = rng.uniform(surface.v_min + margin * dv, surface.v_max - margin * dv,
-                     size=count)
-    return list(zip(us.tolist(), vs.tolist()))
+    units = rng.random(2 * count).tolist()
+    us = _scaled(units[:count], surface.u_min + margin * du,
+                 surface.u_max - margin * du)
+    vs = _scaled(units[count:], surface.v_min + margin * dv,
+                 surface.v_max - margin * dv)
+    return list(zip(us, vs))
 
 
 # A sample curve's tree has the shape the parser gives its written form.
@@ -139,14 +171,17 @@ def _times(coeff, factor):
     return BinOp("*", Const(coeff), factor)
 
 
-def _draw_component(rng):
+def _component_coeffs(units):
     """The nine coefficients (c0, ..., c4, a, b, f, g) of one component
-    "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t) + (b)*cos((g)*t)",
-    drawn in that order."""
-    coeffs = rng.uniform(-2.0, 2.0, size=5).tolist()
-    amps = rng.uniform(-2.0, 2.0, size=2).tolist()
-    freqs = rng.uniform(0.5, 2.5, size=2).tolist()
-    return (*coeffs, *amps, *freqs)
+    "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t) + (b)*cos((g)*t)"
+    from nine standard-uniform draws in that order: the c and the
+    amplitudes in [-2, 2), the frequencies in [0.5, 2.5)."""
+    return (*_scaled(units[:7], -2.0, 2.0), *_scaled(units[7:], 0.5, 2.5))
+
+
+def _draw_component(rng):
+    """The coefficients of one component, drawn."""
+    return _component_coeffs(rng.random(9).tolist())
 
 
 def _component_tree(coeffs):
@@ -197,19 +232,23 @@ def _poly_trig_jets(components, t):
 
 
 def _draw_curve(rng, max_tries=50):
-    """(component coefficients, t, order-3 jets at t, Frenet data at t)
-    for random_nondegenerate_curve, with the jets evaluated once."""
+    """(component coefficients, t, order-3 jets at t, (speed, kappa, tau)
+    at t) for random_nondegenerate_curve, with the jets evaluated once.
+    Each try draws the three components' coefficients, then t in [-1, 1),
+    from one rng.random call."""
     for _ in range(max_tries):
-        components = tuple(_draw_component(rng) for _ in range(3))
-        t = float(rng.uniform(-1.0, 1.0))
+        units = rng.random(28).tolist()
+        components = tuple(_component_coeffs(units[k:k + 9])
+                           for k in (0, 9, 18))
+        t, = _scaled(units[27:], -1.0, 1.0)
         jets = _poly_trig_jets(components, t)
         try:
-            fr = frenet_from_jets(jets, t)
+            speed, kappa, tau = _frenet_invariants(*_columns(jets), t)
         except AffineMetricsError:
             continue
-        if (fr.tau is not None and fr.tau > 1e-3
-                and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
-            return components, t, jets, fr
+        if (tau is not None and tau > 1e-3
+                and 1e-3 < kappa < 1e3 and 1e-2 < speed < 1e2):
+            return components, t, jets, (speed, kappa, tau)
     raise RuntimeError("could not draw a well-conditioned curve")
 
 
@@ -264,16 +303,15 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
     for _ in range(samples):
         # the draw holds tau > 0, so the determinant is positive and past
         # the degeneracy threshold: neither route can raise here
-        _, _, jets, fr = _draw_curve(rng)
+        _, _, jets, (speed, kappa, tau) = _draw_curve(rng)
         direct = _alpha_integrand(*_columns(jets), False)[0]
-        euclid = (fr.kappa ** 2 * fr.tau) ** (1.0 / 6.0) * fr.speed
+        euclid = (kappa ** 2 * tau) ** (1.0 / 6.0) * speed
         worst = _worse(worst, _rel_dev(direct, euclid))
     return IdentityReport("integrand-det-vs-euclidean-route", worst, tolerance,
                           samples)
 
 
-@dataclass(frozen=True)
-class _Point:
+class _Point(NamedTuple):
     """A sample point with its order-2 surface jets, its affine form and
     its Euclidean first and second forms, all from one evaluation."""
 
@@ -297,14 +335,17 @@ def _regular_nondegenerate_points(surface, rng, count):
             continue
         # a non-finite surface ends the run, as in the other commands; its
         # deviations would be nan or 0 * inf
-        if not all(math.isfinite(c) for jet in jets for c in jet.coeffs):
+        x, y, z = jets
+        if not all(map(math.isfinite, x.coeffs + y.coeffs + z.coeffs)):
             raise NonFiniteValue(
                 f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
+        partials = _partials(jets)
         try:
-            form = form_from_jets(jets)
-            first, second, _ = forms_from_jets(jets, u, v)
+            a, b, c, disc, flipped, cross = form_from_partials(*partials)
+            first, second, _ = forms_from_partials(*partials, cross, u, v)
         except AffineMetricsError:
             continue
+        form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
         points.append(_Point(u, v, jets, form, first, second))
     return points
 
@@ -358,7 +399,7 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
     found = 0
     for _ in range(max(1, samples // 4)):
         A = random_sl3(rng)
-        b = rng.uniform(-1.0, 1.0, size=3)
+        b = _uniform(rng, -1.0, 1.0, 3)
         moved = transformed_surface(surface, A, b)
         points = _regular_nondegenerate_points(surface, rng, 4)
         found += len(points)
@@ -371,7 +412,7 @@ def equiaffine_invariance_suite(surface, rng, samples, tolerance=1e-8):
             scale = max(abs(f0.a), abs(f0.b), abs(f0.c), 1e-30)
             worst = _worse(worst, abs(f0.a - f1.a) / scale,
                            abs(f0.b - f1.b) / scale, abs(f0.c - f1.c) / scale)
-            state = (u, v, *rng.uniform(-1.0, 1.0, size=3))
+            state = (u, v, *_uniform(rng, -1.0, 1.0, 3))
             try:
                 r0 = commensurate_residual(surface, state)
                 r1 = commensurate_residual(moved, state)
@@ -403,34 +444,46 @@ def _quadratic(c0, c1, c2):
                  _times(c2, BinOp("^", _T, Const(2.0)))])
 
 
+# the jet of t^2 at t = 0: the seed times itself, as eval_ast squares it
+_SQUARE_AT_0 = _product((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
+
+
+def _quadratic_jets(c0, c1, c2):
+    """The order-3 Jet1 at t = 0 of "(c0) + (c1)*t + (c2)*t^2": what
+    eval_ast gives on _quadratic's tree over Jet1.seed(0.0, 3), by the
+    same float operations in the same order.  There c1 t scales the seed,
+    c0 adds to its value, c2 t^2 scales the seed's square, and the two
+    terms add coefficientwise."""
+    s0, s1, s2, s3 = _SQUARE_AT_0
+    return Jet1._make(3, ((0.0 * c1 + c0) + s0 * c2, 1.0 * c1 + s1 * c2,
+                          0.0 * c1 + s2 * c2, 0.0 * c1 + s3 * c2))
+
+
 def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
     """The residual of the curve condition computed from determinants
     agrees with speed^6 times the Euclidean-invariant form of the same
     condition (curvature-torsion route)."""
-    import numpy as np
-
     worst = 0.0
     count = 0
     points = _regular_nondegenerate_points(surface, rng, samples)
     for p in points:
         u, v = p.u, p.v
-        c1u, c2u, c1v, c2v = rng.uniform(-1.0, 1.0, size=4).tolist()
-        norm = math.hypot(c1u, c1v)
-        if norm < 0.3:
+        c1u, c2u, c1v, c2v = _uniform(rng, -1.0, 1.0, 4)
+        if math.hypot(c1u, c1v) < 0.3:
             continue
-        # one order-3 node at t = 0 serves the residual, the Euclidean
+        # one order-3 node at t = 0 of the parameter path (u + c1u t +
+        # c2u t^2, v + c1v t + c2v t^2) serves the residual, the Euclidean
         # route and the speed
-        pc = NodeTable(ParamCurve(surface, _quadratic(u, c1u, c2u),
-                                  _quadratic(v, c1v, c2v), -0.1, 0.1))
         try:
-            node = pc.node_jets(0.0, 3)
+            node = _node(surface, _quadratic_jets(u, c1u, c2u),
+                         _quadratic_jets(v, c1v, c2v))
             residual = _residual(node)
-            check = check_condition_euclidean(pc, 0.0)
+            check = _condition_check(node)
         except AffineMetricsError:
             continue
         if check.degenerate:
             continue
-        speed = float(np.linalg.norm([comp.coeffs[1] for comp in node[3]]))
+        speed = _norm([comp.coeffs[1] for comp in node[3]])
         other = speed ** 6 * (check.lhs - check.rhs)
         worst = _worse(worst, abs(residual - other)
                        / max(abs(residual), abs(other), 1.0))

@@ -37,7 +37,7 @@ __all__ = [
     "surface_jets", "fundamental_forms_euclid", "affine_lmn",
     "gauss_curvature", "affine_first_fundamental", "forms_from_jets",
     "lmn_from_jets", "gauss_from_forms", "form_from_jets",
-    "form_from_partials",
+    "form_from_partials", "forms_from_partials",
     "classify_from_jets", "iaff_apply", "normal_curvature", "classify_point",
     "check_reparam_covariance", "CATALOG", "catalog_surface",
 ]
@@ -218,7 +218,12 @@ def forms_from_jets(jets, u, v):
     """fundamental_forms_euclid from already-evaluated surface jets (order
     >= 2) at (u, v); the point is used only in the IrregularPoint message."""
     xu, xv, xuu, xuv, xvv = _partials(jets)
-    cross = cross3(xu, xv)
+    return forms_from_partials(xu, xv, xuu, xuv, xvv, cross3(xu, xv), u, v)
+
+
+def forms_from_partials(xu, xv, xuu, xuv, xvv, cross, u, v):
+    """forms_from_jets from the first and second partials and their
+    X_u x X_v, which form_from_partials also gives."""
     cross_sq = dot3(cross, cross)
     E, F, G = dot3(xu, xu), dot3(xu, xv), dot3(xv, xv)
     if cross_sq <= EPS_REGULAR * max(E * G, 1e-300):

@@ -551,6 +551,50 @@ class TestQuadricOracle:
             drifts.append(drift)
         assert drifts[0] > drifts[1] > drifts[2]
 
+    @pytest.mark.parametrize("index, exact", [(0, 8.180936039441),
+                                              (1, 9.672654586855)])
+    def test_hyperbolic_paraboloid_stop_time(self, index, exact):
+        # On the catalog surface (u, v, uv), q/gm = form(a')/|ln - m^2|^(1/4)
+        # = sin 2theta (first-integral test), so AsymptoticProximity fires
+        # where |sin 2theta| reaches eps_asym = 1e-4.  Both breakdown seeds
+        # start in the positive cone with omega0 < 0, and E of the
+        # first-integral test gives theta'^2 = |sin 2theta|^3 (E - 2 ln tan
+        # theta)/2 > 0 on the way down, so theta falls monotonically to
+        # theta* = asin(1e-4)/2 and
+        #     t_stop = int_{theta*}^{theta0} dtheta / |theta'(theta)|,
+        # a one-dimensional quadrature, taken here by mpmath at 30 digits.
+        # Stop times are far less well determined than states: at the first
+        # seed's stop E gives theta' = 1.2e-5, so the event function's slope
+        # is about 2.4e-5 and the solver's error some 330 rtol, measured
+        # 1.1e-3, 5.1e-6 and 3.3e-8 (first seed) and 1.3e-3, 5.7e-6 and
+        # 3.0e-8 (second) at rtol 1e-6, 1e-8 and 1e-10.  The bounds are
+        # those figures with a margin of 2 to 5, not a multiple of rtol.
+        mpmath = pytest.importorskip("mpmath")
+        seed = BREAKDOWN_SEEDS["hyperbolic-paraboloid"][index]
+        with mpmath.workdps(30):
+            theta0 = mpmath.mpf(seed["theta0"])
+            omega0 = mpmath.mpf(seed["omega0"])
+            energy = (2 * omega0 ** 2 / abs(mpmath.sin(2 * theta0)) ** 3
+                      + 2 * mpmath.log(mpmath.tan(theta0)))
+            theta_star = mpmath.asin(mpmath.mpf("1e-4")) / 2
+            oracle = float(mpmath.quad(
+                lambda th: 1 / mpmath.sqrt(
+                    (energy - 2 * mpmath.log(mpmath.tan(th)))
+                    * abs(mpmath.sin(2 * th)) ** 3 / 2),
+                [theta_star, theta0]))
+        assert abs(oracle - exact) <= 1e-11
+        errors = []
+        for rtol, bound in ((1e-6, 3e-3), (1e-8, 2e-5), (1e-10, 1.5e-7)):
+            trace = integrate_commensurate(CommensurateIVP(
+                HYP_PAR, seed["u0"], seed["v0"], seed["theta0"],
+                omega0=seed["omega0"], t_span=(0.0, seed["t_max"]),
+                rel_tol=rtol, abs_tol=rtol / 100))
+            assert trace.termination == "AsymptoticProximity"
+            error = abs(trace.t_stop - oracle)
+            assert error <= bound
+            errors.append(error)
+        assert errors[0] > errors[1] > errors[2]
+
     @pytest.mark.parametrize("start", [
         (0.5, 0.5, 0.3, 0.0),
         (0.0, 1.0, 0.9, 0.2),

@@ -3,21 +3,29 @@ import math
 import numpy as np
 import pytest
 
+from affinemetrics import identities as idn
 from affinemetrics.curvegeo import (
+    EPS_DEGENERATE,
     CurveDef,
+    _columns,
+    _det_and_scale,
+    _frenet_invariants,
     affine_arclength,
     affine_integrand,
     affine_integrand_via_euclidean,
     curve_jets,
     euclidean_frenet,
+    frenet_from_jets,
 )
 from affinemetrics.errors import (
+    AffineMetricsError,
     DegenerateCurve,
     DomainExit,
     EuclideanDegenerate,
     NegativeOrientation,
     NonpositiveTorsion,
     UnsupportedOrder,
+    ZeroSpeed,
 )
 from affinemetrics.identities import (
     integrand_routes_suite,
@@ -25,6 +33,7 @@ from affinemetrics.identities import (
     random_sl3,
     transformed_curve,
 )
+from affinemetrics.jets import cross3
 
 SIXTH_ROOT_12 = 1.5130857494229016          # 12^(1/6)
 SPIRAL_AFFINE_LENGTH = 3.0894412799902687   # int_0^1 (6 pi^4 + s^2 pi^6)^(1/6),
@@ -137,6 +146,78 @@ class TestEuclideanFrenet:
             frame = np.column_stack([fr.e1, fr.e2, fr.e3])
             assert np.abs(frame.T @ frame - np.eye(3)).max() < 1e-12
             assert np.linalg.det(frame) == pytest.approx(1.0, abs=1e-12)
+
+
+def frenet_by_linalg_norm(jets, t):
+    """frenet_from_jets as written with np.linalg.norm before its split:
+    (e1, e2, e3, speed, kappa, tau), the reference of the split route."""
+    d1, d2, d3 = _columns(jets)
+    det, scale = _det_and_scale(d1, d2, d3)
+    d1, d2 = np.array(d1), np.array(d2)
+    v = float(np.linalg.norm(d1))
+    if v <= 1e-300:
+        raise ZeroSpeed(f"|a'(t)| = 0 at t = {t!r}")
+    cross = np.array(cross3(d1, d2))
+    cross_norm = float(np.linalg.norm(cross))
+    if cross_norm <= 1e-12 * v * max(float(np.linalg.norm(d2)), 1e-300):
+        raise EuclideanDegenerate("frame undefined")
+    kappa = cross_norm / v ** 3
+    tau = det / cross_norm ** 2 if abs(det) > EPS_DEGENERATE * scale else None
+    e1 = d1 / v
+    e2_raw = d2 - float(np.dot(d2, e1)) * e1
+    e2 = e2_raw / np.linalg.norm(e2_raw)
+    e3 = np.array(cross3(e1, e2))
+    return e1, e2, e3, v, kappa, tau
+
+
+def frenet_reprs(e1, e2, e3, speed, kappa, tau):
+    return ([repr(x) for x in (*e1.tolist(), *e2.tolist(), *e3.tolist())],
+            repr(speed), repr(kappa), repr(tau))
+
+
+class TestSplitFrenet:
+    """frenet_from_jets reads its norms as sqrt(x.dot(x)) and its
+    invariants off _frenet_invariants: both bit for bit the
+    np.linalg.norm route."""
+
+    def assert_same(self, jets, t):
+        try:
+            want = frenet_by_linalg_norm(jets, t)
+        except AffineMetricsError as exc:
+            with pytest.raises(type(exc)):
+                frenet_from_jets(jets, t)
+            with pytest.raises(type(exc)):
+                _frenet_invariants(*_columns(jets), t)
+            return False
+        fr = frenet_from_jets(jets, t)
+        got = (fr.e1, fr.e2, fr.e3, fr.speed, fr.kappa, fr.tau)
+        assert frenet_reprs(*got) == frenet_reprs(*want)
+        assert ([repr(x) for x in _frenet_invariants(*_columns(jets), t)]
+                == [repr(x) for x in want[3:]])
+        return True
+
+    def test_helix(self):
+        for t in (-9.5, -1.0, -0.0, 0.0, 0.3, 2.2, 7.0):
+            assert self.assert_same(HELIX.curve_jets(t, 3), t)
+
+    def test_integrand_suite_draws(self):
+        # every try of the integrand suite's draw, the rejected ones too
+        rng = np.random.default_rng(17)
+        accepted = 0
+        for _ in range(1000):
+            components = tuple(idn._draw_component(rng) for _ in range(3))
+            t = float(rng.uniform(-1.0, 1.0))
+            accepted += self.assert_same(idn._poly_trig_jets(components, t),
+                                         t)
+        assert accepted > 900
+
+    def test_degenerate_jets_raise_alike(self):
+        line = CurveDef.from_strings("2*t; 0; 0", -1.0, 1.0)
+        still = CurveDef.from_strings("1; 2; 3", -1.0, 1.0)
+        assert not self.assert_same(line.curve_jets(0.5, 3), 0.5)
+        assert not self.assert_same(still.curve_jets(0.5, 3), 0.5)
+        # a planar curve: tau is None on both routes
+        assert self.assert_same(CIRCLE.curve_jets(0.5, 3), 0.5)
 
 
 class TestEuclideanRoute:

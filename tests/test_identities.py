@@ -4,7 +4,10 @@ Random curves are drawn as coefficients.  The integrand suite reads their
 jets off a straight-line kernel, which must give, bit for bit, what the
 curves' expression trees give under eval_ast; the trees, built only when
 a caller asks for the curve, must equal the parsed written forms, which
-are kept here as references.  The golden lines pin the check-identities
+are kept here as references.  The condition suite's parameter paths are
+coefficients too, with _quadratic's tree as the reference of their
+kernel.  Every draw is a scaled rng.random draw, which must equal numpy's
+rng.uniform bit for bit.  The golden lines pin the check-identities
 output to what the string-built samples printed.
 """
 
@@ -17,6 +20,12 @@ import pytest
 from affinemetrics import expr, surfgeo
 from affinemetrics import identities as idn
 from affinemetrics.cli import main
+from affinemetrics.commensurate import (
+    NodeTable,
+    ParamCurve,
+    _residual,
+    check_condition_euclidean,
+)
 from affinemetrics.curvegeo import CurveDef, curve_jets, frenet_from_jets
 from affinemetrics.errors import AffineMetricsError
 from affinemetrics.expr import (
@@ -147,6 +156,182 @@ class TestCurveKernel:
         # all three routes draw the same numbers in the same order
         assert (kernel_rng.random() == curve_rng.random()
                 == tree_rng.random())
+
+
+def float_reprs(values):
+    """Each float as its repr, so that a signed zero counts."""
+    return [repr(float(x)) for x in values]
+
+
+def suite_bounds():
+    """Every (low, high) pair the suites draw uniform numbers from: each
+    catalog domain less its 0.02 margin, and the constant ranges."""
+    pairs = [(-2.0, 2.0), (0.5, 2.5), (-1.0, 1.0)]
+    for s in surfgeo.CATALOG.values():
+        du, dv = s.u_max - s.u_min, s.v_max - s.v_min
+        pairs.append((s.u_min + 0.02 * du, s.u_max - 0.02 * du))
+        pairs.append((s.v_min + 0.02 * dv, s.v_max - 0.02 * dv))
+    return pairs
+
+
+class RandomOnly:
+    """A generator with random and normal but no uniform method."""
+
+    def __init__(self, seed):
+        rng = np.random.default_rng(seed)
+        self.random = rng.random
+        self.normal = rng.normal
+
+
+class TestUniformDraws:
+    def test_uniform_equals_numpys_uniform(self):
+        pairs = suite_bounds()
+        for seed in range(200):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            for count in (1, 4, 9):
+                for low, high in pairs:
+                    assert (float_reprs(idn._uniform(ours, low, high, count))
+                            == float_reprs(numpys.uniform(low, high,
+                                                          size=count)))
+                    # the same draws taken, so the streams stay in step
+                    assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("low, high", [(-1.7e308, 1.7e308),
+                                           (0.0, math.inf),
+                                           (-math.inf, 0.0),
+                                           (0.0, math.nan)])
+    def test_a_span_past_the_float_range_raises(self, low, high):
+        with pytest.raises(OverflowError):
+            np.random.default_rng(0).uniform(low, high, size=2)
+        with pytest.raises(OverflowError):
+            idn._uniform(np.random.default_rng(0), low, high, 2)
+
+    @pytest.mark.parametrize("name", sorted(surfgeo.CATALOG))
+    def test_random_points_are_numpys_two_uniform_draws(self, name):
+        s = surfgeo.CATALOG[name]
+        du, dv = s.u_max - s.u_min, s.v_max - s.v_min
+        for seed in range(20):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            for count in (1, 2, 25):
+                us = numpys.uniform(s.u_min + 0.02 * du, s.u_max - 0.02 * du,
+                                    size=count)
+                vs = numpys.uniform(s.v_min + 0.02 * dv, s.v_max - 0.02 * dv,
+                                    size=count)
+                got = idn.random_points(s, ours, count)
+                assert ([float_reprs(p) for p in got]
+                        == [float_reprs(p) for p in zip(us, vs)])
+            assert ours.random() == numpys.random()
+
+    def test_invertible_2x2_is_numpys_uniform_draw(self):
+        for seed in range(50):
+            ours = np.random.default_rng(seed)
+            numpys = np.random.default_rng(seed)
+            while True:
+                m = numpys.uniform(-2.0, 2.0, size=(2, 2))
+                if abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) > 0.4:
+                    break
+            got = idn.random_invertible_2x2(ours)
+            assert got.shape == (2, 2)
+            assert float_reprs(got.ravel()) == float_reprs(m.ravel())
+            assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize("name", ["sphere", "helicoid"])
+    def test_no_suite_calls_uniform(self, name):
+        surface = surfgeo.CATALOG[name]
+        runs = [
+            lambda rng: idn.integrand_routes_suite(rng, 10),
+            lambda rng: idn.lmn_route_suite(surface, rng, 10),
+            lambda rng: idn.form_routes_suite(surface, rng, 10),
+            lambda rng: idn.equiaffine_invariance_suite(surface, rng, 8),
+            lambda rng: idn.reparam_law_suite(surface, rng, 10),
+            lambda rng: idn.condition_routes_suite(surface, rng, 10),
+            lambda rng: idn.reference_form_suite(surface, name, rng, 10),
+            lambda rng: idn.random_nondegenerate_curve(rng),
+        ]
+        for run in runs:
+            # a uniform call would raise AttributeError
+            assert run(RandomOnly(9)) == run(np.random.default_rng(9))
+
+
+class TestQuadraticKernel:
+    def test_kernel_jet_equals_tree_evaluation(self):
+        rng = np.random.default_rng(11)
+        seed_jet = {"t": Jet1.seed(0.0, 3)}
+        for _ in range(500):
+            coeffs = [float(rng.uniform(-12.0, 12.0)),
+                      *rng.uniform(-1.0, 1.0, size=2).tolist()]
+            # each coefficient is +0.0 a quarter of the time, -0.0 another
+            for k, pick in enumerate(rng.integers(0, 4, size=3).tolist()):
+                if pick < 2:
+                    coeffs[k] = (0.0, -0.0)[pick]
+            kernel = idn._quadratic_jets(*coeffs)
+            tree = eval_ast(idn._quadratic(*coeffs), seed_jet)
+            assert kernel.order == tree.order == 3
+            assert (coefficient_reprs([kernel])
+                    == coefficient_reprs([tree]))
+
+    @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
+    def test_condition_suite_builds_no_tree(self, monkeypatch, name):
+        trees = record_calls(monkeypatch, idn, "_quadratic")
+        paths = []
+        original = ParamCurve.param_jets
+
+        def recording(self, *args):
+            paths.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(ParamCurve, "param_jets", recording)
+        report = idn.condition_routes_suite(surfgeo.CATALOG[name],
+                                            np.random.default_rng(6), 12)
+        assert report.samples > 0
+        assert trees == []
+        assert paths == []
+
+
+def condition_suite_by_trees(surface, rng, samples, tolerance=1e-8):
+    """condition_routes_suite as it was written over expression trees, a
+    NodeTable of a ParamCurve and np.linalg.norm: the reference route."""
+    worst = 0.0
+    count = 0
+    points = idn._regular_nondegenerate_points(surface, rng, samples)
+    for p in points:
+        u, v = p.u, p.v
+        c1u, c2u, c1v, c2v = rng.uniform(-1.0, 1.0, size=4).tolist()
+        if math.hypot(c1u, c1v) < 0.3:
+            continue
+        pc = NodeTable(ParamCurve(surface, idn._quadratic(u, c1u, c2u),
+                                  idn._quadratic(v, c1v, c2v), -0.1, 0.1))
+        try:
+            node = pc.node_jets(0.0, 3)
+            residual = _residual(node)
+            check = check_condition_euclidean(pc, 0.0)
+        except AffineMetricsError:
+            continue
+        if check.degenerate:
+            continue
+        speed = float(np.linalg.norm([comp.coeffs[1] for comp in node[3]]))
+        other = speed ** 6 * (check.lhs - check.rhs)
+        worst = idn._worse(worst, abs(residual - other)
+                           / max(abs(residual), abs(other), 1.0))
+        count += 1
+    return idn.IdentityReport("condition-det-vs-euclidean-route", worst,
+                              tolerance, count, len(points))
+
+
+@pytest.mark.parametrize("name", ["sphere", "helicoid", "paraboloid",
+                                  "hyperbolic-paraboloid", "hyperboloid"])
+def test_condition_suite_matches_the_tree_route(name):
+    surface = surfgeo.CATALOG[name]
+    for seed in (0, 5, 7):
+        ours = np.random.default_rng(seed)
+        trees = np.random.default_rng(seed)
+        got = idn.condition_routes_suite(surface, ours, 30)
+        want = condition_suite_by_trees(surface, trees, 30)
+        assert got == want
+        assert repr(got.max_deviation) == repr(want.max_deviation)
+        assert ours.random() == trees.random()
 
 
 # stdout of check-identities --samples 20 --seed 7 while the samples were
