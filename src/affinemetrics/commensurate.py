@@ -42,7 +42,6 @@ from .expr import eval_ast, parse_expression
 from .jets import (
     Jet1,
     compose_columns,
-    compose_curve_in_surface,
     cross3,
     det3,
     dot3,
@@ -83,20 +82,35 @@ EPS_FORM = 1e-12
 
 
 class _EmbeddedCurve:
-    """Evaluation of a curve a(t) = X(u(t), v(t)) in a surface from its
-    parameter jets; subclasses provide ``surface`` and ``param_jets``."""
+    """A curve a(t) = X(u(t), v(t)) in a surface; subclasses provide
+    ``surface`` and ``param_jets``.
 
-    def node_jets(self, t, order):
-        """(u, v, X, a) at t: the parameter jets, the surface jets at
-        (u(t), v(t)) and the jets of the embedded curve, up to ``order``."""
+    Every consumer reads one node per t, on floats: ``sample`` gives
+    (u, v, X, a), the parameter path u = (u, u', u'', u''') and v alike,
+    the order-3 surface jets X at (u(t), v(t)) and the columns
+    a = (a', a'', a''') of the curve.  ``curve_jets`` wraps the columns
+    in Jet1s."""
+
+    def sample(self, t):
+        """The float node (u, v, X, a) at t."""
+        return _path_node(self.surface,
+                          *[jet.coeffs for jet in self.param_jets(t, 3)])
+
+    def curve_jets(self, t, order):
+        """Jets of the embedded curve X(u(t), v(t)): at order 3 the
+        columns of the node, below it those of the order-``order`` path
+        and surface jets."""
         if order > 3:
             raise UnsupportedOrder(
                 "surface-embedded curves support derivative order <= 3")
-        return _node(self.surface, *self.param_jets(t, order), order)
-
-    def curve_jets(self, t, order):
-        """Jets of the embedded curve X(u(t), v(t))."""
-        return self.node_jets(t, order)[3]
+        if order == 3:
+            _, _, X, columns = self.sample(t)
+        else:
+            u, v = ((*jet.coeffs, 0.0, 0.0)[:4]
+                    for jet in self.param_jets(t, order))
+            _, _, X, columns = _path_node(self.surface, u, v, order)
+        return tuple([Jet1._make(order, (comp.coeffs[0],) + d)
+                      for comp, d in zip(X, zip(*columns))])
 
     def form_direction(self, t):
         """(form, u', v') at t: the affine fundamental form at (u(t), v(t))
@@ -104,6 +118,14 @@ class _EmbeddedCurve:
         u, v = self.param_jets(t, 1)
         form = affine_first_fundamental(self.surface, u.value, v.value)
         return form, u.coeffs[1], v.coeffs[1]
+
+
+def _path_node(surface, u, v, order=3):
+    """The float node (u, v, X, a) of a curve in ``surface`` whose
+    parameter path is u = (u, u', u'', u''') and v alike: X holds the
+    surface jets at (u, v) and a the columns up to ``order``."""
+    X = surface_jets(surface, u[0], v[0], order)
+    return u, v, X, compose_columns(X, *u[1:], *v[1:], order)
 
 
 @dataclass(frozen=True)
@@ -146,46 +168,45 @@ class TraceCurve(_EmbeddedCurve):
         self.t_max = trace.nodes[-1].t
 
     def param_jets(self, t, order):
-        if order >= 3:
-            return self.node_jets(t, order)[:2]
-        return _theta_jets(*self.trace.state_at(t), 0.0, order)
+        if order > 3:
+            raise UnsupportedOrder(
+                "surface-embedded curves support derivative order <= 3")
+        path = (self.sample(t)[:2] if order == 3
+                else _theta_path(*self.trace.state_at(t)))
+        return tuple([Jet1(p[:order + 1]) for p in path])
 
-    def node_jets(self, t, order):
-        """As for any curve in a surface; at order 3 the theta'' solve and
-        the composition share one evaluation of the surface jets, which
+    def sample(self, t, omega_dot=None):
+        """The float node at t, with theta'' = ``omega_dot`` or, by
+        default, the theta'' that the curve condition gives; the theta''
+        solve and the node share one evaluation of the surface jets, which
         raises DomainExit outside the surface's domain."""
-        if order != 3:
-            return super().node_jets(t, order)
         u, v, theta, omega = self.trace.state_at(t)
         X = surface_jets(self.surface, u, v, 3)
-        omega_dot = _theta_dd(_parts_from_jets(X, theta, omega),
-                              u, v, theta)
-        u_jet, v_jet = _theta_jets(u, v, theta, omega, omega_dot)
-        return u_jet, v_jet, X, compose_curve_in_surface(X, u_jet, v_jet, 3)
+        if omega_dot is None:
+            omega_dot = _theta_dd(_parts_from_jets(X, theta, omega),
+                                  u, v, theta)
+        u, v = _theta_path(u, v, theta, omega, omega_dot)
+        return u, v, X, compose_columns(X, *u[1:], *v[1:])
 
 
 class NodeTable(_EmbeddedCurve):
-    """A curve in a surface whose node evaluations are kept, so that
-    consumers evaluating the same t share one evaluation.
+    """A curve in a surface whose nodes are kept, so that consumers
+    evaluating the same t share one evaluation.
 
-    arclen-compare samples both arc lengths' integrands at the same nodes.
-    Its Chebyshev path reads ``sample``, a node on floats: u', v', the
-    order-3 surface jets and the columns a', a'', a''' of the curve.  The
-    first sample records the parameter path of a ParamCurve as one
+    arclen-compare samples both arc lengths' integrands at the same nodes,
+    on its Chebyshev path and in the GK15 quadratures of its fallback.
+    The first sample records the parameter path of a ParamCurve as one
     straight-line kernel (tape.record_curve), which then gives u(t), v(t)
     and their derivatives at every t; a path that cannot be recorded, and
-    a t where the kernel hands back, take the curve's param_jets.  Other
-    consumers, the GK15 quadratures among them, read ``node_jets``: the
-    Jet route, evaluated once per t at order 3.  The induced side reads
-    the affine form and (u', v') off either entry where there is one, and
-    otherwise keeps the order-2 form it evaluates.  ``discard`` drops one
-    node, ``clear`` all of them.
+    a t where the kernel hands back, take the curve's param_jets.  The
+    induced side reads the affine form and (u', v') off the node where
+    there is one, and otherwise keeps the order-2 form it evaluates.
+    ``discard`` drops one node, ``clear`` all of them.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.surface = curve.surface
-        self._jets = {}
         self._samples = {}
         self._forms = {}
         # the recorded path: None until the first sample, then the kernel
@@ -193,35 +214,21 @@ class NodeTable(_EmbeddedCurve):
         self._kernel = None
 
     def clear(self):
-        self._jets.clear()
         self._samples.clear()
         self._forms.clear()
 
     def discard(self, t):
-        self._jets.pop(t, None)
         self._samples.pop(t, None)
         self._forms.pop(t, None)
 
     def param_jets(self, t, order):
         return self.curve.param_jets(t, order)
 
-    def node_jets(self, t, order):
-        if order != 3:
-            return super().node_jets(t, order)
-        entry = self._jets.get(t)
-        if entry is None:
-            entry = self._jets[t] = super().node_jets(t, 3)
-        return entry
-
     def sample(self, t):
-        """(u', v', X, (a', a'', a''')) at t: the node on floats, with the
-        order-3 surface jets X.  Every value is the one node_jets gives."""
         entry = self._samples.get(t)
         if entry is None:
-            (u, du, u2, u3), (v, dv, v2, v3) = self._path(t)
-            X = surface_jets(self.surface, u, v, 3)
-            entry = self._samples[t] = (
-                du, dv, X, compose_columns(X, du, u2, u3, dv, v2, v3))
+            entry = self._samples[t] = _path_node(self.surface,
+                                                  *self._path(t))
         return entry
 
     def _path(self, t):
@@ -229,7 +236,10 @@ class NodeTable(_EmbeddedCurve):
         kernel where it gives them; recorded at the first call."""
         kernel = self._kernel
         if kernel is None:
-            kernel = self._kernel = _path_kernel(self.curve)
+            from .tape import record_curve      # loaded when first needed
+            curve = self.curve
+            kernel = self._kernel = type(curve) is ParamCurve and (
+                record_curve((curve.u_of_t, curve.v_of_t)) or False)
         if kernel:
             try:
                 coeffs = kernel(t)
@@ -243,30 +253,14 @@ class NodeTable(_EmbeddedCurve):
         entry = self._forms.get(t)
         if entry is None:
             sample = self._samples.get(t)
-            jets = self._jets.get(t)
             if sample is not None:
-                du, dv, X, _ = sample
-                entry = form_from_jets(X), du, dv
-            elif jets is not None:
-                u, v, X, _ = jets
-                entry = form_from_jets(X), u.coeffs[1], v.coeffs[1]
-            elif self._kernel is not None:  # sampled: read the path alike
+                u, v, X, _ = sample
+                entry = form_from_jets(X), u[1], v[1]
+            else:
                 (u, du, _, _), (v, dv, _, _) = self._path(t)
                 entry = affine_first_fundamental(self.surface, u, v), du, dv
-            else:
-                entry = super().form_direction(t)
             self._forms[t] = entry
         return entry
-
-
-def _path_kernel(curve):
-    """The recorded jet kernel of a ParamCurve's trees u(t), v(t)
-    (tape.record_curve); False for any other curve and for trees that
-    cannot be replayed."""
-    if type(curve) is not ParamCurve:
-        return False
-    from .tape import record_curve      # loaded when first needed
-    return record_curve((curve.u_of_t, curve.v_of_t)) or False
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +440,9 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     sample that disagrees) sums GK15 quadratures segment by segment
     instead, on its decided branch, so its sums and errors are those of
     affine_arclength and induced_arclength given that branch.  One
-    NodeTable serves both sides, so a node is evaluated once: on floats
-    (NodeTable.sample, with the curve's parameter path recorded at the
-    first node) up to the fallback, and by the Jet route (node_jets) in
-    the GK15 quadratures, as the stand-alone functions evaluate it.
+    NodeTable serves both sides and the fallback, so a node is evaluated
+    once, on floats (NodeTable.sample, with the curve's parameter path
+    recorded at the first node).
     """
     ts = [float(t) for t in ts]
     a, b = ts[0], ts[-1]
@@ -568,19 +561,19 @@ def _direction(theta):
         raise DomainError(f"cos({theta!r}) of an infinite angle") from None
 
 
-def _theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
-    """Jets of the parameter path u' = cos(theta), v' = sin(theta) with
-    theta' = omega and theta'' = omega_dot, up to ``order`` (at most 3):
+def _theta_path(u, v, theta, omega, omega_dot=0.0):
+    """(u, u', u'', u''') and (v, v', v'', v''') of the parameter path
+    u' = cos(theta), v' = sin(theta) with theta' = omega and theta'' =
+    omega_dot:
 
         u'' = -omega sin,  u''' = -omega_dot sin - omega^2 cos
         v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
 
-    _state_geometry differentiates the same path on floats.
+    _state_geometry differentiates the same path, written out in place.
     """
     c, s = _direction(theta)
-    du = (u, c, -omega * s, -omega_dot * s - omega * omega * c)
-    dv = (v, s, omega * c, omega_dot * c - omega * omega * s)
-    return Jet1(du[:order + 1]), Jet1(dv[:order + 1])
+    return ((u, c, -omega * s, -omega_dot * s - omega * omega * c),
+            (v, s, omega * c, omega_dot * c - omega * omega * s))
 
 
 def _state_geometry(X, c, s, omega, omega_dot=0.0):
@@ -589,11 +582,10 @@ def _state_geometry(X, c, s, omega, omega_dot=0.0):
     X and its direction (c, s) = (cos(theta), sin(theta)).  w = -s X_u +
     c X_v is the column that theta'' multiplies in a'''.
 
-    This is _theta_jets' path pushed through compose_columns, the chain
-    rule under compose_curve_in_surface, with form_from_jets' form, in the
-    same float operations in the same order, so every value equals the one
-    that route gives.  It reads the jets' coefficient tuples and builds no
-    jet.  Raises DegenerateSurfacePoint where the form is undefined.
+    a', a'', a''' are the columns of _theta_path's path (compose_columns),
+    the columns of a TraceCurve's node, and the form is form_from_jets',
+    in the same float operations in the same order.  It builds no jet.
+    Raises DegenerateSurfacePoint where the form is undefined.
     """
     d1, d2, d3 = compose_columns(
         X, c, -omega * s, -omega_dot * s - omega * omega * c,
@@ -606,20 +598,11 @@ def _state_geometry(X, c, s, omega, omega_dot=0.0):
     return d1, d2, d3, w, q, disc, cross
 
 
-def _node(surface, u, v, order=3):
-    """(u, v, X, a): parameter jets, the surface jets at (u(t), v(t)) and
-    the curve jets of X(u(t), v(t)).  Builds every node but a
-    theta-state's, which _state_geometry gives on floats."""
-    X = surface_jets(surface, u.value, v.value, order)
-    return u, v, X, compose_curve_in_surface(X, u, v, order)
-
-
-def _residual(node):
-    """det[a', a'', a'''] - [form(a')]^3 at an order-3 node."""
-    u, v, X, a = node
-    d1, d2, d3 = ([comp.coeffs[k] for comp in a] for k in (1, 2, 3))
-    q = form_from_jets(X).apply(u.coeffs[1], v.coeffs[1])
-    return det3(d1, d2, d3) - q ** 3
+def _node_residual(node, form):
+    """det[a', a'', a'''] - [form(a')]^3 at a float node, with the affine
+    form at its point."""
+    u, v, _, a = node
+    return det3(*a) - form.apply(u[1], v[1]) ** 3
 
 
 def commensurate_residual_general(surface, u, v, derivs):
@@ -628,9 +611,9 @@ def commensurate_residual_general(surface, u, v, derivs):
     ``derivs`` = (u', v', u'', v'', u''', v''') at the evaluation point;
     the embedded derivatives are assembled by the bivariate chain rule.
     """
-    u1, v1, u2, v2, u3, v3 = derivs
-    return _residual(_node(surface, Jet1((u, u1, u2, u3)),
-                           Jet1((v, v1, v2, v3))))
+    u1, v1, u2, v2, u3, v3 = map(float, derivs)
+    node = _path_node(surface, (float(u), u1, u2, u3), (float(v), v1, v2, v3))
+    return _node_residual(node, form_from_jets(node[2]))
 
 
 def commensurate_residual(surface, state):
@@ -638,8 +621,8 @@ def commensurate_residual(surface, state):
     (u, v, theta, theta', theta'')."""
     u, v, theta, omega, omega_dot = state
     c, s = _direction(theta)
-    # floats, as the jets that the node route builds hold: the identity
-    # suites pass numpy scalars, whose overflow would warn, not raise
+    # floats: the identity suites pass numpy scalars, whose overflow would
+    # warn, not raise
     X = surface_jets(surface, float(u), float(v), 3)
     d1, d2, d3, _, q, _, _ = _state_geometry(X, c, s, float(omega),
                                              float(omega_dot))
@@ -885,20 +868,15 @@ def check_condition_euclidean(pc, t, omega_dot=None):
     theta'' may be supplied (e.g. from finite differences) to keep the
     left side independent of the curve condition.
     """
-    if omega_dot is None:
-        node = pc.node_jets(t, 3)
-    else:
-        node = _node(pc.surface,
-                     *_theta_jets(*pc.trace.state_at(t), omega_dot))
-    return _condition_check(node)
+    node = pc.sample(t) if omega_dot is None else pc.sample(t, omega_dot)
+    return _condition_check(node)[0]
 
 
 def _condition_check(node):
-    """check_condition_euclidean at an order-3 node (u, v, X, a)."""
-    u_jet, v_jet, X, a = node
-    u, v = u_jet.value, v_jet.value
+    """(check_condition_euclidean, the affine form) at a float node
+    (u, v, X, a)."""
+    u, v, X, (d1, d2, d3) = node
 
-    d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
     speed = math.hypot(*d1)
     cross = cross3(d1, d2)
     cross_sq = dot3(cross, cross)
@@ -911,14 +889,14 @@ def _condition_check(node):
         tau = det3(d1, d2, d3) / cross_sq
         lhs = kappa_sq * tau
 
-    first, second, _ = forms_from_jets(X, u, v)
-    du, dv = u_jet.coeffs[1], v_jet.coeffs[1]
+    first, second, _ = forms_from_jets(X, u[0], v[0])
+    du, dv = u[1], v[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
     K = gauss_from_forms(first, second)
-    sigma = form_from_jets(X).orientation_sign
-    rhs = (abs(K) ** (-0.25) * k_n * sigma) ** 3
-    return ConditionCheck(lhs, rhs, degenerate)
+    form = form_from_jets(X)
+    rhs = (abs(K) ** (-0.25) * k_n * form.orientation_sign) ** 3
+    return ConditionCheck(lhs, rhs, degenerate), form
 
 
 # ---------------------------------------------------------------------------

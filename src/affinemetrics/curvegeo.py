@@ -7,9 +7,10 @@ the same integrand through the Euclidean curvature and torsion as
 the component expressions, never from numerical differentiation.
 
 A curve is anything with ``curve_jets(t, order)`` for orders 1..3: a
-CurveDef, or a curve in a surface.  A caller holding a point's order-3
-jets reads the Frenet data off them with frenet_from_jets, not
-euclidean_frenet.
+CurveDef, whose jets come from its expressions, or a curve in a surface,
+whose jets wrap the columns of its float node (commensurate's
+``sample``).  A caller holding a point's order-3 jets reads the Frenet
+data off them with frenet_from_jets, not euclidean_frenet.
 """
 
 from __future__ import annotations

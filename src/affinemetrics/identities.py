@@ -11,8 +11,9 @@ kernel on those coefficients, bit-identical to evaluating the curve's
 expression trees over jets, and shares them between both routes and the
 sample filter; a tree is built only for a caller that asks for the curve
 (random_nondegenerate_curve).  The condition suite's quadratic parameter
-paths are coefficients too, their jets at t = 0 read off a kernel of their
-own; only the moved surfaces of the invariance suite are expression trees.
+paths are coefficients too, their derivatives at t = 0 read off a kernel
+of their own; only the moved surfaces of the invariance suite are
+expression trees.
 
 The generators are numpy's.  Every uniform draw is a scaled rng.random
 draw (_uniform), bit for bit what rng.uniform gives for the same bounds,
@@ -30,8 +31,8 @@ from typing import NamedTuple
 
 from .commensurate import (
     _condition_check,
-    _node,
-    _residual,
+    _node_residual,
+    _path_node,
     commensurate_residual,
 )
 from .curvegeo import (
@@ -448,15 +449,15 @@ def _quadratic(c0, c1, c2):
 _SQUARE_AT_0 = _product((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
 
 
-def _quadratic_jets(c0, c1, c2):
-    """The order-3 Jet1 at t = 0 of "(c0) + (c1)*t + (c2)*t^2": what
-    eval_ast gives on _quadratic's tree over Jet1.seed(0.0, 3), by the
-    same float operations in the same order.  There c1 t scales the seed,
-    c0 adds to its value, c2 t^2 scales the seed's square, and the two
-    terms add coefficientwise."""
+def _quadratic_path(c0, c1, c2):
+    """(p, p', p'', p''') at t = 0 of p = "(c0) + (c1)*t + (c2)*t^2": the
+    coefficients eval_ast gives on _quadratic's tree over Jet1.seed(0.0,
+    3), by the same float operations in the same order.  There c1 t
+    scales the seed, c0 adds to its value, c2 t^2 scales the seed's
+    square, and the two terms add coefficientwise."""
     s0, s1, s2, s3 = _SQUARE_AT_0
-    return Jet1._make(3, ((0.0 * c1 + c0) + s0 * c2, 1.0 * c1 + s1 * c2,
-                          0.0 * c1 + s2 * c2, 0.0 * c1 + s3 * c2))
+    return ((0.0 * c1 + c0) + s0 * c2, 1.0 * c1 + s1 * c2,
+            0.0 * c1 + s2 * c2, 0.0 * c1 + s3 * c2)
 
 
 def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
@@ -471,19 +472,19 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
         c1u, c2u, c1v, c2v = _uniform(rng, -1.0, 1.0, 4)
         if math.hypot(c1u, c1v) < 0.3:
             continue
-        # one order-3 node at t = 0 of the parameter path (u + c1u t +
-        # c2u t^2, v + c1v t + c2v t^2) serves the residual, the Euclidean
-        # route and the speed
+        # one float node at t = 0 of the parameter path (u + c1u t +
+        # c2u t^2, v + c1v t + c2v t^2) and one affine form serve the
+        # residual, the Euclidean route and the speed
         try:
-            node = _node(surface, _quadratic_jets(u, c1u, c2u),
-                         _quadratic_jets(v, c1v, c2v))
-            residual = _residual(node)
-            check = _condition_check(node)
+            node = _path_node(surface, _quadratic_path(u, c1u, c2u),
+                              _quadratic_path(v, c1v, c2v))
+            check, form = _condition_check(node)
+            residual = _node_residual(node, form)
         except AffineMetricsError:
             continue
         if check.degenerate:
             continue
-        speed = _norm([comp.coeffs[1] for comp in node[3]])
+        speed = _norm(node[3][0])
         other = speed ** 6 * (check.lhs - check.rhs)
         worst = _worse(worst, abs(residual - other)
                        / max(abs(residual), abs(other), 1.0))

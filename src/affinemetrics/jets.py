@@ -20,11 +20,10 @@ and real powers, abs, the elementary functions, ``value``,
 Results built here skip validation (``_make``, ``_like``); the public
 ``Jet1(coeffs)`` and ``Jet2(order, coeffs)`` validate.  Each kind adds
 what its layout decides: its constructor, seeds and ``constant``; Jet2's
-``partial``; its product kernels (``_PRODUCT``); its quotient kernel (Jet1
-solves Leibniz's rule for the quotient, and divides each coefficient by a
-plain divisor; Jet2 multiplies by the reciprocal, of a jet or of a plain
-divisor); and its chain rule (``_apply``), which the elementary functions
-call.
+``partial``; its product kernels (``_PRODUCT``); and its chain rule
+(``_apply``), which the elementary functions call.  Both kinds divide the
+same way: a quotient is a product with the reciprocal, of a jet (the
+chain rule of 1/x) or of a plain divisor.
 
 A product is one straight-line function per kind and order, generated at
 import from the Leibniz tables ``_MUL1`` and ``_MUL2`` (per order and
@@ -229,10 +228,9 @@ def _check_order(order, maximum, what):
 
 class _Jet:
     """The ring Jet1 and Jet2 share.  A subclass provides ``_PRODUCT``, its
-    product kernels indexed by order; ``constant``; its quotient kernel
-    (``_quotient``, ``__rtruediv__``, ``_reciprocal``); and ``_apply``, the
-    chain rule under the elementary functions that ``**`` and ``eval_ast``
-    call."""
+    product kernels indexed by order; ``constant``; and ``_apply``, the
+    chain rule under the elementary functions, the reciprocal among them,
+    that ``/``, ``**`` and ``eval_ast`` call."""
 
     __slots__ = ("order", "coeffs")
 
@@ -327,15 +325,25 @@ class _Jet:
 
     __rmul__ = __mul__
 
+    # a quotient is a product with the reciprocal, of a jet (the chain
+    # rule of 1/x) or of a plain divisor
+
     def __truediv__(self, other):
         b = self._other(other)
         if b is None:
             other = float(other)
             if other == 0.0:
                 raise DomainError("jet division by zero value")
-        elif b is NotImplemented:
+            return self * (1.0 / other)
+        if b is NotImplemented:
             return NotImplemented
-        return self._quotient(other)
+        return self * other._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._reciprocal() * other
+
+    def _reciprocal(self):
+        return self._apply("reciprocal")
 
     def __pow__(self, exponent):
         if isinstance(exponent, int) or (
@@ -417,20 +425,6 @@ class Jet1(_Jet):
     def __repr__(self):
         return f"Jet1({list(self.coeffs)!r})"
 
-    # -- quotient kernel: Leibniz's rule solved for the quotient ------------
-
-    def _quotient(self, other):
-        if isinstance(other, float):
-            return self._like(tuple([x / other for x in self.coeffs]))
-        return self._like(_divide1(self.coeffs, other.coeffs))
-
-    def __rtruediv__(self, other):
-        numerator = (float(other),) + (0.0,) * self.order
-        return self._like(_divide1(numerator, self.coeffs))
-
-    def _reciprocal(self):
-        return self.__rtruediv__(1.0)
-
     # -- chain rule --------------------------------------------------------
 
     def _apply(self, name):
@@ -447,20 +441,6 @@ class Jet1(_Jet):
             return self._like(g)
         return self._like(g + (
             p3 * f1 * f1 * f1 + 3.0 * p2 * f1 * f2 + p1 * f[3],))
-
-
-def _divide1(a, b):
-    """Raw derivatives of a / b, solving Leibniz's rule for them in turn."""
-    if b[0] == 0.0:
-        raise DomainError("jet division by zero value")
-    c = []
-    for k, terms in enumerate(_MUL1[len(a) - 1]):
-        acc = a[k]
-        # the last term, (1, k, 0), is the unknown c[k] * b[0]
-        for w, i, j in terms[:-1]:
-            acc -= w * c[i] * b[j]
-        c.append(acc / b[0])
-    return tuple(c)
 
 
 class Jet2(_Jet):
@@ -505,19 +485,6 @@ class Jet2(_Jet):
     def __repr__(self):
         return f"Jet2(order={self.order}, {list(self.coeffs)!r})"
 
-    # -- quotient kernel: a product with the reciprocal ---------------------
-
-    def _quotient(self, other):
-        if isinstance(other, float):
-            return self * (1.0 / other)
-        return self * other._reciprocal()
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self):
-        return self._apply("reciprocal")
-
     # -- chain rule --------------------------------------------------------
 
     def _apply(self, name):
@@ -556,7 +523,7 @@ def compose_columns(surface_jets, u1, u2, u3, v1, v2, v3, order=3):
                + X_u u''' + X_v v'''
 
     This is the one chain rule of a curve in a surface: the solver and
-    the Chebyshev path of arclen-compare read it on floats, and
+    every node of such a curve read it on floats, and the public
     compose_curve_in_surface wraps it in Jet1s.  Derivatives past
     ``order`` are not read.
     """

@@ -302,10 +302,11 @@ def _record_trees(trees, order, kind):
     None where a recording cannot stand for eval_ast.  That is a power
     whose exponent depends on a variable (over jets, eval_ast picks
     square-and-multiply or exp(b log a) by the exponent's value), abs of a
-    jet (it branches on the value), a quotient or a negative power of a
-    Jet1 (its quotient branches on the divisor, or divides each
-    coefficient), a non-finite constant that the kernel's source would
-    have to spell, and any other failure to record."""
+    jet (it branches on the value), a non-finite constant that the
+    kernel's source would have to spell, and any other failure to record.
+    A quotient and a negative power record, as a product with the
+    reciprocal (the chain rule of 1/x), as they run on jets of either
+    kind."""
     if any(type(node) is BinOp and node.op == "^"
            and any(type(sub) is Var for sub in _subtrees(node.right))
            for tree in trees for node in _subtrees(tree)):

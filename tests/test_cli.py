@@ -5,6 +5,7 @@ import math
 import time
 from pathlib import Path
 
+import jet_route
 import numpy as np
 import pytest
 
@@ -472,12 +473,14 @@ FALLBACK_CURVES = [
 
 
 def _standalone_sums(surface, curve, mirror, samples, tol=1e-10, t0=0.0,
-                     t1=1.0):
+                     t1=1.0, wrap=lambda pc: pc):
     """Running sums of stand-alone affine_arclength and induced_arclength
-    calls over the segments between the CLI's samples."""
+    calls over the segments between the CLI's samples, on the curve
+    ``wrap`` makes of the ParamCurve."""
     from affinemetrics import ParamCurve, affine_arclength, induced_arclength
 
-    pc = ParamCurve.from_strings(CATALOG[surface], *curve.split(";"), t0, t1)
+    pc = wrap(ParamCurve.from_strings(CATALOG[surface], *curve.split(";"),
+                                      t0, t1))
     ts = [float(t) for t in np.linspace(t0, t1, samples)]
     sums = [(0.0, 0.0)]
     for prev, t in zip(ts, ts[1:]):
@@ -595,17 +598,24 @@ class TestArclenSharedNodes:
         assert len(orders) == quad["sigma"]["points"]
 
     @pytest.mark.parametrize("surface,curve,t_range", FALLBACK_CURVES)
-    def test_fallback_sums_are_the_standalone_sums(self, capsys, surface,
-                                                   curve, t_range):
-        assert run(["arclen-compare", "--surface", surface, "--curve", curve,
-                    "--t-range", t_range, "--samples=8",
-                    "--format=json"]) == 0
+    def test_fallback_sums_are_the_standalone_sums(self, capsys, monkeypatch,
+                                                   surface, curve, t_range):
+        # the GK15 quadratures read float nodes, and their sums are the
+        # stand-alone functions' on those nodes and on the Jet route's
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            assert run(["arclen-compare", "--surface", surface, "--curve",
+                        curve, "--t-range", t_range, "--samples=8",
+                        "--format=json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         for side in ("alpha", "sigma"):
             assert payload["quadrature"][side]["path"] == "gk15"
         t0, t1 = (float(x) for x in t_range.split(":"))
-        sums = _standalone_sums(surface, curve, False, 8, t0=t0, t1=t1)
-        assert [tuple(row[1:3]) for row in payload["rows"]] == sums
+        rows = [tuple(row[1:3]) for row in payload["rows"]]
+        assert rows == _standalone_sums(surface, curve, False, 8, t0=t0,
+                                        t1=t1)
+        assert rows == _standalone_sums(surface, curve, False, 8, t0=t0,
+                                        t1=t1, wrap=jet_route.JetRouteCurve)
 
     def test_feature_between_grid_nodes_takes_gk15(self, capsys):
         # v = 1e-3 exp(-1e6 (t - 0.1)^2) vanishes to the last bit at every
@@ -992,8 +1002,8 @@ class TestRecordedCurveKernels:
         return calls
 
     @pytest.mark.parametrize("surface, curve, t_range, code, kernel", [
-        ("sphere", "2*t;t/(1+t^2)", "0.1:1", 0, False),
-        ("hyperboloid", "t/(1+t^2);0.3*t^2", "0.1:1", 0, False),
+        ("sphere", "2*t;t/(1+t^2)", "0.1:1", 0, True),
+        ("hyperboloid", "t/(1+t^2);0.3*t^2", "0.1:1", 0, True),
         ("hyperboloid", "t;abs(t-0.45)*t", "0:1", 5, False),
         ("sphere", "abs(t-0.45);t", "0:1", 3, False),
         ("helicoid", "t^t;t^2", "0:1", 5, False),
@@ -1008,8 +1018,8 @@ class TestRecordedCurveKernels:
     def test_fallbacks_keep_eval_asts_outcome(self, capsys, monkeypatch,
                                               recorded, surface, curve,
                                               t_range, code, kernel):
-        # a path that cannot be recorded (a division, abs, a t-dependent
-        # exponent) stays with eval_ast; a recorded one whose _phi fails
+        # a path that cannot be recorded (abs, a t-dependent exponent)
+        # stays with eval_ast; a recorded one whose _phi fails
         # (log at t <= 0, exp past the float range) hands those t back
         argv = ["arclen-compare", "--surface", surface, "--curve", curve,
                 "--t-range", t_range, "--samples", "11", "--auto-orient",
@@ -1021,13 +1031,17 @@ class TestRecordedCurveKernels:
         monkeypatch.setattr(tape, "record_curve", lambda trees: None)
         assert (run(argv), capsys.readouterr()) == got
 
-    def test_one_node_table_records_nothing(self, recorded):
-        # the condition suite's use: one order-3 node of a fresh curve
-        from affinemetrics.commensurate import NodeTable, ParamCurve
+    def test_one_node_records_nothing(self, recorded):
+        # one order-3 node of a fresh curve, as check_condition_euclidean
+        # reads it: a curve's own node never records its path
+        from affinemetrics.commensurate import (
+            ParamCurve,
+            check_condition_euclidean,
+        )
 
         pc = ParamCurve.from_strings(CATALOG["sphere"], "0.3 + 0.2*t",
                                      "0.1 - 0.5*t + t^2", -0.1, 0.1)
-        NodeTable(pc).node_jets(0.0, 3)
+        check_condition_euclidean(pc, 0.0)
         assert recorded == []
 
     @pytest.mark.parametrize("surface, u, v, samples", [
@@ -1042,14 +1056,12 @@ class TestRecordedCurveKernels:
         # one curve kernel, no Jet1 built, no jet composed and no
         # affine_integrand on the Chebyshev path, and the rows that
         # eval_ast's route gives
-        import sys
-
         from affinemetrics.commensurate import (
             ParamCurve,
             running_arclengths,
         )
         from affinemetrics.curvegeo import affine_integrand
-        from affinemetrics.jets import Jet1, compose_curve_in_surface
+        from affinemetrics.jets import Jet1
 
         pc = ParamCurve.from_strings(CATALOG[surface], u, v, 0.0, 1.0)
         ts = np.linspace(0.0, 1.0, samples)
@@ -1063,21 +1075,12 @@ class TestRecordedCurveKernels:
                 return method(self_or_cls, *args, **kwargs)
             return counted
 
-        def refused(*args, **kwargs):
-            pytest.fail("the Jet route ran")
-
         with monkeypatch.context() as patch:
             patch.setattr(Jet1, "__init__", counting("init", Jet1.__init__))
             patch.setattr(Jet1, "_like", counting("like", Jet1._like))
             patch.setattr(Jet1, "_make", classmethod(
                 counting("make", Jet1._make.__func__)))
-            # under every name a module of the package binds them to
-            for key, module in list(sys.modules.items()):
-                for original in (compose_curve_in_surface, affine_integrand):
-                    name = original.__name__
-                    if (key.startswith("affinemetrics")
-                            and getattr(module, name, None) is original):
-                        patch.setattr(module, name, refused)
+            jet_route.refuse_jet_route(patch, affine_integrand)
             rows = running_arclengths(pc, ts)
         assert builds == []
         assert recorded == [True]
@@ -1087,6 +1090,28 @@ class TestRecordedCurveKernels:
             "sigma"]["points"]
         monkeypatch.setattr(tape, "record_curve", lambda trees: None)
         assert running_arclengths(pc, ts) == rows
+
+    def test_fallback_failure_runs_on_floats(self, capsys, monkeypatch,
+                                             recorded):
+        # det[a', a'', a'''] of this curve changes sign: the first grid
+        # mirrors it, the Chebyshev fit fails where the sign turns, and
+        # the GK15 fallback stops there.  The run records its path once,
+        # builds no Jet node, and fails as it does on the Jet route's nodes
+        from affinemetrics.commensurate import NodeTable
+
+        argv = ["arclen-compare", "--surface", "sphere", "--curve",
+                "8*t;0.3*sin(9*t)", "--t-range", "0:1", "--samples", "1000",
+                "--auto-orient"]
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = run(argv), capsys.readouterr()
+        assert got[0] == 3
+        assert got[1].err.startswith(
+            "error: NegativeOrientation: negative curve orientation: det = ")
+        assert recorded == [True]
+        monkeypatch.setattr(NodeTable, "sample", lambda self, t: (
+            jet_route.as_float_node(jet_route.curve_node(self.curve, t))))
+        assert (run(argv), capsys.readouterr()) == got
 
 
 class TestCachedParser:

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import jet_route
 import numpy as np
 import pytest
 
@@ -11,9 +12,6 @@ from affinemetrics.commensurate import (
     ParamCurve,
     TraceCurve,
     _condition_parts,
-    _node,
-    _residual,
-    _theta_jets,
     check_condition_euclidean,
     commensurate_residual,
     commensurate_residual_general,
@@ -107,7 +105,7 @@ class TestNodeTable:
         for t in (0.1, 0.45, 0.9):
             jets = table.curve_jets(t, 3)
             assert [j.coeffs for j in jets] \
-                == [j.coeffs for j in pc.curve_jets(t, 3)]
+                == [j.coeffs for j in jet_route.curve_node(pc, t)[3]]
             # the form read off the order-3 entry is the order-2 one
             assert table.form_direction(t) == pc.form_direction(t)
         table.clear()
@@ -183,9 +181,9 @@ class TestResidual:
 
 
 def _jet1_route_parts(X, u, v, theta, omega):
-    """_parts_from_jets by the Jet1 route: _theta_jets, then
+    """_parts_from_jets by the Jet1 route: theta_jets, then
     compose_curve_in_surface, form_from_jets, det3 and hypot."""
-    u_jet, v_jet = _theta_jets(u, v, theta, omega)
+    u_jet, v_jet = jet_route.theta_jets(u, v, theta, omega)
     c, s = u_jet.coeffs[1], v_jet.coeffs[1]
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
     d1, d2, d3 = (tuple(comp.coeffs[k] for comp in a) for k in (1, 2, 3))
@@ -247,7 +245,8 @@ def _jet1_parts(surface, state):
 
 
 def _jet1_residual(surface, state):
-    return _residual(_node(surface, *_theta_jets(*state)))
+    return jet_route.residual(jet_route.node(surface,
+                                             *jet_route.theta_jets(*state)))
 
 
 QUOTIENT = SurfaceDef.from_strings("u;v;u*v/(1+u^2)", ((-3.0, 3.0),
@@ -312,10 +311,94 @@ class TestStateGeometry:
         # (43), as many as the Jet1 route made
         assert trace.ode_result.n_rhs + len(trace.nodes) == 297
         assert [args[3] for args in jet_calls] == [3] * 297
-        # the counters see the Jet1 route where a trace curve takes it
+        # the counters see a trace curve's Jet1 wrappers, and the Jet route
         TraceCurve(trace).curve_jets(0.5, 3)
+        assert compose == []
+        assert len(builds) == 3
+        jet_route.trace_node(trace, 0.5)
         assert len(compose) == 1
-        assert len(builds) == 5
+
+
+def _jet_residual_general(surface, u, v, derivs):
+    """commensurate_residual_general on the Jet route."""
+    u1, v1, u2, v2, u3, v3 = derivs
+    return jet_route.residual(jet_route.node(
+        surface, Jet1((u, u1, u2, u3)), Jet1((v, v1, v2, v3))))
+
+
+def _jet_check(curve, t):
+    """check_condition_euclidean on the Jet route."""
+    return jet_route.condition_check(jet_route.curve_node(curve, t))
+
+
+class TestFloatNodes:
+    """Every consumer of a curve in a surface reads its float node: under
+    a guard that fails the test where compose_curve_in_surface runs, each
+    gives what the Jet route gives, bit for bit, and fails where it fails
+    with the same exception class."""
+
+    @pytest.mark.parametrize("pc", [SPH_HELIX, SPIRAL, RULING],
+                             ids=["helix", "spiral", "ruling"])
+    def test_standalone_arc_lengths(self, monkeypatch, pc):
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = [_outcome(affine_arclength, pc, 0.2, 0.3),
+                   _outcome(affine_arclength, pc, 0.2, 0.3, 1e-10, 1e-12,
+                            True),
+                   _outcome(induced_arclength, pc, 0.2, 0.3)]
+        ref = jet_route.JetRouteCurve(pc)
+        assert got == [_outcome(affine_arclength, ref, 0.2, 0.3),
+                       _outcome(affine_arclength, ref, 0.2, 0.3, 1e-10,
+                                1e-12, True),
+                       _outcome(induced_arclength, ref, 0.2, 0.3)]
+
+    def test_condition_check_on_param_curves(self, monkeypatch):
+        curves = [SPH_HELIX, SPIRAL, RULING, GREAT_CIRCLE,
+                  NodeTable(SPH_HELIX)]
+        ts = [0.1, 0.45, 0.9]
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = [_outcome(check_condition_euclidean, pc, t)
+                   for pc in curves for t in ts]
+        assert got == [_outcome(_jet_check, pc, t)
+                       for pc in curves for t in ts]
+
+    def test_condition_check_on_a_trace(self, monkeypatch):
+        trace = integrate_commensurate(CommensurateIVP(
+            PARABOLOID, 0.5, 0.8, 0.4, omega0=0.1, t_span=(0.0, 0.5)))
+        tc = TraceCurve(trace)
+        ts = np.linspace(0.0, 0.5, 6).tolist()
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = [(check_condition_euclidean(tc, t),
+                    check_condition_euclidean(tc, t, omega_dot=0.1),
+                    [jet.coeffs for jet in tc.curve_jets(t, 3)])
+                   for t in ts]
+        assert got == [
+            (_jet_check(tc, t),
+             jet_route.condition_check(jet_route.trace_node(trace, t, 0.1)),
+             [jet.coeffs for jet in jet_route.trace_node(trace, t)[3]])
+            for t in ts]
+
+    def test_residual_of_a_parameter_path(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = []
+        for surface in [*CATALOG.values(), QUOTIENT]:
+            for _ in range(20):
+                cases.append((
+                    surface,
+                    float(rng.uniform(surface.u_min, surface.u_max)),
+                    float(rng.uniform(surface.v_min, surface.v_max)),
+                    tuple(rng.uniform(-2.0, 2.0, size=6).tolist())))
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = [_outcome(commensurate_residual_general, *case)
+                   for case in cases]
+        assert got == [_outcome(_jet_residual_general, *case)
+                       for case in cases]
+        # every plane point is degenerate, no point of the others is
+        assert {_kind(outcome) for outcome in got} == {
+            float, DegenerateSurfacePoint}
 
 
 class TestIntegration:
@@ -785,9 +868,9 @@ class TestConditionCheck:
         # surface jets again, as the generic curve-in-surface path does
         state = tc.trace.state_at(0.1)
         omega_dot = commensurate.solve_theta_dd(SPHERE, *state)
-        u, v = commensurate._theta_jets(*state, omega_dot)
+        u, v = jet_route.theta_jets(*state, omega_dot)
         X = original(SPHERE, u.value, v.value, 3)
-        want = commensurate.compose_curve_in_surface(X, u, v, 3)
+        want = compose_curve_in_surface(X, u, v, 3)
         assert [j.coeffs for j in jets] == [j.coeffs for j in want]
 
     def test_trace_curve_outside_the_domain_is_a_domain_exit(self):

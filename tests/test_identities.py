@@ -14,18 +14,14 @@ output to what the string-built samples printed.
 import math
 import sys
 
+import jet_route
 import numpy as np
 import pytest
 
 from affinemetrics import expr, surfgeo
 from affinemetrics import identities as idn
 from affinemetrics.cli import main
-from affinemetrics.commensurate import (
-    NodeTable,
-    ParamCurve,
-    _residual,
-    check_condition_euclidean,
-)
+from affinemetrics.commensurate import ParamCurve
 from affinemetrics.curvegeo import CurveDef, curve_jets, frenet_from_jets
 from affinemetrics.errors import AffineMetricsError
 from affinemetrics.expr import (
@@ -266,10 +262,10 @@ class TestQuadraticKernel:
             for k, pick in enumerate(rng.integers(0, 4, size=3).tolist()):
                 if pick < 2:
                     coeffs[k] = (0.0, -0.0)[pick]
-            kernel = idn._quadratic_jets(*coeffs)
+            kernel = idn._quadratic_path(*coeffs)
             tree = eval_ast(idn._quadratic(*coeffs), seed_jet)
-            assert kernel.order == tree.order == 3
-            assert (coefficient_reprs([kernel])
+            assert tree.order == 3
+            assert (coefficient_reprs([Jet1(kernel)])
                     == coefficient_reprs([tree]))
 
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
@@ -291,8 +287,8 @@ class TestQuadraticKernel:
 
 
 def condition_suite_by_trees(surface, rng, samples, tolerance=1e-8):
-    """condition_routes_suite as it was written over expression trees, a
-    NodeTable of a ParamCurve and np.linalg.norm: the reference route."""
+    """condition_routes_suite as it was written over expression trees, the
+    Jet node of a ParamCurve and np.linalg.norm: the reference route."""
     worst = 0.0
     count = 0
     points = idn._regular_nondegenerate_points(surface, rng, samples)
@@ -301,12 +297,12 @@ def condition_suite_by_trees(surface, rng, samples, tolerance=1e-8):
         c1u, c2u, c1v, c2v = rng.uniform(-1.0, 1.0, size=4).tolist()
         if math.hypot(c1u, c1v) < 0.3:
             continue
-        pc = NodeTable(ParamCurve(surface, idn._quadratic(u, c1u, c2u),
-                                  idn._quadratic(v, c1v, c2v), -0.1, 0.1))
+        pc = ParamCurve(surface, idn._quadratic(u, c1u, c2u),
+                        idn._quadratic(v, c1v, c2v), -0.1, 0.1)
         try:
-            node = pc.node_jets(0.0, 3)
-            residual = _residual(node)
-            check = check_condition_euclidean(pc, 0.0)
+            node = jet_route.curve_node(pc, 0.0)
+            residual = jet_route.residual(node)
+            check = jet_route.condition_check(node)
         except AffineMetricsError:
             continue
         if check.degenerate:
@@ -322,12 +318,15 @@ def condition_suite_by_trees(surface, rng, samples, tolerance=1e-8):
 
 @pytest.mark.parametrize("name", ["sphere", "helicoid", "paraboloid",
                                   "hyperbolic-paraboloid", "hyperboloid"])
-def test_condition_suite_matches_the_tree_route(name):
+def test_condition_suite_matches_the_tree_route(monkeypatch, name):
+    # the suite reads one float node per sample and builds no Jet node
     surface = surfgeo.CATALOG[name]
     for seed in (0, 5, 7):
         ours = np.random.default_rng(seed)
         trees = np.random.default_rng(seed)
-        got = idn.condition_routes_suite(surface, ours, 30)
+        with monkeypatch.context() as patch:
+            jet_route.refuse_jet_route(patch)
+            got = idn.condition_routes_suite(surface, ours, 30)
         want = condition_suite_by_trees(surface, trees, 30)
         assert got == want
         assert repr(got.max_deviation) == repr(want.max_deviation)
