@@ -88,13 +88,17 @@ class _EmbeddedCurve:
     Every consumer reads one node per t, on floats: ``sample`` gives
     (u, v, X, a), the parameter path u = (u, u', u'', u''') and v alike,
     the order-3 surface jets X at (u(t), v(t)) and the columns
-    a = (a', a'', a''') of the curve.  ``curve_jets`` wraps the columns
-    in Jet1s."""
+    a = (a', a'', a''') of the curve.  ``columns`` reads the columns off
+    it, and ``curve_jets`` wraps them in Jet1s."""
 
     def sample(self, t):
         """The float node (u, v, X, a) at t."""
         return _path_node(self.surface,
                           *[jet.coeffs for jet in self.param_jets(t, 3)])
+
+    def columns(self, t):
+        """The columns a', a'', a''' of the node at t."""
+        return self.sample(t)[3]
 
     def curve_jets(self, t, order):
         """Jets of the embedded curve X(u(t), v(t)): at order 3 the
@@ -195,13 +199,17 @@ class NodeTable(_EmbeddedCurve):
 
     arclen-compare samples both arc lengths' integrands at the same nodes,
     on its Chebyshev path and in the GK15 quadratures of its fallback.
-    The first sample records the parameter path of a ParamCurve as one
-    straight-line kernel (tape.record_curve), which then gives u(t), v(t)
-    and their derivatives at every t; a path that cannot be recorded, and
-    a t where the kernel hands back, take the curve's param_jets.  The
-    induced side reads the affine form and (u', v') off the node where
-    there is one, and otherwise keeps the order-2 form it evaluates.
-    ``discard`` drops one node, ``clear`` all of them.
+    The first sample takes the parameter path of a ParamCurve as one
+    straight-line kernel from tape.record_curve, which records it unless
+    a path of the same shape, differing only in its numbers, has been
+    recorded before; the kernel then gives u(t), v(t) and their
+    derivatives at every t.  A path that cannot be recorded, a t where
+    the kernel hands back, and a curve of another kind take the curve's
+    own node (``sample``), so that a TraceCurve's node evaluates its
+    surface jets once.  The induced side reads the affine form and
+    (u', v') off the node where there is one, and otherwise keeps the
+    order-2 form it evaluates.  ``discard`` drops one node, ``clear`` all
+    of them.
     """
 
     def __init__(self, curve):
@@ -227,13 +235,16 @@ class NodeTable(_EmbeddedCurve):
     def sample(self, t):
         entry = self._samples.get(t)
         if entry is None:
-            entry = self._samples[t] = _path_node(self.surface,
-                                                  *self._path(t))
+            path = self._recorded_path(t)
+            entry = self._samples[t] = (
+                self.curve.sample(t) if path is None
+                else _path_node(self.surface, *path))
         return entry
 
-    def _path(self, t):
-        """(u, u', u'', u''') and (v, v', v'', v''') at t, from the recorded
-        kernel where it gives them; recorded at the first call."""
+    def _recorded_path(self, t):
+        """(u, u', u'', u''') and (v, v', v'', v''') at t from the kernel
+        taken at the first call, or None where there is none or it hands
+        back."""
         kernel = self._kernel
         if kernel is None:
             from .tape import record_curve      # loaded when first needed
@@ -242,12 +253,16 @@ class NodeTable(_EmbeddedCurve):
                 record_curve((curve.u_of_t, curve.v_of_t)) or False)
         if kernel:
             try:
-                coeffs = kernel(t)
+                return kernel(t)
             except (DomainError, OverflowError, ValueError):
-                coeffs = None       # eval_ast raises it with its own message
-            if coeffs is not None:
-                return coeffs
-        return [jet.coeffs for jet in self.curve.param_jets(t, 3)]
+                pass        # eval_ast raises it with its own message
+        return None
+
+    def _path(self, t):
+        """The parameter path at t: the recorded kernel's where it gives
+        it, else the curve's param_jets."""
+        return self._recorded_path(t) or [
+            jet.coeffs for jet in self.curve.param_jets(t, 3)]
 
     def form_direction(self, t):
         entry = self._forms.get(t)
@@ -591,7 +606,8 @@ def _state_geometry(X, c, s, omega, omega_dot=0.0):
         X, c, -omega * s, -omega_dot * s - omega * omega * c,
         s, omega * c, omega_dot * c - omega * omega * s)
     xu, xv, xuu, xuv, xvv = _partials(X)
-    a, b, cc, disc, _, cross = form_from_partials(xu, xv, xuu, xuv, xvv)
+    a, b, cc, disc, _, cross, _ = form_from_partials(
+        xu, xv, xuu, xuv, xvv)
     w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
          -s * xu[2] + c * xv[2])
     q = a * c * c + 2.0 * b * c * s + cc * s * s

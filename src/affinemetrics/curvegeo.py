@@ -6,10 +6,13 @@ the same integrand through the Euclidean curvature and torsion as
 (kappa^2 tau)^(1/6) * |a'|.  All derivatives come from jet evaluation of
 the component expressions, never from numerical differentiation.
 
-A curve is anything with ``curve_jets(t, order)`` for orders 1..3: a
-CurveDef, whose jets come from its expressions, or a curve in a surface,
-whose jets wrap the columns of its float node (commensurate's
-``sample``).  A caller holding a point's order-3 jets reads the Frenet
+A curve is anything with ``curve_jets(t, order)`` for orders 1..3 and
+``columns(t)``, the columns a', a'', a''' at t as three sequences of
+three floats: a CurveDef, whose jets come from its expressions and whose
+columns are read off its order-3 jets, or a curve in a surface, whose
+columns are those of its float node (commensurate's ``sample``) and
+whose jets wrap them.  The equiaffine integrand and arc length read the
+columns alone.  A caller holding a point's order-3 jets reads the Frenet
 data off them with frenet_from_jets, not euclidean_frenet.
 """
 
@@ -67,6 +70,10 @@ class CurveDef:
     def curve_jets(self, t, order):
         """The jets of the components at t; see the module's curve_jets."""
         return curve_jets(self, t, order)
+
+    def columns(self, t):
+        """a', a'', a''' at t, read off the order-3 jets."""
+        return _columns(curve_jets(self, t, 3))
 
 
 @dataclass(frozen=True)
@@ -156,8 +163,7 @@ def affine_integrand(curve, t, mirror=False):
     it is negative.  ``mirror=True`` evaluates the reflected curve instead,
     whose determinant has the opposite sign.
     """
-    value, det, degenerate = _alpha_integrand(
-        *_columns(curve.curve_jets(t, 3)), mirror)
+    value, det, degenerate = _alpha_integrand(*curve.columns(t), mirror)
     if degenerate:
         raise DegenerateCurve(
             f"det[a', a'', a'''] = {det!r} is degenerate at t = {t!r}")
@@ -178,8 +184,7 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     flagged = [False]
 
     def integrand(t):
-        value, _, degenerate = _alpha_integrand(
-            *_columns(curve.curve_jets(t, 3)), mirror)
+        value, _, degenerate = _alpha_integrand(*curve.columns(t), mirror)
         flagged[0] = flagged[0] or degenerate
         return value
 

@@ -54,7 +54,6 @@ from .surfgeo import (
     form_from_partials,
     forms_from_partials,
     gauss_from_forms,
-    lmn_from_jets,
     surface_jets,
 )
 
@@ -313,12 +312,13 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
 
 
 class _Point(NamedTuple):
-    """A sample point with its order-2 surface jets, its affine form and
-    its Euclidean first and second forms, all from one evaluation."""
+    """A sample point with its raw form (l, m, n) as a tuple, its affine
+    form and its Euclidean first and second forms, all from one
+    evaluation of its order-2 surface jets."""
 
     u: float
     v: float
-    jets: tuple
+    lmn: tuple
     form: AffineForm
     first: QuadForm
     second: QuadForm
@@ -342,12 +342,13 @@ def _regular_nondegenerate_points(surface, rng, count):
                 f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
         partials = _partials(jets)
         try:
-            a, b, c, disc, flipped, cross = form_from_partials(*partials)
+            a, b, c, disc, flipped, cross, lmn = form_from_partials(
+                *partials)
             first, second, _ = forms_from_partials(*partials, cross, u, v)
         except AffineMetricsError:
             continue
         form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
-        points.append(_Point(u, v, jets, form, first, second))
+        points.append(_Point(u, v, lmn, form, first, second))
     return points
 
 
@@ -357,9 +358,7 @@ def lmn_route_suite(surface, rng, samples, tolerance=1e-10):
     points = _regular_nondegenerate_points(surface, rng, samples)
     for p in points:
         root = math.sqrt(p.first.det)
-        lmn = lmn_from_jets(p.jets)
-        for det_val, dot_val in zip(lmn.coefficients(),
-                                    p.second.coefficients()):
+        for det_val, dot_val in zip(p.lmn, p.second.coefficients()):
             scale = max(abs(det_val), abs(dot_val), root, 1.0)
             worst = _worse(worst, abs(det_val - dot_val * root) / scale)
     return IdentityReport("lmn-determinant-vs-dot-route", worst, tolerance,
@@ -433,7 +432,8 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
     for p in points:
         lhs, jdet = _reparam_discriminant(surface, p.u, p.v,
                                           random_invertible_2x2(rng))
-        rhs = lmn_from_jets(p.jets).det * jdet ** 4
+        l, m, n = p.lmn
+        rhs = (l * n - m * m) * jdet ** 4
         worst = _worse(worst, abs(lhs - rhs) / max(abs(rhs), 1e-30))
     return IdentityReport("reparam-fourth-power-law", worst, tolerance,
                           len(points), len(points))
@@ -531,11 +531,10 @@ def reference_form_suite(surface, reference, rng, samples, tolerance=1e-9):
             worst = _worse(worst, *(abs(x - y) / scale for x, y in
                                     zip(form.coefficients(), exp)))
         if "lmn" in forms:
-            lmn = lmn_from_jets(p.jets)
             exp = forms["lmn"](u, v)
             scale = max(max(abs(x) for x in exp), 1.0)
             worst = _worse(worst, *(abs(x - y) / scale for x, y in
-                                    zip(lmn.coefficients(), exp)))
+                                    zip(p.lmn, exp)))
         if "gauss" in forms:
             K = gauss_from_forms(p.first, p.second)
             exp = forms["gauss"](u, v)

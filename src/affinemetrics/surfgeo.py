@@ -267,15 +267,16 @@ def gauss_from_forms(first, second):
 def form_from_jets(jets):
     """Affine fundamental form from already-evaluated surface jets
     (order >= 2); see affine_first_fundamental."""
-    a, b, c, disc, flipped, _ = form_from_partials(*_partials(jets))
+    a, b, c, disc, flipped, _, _ = form_from_partials(*_partials(jets))
     return AffineForm(a, b, c, discriminant=disc, flipped=flipped)
 
 
 def form_from_partials(xu, xv, xuu, xuv, xvv):
-    """(a, b, c, ln - m^2, flipped, X_u x X_v): the affine fundamental
-    form's coefficients from the first and second partials, as plain
-    floats; the one place where DegenerateSurfacePoint is raised and a
-    negative-definite form is flipped (see affine_first_fundamental)."""
+    """(a, b, c, ln - m^2, flipped, X_u x X_v, (l, m, n)): the affine
+    fundamental form's coefficients from the first and second partials,
+    as plain floats, and the raw form (l, m, n) they scale; the one place
+    where DegenerateSurfacePoint is raised and a negative-definite form is
+    flipped (see affine_first_fundamental)."""
     l, m, n, eps, cross = _lmn_and_threshold(xu, xv, xuu, xuv, xvv)
     disc = l * n - m * m
     if abs(disc) <= eps:
@@ -288,7 +289,7 @@ def form_from_partials(xu, xv, xuu, xuv, xvv):
     if flipped:
         a, b, c = -a, -b, -c
     # + 0.0 normalizes negative zeros out of the coefficients
-    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, cross
+    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, cross, (l, m, n)
 
 
 def affine_first_fundamental(surface, u, v):

@@ -12,6 +12,17 @@ recording runs ``eval_ast`` itself, over seeds whose coefficients are
 symbolic: the jets' own products, chain rule, quotients and integer
 powers produce the tape, and the chain rule exists in one place only.
 
+A tree is recorded by its shape, not by its numbers.  Each maximal
+variable-free subtree, a constant of the tree, is an input of the kernel,
+whose value ``eval_ast`` computes on floats, as the walk over jets does;
+only the exponent of a power and a variable-free divisor, on whose values
+``eval_ast`` branches, stay in the shape as numbers.  The kernels of a
+shape are made by one factory, make(c0, c1, ...) -> kernel, which binds
+the constants as closure cells, and one bounded cache keeps the factory
+of each (shape, kind, order), for surfaces and curves alike: the curves of
+an arclen-compare command and the next one's, which differ only in their
+numbers, record once.
+
 Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
 is not recorded, and a kernel hands back to ``eval_ast`` wherever its
@@ -28,7 +39,8 @@ from __future__ import annotations
 import math
 import types
 
-from .expr import BinOp, Call, Neg, Var, eval_ast
+from .errors import DomainError
+from .expr import BinOp, Call, Const, Neg, Var, eval_ast
 from .jets import (
     _PHI,
     _SEED_TAILS,
@@ -37,8 +49,17 @@ from .jets import (
     Jet1,
     Jet2,
     _check_order,
+    _Jet,
     _phi,
 )
+
+#: shapes whose kernel factories the cache keeps; arclen-compare's items
+#: use 3 curve shapes and 5 surface shapes
+MAX_SHAPES = 64
+
+# (shape, kind, order) -> make(c0, ...) -> kernel, or None for a shape
+# that cannot be recorded; the oldest entry goes first
+_KERNELS = {}
 
 
 class NotReplayable(Exception):
@@ -48,25 +69,39 @@ class NotReplayable(Exception):
 class _Sym:
     """A float of a recording that only the run time knows: the result of
     ``op`` on ``args``.  ``zero``: it is +-0.0 as long as the tape's guarded
-    values are finite.  ``negzero``: it may be -0.0."""
+    values are finite.  ``negzero``: it may be -0.0.
+
+    A constant of the tree meets a jet only as an operand of eval_ast's
+    + - * and /, which the jet's own reflected method then computes."""
 
     __slots__ = ("tape", "index", "op", "args", "zero", "negzero")
 
     def __add__(self, other):
+        if isinstance(other, _Jet):
+            return NotImplemented
         return self.tape.add(self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _Jet):
+            return NotImplemented
         return self.tape.sub(self, other)
 
     def __rsub__(self, other):
         return self.tape.sub(other, self)
 
     def __mul__(self, other):
+        if isinstance(other, _Jet):
+            return NotImplemented
         return self.tape.mul(self, other)
 
     __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, _Jet):
+            return NotImplemented
+        self._refuse()
 
     def __neg__(self):
         return self.tape.neg(self)
@@ -76,7 +111,7 @@ class _Sym:
 
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __bool__ = __float__ = __abs__ = _refuse
-    __truediv__ = __rtruediv__ = __pow__ = __rpow__ = _refuse
+    __rtruediv__ = __pow__ = __rpow__ = _refuse
 
 
 def _is_zero(x):
@@ -99,9 +134,10 @@ class _Tape:
     -0.0 or z is the literal -0.0; x - z is x + (-z).  A product with a
     zero term is a zero term itself only while its other factor is
     finite (inf * 0.0 is nan), so that factor is guarded: the kernel
-    checks it before returning.  Every elementary function of the
-    recording is called at run time, even one whose jet is dropped, since
-    it may raise."""
+    checks it before returning, unless it is a constant of the tree,
+    which is bound finite.  Every elementary function of the recording is
+    called at run time, even one whose jet is dropped, since it may
+    raise."""
 
     def __init__(self):
         self.nodes = []
@@ -159,7 +195,7 @@ class _Tape:
                     if math.isfinite(x):
                         return self.node("*", (a, b), zero=True)
                     break
-                if not x.zero:
+                if not x.zero and x.op != "const":
                     self.guards[x.index] = x
                 return self.node("*", (a, b), zero=True)
         return self.node("*", (a, b))
@@ -176,11 +212,11 @@ class _Tape:
                 self.node("item", (call,))
         return tuple(self.nodes[call.index + 1:call.index + 5])
 
-    def kernel(self, outputs, names):
-        """The function of the inputs ``names`` (u and v, or t) to
-        ``outputs``, a tuple of coefficient tuples: the live operations in
-        recorded order, then the guard, which returns None if a guarded
-        value is not finite."""
+    def factory(self, outputs, names, constants):
+        """make(*constants) -> the function of the inputs ``names`` (u
+        and v, or t) to ``outputs``, a tuple of coefficient tuples: the
+        live operations in recorded order, then the guard, which returns
+        None if a guarded value is not finite."""
         live = set()
         stack = [x for coeffs in outputs for x in coeffs
                  if x.__class__ is _Sym]
@@ -193,7 +229,7 @@ class _Tape:
                 stack += [a for a in n.args if a.__class__ is _Sym]
         lines = []
         for n in self.nodes:
-            if n.index not in live or n.op in ("in", "item"):
+            if n.index not in live or n.op in ("in", "const", "item"):
                 continue
             if n.op == "phi":
                 items = ", ".join(f"t{n.index + k}" for k in range(1, 5))
@@ -208,21 +244,22 @@ class _Tape:
             # 0.0 * x is +-0.0 for a finite x and nan otherwise
             product = " * ".join(["0.0"] + list(map(_ref,
                                                     self.guards.values())))
-            lines.append(f"if {product} != 0.0:\n        return None")
+            lines += [f"if {product} != 0.0:", "    return None"]
         rows = ", ".join("(" + "".join(f"{_ref(c)}, " for c in coeffs) + ")"
                          for coeffs in outputs)
         lines.append(f"return ({rows},)")
         # _phi's table itself: its errors are eval_ast's to report
         namespace = {f"_d_{name}": f for name, f in _PHI.items()}
-        exec(f"def kernel({', '.join(names)}):\n    "
-             + "\n    ".join(lines) + "\n", namespace)
-        return namespace["kernel"]
+        exec(f"def make({', '.join(constants)}):\n"
+             f"    def kernel({', '.join(names)}):\n        "
+             + "\n        ".join(lines) + "\n    return kernel\n", namespace)
+        return namespace["make"]
 
 
 def _ref(x):
     """x in kernel source: its variable, or its literal if finite."""
     if x.__class__ is _Sym:
-        return x.args[0] if x.op == "in" else f"t{x.index}"
+        return x.args[0] if x.op in ("in", "const") else f"t{x.index}"
     if not math.isfinite(x):
         raise NotReplayable(f"non-finite literal {x!r}")
     return repr(float(x))
@@ -232,27 +269,50 @@ def _recorded_phi(name, x):
     return x.tape.phi(name, x) if x.__class__ is _Sym else _phi(name, x)
 
 
-class _RecordingJet1(Jet1):
-    """Jet1 over recorded floats: Jet1's own code, whose chain rule records
-    a _phi call where the argument is known only at run time."""
-
-    __slots__ = ()
-    _apply = types.FunctionType(
-        Jet1._apply.__code__,
-        {**Jet1._apply.__globals__, "_phi": _recorded_phi}, "_apply")
+def _recorded_float(x):
+    """float(x), or x itself if it is a recorded float."""
+    return x if x.__class__ is _Sym else float(x)
 
 
-class _RecordingJet2(Jet2):
-    """Jet2 over recorded floats, as _RecordingJet1."""
-
-    __slots__ = ()
-    _apply = types.FunctionType(
-        Jet2._apply.__code__,
-        {**Jet2._apply.__globals__, "_phi": _recorded_phi}, "_apply")
+def _recording(kind):
+    """The jet class ``kind`` over recorded floats: its own code, whose
+    chain rule records a _phi call where the argument is known only at run
+    time, and whose operations with a number and constant jets take a
+    recorded float (a constant of the tree) as it is."""
+    namespace = {**kind._apply.__globals__, "_phi": _recorded_phi,
+                 "float": _recorded_float}
+    body = {"__slots__": ()}
+    for name in ("_apply", "__add__", "__radd__", "__sub__", "__rsub__",
+                 "__mul__", "__rmul__"):
+        body[name] = types.FunctionType(vars(kind)[name].__code__,
+                                        namespace, name)
+    body["constant"] = classmethod(types.FunctionType(
+        vars(kind)["constant"].__func__.__code__, namespace, "constant"))
+    return type(f"_Recording{kind.__name__}", (kind,), body)
 
 
 # per kind, the names of its seeds and its recording class
-_SEEDS = {Jet1: ("t", _RecordingJet1), Jet2: ("uv", _RecordingJet2)}
+_SEEDS = {Jet1: ("t", _recording(Jet1)), Jet2: ("uv", _recording(Jet2))}
+
+
+def _record(evaluate, order, kind, constants=()):
+    """make(*constants) -> the kernel of ``evaluate`` (record_kernel),
+    which is called with the seeds and then one recorded float per name
+    of ``constants``."""
+    names, recording = _SEEDS[kind]
+    if kind is Jet1:
+        _check_order(order, MAX_ORDER_1, "Jet1")
+        tails = ((1.0,) + (0.0,) * (order - 1),)
+    else:
+        _check_order(order, MAX_ORDER_2, "Jet2")
+        tails = _SEED_TAILS[order]
+    tape = _Tape()
+    seeds = [recording._make(order, (tape.node("in", (name,)),) + tail)
+             for name, tail in zip(names, tails)]
+    bound = [tape.node("const", (name,)) for name in constants]
+    return tape.factory(tuple([jet.coeffs
+                               for jet in evaluate(*seeds, *bound)]),
+                        names, constants)
 
 
 def record_kernel(evaluate, order, kind=Jet2):
@@ -270,56 +330,107 @@ def record_kernel(evaluate, order, kind=Jet2):
     ValueError.  A branch on a value known only at run time raises
     NotReplayable here.
     """
-    names, recording = _SEEDS[kind]
-    if kind is Jet1:
-        _check_order(order, MAX_ORDER_1, "Jet1")
-        tails = ((1.0,) + (0.0,) * (order - 1),)
-    else:
-        _check_order(order, MAX_ORDER_2, "Jet2")
-        tails = _SEED_TAILS[order]
-    tape = _Tape()
-    seeds = [recording._make(order, (tape.node("in", (name,)),) + tail)
-             for name, tail in zip(names, tails)]
-    return tape.kernel(tuple([jet.coeffs for jet in evaluate(*seeds)]),
-                       names)
+    return _record(evaluate, order, kind)()
 
 
-def _subtrees(ast):
-    """The nodes of the tree, each before its operands."""
-    yield ast
+def _shape(ast, constants):
+    """(tree, key) of ``ast``'s shape, or None if no variable occurs in it.
+
+    The tree is ``ast`` with each maximal variable-free subtree, a
+    constant, replaced by Var("c<k>") and appended to ``constants`` as
+    the k-th; but the exponent of a power and a variable-free divisor are
+    replaced by Consts of their values, on which eval_ast branches over
+    jets (square-and-multiply or exp(b log a), and a zero divisor).  The
+    key is the tree's structure, with "c" for each constant and the hex
+    of each value, so trees that differ only in their constants share it.
+    An exponent that depends on a variable raises NotReplayable.
+    """
     kind = type(ast)
+    if kind is Var:
+        return ast, ast.name
     if kind is BinOp:
-        yield from _subtrees(ast.left)
-        yield from _subtrees(ast.right)
-    elif kind is Call:
-        yield from _subtrees(ast.arg)
-    elif kind is Neg:
-        yield from _subtrees(ast.child)
+        left = _shape(ast.left, constants)
+        right = _shape(ast.right, constants)
+        if left is None and right is None:
+            return None
+        op = ast.op
+        if right is None:
+            right = (_value(ast.right) if op in "^/"
+                     else _constant(ast.right, constants))
+        elif op == "^":
+            raise NotReplayable("an exponent that depends on a variable")
+        if left is None:
+            left = _constant(ast.left, constants)
+        return BinOp(op, left[0], right[0]), (op, left[1], right[1])
+    if kind is Call:
+        arg = _shape(ast.arg, constants)
+        return arg and (Call(ast.func, arg[0]), (ast.func, arg[1]))
+    if kind is Neg:
+        child = _shape(ast.child, constants)
+        return child and (Neg(child[0]), ("neg", child[1]))
+    return None
 
 
-def _record_trees(trees, order, kind):
-    """The jet kernel of ``eval_ast`` over ``trees`` (record_kernel), or
-    None where a recording cannot stand for eval_ast.  That is a power
-    whose exponent depends on a variable (over jets, eval_ast picks
-    square-and-multiply or exp(b log a) by the exponent's value), abs of a
-    jet (it branches on the value), a non-finite constant that the
+def _constant(ast, constants):
+    """(Var("c<k>"), "c") for the variable-free ``ast``, the k-th of
+    ``constants``."""
+    constants.append(ast)
+    return Var(f"c{len(constants) - 1}"), "c"
+
+
+def _value(ast):
+    """(Const(x), x.hex()) of the value x of the variable-free ``ast``;
+    eval_ast's DomainError where it has none."""
+    value = eval_ast(ast, {})
+    return Const(value), value.hex()
+
+
+def _compile(trees, order, kind, count):
+    """make(c0, ..., c<count - 1>) -> the jet kernel of eval_ast over the
+    shape ``trees``, or None where a recording cannot stand for eval_ast:
+    abs of a jet (it branches on the value), a non-finite number that the
     kernel's source would have to spell, and any other failure to record.
     A quotient and a negative power record, as a product with the
     reciprocal (the chain rule of 1/x), as they run on jets of either
     kind."""
-    if any(type(node) is BinOp and node.op == "^"
-           and any(type(sub) is Var for sub in _subtrees(node.right))
-           for tree in trees for node in _subtrees(tree)):
-        return None
+    constants = [f"c{k}" for k in range(count)]
+    inputs = (*_SEEDS[kind][0], *constants)
 
     def evaluate(*seeds):
-        bindings = dict(zip(_SEEDS[kind][0], seeds))
+        bindings = dict(zip(inputs, seeds))
         return [seeds[0].lift(eval_ast(tree, bindings)) for tree in trees]
 
     try:
-        return record_kernel(evaluate, order, kind)
+        return _record(evaluate, order, kind, constants)
     except Exception:       # eval_ast raises what it should, if anything
         return None
+
+
+def _record_trees(trees, order, kind):
+    """The jet kernel of ``eval_ast`` over ``trees`` (record_kernel): the
+    cached factory of their shape (_shape; _compile records it on a miss)
+    called with the values of their constants.  None where the shape
+    cannot be recorded, an exponent depends on a variable, a number of
+    the shape raises, or a constant raises or is not finite, as
+    1e308*10*t or log(-1)*t: eval_ast then reports what it reports."""
+    constants = []
+    try:
+        shapes = [_shape(tree, constants) or _constant(tree, constants)
+                  for tree in trees]
+        values = [eval_ast(c, {}) for c in constants]
+    except (NotReplayable, DomainError):
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    key = (tuple([k for _, k in shapes]), kind, order)
+    make = _KERNELS.get(key, False)
+    if make is False:
+        make = _compile([tree for tree, _ in shapes], order, kind,
+                        len(values))
+        if len(_KERNELS) >= MAX_SHAPES:
+            del _KERNELS[next(iter(_KERNELS))]
+        _KERNELS[key] = make
+    return make and make(*values)
 
 
 def record_surface(components, order):

@@ -119,8 +119,8 @@ def condition_check(node):
 
 
 class JetRouteCurve:
-    """``curve`` with its curve jets read off the Jet node, for
-    affine_arclength; the induced side reads the curve's own
+    """``curve`` with its curve jets, and the columns affine_arclength
+    reads, taken off the Jet node; the induced side reads the curve's own
     form_direction, which builds no node."""
 
     def __init__(self, curve):
@@ -129,6 +129,10 @@ class JetRouteCurve:
 
     def curve_jets(self, t, order):
         return curve_node(self.curve, t, order)[3]
+
+    def columns(self, t):
+        jets = self.curve_jets(t, 3)
+        return [[jet.coeffs[k] for jet in jets] for k in (1, 2, 3)]
 
     def form_direction(self, t):
         return self.curve.form_direction(t)

@@ -140,6 +140,40 @@ class TestNodeTable:
         assert alpha.value == affine_arclength(SPH_HELIX, 0.2, 0.3).value
         assert sigma.value == induced_arclength(SPH_HELIX, 0.2, 0.3).value
 
+    def test_trace_nodes_evaluate_the_surface_once(self, jet_orders):
+        # a TraceCurve's node solves theta'' on its own surface jets; the
+        # table takes that node as it is
+        ivp = CommensurateIVP(SPHERE, 0.1, 0.1, 0.3, omega0=0.5,
+                              t_span=(0.0, 0.3))
+        trace = integrate_commensurate(ivp)
+        table = NodeTable(TraceCurve(trace))
+        for t in (0.05, 0.2):
+            jet_orders.clear()
+            node = table.sample(t)
+            assert jet_orders == [3]
+            assert _node_bits(node) == _node_bits(TraceCurve(trace).sample(t))
+
+    def test_arc_length_reads_the_node_columns(self, monkeypatch):
+        # affine_arclength reads each node's columns: no Jet1 is built
+        table = NodeTable(SPH_HELIX)
+        want = affine_arclength(SPH_HELIX, 0.2, 0.3)
+        table.sample(0.2)                   # records the path
+        made = []
+        make = Jet1._make.__func__
+        monkeypatch.setattr(Jet1, "_make", classmethod(
+            lambda cls, order, coeffs: (cls is Jet1 and made.append(order),
+                                        make(cls, order, coeffs))[1]))
+        assert affine_arclength(table, 0.2, 0.3) == want
+        assert made == []
+        assert table.columns(0.25) == table.sample(0.25)[3]
+
+
+def _node_bits(node):
+    """A float node (u, v, X, a) by IEEE bits."""
+    u, v, X, a = node
+    return [x.hex() for x in (*u, *v, *sum((j.coeffs for j in X), ()),
+                              *sum(map(tuple, a), ()))]
+
 
 class TestResidual:
     def test_great_circle_residual(self):

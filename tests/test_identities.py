@@ -412,6 +412,34 @@ class TestEvaluationCounts:
         assert len(draws) == (300 if name == "plane" else 6)
         assert [args[3] for args in jet_calls] == [2] * len(draws)
 
+    @pytest.mark.parametrize("suite", [
+        idn.lmn_route_suite, idn.reparam_law_suite,
+        lambda surface, rng, samples: idn.reference_form_suite(
+            surface, "hyperboloid", rng, samples)],
+        ids=["lmn", "reparam", "reference"])
+    def test_lmn_once_per_drawn_point(self, monkeypatch, suite):
+        # the suites read l, m, n off the point, as the form's filter
+        # computed them; only the reparametrized surface's lhs of the
+        # fourth-power law takes its own
+        lmn_calls = record_calls(monkeypatch, surfgeo, "_lmn_and_threshold")
+        draws = record_calls(monkeypatch, idn, "random_points")
+        report = suite(surfgeo.CATALOG["hyperboloid"],
+                       np.random.default_rng(5), 6)
+        assert report.samples == 6 and report.passed
+        own = report.samples if suite is idn.reparam_law_suite else 0
+        assert len(lmn_calls) == len(draws) + own
+
+    @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
+    def test_point_lmn_is_the_jets_lmn(self, name):
+        surface = surfgeo.CATALOG[name]
+        points = idn._regular_nondegenerate_points(
+            surface, np.random.default_rng(8), 10)
+        assert len(points) == 10
+        for p in points:
+            want = surfgeo.lmn_from_jets(
+                surfgeo.surface_jets(surface, p.u, p.v, 2))
+            assert float_reprs(p.lmn) == float_reprs(want.coefficients())
+
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "paraboloid"])
     def test_one_order_three_evaluation_per_condition_sample(self,
                                                              monkeypatch,

@@ -644,6 +644,127 @@ class TestRecordedCurveKernel:
         assert tape.record_curve(trees) is None
 
 
+_T = parse_expression("t", {"t"})
+
+
+class TestCurveShapeCache:
+    """record_curve records a path's shape once: its constants (maximal
+    variable-free subtrees) are kernel inputs, and every path of the
+    shape takes its kernel from the one cached factory, with its own
+    constants, bit for bit eval_ast's, signed zeros included."""
+
+    # (u, v) templates: arclen-compare's two item families, the README's
+    # 8*t;t, and constants under ^ and / (the exponent and the divisor
+    # stay in the shape)
+    SHAPES = {
+        "poly": ("({}) + ({})*t + ({})*t^2", "({}) + ({})*t + ({})*t^2"),
+        "trig": ("({}) + ({})*sin(({})*t) + ({})*t",
+                 "({}) + ({})*sin(({})*t) + ({})*t"),
+        "readme": ("({})*t", "t"),
+        "power-quotient": ("({})^3*t + t^-2", "({})/(1 + t^2) - t/3"),
+    }
+    # a product of -1 and 0 is -0.0, as is 0 times -1
+    CONSTANTS = ("0", "-0", "-1*0", "0*-1", "1", "-1", "8", "0.3", "-2.5",
+                 "1e-300", "-7e10", "pi", "exp(-1)", "2^-3")
+    TS = (0.0, -0.0, 1.0, -1.0, 1e-300, 0.75, 2.0, -0.4)
+
+    @staticmethod
+    def _paths(template, rng, count):
+        u, v = template
+        for _ in range(count):
+            picks = [rng.choice(TestCurveShapeCache.CONSTANTS)
+                     for _ in range(u.count("{}") + v.count("{}"))]
+            k = u.count("{}")
+            yield u.format(*picks[:k]), v.format(*picks[k:])
+
+    @staticmethod
+    def _outcome(f, t):
+        try:
+            rows = f(t)
+        except (DomainError, OverflowError, ValueError):
+            return DomainError
+        return None if rows is None else [_bits(row) for row in rows]
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The shapes compiled during the test, one entry per compile."""
+        calls = []
+        original = tape._compile
+
+        def spy(trees, order, kind, count):
+            calls.append(tuple(map(pretty, trees)))
+            return original(trees, order, kind, count)
+
+        monkeypatch.setattr(tape, "_compile", spy)
+        return calls
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_one_compile_per_shape(self, compiled, shape):
+        rng = random.Random(shape)
+        for u_src, v_src in self._paths(self.SHAPES[shape], rng, 40):
+            trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
+            kernel = tape.record_curve(trees)
+            assert kernel is not None
+
+            def interpreted(t):
+                seed = Jet1.seed(t, 3)
+                return [seed.lift(eval_ast(tree, {"t": seed})).coeffs
+                        for tree in trees]
+
+            for t in self.TS:
+                got = self._outcome(kernel, t)
+                if got is None:
+                    assert not all(map(math.isfinite,
+                                       sum(interpreted(t), ()))), (u_src, t)
+                else:
+                    assert got == self._outcome(interpreted, t), (
+                        u_src, v_src, t)
+        assert len(compiled) == 1
+        assert len(tape._KERNELS) == 1
+
+    def test_shapes_differ_in_exponents_and_divisors(self, compiled):
+        for u_src in ("t^2", "t^3", "t^2", "t/3", "t/4", "t/(1+2)"):
+            trees = [parse_expression(u_src, {"t"}), _T]
+            assert tape.record_curve(trees) is not None
+        # t/(1+2) is t/3: the divisor's value is in the shape
+        assert compiled == [("t^2.0", "t"), ("t^3.0", "t"),
+                            ("t/3.0", "t"), ("t/4.0", "t")]
+
+    @pytest.mark.parametrize("u_src", ["1e308*10*t", "(1e308*10)^2 + t",
+                                       "log(-1)*t", "t + 1/0",
+                                       "sqrt(-1)*sin(t)"])
+    def test_constants_that_fail_stay_refused(self, compiled, u_src):
+        # a constant past the float range or one that eval_ast refuses:
+        # no kernel, and nothing compiled or cached for it
+        trees = [parse_expression(u_src, {"t"}), _T]
+        assert tape.record_curve(trees) is None
+        assert compiled == [] and tape._KERNELS == {}
+
+    def test_cache_keeps_at_most_max_shapes(self, compiled):
+        def record(k):
+            trees = [parse_expression(f"t/{k}", {"t"}), _T]
+            assert tape.record_curve(trees) is not None
+
+        for k in range(1, tape.MAX_SHAPES + 11):
+            record(k)
+            assert len(tape._KERNELS) <= tape.MAX_SHAPES
+        assert len(tape._KERNELS) == tape.MAX_SHAPES
+        assert len(compiled) == tape.MAX_SHAPES + 10
+        # the oldest ten went first
+        record(tape.MAX_SHAPES + 10)
+        record(11)
+        assert len(compiled) == tape.MAX_SHAPES + 10
+        record(10)
+        assert len(compiled) == tape.MAX_SHAPES + 11
+
+    def test_a_refused_shape_is_cached(self, compiled):
+        for c in ("2", "3"):
+            trees = [parse_expression(f"abs({c}*t)", {"t"}), _T]
+            assert tape.record_curve(trees) is None
+        assert len(compiled) == 1
+        assert list(tape._KERNELS.values()) == [None]
+
+
 # ---------------------------------------------------------------------------
 # straight-line kernels against the routes they replaced
 

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from affinemetrics import identities as idn
 from affinemetrics import surfgeo, tape
 from affinemetrics.errors import (
     AffineMetricsError,
@@ -421,3 +422,79 @@ class TestRecordedKernel:
         assert tape.record_surface(surface.components, 2) is None
         assert _bits(j.coeffs for j in surface_jets(surface, 0.5, 0.5, 2)) \
             == _bits(_interpreted(surface, 0.5, 0.5, 2))
+
+
+class TestSurfaceShapeCache:
+    """record_surface records a surface's shape once per order: the
+    surfaces of one shape, differing only in their constants, take their
+    kernels from one cached factory, bit for bit eval_ast's, signed zeros
+    included."""
+
+    @pytest.fixture
+    def compiled(self, monkeypatch):
+        """The order of each compile during the test."""
+        calls = []
+        original = tape._compile
+
+        def spy(trees, order, kind, count):
+            calls.append(order)
+            return original(trees, order, kind, count)
+
+        monkeypatch.setattr(tape, "_compile", spy)
+        return calls
+
+    @staticmethod
+    def _points(surface, rng, count=30):
+        points = [(rng.uniform(surface.u_min, surface.u_max),
+                   rng.uniform(surface.v_min, surface.v_max))
+                  for _ in range(count)]
+        return points + [(0.0, -0.0), (-0.0, 0.3), (0.4, 0.0)]
+
+    def _check(self, surfaces, compiled, orders=(1, 2, 3)):
+        """Every surface's kernels against eval_ast; one compile per
+        order for all of them."""
+        rng = random.Random(len(surfaces))
+        for surface in surfaces:
+            for order in orders:
+                kernel = tape.record_surface(surface.components, order)
+                assert kernel is not None
+                for u, v in self._points(surface, rng):
+                    assert _bits(kernel(u, v)) == _bits(
+                        _interpreted(surface, u, v, order)), (u, v, order)
+        assert sorted(compiled) == sorted(orders)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_transformed_catalog_surfaces(self, compiled, name):
+        # random SL(3) maps and shifts, some entries +-0.0, whose products
+        # with a component give -0.0
+        rng = np.random.default_rng(sorted(CATALOG).index(name))
+        surfaces = []
+        for k in range(8):
+            A = idn.random_sl3(rng)
+            b = rng.uniform(-1.0, 1.0, 3)
+            if k % 2:
+                A[k % 3, (k + 1) % 3] = (0.0, -0.0)[k % 4 // 2]
+                b[k % 3] = (-0.0, 0.0)[k % 4 // 2]
+            surfaces.append(idn.transformed_surface(CATALOG[name], A, b))
+        self._check(surfaces, compiled)
+
+    def test_perturbed_spheres(self, compiled):
+        surfaces = [SurfaceDef.from_strings(
+            f"cos(u)*cos(v);sin(u)*cos(v);({c})*sin(v)", ((-3, 3), (-1.4, 1.4)))
+            for c in ("1.01", "0.99", "-1", "0", "-0", "-1*0", "1e-300",
+                      "2^0.5")]
+        self._check(surfaces, compiled)
+
+    def test_plane_constant_components(self, compiled):
+        surfaces = [SurfaceDef.from_strings(f"u; v; {c}", ((-1, 1), (-1, 1)))
+                    for c in ("0", "-0", "0*-1", "3.5", "-pi", "exp(2)")]
+        assert _bits(tape.record_surface(surfaces[1].components, 2)(
+            0.5, 0.5))[2][0] == (-0.0).hex()
+        self._check(surfaces, compiled)
+
+    @pytest.mark.parametrize("exprs", ["u;v;log(-1)*u", "u;v;1e308*10*u",
+                                       "u;1/0;v", "u;v;sqrt(u)*(-1e308*10)"])
+    def test_constants_that_fail_stay_interpreted(self, compiled, exprs):
+        surface = SurfaceDef.from_strings(exprs, ((-1.0, 1.0), (-1.0, 1.0)))
+        assert tape.record_surface(surface.components, 2) is None
+        assert compiled == []
