@@ -14,10 +14,12 @@ Output is CSV (RFC-4180-style, header row, 17 significant digits) or JSON
 with a top-level ``"schema": "affinemetrics/1"``.  Files are written
 atomically (temp file + rename).
 
-numpy is imported by the two handlers that build arrays (arclen-compare's
-sample grid, check-identities' generators), not here: surface-info and
-commensurate-solve never load it, which keeps a fresh process's start
-short.
+This module loads only the standard library and ``errors``, which main
+needs to map exceptions to exit codes.  Each handler imports the modules
+it computes with when it runs, numpy only where it builds arrays
+(arclen-compare's sample grid, check-identities' generators): --help and
+a usage error load no computation module, and each command loads only
+what it runs, which keeps a fresh process's start short.
 """
 
 from __future__ import annotations
@@ -32,14 +34,6 @@ import os
 import sys
 import tempfile
 
-from . import identities as idn
-from .commensurate import (
-    CommensurateIVP,
-    ParamCurve,
-    integrate_commensurate,
-    run_family,
-    running_arclengths,
-)
 from .errors import (
     DegenerateCurve,
     DegenerateSurfacePoint,
@@ -60,16 +54,6 @@ from .errors import (
     ZeroDirection,
     ZeroSpeed,
 )
-from .surfgeo import (
-    CATALOG,
-    SurfaceDef,
-    classify_from_jets,
-    form_from_jets,
-    forms_from_jets,
-    gauss_from_forms,
-    lmn_from_jets,
-    surface_jets,
-)
 
 SCHEMA = "affinemetrics/1"
 
@@ -89,6 +73,11 @@ MAX_SAMPLES = 100_000
 #: solve_ivp floor): a step's error test cannot ask for less than the
 #: rounding of the state itself
 MIN_REL_TOL = 100 * sys.float_info.epsilon
+#: the catalog names whose closed forms check-identities --reference can
+#: check, sorted: identities.REFERENCE_FORMS' keys, spelled here so that
+#: building the parser does not load identities
+REFERENCE_NAMES = ("helicoid", "hyperbolic-paraboloid", "hyperboloid",
+                   "paraboloid", "sphere")
 
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
                       EuclideanDegenerate, IrregularPoint, NegativeForm,
@@ -170,6 +159,8 @@ def _split_exprs(text, flag, expected):
 
 
 def _surface_from_args(args):
+    from .surfgeo import CATALOG, SurfaceDef
+
     if args.surface_expr is not None:
         if args.surface is not None:
             raise ExprError("give either --surface or --surface-expr, not both")
@@ -270,6 +261,15 @@ def _parse_sweep(text):
 # surface-info
 
 def _cmd_surface_info(args):
+    from .surfgeo import (
+        classify_from_jets,
+        form_from_jets,
+        forms_from_jets,
+        gauss_from_forms,
+        lmn_from_jets,
+        surface_jets,
+    )
+
     surface = _surface_from_args(args)
     u, v = args.at
     jets = surface_jets(surface, u, v, 2)
@@ -310,6 +310,8 @@ def _cmd_surface_info(args):
 
 def _cmd_arclen_compare(args):
     import numpy as np
+
+    from .commensurate import ParamCurve, running_arclengths
 
     surface = _surface_from_args(args)
     u_expr, v_expr = _split_exprs(args.curve, "--curve", "u_expr;v_expr")
@@ -392,6 +394,8 @@ def _sweep_path(base, index):
 
 
 def _cmd_commensurate_solve(args):
+    from .commensurate import CommensurateIVP, run_family
+
     surface = _surface_from_args(args)
     u0, v0 = args.at
     omegas = args.omega0
@@ -424,6 +428,8 @@ def _cmd_commensurate_solve(args):
 
 def _cmd_check_identities(args):
     import numpy as np
+
+    from . import identities as idn
 
     surface = _surface_from_args(args)
     reference = args.reference
@@ -546,7 +552,7 @@ def build_parser():
     p.add_argument("--samples", type=_int_in_range(1, MAX_SAMPLES),
                    default=200)
     p.add_argument("--seed", type=_int_in_range(0), default=0)
-    p.add_argument("--reference", choices=sorted(idn.REFERENCE_FORMS),
+    p.add_argument("--reference", choices=REFERENCE_NAMES,
                    help="check closed forms of this catalog name against "
                         "the supplied expressions")
     p.set_defaults(handler=_cmd_check_identities)

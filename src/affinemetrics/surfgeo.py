@@ -47,9 +47,10 @@ EPS_CLASSIFY = 1e-10
 #: relative threshold on |X_u x X_v|^2 for regularity
 EPS_REGULAR = 1e-24
 #: evaluations of one surface at one order before its jets are recorded as
-#: a kernel: recording costs 0.4-2.2 ms for a catalog surface, more than a
-#: surface evaluated a few times (one surface-info point, one moved surface
-#: of the invariance suite) would save
+#: a kernel: recording a shape that the process has not recorded yet costs
+#: 0.4-2.2 ms for a catalog surface, more than a surface evaluated a few
+#: times (one surface-info point, one moved surface of the invariance
+#: suite) would save; a hit in tape's shape cache costs 1-6 us
 RECORD_AFTER = 64
 
 

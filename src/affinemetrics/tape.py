@@ -36,6 +36,7 @@ never loads it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import types
 
@@ -334,55 +335,63 @@ def record_kernel(evaluate, order, kind=Jet2):
 
 
 def _shape(ast, constants):
-    """(tree, key) of ``ast``'s shape, or None if no variable occurs in it.
+    """The key of ``ast``'s shape, or None if no variable occurs in it.
 
-    The tree is ``ast`` with each maximal variable-free subtree, a
-    constant, replaced by Var("c<k>") and appended to ``constants`` as
-    the k-th; but the exponent of a power and a variable-free divisor are
-    replaced by Consts of their values, on which eval_ast branches over
-    jets (square-and-multiply or exp(b log a), and a zero divisor).  The
-    key is the tree's structure, with "c" for each constant and the hex
-    of each value, so trees that differ only in their constants share it.
+    Each maximal variable-free subtree, a constant, is keyed "c" and
+    appended to ``constants``, left to right; but the exponent of a power
+    and a variable-free divisor are keyed by the hex of their values, as
+    (hex,), since eval_ast branches on them over jets (square-and-multiply
+    or exp(b log a), and a zero divisor).  A variable is keyed by its name,
+    a node by its operator and its children's keys, so trees that differ
+    only in their constants share a key, from which _tree builds the shape.
     An exponent that depends on a variable raises NotReplayable.
     """
     kind = type(ast)
     if kind is Var:
-        return ast, ast.name
+        return ast.name
     if kind is BinOp:
+        mark = len(constants)
         left = _shape(ast.left, constants)
         right = _shape(ast.right, constants)
-        if left is None and right is None:
-            return None
         op = ast.op
         if right is None:
-            right = (_value(ast.right) if op in "^/"
-                     else _constant(ast.right, constants))
+            if left is None:
+                return None
+            if op in "^/":
+                right = (eval_ast(ast.right, {}).hex(),)
+            else:
+                constants.append(ast.right)
+                right = "c"
         elif op == "^":
             raise NotReplayable("an exponent that depends on a variable")
-        if left is None:
-            left = _constant(ast.left, constants)
-        return BinOp(op, left[0], right[0]), (op, left[1], right[1])
+        elif left is None:
+            constants.insert(mark, ast.left)
+            left = "c"
+        return op, left, right
     if kind is Call:
         arg = _shape(ast.arg, constants)
-        return arg and (Call(ast.func, arg[0]), (ast.func, arg[1]))
+        return arg and (ast.func, arg)
     if kind is Neg:
         child = _shape(ast.child, constants)
-        return child and (Neg(child[0]), ("neg", child[1]))
+        return child and ("neg", child)
     return None
 
 
-def _constant(ast, constants):
-    """(Var("c<k>"), "c") for the variable-free ``ast``, the k-th of
-    ``constants``."""
-    constants.append(ast)
-    return Var(f"c{len(constants) - 1}"), "c"
-
-
-def _value(ast):
-    """(Const(x), x.hex()) of the value x of the variable-free ``ast``;
-    eval_ast's DomainError where it has none."""
-    value = eval_ast(ast, {})
-    return Const(value), value.hex()
+def _tree(key, count):
+    """The shape tree of ``key`` (_shape): its k-th constant, counted by
+    the iterator ``count``, is Var("c<k>"), and an exponent or divisor is
+    the Const of its value."""
+    if key.__class__ is str:
+        return Var(f"c{next(count)}" if key == "c" else key)
+    if len(key) == 1:
+        return Const(float.fromhex(key[0]))
+    if len(key) == 2:
+        head, child = key
+        child = _tree(child, count)
+        return Neg(child) if head == "neg" else Call(head, child)
+    op, left, right = key
+    left = _tree(left, count)
+    return BinOp(op, left, _tree(right, count))
 
 
 def _compile(trees, order, kind, count):
@@ -408,24 +417,30 @@ def _compile(trees, order, kind, count):
 
 def _record_trees(trees, order, kind):
     """The jet kernel of ``eval_ast`` over ``trees`` (record_kernel): the
-    cached factory of their shape (_shape; _compile records it on a miss)
-    called with the values of their constants.  None where the shape
-    cannot be recorded, an exponent depends on a variable, a number of
-    the shape raises, or a constant raises or is not finite, as
-    1e308*10*t or log(-1)*t: eval_ast then reports what it reports."""
+    cached factory of their shape (_shape; on a miss _tree builds it and
+    _compile records it) called with the values of their constants.  None
+    where the shape cannot be recorded, an exponent depends on a variable,
+    a number of the shape raises, or a constant raises or is not finite,
+    as 1e308*10*t or log(-1)*t: eval_ast then reports what it reports."""
     constants = []
     try:
-        shapes = [_shape(tree, constants) or _constant(tree, constants)
-                  for tree in trees]
+        keys = []
+        for tree in trees:
+            shape = _shape(tree, constants)
+            if shape is None:               # the whole tree is a constant
+                constants.append(tree)
+                shape = "c"
+            keys.append(shape)
         values = [eval_ast(c, {}) for c in constants]
     except (NotReplayable, DomainError):
         return None
     if not all(map(math.isfinite, values)):
         return None
-    key = (tuple([k for _, k in shapes]), kind, order)
+    key = (tuple(keys), kind, order)
     make = _KERNELS.get(key, False)
-    if make is False:
-        make = _compile([tree for tree, _ in shapes], order, kind,
+    if make is False:                       # only a miss builds the trees
+        count = itertools.count()
+        make = _compile([_tree(k, count) for k in keys], order, kind,
                         len(values))
         if len(_KERNELS) >= MAX_SHAPES:
             del _KERNELS[next(iter(_KERNELS))]

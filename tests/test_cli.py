@@ -2,6 +2,7 @@ import csv
 import inspect
 import json
 import math
+import os
 import time
 from pathlib import Path
 
@@ -96,7 +97,8 @@ class TestSurfaceInfo:
 
 
     def test_one_surface_jet_evaluation(self, capsys, monkeypatch):
-        from affinemetrics import cli, surfgeo
+        # the handler imports surface_jets from surfgeo when it runs
+        from affinemetrics import surfgeo
 
         orders = []
         original = surfgeo.surface_jets
@@ -105,8 +107,7 @@ class TestSurfaceInfo:
             orders.append(order)
             return original(surface, u, v, order, check_domain)
 
-        for module in (cli, surfgeo):
-            monkeypatch.setattr(module, "surface_jets", counting)
+        monkeypatch.setattr(surfgeo, "surface_jets", counting)
         assert run(["surface-info", "--surface", "sphere",
                     "--at", "0.3,0.2"]) == 0
         assert orders == [2]
@@ -339,6 +340,11 @@ class TestExitContract:
         assert err.startswith("usage:")
         assert "argument --reference: invalid choice: 'foo'" in err
         assert "Traceback" not in err
+
+    def test_reference_choices_are_the_reference_forms(self):
+        from affinemetrics import cli, identities
+
+        assert list(cli.REFERENCE_NAMES) == sorted(identities.REFERENCE_FORMS)
 
     @pytest.mark.filterwarnings("error")
     def test_stage_past_the_float_range_is_a_rejected_step(self, capsys):
@@ -1189,11 +1195,15 @@ def test_import_loads_neither_numpy_polynomial_nor_scipy():
 
     import affinemetrics
 
+    # the caller's environment, so that PYTHONDONTWRITEBYTECODE holds here
+    # too and the checkout keeps no bytecode cache a later start would read
     src = str(Path(affinemetrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in (env.get("PYTHONPATH"),) if p])
     code = ("import sys, affinemetrics.cli; print(sorted(m for m in "
             "sys.modules if m.split('.')[0] == 'scipy' "
             "or m.startswith('numpy.polynomial')))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={"PYTHONPATH": src}).stdout
+                         capture_output=True, text=True, env=env).stdout
     assert out.strip() == "[]"

@@ -1,9 +1,12 @@
 """The command in a fresh process, as ``python -m affinemetrics`` runs it.
 
-surface-info and commensurate-solve compute on floats and tuples, so a
-fresh process running them must not load numpy: its import is most of a
-cold start.  arclen-compare and check-identities import it where they
-build arrays, and must print in a fresh process what they print in-process.
+A fresh process loads only the package modules its command runs: the
+parser, --help and a usage error none but the package root, cli and
+errors.  surface-info and commensurate-solve compute on floats and
+tuples, so a fresh process running them must not load numpy: its import
+is most of a cold start.  arclen-compare and check-identities import it
+where they build arrays, and must print in a fresh process what they
+print in-process.
 """
 
 import os
@@ -42,11 +45,28 @@ def _in_process(args, capsys):
     return code, capsys.readouterr().out
 
 
+def _imported(err):
+    """The modules that ``-X importtime`` output ``err`` lists."""
+    return {line.rsplit("|", 1)[1].strip() for line in err.splitlines()
+            if line.startswith("import time:")} - {"imported package"}
+
+
+def _package_modules(err):
+    return sorted(m for m in _imported(err)
+                  if m.split(".")[0] == "affinemetrics")
+
+
+# what the parser needs of the package: main maps errors to exit codes
+PARSER_MODULES = ["affinemetrics", "affinemetrics.cli", "affinemetrics.errors"]
+
+
 def test_import_and_parser_leave_numpy_unloaded(tmp_path):
     code = ("import sys, affinemetrics, affinemetrics.cli as c; "
             "c.build_parser(); print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'numpy'))")
-    assert _python(["-c", code], tmp_path)[:2] == (0, "[]\n")
+            "if m.split('.')[0] == 'numpy')); print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'affinemetrics'))")
+    assert _python(["-c", code], tmp_path)[:2] == (
+        0, f"[]\n{PARSER_MODULES}\n")
 
 
 def test_import_and_parser_record_no_kernel(tmp_path):
@@ -64,9 +84,18 @@ def test_import_and_parser_record_no_kernel(tmp_path):
 
 
 def test_help_exits_zero(tmp_path):
-    code, out, _ = _fresh(["--help"], tmp_path)
+    code, out, err = _fresh(["--help"], tmp_path, importtime=True)
     assert code == 0
     assert out.startswith("usage: affinemetrics")
+    assert _package_modules(err) == PARSER_MODULES
+
+
+def test_usage_error_loads_only_the_parser(tmp_path):
+    code, _, err = _fresh(["surface-info", "--surface", "sphere"], tmp_path,
+                          importtime=True)
+    assert code == 2
+    assert "the following arguments are required: --at" in err
+    assert _package_modules(err) == PARSER_MODULES
 
 
 SOLVE = ["commensurate-solve", "--surface", "sphere", "--at", "0.1,0.1",
@@ -86,16 +115,24 @@ NUMPY_FREE = {
                               "--format", "json"],
 }
 
+# package modules that each numpy-free command leaves unloaded: the one
+# point of surface-info needs neither a curve, an ODE nor a recording
+UNLOADED = {
+    "surface-info": {"commensurate", "curvegeo", "numerics", "identities",
+                     "tape"},
+    "commensurate-solve": {"identities"},
+}
+
 
 @pytest.mark.parametrize("name", sorted(NUMPY_FREE))
 def test_numpy_stays_unloaded(name, tmp_path, capsys):
     args = NUMPY_FREE[name]
     code, out, err = _fresh(args, tmp_path, importtime=True)
     assert code == 0, err
-    timings = [line for line in err.splitlines()
-               if line.startswith("import time:")]
-    assert timings, "no -X importtime output"
-    assert [line for line in timings if "numpy" in line] == []
+    loaded = _imported(err)
+    assert loaded, "no -X importtime output"
+    assert [m for m in loaded if "numpy" in m] == []
+    assert {f"affinemetrics.{m}" for m in UNLOADED[args[0]]} & loaded == set()
     if name == "solve-json-sweep":
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "fam_00.json", "fam_01.json", "fam_02.json"]

@@ -757,6 +757,27 @@ class TestCurveShapeCache:
         record(10)
         assert len(compiled) == tape.MAX_SHAPES + 11
 
+    def test_a_hit_builds_no_tree(self, compiled, monkeypatch):
+        # a hit needs only the shape's key and its constants' values
+        built = []
+        original = tape._tree
+
+        def spy(key, count):
+            built.append(key)
+            return original(key, count)
+
+        monkeypatch.setattr(tape, "_tree", spy)
+        seed = Jet1.seed(0.25, 3)
+        for k, c in enumerate(("2", "-0.5", "exp(1)")):
+            trees = [parse_expression(f"({c})*sin(t) + t/3", {"t"}), _T]
+            assert tape.record_curve(trees)(0.25) == tuple(
+                seed.lift(eval_ast(tree, {"t": seed})).coeffs
+                for tree in trees)
+            if k == 0:
+                on_miss = len(built)
+        assert len(compiled) == 1
+        assert on_miss > 0 and len(built) == on_miss
+
     def test_a_refused_shape_is_cached(self, compiled):
         for c in ("2", "3"):
             trees = [parse_expression(f"abs({c}*t)", {"t"}), _T]
