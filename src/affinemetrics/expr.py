@@ -386,3 +386,79 @@ def pretty(ast):
             right = f"({right})"
         return f"{left} {ast.op} {right}" if ast.op in "+-" else f"{left}{ast.op}{right}"
     raise TypeError(f"not an Ast node: {ast!r}")
+
+
+# ---------------------------------------------------------------------------
+# shapes: trees with their constants taken out, keying recorded kernels
+
+#: shapes kept by tape's kernel cache and surfgeo's counts (arclen uses 8)
+MAX_SHAPES = 64
+
+
+class NotReplayable(Exception):
+    """A recording met a branch that only a run-time value decides."""
+
+
+def _shape(ast, constants):
+    """The key of ``ast``'s shape, or None if no variable occurs in it.
+
+    Each maximal variable-free subtree, a constant, is keyed "c" and
+    appended to ``constants``, left to right; but the exponent of a power
+    and a variable-free divisor are keyed by the hex of their values, as
+    (hex,), since eval_ast branches on them over jets (square-and-multiply
+    or exp(b log a), and a zero divisor).  A variable is keyed by its name,
+    a node by its operator and its children's keys, so trees that differ
+    only in their constants share a key, from which tape._tree builds the
+    shape.  An exponent that depends on a variable raises NotReplayable.
+    """
+    kind = type(ast)
+    if kind is Var:
+        return ast.name
+    if kind is BinOp:
+        mark = len(constants)
+        left = _shape(ast.left, constants)
+        right = _shape(ast.right, constants)
+        op = ast.op
+        if right is None:
+            if left is None:
+                return None
+            if op in "^/":
+                right = (eval_ast(ast.right, {}).hex(),)
+            else:
+                constants.append(ast.right)
+                right = "c"
+        elif op == "^":
+            raise NotReplayable("an exponent that depends on a variable")
+        elif left is None:
+            constants.insert(mark, ast.left)
+            left = "c"
+        return op, left, right
+    if kind is Call:
+        arg = _shape(ast.arg, constants)
+        return arg and (ast.func, arg)
+    if kind is Neg:
+        child = _shape(ast.child, constants)
+        return child and ("neg", child)
+    return None
+
+
+def _shape_of(trees):
+    """(the key of the shapes of ``trees``, their constants' values) from
+    one walk (_shape; a tree without variables is a constant), or None
+    where no kernel can stand for eval_ast: an exponent depends on a
+    variable, or a number raises or is not finite (log(-1)*t)."""
+    constants = []
+    try:
+        keys = []
+        for tree in trees:
+            shape = _shape(tree, constants)
+            if shape is None:               # the whole tree is a constant
+                constants.append(tree)
+                shape = "c"
+            keys.append(shape)
+        values = [eval_ast(c, {}) for c in constants]
+    except (NotReplayable, DomainError):
+        return None
+    if not all(map(math.isfinite, values)):
+        return None
+    return tuple(keys), values

@@ -13,7 +13,9 @@ sample filter; a tree is built only for a caller that asks for the curve
 (random_nondegenerate_curve).  The condition suite's quadratic parameter
 paths are coefficients too, their derivatives at t = 0 read off a kernel
 of their own; only the moved surfaces of the invariance suite are
-expression trees.
+expression trees; their jets, like those of the reparametrization walks,
+come from eval_ast or its recorded walk (surfgeo), never from the jets'
+chain rule that the two suites check.
 
 The generators are numpy's.  Every uniform draw is a scaled rng.random
 draw (_uniform), bit for bit what rng.uniform gives for the same bounds,

@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedOrder,
     ZeroDirection,
 )
-from .expr import eval_ast, parse_expression
+from .expr import MAX_SHAPES, _shape_of, eval_ast, parse_expression
 from .jets import MAX_ORDER_2, Jet2, cross3, det3, dot3
 
 __all__ = [
@@ -46,12 +46,14 @@ __all__ = [
 EPS_CLASSIFY = 1e-10
 #: relative threshold on |X_u x X_v|^2 for regularity
 EPS_REGULAR = 1e-24
-#: evaluations of one surface at one order before its jets are recorded as
-#: a kernel: recording a shape that the process has not recorded yet costs
-#: 0.4-2.2 ms for a catalog surface, more than a surface evaluated a few
-#: times (one surface-info point, one moved surface of the invariance
-#: suite) would save; a hit in tape's shape cache costs 1-6 us
+#: evaluations of the surfaces of one shape (expr._shape) at one order, or
+#: of their reparametrized walks, before the shape is recorded: a new
+#: recording costs 0.4-2.2 ms for a catalog surface, more than a few
+#: evaluations (one surface-info point, the moved surfaces of one
+#: check-identities --samples 20) save; a hit in tape's cache costs 1-6 us
 RECORD_AFTER = 64
+# (shape, kind, order) -> evaluations so far; MAX_SHAPES, oldest out first
+_COUNTS = {}
 
 
 @dataclass(frozen=True)
@@ -64,8 +66,8 @@ class SurfaceDef:
     v_min: float
     v_max: float
     name: str | None = None
-    # per order, the count of jet evaluations until RECORD_AFTER, then the
-    # recorded kernel, or None for components that cannot be replayed
+    # per order, and at "reparam", the shape's kernel bound to the
+    # constants, or None for good; at "shape", expr._shape_of's walk
     _kernels: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -92,22 +94,34 @@ class SurfaceDef:
 
     def __getstate__(self):
         # a kernel is a function made by exec, which pickle cannot name: a
-        # copy counts its evaluations afresh
+        # copy binds its kernels afresh
         return {**self.__dict__, "_kernels": {}}
 
-    def _jet_kernel(self, order):
-        """The recorded jet kernel at ``order`` from the RECORD_AFTER-th
-        evaluation on; None before it, and for components that cannot be
-        replayed."""
+    def _kernel(self, slot):
+        """The recorded kernel of ``slot``, an order of the jets or
+        "reparam", from the RECORD_AFTER-th evaluation of this shape's
+        surfaces on; None before it, and for trees that cannot be replayed."""
         kernels = self._kernels
-        entry = kernels.get(order, 0)
-        if entry.__class__ is int:
-            if entry + 1 < RECORD_AFTER:
-                kernels[order] = entry + 1
-                return None
-            from .tape import record_surface    # compiled when first needed
-            kernels[order] = entry = record_surface(self.components, order)
-        return entry
+        kernel = kernels.get(slot, False)
+        if kernel is not False:
+            return kernel
+        shape = kernels.get("shape", False)
+        if shape is False:
+            kernels["shape"] = shape = _shape_of(self.components)
+        if shape is None:
+            kernels[slot] = None
+            return None
+        kind, order = (slot, 2) if slot == "reparam" else (Jet2, slot)
+        key = (shape[0], kind, order)
+        count = _COUNTS.get(key, 0) + 1
+        if count == 1 and len(_COUNTS) >= MAX_SHAPES:
+            del _COUNTS[next(iter(_COUNTS))]
+        _COUNTS[key] = count
+        if count < RECORD_AFTER:
+            return None
+        from .tape import record_shape      # compiled when first needed
+        kernels[slot] = kernel = record_shape(shape, kind, order)
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -168,10 +182,10 @@ def surface_jets(surface, u, v, order, check_domain=True):
     it because its steps may transiently evaluate just past the boundary
     that its exit event then locates.
 
-    The jets come from eval_ast over Jet2 seeds until the surface has been
-    evaluated RECORD_AFTER times at ``order``; from then on they are read
-    off its recorded kernel (tape.record_surface), bit for bit the same,
-    with eval_ast again wherever the kernel hands a point back.
+    The jets come from eval_ast over Jet2 seeds until this shape's surfaces
+    have been evaluated RECORD_AFTER times at ``order``, then off its
+    recorded kernel (tape.record_shape), bit for bit the same, with
+    eval_ast again wherever the kernel hands a point back.
     """
     if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_2:
         raise UnsupportedOrder(
@@ -180,7 +194,7 @@ def surface_jets(surface, u, v, order, check_domain=True):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
-    kernel = surface._jet_kernel(order)
+    kernel = surface._kernel(order)
     if kernel is not None:
         try:
             coeffs = kernel(float(u), float(v))
@@ -340,23 +354,31 @@ def classify_from_jets(jets):
 
 def _reparam_discriminant(surface, u, v, jacobian):
     """(ln - m^2 of the surface in new parameters (s, w) at the origin,
-    det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w)."""
-    import numpy as np
-
-    jac = np.asarray(jacobian, dtype=float)
-    if jac.shape != (2, 2):
-        raise ValueError("jacobian must be 2x2")
-    jdet = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if abs(jdet) <= 1e-12 * max(1.0, float(np.abs(jac).max()) ** 2):
+    det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w): from eval_ast
+    over those linear bindings, or from their recorded walk (the "reparam"
+    kernel of SurfaceDef._kernel), bit for bit the same."""
+    try:
+        (j00, j01), (j10, j11) = jacobian
+        j00, j01, j10, j11 = float(j00), float(j01), float(j10), float(j11)
+    except (TypeError, ValueError):
+        raise ValueError("jacobian must be 2x2") from None
+    jdet = j00 * j11 - j01 * j10
+    if abs(jdet) <= 1e-12 * max(
+            1.0, max(abs(j00), abs(j01), abs(j10), abs(j11)) ** 2):
         raise SingularJacobian(f"jacobian determinant {jdet!r} is singular")
-
-    s = Jet2.seed_u(0.0, 2)
-    w = Jet2.seed_v(0.0, 2)
-    bindings = {"u": s * jac[0, 0] + w * jac[0, 1] + float(u),
-                "v": s * jac[1, 0] + w * jac[1, 1] + float(v)}
-    jets = tuple([s.lift(eval_ast(comp, bindings))
-                  for comp in surface.components])
-    return lmn_from_jets(jets).det, jdet
+    kernel = surface._kernel("reparam")
+    u, v = float(u), float(v)
+    try:
+        rows = kernel and kernel(u, v, j00, j01, j10, j11)
+    except (DomainError, OverflowError, ValueError):
+        rows = None             # eval_ast raises it with its own message
+    if rows is None:
+        s = Jet2.seed_u(0.0, 2)
+        w = Jet2.seed_v(0.0, 2)
+        bindings = {"u": s * j00 + w * j01 + u, "v": s * j10 + w * j11 + v}
+        rows = [s.lift(eval_ast(comp, bindings)).coeffs
+                for comp in surface.components]
+    return lmn_from_jets([Jet2._make(2, row) for row in rows]).det, jdet
 
 
 def check_reparam_covariance(surface, u, v, jacobian):

@@ -7,31 +7,32 @@ those operations once, "taping" (Griewank & Walther, *Evaluating
 Derivatives*, 2nd ed., SIAM 2008), gives a straight-line Python function
 of (u, v) that performs them in the same order, so its coefficients are
 the interpreter's bit for bit.  A parameter path (u(t), v(t)) is
-recorded the same way over a Jet1 seed, as a function of t.  The
-recording runs ``eval_ast`` itself, over seeds whose coefficients are
-symbolic: the jets' own products, chain rule, quotients and integer
-powers produce the tape, and the chain rule exists in one place only.
+recorded the same way over a Jet1 seed, as a function of t, and so is a
+surface in new parameters ("reparam", see _seeds).  The recording runs
+``eval_ast`` itself, over seeds whose coefficients are symbolic: the
+jets' own products, chain rule, quotients and integer powers produce the
+tape, and the chain rule exists in one place only.
 
-A tree is recorded by its shape, not by its numbers.  Each maximal
-variable-free subtree, a constant of the tree, is an input of the kernel,
-whose value ``eval_ast`` computes on floats, as the walk over jets does;
-only the exponent of a power and a variable-free divisor, on whose values
-``eval_ast`` branches, stay in the shape as numbers.  The kernels of a
-shape are made by one factory, make(c0, c1, ...) -> kernel, which binds
-the constants as closure cells, and one bounded cache keeps the factory
-of each (shape, kind, order), for surfaces and curves alike: the curves of
-an arclen-compare command and the next one's, which differ only in their
-numbers, record once.
+A tree is recorded by its shape (expr._shape), not by its numbers.  Each
+maximal variable-free subtree, a constant of the tree, is an input of the
+kernel, whose value ``eval_ast`` computes on floats, as the walk over
+jets does; only the exponent of a power and a variable-free divisor, on
+whose values ``eval_ast`` branches, stay in the shape as numbers.  The
+kernels of a shape are made by one factory, make(c0, c1, ...) -> kernel,
+which binds the constants as closure cells, and one bounded cache keeps
+the factory of each (shape, kind, order), for surfaces and curves alike:
+the curves of an arclen-compare command and the next one's, which differ
+only in their numbers, record once.
 
 Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
 is not recorded, and a kernel hands back to ``eval_ast`` wherever its
 folds might not hold or an elementary function fails: it returns None,
 or raises what the function raised, and the caller evaluates again with
-``eval_ast``, which reports it.  surfgeo imports this module when it
-first records a kernel, and NodeTable when it first samples a curve for
-arclen-compare, so a command that evaluates a surface only a few times
-never loads it.
+``eval_ast``, which reports it.  surfgeo imports this module when a
+shape has been evaluated RECORD_AFTER times (it counts without it), and
+NodeTable when it first samples a curve for arclen-compare, so a command
+that evaluates a surface only a few times never loads it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import itertools
 import math
 import types
 
-from .errors import DomainError
-from .expr import BinOp, Call, Const, Neg, Var, eval_ast
+from .expr import (MAX_SHAPES, BinOp, Call, Const, Neg, NotReplayable, Var,
+                   _shape_of, eval_ast)
 from .jets import (
     _PHI,
     _SEED_TAILS,
@@ -54,17 +55,9 @@ from .jets import (
     _phi,
 )
 
-#: shapes whose kernel factories the cache keeps; arclen-compare's items
-#: use 3 curve shapes and 5 surface shapes
-MAX_SHAPES = 64
-
 # (shape, kind, order) -> make(c0, ...) -> kernel, or None for a shape
 # that cannot be recorded; the oldest entry goes first
 _KERNELS = {}
-
-
-class NotReplayable(Exception):
-    """A recording met a branch that only a run-time value decides."""
 
 
 class _Sym:
@@ -292,27 +285,41 @@ def _recording(kind):
     return type(f"_Recording{kind.__name__}", (kind,), body)
 
 
-# per kind, the names of its seeds and its recording class
-_SEEDS = {Jet1: ("t", _recording(Jet1)), Jet2: ("uv", _recording(Jet2))}
+_RECORDING1, _RECORDING2 = _recording(Jet1), _recording(Jet2)
+
+# per kind, the kernel's inputs, of which its trees' variables come first
+_INPUTS = {Jet1: "t", Jet2: "uv",
+           "reparam": ("u", "v", "j00", "j01", "j10", "j11")}
+
+
+def _seeds(kind, order, inputs):
+    """The jets of the kind's variables over its recorded inputs: for
+    "reparam", u and v in new parameters (s, w) at their origin, (u, v) +
+    J (s, w), by the float operations of surfgeo._reparam_discriminant."""
+    if kind is Jet1:
+        _check_order(order, MAX_ORDER_1, "Jet1")
+        t, = inputs
+        return [_RECORDING1._make(order, (t, 1.0) + (0.0,) * (order - 1))]
+    if kind == "reparam":
+        s, w = _seeds(Jet2, order, (0.0, 0.0))
+        u, v, j00, j01, j10, j11 = inputs
+        return [s * j00 + w * j01 + u, s * j10 + w * j11 + v]
+    _check_order(order, MAX_ORDER_2, "Jet2")
+    return [_RECORDING2._make(order, (x,) + tail)
+            for x, tail in zip(inputs, _SEED_TAILS[order])]
 
 
 def _record(evaluate, order, kind, constants=()):
     """make(*constants) -> the kernel of ``evaluate`` (record_kernel),
-    which is called with the seeds and then one recorded float per name
-    of ``constants``."""
-    names, recording = _SEEDS[kind]
-    if kind is Jet1:
-        _check_order(order, MAX_ORDER_1, "Jet1")
-        tails = ((1.0,) + (0.0,) * (order - 1),)
-    else:
-        _check_order(order, MAX_ORDER_2, "Jet2")
-        tails = _SEED_TAILS[order]
+    which is called with the jets of the kind's variables and then one
+    recorded float per name of ``constants``."""
+    names = _INPUTS[kind]
     tape = _Tape()
-    seeds = [recording._make(order, (tape.node("in", (name,)),) + tail)
-             for name, tail in zip(names, tails)]
+    inputs = [tape.node("in", (name,)) for name in names]
     bound = [tape.node("const", (name,)) for name in constants]
-    return tape.factory(tuple([jet.coeffs
-                               for jet in evaluate(*seeds, *bound)]),
+    return tape.factory(tuple([jet.coeffs for jet in
+                               evaluate(*_seeds(kind, order, inputs),
+                                        *bound)]),
                         names, constants)
 
 
@@ -334,51 +341,8 @@ def record_kernel(evaluate, order, kind=Jet2):
     return _record(evaluate, order, kind)()
 
 
-def _shape(ast, constants):
-    """The key of ``ast``'s shape, or None if no variable occurs in it.
-
-    Each maximal variable-free subtree, a constant, is keyed "c" and
-    appended to ``constants``, left to right; but the exponent of a power
-    and a variable-free divisor are keyed by the hex of their values, as
-    (hex,), since eval_ast branches on them over jets (square-and-multiply
-    or exp(b log a), and a zero divisor).  A variable is keyed by its name,
-    a node by its operator and its children's keys, so trees that differ
-    only in their constants share a key, from which _tree builds the shape.
-    An exponent that depends on a variable raises NotReplayable.
-    """
-    kind = type(ast)
-    if kind is Var:
-        return ast.name
-    if kind is BinOp:
-        mark = len(constants)
-        left = _shape(ast.left, constants)
-        right = _shape(ast.right, constants)
-        op = ast.op
-        if right is None:
-            if left is None:
-                return None
-            if op in "^/":
-                right = (eval_ast(ast.right, {}).hex(),)
-            else:
-                constants.append(ast.right)
-                right = "c"
-        elif op == "^":
-            raise NotReplayable("an exponent that depends on a variable")
-        elif left is None:
-            constants.insert(mark, ast.left)
-            left = "c"
-        return op, left, right
-    if kind is Call:
-        arg = _shape(ast.arg, constants)
-        return arg and (ast.func, arg)
-    if kind is Neg:
-        child = _shape(ast.child, constants)
-        return child and ("neg", child)
-    return None
-
-
 def _tree(key, count):
-    """The shape tree of ``key`` (_shape): its k-th constant, counted by
+    """The shape tree of ``key`` (expr._shape): its k-th constant, counted by
     the iterator ``count``, is Var("c<k>"), and an exponent or divisor is
     the Const of its value."""
     if key.__class__ is str:
@@ -403,7 +367,7 @@ def _compile(trees, order, kind, count):
     reciprocal (the chain rule of 1/x), as they run on jets of either
     kind."""
     constants = [f"c{k}" for k in range(count)]
-    inputs = (*_SEEDS[kind][0], *constants)
+    inputs = (*("t" if kind is Jet1 else "uv"), *constants)
 
     def evaluate(*seeds):
         bindings = dict(zip(inputs, seeds))
@@ -415,28 +379,16 @@ def _compile(trees, order, kind, count):
         return None
 
 
-def _record_trees(trees, order, kind):
-    """The jet kernel of ``eval_ast`` over ``trees`` (record_kernel): the
-    cached factory of their shape (_shape; on a miss _tree builds it and
-    _compile records it) called with the values of their constants.  None
-    where the shape cannot be recorded, an exponent depends on a variable,
-    a number of the shape raises, or a constant raises or is not finite,
-    as 1e308*10*t or log(-1)*t: eval_ast then reports what it reports."""
-    constants = []
-    try:
-        keys = []
-        for tree in trees:
-            shape = _shape(tree, constants)
-            if shape is None:               # the whole tree is a constant
-                constants.append(tree)
-                shape = "c"
-            keys.append(shape)
-        values = [eval_ast(c, {}) for c in constants]
-    except (NotReplayable, DomainError):
+def record_shape(shape, kind, order):
+    """The jet kernel of ``kind`` at ``order`` of the trees whose
+    expr._shape_of is ``shape``: the key's cached factory (on a miss _tree
+    builds the shape and _compile records it) called with the values.
+    None where the trees or their shape cannot be recorded: eval_ast then
+    reports what it reports."""
+    if shape is None:
         return None
-    if not all(map(math.isfinite, values)):
-        return None
-    key = (tuple(keys), kind, order)
+    keys, values = shape
+    key = (keys, kind, order)
     make = _KERNELS.get(key, False)
     if make is False:                       # only a miss builds the trees
         count = itertools.count()
@@ -450,12 +402,12 @@ def _record_trees(trees, order, kind):
 
 def record_surface(components, order):
     """The jet kernel (u, v) -> three coefficient tuples of a surface's
-    component trees at ``order``, or None (see _record_trees)."""
-    return _record_trees(components, order, Jet2)
+    component trees at ``order``, or None (see record_shape)."""
+    return record_shape(_shape_of(components), Jet2, order)
 
 
 def record_curve(trees):
     """The order-3 jet kernel t -> ((u, u', u'', u'''), (v, v', v'', v'''))
     of a parameter path's trees (u(t), v(t)), or None (see
-    _record_trees)."""
-    return _record_trees(trees, MAX_ORDER_1, Jet1)
+    record_shape)."""
+    return record_shape(_shape_of(trees), Jet1, MAX_ORDER_1)

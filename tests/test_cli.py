@@ -13,6 +13,7 @@ import pytest
 from affinemetrics import surfgeo, tape
 from affinemetrics.cli import main
 from affinemetrics.errors import StepFailure
+from affinemetrics.jets import Jet2
 from affinemetrics.numerics import find_root_bracketed, ode_solve
 from affinemetrics.surfgeo import CATALOG
 
@@ -940,23 +941,28 @@ SPHERE_EXPR = "cos(u)*cos(v);sin(u)*cos(v);sin(v)"
 class TestRecordedKernels:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """(order, whether a kernel came of it) per recording."""
+        """(order, whether a kernel came of it) per recording of a
+        surface's jets."""
         calls = []
-        record = tape.record_surface
+        record = tape.record_shape
 
-        def spy(components, order):
-            kernel = record(components, order)
-            calls.append((order, kernel is not None))
+        def spy(shape, kind, order):
+            kernel = record(shape, kind, order)
+            if kind is Jet2:
+                calls.append((order, kernel is not None))
             return kernel
 
-        monkeypatch.setattr(tape, "record_surface", spy)
+        monkeypatch.setattr(tape, "record_shape", spy)
         return calls
 
+    # kernel None: the shape walk refuses the tree (an exponent that
+    # depends on a variable, a constant that eval_ast refuses), so
+    # nothing is recorded
     @pytest.mark.parametrize("exprs, at, code, kernel", [
         ("u;v;abs(u)^3+v^2", "0.5,0.5", 0, False),
-        ("u;v;u^v", "0.5,0.5", 0, False),
+        ("u;v;u^v", "0.5,0.5", 0, None),
         ("u;v;u*v/0", "0.5,0.5", 5, False),
-        ("u;v;exp(1000)", "0.5,0.5", 5, False),
+        ("u;v;exp(1000)", "0.5,0.5", 5, None),
         ("u;v;(u*v)^-3", "0.5,0", 5, True),
         # ^0 drops the jet of log((uv)^2), whose partials feed no zero
         # term, but eval_ast evaluated it: so does the kernel, which keeps
@@ -976,12 +982,33 @@ class TestRecordedKernels:
         # recording gives raises at v = 0, and eval_ast reports it
         monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
         assert (run(argv), capsys.readouterr()) == expected
-        assert recorded == [(2, kernel)]
+        assert recorded == ([] if kernel is None else [(2, kernel)])
 
     def test_one_shot_surface_info_records_nothing(self, capsys, recorded):
         assert run(["surface-info", "--surface-expr", SPHERE_EXPR,
                     "--at", "0.1,0.2"]) == 0
         assert recorded == []
+
+    @pytest.mark.parametrize("name", ["sphere", "helicoid", "paraboloid",
+                                      "hyperbolic-paraboloid",
+                                      "hyperboloid"])
+    def test_one_shot_check_identities_records_only_its_surface(
+            self, capsys, monkeypatch, name):
+        # recording costs more than a few evaluations save: the moved
+        # surfaces (4 points) and reparametrized walks (20) of one
+        # --samples 20 run stay with eval_ast
+        calls = []
+        record = tape.record_shape
+
+        def spy(shape, kind, order):
+            calls.append((shape[0], kind))
+            return record(shape, kind, order)
+
+        monkeypatch.setattr(tape, "record_shape", spy)
+        assert run(["check-identities", "--surface", name,
+                    "--samples", "20"]) == 0
+        own = surfgeo.CATALOG[name]._kernels["shape"][0]
+        assert calls and set(calls) == {(own, Jet2)}
 
     def test_sphere_solve_records_one_order_three_kernel(self, capsys,
                                                          recorded):

@@ -364,6 +364,46 @@ def test_check_identities_output_is_unchanged(capsys, name):
     assert capsys.readouterr().out == GOLDEN[name]
 
 
+PERTURBED_SPHERE = ["--surface-expr",
+                    "cos(u)*cos(v);sin(u)*cos(v);1.01*sin(v)",
+                    "--domain", "-3:3,-1.4:1.4", "--reference", "sphere"]
+
+
+@pytest.mark.parametrize("samples", [20, 200])
+@pytest.mark.parametrize("source", [
+    *(["--surface", name] for name in ("sphere", "helicoid", "paraboloid",
+                                       "hyperbolic-paraboloid",
+                                       "hyperboloid")),
+    PERTURBED_SPHERE], ids=lambda source: source[1].split(";")[0])
+def test_reports_are_the_same_with_recording_off_and_on(capsys, monkeypatch,
+                                                        source, samples):
+    # every suite's report, by repr: with eval_ast alone, then with every
+    # shape recorded at its first evaluation, the moved surfaces' and the
+    # reparametrized walks' included
+    reports = []
+    line = idn.IdentityReport.line
+
+    def spy(report):
+        reports.append(repr(report))
+        return line(report)
+
+    monkeypatch.setattr(idn.IdentityReport, "line", spy)
+    runs = {2 ** 62: [], 1: []}
+    for record_after, outcomes in runs.items():
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", record_after)
+        for seed in (0, 1, 2, 7):
+            reports.clear()
+            code = main(["check-identities", *source,
+                         f"--samples={samples}", f"--seed={seed}"])
+            outcomes.append((code, reports[:]))
+    assert runs[2 ** 62] == runs[1]
+    assert [code for code, _ in runs[1]] == [
+        1 if source is PERTURBED_SPHERE else 0] * 4
+    if source[0] == "--surface":
+        kernels = surfgeo.CATALOG[source[1]]._kernels
+        assert callable(kernels["reparam"]) and callable(kernels[2])
+
+
 def record_calls(monkeypatch, module, name):
     """Arguments of every call of ``module.name``, seen under each binding
     of it in the package's modules."""

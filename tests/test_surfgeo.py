@@ -16,7 +16,8 @@ from affinemetrics.errors import (
     UnsupportedOrder,
     ZeroDirection,
 )
-from affinemetrics.expr import BinOp, Call, Const, Neg, Var, eval_ast
+from affinemetrics.expr import (BinOp, Call, Const, Neg, Var, _shape_of,
+                                eval_ast)
 from affinemetrics.identities import (
     equiaffine_invariance_suite,
     reparam_law_suite,
@@ -384,25 +385,57 @@ class TestRecordedKernel:
             assert callable(surface._kernels[order])
 
     def test_kernel_waits_for_record_after_evaluations(self, monkeypatch):
+        # the count is kept per shape: the sphere and an inline copy of it,
+        # two surfaces of one shape, take turns towards RECORD_AFTER
         recorded = []
-        original = tape.record_surface
-        monkeypatch.setattr(tape, "record_surface", lambda comps, order: (
-            recorded.append(order), original(comps, order))[1])
+        original = tape.record_shape
+        monkeypatch.setattr(tape, "record_shape", lambda shape, kind, order: (
+            recorded.append((kind, order)), original(shape, kind, order))[1])
         surface = replace(SPHERE)
-        for _ in range(surfgeo.RECORD_AFTER - 1):
-            surface_jets(surface, 0.1, 0.2, 3)
+        inline = SurfaceDef.from_strings(
+            "cos(u)*cos(v); sin(u)*cos(v); sin(v)", ((-3, 3), (-1.4, 1.4)))
+        want = _bits(_interpreted(surface, 0.1, 0.2, 3))
+        for k in range(surfgeo.RECORD_AFTER - 1):
+            got = surface_jets((surface, inline)[k % 2], 0.1, 0.2, 3)
+            assert _bits(j.coeffs for j in got) == want
+        surface_jets(surface, 0.1, 0.2, 2)          # an order of its own
         assert recorded == []
-        assert surface._kernels == {3: surfgeo.RECORD_AFTER - 1}
-        surface_jets(surface, 0.1, 0.2, 3)
-        surface_jets(surface, 0.1, 0.2, 3)
-        assert recorded == [3]
-        assert callable(surface._kernels[3])
-        # a moved, copied or unpickled surface counts afresh
+        assert 3 not in surface._kernels and 3 not in inline._kernels
+        key = surface._kernels["shape"][0]
+        assert key == inline._kernels["shape"][0]
+        assert surfgeo._COUNTS == {(key, Jet2, 3): surfgeo.RECORD_AFTER - 1,
+                                   (key, Jet2, 2): 1}
+        # the shape's RECORD_AFTER-th evaluation records it; the other
+        # surface binds the recorded kernel at its next evaluation
+        for s in (inline, surface, surface):
+            got = surface_jets(s, 0.1, 0.2, 3)
+            assert _bits(j.coeffs for j in got) == want
+        assert recorded == [(Jet2, 3), (Jet2, 3)]
+        assert len(tape._KERNELS) == 1
+        assert callable(surface._kernels[3]) and callable(inline._kernels[3])
+        # a moved, copied or unpickled surface binds its kernels afresh, at
+        # its first evaluation once its shape has been recorded
         assert replace(surface)._kernels == {}
         copy = pickle.loads(pickle.dumps(surface))
         assert copy == surface and copy._kernels == {}
         assert _bits(j.coeffs for j in surface_jets(copy, 0.1, 0.2, 3)) == \
-            _bits(_interpreted(surface, 0.1, 0.2, 3))
+            want
+        assert callable(copy._kernels[3]) and len(tape._KERNELS) == 1
+
+    def test_count_table_keeps_at_most_max_shapes(self):
+        # 200 distinct shapes, u + v^k, each evaluated twice
+        for k in range(200):
+            surface = SurfaceDef.from_strings(
+                f"u; v; u + v^{k}", ((-1.0, 1.0), (-1.0, 1.0)))
+            for _ in range(2):
+                surface_jets(surface, 0.5, 0.5, 2)
+            assert len(surfgeo._COUNTS) <= tape.MAX_SHAPES
+        assert len(surfgeo._COUNTS) == tape.MAX_SHAPES
+        # the oldest went first: the last MAX_SHAPES shapes are kept
+        kept = sorted(key[0][2][2][2][0] for key in surfgeo._COUNTS)
+        assert kept == sorted(float(k).hex() for k in
+                              range(200 - tape.MAX_SHAPES, 200))
+        assert set(surfgeo._COUNTS.values()) == {2}
 
     @pytest.mark.parametrize("exprs", [
         "u;v;abs(u)", "u;v;u^v", "u;v;v^(u*0 + 2)", "u;abs(v - 3);u*v"])
@@ -498,3 +531,121 @@ class TestSurfaceShapeCache:
         surface = SurfaceDef.from_strings(exprs, ((-1.0, 1.0), (-1.0, 1.0)))
         assert tape.record_surface(surface.components, 2) is None
         assert compiled == []
+
+
+def _reparam_interpreted(surface, u, v, jacobian):
+    """The order-2 coefficients of _reparam_discriminant's eval_ast route,
+    reading the Jacobian as a numpy array."""
+    jac = np.asarray(jacobian, dtype=float)
+    s = Jet2.seed_u(0.0, 2)
+    w = Jet2.seed_v(0.0, 2)
+    bindings = {"u": s * jac[0, 0] + w * jac[0, 1] + float(u),
+                "v": s * jac[1, 0] + w * jac[1, 1] + float(v)}
+    return tuple(s.lift(eval_ast(comp, bindings)).coeffs
+                 for comp in surface.components)
+
+
+def _reparam_surfaces():
+    """The catalog, moved catalog surfaces with +-0.0 entries, the README's
+    perturbed sphere, a quotient and exp surface, and a -0.0 term."""
+    rng = np.random.default_rng(31)
+    surfaces = [CATALOG[name] for name in sorted(CATALOG)]
+    for k, name in enumerate(("sphere", "helicoid", "paraboloid",
+                              "hyperbolic-paraboloid", "hyperboloid")):
+        A = idn.random_sl3(rng)
+        b = rng.uniform(-1.0, 1.0, 3)
+        A[k % 3, (k + 1) % 3] = (0.0, -0.0)[k % 2]
+        b[k % 3] = (-0.0, 0.0)[k % 2]
+        surfaces.append(idn.transformed_surface(CATALOG[name], A, b))
+    surfaces += [SurfaceDef.from_strings(exprs, domain) for exprs, domain in (
+        ("cos(u)*cos(v);sin(u)*cos(v);1.01*sin(v)", ((-3, 3), (-1.4, 1.4))),
+        ("u/(1 + v^2); exp(u*v)/3; v - u^2/2", ((-1, 1), (-1, 1))),
+        ("u;v;-0*u + u^2", ((-1, 1), (-1, 1))))]
+    return surfaces
+
+
+def _jacobian(rng, k):
+    """A random Jacobian, every third with a +-0.0 entry or two."""
+    jac = [[rng.uniform(-2.0, 2.0) for _ in range(2)] for _ in range(2)]
+    if k % 3 == 1:
+        jac[k % 2][(k // 2) % 2] = rng.choice((0.0, -0.0))
+    elif k % 3 == 2:
+        jac[0][k % 2] = rng.choice((0.0, -0.0))
+        jac[1][1 - k % 2] = rng.choice((0.0, -0.0))
+    return jac
+
+
+def _record_reparam(surface):
+    """The kernel (u, v, j00, j01, j10, j11) -> order-2 coefficients of
+    ``surface`` in new parameters, or None."""
+    return tape.record_shape(_shape_of(surface.components), "reparam", 2)
+
+
+class TestReparamKernel:
+    """The recorded reparametrized walk (tape's "reparam" kind) against
+    eval_ast over the same linear bindings, bit for bit."""
+
+    def test_kernel_is_bit_identical(self):
+        rng = random.Random(5)
+        matched = 0
+        for surface in _reparam_surfaces():
+            kernel = _record_reparam(surface)
+            assert kernel is not None
+            for k in range(650):
+                u = rng.uniform(surface.u_min, surface.u_max)
+                v = rng.uniform(surface.v_min, surface.v_max)
+                if k % 5 == 1:
+                    u = rng.choice((0.0, -0.0))
+                elif k % 5 == 2:
+                    v = rng.choice((0.0, -0.0))
+                jac = _jacobian(rng, k)
+                got = kernel(u, v, *jac[0], *jac[1])
+                assert got is not None
+                assert _bits(got) == _bits(
+                    _reparam_interpreted(surface, u, v, jac)), (u, v, jac)
+                matched += len(got)
+        assert matched == 14 * 650 * 3
+
+    @pytest.mark.parametrize("record_after", [2 ** 62, 1])
+    def test_discriminant_and_errors_match_eval_ast(self, monkeypatch,
+                                                    record_after):
+        # with the kernel bound from the first walk, and without it
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", record_after)
+        rng = random.Random(6)
+        for surface in _reparam_surfaces():
+            surface = replace(surface)
+            for k in range(20):
+                u = rng.uniform(surface.u_min, surface.u_max)
+                v = rng.uniform(surface.v_min, surface.v_max)
+                jac = _jacobian(rng, k)
+                disc, jdet = surfgeo._reparam_discriminant(
+                    surface, u, v, np.array(jac))
+                jets = tuple(Jet2._make(2, row) for row in
+                             _reparam_interpreted(surface, u, v, jac))
+                assert disc.hex() == surfgeo.lmn_from_jets(jets).det.hex()
+                assert jdet == jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+            bound = surface._kernels.get("reparam")
+            assert callable(bound) == (record_after == 1)
+            for jac in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, -0.0], [0.0, 1.0]],
+                        [[-0.0, 1.0], [0.0, -0.0]], [[1e-7, 0.0], [0.0, 1e-7]]):
+                with pytest.raises(SingularJacobian) as err:
+                    surfgeo._reparam_discriminant(surface, 0.5, 0.5, jac)
+                jdet = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+                assert str(err.value) == (
+                    f"jacobian determinant {jdet!r} is singular")
+            for jac in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0],
+                        np.ones((2, 2, 1)), np.eye(3), 3.0):
+                with pytest.raises(ValueError, match="jacobian must be 2x2"):
+                    surfgeo._reparam_discriminant(surface, 0.5, 0.5, jac)
+
+    @pytest.mark.parametrize("exprs", ["u;v;abs(u)^3", "u;v;u^v"])
+    def test_branching_trees_stay_interpreted(self, monkeypatch, exprs):
+        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        surface = SurfaceDef.from_strings(exprs, ((0.1, 1.0), (0.1, 1.0)))
+        assert _record_reparam(surface) is None
+        jac = [[0.5, -1.0], [1.5, 0.25]]
+        disc, _ = surfgeo._reparam_discriminant(surface, 0.5, 0.7, jac)
+        jets = tuple(Jet2._make(2, row) for row in
+                     _reparam_interpreted(surface, 0.5, 0.7, jac))
+        assert disc.hex() == surfgeo.lmn_from_jets(jets).det.hex()
+        assert surface._kernels["reparam"] is None
