@@ -371,7 +371,7 @@ def _trace_text(trace, fmt):
         },
         "tolerances": {
             "rel_tol": ivp.rel_tol, "abs_tol": ivp.abs_tol,
-            "eps_asym": ivp.eps_asym, "eps_den": ivp.eps_den,
+            "eps_asym": ivp.eps_asym,
         },
         "event": {"termination": trace.termination, "t_stop": trace.t_stop},
         "solver": {
@@ -402,8 +402,7 @@ def _cmd_commensurate_solve(args):
     ivp = CommensurateIVP(
         surface, u0, v0, args.theta0, omega0=omegas[0],
         t_span=(0.0, args.t_max), rel_tol=args.rel_tol, abs_tol=args.abs_tol,
-        max_steps=args.max_steps, eps_asym=args.eps_asym,
-        eps_den=args.eps_den)
+        max_steps=args.max_steps, eps_asym=args.eps_asym)
 
     if len(omegas) > 1 and (args.output is None or args.output == "-"):
         raise ExprError("a sweep needs --output (one file per seed)")
@@ -539,7 +538,6 @@ def build_parser():
     p.add_argument("--rel-tol", type=_rel_tol, default=1e-10)
     p.add_argument("--abs-tol", type=_positive_float, default=1e-12)
     p.add_argument("--eps-asym", type=_positive_float, default=1e-4)
-    p.add_argument("--eps-den", type=_positive_float, default=1e-10)
     p.add_argument("--max-steps", type=_int_in_range(1), default=100_000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", help="output path; sweeps write one file per "

@@ -592,8 +592,8 @@ def _theta_path(u, v, theta, omega, omega_dot=0.0):
 
 
 def _state_geometry(X, c, s, omega, omega_dot=0.0):
-    """(a', a'', a''', w, form(a'), ln - m^2, X_u x X_v) at a theta-state,
-    each a float or a 3-sequence of floats, from its order-3 surface jets
+    """(a', a'', a''', w, form(a'), ln - m^2) at a theta-state, each a
+    float or a 3-sequence of floats, from its order-3 surface jets
     X and its direction (c, s) = (cos(theta), sin(theta)).  w = -s X_u +
     c X_v is the column that theta'' multiplies in a'''.
 
@@ -606,12 +606,11 @@ def _state_geometry(X, c, s, omega, omega_dot=0.0):
         X, c, -omega * s, -omega_dot * s - omega * omega * c,
         s, omega * c, omega_dot * c - omega * omega * s)
     xu, xv, xuu, xuv, xvv = _partials(X)
-    a, b, cc, disc, _, cross, _ = form_from_partials(
-        xu, xv, xuu, xuv, xvv)
+    a, b, cc, disc, _, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
     w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
          -s * xu[2] + c * xv[2])
     q = a * c * c + 2.0 * b * c * s + cc * s * s
-    return d1, d2, d3, w, q, disc, cross
+    return d1, d2, d3, w, q, disc
 
 
 def _node_residual(node, form):
@@ -640,8 +639,8 @@ def commensurate_residual(surface, state):
     # floats: the identity suites pass numpy scalars, whose overflow would
     # warn, not raise
     X = surface_jets(surface, float(u), float(v), 3)
-    d1, d2, d3, _, q, _, _ = _state_geometry(X, c, s, float(omega),
-                                             float(omega_dot))
+    d1, d2, d3, _, q, _ = _state_geometry(X, c, s, float(omega),
+                                          float(omega_dot))
     return det3(d1, d2, d3) - q ** 3
 
 
@@ -656,38 +655,46 @@ def _condition_parts(surface, u, v, theta, omega):
 def _parts_from_jets(X, theta, omega):
     """_condition_parts from already-evaluated order-3 surface jets: a dict
     of ``residual0``, the residual at theta'' = 0; ``denom``, the
-    coefficient D = det[a', a'', w] of theta''; ``denom_scale``, its
-    Euclidean scale |a'| |a''| |X_u x X_v|; ``q``, the raw form value
-    form(a'); and ``gm``, |ln - m^2|^(1/4), the chart scale of q."""
-    d1, d2, d3_base, w, q, disc, cross = _state_geometry(
+    coefficient D = det[a', a'', w] of theta''; ``q``, the raw form value
+    form(a'); and ``gm``, |ln - m^2|^(1/4), the chart scale of q.
+
+    |D| = |q| gm, so D vanishes only on the asymptotic cone, and
+    _cone_ratio is the one measure of how near the cone a state lies."""
+    d1, d2, d3_base, w, q, disc = _state_geometry(
         X, *_direction(theta), omega)                 # at theta'' = 0
     return {
         "residual0": det3(d1, d2, d3_base) - q ** 3,
         "denom": det3(d1, d2, w),
-        "denom_scale": (math.hypot(*d1) * math.hypot(*d2)
-                        * math.hypot(*cross)),
         "q": q,
         "gm": abs(disc) ** 0.25,
     }
 
 
-def solve_theta_dd(surface, u, v, theta, omega, eps_den=1e-10):
+def _cone_ratio(parts):
+    """q / gm of _condition_parts: form(a') free of the chart's scale,
+    equiaffine-invariant, and zero exactly on the asymptotic cone."""
+    return parts["q"] / max(parts["gm"], 1e-300)
+
+
+def solve_theta_dd(surface, u, v, theta, omega):
     """theta'' that zeroes the curve condition at this state.
 
     The residual is affine in theta'': residual = D * theta'' + R with
-    D = det[a', a'', -sin(theta) X_u + cos(theta) X_v]; raises
-    SingularDenominator when |D| is below eps_den times its natural scale.
+    D = det[a', a'', -sin(theta) X_u + cos(theta) X_v].  |D| = |q| gm, so
+    D vanishes only on the asymptotic cone: raises SingularDenominator
+    where |q| / gm is at most EPS_FORM.
     """
     return _theta_dd(_condition_parts(surface, u, v, theta, omega),
-                     u, v, theta, eps_den)
+                     u, v, theta)
 
 
-def _theta_dd(parts, u, v, theta, eps_den=1e-10):
+def _theta_dd(parts, u, v, theta):
     """solve_theta_dd from the _condition_parts of the state."""
-    if abs(parts["denom"]) <= eps_den * max(parts["denom_scale"], 1e-300):
+    if abs(_cone_ratio(parts)) <= EPS_FORM:
         raise SingularDenominator(
             f"theta'' coefficient {parts['denom']!r} is singular at "
-            f"(u, v, theta) = ({u!r}, {v!r}, {theta!r})",
+            f"(u, v, theta) = ({u!r}, {v!r}, {theta!r}): the direction is "
+            f"asymptotic",
             denominator=parts["denom"])
     return -parts["residual0"] / parts["denom"]
 
@@ -696,9 +703,6 @@ def _theta_dd(parts, u, v, theta, eps_den=1e-10):
 # the initial value problem
 
 _NAN4 = (math.nan,) * 4
-
-_EVENT_KINDS = ("AsymptoticProximity", "SingularDenominator", "DomainExit",
-                "StepFailure")
 
 
 @dataclass(frozen=True)
@@ -713,7 +717,6 @@ class CommensurateIVP:
     abs_tol: float = 1e-12
     max_steps: int = 100_000
     eps_asym: float = 1e-4
-    eps_den: float = 1e-10
     method: str = "dopri5"          # the only stepper
 
 
@@ -735,7 +738,8 @@ class SolutionTrace:
     surface: object
     ivp: CommensurateIVP
     nodes: list
-    termination: str            # "completed" or one of _EVENT_KINDS
+    # "completed", "AsymptoticProximity", "DomainExit" or "StepFailure"
+    termination: str
     t_stop: float
     max_residual: float
     ode_result: object = field(repr=False, default=None)
@@ -753,16 +757,17 @@ def integrate_commensurate(ivp):
     """Integrate the curve-condition system from the given initial data.
 
     The trace ends at the first of: the time span completing, the tangent
-    direction entering the asymptotic threshold, the theta'' coefficient
-    becoming singular, the path leaving the surface domain, or the stepper
-    failing.  Starting on an asymptotic direction raises InvalidIVP.
+    direction entering the asymptotic threshold (where the theta''
+    coefficient also vanishes), the path leaving the surface domain, or
+    the stepper failing.  Starting on an asymptotic direction raises
+    InvalidIVP.
     """
     surface = ivp.surface
     # theta0 reduced into [-pi, pi] once, so that theta keeps turning for a
     # large theta0; it is returned unchanged when it lies there already
     theta0 = math.remainder(ivp.theta0, math.tau)
     parts0 = _condition_parts(surface, ivp.u0, ivp.v0, theta0, ivp.omega0)
-    if abs(parts0["q"]) <= ivp.eps_asym * max(parts0["gm"], 1e-300):
+    if abs(_cone_ratio(parts0)) <= ivp.eps_asym:
         raise InvalidIVP(
             f"initial direction theta0 = {ivp.theta0!r} is asymptotic: "
             f"form value {parts0['q']!r}")
@@ -780,16 +785,12 @@ def integrate_commensurate(ivp):
         return last[1]
 
     def rhs(t, y):
+        u, v, theta, omega = y
         try:
-            parts = parts_at(y)
+            omega_dot = _theta_dd(parts_at(y), u, v, theta)
         except AffineMetricsError:
             return _NAN4
-        denom = parts["denom"]
-        if denom == 0.0:
-            return _NAN4
-        theta, omega = y[2], y[3]
-        return (math.cos(theta), math.sin(theta), omega,
-                -parts["residual0"] / denom)
+        return math.cos(theta), math.sin(theta), omega, omega_dot
 
     def guarded(func):
         def g(t, y):
@@ -800,26 +801,19 @@ def integrate_commensurate(ivp):
         return g
 
     def g_asym(parts):
-        return abs(parts["q"]) / max(parts["gm"], 1e-300) - ivp.eps_asym
-
-    def g_cone(parts):
-        # signed form value: a zero crossing means the tangent passed
-        # straight through the asymptotic cone, where |q| < eps_asym holds
-        # however thin the dip is
-        return parts["q"] / max(parts["gm"], 1e-300)
-
-    def g_den(parts):
-        return (abs(parts["denom"]) / max(parts["denom_scale"], 1e-300)
-                - ivp.eps_den)
+        return abs(_cone_ratio(parts)) - ivp.eps_asym
 
     def g_domain(t, y):
         return min(y[0] - surface.u_min, surface.u_max - y[0],
                    y[1] - surface.v_min, surface.v_max - y[1])
 
+    # the second event reads the signed ratio: a zero crossing means the
+    # tangent passed straight through the asymptotic cone, where |q| / gm <
+    # eps_asym holds however thin the dip is
     events = (
         OdeEvent(guarded(g_asym), direction=-1, name="AsymptoticProximity"),
-        OdeEvent(guarded(g_cone), direction=0, name="AsymptoticProximity"),
-        OdeEvent(guarded(g_den), direction=-1, name="SingularDenominator"),
+        OdeEvent(guarded(_cone_ratio), direction=0,
+                 name="AsymptoticProximity"),
         OdeEvent(g_domain, direction=-1, name="DomainExit"),
     )
     opts = OdeOptions(rel_tol=ivp.rel_tol, abs_tol=ivp.abs_tol,

@@ -132,8 +132,11 @@ class NegativeForm(AffineMetricsError):
 
 
 class SingularDenominator(AffineMetricsError):
-    """The coefficient multiplying theta'' in the curve condition vanished;
-    the second-order term cannot be solved for."""
+    """The coefficient multiplying theta'' in the curve condition vanished,
+    so theta'' cannot be solved for.  The coefficient's size is |q| gm, so
+    this happens only on an asymptotic direction: where |q| / gm is at most
+    commensurate.EPS_FORM.  No solve ends with it: the solver's
+    AsymptoticProximity events watch the same ratio."""
 
     def __init__(self, message, denominator=None):
         super().__init__(message)

@@ -631,12 +631,12 @@ def _locate_event(g, t0, g0, t1, g1, dense, tol=1e-10):
     h, rows = dense
     calls = 0
 
-    def g_dense(t):
+    def g_on_step(t):
         nonlocal calls
         calls += 1
         return g(t, _dense_eval(rows, (t - t0) / h))
 
-    root = find_root_bracketed(g_dense, t0, t1, tol=tol, f_lo=g0, f_hi=g1)
+    root = find_root_bracketed(g_on_step, t0, t1, tol=tol, f_lo=g0, f_hi=g1)
     return root, calls
 
 

@@ -1,5 +1,6 @@
 import csv
 import inspect
+import itertools
 import json
 import math
 import os
@@ -186,8 +187,6 @@ class TestExitContract:
         ("commensurate-solve", "--max-steps", "1.5"),
         ("commensurate-solve", "--eps-asym", "-1"),
         ("commensurate-solve", "--eps-asym", "0"),
-        ("commensurate-solve", "--eps-den", "-1"),
-        ("commensurate-solve", "--eps-den", "nan"),
         ("arclen-compare", "--samples", "0"),
         ("check-identities", "--samples", "0"),
         ("check-identities", "--samples", "-3"),
@@ -203,6 +202,18 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert err.startswith("usage:")
         assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
+    def test_removed_eps_den_is_a_usage_error(self, capsys):
+        # the theta'' coefficient vanishes only on the asymptotic cone,
+        # where --eps-asym stops the solve, so it has no threshold of its own
+        with pytest.raises(SystemExit) as exc:
+            run(["commensurate-solve", "--surface", "sphere",
+                 "--at", "0.1,0.1", "--theta0", "0.3", "--eps-den=1e-10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage:")
+        assert "unrecognized arguments: --eps-den=1e-10" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command,flag,value", [
@@ -787,7 +798,8 @@ class TestCommensurateSolve:
         assert payload["schema"] == "affinemetrics/1"
         assert payload["event"]["termination"] == "completed"
         assert payload["node_count"] == len(payload["nodes"])
-        assert payload["tolerances"]["eps_asym"] == 1e-4
+        assert payload["tolerances"] == {"rel_tol": 1e-10, "abs_tol": 1e-12,
+                                         "eps_asym": 1e-4}
         assert payload["ivp"]["u0"] == 0.0
 
     def test_json_reports_solver_counts(self, capsys):
@@ -836,6 +848,30 @@ class TestCommensurateSolve:
         assert "completed at t=0.0309," in captured.err
         rows = list(csv.DictReader(captured.out.splitlines()))
         assert float(rows[-1]["t"]) == 0.0309
+
+    def test_readme_documents_exactly_the_options(self):
+        # the README's option table lists every flag of the command and no
+        # other, so a removed flag cannot linger in the docs
+        import argparse
+
+        from affinemetrics.cli import build_parser
+
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = lines.index("`commensurate-solve` takes these options:")
+        rows = itertools.takewhile(
+            lambda line: line.startswith("|") or not line,
+            lines[start + 1:])
+        documented = [row.split("|")[1].strip().strip("`") for row in rows
+                      if row.startswith("| `")]
+        subparsers, = (action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        options = [flag for action
+                   in subparsers.choices["commensurate-solve"]._actions
+                   for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+        assert sorted(documented) == sorted(options)
+        assert len(documented) == len(set(documented))
 
 
 class TestCheckIdentities:

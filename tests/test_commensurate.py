@@ -36,7 +36,6 @@ from affinemetrics.errors import (
 from affinemetrics.jets import (
     Jet1,
     compose_curve_in_surface,
-    cross3,
     det3,
     dot3,
 )
@@ -207,16 +206,56 @@ class TestResidual:
             assert abs(r) <= 1e-10 * scale
 
     def test_singular_denominator(self):
-        # on the hyperbolic paraboloid at theta = 0, omega = 0 both the
-        # second derivative and the theta'' column are tangent to the
-        # ruling plane, so the coefficient vanishes
+        # theta = 0 runs along a ruling of the hyperbolic paraboloid
+        # z = u v, an asymptotic direction, so the coefficient vanishes
         with pytest.raises(SingularDenominator):
             solve_theta_dd(HYP_PAR, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("theta, singular", [
+        (1e-13, True), (-1e-13, True), (1e-11, False), (-1e-11, False)])
+    @pytest.mark.parametrize("stretch", [None, (1e4, 1e-4, 1.0)],
+                             ids=["catalog", "stretched"])
+    def test_singular_band_is_equiaffine(self, theta, singular, stretch):
+        # on z = u v at the origin |q| / gm = |sin 2 theta|: within
+        # EPS_FORM = 1e-12 of the cone theta'' is singular, and an SL(3)
+        # map moves neither that band nor theta'' outside it
+        from affinemetrics.identities import transformed_surface
+
+        surface = HYP_PAR if stretch is None else transformed_surface(
+            HYP_PAR, np.diag(stretch), (0.0, 0.0, 0.0))
+        outcome = _outcome(solve_theta_dd, surface, 0.0, 0.0, theta, 0.3)
+        if singular:
+            assert outcome is SingularDenominator
+        else:
+            assert outcome == pytest.approx(
+                solve_theta_dd(HYP_PAR, 0.0, 0.0, theta, 0.3), rel=1e-9)
+
+
+NONPLANAR = [name for name in CATALOG if name != "plane"]
+
+
+class TestThetaCoefficient:
+    @pytest.mark.parametrize("name", NONPLANAR)
+    def test_coefficient_is_q_times_gm(self, name):
+        # |det[a', a'', w]| = |q| |ln - m^2|^(1/4): theta'' is singular
+        # only on the asymptotic cone, so the cone's one equiaffine ratio
+        # |q| / gm is the solver's only stop there
+        surface = CATALOG[name]
+        rng = np.random.default_rng(25)
+        worst = 0.0
+        for _ in range(200):
+            state = (float(rng.uniform(surface.u_min, surface.u_max)),
+                     float(rng.uniform(surface.v_min, surface.v_max)),
+                     *rng.uniform(-4.0, 4.0, size=2).tolist())
+            parts = _condition_parts(surface, *state)
+            worst = max(worst, abs(abs(parts["denom"])
+                                   / (abs(parts["q"]) * parts["gm"]) - 1.0))
+        assert worst <= 1e-11
 
 
 def _jet1_route_parts(X, u, v, theta, omega):
     """_parts_from_jets by the Jet1 route: theta_jets, then
-    compose_curve_in_surface, form_from_jets, det3 and hypot."""
+    compose_curve_in_surface, form_from_jets and det3."""
     u_jet, v_jet = jet_route.theta_jets(u, v, theta, omega)
     c, s = u_jet.coeffs[1], v_jet.coeffs[1]
     a = compose_curve_in_surface(X, u_jet, v_jet, 3)
@@ -228,8 +267,6 @@ def _jet1_route_parts(X, u, v, theta, omega):
     return {
         "residual0": det3(d1, d2, d3) - q ** 3,
         "denom": det3(d1, d2, w),
-        "denom_scale": (math.hypot(*d1) * math.hypot(*d2)
-                        * math.hypot(*cross3(xu, xv))),
         "q": q,
         "gm": abs(form.discriminant) ** 0.25,
     }
@@ -455,8 +492,7 @@ class TestIntegration:
                               t_span=(0.0, 10.0), rel_tol=1e-7, abs_tol=1e-9)
         trace = integrate_commensurate(ivp)
         assert trace.termination in ("completed", "AsymptoticProximity",
-                                     "SingularDenominator", "DomainExit",
-                                     "StepFailure")
+                                     "DomainExit", "StepFailure")
 
     def test_domain_exit_event(self):
         # a straight parameter path from the box edge leaves quickly
@@ -758,22 +794,36 @@ class TestQuadricOracle:
         assert gaps[0] > gaps[1] > gaps[2]
 
 
+def _stretched(name, stretch):
+    """The first BREAKDOWN_SEEDS start on ``name`` over t in [0, 2], under
+    the map diag(``stretch``)."""
+    return name, {**BREAKDOWN_SEEDS[name][0], "t_max": 2.0}, stretch
+
+
 class TestEquiaffineTraces:
-    @pytest.mark.parametrize("name, start", [
-        ("hyperbolic-paraboloid", BREAKDOWN_SEEDS["hyperbolic-paraboloid"][0]),
-        ("hyperboloid", BREAKDOWN_SEEDS["hyperboloid"][0]),
+    @pytest.mark.parametrize("name, start, stretch", [
+        ("hyperbolic-paraboloid", BREAKDOWN_SEEDS["hyperbolic-paraboloid"][0],
+         None),
+        ("hyperboloid", BREAKDOWN_SEEDS["hyperboloid"][0], None),
         ("sphere", {"u0": 0.1, "v0": 0.1, "theta0": 0.3, "omega0": 0.5,
-                    "t_max": 3.0}),
-    ], ids=["hyperbolic-paraboloid", "hyperboloid", "sphere"])
-    def test_trace_is_invariant_under_sl3(self, name, start):
+                    "t_max": 3.0}, None),
+        # far from isotropic maps: no Euclidean scale may decide a stop
+        _stretched("hyperbolic-paraboloid", (1e4, 1e-4, 1.0)),
+        _stretched("hyperboloid", (1e4, 1e-4, 1.0)),
+        _stretched("hyperboloid", (1.0, 1e4, 1e-4)),
+    ], ids=["hyperbolic-paraboloid", "hyperboloid", "sphere",
+            "hyperbolic-paraboloid-stretched-xy", "hyperboloid-stretched-xy",
+            "hyperboloid-stretched-yz"])
+    def test_trace_is_invariant_under_sl3(self, name, start, stretch):
         # q, gm, the residual and theta'' are invariant under X -> A X + b
         # with det A = 1, so the whole trace is; the node times are not
         # (the step controller sees rounding), so states are compared at
-        # equal t from the dense output
+        # equal t from the dense output.  A is random unless ``stretch``
+        # gives its diagonal.
         from affinemetrics.identities import random_sl3, transformed_surface
 
         rng = np.random.default_rng(3)
-        A = random_sl3(rng)
+        A = random_sl3(rng) if stretch is None else np.diag(stretch)
         b = rng.uniform(-1.0, 1.0, size=3)
         surface = CATALOG[name]
         traces = [integrate_commensurate(CommensurateIVP(
@@ -976,8 +1026,7 @@ class TestBreakdownSeeds:
                               t_span=(0.0, seed["t_max"]),
                               rel_tol=1e-7, abs_tol=1e-9, max_steps=40_000)
         trace = integrate_commensurate(ivp)
-        assert trace.termination in ("AsymptoticProximity",
-                                     "SingularDenominator")
+        assert trace.termination == "AsymptoticProximity"
         assert trace.t_stop < seed["t_max"]
 
     def test_converged_breakdown_time(self):
