@@ -13,27 +13,20 @@ __version__ = "0.1.0"
 # stands for the module itself
 _HOME = {name: module for module, names in {
     "errors": ("errors",),
-    "curvegeo": ("curvegeo", "ArcLength", "CurveDef", "FrenetData",
-                 "affine_arclength", "affine_integrand",
-                 "affine_integrand_via_euclidean", "curve_jets",
+    "curvegeo": ("curvegeo", "ArcLength", "FrenetData", "affine_arclength",
+                 "affine_integrand", "affine_integrand_via_euclidean",
                  "euclidean_frenet"),
     "commensurate": ("commensurate", "CommensurateIVP", "ParamCurve",
-                     "SolutionTrace", "TraceCurve",
-                     "check_condition_euclidean", "commensurate_residual",
-                     "commensurate_residual_general", "induced_arclength",
-                     "induced_arclength_integrand", "integrate_commensurate",
-                     "run_family", "solve_theta_dd",
-                     "sphere_reference_curve"),
+                     "SolutionTrace", "TraceCurve", "commensurate_residual",
+                     "induced_arclength", "integrate_commensurate",
+                     "run_family", "solve_theta_dd"),
     "expr": ("expr", "eval_ast", "parse_expression", "pretty", "tokenize"),
     "jets": ("jets", "Jet1", "Jet2", "compose_curve_in_surface"),
     "numerics": ("numerics", "OdeEvent", "OdeOptions", "QuadResult",
-                 "find_root_bracketed", "finite_diff", "ode_solve",
-                 "quad_adaptive"),
+                 "find_root_bracketed", "ode_solve", "quad_adaptive"),
     "surfgeo": ("surfgeo", "CATALOG", "AffineForm", "QuadForm", "SurfaceDef",
-                "affine_first_fundamental", "affine_lmn", "catalog_surface",
-                "check_reparam_covariance", "classify_point",
-                "fundamental_forms_euclid", "gauss_curvature", "iaff_apply",
-                "normal_curvature", "surface_jets"),
+                "affine_first_fundamental", "fundamental_forms_euclid",
+                "gauss_curvature", "surface_jets"),
 }.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -51,7 +51,6 @@ from .errors import (
     NonpositiveTorsion,
     QuadratureFailure,
     StepFailure,
-    ZeroDirection,
     ZeroSpeed,
 )
 
@@ -81,8 +80,7 @@ REFERENCE_NAMES = ("helicoid", "hyperbolic-paraboloid", "hyperboloid",
 
 _DEGENERATE_ERRORS = (DegenerateCurve, DegenerateSurfacePoint, DomainExit,
                       EuclideanDegenerate, IrregularPoint, NegativeForm,
-                      NegativeOrientation, NonpositiveTorsion, ZeroDirection,
-                      ZeroSpeed)
+                      NegativeOrientation, NonpositiveTorsion, ZeroSpeed)
 _NUMERICAL_ERRORS = (DomainError, MaxSteps, NoBracket, NonFiniteValue,
                      QuadratureFailure, StepFailure)
 

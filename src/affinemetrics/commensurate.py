@@ -36,11 +36,12 @@ from .errors import (
     NegativeOrientation,
     SingularDenominator,
     StepFailure,
-    UnsupportedOrder,
 )
 from .expr import eval_ast, parse_expression
 from .jets import (
+    MAX_ORDER_1,
     Jet1,
+    _check_order,
     compose_columns,
     cross3,
     det3,
@@ -58,7 +59,6 @@ from .numerics import (
 )
 from .surfgeo import (
     _partials,
-    affine_first_fundamental,
     form_from_jets,
     form_from_partials,
     forms_from_jets,
@@ -68,12 +68,9 @@ from .surfgeo import (
 
 __all__ = [
     "ParamCurve", "TraceCurve", "NodeTable", "CommensurateIVP",
-    "SolutionTrace", "TraceNode", "ConditionCheck",
-    "induced_arclength_integrand", "induced_arclength",
-    "ArcLengthRows", "running_arclengths",
-    "commensurate_residual", "commensurate_residual_general",
+    "SolutionTrace", "TraceNode", "ConditionCheck", "induced_arclength",
+    "ArcLengthRows", "running_arclengths", "commensurate_residual",
     "solve_theta_dd", "integrate_commensurate", "run_family",
-    "check_condition_euclidean", "sphere_reference_curve",
     "BREAKDOWN_SEEDS",
 ]
 
@@ -88,8 +85,10 @@ class _EmbeddedCurve:
     Every consumer reads one node per t, on floats: ``sample`` gives
     (u, v, X, a), the parameter path u = (u, u', u'', u''') and v alike,
     the order-3 surface jets X at (u(t), v(t)) and the columns
-    a = (a', a'', a''') of the curve.  ``columns`` reads the columns off
-    it, and ``curve_jets`` wraps them in Jet1s."""
+    a = (a', a'', a''') of the curve.  ``columns``, ``curve_jets`` and
+    ``form_direction`` read it at every order: the lower coefficients of
+    order-3 jets are computed by the same float operations as those of a
+    lower order."""
 
     def sample(self, t):
         """The float node (u, v, X, a) at t."""
@@ -101,35 +100,26 @@ class _EmbeddedCurve:
         return self.sample(t)[3]
 
     def curve_jets(self, t, order):
-        """Jets of the embedded curve X(u(t), v(t)): at order 3 the
-        columns of the node, below it those of the order-``order`` path
-        and surface jets."""
-        if order > 3:
-            raise UnsupportedOrder(
-                "surface-embedded curves support derivative order <= 3")
-        if order == 3:
-            _, _, X, columns = self.sample(t)
-        else:
-            u, v = ((*jet.coeffs, 0.0, 0.0)[:4]
-                    for jet in self.param_jets(t, order))
-            _, _, X, columns = _path_node(self.surface, u, v, order)
-        return tuple([Jet1._make(order, (comp.coeffs[0],) + d)
+        """Jets of the embedded curve X(u(t), v(t)) up to ``order``: the
+        node's columns wrapped in Jet1s."""
+        _check_order(order, MAX_ORDER_1, "curve_jets")
+        _, _, X, columns = self.sample(t)
+        return tuple([Jet1._make(order, (comp.coeffs[0],) + d[:order])
                       for comp, d in zip(X, zip(*columns))])
 
     def form_direction(self, t):
         """(form, u', v') at t: the affine fundamental form at (u(t), v(t))
-        from order-2 surface jets, and the parameter direction."""
-        u, v = self.param_jets(t, 1)
-        form = affine_first_fundamental(self.surface, u.value, v.value)
-        return form, u.coeffs[1], v.coeffs[1]
+        and the parameter direction, read off the node."""
+        u, v, X, _ = self.sample(t)
+        return form_from_jets(X), u[1], v[1]
 
 
-def _path_node(surface, u, v, order=3):
+def _path_node(surface, u, v):
     """The float node (u, v, X, a) of a curve in ``surface`` whose
     parameter path is u = (u, u', u'', u''') and v alike: X holds the
-    surface jets at (u, v) and a the columns up to ``order``."""
-    X = surface_jets(surface, u[0], v[0], order)
-    return u, v, X, compose_columns(X, *u[1:], *v[1:], order)
+    order-3 surface jets at (u, v) and a the columns."""
+    X = surface_jets(surface, u[0], v[0], 3)
+    return u, v, X, compose_columns(X, *u[1:], *v[1:])
 
 
 @dataclass(frozen=True)
@@ -172,9 +162,7 @@ class TraceCurve(_EmbeddedCurve):
         self.t_max = trace.nodes[-1].t
 
     def param_jets(self, t, order):
-        if order > 3:
-            raise UnsupportedOrder(
-                "surface-embedded curves support derivative order <= 3")
+        _check_order(order, MAX_ORDER_1, "param_jets")
         path = (self.sample(t)[:2] if order == 3
                 else _theta_path(*self.trace.state_at(t)))
         return tuple([Jet1(p[:order + 1]) for p in path])
@@ -207,8 +195,7 @@ class NodeTable(_EmbeddedCurve):
     the kernel hands back, and a curve of another kind take the curve's
     own node (``sample``), so that a TraceCurve's node evaluates its
     surface jets once.  The induced side reads the affine form and
-    (u', v') off the node where there is one, and otherwise keeps the
-    order-2 form it evaluates.  ``discard`` drops one node, ``clear`` all
+    (u', v') off the same node.  ``discard`` drops one node, ``clear`` all
     of them.
     """
 
@@ -216,18 +203,15 @@ class NodeTable(_EmbeddedCurve):
         self.curve = curve
         self.surface = curve.surface
         self._samples = {}
-        self._forms = {}
         # the recorded path: None until the first sample, then the kernel
         # or False
         self._kernel = None
 
     def clear(self):
         self._samples.clear()
-        self._forms.clear()
 
     def discard(self, t):
         self._samples.pop(t, None)
-        self._forms.pop(t, None)
 
     def param_jets(self, t, order):
         return self.curve.param_jets(t, order)
@@ -258,25 +242,6 @@ class NodeTable(_EmbeddedCurve):
                 pass        # eval_ast raises it with its own message
         return None
 
-    def _path(self, t):
-        """The parameter path at t: the recorded kernel's where it gives
-        it, else the curve's param_jets."""
-        return self._recorded_path(t) or [
-            jet.coeffs for jet in self.curve.param_jets(t, 3)]
-
-    def form_direction(self, t):
-        entry = self._forms.get(t)
-        if entry is None:
-            sample = self._samples.get(t)
-            if sample is not None:
-                u, v, X, _ = sample
-                entry = form_from_jets(X), u[1], v[1]
-            else:
-                (u, du, _, _), (v, dv, _, _) = self._path(t)
-                entry = affine_first_fundamental(self.surface, u, v), du, dv
-            self._forms[t] = entry
-        return entry
-
 
 # ---------------------------------------------------------------------------
 # induced arc length
@@ -299,17 +264,6 @@ def _sigma_integrand(form, du, dv, orientation):
     if oriented <= eps:
         return 0.0, True
     return math.sqrt(oriented), False
-
-
-def induced_arclength_integrand(pc, t, orientation=1.0):
-    """sqrt of the affine fundamental form on a'(t).
-
-    ``orientation`` selects the sign branch on indefinite surfaces: the
-    integrand is sqrt(orientation * form(a')).  Values below the negative
-    threshold raise NegativeForm; values within the threshold of zero
-    clamp to zero (asymptotic directions measure zero length).
-    """
-    return _sigma_integrand(*pc.form_direction(t), orientation)[0]
 
 
 def _probe_orientation(pc, ts, nodes):
@@ -471,10 +425,13 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     else:
         alpha_fit = cheb_cumulative(
             _sampled(lambda t: _alpha_value(nodes, t, mirror)), a, b, ts, tol)
-    orientation = _probe_orientation(nodes, grid, {})
+    # the first grid's forms, which the probe reads, serve its nodes
+    probed = {}
+    orientation = _probe_orientation(nodes, grid, probed)
     sigma_fit = cheb_cumulative(
-        _sampled(lambda t: _strict_sigma(nodes.form_direction(t),
-                                         orientation)), a, b, ts, tol)
+        _sampled(lambda t: _strict_sigma(
+            probed.pop(t, None) or nodes.form_direction(t), orientation)),
+        a, b, ts, tol)
     fits = {"alpha": alpha_fit, "sigma": sigma_fit}
     gk15 = {side for side, fit in fits.items() if fit.values is None}
 
@@ -618,17 +575,6 @@ def _node_residual(node, form):
     form at its point."""
     u, v, _, a = node
     return det3(*a) - form.apply(u[1], v[1]) ** 3
-
-
-def commensurate_residual_general(surface, u, v, derivs):
-    """det[a', a'', a'''] - [form(a')]^3 for an arbitrary parameter path.
-
-    ``derivs`` = (u', v', u'', v'', u''', v''') at the evaluation point;
-    the embedded derivatives are assembled by the bivariate chain rule.
-    """
-    u1, v1, u2, v2, u3, v3 = map(float, derivs)
-    node = _path_node(surface, (float(u), u1, u2, u3), (float(v), v1, v2, v3))
-    return _node_residual(node, form_from_jets(node[2]))
 
 
 def commensurate_residual(surface, state):
@@ -868,23 +814,13 @@ class ConditionCheck:
     degenerate: bool = False
 
 
-def check_condition_euclidean(pc, t, omega_dot=None):
-    """Both sides of the Euclidean-invariant curve condition at t.
-
-    lhs = kappa(t)^2 tau(t) of the embedded curve; rhs is the cube of
-    |K|^(-1/4) times the normal curvature in the curve direction, with the
-    normal aligned to the orientation of the affine fundamental form (the
-    ``flipped`` flag of the chart).  For a trace-backed curve an explicit
-    theta'' may be supplied (e.g. from finite differences) to keep the
-    left side independent of the curve condition.
-    """
-    node = pc.sample(t) if omega_dot is None else pc.sample(t, omega_dot)
-    return _condition_check(node)[0]
-
-
 def _condition_check(node):
-    """(check_condition_euclidean, the affine form) at a float node
-    (u, v, X, a)."""
+    """(ConditionCheck, the affine form) at a float node (u, v, X, a):
+    both sides of the Euclidean-invariant curve condition.  lhs = kappa^2
+    tau of the embedded curve; rhs is the cube of |K|^(-1/4) times the
+    normal curvature in the curve direction, with the normal aligned to
+    the orientation of the affine fundamental form (the ``flipped`` flag
+    of the chart)."""
     u, v, X, (d1, d2, d3) = node
 
     speed = math.hypot(*d1)
@@ -907,81 +843,6 @@ def _condition_check(node):
     form = form_from_jets(X)
     rhs = (abs(K) ** (-0.25) * k_n * form.orientation_sign) ** 3
     return ConditionCheck(lhs, rhs, degenerate), form
-
-
-# ---------------------------------------------------------------------------
-# the closed-form reference curve on the unit sphere
-
-@dataclass(frozen=True)
-class ReferenceCurve:
-    """Samples of the reference curve, each field a numpy array: one
-    value per sample, or one row of three per sample for ``position`` and
-    the frame."""
-    s: object
-    kappa: object
-    tau: object
-    position: object      # (n, 3)
-    e1: object
-    e2: object
-    e3: object
-
-    def center(self, i):
-        """Osculating-sphere center at sample i; constant (and at unit
-        distance) when the curve lies on a unit sphere."""
-        s = self.s[i]
-        inv_kappa_prime = -s * (s * s + 1.0) ** -1.5
-        return (self.position[i]
-                + self.e2[i] / self.kappa[i]
-                + inv_kappa_prime / self.tau[i] * self.e3[i])
-
-    def geodesic_curvature(self, i):
-        return math.sqrt(self.kappa[i] ** 2 - 1.0)
-
-
-def sphere_reference_curve(s_max, step, rel_tol=1e-10, abs_tol=1e-12):
-    """Integrate the Frenet system with kappa(s) = sqrt(s^2 + 1) and
-    tau(s) = 1/(s^2 + 1) from the identity frame at the origin.
-
-    These closed forms satisfy kappa^2 tau = 1 identically, so the result
-    is the canonical curve whose equiaffine and induced arc lengths agree
-    on the unit sphere (every other one is a Euclidean motion of it).
-    """
-    import numpy as np
-
-    if s_max <= 0.0:
-        raise ValueError("s_max must be positive")
-
-    def kappa(s):
-        return math.sqrt(s * s + 1.0)
-
-    def tau(s):
-        return 1.0 / (s * s + 1.0)
-
-    def rhs(s, y):
-        y = np.asarray(y)
-        e1, e2, e3 = y[3:6], y[6:9], y[9:12]
-        k, tors = kappa(s), tau(s)
-        return np.concatenate([e1, k * e2, -k * e1 + tors * e3, -tors * e2])
-
-    y0 = np.array([0.0, 0.0, 0.0,
-                   1.0, 0.0, 0.0,
-                   0.0, 1.0, 0.0,
-                   0.0, 0.0, 1.0])
-    opts = OdeOptions(rel_tol=rel_tol, abs_tol=abs_tol)
-    result = ode_solve(rhs, y0, (0.0, s_max), opts)
-
-    samples = np.arange(0.0, s_max + 0.5 * step, step)
-    samples = samples[samples <= s_max]
-    states = np.array([result.interpolate(float(s)) for s in samples])
-    return ReferenceCurve(
-        s=samples,
-        kappa=np.array([kappa(s) for s in samples]),
-        tau=np.array([tau(s) for s in samples]),
-        position=states[:, 0:3],
-        e1=states[:, 3:6],
-        e2=states[:, 6:9],
-        e3=states[:, 9:12],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ the component expressions, never from numerical differentiation.
 
 A curve is anything with ``curve_jets(t, order)`` for orders 1..3 and
 ``columns(t)``, the columns a', a'', a''' at t as three sequences of
-three floats: a CurveDef, whose jets come from its expressions and whose
-columns are read off its order-3 jets, or a curve in a surface, whose
-columns are those of its float node (commensurate's ``sample``) and
-whose jets wrap them.  The equiaffine integrand and arc length read the
-columns alone.  A caller holding a point's order-3 jets reads the Frenet
-data off them with frenet_from_jets, not euclidean_frenet.
+three floats.  Every curve object of the package lies in a surface: its
+columns are those of its float node (commensurate's ``sample``), and
+its jets wrap them.  The equiaffine integrand and arc length read the
+columns alone.  A caller holding a point's order-3 jets reads the
+Frenet data off them with frenet_from_jets, not euclidean_frenet.
 """
 
 from __future__ import annotations
@@ -23,57 +22,21 @@ from dataclasses import dataclass
 
 from .errors import (
     DegenerateCurve,
-    DomainExit,
     EuclideanDegenerate,
     NegativeOrientation,
     NonpositiveTorsion,
-    UnsupportedOrder,
     ZeroSpeed,
 )
-from .expr import eval_ast, parse_expression
-from .jets import MAX_ORDER_1, Jet1, cross3, det3
+from .jets import cross3, det3
 from .numerics import quad_adaptive
 
 __all__ = [
-    "CurveDef", "FrenetData", "ArcLength",
-    "curve_jets", "affine_integrand", "affine_arclength",
+    "FrenetData", "ArcLength", "affine_integrand", "affine_arclength",
     "euclidean_frenet", "frenet_from_jets", "affine_integrand_via_euclidean",
 ]
 
 #: relative determinant-degeneracy threshold (scaled by |a'||a''||a'''|)
 EPS_DEGENERATE = 1e-12
-
-
-@dataclass(frozen=True)
-class CurveDef:
-    """Three component expressions in t plus the parameter interval."""
-
-    components: tuple
-    t_min: float
-    t_max: float
-    name: str | None = None
-
-    @classmethod
-    def from_strings(cls, exprs, t_min, t_max, name=None):
-        """Build from component strings; ``exprs`` is a 3-sequence or a
-        single semicolon-separated string."""
-        if isinstance(exprs, str):
-            exprs = [part.strip() for part in exprs.split(";")]
-        if len(exprs) != 3:
-            raise ValueError("a curve needs exactly three components")
-        comps = tuple(parse_expression(s, {"t"}) for s in exprs)
-        return cls(comps, float(t_min), float(t_max), name)
-
-    def contains(self, t):
-        return self.t_min <= t <= self.t_max
-
-    def curve_jets(self, t, order):
-        """The jets of the components at t; see the module's curve_jets."""
-        return curve_jets(self, t, order)
-
-    def columns(self, t):
-        """a', a'', a''' at t, read off the order-3 jets."""
-        return _columns(curve_jets(self, t, 3))
 
 
 @dataclass(frozen=True)
@@ -109,19 +72,6 @@ class ArcLength:
 
     def __float__(self):
         return self.value
-
-
-def curve_jets(curve, t, order):
-    """Exact derivatives of the curve components at t, orders 1..3."""
-    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_1:
-        raise UnsupportedOrder(
-            f"curve jets support orders 1..{MAX_ORDER_1}, got {order}")
-    if not curve.contains(t):
-        raise DomainExit(f"t = {t!r} outside [{curve.t_min}, {curve.t_max}]")
-    seed = Jet1.seed(t, order)
-    bindings = {"t": seed}
-    return tuple([seed.lift(eval_ast(comp, bindings))
-                  for comp in curve.components])
 
 
 def _columns(jets):

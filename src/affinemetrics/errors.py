@@ -100,10 +100,6 @@ class DegenerateSurfacePoint(AffineMetricsError):
         self.margin = margin
 
 
-class ZeroDirection(AffineMetricsError):
-    pass
-
-
 class SingularJacobian(AffineMetricsError):
     pass
 

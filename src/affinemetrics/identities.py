@@ -5,17 +5,17 @@ one of the package's structural identities along two independent routes,
 and reports the worst relative deviation.  The test suite drives the same
 functions with pinned seeds and tolerances.
 
-Random curves are drawn as coefficients, never written out and parsed.
-The integrand suite reads each sample's order-3 jets off one straight-line
-kernel on those coefficients, bit-identical to evaluating the curve's
-expression trees over jets, and shares them between both routes and the
-sample filter; a tree is built only for a caller that asks for the curve
-(random_nondegenerate_curve).  The condition suite's quadratic parameter
-paths are coefficients too, their derivatives at t = 0 read off a kernel
-of their own; only the moved surfaces of the invariance suite are
-expression trees; their jets, like those of the reparametrization walks,
-come from eval_ast or its recorded walk (surfgeo), never from the jets'
-chain rule that the two suites check.
+Random curves are drawn as coefficients, never written out, parsed or
+built as expression trees.  The integrand suite reads each sample's
+order-3 jets off one straight-line kernel on those coefficients,
+bit-identical to evaluating the curve's expression trees over jets, and
+shares them between both routes and the sample filter.  The condition
+suite's quadratic parameter paths are coefficients too, their
+derivatives at t = 0 read off a kernel of their own; only the moved
+surfaces of the invariance suite are expression trees; their jets, like
+those of the reparametrization walks, come from eval_ast or its recorded
+walk (surfgeo), never from the jets' chain rule that the two suites
+check.
 
 The generators are numpy's.  Every uniform draw is a scaled rng.random
 draw (_uniform), bit for bit what rng.uniform gives for the same bounds,
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial, reduce
 from typing import NamedTuple
 
 from .commensurate import (
@@ -38,14 +37,13 @@ from .commensurate import (
     commensurate_residual,
 )
 from .curvegeo import (
-    CurveDef,
     _alpha_integrand,
     _columns,
     _frenet_invariants,
     _norm,
 )
 from .errors import AffineMetricsError, NonFiniteValue
-from .expr import BinOp, Call, Const, Var
+from .expr import BinOp, Const
 from .jets import _PRODUCT1, Jet1, _phi
 from .surfgeo import (
     AffineForm,
@@ -61,10 +59,10 @@ from .surfgeo import (
 
 __all__ = [
     "IdentityReport", "random_sl3", "random_invertible_2x2",
-    "random_nondegenerate_curve", "random_points", "transformed_surface",
-    "transformed_curve", "integrand_routes_suite", "lmn_route_suite", "form_routes_suite",
-    "equiaffine_invariance_suite", "reparam_law_suite", "condition_routes_suite",
-    "reference_form_suite", "REFERENCE_FORMS",
+    "random_points", "transformed_surface", "integrand_routes_suite",
+    "lmn_route_suite", "form_routes_suite", "equiaffine_invariance_suite",
+    "reparam_law_suite", "condition_routes_suite", "reference_form_suite",
+    "REFERENCE_FORMS",
 ]
 
 
@@ -157,20 +155,7 @@ def random_points(surface, rng, count, margin=0.02):
     return list(zip(us, vs))
 
 
-# A sample curve's tree has the shape the parser gives its written form.
-# The parser reads "(c)" with c < 0 as Neg(Const(-c)); Const(c) evaluates
-# to the same float.
-_T = Var("t")
 _product = _PRODUCT1[3]
-
-
-def _sum(terms):
-    """The left-associated tree the parser makes of "a + b + c"."""
-    return reduce(partial(BinOp, "+"), terms)
-
-
-def _times(coeff, factor):
-    return BinOp("*", Const(coeff), factor)
 
 
 def _component_coeffs(units):
@@ -179,26 +164,6 @@ def _component_coeffs(units):
     from nine standard-uniform draws in that order: the c and the
     amplitudes in [-2, 2), the frequencies in [0.5, 2.5)."""
     return (*_scaled(units[:7], -2.0, 2.0), *_scaled(units[7:], 0.5, 2.5))
-
-
-def _draw_component(rng):
-    """The coefficients of one component, drawn."""
-    return _component_coeffs(rng.random(9).tolist())
-
-
-def _component_tree(coeffs):
-    """The tree of the component with these nine coefficients."""
-    *poly, amp_s, amp_c, freq_s, freq_c = coeffs
-    powers = [_times(c, BinOp("^", _T, Const(float(k))))
-              for k, c in enumerate(poly) if k]
-    return _sum([Const(poly[0]), *powers,
-                 _times(amp_s, Call("sin", _times(freq_s, _T))),
-                 _times(amp_c, Call("cos", _times(freq_c, _T)))])
-
-
-def _poly_trig_component(rng):
-    """The tree of one component with random coefficients."""
-    return _component_tree(_draw_component(rng))
 
 
 def _poly_trig_jets(components, t):
@@ -235,9 +200,12 @@ def _poly_trig_jets(components, t):
 
 def _draw_curve(rng, max_tries=50):
     """(component coefficients, t, order-3 jets at t, (speed, kappa, tau)
-    at t) for random_nondegenerate_curve, with the jets evaluated once.
-    Each try draws the three components' coefficients, then t in [-1, 1),
-    from one rng.random call."""
+    at t) of a random polynomial+trig curve and a parameter value where it
+    is comfortably nondegenerate with positive torsion, with the jets
+    evaluated once.  The conditioning filters (torsion, curvature, speed
+    bounded away from zero) keep the sixth-root comparison meaningful in
+    float arithmetic.  Each try draws the three components' coefficients,
+    then t in [-1, 1), from one rng.random call."""
     for _ in range(max_tries):
         units = rng.random(28).tolist()
         components = tuple(_component_coeffs(units[k:k + 9])
@@ -254,17 +222,6 @@ def _draw_curve(rng, max_tries=50):
     raise RuntimeError("could not draw a well-conditioned curve")
 
 
-def random_nondegenerate_curve(rng, max_tries=50):
-    """A random polynomial+trig curve and a parameter value where it is
-    comfortably nondegenerate with positive torsion.
-
-    The conditioning filters (torsion, curvature, speed bounded away from
-    zero) keep the sixth-root comparison meaningful in float arithmetic.
-    """
-    components, t, _, _ = _draw_curve(rng, max_tries)
-    return CurveDef(tuple(map(_component_tree, components)), -1.5, 1.5), t
-
-
 def transformed_surface(surface, matrix, shift):
     """A surface (or a curve) under X -> A X + b, applied at the expression
     level, so that it runs through the identical evaluation pipeline."""
@@ -276,9 +233,6 @@ def transformed_surface(surface, matrix, shift):
             acc = term if acc is None else BinOp("+", acc, term)
         comps.append(BinOp("+", acc, Const(float(shift[i]))))
     return replace(surface, components=tuple(comps))
-
-
-transformed_curve = transformed_surface
 
 
 # ---------------------------------------------------------------------------
@@ -441,22 +395,16 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
                           len(points), len(points))
 
 
-def _quadratic(c0, c1, c2):
-    """The tree of "(c0) + (c1)*t + (c2)*t^2"."""
-    return _sum([Const(c0), _times(c1, _T),
-                 _times(c2, BinOp("^", _T, Const(2.0)))])
-
-
 # the jet of t^2 at t = 0: the seed times itself, as eval_ast squares it
 _SQUARE_AT_0 = _product((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
 
 
 def _quadratic_path(c0, c1, c2):
     """(p, p', p'', p''') at t = 0 of p = "(c0) + (c1)*t + (c2)*t^2": the
-    coefficients eval_ast gives on _quadratic's tree over Jet1.seed(0.0,
-    3), by the same float operations in the same order.  There c1 t
-    scales the seed, c0 adds to its value, c2 t^2 scales the seed's
-    square, and the two terms add coefficientwise."""
+    coefficients eval_ast gives on the parsed tree of that expression
+    over Jet1.seed(0.0, 3), by the same float operations in the same
+    order.  There c1 t scales the seed, c0 adds to its value, c2 t^2
+    scales the seed's square, and the two terms add coefficientwise."""
     s0, s1, s2, s3 = _SQUARE_AT_0
     return ((0.0 * c1 + c0) + s0 * c2, 1.0 * c1 + s1 * c2,
             0.0 * c1 + s2 * c2, 0.0 * c1 + s3 * c2)

@@ -1,6 +1,6 @@
 """Shared numerical kernels: adaptive quadrature, Chebyshev interpolation
 with cumulative integration, adaptive ODE integration with event
-detection, a bracketing root finder, and finite differences.
+detection and a bracketing root finder.
 
 All kernels are deterministic: fixed evaluation order, no randomized
 subdivision.  The ODE integrator is the explicit Dormand-Prince 5(4) pair
@@ -33,7 +33,7 @@ __all__ = [
     "QuadResult", "quad_adaptive", "gk15_nodes",
     "ChebResult", "cheb_points", "cheb_cumulative",
     "OdeOptions", "OdeEvent", "OdeResult", "ode_solve",
-    "find_root_bracketed", "finite_diff",
+    "find_root_bracketed",
 ]
 
 # ---------------------------------------------------------------------------
@@ -695,35 +695,3 @@ def find_root_bracketed(f, lo, hi, tol=1e-12, max_iter=200, f_lo=None,
         b = b + (d if abs(d) > tol1 else math.copysign(tol1, xm))
         fb = f(b)
     return b
-
-
-# ---------------------------------------------------------------------------
-# finite differences (oracle for the jet kernels)
-
-_FD_DEFAULT_STEP = {1: 1e-4, 2: 2.5e-3, 3: 6e-3}
-
-
-def finite_diff(f, x, order=1, step=None):
-    """Central finite difference of f at x with one Richardson level.
-
-    Supports derivative orders 1..3; the extrapolated truncation error is
-    O(step^4).  The default steps sit near the roundoff/truncation optimum
-    for each order (cancellation grows like eps/step^order, so higher
-    orders need larger steps).
-    """
-    if order not in (1, 2, 3):
-        raise ValueError("finite_diff supports orders 1, 2, 3")
-    if step is None:
-        step = _FD_DEFAULT_STEP[order]
-
-    def stencil(h):
-        if order == 1:
-            return (f(x + h) - f(x - h)) / (2.0 * h)
-        if order == 2:
-            return (f(x + h) - 2.0 * f(x) + f(x - h)) / (h * h)
-        return (f(x + 2 * h) - 2.0 * f(x + h)
-                + 2.0 * f(x - h) - f(x - 2 * h)) / (2.0 * h ** 3)
-
-    coarse = stencil(step)
-    fine = stencil(step / 2.0)
-    return (4.0 * fine - coarse) / 3.0

@@ -26,20 +26,16 @@ from .errors import (
     DomainExit,
     IrregularPoint,
     SingularJacobian,
-    UnsupportedOrder,
-    ZeroDirection,
 )
 from .expr import MAX_SHAPES, _shape_of, eval_ast, parse_expression
-from .jets import MAX_ORDER_2, Jet2, cross3, det3, dot3
+from .jets import MAX_ORDER_2, Jet2, _check_order, cross3, det3, dot3
 
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "PointClassification",
-    "surface_jets", "fundamental_forms_euclid", "affine_lmn",
-    "gauss_curvature", "affine_first_fundamental", "forms_from_jets",
-    "lmn_from_jets", "gauss_from_forms", "form_from_jets",
-    "form_from_partials", "forms_from_partials",
-    "classify_from_jets", "iaff_apply", "normal_curvature", "classify_point",
-    "check_reparam_covariance", "CATALOG", "catalog_surface",
+    "surface_jets", "fundamental_forms_euclid", "gauss_curvature",
+    "affine_first_fundamental", "forms_from_jets", "lmn_from_jets",
+    "gauss_from_forms", "form_from_jets", "form_from_partials",
+    "forms_from_partials", "classify_from_jets", "CATALOG",
 ]
 
 #: relative threshold on ln - m^2, scaled by EG - F^2
@@ -139,14 +135,6 @@ class QuadForm:
     def det(self):
         return self.a * self.c - self.b * self.b
 
-    def definiteness(self, eps=0.0):
-        d = self.det
-        if d > eps:
-            return "positive" if self.a + self.c > 0.0 else "negative"
-        if d < -eps:
-            return "indefinite"
-        return "degenerate"
-
     def coefficients(self):
         return (self.a, self.b, self.c)
 
@@ -170,10 +158,6 @@ class PointClassification:
     discriminant: float  # raw ln - m^2
     threshold: float     # the epsilon it was compared against
 
-    @property
-    def margin(self):
-        return abs(self.discriminant) / self.threshold if self.threshold else math.inf
-
 
 def surface_jets(surface, u, v, order, check_domain=True):
     """Exact partial derivatives of the surface components, orders 1..3.
@@ -187,9 +171,7 @@ def surface_jets(surface, u, v, order, check_domain=True):
     recorded kernel (tape.record_shape), bit for bit the same, with
     eval_ast again wherever the kernel hands a point back.
     """
-    if not isinstance(order, int) or not 1 <= order <= MAX_ORDER_2:
-        raise UnsupportedOrder(
-            f"surface jets support orders 1..{MAX_ORDER_2}, got {order}")
+    _check_order(order, MAX_ORDER_2, "surface_jets")
     if check_domain and not surface.contains(u, v):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
@@ -250,13 +232,9 @@ def forms_from_partials(xu, xv, xuu, xuv, xvv, cross, u, v):
     return QuadForm(E, F, G), second, normal
 
 
-def affine_lmn(surface, u, v):
-    """The raw determinant form (l, m, n) as a QuadForm."""
-    return lmn_from_jets(surface_jets(surface, u, v, 2))
-
-
 def lmn_from_jets(jets):
-    """affine_lmn from already-evaluated surface jets (order >= 2)."""
+    """The raw determinant form (l, m, n) as a QuadForm, from
+    already-evaluated surface jets (order >= 2)."""
     return QuadForm(*_lmn_and_threshold(*_partials(jets))[:3])
 
 
@@ -317,30 +295,10 @@ def affine_first_fundamental(surface, u, v):
     return form_from_jets(surface_jets(surface, u, v, 2))
 
 
-def iaff_apply(form, du, dv):
-    """Evaluate a quadratic form on a parameter-plane direction."""
-    return form.apply(du, dv)
-
-
-def normal_curvature(surface, u, v, du, dv):
-    """II(du, dv) / I(du, dv) with the cross-product normal.
-
-    The sign follows the X_u x X_v normal; on charts whose affine form was
-    flipped (see affine_first_fundamental) the affine-aligned value is the
-    negative of this one.
-    """
-    if du == 0.0 and dv == 0.0:
-        raise ZeroDirection("normal curvature needs a nonzero direction")
-    first, second, _ = fundamental_forms_euclid(surface, u, v)
-    return second.apply(du, dv) / first.apply(du, dv)
-
-
-def classify_point(surface, u, v):
-    return classify_from_jets(surface_jets(surface, u, v, 2))
-
-
 def classify_from_jets(jets):
-    """classify_point from already-evaluated surface jets (order >= 2)."""
+    """The point's class, elliptic, hyperbolic or degenerate, by ln - m^2
+    against the (EG - F^2)-scaled threshold, from already-evaluated
+    surface jets (order >= 2)."""
     l, m, n, eps, _ = _lmn_and_threshold(*_partials(jets))
     disc = l * n - m * m
     if disc > eps:
@@ -381,17 +339,6 @@ def _reparam_discriminant(surface, u, v, jacobian):
     return lmn_from_jets([Jet2._make(2, row) for row in rows]).det, jdet
 
 
-def check_reparam_covariance(surface, u, v, jacobian):
-    """Transformation law of ln - m^2 under a linear change of parameters.
-
-    Evaluates the surface in new parameters (s, w) with (u, v) = (u, v) +
-    jacobian @ (s, w) and returns (lhs, rhs) where lhs is the transformed
-    discriminant at the origin and rhs = (ln - m^2) det(jacobian)^4.
-    """
-    lhs, jdet = _reparam_discriminant(surface, u, v, jacobian)
-    return lhs, affine_lmn(surface, u, v).det * jdet ** 4
-
-
 # ---------------------------------------------------------------------------
 # builtin surface catalog
 
@@ -412,12 +359,3 @@ _CATALOG_SPECS = {
 
 CATALOG = {name: SurfaceDef.from_strings(exprs, domain, name=name)
            for name, (exprs, domain) in _CATALOG_SPECS.items()}
-
-
-def catalog_surface(name):
-    try:
-        return CATALOG[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown surface {name!r}; catalog: {', '.join(sorted(CATALOG))}"
-        ) from None

@@ -310,9 +310,21 @@ def _seeds(kind, order, inputs):
 
 
 def _record(evaluate, order, kind, constants=()):
-    """make(*constants) -> the kernel of ``evaluate`` (record_kernel),
-    which is called with the jets of the kind's variables and then one
-    recorded float per name of ``constants``."""
+    """make(*constants) -> the kernel of ``evaluate``, recorded once as a
+    straight-line float function.
+
+    ``evaluate`` is called with the jets of the kind's variables at
+    ``order`` (the Jet2 seeds u and v, the Jet1 seed t, or the
+    reparametrized u and v), then one recorded float per name of
+    ``constants``, and maps them through the jets' own arithmetic to a
+    sequence of jets.  The kernel, kernel(u, v) or kernel(t) and so on,
+    returns one coefficient tuple per jet: the same float operations in
+    the same order, so each coefficient is what evaluate gives at the
+    float seeds, bit for bit.  It returns None where a value folded at
+    record time would not have been finite.  It calls the functions of
+    _phi's table directly, so where _phi would raise DomainError it
+    raises that, OverflowError or ValueError.  A branch on a value known
+    only at run time raises NotReplayable here."""
     names = _INPUTS[kind]
     tape = _Tape()
     inputs = [tape.node("in", (name,)) for name in names]
@@ -321,24 +333,6 @@ def _record(evaluate, order, kind, constants=()):
                                evaluate(*_seeds(kind, order, inputs),
                                         *bound)]),
                         names, constants)
-
-
-def record_kernel(evaluate, order, kind=Jet2):
-    """Record ``evaluate`` once as a straight-line float function.
-
-    ``evaluate(u, v)`` maps the Jet2 seeds u and v of ``order`` to a
-    sequence of Jet2s through the jets' own arithmetic; with ``kind``
-    Jet1, ``evaluate(t)`` maps the Jet1 seed t to a sequence of Jet1s.
-    The result is kernel(u, v), or kernel(t), -> one coefficient tuple
-    per jet: the same float operations in the same order, so each
-    coefficient is what evaluate gives at the float seeds, bit for bit.
-    The kernel returns None where a value folded at record time would not
-    have been finite.  It calls the functions of _phi's table directly, so
-    where _phi would raise DomainError it raises that, OverflowError or
-    ValueError.  A branch on a value known only at run time raises
-    NotReplayable here.
-    """
-    return _record(evaluate, order, kind)()
 
 
 def _tree(key, count):
@@ -398,12 +392,6 @@ def record_shape(shape, kind, order):
             del _KERNELS[next(iter(_KERNELS))]
         _KERNELS[key] = make
     return make and make(*values)
-
-
-def record_surface(components, order):
-    """The jet kernel (u, v) -> three coefficient tuples of a surface's
-    component trees at ``order``, or None (see record_shape)."""
-    return record_shape(_shape_of(components), Jet2, order)
 
 
 def record_curve(trees):

@@ -91,7 +91,8 @@ def residual(node):
 
 
 def condition_check(node):
-    """check_condition_euclidean at an order-3 node."""
+    """Both sides of the Euclidean-invariant curve condition, as
+    commensurate's ConditionCheck, at an order-3 node."""
     u_jet, v_jet, X, a = node
     u, v = u_jet.value, v_jet.value
 
@@ -119,9 +120,9 @@ def condition_check(node):
 
 
 class JetRouteCurve:
-    """``curve`` with its curve jets, and the columns affine_arclength
-    reads, taken off the Jet node; the induced side reads the curve's own
-    form_direction, which builds no node."""
+    """``curve`` with its curve jets, the columns affine_arclength reads
+    and the form and direction the induced side reads, all taken off the
+    Jet node."""
 
     def __init__(self, curve):
         self.curve = curve
@@ -135,7 +136,8 @@ class JetRouteCurve:
         return [[jet.coeffs[k] for jet in jets] for k in (1, 2, 3)]
 
     def form_direction(self, t):
-        return self.curve.form_direction(t)
+        u, v, X, _ = curve_node(self.curve, t)
+        return form_from_jets(X), u.coeffs[1], v.coeffs[1]
 
 
 def refuse_jet_route(patch, *others):

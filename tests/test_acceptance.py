@@ -8,20 +8,25 @@ import math
 
 import numpy as np
 import pytest
+from reference_routes import (
+    CurveDef,
+    check_reparam_covariance,
+    finite_diff,
+    sphere_reference_curve,
+)
 
 from affinemetrics.commensurate import (
     BREAKDOWN_SEEDS,
     CommensurateIVP,
     ParamCurve,
     TraceCurve,
-    check_condition_euclidean,
-    commensurate_residual_general,
+    _condition_check,
+    _sigma_integrand,
+    commensurate_residual,
     integrate_commensurate,
     induced_arclength,
-    induced_arclength_integrand,
-    sphere_reference_curve,
 )
-from affinemetrics.curvegeo import CurveDef, affine_arclength, affine_integrand
+from affinemetrics.curvegeo import affine_arclength, affine_integrand
 from affinemetrics.errors import AffineMetricsError
 from affinemetrics.identities import (
     integrand_routes_suite,
@@ -29,19 +34,16 @@ from affinemetrics.identities import (
     random_invertible_2x2,
     random_points,
     random_sl3,
-    transformed_curve,
     transformed_surface,
 )
 from affinemetrics.numerics import (
     OdeOptions,
-    finite_diff,
     ode_solve,
     quad_adaptive,
 )
 from affinemetrics.surfgeo import (
     CATALOG,
     affine_first_fundamental,
-    check_reparam_covariance,
     gauss_curvature,
 )
 
@@ -83,7 +85,7 @@ def test_criterion_02_spherical_helix_integrands():
     helix = ParamCurve.from_strings(surface, "8*t", "t", 0.0, 1.0)
     worst = 0.0
     for t in [k / 10.0 for k in range(11)]:
-        induced = induced_arclength_integrand(helix, t)
+        induced = _sigma_integrand(*helix.form_direction(t), 1.0)[0]
         expected = math.sqrt(1.0 + 64.0 * math.cos(t) ** 2)
         worst = max(worst, abs(induced - expected) / expected)
         affine = affine_integrand(helix, t)
@@ -166,17 +168,13 @@ def test_criterion_06_equiaffine_invariance():
             scale = max(abs(f0.a), abs(f0.b), abs(f0.c))
             worst = max(worst, max(abs(f0.a - f1.a), abs(f0.b - f1.b),
                                    abs(f0.c - f1.c)) / scale)
-            theta, omega, omega_dot = rng.uniform(-1.0, 1.0, size=3).tolist()
-            s, c = math.sin(theta), math.cos(theta)
-            derivs = (c, s, -omega * s, omega * c,
-                      -omega_dot * s - omega * omega * c,
-                      omega_dot * c - omega * omega * s)
-            r0 = commensurate_residual_general(surface, u, v, derivs)
-            r1 = commensurate_residual_general(moved_surface, u, v, derivs)
+            state = (u, v, *rng.uniform(-1.0, 1.0, size=3).tolist())
+            r0 = commensurate_residual(surface, state)
+            r1 = commensurate_residual(moved_surface, state)
             worst = max(worst, abs(r0 - r1) / max(abs(r0), abs(r1), 1.0))
         curve = curves[k % 2]
         t = float(rng.uniform(0.2, 1.0))
-        moved_curve = transformed_curve(curve, A, b)
+        moved_curve = transformed_surface(curve, A, b)
         i0 = affine_integrand(curve, t)
         i1 = affine_integrand(moved_curve, t)
         worst = max(worst, abs(i0 - i1) / i0)
@@ -227,8 +225,7 @@ def test_criterion_08_solver_self_consistency():
                 t = float(t)
                 omega_dot_fd = finite_diff(
                     lambda s: trace.state_at(s)[3], t, order=1, step=1e-3)
-                chk = check_condition_euclidean(tc, t,
-                                                omega_dot=omega_dot_fd)
+                chk, _ = _condition_check(tc.sample(t, omega_dot_fd))
                 worst_condition = max(worst_condition,
                                       abs(chk.lhs - chk.rhs))
     _report(8, "solver-residual-10-ivps", worst_residual, 1e-6)

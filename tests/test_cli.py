@@ -1,3 +1,4 @@
+import ast
 import csv
 import inspect
 import itertools
@@ -11,7 +12,8 @@ import jet_route
 import numpy as np
 import pytest
 
-from affinemetrics import surfgeo, tape
+from affinemetrics import cli, surfgeo, tape
+from affinemetrics import errors as package_errors
 from affinemetrics.cli import main
 from affinemetrics.errors import StepFailure
 from affinemetrics.jets import Jet2
@@ -125,7 +127,8 @@ class TestSurfaceInfo:
                     "--at", f"{at[0]!r},{at[1]!r}"]) == 0
         payload = json.loads(capsys.readouterr().out)
         first, second, _ = surfgeo.fundamental_forms_euclid(surface, *at)
-        lmn = surfgeo.affine_lmn(surface, *at)
+        jets = surfgeo.surface_jets(surface, *at, 2)
+        lmn = surfgeo.lmn_from_jets(jets)
         form = surfgeo.affine_first_fundamental(surface, *at)
         want = {"E": first.a, "F": first.b, "G": first.c,
                 "e": second.a, "f": second.b, "g": second.c,
@@ -133,7 +136,7 @@ class TestSurfaceInfo:
                 "K": surfgeo.gauss_curvature(surface, *at),
                 "iaff_a": form.a, "iaff_b": form.b, "iaff_c": form.c,
                 "iaff_flipped": form.flipped,
-                "classification": surfgeo.classify_point(surface, *at).kind}
+                "classification": surfgeo.classify_from_jets(jets).kind}
         assert {k: payload[k] for k in want} == want
 
 
@@ -423,6 +426,67 @@ class TestExitContract:
         assert len(errors) == 1 and "NonFiniteValue" in errors[0]
 
 
+def _raised_errors():
+    """Every AffineMetricsError subclass that a raise statement of the
+    package names."""
+    raised = set()
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(package_errors, getattr(exc, "id", ""), None)
+            if isinstance(cls, type) and issubclass(
+                    cls, package_errors.AffineMetricsError):
+                raised.add(cls)
+    return raised
+
+
+# the errors the package raises that cli.main does not map to an exit code,
+# each with the reason no command meets it
+INTERNAL_ERRORS = {
+    package_errors.OrderMismatch:
+        "jets of two orders meet only in the jets' own arithmetic; a "
+        "command builds jets of one order",
+    package_errors.UnsupportedOrder:
+        "the commands ask for jet orders 1 to 3 only",
+    package_errors.SingularDenominator:
+        "the solver's right-hand side catches it, and the "
+        "AsymptoticProximity events stop a trace before it",
+    package_errors.SingularJacobian:
+        "random_invertible_2x2 keeps |det| > 0.4",
+}
+
+
+class TestExitCodeMap:
+    """The exception classes of cli.main's exit-code map are the ones the
+    package raises."""
+
+    def test_every_mapped_error_is_raised(self):
+        raised = _raised_errors()
+        mapped = (package_errors.ExprError, package_errors.InvalidIVP,
+                  *cli._DEGENERATE_ERRORS, *cli._NUMERICAL_ERRORS)
+        assert [cls for cls in mapped if cls not in raised] == []
+        assert INTERNAL_ERRORS.keys() <= raised
+
+    def test_every_raised_error_has_an_exit_code(self, capsys, monkeypatch):
+        # each class the package raises, raised where surface-info
+        # evaluates its surface
+        for cls in sorted(_raised_errors(), key=lambda cls: cls.__name__):
+            def raising(*args, **kwargs):
+                raise cls.__new__(cls, "injected")
+
+            monkeypatch.setattr(surfgeo, "surface_jets", raising)
+            argv = ["surface-info", "--surface", "sphere", "--at", "0,0"]
+            if cls in INTERNAL_ERRORS:
+                with pytest.raises(cls):
+                    run(argv)
+                continue
+            assert run(argv) in (2, 3, 4, 5), cls
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "injected" in err, cls
+
+
 class TestArclenCompare:
     def test_spherical_helix_row_values(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere",
@@ -593,27 +657,25 @@ class TestArclenSharedNodes:
             points)
         quad = json.loads(capsys.readouterr().out)["quadrature"]
         # no point is evaluated twice: the sign branches are read off the
-        # first grid's nodes, the induced side reads the equiaffine side's
-        # order-3 nodes, and only the nodes of its own finer grid, if it
-        # has one, are order 2
+        # first grid's nodes, and both sides read one order-3 node at each
+        # node of the finer side's grid and at each of the six sample rows
+        # between them
         assert len(set(points)) == len(points)
-        extra = max(0, quad["sigma"]["points"] - quad["alpha"]["points"])
-        assert orders.count(2) == extra
-        assert orders.count(3) == quad["alpha"]["points"] + 6
+        grid = max(quad[side]["points"] for side in quad)
+        assert orders == [3] * (grid + 6)
 
-    def test_degenerate_alpha_evaluates_order_two(self, capsys, monkeypatch):
+    def test_degenerate_alpha_evaluates_order_three(self, capsys,
+                                                    monkeypatch):
         orders = _surface_jet_orders(monkeypatch, [
             "arclen-compare", "--surface", "sphere", "--curve", "t;0",
             "--t-range", "0:1", "--samples=3", "--format=json"])
         quad = json.loads(capsys.readouterr().out)["quadrature"]
-        # the first grid's nine nodes at order 3, which find the
-        # determinant degenerate at each, then the induced side alone: it
-        # reads those nine and evaluates each node of its finer grids at
-        # order 2; the sample rows at t = 0, 0.5 and 1 are nodes of every
-        # grid and evaluate nothing more
-        assert orders[:9] == [3] * 9
-        assert set(orders[9:]) <= {2}
-        assert len(orders) == quad["sigma"]["points"]
+        # the first grid's nine nodes, which find the determinant
+        # degenerate at each, then the induced side alone: it reads those
+        # nine and evaluates each node of its finer grids, if any, once;
+        # the sample rows at t = 0, 0.5 and 1 are nodes of every grid and
+        # evaluate nothing more
+        assert orders == [3] * quad["sigma"]["points"]
 
     @pytest.mark.parametrize("surface,curve,t_range", FALLBACK_CURVES)
     def test_fallback_sums_are_the_standalone_sums(self, capsys, monkeypatch,
@@ -1101,22 +1163,19 @@ class TestRecordedCurveKernels:
         assert (run(argv), capsys.readouterr()) == got
 
     def test_one_node_records_nothing(self, recorded):
-        # one order-3 node of a fresh curve, as check_condition_euclidean
-        # reads it: a curve's own node never records its path
-        from affinemetrics.commensurate import (
-            ParamCurve,
-            check_condition_euclidean,
-        )
+        # one order-3 node of a fresh curve: a curve's own node never
+        # records its path
+        from affinemetrics.commensurate import ParamCurve
 
         pc = ParamCurve.from_strings(CATALOG["sphere"], "0.3 + 0.2*t",
                                      "0.1 - 0.5*t + t^2", -0.1, 0.1)
-        check_condition_euclidean(pc, 0.0)
+        pc.sample(0.0)
         assert recorded == []
 
     @pytest.mark.parametrize("surface, u, v, samples", [
         ("sphere", "8*t", "t", 50),
         # a benchmark item whose induced side needs 17 points and the
-        # equiaffine side 9: eight nodes evaluate only the order-2 form
+        # equiaffine side 9: eight nodes serve the induced side alone
         ("hyperbolic-paraboloid", "(-0.3258) + (-1.1168)*t + (0.0233)*t^2",
          "(-0.0180) + (0.3164)*t + (0.3152)*t^2", 8),
     ], ids=["readme", "form-only-nodes"])

@@ -4,6 +4,7 @@ import sys
 import jet_route
 import numpy as np
 import pytest
+from reference_routes import finite_diff, sphere_reference_curve
 
 from affinemetrics.commensurate import (
     BREAKDOWN_SEEDS,
@@ -11,16 +12,16 @@ from affinemetrics.commensurate import (
     NodeTable,
     ParamCurve,
     TraceCurve,
+    _condition_check,
     _condition_parts,
-    check_condition_euclidean,
+    _node_residual,
+    _path_node,
+    _sigma_integrand,
     commensurate_residual,
-    commensurate_residual_general,
     induced_arclength,
-    induced_arclength_integrand,
     integrate_commensurate,
     run_family,
     solve_theta_dd,
-    sphere_reference_curve,
 )
 from affinemetrics.curvegeo import affine_arclength
 from affinemetrics.errors import (
@@ -39,10 +40,11 @@ from affinemetrics.jets import (
     det3,
     dot3,
 )
-from affinemetrics.numerics import finite_diff, quad_adaptive
+from affinemetrics.numerics import quad_adaptive
 from affinemetrics.surfgeo import (
     CATALOG,
     SurfaceDef,
+    affine_first_fundamental,
     form_from_jets,
     surface_jets,
 )
@@ -61,20 +63,42 @@ RULING = ParamCurve.from_strings(HELICOID, "t", "0.5", 0.0, 2.0)
 SPIRAL = ParamCurve.from_strings(HELICOID, "t", "pi*t", 0.0, 1.5)
 
 
+def _sigma(pc, t):
+    """The induced integrand sqrt(form(a')) at t, on the positive
+    branch."""
+    return _sigma_integrand(*pc.form_direction(t), 1.0)[0]
+
+
+def _check(pc, t, *omega_dot):
+    """Both sides of the Euclidean-invariant condition at the node at t;
+    a trace curve's node takes theta'' = ``omega_dot`` where it is
+    given."""
+    return _condition_check(pc.sample(t, *omega_dot))[0]
+
+
+def _residual_general(surface, u, v, derivs):
+    """det[a', a'', a'''] - [form(a')]^3 at the float node of the
+    parameter path with derivatives (u', v', u'', v'', u''', v''') at
+    (u, v)."""
+    u1, v1, u2, v2, u3, v3 = derivs
+    node = _path_node(surface, (u, u1, u2, u3), (v, v1, v2, v3))
+    return _node_residual(node, form_from_jets(node[2]))
+
+
 class TestInducedArcLength:
     def test_great_circle_unit_integrand(self):
         for t in (0.0, 0.7, 2.0):
-            assert induced_arclength_integrand(GREAT_CIRCLE, t) \
+            assert _sigma(GREAT_CIRCLE, t) \
                 == pytest.approx(1.0, rel=1e-13)
 
     def test_spherical_helix_integrand(self):
         for t in np.linspace(0.0, 1.0, 7):
             expected = math.sqrt(1.0 + 64.0 * math.cos(t) ** 2)
-            assert induced_arclength_integrand(SPH_HELIX, float(t)) \
+            assert _sigma(SPH_HELIX, float(t)) \
                 == pytest.approx(expected, rel=1e-12)
 
     def test_ruling_measures_zero(self):
-        assert induced_arclength_integrand(RULING, 0.5) == 0.0
+        assert _sigma(RULING, 0.5) == 0.0
         res = induced_arclength(RULING, 0.0, 2.0)
         assert res.value == 0.0
         assert res.degenerate
@@ -87,7 +111,7 @@ class TestInducedArcLength:
         # the spiral runs in the negative cone of the helicoid's
         # indefinite form: the default orientation refuses it...
         with pytest.raises(NegativeForm):
-            induced_arclength_integrand(SPIRAL, 0.5)
+            _sigma(SPIRAL, 0.5)
         # ...and the auto-oriented arc length measures sqrt(2 pi) t
         res = induced_arclength(SPIRAL, 0.0, 1.0)
         assert res.value == pytest.approx(SQRT_2PI, abs=1e-9)
@@ -106,6 +130,11 @@ class TestNodeTable:
             assert [j.coeffs for j in jets] \
                 == [j.coeffs for j in jet_route.curve_node(pc, t)[3]]
             # the form read off the order-3 entry is the order-2 one
+            form, du, dv = table.form_direction(t)
+            u, v = pc.param_jets(t, 1)
+            assert form == affine_first_fundamental(pc.surface, u.value,
+                                                    v.value)
+            assert (du, dv) == (u.coeffs[1], v.coeffs[1])
             assert table.form_direction(t) == pc.form_direction(t)
         table.clear()
         assert table.form_direction(0.45) == pc.form_direction(0.45)
@@ -128,7 +157,7 @@ class TestNodeTable:
 
     def test_probe_costs_no_extra_evaluation(self, jet_orders):
         res = induced_arclength(SPIRAL, 0.0, 1.0)
-        assert jet_orders == [2] * res.evaluations
+        assert jet_orders == [3] * res.evaluations
 
     def test_nodes_evaluated_once_for_both_arc_lengths(self, jet_orders):
         table = NodeTable(SPH_HELIX)
@@ -176,12 +205,12 @@ def _node_bits(node):
 
 class TestResidual:
     def test_great_circle_residual(self):
-        r = commensurate_residual_general(
+        r = _residual_general(
             SPHERE, 0.0, 0.0, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
         assert r == pytest.approx(-1.0, rel=1e-12)
 
     def test_helical_spiral_residual(self):
-        r = commensurate_residual_general(
+        r = _residual_general(
             HELICOID, 0.0, 0.0, (1.0, math.pi, 0.0, 0.0, 0.0, 0.0))
         assert r == pytest.approx(SPIRAL_RESIDUAL_AT_0, rel=1e-12)
 
@@ -391,14 +420,14 @@ class TestStateGeometry:
 
 
 def _jet_residual_general(surface, u, v, derivs):
-    """commensurate_residual_general on the Jet route."""
+    """_residual_general on the Jet route."""
     u1, v1, u2, v2, u3, v3 = derivs
     return jet_route.residual(jet_route.node(
         surface, Jet1((u, u1, u2, u3)), Jet1((v, v1, v2, v3))))
 
 
 def _jet_check(curve, t):
-    """check_condition_euclidean on the Jet route."""
+    """_check on the Jet route."""
     return jet_route.condition_check(jet_route.curve_node(curve, t))
 
 
@@ -429,7 +458,7 @@ class TestFloatNodes:
         ts = [0.1, 0.45, 0.9]
         with monkeypatch.context() as patch:
             jet_route.refuse_jet_route(patch)
-            got = [_outcome(check_condition_euclidean, pc, t)
+            got = [_outcome(_check, pc, t)
                    for pc in curves for t in ts]
         assert got == [_outcome(_jet_check, pc, t)
                        for pc in curves for t in ts]
@@ -441,8 +470,8 @@ class TestFloatNodes:
         ts = np.linspace(0.0, 0.5, 6).tolist()
         with monkeypatch.context() as patch:
             jet_route.refuse_jet_route(patch)
-            got = [(check_condition_euclidean(tc, t),
-                    check_condition_euclidean(tc, t, omega_dot=0.1),
+            got = [(_check(tc, t),
+                    _check(tc, t, 0.1),
                     [jet.coeffs for jet in tc.curve_jets(t, 3)])
                    for t in ts]
         assert got == [
@@ -463,7 +492,7 @@ class TestFloatNodes:
                     tuple(rng.uniform(-2.0, 2.0, size=6).tolist())))
         with monkeypatch.context() as patch:
             jet_route.refuse_jet_route(patch)
-            got = [_outcome(commensurate_residual_general, *case)
+            got = [_outcome(_residual_general, *case)
                    for case in cases]
         assert got == [_outcome(_jet_residual_general, *case)
                        for case in cases]
@@ -554,8 +583,8 @@ class TestIntegration:
 
 def _geodesic_curvature_and_speed(curve, t):
     """kappa_g = det[a, a', a''] / |a'|^3 and |a'| of a curve in the unit
-    sphere, where the position a is the unit normal.  Needs no theta'',
-    so it does not read the curve condition."""
+    sphere, where the position a is the unit normal.  a' and a'' do not
+    depend on theta'', so the values do not read the curve condition."""
     a = curve.curve_jets(t, 2)
     p, d1, d2 = ([comp.coeffs[k] for comp in a] for k in (0, 1, 2))
     speed = math.sqrt(dot3(d1, d1))
@@ -862,7 +891,7 @@ class TestConditionEquivalence:
             u, v = pc.param_jets(float(t), 3)
             derivs = (u.coeffs[1], v.coeffs[1], u.coeffs[2], v.coeffs[2],
                       u.coeffs[3], v.coeffs[3])
-            worst = max(worst, abs(commensurate_residual_general(
+            worst = max(worst, abs(_residual_general(
                 PARABOLOID, u.value, v.value, derivs)))
         assert worst > 1e-2
         s_alpha = affine_arclength(pc, 0.1, 0.9).value
@@ -890,7 +919,7 @@ class TestConditionEquivalence:
             lambda s: affine_integrand(tc, phi(s)) * phi_prime(s), a, b,
             rel_tol=1e-9, abs_tol=1e-11).value
         s_sigma = quad_adaptive(
-            lambda s: induced_arclength_integrand(tc, phi(s)) * phi_prime(s),
+            lambda s: _sigma(tc, phi(s)) * phi_prime(s),
             a, b, rel_tol=1e-9, abs_tol=1e-11).value
         assert s_alpha == pytest.approx(s_sigma, abs=5e-7)
 
@@ -902,7 +931,7 @@ class TestConditionCheck:
         trace = integrate_commensurate(ivp)
         tc = TraceCurve(trace)
         for t in np.linspace(0.1, 0.9, 5):
-            chk = check_condition_euclidean(tc, float(t))
+            chk = _check(tc, float(t))
             assert abs(chk.lhs - chk.rhs) \
                 <= 1e-6 * max(abs(chk.lhs), abs(chk.rhs), 1.0)
 
@@ -918,14 +947,14 @@ class TestConditionCheck:
 
         for module in (commensurate, surfgeo):
             monkeypatch.setattr(module, "surface_jets", counting)
-        check_condition_euclidean(SPH_HELIX, 0.4)
+        _check(SPH_HELIX, 0.4)
         assert orders == [3]
 
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, omega0=0.5,
                               t_span=(0.0, 0.3))
         tc = TraceCurve(integrate_commensurate(ivp))
         orders.clear()
-        check_condition_euclidean(tc, 0.2, omega_dot=0.1)
+        _check(tc, 0.2, 0.1)
         assert orders == [3]
 
     def test_trace_curve_evaluates_each_point_once(self, monkeypatch):
@@ -946,7 +975,7 @@ class TestConditionCheck:
         jets = tc.curve_jets(0.1, 3)
         assert orders == [3]
         orders.clear()
-        check_condition_euclidean(tc, 0.1)
+        _check(tc, 0.1)
         assert orders == [3]
         # the same jets as solving for theta'' and then evaluating the
         # surface jets again, as the generic curve-in-surface path does
@@ -975,12 +1004,12 @@ class TestConditionCheck:
                 tc.curve_jets(0.2, order)
 
     def test_great_circle_not_commensurate(self):
-        chk = check_condition_euclidean(GREAT_CIRCLE, 0.5)
+        chk = _check(GREAT_CIRCLE, 0.5)
         assert chk.lhs == pytest.approx(0.0, abs=1e-12)
         assert chk.rhs == pytest.approx(1.0, rel=1e-12)
 
     def test_ruling_degenerate_flag(self):
-        chk = check_condition_euclidean(RULING, 0.5)
+        chk = _check(RULING, 0.5)
         assert chk.degenerate
         assert chk.lhs == 0.0
 

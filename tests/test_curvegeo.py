@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from reference_routes import (
+    CurveDef,
+    curve_jets,
+    draw_component,
+    random_nondegenerate_curve,
+)
 
 from affinemetrics import identities as idn
 from affinemetrics.curvegeo import (
     EPS_DEGENERATE,
-    CurveDef,
     _columns,
     _det_and_scale,
     _frenet_invariants,
     affine_arclength,
     affine_integrand,
     affine_integrand_via_euclidean,
-    curve_jets,
     euclidean_frenet,
     frenet_from_jets,
 )
@@ -29,9 +33,8 @@ from affinemetrics.errors import (
 )
 from affinemetrics.identities import (
     integrand_routes_suite,
-    random_nondegenerate_curve,
     random_sl3,
-    transformed_curve,
+    transformed_surface,
 )
 from affinemetrics.jets import cross3
 
@@ -205,7 +208,7 @@ class TestSplitFrenet:
         rng = np.random.default_rng(17)
         accepted = 0
         for _ in range(1000):
-            components = tuple(idn._draw_component(rng) for _ in range(3))
+            components = tuple(draw_component(rng) for _ in range(3))
             t = float(rng.uniform(-1.0, 1.0))
             accepted += self.assert_same(idn._poly_trig_jets(components, t),
                                          t)
@@ -246,7 +249,7 @@ class TestInvarianceProperties:
         for _ in range(5):
             A = random_sl3(rng)
             b = rng.uniform(-1.0, 1.0, size=3)
-            moved = transformed_curve(TWISTED_CUBIC, A, b)
+            moved = transformed_surface(TWISTED_CUBIC, A, b)
             assert affine_integrand(moved, 0.6) == pytest.approx(
                 affine_integrand(TWISTED_CUBIC, 0.6), rel=1e-9)
             got = affine_arclength(moved, 0.0, 1.0).value
@@ -260,7 +263,7 @@ class TestInvarianceProperties:
             if np.linalg.det(q) < 0:
                 q[:, 0] = -q[:, 0]
             b = rng.uniform(-1.0, 1.0, size=3)
-            moved = transformed_curve(HELIX, q, b)
+            moved = transformed_surface(HELIX, q, b)
             fr0 = euclidean_frenet(HELIX, 0.3)
             fr1 = euclidean_frenet(moved, 0.3)
             assert fr1.kappa == pytest.approx(fr0.kappa, rel=1e-10)

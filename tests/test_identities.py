@@ -2,11 +2,11 @@
 
 Random curves are drawn as coefficients.  The integrand suite reads their
 jets off a straight-line kernel, which must give, bit for bit, what the
-curves' expression trees give under eval_ast; the trees, built only when
-a caller asks for the curve, must equal the parsed written forms, which
-are kept here as references.  The condition suite's parameter paths are
-coefficients too, with _quadratic's tree as the reference of their
-kernel.  Every draw is a scaled rng.random draw, which must equal numpy's
+curves' expression trees give under eval_ast; the trees, which the
+reference_routes helper builds, must equal the parsed written forms,
+which are kept here as references.  The condition suite's parameter
+paths are coefficients too, with the helper's quadratic tree as the
+reference of their kernel.  Every draw is a scaled rng.random draw, which must equal numpy's
 rng.uniform bit for bit.  The golden lines pin the check-identities
 output to what the string-built samples printed.
 """
@@ -17,12 +17,13 @@ import sys
 import jet_route
 import numpy as np
 import pytest
+import reference_routes as ref
 
 from affinemetrics import expr, surfgeo
 from affinemetrics import identities as idn
 from affinemetrics.cli import main
 from affinemetrics.commensurate import ParamCurve
-from affinemetrics.curvegeo import CurveDef, curve_jets, frenet_from_jets
+from affinemetrics.curvegeo import frenet_from_jets
 from affinemetrics.errors import AffineMetricsError
 from affinemetrics.expr import (
     BinOp,
@@ -77,7 +78,7 @@ class TestBuiltTrees:
         built_rng = np.random.default_rng(seed)
         string_rng = np.random.default_rng(seed)
         for _ in range(6):
-            built = idn._poly_trig_component(built_rng)
+            built = ref.poly_trig_component(built_rng)
             parsed = parse_expression(poly_trig_string(string_rng), {"t"})
             assert built == fold_negated_constants(parsed)
             assert_same_values(built, parsed)
@@ -90,7 +91,7 @@ class TestBuiltTrees:
         for _ in range(6):
             c0 = float(rng.uniform(-12.0, 12.0))
             c1, c2 = rng.uniform(-1.0, 1.0, size=2).tolist()
-            built = idn._quadratic(c0, c1, c2)
+            built = ref.quadratic(c0, c1, c2)
             parsed = parse_expression(quadratic_string(c0, c1, c2), {"t"})
             assert built == fold_negated_constants(parsed)
             assert_same_values(built, parsed)
@@ -105,10 +106,10 @@ def tree_route_draw(rng, max_tries=50):
     """The curve draw as it was made from expression trees: three
     components, then t, with the jets from eval_ast."""
     for _ in range(max_tries):
-        curve = CurveDef(tuple(idn._poly_trig_component(rng)
+        curve = ref.CurveDef(tuple(ref.poly_trig_component(rng)
                                for _ in range(3)), -1.5, 1.5)
         t = float(rng.uniform(-1.0, 1.0))
-        jets = curve_jets(curve, t, 3)
+        jets = ref.curve_jets(curve, t, 3)
         try:
             fr = frenet_from_jets(jets, t)
         except AffineMetricsError:
@@ -124,8 +125,8 @@ class TestCurveKernel:
     def test_kernel_jets_equal_tree_evaluation(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(100):
-            components = tuple(idn._draw_component(rng) for _ in range(3))
-            trees = [idn._component_tree(c) for c in components]
+            components = tuple(ref.draw_component(rng) for _ in range(3))
+            trees = [ref.component_tree(c) for c in components]
             drawn = float(rng.uniform(-1.0, 1.0))
             for t in (drawn, -drawn, 0.0, -1.4, 1.3):
                 seed_jet = {"t": Jet1.seed(t, 3)}
@@ -140,13 +141,13 @@ class TestCurveKernel:
         tree_rng = np.random.default_rng(seed)
         for _ in range(8):
             components, t, jets, _ = idn._draw_curve(kernel_rng)
-            curve, t_curve = idn.random_nondegenerate_curve(curve_rng)
+            curve, t_curve = ref.random_nondegenerate_curve(curve_rng)
             tree_curve, t_tree, tree_jets = tree_route_draw(tree_rng)
             assert t == t_curve == t_tree
             assert curve == tree_curve
-            assert curve.components == tuple(map(idn._component_tree,
+            assert curve.components == tuple(map(ref.component_tree,
                                                  components))
-            assert (coefficient_reprs(curve_jets(curve, t, 3))
+            assert (coefficient_reprs(ref.curve_jets(curve, t, 3))
                     == coefficient_reprs(jets)
                     == coefficient_reprs(tree_jets))
         # all three routes draw the same numbers in the same order
@@ -244,7 +245,7 @@ class TestUniformDraws:
             lambda rng: idn.reparam_law_suite(surface, rng, 10),
             lambda rng: idn.condition_routes_suite(surface, rng, 10),
             lambda rng: idn.reference_form_suite(surface, name, rng, 10),
-            lambda rng: idn.random_nondegenerate_curve(rng),
+            lambda rng: ref.random_nondegenerate_curve(rng),
         ]
         for run in runs:
             # a uniform call would raise AttributeError
@@ -263,14 +264,13 @@ class TestQuadraticKernel:
                 if pick < 2:
                     coeffs[k] = (0.0, -0.0)[pick]
             kernel = idn._quadratic_path(*coeffs)
-            tree = eval_ast(idn._quadratic(*coeffs), seed_jet)
+            tree = eval_ast(ref.quadratic(*coeffs), seed_jet)
             assert tree.order == 3
             assert (coefficient_reprs([Jet1(kernel)])
                     == coefficient_reprs([tree]))
 
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
     def test_condition_suite_builds_no_tree(self, monkeypatch, name):
-        trees = record_calls(monkeypatch, idn, "_quadratic")
         paths = []
         original = ParamCurve.param_jets
 
@@ -282,7 +282,6 @@ class TestQuadraticKernel:
         report = idn.condition_routes_suite(surfgeo.CATALOG[name],
                                             np.random.default_rng(6), 12)
         assert report.samples > 0
-        assert trees == []
         assert paths == []
 
 
@@ -297,8 +296,8 @@ def condition_suite_by_trees(surface, rng, samples, tolerance=1e-8):
         c1u, c2u, c1v, c2v = rng.uniform(-1.0, 1.0, size=4).tolist()
         if math.hypot(c1u, c1v) < 0.3:
             continue
-        pc = ParamCurve(surface, idn._quadratic(u, c1u, c2u),
-                        idn._quadratic(v, c1v, c2v), -0.1, 0.1)
+        pc = ParamCurve(surface, ref.quadratic(u, c1u, c2u),
+                        ref.quadratic(v, c1v, c2v), -0.1, 0.1)
         try:
             node = jet_route.curve_node(pc, 0.0)
             residual = jet_route.residual(node)
@@ -431,11 +430,9 @@ class TestEvaluationCounts:
 
     def test_integrand_suite_builds_and_walks_no_tree(self, monkeypatch):
         walks = record_calls(monkeypatch, expr, "eval_ast")
-        builds = record_calls(monkeypatch, idn, "_poly_trig_component")
         report = idn.integrand_routes_suite(np.random.default_rng(4), 20)
         assert report.samples == 20 and report.passed
         assert walks == []
-        assert builds == []
 
     @pytest.mark.parametrize("suite", [idn.lmn_route_suite,
                                        idn.form_routes_suite,

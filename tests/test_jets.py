@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_routes import finite_diff
 
 from affinemetrics import jets, tape
 from affinemetrics.errors import DomainError, OrderMismatch, UnsupportedOrder
 from affinemetrics.expr import eval_ast, parse_expression, pretty
 from affinemetrics.jets import Jet1, Jet2, compose_curve_in_surface, det3
-from affinemetrics.numerics import finite_diff
 from affinemetrics.surfgeo import CATALOG, surface_jets
 
 
@@ -503,7 +503,7 @@ class TestTapeFolds:
                         return [Jet2._make(1, uses(r))]
 
                     try:
-                        kernel = tape.record_kernel(evaluate, 1)
+                        kernel = tape._record(evaluate, 1, Jet2)()
                     except tape.NotReplayable:      # inf or nan in the code
                         continue
                     for u, v in itertools.product(self.VALUES, repeat=2):
@@ -518,7 +518,7 @@ class TestTapeFolds:
 
 
 class TestRecordedKernelOracle:
-    """tape.record_kernel on the seeded random expressions of the sympy
+    """tape's recording on the seeded random expressions of the sympy
     oracle, bit for bit against eval_ast over Jet2 seeds (a nan equal to
     any nan), at points that include signed zeros.  A recording fails only
     on abs, which branches on the value; the kernel returns None only
@@ -551,7 +551,7 @@ class TestRecordedKernelOracle:
 
             for order in (1, 2, 3):
                 try:
-                    kernel = tape.record_kernel(evaluate, order)
+                    kernel = tape._record(evaluate, order, Jet2)()
                 except tape.NotReplayable:
                     assert "abs(" in source
                     continue

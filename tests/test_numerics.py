@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_routes import finite_diff
 
 from affinemetrics.errors import (
     MaxSteps,
@@ -18,7 +19,6 @@ from affinemetrics.numerics import (
     cheb_cumulative,
     cheb_points,
     find_root_bracketed,
-    finite_diff,
     ode_solve,
     quad_adaptive,
 )
