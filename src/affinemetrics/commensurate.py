@@ -690,10 +690,6 @@ class SolutionTrace:
     max_residual: float
     ode_result: object = field(repr=False, default=None)
 
-    @property
-    def completed(self):
-        return self.termination == "completed"
-
     def state_at(self, t):
         """(u, v, theta, omega) at t, floats from the solve's dense output."""
         return self.ode_result.interpolate(t)

@@ -55,10 +55,6 @@ class FrenetData:
     kappa: float
     tau: float | None
 
-    @property
-    def tau_defined(self):
-        return self.tau is not None
-
 
 @dataclass(frozen=True)
 class ArcLength:

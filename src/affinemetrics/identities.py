@@ -18,10 +18,12 @@ walk (surfgeo), never from the jets' chain rule that the two suites
 check.
 
 The generators are numpy's.  Every uniform draw is a scaled rng.random
-draw (_uniform), bit for bit what rng.uniform gives for the same bounds,
-and each sample takes all its numbers from one rng.random call.  The
-functions that build arrays import numpy themselves, so importing this
-module (as the CLI does) does not load it.
+draw (_uniform), bit for bit what rng.uniform gives for the same bounds;
+each sample takes all its numbers from one rng.random call, and so does
+each round of sample points.  The integrand suite reflects a curve with
+negative torsion instead of drawing again, so nearly every try is a
+sample.  The functions that build arrays import numpy themselves, so
+importing this module (as the CLI does) does not load it.
 """
 
 from __future__ import annotations
@@ -144,13 +146,14 @@ def random_invertible_2x2(rng):
 
 def random_points(surface, rng, count, margin=0.02):
     """``count`` points (u, v) inside the domain less ``margin`` of each
-    side: the us, then the vs, from one rng.random call."""
+    side, from one rng.random call: consecutive numbers pair as (u, v), so
+    the points are those of ``count`` one-point calls."""
     du = surface.u_max - surface.u_min
     dv = surface.v_max - surface.v_min
     units = rng.random(2 * count).tolist()
-    us = _scaled(units[:count], surface.u_min + margin * du,
+    us = _scaled(units[0::2], surface.u_min + margin * du,
                  surface.u_max - margin * du)
-    vs = _scaled(units[count:], surface.v_min + margin * dv,
+    vs = _scaled(units[1::2], surface.v_min + margin * dv,
                  surface.v_max - margin * dv)
     return list(zip(us, vs))
 
@@ -198,6 +201,17 @@ def _poly_trig_jets(components, t):
     return tuple(jets)
 
 
+def _reflected(components, jets):
+    """The curve's coefficients and jets under z -> -z: the z component's
+    seven non-frequency coefficients and its jet negated.  Negation
+    commutes with every float operation of _poly_trig_jets, so the jets
+    are those of the reflected coefficients."""
+    *xy, z = components
+    *xy_jets, z_jet = jets
+    z = (*[-c for c in z[:7]], *z[7:])
+    return (*xy, z), (*xy_jets, -z_jet)
+
+
 def _draw_curve(rng, max_tries=50):
     """(component coefficients, t, order-3 jets at t, (speed, kappa, tau)
     at t) of a random polynomial+trig curve and a parameter value where it
@@ -205,7 +219,10 @@ def _draw_curve(rng, max_tries=50):
     evaluated once.  The conditioning filters (torsion, curvature, speed
     bounded away from zero) keep the sixth-root comparison meaningful in
     float arithmetic.  Each try draws the three components' coefficients,
-    then t in [-1, 1), from one rng.random call."""
+    then t in [-1, 1), from one rng.random call.  A try with torsion below
+    -1e-3 is reflected in z -> -z, which negates tau and keeps speed and
+    kappa; the coefficient ranges are symmetric, so the reflected curve
+    is a draw from the same distribution."""
     for _ in range(max_tries):
         units = rng.random(28).tolist()
         components = tuple(_component_coeffs(units[k:k + 9])
@@ -216,9 +233,13 @@ def _draw_curve(rng, max_tries=50):
             speed, kappa, tau = _frenet_invariants(*_columns(jets), t)
         except AffineMetricsError:
             continue
-        if (tau is not None and tau > 1e-3
-                and 1e-3 < kappa < 1e3 and 1e-2 < speed < 1e2):
-            return components, t, jets, (speed, kappa, tau)
+        if (tau is None or abs(tau) <= 1e-3
+                or not (1e-3 < kappa < 1e3 and 1e-2 < speed < 1e2)):
+            continue
+        if tau < 0.0:
+            components, jets = _reflected(components, jets)
+            tau = -tau
+        return components, t, jets, (speed, kappa, tau)
     raise RuntimeError("could not draw a well-conditioned curve")
 
 
@@ -281,31 +302,44 @@ class _Point(NamedTuple):
 
 
 def _regular_nondegenerate_points(surface, rng, count):
+    """Up to ``count`` regular nondegenerate points, from at most 50 count
+    drawn candidates.  Each round draws the candidates still missing, at
+    most the tries left, in one random_points call; a round adds at most
+    the points missing, so the rounds draw the numbers that drawing one
+    candidate at a time until ``count`` points are found would draw."""
     points = []
-    tries = 0
-    while len(points) < count and tries < 50 * count:
-        tries += 1
-        (u, v), = random_points(surface, rng, 1)
-        try:
-            jets = surface_jets(surface, u, v, 2)
-        except AffineMetricsError:
-            continue
-        # a non-finite surface ends the run, as in the other commands; its
-        # deviations would be nan or 0 * inf
-        x, y, z = jets
-        if not all(map(math.isfinite, x.coeffs + y.coeffs + z.coeffs)):
-            raise NonFiniteValue(
-                f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
-        partials = _partials(jets)
-        try:
-            a, b, c, disc, flipped, cross, lmn = form_from_partials(
-                *partials)
-            first, second, _ = forms_from_partials(*partials, cross, u, v)
-        except AffineMetricsError:
-            continue
-        form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
-        points.append(_Point(u, v, lmn, form, first, second))
+    tries_left = 50 * count
+    while len(points) < count and tries_left > 0:
+        k = min(count - len(points), tries_left)
+        tries_left -= k
+        for u, v in random_points(surface, rng, k):
+            point = _regular_point(surface, u, v)
+            if point is not None:
+                points.append(point)
     return points
+
+
+def _regular_point(surface, u, v):
+    """The _Point at (u, v), or None where the surface is singular or its
+    form degenerate there."""
+    try:
+        jets = surface_jets(surface, u, v, 2)
+    except AffineMetricsError:
+        return None
+    # a non-finite surface ends the run, as in the other commands; its
+    # deviations would be nan or 0 * inf
+    x, y, z = jets
+    if not all(map(math.isfinite, x.coeffs + y.coeffs + z.coeffs)):
+        raise NonFiniteValue(
+            f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
+    partials = _partials(jets)
+    try:
+        a, b, c, disc, flipped, cross, lmn = form_from_partials(*partials)
+        first, second, _ = forms_from_partials(*partials, cross, u, v)
+    except AffineMetricsError:
+        return None
+    form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
+    return _Point(u, v, lmn, form, first, second)
 
 
 def lmn_route_suite(surface, rng, samples, tolerance=1e-10):

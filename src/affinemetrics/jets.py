@@ -474,14 +474,6 @@ class Jet2(_Jet):
         return cls._make(order,
                          (float(value),) + (0.0,) * (len(_IDX2[order]) - 1))
 
-    def partial(self, i, j):
-        """Raw partial derivative d^{i+j}f/du^i dv^j."""
-        try:
-            return self.coeffs[_POS2[self.order][(i, j)]]
-        except KeyError:
-            raise OrderMismatch(
-                f"partial ({i},{j}) exceeds jet order {self.order}") from None
-
     def __repr__(self):
         return f"Jet2(order={self.order}, {list(self.coeffs)!r})"
 

@@ -504,7 +504,8 @@ def _initial_step(rhs, t0, y0, f0, h_max, rel_tol, abs_tol):
 
 def ode_solve(f, y0, t_span, opts=None):
     """Integrate y' = f(t, y) over t_span with the Dormand-Prince 5(4)
-    pair, adaptive step control and dense event location.
+    pair, adaptive step control (the standard factor capped by
+    Gustafsson's predictive one) and dense event location.
 
     f receives y as a tuple of floats and returns a sequence of floats;
     ``OdeResult.ys`` and ``fs`` hold tuples.  The first step is HNW's
@@ -548,6 +549,7 @@ def ode_solve(f, y0, t_span, opts=None):
     t = t0
     facmin, facmax, safety = 0.2, 6.0, 0.9
     rejected = False
+    h_acc = err_acc = None          # the last accepted step and its error
 
     while t < t_end:
         while True:
@@ -604,7 +606,14 @@ def ode_solve(f, y0, t_span, opts=None):
         result.dense.append(dense)
         t, y, f_now, g_now = t_new, y_new, f_new, g_new
 
-        fac = max(facmin, min(facmax, safety * max(err, 1e-10) ** -0.2))
+        err = max(err, 1e-10)
+        fac = max(facmin, min(facmax, safety * err ** -0.2))
+        if h_acc is not None:
+            # Gustafsson's predictive controller (HNW II, IV.8): the error
+            # trend since the last accepted step may only shrink the step
+            fac_pred = h / h_acc * (err_acc / (err * err)) ** 0.2 * safety
+            fac = min(fac, max(facmin, min(facmax, fac_pred)))
+        h_acc, err_acc = h, max(1e-2, err)
         if rejected:
             fac = min(fac, 1.0)
         rejected = False

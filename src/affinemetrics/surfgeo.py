@@ -155,8 +155,6 @@ class AffineForm(QuadForm):
 @dataclass(frozen=True)
 class PointClassification:
     kind: str            # elliptic | hyperbolic | degenerate
-    discriminant: float  # raw ln - m^2
-    threshold: float     # the epsilon it was compared against
 
 
 def surface_jets(surface, u, v, order, check_domain=True):
@@ -307,7 +305,7 @@ def classify_from_jets(jets):
         kind = "hyperbolic"
     else:
         kind = "degenerate"
-    return PointClassification(kind, disc, eps)
+    return PointClassification(kind)
 
 
 def _reparam_discriminant(surface, u, v, jacobian):

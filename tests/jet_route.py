@@ -50,6 +50,12 @@ def theta_jets(u, v, theta, omega, omega_dot=0.0, order=3):
     return Jet1(du[:order + 1]), Jet1(dv[:order + 1])
 
 
+def partial(jet, i, j):
+    """The raw partial derivative d^(i+j) f / du^i dv^j of a Jet2, read off
+    its graded coefficient layout."""
+    return jet.coeffs[jets._POS2[jet.order][(i, j)]]
+
+
 def node(surface, u, v, order=3):
     """(u, v, X, a): the parameter jets u and v, the surface jets at
     (u(t), v(t)) and the curve jets of X(u(t), v(t))."""

@@ -1,7 +1,8 @@
 """Reference routes that tests compare the package against, and inputs
 the package never builds: finite differences, stand-alone space curves,
-the identity suites' curves as expression trees, two per-point surface
-quantities, and the closed-form commensurate curve on the unit sphere.
+the identity suites' curves as expression trees, their sample points
+drawn one at a time, two per-point surface quantities, and the
+closed-form commensurate curve on the unit sphere.
 No command runs them."""
 
 import math
@@ -12,13 +13,17 @@ import numpy as np
 
 from affinemetrics import identities as idn
 from affinemetrics.curvegeo import _columns
-from affinemetrics.errors import DomainExit
+from affinemetrics.errors import AffineMetricsError, DomainExit, NonFiniteValue
 from affinemetrics.expr import (BinOp, Call, Const, Var, eval_ast,
                                 parse_expression)
 from affinemetrics.jets import Jet1
 from affinemetrics.numerics import OdeOptions, ode_solve
 from affinemetrics.surfgeo import (
+    AffineForm,
+    _partials,
     _reparam_discriminant,
+    form_from_partials,
+    forms_from_partials,
     fundamental_forms_euclid,
     lmn_from_jets,
     surface_jets,
@@ -168,6 +173,41 @@ def normal_curvature(surface, u, v, du, dv):
         raise ValueError("normal curvature needs a nonzero direction")
     first, second, _ = fundamental_forms_euclid(surface, u, v)
     return second.apply(du, dv) / first.apply(du, dv)
+
+
+def one_point_at_a_time(surface, rng, count, margin=0.02):
+    """The identity suites' sample points as they were drawn one candidate
+    at a time, each from its own rng.random(2) call, until ``count`` are
+    regular and nondegenerate or 50 count candidates are spent."""
+    du = surface.u_max - surface.u_min
+    dv = surface.v_max - surface.v_min
+    points = []
+    tries = 0
+    while len(points) < count and tries < 50 * count:
+        tries += 1
+        unit_u, unit_v = rng.random(2).tolist()
+        u, = idn._scaled([unit_u], surface.u_min + margin * du,
+                         surface.u_max - margin * du)
+        v, = idn._scaled([unit_v], surface.v_min + margin * dv,
+                         surface.v_max - margin * dv)
+        try:
+            jets = surface_jets(surface, u, v, 2)
+        except AffineMetricsError:
+            continue
+        x, y, z = jets
+        if not all(map(math.isfinite, x.coeffs + y.coeffs + z.coeffs)):
+            raise NonFiniteValue(
+                f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
+        partials = _partials(jets)
+        try:
+            a, b, c, disc, flipped, cross, lmn = form_from_partials(
+                *partials)
+            first, second, _ = forms_from_partials(*partials, cross, u, v)
+        except AffineMetricsError:
+            continue
+        form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
+        points.append(idn._Point(u, v, lmn, form, first, second))
+    return points
 
 
 def check_reparam_covariance(surface, u, v, jacobian):

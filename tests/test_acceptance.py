@@ -216,8 +216,9 @@ def test_criterion_08_solver_self_consistency():
             ivp = CommensurateIVP(surface, u0, v0, theta0, omega0=omega0,
                                   t_span=(0.0, 1.0))
             trace = integrate_commensurate(ivp)
-            assert trace.completed, (name, u0, v0, theta0, omega0,
-                                     trace.termination)
+            assert trace.termination == "completed", (name, u0, v0, theta0,
+                                                      omega0,
+                                                      trace.termination)
             worst_residual = max(worst_residual, trace.max_residual)
 
             tc = TraceCurve(trace)

@@ -405,12 +405,13 @@ class TestStateGeometry:
             _counting(builds, Jet1._make.__func__)))
         trace = integrate_commensurate(CommensurateIVP(
             SPHERE, 0.1, 0.1, 0.3, omega0=0.5, t_span=(0.0, 1.0)))
-        assert trace.completed
+        assert trace.termination == "completed"
         assert compose == forms == builds == []
-        # one order-3 evaluation per right-hand side (254) and per node
-        # (43), as many as the Jet1 route made
-        assert trace.ode_result.n_rhs + len(trace.nodes) == 297
-        assert [args[3] for args in jet_calls] == [3] * 297
+        # one order-3 evaluation per right-hand side (260) and per node
+        # (44), as many as the Jet1 route made
+        evaluations = trace.ode_result.n_rhs + len(trace.nodes)
+        assert evaluations == 304
+        assert [args[3] for args in jet_calls] == [3] * evaluations
         # the counters see a trace curve's Jet1 wrappers, and the Jet route
         TraceCurve(trace).curve_jets(0.5, 3)
         assert compose == []
@@ -506,7 +507,7 @@ class TestIntegration:
         ivp = CommensurateIVP(SPHERE, 0.0, 0.0, 0.0, omega0=0.5,
                               t_span=(0.0, 1.0))
         trace = integrate_commensurate(ivp)
-        assert trace.completed
+        assert trace.termination == "completed"
         assert trace.max_residual <= 1e-6
         ts = [n.t for n in trace.nodes]
         assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -546,7 +547,7 @@ class TestIntegration:
         ivp = CommensurateIVP(SPHERE, 0.2, 0.1, 0.7, omega0=-0.3,
                               t_span=(0.0, 1.0))
         trace = integrate_commensurate(ivp)
-        assert trace.completed
+        assert trace.termination == "completed"
         assert trace.ode_result.stiff_steps == 0
 
     def test_theta0_is_reduced_once_at_the_start(self):
@@ -559,7 +560,7 @@ class TestIntegration:
         near = trace(0.3)
         far = trace(0.3 + 2.0 * math.pi * 1000)
         assert far.nodes[0].theta == pytest.approx(0.3, abs=1e-9)
-        assert near.completed and far.completed
+        assert near.termination == far.termination == "completed"
         # the reduced theta0 differs from 0.3 in the last bits, so the two
         # step meshes differ; compare where both end, at t = 0.5
         a, b = near.nodes[-1], far.nodes[-1]
@@ -578,7 +579,7 @@ class TestIntegration:
         traces = run_family(ivp, [-1.0, -0.5, 0.0, 0.5, 1.0])
         assert len(traces) == 5
         assert [t.ivp.omega0 for t in traces] == [-1.0, -0.5, 0.0, 0.5, 1.0]
-        assert all(t.completed for t in traces)
+        assert all(t.termination == "completed" for t in traces)
 
 
 def _geodesic_curvature_and_speed(curve, t):
@@ -605,7 +606,7 @@ class TestSphereGlobalError:
             trace = integrate_commensurate(CommensurateIVP(
                 SPHERE, 0.1, 0.1, 0.3, omega0=omega0, t_span=(0.0, 3.0),
                 rel_tol=rtol, abs_tol=rtol / 100))
-            assert trace.completed
+            assert trace.termination == "completed"
             curve = TraceCurve(trace)
             ts = [n.t for n in trace.nodes]
             s = math.fsum(quad_adaptive(
@@ -642,7 +643,7 @@ class TestQuadricOracle:
             trace = integrate_commensurate(CommensurateIVP(
                 surface, 0.3, -0.2, theta0, omega0=omega0,
                 t_span=(0.0, 4.0), rel_tol=rtol, abs_tol=rtol / 100))
-            assert trace.completed
+            assert trace.termination == "completed"
             for node in trace.nodes:
                 t = node.t
                 assert abs(node.theta - (theta0 + omega0 * t - t * t / 2)) \
@@ -673,7 +674,7 @@ class TestQuadricOracle:
             trace = integrate_commensurate(CommensurateIVP(
                 surface, 0.3, -0.2, theta0, omega0=omega0,
                 t_span=(0.0, 4.0), rel_tol=rtol, abs_tol=rtol / 100))
-            assert trace.completed
+            assert trace.termination == "completed"
             gap = 0.0
             with mpmath.workdps(30):
                 z, prev = mpmath.mpc(0.3, -0.2), 0.0
@@ -725,7 +726,7 @@ class TestQuadricOracle:
             trace = integrate_commensurate(CommensurateIVP(
                 HYP_PAR, u0, v0, theta0, omega0=omega0, t_span=(0.0, 5.0),
                 rel_tol=rtol, abs_tol=rtol / 100))
-            assert trace.completed
+            assert trace.termination == "completed"
             e0 = first_integral(trace.nodes[0])
             drift = max(abs(first_integral(node) - e0)
                         for node in trace.nodes)
@@ -808,7 +809,7 @@ class TestQuadricOracle:
             trace = integrate_commensurate(CommensurateIVP(
                 PARABOLOID, u0, v0, theta0, omega0=omega0, t_span=(0.0, 1.0),
                 rel_tol=rtol, abs_tol=rtol / 100))
-            assert trace.completed
+            assert trace.termination == "completed"
             curve = TraceCurve(trace)
             ts = [n.t for n in trace.nodes]
             s = math.fsum(quad_adaptive(
@@ -873,7 +874,7 @@ class TestConditionEquivalence:
                               t_span=(0.0, 1.0), rel_tol=1e-10,
                               abs_tol=1e-12)
         trace = integrate_commensurate(ivp)
-        assert trace.completed
+        assert trace.termination == "completed"
         assert trace.max_residual <= 1e-8
         tc = TraceCurve(trace)
         s_alpha = affine_arclength(tc, 0.05, 0.95, rel_tol=1e-9,
@@ -1059,9 +1060,9 @@ class TestBreakdownSeeds:
         assert trace.t_stop < seed["t_max"]
 
     def test_converged_breakdown_time(self):
-        # the second hyperboloid seed at the default tolerances stops at
-        # the converged event time 7.4214 (an rtol-1e-8 solve stops near
-        # 7.342, off by its global error)
+        # the second hyperboloid seed at the default tolerances stops
+        # within 1.1e-4 of the independent event time 7.4213879 (an
+        # rtol-1e-8 solve stops near 7.342, off by its global error)
         seed = BREAKDOWN_SEEDS["hyperboloid"][1]
         ivp = CommensurateIVP(CATALOG["hyperboloid"], seed["u0"], seed["v0"],
                               seed["theta0"], omega0=seed["omega0"],
@@ -1069,3 +1070,31 @@ class TestBreakdownSeeds:
         trace = integrate_commensurate(ivp)
         assert trace.termination == "AsymptoticProximity"
         assert trace.t_stop == pytest.approx(7.4214, rel=5e-4)
+
+    # stop times of every start at eps_asym = 1e-4 from a route that shares
+    # no code with the solver: sympy's derivatives of the surface, the
+    # theta'' they give, and scipy's DOP853 at rtol 1e-13; the hyperbolic
+    # paraboloid's two match an mpmath stop-time oracle to 6e-11
+    INDEPENDENT_STOPS = {
+        "hyperbolic-paraboloid": (8.1809360395, 9.6726545869),
+        "hyperboloid": (9.0443689879, 7.4213879131),
+        "helicoid": (8.2310084761, 7.4309646711),
+    }
+
+    @pytest.mark.parametrize("name, index", [
+        (name, index) for name in sorted(INDEPENDENT_STOPS)
+        for index in (0, 1)])
+    def test_default_tolerance_stops_match_independent_values(self, name,
+                                                               index):
+        # the second hyperboloid start nears its threshold so slowly (the
+        # stop moves by about 3.2 per unit of ln eps_asym) that the default
+        # tolerances place it about 1e-4 early
+        seed = BREAKDOWN_SEEDS[name][index]
+        ivp = CommensurateIVP(CATALOG[name], seed["u0"], seed["v0"],
+                              seed["theta0"], omega0=seed["omega0"],
+                              t_span=(0.0, seed["t_max"]))
+        trace = integrate_commensurate(ivp)
+        assert trace.termination == "AsymptoticProximity"
+        bound = 3e-4 if (name, index) == ("hyperboloid", 1) else 2e-7
+        want = self.INDEPENDENT_STOPS[name][index]
+        assert abs(trace.t_stop - want) <= bound

@@ -127,7 +127,6 @@ class TestEuclideanFrenet:
         fr = euclidean_frenet(circle2, 0.4)
         assert fr.kappa == pytest.approx(0.5, rel=1e-12)
         assert fr.tau is None          # flagged, not raised
-        assert not fr.tau_defined
         assert fr.speed == pytest.approx(2.0, rel=1e-14)
 
     def test_helix_invariants(self):

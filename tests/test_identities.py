@@ -23,7 +23,11 @@ from affinemetrics import expr, surfgeo
 from affinemetrics import identities as idn
 from affinemetrics.cli import main
 from affinemetrics.commensurate import ParamCurve
-from affinemetrics.curvegeo import frenet_from_jets
+from affinemetrics.curvegeo import (
+    _columns,
+    _frenet_invariants,
+    frenet_from_jets,
+)
 from affinemetrics.errors import AffineMetricsError
 from affinemetrics.expr import (
     BinOp,
@@ -103,17 +107,27 @@ def coefficient_reprs(jets):
 
 
 def tree_route_draw(rng, max_tries=50):
-    """The curve draw as it was made from expression trees: three
-    components, then t, with the jets from eval_ast."""
+    """The curve draw made from expression trees: three components, then
+    t, with the jets from eval_ast; a curve with torsion below -1e-3 is
+    built again with the z component's seven non-frequency coefficients
+    negated, and its jets evaluated again."""
     for _ in range(max_tries):
-        curve = ref.CurveDef(tuple(ref.poly_trig_component(rng)
-                               for _ in range(3)), -1.5, 1.5)
+        coeffs = [ref.draw_component(rng) for _ in range(3)]
+        curve = ref.CurveDef(tuple(map(ref.component_tree, coeffs)),
+                             -1.5, 1.5)
         t = float(rng.uniform(-1.0, 1.0))
         jets = ref.curve_jets(curve, t, 3)
         try:
             fr = frenet_from_jets(jets, t)
         except AffineMetricsError:
             continue
+        if fr.tau is not None and fr.tau < -1e-3:
+            z = coeffs[2]
+            coeffs[2] = (*[-c for c in z[:7]], *z[7:])
+            curve = ref.CurveDef(tuple(map(ref.component_tree, coeffs)),
+                                 -1.5, 1.5)
+            jets = ref.curve_jets(curve, t, 3)
+            fr = frenet_from_jets(jets, t)
         if (fr.tau is not None and fr.tau > 1e-3
                 and 1e-3 < fr.kappa < 1e3 and 1e-2 < fr.speed < 1e2):
             return curve, t, jets
@@ -153,6 +167,45 @@ class TestCurveKernel:
         # all three routes draw the same numbers in the same order
         assert (kernel_rng.random() == curve_rng.random()
                 == tree_rng.random())
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 41, 2012])
+    def test_reflection_is_the_kernel_of_the_reflected_coefficients(self,
+                                                                     seed):
+        # negation commutes with every float operation of the kernel and
+        # of the Frenet invariants: the reflected jets are the kernel's
+        # jets of the reflected coefficients, repr for repr, tau changes
+        # sign exactly and speed and kappa keep their bits
+        rng = np.random.default_rng(seed)
+        negative = 0
+        for _ in range(300):
+            components = tuple(ref.draw_component(rng) for _ in range(3))
+            t = float(rng.uniform(-1.0, 1.0))
+            jets = idn._poly_trig_jets(components, t)
+            mirrored, mirrored_jets = idn._reflected(components, jets)
+            assert mirrored[:2] == components[:2]
+            assert mirrored[2][7:] == components[2][7:]
+            assert (coefficient_reprs(mirrored_jets)
+                    == coefficient_reprs(idn._poly_trig_jets(mirrored, t)))
+            try:
+                speed, kappa, tau = _frenet_invariants(*_columns(jets), t)
+            except AffineMetricsError:
+                continue
+            got = _frenet_invariants(*_columns(mirrored_jets), t)
+            assert float_reprs(got[:2]) == float_reprs((speed, kappa))
+            if tau is None:
+                assert got[2] is None
+            else:
+                assert repr(got[2]) == repr(-tau)
+                negative += tau < 0.0
+        assert 100 < negative < 200
+
+    def test_every_drawn_curve_has_positive_torsion(self):
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            components, t, jets, (speed, kappa, tau) = idn._draw_curve(rng)
+            assert (_frenet_invariants(*_columns(jets), t)
+                    == (speed, kappa, tau))
+            assert tau > 1e-3
 
 
 def float_reprs(values):
@@ -212,13 +265,15 @@ class TestUniformDraws:
             ours = np.random.default_rng(seed)
             numpys = np.random.default_rng(seed)
             for count in (1, 2, 25):
-                us = numpys.uniform(s.u_min + 0.02 * du, s.u_max - 0.02 * du,
-                                    size=count)
-                vs = numpys.uniform(s.v_min + 0.02 * dv, s.v_max - 0.02 * dv,
-                                    size=count)
+                # consecutive numbers pair as (u, v)
+                want = [(numpys.uniform(s.u_min + 0.02 * du,
+                                        s.u_max - 0.02 * du),
+                         numpys.uniform(s.v_min + 0.02 * dv,
+                                        s.v_max - 0.02 * dv))
+                        for _ in range(count)]
                 got = idn.random_points(s, ours, count)
                 assert ([float_reprs(p) for p in got]
-                        == [float_reprs(p) for p in zip(us, vs)])
+                        == [float_reprs(p) for p in want])
             assert ours.random() == numpys.random()
 
     def test_invertible_2x2_is_numpys_uniform_draw(self):
@@ -250,6 +305,71 @@ class TestUniformDraws:
         for run in runs:
             # a uniform call would raise AttributeError
             assert run(RandomOnly(9)) == run(np.random.default_rng(9))
+
+
+class CountingGenerator:
+    """numpy's generator, with the size of every random call recorded."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+# a surface whose candidates are rejected where u < 0: sqrt raises there
+HALF_SQRT = surfgeo.SurfaceDef.from_strings("u;v;sqrt(u)+v^2",
+                                            ((-1.0, 1.0), (-1.0, 1.0)))
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("surface", [
+        surfgeo.CATALOG["sphere"], surfgeo.CATALOG["helicoid"], HALF_SQRT,
+        surfgeo.CATALOG["plane"]], ids=["sphere", "helicoid", "half-sqrt",
+                                        "plane"])
+    @pytest.mark.parametrize("count", [1, 4, 20])
+    def test_points_are_those_of_one_draw_at_a_time(self, surface, count):
+        # the same points, by repr, and the same generator state after
+        for seed in (0, 5, 11):
+            ours = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            got = idn._regular_nondegenerate_points(surface, ours, count)
+            want = ref.one_point_at_a_time(surface, single, count)
+            assert [repr(p) for p in got] == [repr(p) for p in want]
+            if surface.name == "plane":
+                assert got == []
+            else:
+                assert len(got) == count
+            assert (ours.bit_generator.state
+                    == single.bit_generator.state)
+
+    def test_a_round_draws_only_the_missing_points(self):
+        # about half the candidates are rejected, so the rounds shrink,
+        # and there are far fewer generator calls than candidates
+        rng = CountingGenerator(2)
+        points = idn._regular_nondegenerate_points(HALF_SQRT, rng, 20)
+        assert len(points) == 20
+        assert rng.sizes[0] == 40
+        assert all(a >= b for a, b in zip(rng.sizes, rng.sizes[1:]))
+        assert 2 * len(rng.sizes) < sum(rng.sizes) // 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
+    def test_integrand_suite_draws_once_per_sample(self, seed):
+        rng = CountingGenerator(seed)
+        report = idn.integrand_routes_suite(rng, 20)
+        assert report.samples == 20 and report.passed
+        assert rng.sizes == [28] * 20
+
+    def test_integrand_suite_redraws_rarely(self):
+        # only |tau| <= 1e-3 and the curvature and speed bounds redraw:
+        # 17 of 5,017 tries at seed 0, where discarding the negative
+        # torsions took about two tries per sample
+        rng = CountingGenerator(0)
+        assert idn.integrand_routes_suite(rng, 5000).passed
+        assert set(rng.sizes) == {28}
+        assert len(rng.sizes) <= 5050
 
 
 class TestQuadraticKernel:
@@ -333,10 +453,11 @@ def test_condition_suite_matches_the_tree_route(monkeypatch, name):
 
 
 # stdout of check-identities --samples 20 --seed 7 while the samples were
-# still written out and parsed
+# still written out and parsed, except the integrand line, which the
+# reflection of negative-torsion curves changed
 GOLDEN = {
     "sphere": """\
-identity integrand-det-vs-euclidean-route: max_dev=2.033e-16 tol=1.0e-08 samples=20 PASS
+identity integrand-det-vs-euclidean-route: max_dev=1.959e-16 tol=1.0e-08 samples=20 PASS
 identity lmn-determinant-vs-dot-route: max_dev=1.110e-16 tol=1.0e-10 samples=20 PASS
 identity form-det-vs-euclidean-route: max_dev=2.220e-16 tol=1.0e-09 samples=20 PASS
 identity equiaffine-invariance: max_dev=1.554e-15 tol=1.0e-08 samples=4 PASS
@@ -345,7 +466,7 @@ identity condition-det-vs-euclidean-route: max_dev=1.305e-15 tol=1.0e-08 samples
 identity reference-forms-sphere: max_dev=2.220e-16 tol=1.0e-09 samples=20 PASS
 """,
     "helicoid": """\
-identity integrand-det-vs-euclidean-route: max_dev=2.033e-16 tol=1.0e-08 samples=20 PASS
+identity integrand-det-vs-euclidean-route: max_dev=1.959e-16 tol=1.0e-08 samples=20 PASS
 identity lmn-determinant-vs-dot-route: max_dev=1.636e-16 tol=1.0e-10 samples=20 PASS
 identity form-det-vs-euclidean-route: max_dev=1.381e-15 tol=1.0e-09 samples=20 PASS
 identity equiaffine-invariance: max_dev=2.300e-13 tol=1.0e-08 samples=4 PASS
@@ -446,8 +567,9 @@ class TestEvaluationCounts:
         # the plane's points are all rejected, the others' all accepted
         assert report.samples == (0 if name == "plane" else 6)
         assert report.points == report.samples
-        assert len(draws) == (300 if name == "plane" else 6)
-        assert [args[3] for args in jet_calls] == [2] * len(draws)
+        drawn = sum(args[2] for args in draws)
+        assert drawn == (300 if name == "plane" else 6)
+        assert [args[3] for args in jet_calls] == [2] * drawn
 
     @pytest.mark.parametrize("suite", [
         idn.lmn_route_suite, idn.reparam_law_suite,
@@ -464,7 +586,7 @@ class TestEvaluationCounts:
                        np.random.default_rng(5), 6)
         assert report.samples == 6 and report.passed
         own = report.samples if suite is idn.reparam_law_suite else 0
-        assert len(lmn_calls) == len(draws) + own
+        assert len(lmn_calls) == sum(args[2] for args in draws) + own
 
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
     def test_point_lmn_is_the_jets_lmn(self, name):

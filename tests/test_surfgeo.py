@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from jet_route import partial
 from reference_routes import check_reparam_covariance, normal_curvature
 
 from affinemetrics import identities as idn
@@ -86,7 +87,7 @@ class TestSurfaceJets:
         jets = surface_jets(HELICOID, 1.0, 0.0, 2)
 
         def vec(i, j):
-            return [jet.partial(i, j) for jet in jets]
+            return [partial(jet, i, j) for jet in jets]
 
         assert vec(1, 0) == [1.0, 0.0, 0.0]
         assert vec(0, 1) == [0.0, 1.0, 1.0]
@@ -98,7 +99,7 @@ class TestSurfaceJets:
         jets = surface_jets(PLANE, 0.3, -0.2, 2)
         for jet in jets:
             for ij in ((2, 0), (1, 1), (0, 2)):
-                assert jet.partial(*ij) == 0.0
+                assert partial(jet, *ij) == 0.0
 
     def test_out_of_domain(self):
         with pytest.raises(DomainExit):
@@ -255,8 +256,12 @@ class TestClassification:
         assert _classify(PLANE, 0.0, 0.0).kind == "degenerate"
 
     def test_margin_reported(self):
-        cls = _classify(PLANE, 0.0, 0.0)
-        assert cls.discriminant == 0.0 and cls.threshold > 0.0
+        # the plane's ln - m^2 is 0, inside the positive threshold it is
+        # classified against
+        l, m, n, eps, _ = surfgeo._lmn_and_threshold(
+            *surfgeo._partials(surface_jets(PLANE, 0.0, 0.0, 2)))
+        assert l * n - m * m == 0.0 and eps > 0.0
+        assert _classify(PLANE, 0.0, 0.0).kind == "degenerate"
 
     def test_invariant_under_parameter_swap(self):
         for surface, (u, v) in [(SPHERE, (0.4, 0.2)),
