@@ -68,9 +68,10 @@ MAX_SWEEP_SEEDS = 10_000
 #: most rows one arclen-compare run, or samples per suite one
 #: check-identities run, may ask for (--samples)
 MAX_SAMPLES = 100_000
-#: smallest commensurate-solve --rel-tol, 100 machine epsilons (scipy's
-#: solve_ivp floor): a step's error test cannot ask for less than the
-#: rounding of the state itself
+#: smallest commensurate-solve --rel-tol and arclen-compare --tol, 100
+#: machine epsilons (scipy's solve_ivp floor; QUADPACK refuses a relative
+#: tolerance below 50): an error test cannot ask for less than the rounding
+#: of the values it tests
 MIN_REL_TOL = 100 * sys.float_info.epsilon
 #: the catalog names whose closed forms check-identities --reference can
 #: check, sorted: identities.REFERENCE_FORMS' keys, spelled here so that
@@ -94,15 +95,22 @@ def _fmt(x):
 
 
 def _write_atomic(path, text):
+    """Write ``text`` to ``path`` by a temp file beside it and a rename; a
+    path that cannot be written (a missing directory, a directory) is a
+    config error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise ExprError(f"cannot write {path!r}: "
+                            f"{exc.strerror or exc}") from None
         raise
 
 
@@ -199,6 +207,16 @@ def _parse_pair(sep):
     return pair
 
 
+def _t_range(text):
+    """argparse type of --t-range 'a:b': finite ends whose width b - a is
+    finite too, since the sample grid and the quadratures divide it."""
+    t0, t1 = _parse_pair(":")(text)
+    if not math.isfinite(t1 - t0):
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: the width b - a is not finite")
+    return t0, t1
+
+
 def _positive_float(text):
     """argparse type of a flag that must be a finite number > 0."""
     value = _finite_float(text)
@@ -209,7 +227,8 @@ def _positive_float(text):
 
 
 def _rel_tol(text):
-    """argparse type of --rel-tol: a finite number >= MIN_REL_TOL."""
+    """argparse type of a relative tolerance (--rel-tol, --tol): a finite
+    number >= MIN_REL_TOL."""
     value = _positive_float(text)
     if value < MIN_REL_TOL:
         raise argparse.ArgumentTypeError(
@@ -510,11 +529,11 @@ def build_parser():
     _add_surface_args(p)
     p.add_argument("--curve", required=True,
                    help="parameter curve 'u_expr;v_expr' in variable t")
-    p.add_argument("--t-range", type=_parse_pair(":"), required=True,
+    p.add_argument("--t-range", type=_t_range, required=True,
                    help="parameter range 'a:b'")
     p.add_argument("--samples", type=_int_in_range(1, MAX_SAMPLES),
                    default=50)
-    p.add_argument("--tol", type=_positive_float, default=1e-10,
+    p.add_argument("--tol", type=_rel_tol, default=1e-10,
                    help="quadrature relative tolerance")
     p.add_argument("--auto-orient", action="store_true",
                    help="mirror the curve when its determinant is negative "

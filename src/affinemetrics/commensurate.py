@@ -37,7 +37,7 @@ from .errors import (
     SingularDenominator,
     StepFailure,
 )
-from .expr import eval_ast, parse_expression
+from .expr import bound_kernel, eval_ast, parse_expression, replayed
 from .jets import (
     MAX_ORDER_1,
     Jet1,
@@ -132,6 +132,10 @@ class ParamCurve(_EmbeddedCurve):
     v_of_t: object
     t_min: float
     t_max: float
+    # at 3, the path's order-3 kernel bound to its constants, or None for
+    # good; at "shape", expr._shape_of's walk (expr.bound_kernel)
+    _kernels: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @classmethod
     def from_strings(cls, surface, u_expr, v_expr, t_min, t_max):
@@ -140,11 +144,30 @@ class ParamCurve(_EmbeddedCurve):
                    parse_expression(v_expr, {"t"}),
                    float(t_min), float(t_max))
 
+    def __getstate__(self):
+        # a kernel is a function made by exec, which pickle cannot name: a
+        # copy binds its kernel afresh
+        return {**self.__dict__, "_kernels": {}}
+
     def param_jets(self, t, order):
         seed = Jet1.seed(float(t), order)
         bindings = {"t": seed}
         return (seed.lift(eval_ast(self.u_of_t, bindings)),
                 seed.lift(eval_ast(self.v_of_t, bindings)))
+
+    def sample(self, t):
+        """The float node at t.  Its parameter path comes from eval_ast
+        over a Jet1 seed until the paths of this one's shape have been
+        evaluated expr.RECORD_AFTER times, then off its recorded kernel
+        (expr.bound_kernel), bit for bit the same, with eval_ast again
+        wherever the kernel hands a t back."""
+        kernels = self._kernels
+        path = replayed(kernels.get(3) or bound_kernel(
+            kernels, (self.u_of_t, self.v_of_t), 3, Jet1, MAX_ORDER_1),
+            float(t))
+        if path is None:
+            return super().sample(t)
+        return _path_node(self.surface, *path)
 
 
 class TraceCurve(_EmbeddedCurve):
@@ -187,25 +210,16 @@ class NodeTable(_EmbeddedCurve):
 
     arclen-compare samples both arc lengths' integrands at the same nodes,
     on its Chebyshev path and in the GK15 quadratures of its fallback.
-    The first sample takes the parameter path of a ParamCurve as one
-    straight-line kernel from tape.record_curve, which records it unless
-    a path of the same shape, differing only in its numbers, has been
-    recorded before; the kernel then gives u(t), v(t) and their
-    derivatives at every t.  A path that cannot be recorded, a t where
-    the kernel hands back, and a curve of another kind take the curve's
-    own node (``sample``), so that a TraceCurve's node evaluates its
-    surface jets once.  The induced side reads the affine form and
-    (u', v') off the same node.  ``discard`` drops one node, ``clear`` all
-    of them.
+    Each node is the curve's own (``sample``): a ParamCurve's reads its
+    recorded parameter path, and a TraceCurve's evaluates its surface jets
+    once.  The induced side reads the affine form and (u', v') off the
+    same node.  ``discard`` drops one node, ``clear`` all of them.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.surface = curve.surface
         self._samples = {}
-        # the recorded path: None until the first sample, then the kernel
-        # or False
-        self._kernel = None
 
     def clear(self):
         self._samples.clear()
@@ -219,28 +233,8 @@ class NodeTable(_EmbeddedCurve):
     def sample(self, t):
         entry = self._samples.get(t)
         if entry is None:
-            path = self._recorded_path(t)
-            entry = self._samples[t] = (
-                self.curve.sample(t) if path is None
-                else _path_node(self.surface, *path))
+            entry = self._samples[t] = self.curve.sample(t)
         return entry
-
-    def _recorded_path(self, t):
-        """(u, u', u'', u''') and (v, v', v'', v''') at t from the kernel
-        taken at the first call, or None where there is none or it hands
-        back."""
-        kernel = self._kernel
-        if kernel is None:
-            from .tape import record_curve      # loaded when first needed
-            curve = self.curve
-            kernel = self._kernel = type(curve) is ParamCurve and (
-                record_curve((curve.u_of_t, curve.v_of_t)) or False)
-        if kernel:
-            try:
-                return kernel(t)
-            except (DomainError, OverflowError, ValueError):
-                pass        # eval_ast raises it with its own message
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +404,9 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     instead, on its decided branch, so its sums and errors are those of
     affine_arclength and induced_arclength given that branch.  One
     NodeTable serves both sides and the fallback, so a node is evaluated
-    once, on floats (NodeTable.sample, with the curve's parameter path
-    recorded at the first node).
+    once, on floats (NodeTable.sample: the curve's own node, whose
+    parameter path is recorded once its shape has been evaluated
+    expr.RECORD_AFTER times).
     """
     ts = [float(t) for t in ts]
     a, b = ts[0], ts[-1]
@@ -640,8 +635,7 @@ def _theta_dd(parts, u, v, theta):
         raise SingularDenominator(
             f"theta'' coefficient {parts['denom']!r} is singular at "
             f"(u, v, theta) = ({u!r}, {v!r}, {theta!r}): the direction is "
-            f"asymptotic",
-            denominator=parts["denom"])
+            f"asymptotic")
     return -parts["residual0"] / parts["denom"]
 
 

@@ -24,9 +24,7 @@ class InvalidCharacter(ExprError):
 
 
 class ExprSyntaxError(ExprError):
-    def __init__(self, message, position=None, expected=None):
-        super().__init__(message, position)
-        self.expected = expected
+    pass
 
 
 class UnexpectedEnd(ExprSyntaxError):
@@ -95,10 +93,6 @@ class DegenerateSurfacePoint(AffineMetricsError):
     """ln - m^2 vanishes (within threshold): the affine fundamental form
     is undefined at this point."""
 
-    def __init__(self, message, margin=None):
-        super().__init__(message)
-        self.margin = margin
-
 
 class SingularJacobian(AffineMetricsError):
     pass
@@ -133,10 +127,6 @@ class SingularDenominator(AffineMetricsError):
     this happens only on an asymptotic direction: where |q| / gm is at most
     commensurate.EPS_FORM.  No solve ends with it: the solver's
     AsymptoticProximity events watch the same ratio."""
-
-    def __init__(self, message, denominator=None):
-        super().__init__(message)
-        self.denominator = denominator
 
 
 class InvalidIVP(AffineMetricsError):

@@ -18,7 +18,10 @@ token where the bound is passed.
 
 Evaluation is generic over the scalar ring: the same AST evaluates over
 plain floats or over the truncated-derivative jets of :mod:`.jets`, which
-is how all exact derivatives in this package are produced.
+is how all exact derivatives in this package are produced.  The trees of
+a surface or a parameter path evaluated often enough are replayed from a
+recorded kernel instead (:mod:`.tape`), under the one rule of
+``bound_kernel``.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class _Parser:
             raise UnexpectedEnd(f"unexpected end of expression, expected {text!r}")
         if tok.text != text:
             raise ExprSyntaxError(f"expected {text!r}, found {tok.text!r}",
-                                  tok.position, expected=text)
+                                  tok.position)
         self.i += 1
         return tok
 
@@ -391,8 +394,66 @@ def pretty(ast):
 # ---------------------------------------------------------------------------
 # shapes: trees with their constants taken out, keying recorded kernels
 
-#: shapes kept by tape's kernel cache and surfgeo's counts (arclen uses 8)
+#: evaluations of the trees of one shape (_shape_of) at one kind and order
+#: before the shape is recorded (tape.factory): a new recording costs
+#: 0.4-2.2 ms for a catalog surface, more than a few evaluations (one
+#: surface-info point, the moved surfaces of one check-identities
+#: --samples 20) save; binding a recorded shape costs 1-6 us
+RECORD_AFTER = 64
+#: entries of the kernel table, oldest out first (arclen uses 8)
 MAX_SHAPES = 64
+# the kernel table, for surfaces and parameter paths alike: (shape, kind,
+# order) -> its evaluations so far, until the RECORD_AFTER-th; from then on
+# the recorded factory make(c0, ...) -> kernel, or None for a shape that
+# cannot be recorded
+_KERNELS = {}
+
+
+def bound_kernel(cache, trees, slot, kind, order):
+    """The recorded kernel of ``trees`` at ``kind`` (Jet2 or "reparam" for
+    a surface's, Jet1 for a parameter path's) and ``order``, bound to their
+    constants and kept in the owner's ``cache`` at ``slot``; None until the
+    RECORD_AFTER-th evaluation of their shape at (kind, order), counted by
+    this call, and for good where the trees cannot be recorded.  The trees
+    are walked once per owner, for their shape and constants, kept at
+    ``cache["shape"]``; a shape recorded before binds at once."""
+    kernel = cache.get(slot, False)
+    if kernel is not False:
+        return kernel
+    shape = cache.get("shape", False)
+    if shape is False:
+        cache["shape"] = shape = _shape_of(trees)
+    if shape is None:
+        cache[slot] = None
+        return None
+    keys, values = shape
+    key = (keys, kind, order)
+    make = _KERNELS.get(key, 0)
+    if make.__class__ is int:
+        if make == 0 and len(_KERNELS) >= MAX_SHAPES:
+            del _KERNELS[next(iter(_KERNELS))]
+        make += 1
+        if make < RECORD_AFTER:
+            _KERNELS[key] = make
+            return None
+        from .tape import factory           # loaded at the first recording
+        _KERNELS[key] = make = factory(keys, kind, order, len(values))
+    cache[slot] = kernel = make and make(*values)
+    return kernel
+
+
+def replayed(kernel, *args):
+    """kernel(*args), or None where there is no kernel or it hands the
+    point back: it returns None (a value it folded would not have been
+    finite) or an elementary function fails in it.  The caller then
+    evaluates with eval_ast, which raises what it raises with its own
+    message."""
+    if kernel is None:
+        return None
+    try:
+        return kernel(*args)
+    except (DomainError, OverflowError, ValueError):
+        return None
 
 
 class NotReplayable(Exception):
@@ -408,8 +469,8 @@ def _shape(ast, constants):
     (hex,), since eval_ast branches on them over jets (square-and-multiply
     or exp(b log a), and a zero divisor).  A variable is keyed by its name,
     a node by its operator and its children's keys, so trees that differ
-    only in their constants share a key, from which tape._tree builds the
-    shape.  An exponent that depends on a variable raises NotReplayable.
+    only in their constants share a key, from which tape.factory builds
+    the shape.  An exponent that depends on a variable raises NotReplayable.
     """
     kind = type(ast)
     if kind is Var:

@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateSurfacePoint,
-    DomainError,
     DomainExit,
     IrregularPoint,
     SingularJacobian,
 )
-from .expr import MAX_SHAPES, _shape_of, eval_ast, parse_expression
+from .expr import bound_kernel, eval_ast, parse_expression, replayed
 from .jets import MAX_ORDER_2, Jet2, _check_order, cross3, det3, dot3
 
 __all__ = [
@@ -42,15 +41,6 @@ __all__ = [
 EPS_CLASSIFY = 1e-10
 #: relative threshold on |X_u x X_v|^2 for regularity
 EPS_REGULAR = 1e-24
-#: evaluations of the surfaces of one shape (expr._shape) at one order, or
-#: of their reparametrized walks, before the shape is recorded: a new
-#: recording costs 0.4-2.2 ms for a catalog surface, more than a few
-#: evaluations (one surface-info point, the moved surfaces of one
-#: check-identities --samples 20) save; a hit in tape's cache costs 1-6 us
-RECORD_AFTER = 64
-# (shape, kind, order) -> evaluations so far; MAX_SHAPES, oldest out first
-_COUNTS = {}
-
 
 @dataclass(frozen=True)
 class SurfaceDef:
@@ -64,6 +54,7 @@ class SurfaceDef:
     name: str | None = None
     # per order, and at "reparam", the shape's kernel bound to the
     # constants, or None for good; at "shape", expr._shape_of's walk
+    # (expr.bound_kernel)
     _kernels: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
@@ -92,32 +83,6 @@ class SurfaceDef:
         # a kernel is a function made by exec, which pickle cannot name: a
         # copy binds its kernels afresh
         return {**self.__dict__, "_kernels": {}}
-
-    def _kernel(self, slot):
-        """The recorded kernel of ``slot``, an order of the jets or
-        "reparam", from the RECORD_AFTER-th evaluation of this shape's
-        surfaces on; None before it, and for trees that cannot be replayed."""
-        kernels = self._kernels
-        kernel = kernels.get(slot, False)
-        if kernel is not False:
-            return kernel
-        shape = kernels.get("shape", False)
-        if shape is False:
-            kernels["shape"] = shape = _shape_of(self.components)
-        if shape is None:
-            kernels[slot] = None
-            return None
-        kind, order = (slot, 2) if slot == "reparam" else (Jet2, slot)
-        key = (shape[0], kind, order)
-        count = _COUNTS.get(key, 0) + 1
-        if count == 1 and len(_COUNTS) >= MAX_SHAPES:
-            del _COUNTS[next(iter(_COUNTS))]
-        _COUNTS[key] = count
-        if count < RECORD_AFTER:
-            return None
-        from .tape import record_shape      # compiled when first needed
-        kernels[slot] = kernel = record_shape(shape, kind, order)
-        return kernel
 
 
 @dataclass(frozen=True)
@@ -164,26 +129,24 @@ def surface_jets(surface, u, v, order, check_domain=True):
     it because its steps may transiently evaluate just past the boundary
     that its exit event then locates.
 
-    The jets come from eval_ast over Jet2 seeds until this shape's surfaces
-    have been evaluated RECORD_AFTER times at ``order``, then off its
-    recorded kernel (tape.record_shape), bit for bit the same, with
-    eval_ast again wherever the kernel hands a point back.
+    The jets come from eval_ast over Jet2 seeds until the trees of this
+    surface's shape have been evaluated expr.RECORD_AFTER times at
+    ``order``, then off its recorded kernel (expr.bound_kernel), bit for
+    bit the same, with eval_ast again wherever the kernel hands a point
+    back.
     """
     _check_order(order, MAX_ORDER_2, "surface_jets")
     if check_domain and not surface.contains(u, v):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
-    kernel = surface._kernel(order)
-    if kernel is not None:
-        try:
-            coeffs = kernel(float(u), float(v))
-        except (DomainError, OverflowError, ValueError):
-            coeffs = None       # eval_ast raises it with its own message
-        if coeffs is not None:
-            x, y, z = coeffs
-            return (Jet2._make(order, x), Jet2._make(order, y),
-                    Jet2._make(order, z))
+    kernels = surface._kernels
+    coeffs = replayed(kernels.get(order) or bound_kernel(
+        kernels, surface.components, order, Jet2, order), float(u), float(v))
+    if coeffs is not None:
+        x, y, z = coeffs
+        return (Jet2._make(order, x), Jet2._make(order, y),
+                Jet2._make(order, z))
     seed = Jet2.seed_u(u, order)
     bindings = {"u": seed, "v": Jet2.seed_v(v, order)}
     jets = []
@@ -272,8 +235,7 @@ def form_from_partials(xu, xv, xuu, xuv, xvv):
     disc = l * n - m * m
     if abs(disc) <= eps:
         raise DegenerateSurfacePoint(
-            f"ln - m^2 = {disc!r} is within {eps!r} of zero",
-            margin=abs(disc) / eps if eps else None)
+            f"ln - m^2 = {disc!r} is within {eps!r} of zero")
     scale = abs(disc) ** (-0.25)
     a, b, c = scale * l, scale * m, scale * n
     flipped = disc > 0.0 and a < 0.0
@@ -312,7 +274,7 @@ def _reparam_discriminant(surface, u, v, jacobian):
     """(ln - m^2 of the surface in new parameters (s, w) at the origin,
     det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w): from eval_ast
     over those linear bindings, or from their recorded walk (the "reparam"
-    kernel of SurfaceDef._kernel), bit for bit the same."""
+    kind of expr.bound_kernel), bit for bit the same."""
     try:
         (j00, j01), (j10, j11) = jacobian
         j00, j01, j10, j11 = float(j00), float(j01), float(j10), float(j11)
@@ -322,12 +284,10 @@ def _reparam_discriminant(surface, u, v, jacobian):
     if abs(jdet) <= 1e-12 * max(
             1.0, max(abs(j00), abs(j01), abs(j10), abs(j11)) ** 2):
         raise SingularJacobian(f"jacobian determinant {jdet!r} is singular")
-    kernel = surface._kernel("reparam")
     u, v = float(u), float(v)
-    try:
-        rows = kernel and kernel(u, v, j00, j01, j10, j11)
-    except (DomainError, OverflowError, ValueError):
-        rows = None             # eval_ast raises it with its own message
+    rows = replayed(bound_kernel(surface._kernels, surface.components,
+                                 "reparam", "reparam", 2),
+                    u, v, j00, j01, j10, j11)
     if rows is None:
         s = Jet2.seed_u(0.0, 2)
         w = Jet2.seed_v(0.0, 2)

@@ -19,20 +19,20 @@ kernel, whose value ``eval_ast`` computes on floats, as the walk over
 jets does; only the exponent of a power and a variable-free divisor, on
 whose values ``eval_ast`` branches, stay in the shape as numbers.  The
 kernels of a shape are made by one factory, make(c0, c1, ...) -> kernel,
-which binds the constants as closure cells, and one bounded cache keeps
-the factory of each (shape, kind, order), for surfaces and curves alike:
-the curves of an arclen-compare command and the next one's, which differ
-only in their numbers, record once.
+which binds the constants as closure cells.  This module only records:
+expr's kernel table decides when a shape is recorded and keeps its
+factory (expr.bound_kernel), so the curves of an arclen-compare command
+and the next one's, which differ only in their numbers, record once.
 
 Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
 is not recorded, and a kernel hands back to ``eval_ast`` wherever its
 folds might not hold or an elementary function fails: it returns None,
 or raises what the function raised, and the caller evaluates again with
-``eval_ast``, which reports it.  surfgeo imports this module when a
-shape has been evaluated RECORD_AFTER times (it counts without it), and
-NodeTable when it first samples a curve for arclen-compare, so a command
-that evaluates a surface only a few times never loads it.
+``eval_ast``, which reports it (expr.replayed).  expr imports this module
+at the first recording, when the trees of one shape have been evaluated
+expr.RECORD_AFTER times, so a command that evaluates a surface or a path
+only a few times never loads it.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ import itertools
 import math
 import types
 
-from .expr import (MAX_SHAPES, BinOp, Call, Const, Neg, NotReplayable, Var,
-                   _shape_of, eval_ast)
+from .expr import BinOp, Call, Const, Neg, NotReplayable, Var, eval_ast
 from .jets import (
     _PHI,
     _SEED_TAILS,
@@ -54,11 +53,6 @@ from .jets import (
     _Jet,
     _phi,
 )
-
-# (shape, kind, order) -> make(c0, ...) -> kernel, or None for a shape
-# that cannot be recorded; the oldest entry goes first
-_KERNELS = {}
-
 
 class _Sym:
     """A float of a recording that only the run time knows: the result of
@@ -373,29 +367,10 @@ def _compile(trees, order, kind, count):
         return None
 
 
-def record_shape(shape, kind, order):
-    """The jet kernel of ``kind`` at ``order`` of the trees whose
-    expr._shape_of is ``shape``: the key's cached factory (on a miss _tree
-    builds the shape and _compile records it) called with the values.
-    None where the trees or their shape cannot be recorded: eval_ast then
-    reports what it reports."""
-    if shape is None:
-        return None
-    keys, values = shape
-    key = (keys, kind, order)
-    make = _KERNELS.get(key, False)
-    if make is False:                       # only a miss builds the trees
-        count = itertools.count()
-        make = _compile([_tree(k, count) for k in keys], order, kind,
-                        len(values))
-        if len(_KERNELS) >= MAX_SHAPES:
-            del _KERNELS[next(iter(_KERNELS))]
-        _KERNELS[key] = make
-    return make and make(*values)
-
-
-def record_curve(trees):
-    """The order-3 jet kernel t -> ((u, u', u'', u'''), (v, v', v'', v'''))
-    of a parameter path's trees (u(t), v(t)), or None (see
-    record_shape)."""
-    return record_shape(_shape_of(trees), Jet1, MAX_ORDER_1)
+def factory(keys, kind, order, count):
+    """make(c0, ..., c<count - 1>) -> the jet kernel of ``kind`` at
+    ``order`` of the trees whose expr._shape keys are ``keys``, or None
+    where the shape cannot be recorded (see _compile): _tree builds the
+    shape, and _compile records it."""
+    counter = itertools.count()
+    return _compile([_tree(k, counter) for k in keys], order, kind, count)

@@ -1,20 +1,23 @@
 """Reference routes that tests compare the package against, and inputs
 the package never builds: finite differences, stand-alone space curves,
 the identity suites' curves as expression trees, their sample points
-drawn one at a time, two per-point surface quantities, and the
-closed-form commensurate curve on the unit sphere.
+drawn one at a time, two per-point surface quantities, the closed-form
+commensurate curve on the unit sphere, a surface in another chart, and a
+shape's kernel recorded at its first evaluation.
 No command runs them."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 
 import numpy as np
+import pytest
 
+from affinemetrics import expr
 from affinemetrics import identities as idn
 from affinemetrics.curvegeo import _columns
 from affinemetrics.errors import AffineMetricsError, DomainExit, NonFiniteValue
-from affinemetrics.expr import (BinOp, Call, Const, Var, eval_ast,
+from affinemetrics.expr import (BinOp, Call, Const, Neg, Var, eval_ast,
                                 parse_expression)
 from affinemetrics.jets import Jet1
 from affinemetrics.numerics import OdeOptions, ode_solve
@@ -293,3 +296,48 @@ def sphere_reference_curve(s_max, step, rel_tol=1e-10, abs_tol=1e-12):
         e2=states[:, 6:9],
         e3=states[:, 9:12],
     )
+
+
+# ---------------------------------------------------------------------------
+# a change of chart
+
+def _substituted(tree, bindings):
+    """``tree`` with each variable named in ``bindings`` replaced by its
+    tree there, all at once."""
+    kind = type(tree)
+    if kind is Var:
+        return bindings.get(tree.name, tree)
+    if kind is Neg:
+        return Neg(_substituted(tree.child, bindings))
+    if kind is BinOp:
+        return BinOp(tree.op, _substituted(tree.left, bindings),
+                     _substituted(tree.right, bindings))
+    if kind is Call:
+        return Call(tree.func, _substituted(tree.arg, bindings))
+    return tree
+
+
+def recharted(surface, u_of, v_of, domain):
+    """``surface`` in another chart, at the expression level, as
+    identities.transformed_surface moves it in space: X(phi(u, v)), its
+    components with u = ``u_of`` and v = ``v_of`` substituted, expressions
+    in the new chart's u and v, over the new ``domain``."""
+    bindings = {"u": parse_expression(u_of, {"u", "v"}),
+                "v": parse_expression(v_of, {"u", "v"})}
+    (u0, u1), (v0, v1) = domain
+    return replace(surface, components=tuple(
+        _substituted(comp, bindings) for comp in surface.components),
+        u_min=u0, u_max=u1, v_min=v0, v_max=v1, name=None)
+
+
+# ---------------------------------------------------------------------------
+# a shape's kernel, recorded at once
+
+def recorded(trees, kind, order):
+    """expr.bound_kernel of ``trees`` at ``kind`` and ``order`` with their
+    shape recorded at its first evaluation: the kernel table's factory,
+    recorded now or before, bound to the trees' constants; None where the
+    trees cannot be recorded."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expr, "RECORD_AFTER", 1)
+        return expr.bound_kernel({}, trees, "kernel", kind, order)

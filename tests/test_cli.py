@@ -6,17 +6,20 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import jet_route
 import numpy as np
 import pytest
+from reference_routes import recharted
 
-from affinemetrics import cli, surfgeo, tape
+from affinemetrics import cli, expr, surfgeo, tape
 from affinemetrics import errors as package_errors
 from affinemetrics.cli import main
 from affinemetrics.errors import StepFailure
-from affinemetrics.jets import Jet2
+from affinemetrics.expr import pretty
+from affinemetrics.jets import Jet1, Jet2
 from affinemetrics.numerics import find_root_bracketed, ode_solve
 from affinemetrics.surfgeo import CATALOG
 
@@ -176,13 +179,74 @@ class TestExitContract:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["0", "-1e-10"])
+    @pytest.mark.parametrize("value", ["0", "-1e-10", "1e-15", "1e-300",
+                                       "2.2e-14"])
     def test_bad_quadrature_tolerance_is_a_usage_error(self, capsys, value):
+        # below 100 machine epsilons, as --rel-tol: 1e-15 and 1e-300 used
+        # to run both sides into GK15 and end QuadratureFailure after 1.6 s
         with pytest.raises(SystemExit) as exc:
             run(["arclen-compare", "--surface", "sphere", "--curve",
                  "t;0.2*t", "--t-range", "0:1", f"--tol={value}"])
         assert exc.value.code == 2
-        assert "argument --tol" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "argument --tol" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("curve", ["t;t", "8*t;t"])
+    def test_quadrature_tolerance_at_the_floor_is_accepted(self, capsys,
+                                                           curve):
+        assert run(["arclen-compare", "--surface", "sphere", "--curve", curve,
+                    "--t-range", "0:1", f"--tol={cli.MIN_REL_TOL!r}",
+                    "--samples", "3"]) == 0
+
+    @pytest.mark.parametrize("t_range", ["-1e308:1e308", "-1.7e308:1.7e308"])
+    def test_overflowing_t_range_width_is_a_usage_error(self, capsys,
+                                                        t_range):
+        # finite ends whose width overflows ended DomainExit at (nan, nan)
+        with pytest.raises(SystemExit) as exc:
+            run(["arclen-compare", "--surface", "sphere", "--curve",
+                 "t;0.2*t", "--t-range", t_range])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --t-range: bad range {t_range!r}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["surface-info", "arclen-compare",
+                                         "commensurate-solve", "sweep"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_output_is_a_config_error(self, capsys, tmp_path,
+                                                 command, target):
+        # an OSError of the write ended in a traceback and exit 1, which
+        # is reserved for identity failures
+        argv = {"surface-info": ["surface-info", "--surface", "sphere",
+                                 "--at", "0.3,0.2"],
+                "arclen-compare": ["arclen-compare", "--surface", "sphere",
+                                   "--curve", "t;t", "--t-range", "0:1",
+                                   "--samples", "3"],
+                "commensurate-solve": [*SOLVE, "--t-max", "0.1"],
+                "sweep": [*SOLVE, "--t-max", "0.1",
+                          "--omega0", "0:1:0.5"]}[command]
+        suffix = "_00" if command == "sweep" else ""
+        if target == "missing":
+            path, written = tmp_path / "missing" / "x.csv", \
+                tmp_path / "missing" / f"x{suffix}.csv"
+            reason = "No such file or directory"
+        else:
+            # the file to write, the first seed's for a sweep, is a
+            # directory
+            path, written = tmp_path / "out.csv", \
+                tmp_path / f"out{suffix}.csv"
+            written.mkdir()
+            reason = "Is a directory"
+        assert run([*argv, "--output", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == (
+            f"error: cannot write {str(written)!r}: {reason}")
+        assert "Traceback" not in err
+        # no temp file is left behind
+        assert [p.name for p in tmp_path.iterdir()] == (
+            [] if target == "missing" else [written.name])
+        if target == "directory":
+            assert list(written.iterdir()) == []
 
     @pytest.mark.parametrize("command,flag,value", [
         ("commensurate-solve", "--max-steps", "0"),
@@ -821,6 +885,63 @@ class TestArclenSharedNodes:
         assert errors[0].startswith("error: NegativeOrientation")
 
 
+class TestChartChange:
+    """Neither arc length depends on the chart: a curve on the sphere
+    re-expressed in two other charts, through --surface-expr and the mapped
+    --curve, has the catalog chart's rows.  The parameter t is the same in
+    every chart, so the integrands agree as well as the sums."""
+
+    # the new chart's (u, v) -> the catalog's, and the inverse map of a
+    # curve's (u(t), v(t)) into the new chart
+    CHARTS = {
+        "linear": ("1.3*u + 0.4*v + 0.1", "-0.2*u + 0.9*v - 0.2",
+                   lambda a, b: (f"(0.9*(({a}) - 0.1) - 0.4*(({b}) + 0.2))"
+                                 f"/1.25",
+                                 f"(0.2*(({a}) - 0.1) + 1.3*(({b}) + 0.2))"
+                                 f"/1.25")),
+        "shear": ("u + 0.2*v^2", "v",
+                  lambda a, b: (f"({a}) - 0.2*({b})^2", b)),
+    }
+    # the README's curve and two drawn at random (one is mirrored)
+    CURVES = [("8*t", "t"),
+              ("0.6100 + 1.2318*t + 0.0307*t^2",
+               "-0.1285 + -0.4461*t + -0.0700*t^2"),
+              ("-0.2011 + 1.7458*t + 0.1123*sin(0.4803*t)",
+               "-0.1559 + 0.2414*t + 0.1046*t^2")]
+    #: measured: at most 6.8e-16 of a column's largest value
+    REL = 1e-13
+
+    @staticmethod
+    def _rows(capsys, source, curve):
+        assert run(["arclen-compare", *source, "--curve", curve,
+                    "--t-range", "0:1", "--samples", "50", "--auto-orient",
+                    "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)["rows"]
+
+    @pytest.mark.parametrize("chart", sorted(CHARTS))
+    @pytest.mark.parametrize("curve", range(len(CURVES)))
+    def test_arc_lengths_do_not_depend_on_the_chart(self, capsys, chart,
+                                                    curve):
+        u_of, v_of, mapped = self.CHARTS[chart]
+        u, v = self.CURVES[curve]
+        want = self._rows(capsys, ["--surface", "sphere"], f"{u};{v}")
+        surface = recharted(CATALOG["sphere"], u_of, v_of,
+                            ((-50.0, 50.0), (-50.0, 50.0)))
+        source = ["--surface-expr",
+                  ";".join(pretty(c) for c in surface.components),
+                  "--domain", "-50:50,-50:50"]
+        got = self._rows(capsys, source, ";".join(mapped(u, v)))
+        assert len(got) == len(want) == 50
+        for column in (1, 2, 3, 4):     # s_alpha, s_sigma, the integrands
+            scale = max(abs(row[column]) for row in want)
+            for g, w in zip(got, want):
+                assert abs(g[column] - w[column]) <= self.REL * scale, (
+                    column, g[0])
+        assert [row[5:] for row in got] == [row[5:] for row in want]
+        if curve == 0:
+            assert want[-1][1:3] == [5.235929329570402, 6.80791076471987]
+
+
 class TestCommensurateSolve:
     def test_paraboloid_residual_bound(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -1042,15 +1163,15 @@ class TestRecordedKernels:
         """(order, whether a kernel came of it) per recording of a
         surface's jets."""
         calls = []
-        record = tape.record_shape
+        factory = tape.factory
 
-        def spy(shape, kind, order):
-            kernel = record(shape, kind, order)
+        def spy(keys, kind, order, count):
+            make = factory(keys, kind, order, count)
             if kind is Jet2:
-                calls.append((order, kernel is not None))
-            return kernel
+                calls.append((order, make is not None))
+            return make
 
-        monkeypatch.setattr(tape, "record_shape", spy)
+        monkeypatch.setattr(tape, "factory", spy)
         return calls
 
     # kernel None: the shape walk refuses the tree (an exponent that
@@ -1072,13 +1193,13 @@ class TestRecordedKernels:
                                               kernel):
         argv = ["surface-info", "--surface-expr", exprs, "--at", at]
         # eval_ast alone, as before kernels were recorded
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 2 ** 62)
+        monkeypatch.setattr(expr, "RECORD_AFTER", 2 ** 62)
         expected = run(argv), capsys.readouterr()
         assert expected[0] == code
         assert recorded == []
         # recorded at the first evaluation: the kernel that the (u*v)^-3
         # recording gives raises at v = 0, and eval_ast reports it
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
         assert (run(argv), capsys.readouterr()) == expected
         assert recorded == ([] if kernel is None else [(2, kernel)])
 
@@ -1096,13 +1217,13 @@ class TestRecordedKernels:
         # surfaces (4 points) and reparametrized walks (20) of one
         # --samples 20 run stay with eval_ast
         calls = []
-        record = tape.record_shape
+        factory = tape.factory
 
-        def spy(shape, kind, order):
-            calls.append((shape[0], kind))
-            return record(shape, kind, order)
+        def spy(keys, kind, order, count):
+            calls.append((keys, kind))
+            return factory(keys, kind, order, count)
 
-        monkeypatch.setattr(tape, "record_shape", spy)
+        monkeypatch.setattr(tape, "factory", spy)
         assert run(["check-identities", "--surface", name,
                     "--samples", "20"]) == 0
         own = surfgeo.CATALOG[name]._kernels["shape"][0]
@@ -1120,16 +1241,18 @@ class TestRecordedKernels:
 class TestRecordedCurveKernels:
     @pytest.fixture
     def recorded(self, monkeypatch):
-        """Per curve recording, whether a kernel came of it."""
+        """Per recording of a parameter path, whether a kernel came of
+        it."""
         calls = []
-        record = tape.record_curve
+        factory = tape.factory
 
-        def spy(trees):
-            kernel = record(trees)
-            calls.append(kernel is not None)
-            return kernel
+        def spy(keys, kind, order, count):
+            make = factory(keys, kind, order, count)
+            if kind is Jet1:
+                calls.append(make is not None)
+            return make
 
-        monkeypatch.setattr(tape, "record_curve", spy)
+        monkeypatch.setattr(tape, "factory", spy)
         return calls
 
     @pytest.mark.parametrize("surface, curve, t_range, code, kernel", [
@@ -1137,8 +1260,8 @@ class TestRecordedCurveKernels:
         ("hyperboloid", "t/(1+t^2);0.3*t^2", "0.1:1", 0, True),
         ("hyperboloid", "t;abs(t-0.45)*t", "0:1", 5, False),
         ("sphere", "abs(t-0.45);t", "0:1", 3, False),
-        ("helicoid", "t^t;t^2", "0:1", 5, False),
-        ("paraboloid", "1+t^t;1+t", "0.1:1", 3, False),
+        ("helicoid", "t^t;t^2", "0:1", 5, None),
+        ("paraboloid", "1+t^t;1+t", "0.1:1", 3, None),
         ("paraboloid", "1+log(t);1+t", "-0.5:1", 5, True),
         ("paraboloid", "1+log(t);1+t", "0:1", 5, True),
         # exp(1000 t) overflows past t = 0.7098: eval_ast's DomainError,
@@ -1155,22 +1278,40 @@ class TestRecordedCurveKernels:
         argv = ["arclen-compare", "--surface", surface, "--curve", curve,
                 "--t-range", t_range, "--samples", "11", "--auto-orient",
                 "--format", "json"]
-        got = run(argv), capsys.readouterr()
-        assert got[0] == code
-        assert recorded == [kernel]
         # eval_ast alone, as before curves were recorded
-        monkeypatch.setattr(tape, "record_curve", lambda trees: None)
-        assert (run(argv), capsys.readouterr()) == got
+        monkeypatch.setattr(expr, "RECORD_AFTER", 2 ** 62)
+        expected = run(argv), capsys.readouterr()
+        assert expected[0] == code
+        assert recorded == []
+        # the path recorded at its first sample; kernel None: the shape
+        # walk refuses it (a t-dependent exponent), so nothing is recorded
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
+        assert (run(argv), capsys.readouterr()) == expected
+        assert recorded == ([] if kernel is None else [kernel])
 
     def test_one_node_records_nothing(self, recorded):
-        # one order-3 node of a fresh curve: a curve's own node never
-        # records its path
+        # one order-3 node of a fresh curve records nothing: a path is
+        # recorded at the RECORD_AFTER-th node of its shape, a surface's
+        # shape at its RECORD_AFTER-th evaluation
         from affinemetrics.commensurate import ParamCurve
 
         pc = ParamCurve.from_strings(CATALOG["sphere"], "0.3 + 0.2*t",
                                      "0.1 - 0.5*t + t^2", -0.1, 0.1)
         pc.sample(0.0)
         assert recorded == []
+        # a path of the same shape takes its turn, and the RECORD_AFTER-th
+        # node records the shape once; the first curve then binds it
+        other = ParamCurve.from_strings(CATALOG["sphere"], "0.2 + 0.3*t",
+                                        "0.4 - 0.1*t + t^2", -0.1, 0.1)
+        for k in range(expr.RECORD_AFTER - 2):
+            other.sample(k * 1e-3)
+        assert recorded == [] and 3 not in other._kernels
+        other.sample(0.05)
+        assert recorded == [True] and callable(other._kernels[3])
+        path = pc.sample(0.07)[:2]
+        assert callable(pc._kernels[3]) and recorded == [True]
+        assert [list(map(float.hex, p)) for p in path] == [
+            list(map(float.hex, jet.coeffs)) for jet in pc.param_jets(0.07, 3)]
 
     @pytest.mark.parametrize("surface, u, v, samples", [
         ("sphere", "8*t", "t", 50),
@@ -1183,13 +1324,14 @@ class TestRecordedCurveKernels:
                                            surface, u, v, samples):
         # one curve kernel, no Jet1 built, no jet composed and no
         # affine_integrand on the Chebyshev path, and the rows that
-        # eval_ast's route gives
+        # eval_ast's route gives; the path is recorded at its first node,
+        # as in a process that has evaluated its shape RECORD_AFTER times
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
         from affinemetrics.commensurate import (
             ParamCurve,
             running_arclengths,
         )
         from affinemetrics.curvegeo import affine_integrand
-        from affinemetrics.jets import Jet1
 
         pc = ParamCurve.from_strings(CATALOG[surface], u, v, 0.0, 1.0)
         ts = np.linspace(0.0, 1.0, samples)
@@ -1216,8 +1358,11 @@ class TestRecordedCurveKernels:
             "chebyshev"}
         assert rows.quadrature["alpha"]["points"] <= rows.quadrature[
             "sigma"]["points"]
-        monkeypatch.setattr(tape, "record_curve", lambda trees: None)
-        assert running_arclengths(pc, ts) == rows
+        # eval_ast alone: a copy of the curve and an empty kernel table
+        # whose counts never reach RECORD_AFTER
+        monkeypatch.setattr(expr, "_KERNELS", {})
+        monkeypatch.setattr(expr, "RECORD_AFTER", 2 ** 62)
+        assert running_arclengths(replace(pc), ts) == rows
 
     def test_fallback_failure_runs_on_floats(self, capsys, monkeypatch,
                                              recorded):

@@ -70,15 +70,14 @@ def test_import_and_parser_leave_numpy_unloaded(tmp_path):
 
 
 def test_import_and_parser_record_no_kernel(tmp_path):
-    # a kernel is recorded after surfgeo.RECORD_AFTER evaluations of one
-    # surface; importing the CLI and building its parser evaluates none,
-    # leaves the recorder's module unloaded, and so its cache of shapes
-    # empty
+    # a kernel is recorded after expr.RECORD_AFTER evaluations of one
+    # shape; importing the CLI and building its parser evaluates none,
+    # leaves the recorder's module unloaded, and the kernel table empty
     code = ("import sys, affinemetrics.cli as c; c.build_parser(); "
             "from affinemetrics.surfgeo import CATALOG; "
             "print([s._kernels for s in CATALOG.values()], "
             "'affinemetrics.tape' in sys.modules); "
-            "from affinemetrics import tape; print(tape._KERNELS)")
+            "from affinemetrics import expr; print(expr._KERNELS)")
     assert _python(["-c", code], tmp_path)[:2] == (
         0, "[{}, {}, {}, {}, {}, {}] False\n{}\n")
 

@@ -1,11 +1,13 @@
 import math
 import sys
+from dataclasses import replace
 
 import jet_route
 import numpy as np
 import pytest
 from reference_routes import finite_diff, sphere_reference_curve
 
+from affinemetrics import expr
 from affinemetrics.commensurate import (
     BREAKDOWN_SEEDS,
     CommensurateIVP,
@@ -183,8 +185,10 @@ class TestNodeTable:
 
     def test_arc_length_reads_the_node_columns(self, monkeypatch):
         # affine_arclength reads each node's columns: no Jet1 is built
-        table = NodeTable(SPH_HELIX)
-        want = affine_arclength(SPH_HELIX, 0.2, 0.3)
+        # once the path is recorded, here at its first node
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
+        table = NodeTable(replace(SPH_HELIX))
+        want = affine_arclength(jet_route.JetRouteCurve(SPH_HELIX), 0.2, 0.3)
         table.sample(0.2)                   # records the path
         made = []
         make = Jet1._make.__func__
@@ -988,8 +992,6 @@ class TestConditionCheck:
         assert [j.coeffs for j in jets] == [j.coeffs for j in want]
 
     def test_trace_curve_outside_the_domain_is_a_domain_exit(self):
-        from dataclasses import replace
-
         from affinemetrics.errors import DomainExit
         from affinemetrics.surfgeo import SurfaceDef
 

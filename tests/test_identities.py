@@ -510,7 +510,7 @@ def test_reports_are_the_same_with_recording_off_and_on(capsys, monkeypatch,
     monkeypatch.setattr(idn.IdentityReport, "line", spy)
     runs = {2 ** 62: [], 1: []}
     for record_after, outcomes in runs.items():
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", record_after)
+        monkeypatch.setattr(expr, "RECORD_AFTER", record_after)
         for seed in (0, 1, 2, 7):
             reports.clear()
             code = main(["check-identities", *source,

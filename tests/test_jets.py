@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jet_route import partial
-from reference_routes import finite_diff
+from reference_routes import finite_diff, recorded
 
-from affinemetrics import jets, tape
+from affinemetrics import expr, jets, tape
 from affinemetrics.errors import DomainError, OrderMismatch, UnsupportedOrder
 from affinemetrics.expr import eval_ast, parse_expression, pretty
 from affinemetrics.jets import Jet1, Jet2, compose_curve_in_surface, det3
@@ -587,7 +587,8 @@ def _arclen_item_paths(rng, count):
 
 
 class TestRecordedCurveKernel:
-    """tape.record_curve against eval_ast over Jet1.seed(t, 3), bit for bit
+    """A parameter path's recorded kernel (expr.bound_kernel at Jet1, order
+    3) against eval_ast over Jet1.seed(t, 3), bit for bit
     (a NaN equal to any NaN), at 520 values of t per parameter path, among
     them +-0.0: the paths of arclen-compare's items, the README's 8*t;t,
     the elementary functions whose _phi may fail, and quotients and a
@@ -613,7 +614,7 @@ class TestRecordedCurveKernel:
         "u_src, v_src", PATHS + _arclen_item_paths(random.Random(19), 4))
     def test_bit_identical_to_eval_ast(self, u_src, v_src):
         trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
-        kernel = tape.record_curve(trees)
+        kernel = recorded(trees, Jet1, 3)
         assert kernel is not None
 
         def interpreted(t):
@@ -644,14 +645,14 @@ class TestRecordedCurveKernel:
         # abs, a t-dependent exponent and a literal past the float range
         # stay with eval_ast
         trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
-        assert tape.record_curve(trees) is None
+        assert recorded(trees, Jet1, 3) is None
 
 
 _T = parse_expression("t", {"t"})
 
 
 class TestCurveShapeCache:
-    """record_curve records a path's shape once: its constants (maximal
+    """A path's shape is recorded once: its constants (maximal
     variable-free subtrees) are kernel inputs, and every path of the
     shape takes its kernel from the one cached factory, with its own
     constants, bit for bit eval_ast's, signed zeros included."""
@@ -706,7 +707,7 @@ class TestCurveShapeCache:
         rng = random.Random(shape)
         for u_src, v_src in self._paths(self.SHAPES[shape], rng, 40):
             trees = [parse_expression(src, {"t"}) for src in (u_src, v_src)]
-            kernel = tape.record_curve(trees)
+            kernel = recorded(trees, Jet1, 3)
             assert kernel is not None
 
             def interpreted(t):
@@ -723,12 +724,12 @@ class TestCurveShapeCache:
                     assert got == self._outcome(interpreted, t), (
                         u_src, v_src, t)
         assert len(compiled) == 1
-        assert len(tape._KERNELS) == 1
+        assert len(expr._KERNELS) == 1
 
     def test_shapes_differ_in_exponents_and_divisors(self, compiled):
         for u_src in ("t^2", "t^3", "t^2", "t/3", "t/4", "t/(1+2)"):
             trees = [parse_expression(u_src, {"t"}), _T]
-            assert tape.record_curve(trees) is not None
+            assert recorded(trees, Jet1, 3) is not None
         # t/(1+2) is t/3: the divisor's value is in the shape
         assert compiled == [("t^2.0", "t"), ("t^3.0", "t"),
                             ("t/3.0", "t"), ("t/4.0", "t")]
@@ -740,25 +741,25 @@ class TestCurveShapeCache:
         # a constant past the float range or one that eval_ast refuses:
         # no kernel, and nothing compiled or cached for it
         trees = [parse_expression(u_src, {"t"}), _T]
-        assert tape.record_curve(trees) is None
-        assert compiled == [] and tape._KERNELS == {}
+        assert recorded(trees, Jet1, 3) is None
+        assert compiled == [] and expr._KERNELS == {}
 
     def test_cache_keeps_at_most_max_shapes(self, compiled):
         def record(k):
             trees = [parse_expression(f"t/{k}", {"t"}), _T]
-            assert tape.record_curve(trees) is not None
+            assert recorded(trees, Jet1, 3) is not None
 
-        for k in range(1, tape.MAX_SHAPES + 11):
+        for k in range(1, expr.MAX_SHAPES + 11):
             record(k)
-            assert len(tape._KERNELS) <= tape.MAX_SHAPES
-        assert len(tape._KERNELS) == tape.MAX_SHAPES
-        assert len(compiled) == tape.MAX_SHAPES + 10
+            assert len(expr._KERNELS) <= expr.MAX_SHAPES
+        assert len(expr._KERNELS) == expr.MAX_SHAPES
+        assert len(compiled) == expr.MAX_SHAPES + 10
         # the oldest ten went first
-        record(tape.MAX_SHAPES + 10)
+        record(expr.MAX_SHAPES + 10)
         record(11)
-        assert len(compiled) == tape.MAX_SHAPES + 10
+        assert len(compiled) == expr.MAX_SHAPES + 10
         record(10)
-        assert len(compiled) == tape.MAX_SHAPES + 11
+        assert len(compiled) == expr.MAX_SHAPES + 11
 
     def test_a_hit_builds_no_tree(self, compiled, monkeypatch):
         # a hit needs only the shape's key and its constants' values
@@ -773,7 +774,7 @@ class TestCurveShapeCache:
         seed = Jet1.seed(0.25, 3)
         for k, c in enumerate(("2", "-0.5", "exp(1)")):
             trees = [parse_expression(f"({c})*sin(t) + t/3", {"t"}), _T]
-            assert tape.record_curve(trees)(0.25) == tuple(
+            assert recorded(trees, Jet1, 3)(0.25) == tuple(
                 seed.lift(eval_ast(tree, {"t": seed})).coeffs
                 for tree in trees)
             if k == 0:
@@ -784,9 +785,9 @@ class TestCurveShapeCache:
     def test_a_refused_shape_is_cached(self, compiled):
         for c in ("2", "3"):
             trees = [parse_expression(f"abs({c}*t)", {"t"}), _T]
-            assert tape.record_curve(trees) is None
+            assert recorded(trees, Jet1, 3) is None
         assert len(compiled) == 1
-        assert list(tape._KERNELS.values()) == [None]
+        assert list(expr._KERNELS.values()) == [None]
 
 
 # ---------------------------------------------------------------------------
@@ -920,7 +921,7 @@ class TestJetErrors:
         # no double has cos(x) == 0, so stand in a math whose cos is 0
         import types
 
-        from affinemetrics import jets, tape
+        from affinemetrics import expr, jets, tape
         fake = types.SimpleNamespace(**vars(math))
         fake.cos = lambda x: 0.0
         monkeypatch.setattr(jets, "math", fake)

@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from jet_route import partial
-from reference_routes import check_reparam_covariance, normal_curvature
+from reference_routes import (check_reparam_covariance, normal_curvature,
+                              recorded)
 
 from affinemetrics import identities as idn
-from affinemetrics import surfgeo, tape
+from affinemetrics import expr, surfgeo, tape
 from affinemetrics.errors import (
     AffineMetricsError,
     DegenerateSurfacePoint,
@@ -17,8 +18,7 @@ from affinemetrics.errors import (
     SingularJacobian,
     UnsupportedOrder,
 )
-from affinemetrics.expr import (BinOp, Call, Const, Neg, Var, _shape_of,
-                                eval_ast)
+from affinemetrics.expr import BinOp, Call, Const, Neg, Var, eval_ast
 from affinemetrics.identities import (
     equiaffine_invariance_suite,
     reparam_law_suite,
@@ -59,7 +59,7 @@ def _classify(surface, u, v):
 def _record(surface, order):
     """The jet kernel (u, v) -> three coefficient tuples of ``surface`` at
     ``order``, or None."""
-    return tape.record_shape(_shape_of(surface.components), Jet2, order)
+    return recorded(surface.components, Jet2, order)
 
 
 def _swap_uv(ast):
@@ -388,7 +388,7 @@ class TestRecordedKernel:
     @pytest.mark.parametrize("name", sorted(CATALOG))
     def test_non_finite_points_give_what_eval_ast_gives(self, name,
                                                         monkeypatch):
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
         surface = replace(CATALOG[name])
         for order in (1, 2, 3):
             for u, v in [(math.inf, 0.5), (0.5, -math.inf), (math.nan, 0.1),
@@ -403,14 +403,14 @@ class TestRecordedKernel:
         # the count is kept per shape: the sphere and an inline copy of it,
         # two surfaces of one shape, take turns towards RECORD_AFTER
         recorded = []
-        original = tape.record_shape
-        monkeypatch.setattr(tape, "record_shape", lambda shape, kind, order: (
-            recorded.append((kind, order)), original(shape, kind, order))[1])
+        original = tape.factory
+        monkeypatch.setattr(tape, "factory", lambda keys, kind, order, n: (
+            recorded.append((kind, order)), original(keys, kind, order, n))[1])
         surface = replace(SPHERE)
         inline = SurfaceDef.from_strings(
             "cos(u)*cos(v); sin(u)*cos(v); sin(v)", ((-3, 3), (-1.4, 1.4)))
         want = _bits(_interpreted(surface, 0.1, 0.2, 3))
-        for k in range(surfgeo.RECORD_AFTER - 1):
+        for k in range(expr.RECORD_AFTER - 1):
             got = surface_jets((surface, inline)[k % 2], 0.1, 0.2, 3)
             assert _bits(j.coeffs for j in got) == want
         surface_jets(surface, 0.1, 0.2, 2)          # an order of its own
@@ -418,15 +418,16 @@ class TestRecordedKernel:
         assert 3 not in surface._kernels and 3 not in inline._kernels
         key = surface._kernels["shape"][0]
         assert key == inline._kernels["shape"][0]
-        assert surfgeo._COUNTS == {(key, Jet2, 3): surfgeo.RECORD_AFTER - 1,
-                                   (key, Jet2, 2): 1}
+        assert expr._KERNELS == {(key, Jet2, 3): expr.RECORD_AFTER - 1,
+                                 (key, Jet2, 2): 1}
         # the shape's RECORD_AFTER-th evaluation records it; the other
         # surface binds the recorded kernel at its next evaluation
         for s in (inline, surface, surface):
             got = surface_jets(s, 0.1, 0.2, 3)
             assert _bits(j.coeffs for j in got) == want
-        assert recorded == [(Jet2, 3), (Jet2, 3)]
-        assert len(tape._KERNELS) == 1
+        assert recorded == [(Jet2, 3)]
+        assert callable(expr._KERNELS[(key, Jet2, 3)])
+        assert expr._KERNELS[(key, Jet2, 2)] == 1
         assert callable(surface._kernels[3]) and callable(inline._kernels[3])
         # a moved, copied or unpickled surface binds its kernels afresh, at
         # its first evaluation once its shape has been recorded
@@ -435,7 +436,7 @@ class TestRecordedKernel:
         assert copy == surface and copy._kernels == {}
         assert _bits(j.coeffs for j in surface_jets(copy, 0.1, 0.2, 3)) == \
             want
-        assert callable(copy._kernels[3]) and len(tape._KERNELS) == 1
+        assert callable(copy._kernels[3]) and recorded == [(Jet2, 3)]
 
     def test_count_table_keeps_at_most_max_shapes(self):
         # 200 distinct shapes, u + v^k, each evaluated twice
@@ -444,13 +445,13 @@ class TestRecordedKernel:
                 f"u; v; u + v^{k}", ((-1.0, 1.0), (-1.0, 1.0)))
             for _ in range(2):
                 surface_jets(surface, 0.5, 0.5, 2)
-            assert len(surfgeo._COUNTS) <= tape.MAX_SHAPES
-        assert len(surfgeo._COUNTS) == tape.MAX_SHAPES
+            assert len(expr._KERNELS) <= expr.MAX_SHAPES
+        assert len(expr._KERNELS) == expr.MAX_SHAPES
         # the oldest went first: the last MAX_SHAPES shapes are kept
-        kept = sorted(key[0][2][2][2][0] for key in surfgeo._COUNTS)
+        kept = sorted(key[0][2][2][2][0] for key in expr._KERNELS)
         assert kept == sorted(float(k).hex() for k in
-                              range(200 - tape.MAX_SHAPES, 200))
-        assert set(surfgeo._COUNTS.values()) == {2}
+                              range(200 - expr.MAX_SHAPES, 200))
+        assert set(expr._KERNELS.values()) == {2}
 
     @pytest.mark.parametrize("exprs", [
         "u;v;abs(u)", "u;v;u^v", "u;v;v^(u*0 + 2)", "u;abs(v - 3);u*v"])
@@ -593,7 +594,7 @@ def _jacobian(rng, k):
 def _record_reparam(surface):
     """The kernel (u, v, j00, j01, j10, j11) -> order-2 coefficients of
     ``surface`` in new parameters, or None."""
-    return tape.record_shape(_shape_of(surface.components), "reparam", 2)
+    return recorded(surface.components, "reparam", 2)
 
 
 class TestReparamKernel:
@@ -625,7 +626,7 @@ class TestReparamKernel:
     def test_discriminant_and_errors_match_eval_ast(self, monkeypatch,
                                                     record_after):
         # with the kernel bound from the first walk, and without it
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", record_after)
+        monkeypatch.setattr(expr, "RECORD_AFTER", record_after)
         rng = random.Random(6)
         for surface in _reparam_surfaces():
             surface = replace(surface)
@@ -655,7 +656,7 @@ class TestReparamKernel:
 
     @pytest.mark.parametrize("exprs", ["u;v;abs(u)^3", "u;v;u^v"])
     def test_branching_trees_stay_interpreted(self, monkeypatch, exprs):
-        monkeypatch.setattr(surfgeo, "RECORD_AFTER", 1)
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
         surface = SurfaceDef.from_strings(exprs, ((0.1, 1.0), (0.1, 1.0)))
         assert _record_reparam(surface) is None
         jac = [[0.5, -1.0], [1.5, 0.25]]
