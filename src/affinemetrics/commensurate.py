@@ -145,8 +145,7 @@ class ParamCurve(_EmbeddedCurve):
                    float(t_min), float(t_max))
 
     def __getstate__(self):
-        # a kernel is a function made by exec, which pickle cannot name: a
-        # copy binds its kernel afresh
+        # as SurfaceDef's: a copy binds its kernel afresh
         return {**self.__dict__, "_kernels": {}}
 
     def param_jets(self, t, order):
@@ -162,8 +161,8 @@ class ParamCurve(_EmbeddedCurve):
         (expr.bound_kernel), bit for bit the same, with eval_ast again
         wherever the kernel hands a t back."""
         kernels = self._kernels
-        path = replayed(kernels.get(3) or bound_kernel(
-            kernels, (self.u_of_t, self.v_of_t), 3, Jet1, MAX_ORDER_1),
+        path = replayed(kernels.get(MAX_ORDER_1) or bound_kernel(
+            kernels, (self.u_of_t, self.v_of_t), Jet1, MAX_ORDER_1),
             float(t))
         if path is None:
             return super().sample(t)

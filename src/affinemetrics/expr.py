@@ -409,14 +409,15 @@ MAX_SHAPES = 64
 _KERNELS = {}
 
 
-def bound_kernel(cache, trees, slot, kind, order):
+def bound_kernel(cache, trees, kind, order):
     """The recorded kernel of ``trees`` at ``kind`` (Jet2 or "reparam" for
-    a surface's, Jet1 for a parameter path's) and ``order``, bound to their
-    constants and kept in the owner's ``cache`` at ``slot``; None until the
-    RECORD_AFTER-th evaluation of their shape at (kind, order), counted by
-    this call, and for good where the trees cannot be recorded.  The trees
-    are walked once per owner, for their shape and constants, kept at
+    a surface's, Jet1 for a path's) and ``order``, bound to their constants
+    and kept in the owner's ``cache`` at "reparam" or ``order``; None until
+    the RECORD_AFTER-th evaluation of their shape at (kind, order), counted
+    by this call, and for good where the trees cannot be recorded.  The
+    trees are walked once per owner, for their shape and constants, kept at
     ``cache["shape"]``; a shape recorded before binds at once."""
+    slot = kind if kind == "reparam" else order
     kernel = cache.get(slot, False)
     if kernel is not False:
         return kernel

@@ -142,7 +142,7 @@ def surface_jets(surface, u, v, order, check_domain=True):
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
     kernels = surface._kernels
     coeffs = replayed(kernels.get(order) or bound_kernel(
-        kernels, surface.components, order, Jet2, order), float(u), float(v))
+        kernels, surface.components, Jet2, order), float(u), float(v))
     if coeffs is not None:
         x, y, z = coeffs
         return (Jet2._make(order, x), Jet2._make(order, y),
@@ -285,9 +285,9 @@ def _reparam_discriminant(surface, u, v, jacobian):
             1.0, max(abs(j00), abs(j01), abs(j10), abs(j11)) ** 2):
         raise SingularJacobian(f"jacobian determinant {jdet!r} is singular")
     u, v = float(u), float(v)
-    rows = replayed(bound_kernel(surface._kernels, surface.components,
-                                 "reparam", "reparam", 2),
-                    u, v, j00, j01, j10, j11)
+    kernels = surface._kernels
+    rows = replayed(kernels.get("reparam") or bound_kernel(
+        kernels, surface.components, "reparam", 2), u, v, j00, j01, j10, j11)
     if rows is None:
         s = Jet2.seed_u(0.0, 2)
         w = Jet2.seed_v(0.0, 2)

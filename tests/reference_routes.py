@@ -340,4 +340,4 @@ def recorded(trees, kind, order):
     trees cannot be recorded."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(expr, "RECORD_AFTER", 1)
-        return expr.bound_kernel({}, trees, "kernel", kind, order)
+        return expr.bound_kernel({}, trees, kind, order)

@@ -1,12 +1,14 @@
 """Digest of everything the benchmark's items print and write.
 
 Builds the items of each workload of ``perfbench/workloads.py`` for each
-seed (without their reference values) and runs them in order through
-``affinemetrics.cli.main`` in one process, each pass in a fresh
-directory, as the benchmark's worker does.  Each item adds to its
-workload's digest: its argv, its exit code (or the type and message of
-the exception it raised), its stdout and stderr, and the name and bytes
-of every file it left, which are removed before the next item runs.
+seed (without their reference values), then runs one seed's items of one
+workload at a time through ``affinemetrics.cli.main`` in a fresh
+process, as the benchmark's worker does: two passes, each in a fresh
+directory, so the second runs on the kernels the first recorded.  Each
+item adds to its workload's digest: its argv, its exit code (or the type
+and message of the exception it raised), its stdout and stderr, and the
+name and bytes of every file it left, which are removed before the next
+item runs.
 
 Prints one SHA-256 digest per workload, with the number of item runs
 whose exit code is not the one the item expects, and one digest over all
@@ -26,10 +28,14 @@ import argparse
 import contextlib
 import hashlib
 import io
+import multiprocessing
 import os
 import sys
 import tempfile
 from pathlib import Path
+
+#: passes over one seed's items in one process
+PASSES = 2
 
 
 def _run_item(main, argv):
@@ -61,20 +67,26 @@ def _update(digest, *parts):
         digest.update(data)
 
 
-def workload_digest(main, items, passes):
-    """(the SHA-256 of ``passes`` in-process passes over ``items``, the
-    runs whose exit code is not the item's "exit")."""
+def seed_digest(src, items):
+    """(the SHA-256 of PASSES passes over ``items``, each an (argv, exit
+    code), and the runs whose exit code is not the item's), with the
+    package under ``src``; called in a fresh process, which nothing has
+    evaluated in."""
+    sys.path.insert(0, src)
+    sys.dont_write_bytecode = True          # leave the checkout as it is
+    from affinemetrics.cli import main
+
     digest = hashlib.sha256()
     unexpected = 0
     here = os.getcwd()
-    for _ in range(passes):
+    for _ in range(PASSES):
         with tempfile.TemporaryDirectory() as directory:
             os.chdir(directory)
             try:
-                for item in items:
-                    outcome, out, err = _run_item(main, item["argv"])
-                    unexpected += outcome != repr(item["exit"])
-                    _update(digest, repr(item["argv"]), outcome, out, err)
+                for argv, code in items:
+                    outcome, out, err = _run_item(main, argv)
+                    unexpected += outcome != repr(code)
+                    _update(digest, repr(argv), outcome, out, err)
                     for name, data in _left_files(directory):
                         _update(digest, name, data)
             finally:
@@ -85,26 +97,30 @@ def workload_digest(main, items, passes):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--passes", type=int, default=2,
-                        help="passes over each seed's items (default 2: "
-                             "the second runs on the kernels the first "
-                             "recorded)")
     parser.add_argument("--root", type=Path,
                         default=Path(__file__).resolve().parents[1])
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    sys.dont_write_bytecode = True          # leave the checkout as it is
+    sys.dont_write_bytecode = True
     import workloads
-    from affinemetrics import cli
 
+    fresh = multiprocessing.get_context("spawn")
     overall = hashlib.sha256()
     for workload in workloads.WORKLOADS:
-        items = [item for seed in args.seeds
-                 for item in workloads.build_items(workload, seed)]
-        digest, unexpected = workload_digest(cli.main, items, args.passes)
-        _update(overall, workload, digest)
-        print(f"{workload:<10} {digest}  ({len(items)} items, "
+        digest = hashlib.sha256()
+        count = unexpected = 0
+        for seed in args.seeds:
+            items = [(item["argv"], item["exit"])
+                     for item in workloads.build_items(workload, seed)]
+            with fresh.Pool(1) as pool:
+                hexdigest, missed = pool.apply(
+                    seed_digest, (str(root / "src"), items))
+            _update(digest, seed, hexdigest)
+            count += len(items)
+            unexpected += missed
+        _update(overall, workload, digest.hexdigest())
+        print(f"{workload:<10} {digest.hexdigest()}  ({count} items, "
               f"{unexpected} unexpected exit codes)")
     print(f"{'overall':<10} {overall.hexdigest()}")
 
