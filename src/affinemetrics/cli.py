@@ -278,32 +278,33 @@ def _parse_sweep(text):
 # surface-info
 
 def _cmd_surface_info(args):
+    from .jets import cross3
     from .surfgeo import (
-        classify_from_jets,
-        form_from_jets,
-        forms_from_jets,
+        _partials,
+        form_from_partials,
+        forms_from_partials,
         gauss_from_forms,
-        lmn_from_jets,
         surface_jets,
     )
 
     surface = _surface_from_args(args)
     u, v = args.at
-    jets = surface_jets(surface, u, v, 2)
-    first, second, _ = forms_from_jets(jets, u, v)
-    lmn = lmn_from_jets(jets)
+    partials = _partials(surface_jets(surface, u, v, 2))
+    # the Euclidean forms first: an irregular point is IrregularPoint
+    first, second, _ = forms_from_partials(*partials, cross3(*partials[:2]),
+                                           u, v)
     K = gauss_from_forms(first, second)
-    form = form_from_jets(jets)                 # raises on degeneracy
-    cls = classify_from_jets(jets)
+    # raises DegenerateSurfacePoint, so the sign of ln - m^2 is the class
+    a, b, c, disc, flipped, _, (l, m, n) = form_from_partials(*partials)
     fields = [
         ("u", u), ("v", v),
         ("E", first.a), ("F", first.b), ("G", first.c),
         ("e", second.a), ("f", second.b), ("g", second.c),
-        ("l", lmn.a), ("m", lmn.b), ("n", lmn.c),
+        ("l", l), ("m", m), ("n", n),
         ("K", K),
-        ("iaff_a", form.a), ("iaff_b", form.b), ("iaff_c", form.c),
-        ("iaff_flipped", form.flipped),
-        ("classification", cls.kind),
+        ("iaff_a", a), ("iaff_b", b), ("iaff_c", c),
+        ("iaff_flipped", flipped),
+        ("classification", "elliptic" if disc > 0.0 else "hyperbolic"),
     ]
     # JSON has no inf or nan, and no other command prints them either
     bad = [k for k, x in fields
@@ -424,15 +425,15 @@ def _cmd_commensurate_solve(args):
     if len(omegas) > 1 and (args.output is None or args.output == "-"):
         raise ExprError("a sweep needs --output (one file per seed)")
 
-    traces = run_family(ivp, omegas)
-
-    for k, trace in enumerate(traces):
+    # one seed at a time, each file written as soon as its seed is solved
+    for k, omega in enumerate(omegas):
+        trace, = run_family(ivp, [omega])
         path = args.output
-        if len(traces) > 1:
+        if len(omegas) > 1:
             path = _sweep_path(args.output, k)
         _emit(_trace_text(trace, args.format), path)
         where = path if path and path != "-" else "stdout"
-        print(f"seed omega0={omegas[k]:g}: {trace.termination} at "
+        print(f"seed omega0={omega:g}: {trace.termination} at "
               f"t={trace.t_stop:.6g}, {len(trace.nodes)} nodes, "
               f"max residual {trace.max_residual:.3e} -> {where}",
               file=sys.stderr)

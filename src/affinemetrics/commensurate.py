@@ -37,7 +37,7 @@ from .errors import (
     SingularDenominator,
     StepFailure,
 )
-from .expr import bound_kernel, eval_ast, parse_expression, replayed
+from .expr import KernelCache, eval_ast, jet_rows, parse_expression
 from .jets import (
     MAX_ORDER_1,
     Jet1,
@@ -58,6 +58,7 @@ from .numerics import (
     quad_adaptive,
 )
 from .surfgeo import (
+    QuadForm,
     _partials,
     form_from_jets,
     form_from_partials,
@@ -80,7 +81,7 @@ EPS_FORM = 1e-12
 
 class _EmbeddedCurve:
     """A curve a(t) = X(u(t), v(t)) in a surface; subclasses provide
-    ``surface`` and ``param_jets``.
+    ``surface``, ``param_jets`` and ``sample``.
 
     Every consumer reads one node per t, on floats: ``sample`` gives
     (u, v, X, a), the parameter path u = (u, u', u'', u''') and v alike,
@@ -89,11 +90,6 @@ class _EmbeddedCurve:
     ``form_direction`` read it at every order: the lower coefficients of
     order-3 jets are computed by the same float operations as those of a
     lower order."""
-
-    def sample(self, t):
-        """The float node (u, v, X, a) at t."""
-        return _path_node(self.surface,
-                          *[jet.coeffs for jet in self.param_jets(t, 3)])
 
     def columns(self, t):
         """The columns a', a'', a''' of the node at t."""
@@ -118,8 +114,10 @@ def _path_node(surface, u, v):
     """The float node (u, v, X, a) of a curve in ``surface`` whose
     parameter path is u = (u, u', u'', u''') and v alike: X holds the
     order-3 surface jets at (u, v) and a the columns."""
-    X = surface_jets(surface, u[0], v[0], 3)
-    return u, v, X, compose_columns(X, *u[1:], *v[1:])
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    X = surface_jets(surface, u0, v0, 3)
+    return u, v, X, compose_columns(X, u1, u2, u3, v1, v2, v3)
 
 
 @dataclass(frozen=True)
@@ -132,10 +130,9 @@ class ParamCurve(_EmbeddedCurve):
     v_of_t: object
     t_min: float
     t_max: float
-    # at 3, the path's order-3 kernel bound to its constants, or None for
-    # good; at "shape", expr._shape_of's walk (expr.bound_kernel)
-    _kernels: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # the bound kernel of the path at order 3
+    _kernels: KernelCache = field(default_factory=KernelCache, init=False,
+                                  repr=False, compare=False)
 
     @classmethod
     def from_strings(cls, surface, u_expr, v_expr, t_min, t_max):
@@ -144,10 +141,6 @@ class ParamCurve(_EmbeddedCurve):
                    parse_expression(v_expr, {"t"}),
                    float(t_min), float(t_max))
 
-    def __getstate__(self):
-        # as SurfaceDef's: a copy binds its kernel afresh
-        return {**self.__dict__, "_kernels": {}}
-
     def param_jets(self, t, order):
         seed = Jet1.seed(float(t), order)
         bindings = {"t": seed}
@@ -155,18 +148,13 @@ class ParamCurve(_EmbeddedCurve):
                 seed.lift(eval_ast(self.v_of_t, bindings)))
 
     def sample(self, t):
-        """The float node at t.  Its parameter path comes from eval_ast
-        over a Jet1 seed until the paths of this one's shape have been
-        evaluated expr.RECORD_AFTER times, then off its recorded kernel
-        (expr.bound_kernel), bit for bit the same, with eval_ast again
-        wherever the kernel hands a t back."""
-        kernels = self._kernels
-        path = replayed(kernels.get(MAX_ORDER_1) or bound_kernel(
-            kernels, (self.u_of_t, self.v_of_t), Jet1, MAX_ORDER_1),
-            float(t))
-        if path is None:
-            return super().sample(t)
-        return _path_node(self.surface, *path)
+        """The float node at t.  Its parameter path comes from
+        expr.jet_rows over a Jet1 seed: from eval_ast until the paths of
+        this one's shape have been evaluated expr.RECORD_AFTER times, then
+        off its recorded kernel, bit for bit the same."""
+        return _path_node(self.surface, *jet_rows(
+            self._kernels, (self.u_of_t, self.v_of_t), Jet1, MAX_ORDER_1,
+            (float(t),)))
 
 
 class TraceCurve(_EmbeddedCurve):
@@ -503,7 +491,8 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
                                 "error_estimate": err,
                                 "evaluations": fit.points + evaluations}
         else:
-            sums[side] = [float(s) for s in fit.values]
+            # + 0.0: a reversed range's zero sums are -0.0 (b - a < 0)
+            sums[side] = [float(s) + 0.0 for s in fit.values]
             quadrature[side] = {"path": "chebyshev", "points": fit.points,
                                 "error_estimate": fit.error_estimate,
                                 "evaluations": fit.points}
@@ -535,33 +524,12 @@ def _theta_path(u, v, theta, omega, omega_dot=0.0):
         u'' = -omega sin,  u''' = -omega_dot sin - omega^2 cos
         v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
 
-    _state_geometry differentiates the same path, written out in place.
+    Every theta-state reads its path here: a TraceCurve's node,
+    commensurate_residual's and the solver's _parts_from_jets.
     """
     c, s = _direction(theta)
     return ((u, c, -omega * s, -omega_dot * s - omega * omega * c),
             (v, s, omega * c, omega_dot * c - omega * omega * s))
-
-
-def _state_geometry(X, c, s, omega, omega_dot=0.0):
-    """(a', a'', a''', w, form(a'), ln - m^2) at a theta-state, each a
-    float or a 3-sequence of floats, from its order-3 surface jets
-    X and its direction (c, s) = (cos(theta), sin(theta)).  w = -s X_u +
-    c X_v is the column that theta'' multiplies in a'''.
-
-    a', a'', a''' are the columns of _theta_path's path (compose_columns),
-    the columns of a TraceCurve's node, and the form is form_from_jets',
-    in the same float operations in the same order.  It builds no jet.
-    Raises DegenerateSurfacePoint where the form is undefined.
-    """
-    d1, d2, d3 = compose_columns(
-        X, c, -omega * s, -omega_dot * s - omega * omega * c,
-        s, omega * c, omega_dot * c - omega * omega * s)
-    xu, xv, xuu, xuv, xvv = _partials(X)
-    a, b, cc, disc, _, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
-    w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
-         -s * xu[2] + c * xv[2])
-    q = a * c * c + 2.0 * b * c * s + cc * s * s
-    return d1, d2, d3, w, q, disc
 
 
 def _node_residual(node, form):
@@ -573,15 +541,17 @@ def _node_residual(node, form):
 
 def commensurate_residual(surface, state):
     """Residual of the curve condition for a theta-parametrized state
-    (u, v, theta, theta', theta'')."""
+    (u, v, theta, theta', theta''): _node_residual at the state's node,
+    which _theta_path and _path_node build as a TraceCurve builds its
+    own, and the affine form's coefficients in a QuadForm: the solve,
+    which calls this at every node, builds no AffineForm."""
     u, v, theta, omega, omega_dot = state
-    c, s = _direction(theta)
     # floats: the identity suites pass numpy scalars, whose overflow would
     # warn, not raise
-    X = surface_jets(surface, float(u), float(v), 3)
-    d1, d2, d3, _, q, _ = _state_geometry(X, c, s, float(omega),
-                                          float(omega_dot))
-    return det3(d1, d2, d3) - q ** 3
+    node = _path_node(surface, *_theta_path(float(u), float(v), theta,
+                                            float(omega), float(omega_dot)))
+    a, b, c, _, _, _, _ = form_from_partials(*_partials(node[2]))
+    return _node_residual(node, QuadForm(a, b, c))
 
 
 def _condition_parts(surface, u, v, theta, omega):
@@ -600,10 +570,17 @@ def _parts_from_jets(X, theta, omega):
 
     |D| = |q| gm, so D vanishes only on the asymptotic cone, and
     _cone_ratio is the one measure of how near the cone a state lies."""
-    d1, d2, d3_base, w, q, disc = _state_geometry(
-        X, *_direction(theta), omega)                 # at theta'' = 0
+    # the path at theta'' = 0, whose values u and v no column reads
+    (_, c, u2, u3), (_, s, v2, v3) = _theta_path(0.0, 0.0, theta, omega)
+    d1, d2, d3 = compose_columns(X, c, u2, u3, s, v2, v3)
+    xu, xv, xuu, xuv, xvv = _partials(X)
+    a, b, cc, disc, _, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
+    # w = -s X_u + c X_v, the column that theta'' multiplies in a'''
+    w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
+         -s * xu[2] + c * xv[2])
+    q = a * c * c + 2.0 * b * c * s + cc * s * s
     return {
-        "residual0": det3(d1, d2, d3_base) - q ** 3,
+        "residual0": det3(d1, d2, d3) - q ** 3,
         "denom": det3(d1, d2, w),
         "q": q,
         "gm": abs(disc) ** 0.25,

@@ -18,10 +18,11 @@ token where the bound is passed.
 
 Evaluation is generic over the scalar ring: the same AST evaluates over
 plain floats or over the truncated-derivative jets of :mod:`.jets`, which
-is how all exact derivatives in this package are produced.  The trees of
-a surface or a parameter path evaluated often enough are replayed from a
-recorded kernel instead (:mod:`.tape`), under the one rule of
-``bound_kernel``.
+is how all exact derivatives in this package are produced.  The jets of
+a surface or a parameter path at a point come from ``jet_rows``: off a
+recorded kernel (:mod:`.tape`) once their shape has been evaluated often
+enough, under the one rule of ``bound_kernel``, and from ``eval_ast``
+over the seeds of their kind (``_seeds``) otherwise.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .errors import (
     UnexpectedEnd,
     UnknownIdentifier,
 )
-from .jets import _Jet, power_int
+from .jets import _SEED_TAILS, Jet1, Jet2, _Jet, power_int
 
 __all__ = [
     "Token", "Ast", "Const", "Var", "Neg", "BinOp", "Call",
@@ -409,6 +410,19 @@ MAX_SHAPES = 64
 _KERNELS = {}
 
 
+class KernelCache(dict):
+    """An owner's bound kernels (bound_kernel): per order, or at "reparam",
+    the kernel bound to its trees' constants, or None for good, and at
+    "shape" the walk of its trees.  A kernel is a function made by exec,
+    which pickle cannot name: a pickled or deep-copied cache is empty, and
+    the copy binds its kernels afresh."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return KernelCache, ()
+
+
 def bound_kernel(cache, trees, kind, order):
     """The recorded kernel of ``trees`` at ``kind`` (Jet2 or "reparam" for
     a surface's, Jet1 for a path's) and ``order``, bound to their constants
@@ -443,18 +457,44 @@ def bound_kernel(cache, trees, kind, order):
     return kernel
 
 
-def replayed(kernel, *args):
-    """kernel(*args), or None where there is no kernel or it hands the
-    point back: it returns None (a value it folded would not have been
-    finite) or an elementary function fails in it.  The caller then
-    evaluates with eval_ast, which raises what it raises with its own
-    message."""
-    if kernel is None:
-        return None
-    try:
-        return kernel(*args)
-    except (DomainError, OverflowError, ValueError):
-        return None
+def jet_rows(cache, trees, kind, order, point):
+    """The coefficients of the jets of ``trees`` at ``point``, one tuple
+    per tree, over the seeds of ``kind`` at ``order`` (_seeds; ``point``
+    holds floats).  They come off the trees' bound kernel (bound_kernel,
+    kept in the owner's ``cache``), bit for bit what eval_ast gives over
+    the seeds, and from eval_ast itself where there is no kernel or it
+    hands the point back: it returns None (a value it folded would not
+    have been finite) or an elementary function fails in it.  eval_ast
+    then raises what it raises, with its own message."""
+    kernel = cache.get(kind if kind == "reparam" else order) or bound_kernel(
+        cache, trees, kind, order)
+    if kernel is not None:
+        try:
+            rows = kernel(*point)
+        except (DomainError, OverflowError, ValueError):
+            rows = None
+        if rows is not None:
+            return rows
+    seeds = _seeds(kind, order, point)
+    bindings = dict(zip("t" if kind is Jet1 else "uv", seeds))
+    return [seeds[0].lift(eval_ast(tree, bindings)).coeffs for tree in trees]
+
+
+def _seeds(kind, order, point, jet1=Jet1, jet2=Jet2):
+    """The jets of the kind's variables at ``point``, as the classes
+    ``jet1`` and ``jet2`` (tape records over its recording classes): t at
+    (t,) for Jet1; u and v at (u, v) for Jet2; for "reparam", u and v in
+    new parameters (s, w) at their origin, (u, v) + J (s, w), at (u, v,
+    j00, j01, j10, j11)."""
+    if kind is Jet1:
+        t, = point
+        return [jet1._make(order, (t, 1.0) + (0.0,) * (order - 1))]
+    if kind == "reparam":
+        s, w = _seeds(Jet2, order, (0.0, 0.0), jet1, jet2)
+        u, v, j00, j01, j10, j11 = point
+        return [s * j00 + w * j01 + u, s * j10 + w * j11 + v]
+    return [jet2._make(order, (x,) + tail)
+            for x, tail in zip(point, _SEED_TAILS[order])]
 
 
 class NotReplayable(Exception):

@@ -26,15 +26,15 @@ from .errors import (
     IrregularPoint,
     SingularJacobian,
 )
-from .expr import bound_kernel, eval_ast, parse_expression, replayed
+from .expr import KernelCache, eval_ast, jet_rows, parse_expression
 from .jets import MAX_ORDER_2, Jet2, _check_order, cross3, det3, dot3
 
 __all__ = [
-    "SurfaceDef", "QuadForm", "AffineForm", "PointClassification",
-    "surface_jets", "fundamental_forms_euclid", "gauss_curvature",
+    "SurfaceDef", "QuadForm", "AffineForm", "surface_jets",
+    "fundamental_forms_euclid", "gauss_curvature",
     "affine_first_fundamental", "forms_from_jets", "lmn_from_jets",
     "gauss_from_forms", "form_from_jets", "form_from_partials",
-    "forms_from_partials", "classify_from_jets", "CATALOG",
+    "forms_from_partials", "CATALOG",
 ]
 
 #: relative threshold on ln - m^2, scaled by EG - F^2
@@ -52,11 +52,9 @@ class SurfaceDef:
     v_min: float
     v_max: float
     name: str | None = None
-    # per order, and at "reparam", the shape's kernel bound to the
-    # constants, or None for good; at "shape", expr._shape_of's walk
-    # (expr.bound_kernel)
-    _kernels: dict = field(default_factory=dict, init=False, repr=False,
-                           compare=False)
+    # the bound kernels of its orders and of "reparam"
+    _kernels: KernelCache = field(default_factory=KernelCache, init=False,
+                                  repr=False, compare=False)
 
     @classmethod
     def from_strings(cls, exprs, domain, name=None):
@@ -78,11 +76,6 @@ class SurfaceDef:
         """Embedded point X(u, v) as a tuple of three floats."""
         bindings = {"u": float(u), "v": float(v)}
         return tuple([eval_ast(c, bindings) for c in self.components])
-
-    def __getstate__(self):
-        # a kernel is a function made by exec, which pickle cannot name: a
-        # copy binds its kernels afresh
-        return {**self.__dict__, "_kernels": {}}
 
 
 @dataclass(frozen=True)
@@ -117,11 +110,6 @@ class AffineForm(QuadForm):
         return -1.0 if self.flipped else 1.0
 
 
-@dataclass(frozen=True)
-class PointClassification:
-    kind: str            # elliptic | hyperbolic | degenerate
-
-
 def surface_jets(surface, u, v, order, check_domain=True):
     """Exact partial derivatives of the surface components, orders 1..3.
 
@@ -129,30 +117,19 @@ def surface_jets(surface, u, v, order, check_domain=True):
     it because its steps may transiently evaluate just past the boundary
     that its exit event then locates.
 
-    The jets come from eval_ast over Jet2 seeds until the trees of this
-    surface's shape have been evaluated expr.RECORD_AFTER times at
-    ``order``, then off its recorded kernel (expr.bound_kernel), bit for
-    bit the same, with eval_ast again wherever the kernel hands a point
-    back.
+    The jets come from expr.jet_rows over the Jet2 seeds: from eval_ast
+    until the trees of this surface's shape have been evaluated
+    expr.RECORD_AFTER times at ``order``, then off its recorded kernel,
+    bit for bit the same.
     """
     _check_order(order, MAX_ORDER_2, "surface_jets")
     if check_domain and not surface.contains(u, v):
         raise DomainExit(
             f"(u, v) = ({u!r}, {v!r}) outside "
             f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
-    kernels = surface._kernels
-    coeffs = replayed(kernels.get(order) or bound_kernel(
-        kernels, surface.components, Jet2, order), float(u), float(v))
-    if coeffs is not None:
-        x, y, z = coeffs
-        return (Jet2._make(order, x), Jet2._make(order, y),
-                Jet2._make(order, z))
-    seed = Jet2.seed_u(u, order)
-    bindings = {"u": seed, "v": Jet2.seed_v(v, order)}
-    jets = []
-    for comp in surface.components:
-        jets.append(seed.lift(eval_ast(comp, bindings)))
-    return tuple(jets)
+    x, y, z = jet_rows(surface._kernels, surface.components, Jet2, order,
+                       (float(u), float(v)))
+    return Jet2._make(order, x), Jet2._make(order, y), Jet2._make(order, z)
 
 
 def _partials(jets):
@@ -255,26 +232,11 @@ def affine_first_fundamental(surface, u, v):
     return form_from_jets(surface_jets(surface, u, v, 2))
 
 
-def classify_from_jets(jets):
-    """The point's class, elliptic, hyperbolic or degenerate, by ln - m^2
-    against the (EG - F^2)-scaled threshold, from already-evaluated
-    surface jets (order >= 2)."""
-    l, m, n, eps, _ = _lmn_and_threshold(*_partials(jets))
-    disc = l * n - m * m
-    if disc > eps:
-        kind = "elliptic"
-    elif disc < -eps:
-        kind = "hyperbolic"
-    else:
-        kind = "degenerate"
-    return PointClassification(kind)
-
-
 def _reparam_discriminant(surface, u, v, jacobian):
     """(ln - m^2 of the surface in new parameters (s, w) at the origin,
-    det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w): from eval_ast
-    over those linear bindings, or from their recorded walk (the "reparam"
-    kind of expr.bound_kernel), bit for bit the same."""
+    det(jacobian)), where (u, v) = (u, v) + jacobian @ (s, w): the jets of
+    the kind "reparam" of expr.jet_rows, from eval_ast over those linear
+    bindings or from their recorded walk, bit for bit the same."""
     try:
         (j00, j01), (j10, j11) = jacobian
         j00, j01, j10, j11 = float(j00), float(j01), float(j10), float(j11)
@@ -284,16 +246,8 @@ def _reparam_discriminant(surface, u, v, jacobian):
     if abs(jdet) <= 1e-12 * max(
             1.0, max(abs(j00), abs(j01), abs(j10), abs(j11)) ** 2):
         raise SingularJacobian(f"jacobian determinant {jdet!r} is singular")
-    u, v = float(u), float(v)
-    kernels = surface._kernels
-    rows = replayed(kernels.get("reparam") or bound_kernel(
-        kernels, surface.components, "reparam", 2), u, v, j00, j01, j10, j11)
-    if rows is None:
-        s = Jet2.seed_u(0.0, 2)
-        w = Jet2.seed_v(0.0, 2)
-        bindings = {"u": s * j00 + w * j01 + u, "v": s * j10 + w * j11 + v}
-        rows = [s.lift(eval_ast(comp, bindings)).coeffs
-                for comp in surface.components]
+    rows = jet_rows(surface._kernels, surface.components, "reparam", 2,
+                    (float(u), float(v), j00, j01, j10, j11))
     return lmn_from_jets([Jet2._make(2, row) for row in rows]).det, jdet
 
 

@@ -8,10 +8,11 @@ Derivatives*, 2nd ed., SIAM 2008), gives a straight-line Python function
 of (u, v) that performs them in the same order, so its coefficients are
 the interpreter's bit for bit.  A parameter path (u(t), v(t)) is
 recorded the same way over a Jet1 seed, as a function of t, and so is a
-surface in new parameters ("reparam", see _seeds).  The recording runs
-``eval_ast`` itself, over seeds whose coefficients are symbolic: the
-jets' own products, chain rule, quotients and integer powers produce the
-tape, and the chain rule exists in one place only.
+surface in new parameters ("reparam").  The recording runs ``eval_ast``
+itself, over the seeds that expr.jet_rows evaluates over (expr._seeds,
+built here of the recording classes), whose coefficients are symbolic:
+the jets' own products, chain rule, quotients and integer powers produce
+the tape, and the chain rule exists in one place only.
 
 A tree is recorded by its shape (expr._shape), not by its numbers.  Each
 maximal variable-free subtree, a constant of the tree, is an input of the
@@ -28,8 +29,8 @@ Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
 is not recorded, and a kernel hands back to ``eval_ast`` wherever its
 folds might not hold or an elementary function fails: it returns None,
-or raises what the function raised, and the caller evaluates again with
-``eval_ast``, which reports it (expr.replayed).  expr imports this module
+or raises what the function raised, and expr.jet_rows evaluates again
+with ``eval_ast``, which reports it.  expr imports this module
 at the first recording, when the trees of one shape have been evaluated
 expr.RECORD_AFTER times, so a command that evaluates a surface or a path
 only a few times never loads it.
@@ -41,18 +42,17 @@ import itertools
 import math
 import types
 
-from .expr import BinOp, Call, Const, Neg, NotReplayable, Var, eval_ast
-from .jets import (
-    _PHI,
-    _SEED_TAILS,
-    MAX_ORDER_1,
-    MAX_ORDER_2,
-    Jet1,
-    Jet2,
-    _check_order,
-    _Jet,
-    _phi,
+from .expr import (
+    BinOp,
+    Call,
+    Const,
+    Neg,
+    NotReplayable,
+    Var,
+    _seeds,
+    eval_ast,
 )
+from .jets import _PHI, Jet1, Jet2, _Jet, _phi
 
 class _Sym:
     """A float of a recording that only the run time knows: the result of
@@ -286,23 +286,6 @@ _INPUTS = {Jet1: "t", Jet2: "uv",
            "reparam": ("u", "v", "j00", "j01", "j10", "j11")}
 
 
-def _seeds(kind, order, inputs):
-    """The jets of the kind's variables over its recorded inputs: for
-    "reparam", u and v in new parameters (s, w) at their origin, (u, v) +
-    J (s, w), by the float operations of surfgeo._reparam_discriminant."""
-    if kind is Jet1:
-        _check_order(order, MAX_ORDER_1, "Jet1")
-        t, = inputs
-        return [_RECORDING1._make(order, (t, 1.0) + (0.0,) * (order - 1))]
-    if kind == "reparam":
-        s, w = _seeds(Jet2, order, (0.0, 0.0))
-        u, v, j00, j01, j10, j11 = inputs
-        return [s * j00 + w * j01 + u, s * j10 + w * j11 + v]
-    _check_order(order, MAX_ORDER_2, "Jet2")
-    return [_RECORDING2._make(order, (x,) + tail)
-            for x, tail in zip(inputs, _SEED_TAILS[order])]
-
-
 def _record(evaluate, order, kind, constants=()):
     """make(*constants) -> the kernel of ``evaluate``, recorded once as a
     straight-line float function.
@@ -323,9 +306,9 @@ def _record(evaluate, order, kind, constants=()):
     tape = _Tape()
     inputs = [tape.node("in", (name,)) for name in names]
     bound = [tape.node("const", (name,)) for name in constants]
+    seeds = _seeds(kind, order, inputs, _RECORDING1, _RECORDING2)
     return tape.factory(tuple([jet.coeffs for jet in
-                               evaluate(*_seeds(kind, order, inputs),
-                                        *bound)]),
+                               evaluate(*seeds, *bound)]),
                         names, constants)
 
 

@@ -9,20 +9,21 @@ import pytest
 def empty_kernel_cache(request):
     """Each test starts with expr's kernel table (the evaluations counted
     per shape and the recorded factories) empty, and with no bound kernel
-    in the catalog surfaces or in the ParamCurves that the test's module
-    holds at module level: they live as long as the process, and no test's
-    outcome may depend on the tests that ran before it.  A process that
-    has not loaded a module has no table, and the fixture does not load
+    in any object that holds a KernelCache (a SurfaceDef, a ParamCurve)
+    among the catalog surfaces and the values the test's module holds at
+    module level: they live as long as the process, and no test's outcome
+    may depend on the tests that ran before it.  A process that has not
+    loaded expr has no table and no cache, and the fixture does not load
     it."""
     expr = sys.modules.get("affinemetrics.expr")
-    if expr is not None:
-        expr._KERNELS.clear()
+    if expr is None:
+        return
+    expr._KERNELS.clear()
+    holders = list(vars(request.module).values())
     surfgeo = sys.modules.get("affinemetrics.surfgeo")
     if surfgeo is not None:
-        for surface in surfgeo.CATALOG.values():
-            surface._kernels.clear()
-    commensurate = sys.modules.get("affinemetrics.commensurate")
-    if commensurate is not None:
-        for value in vars(request.module).values():
-            if isinstance(value, commensurate.ParamCurve):
-                value._kernels.clear()
+        holders += surfgeo.CATALOG.values()
+    for value in holders:
+        kernels = getattr(value, "_kernels", None)
+        if isinstance(kernels, expr.KernelCache):
+            kernels.clear()

@@ -133,13 +133,16 @@ class TestSurfaceInfo:
         jets = surfgeo.surface_jets(surface, *at, 2)
         lmn = surfgeo.lmn_from_jets(jets)
         form = surfgeo.affine_first_fundamental(surface, *at)
+        want_k = surfgeo.gauss_curvature(surface, *at)
         want = {"E": first.a, "F": first.b, "G": first.c,
                 "e": second.a, "f": second.b, "g": second.c,
                 "l": lmn.a, "m": lmn.b, "n": lmn.c,
-                "K": surfgeo.gauss_curvature(surface, *at),
+                "K": want_k,
                 "iaff_a": form.a, "iaff_b": form.b, "iaff_c": form.c,
                 "iaff_flipped": form.flipped,
-                "classification": surfgeo.classify_from_jets(jets).kind}
+                # ln - m^2 = K (EG - F^2)^2: the class is the sign of K
+                "classification": ("elliptic" if want_k > 0.0
+                                   else "hyperbolic")}
         assert {k: payload[k] for k in want} == want
 
 
@@ -802,6 +805,24 @@ class TestArclenSharedNodes:
         assert s_alpha == pytest.approx(-_sums(forward)[-1][0], rel=1e-12)
         assert s_sigma == pytest.approx(-_sums(forward)[-1][1], rel=1e-12)
 
+    def test_reversed_range_starts_at_positive_zero(self, capsys):
+        # the Chebyshev sums of a reversed range scale by (b - a) / 2 < 0,
+        # which made the first row's zeros -0.0 and printed them as -0
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "8*t;t", "--t-range", "1:0", "--samples", "3"]) == 0
+        rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert rows[1][:3] == ["1", "0", "0"]
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "8*t;t", "--t-range", "1:0", "--samples", "3",
+                    "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert {q["path"] for q in payload["quadrature"].values()} == {
+            "chebyshev"}
+        first = payload["rows"][0]
+        assert [math.copysign(1.0, x) for x in first[1:3]] == [1.0, 1.0]
+        assert all(row[1] < 0.0 and row[2] < 0.0
+                   for row in payload["rows"][1:])
+
     def test_zero_width_range_gives_zero_sums(self, capsys):
         assert run(["arclen-compare", "--surface", "sphere", "--curve",
                     "8*t;t", "--t-range", "1:1", "--samples=4",
@@ -966,6 +987,48 @@ class TestCommensurateSolve:
                     "--output", str(out)]) == 0
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == [f"fam_{k:02d}.csv" for k in range(5)]
+
+    def test_sweep_writes_each_file_when_its_seed_is_solved(
+            self, tmp_path, capsys, monkeypatch):
+        from affinemetrics import commensurate
+
+        out = tmp_path / "fam.csv"
+        solved = []
+        original = commensurate.integrate_commensurate
+
+        def solve(ivp):
+            # the files on disk when this seed's solve starts
+            solved.append((ivp.omega0,
+                           sorted(p.name for p in tmp_path.iterdir())))
+            return original(ivp)
+
+        monkeypatch.setattr(commensurate, "integrate_commensurate", solve)
+        assert run([*SOLVE, "--omega0", "-1:1:1", "--t-max", "0.2",
+                    "--output", str(out)]) == 0
+        names = [f"fam_{k:02d}.csv" for k in range(3)]
+        assert solved == [(-1.0, []), (0.0, names[:1]), (1.0, names[:2])]
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "seed omega0=-1", "seed omega0=0", "seed omega0=1"]
+        assert [line.rsplit(" -> ", 1)[1] for line in lines] == [
+            str(tmp_path / name) for name in names]
+
+    def test_unwritable_sweep_stops_after_one_solve(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from affinemetrics import commensurate
+
+        solved = []
+        original = commensurate.integrate_commensurate
+        monkeypatch.setattr(commensurate, "integrate_commensurate",
+                            lambda ivp: (solved.append(ivp.omega0),
+                                         original(ivp))[1])
+        path = tmp_path / "missing" / "x.csv"
+        assert run([*SOLVE, "--omega0", "0:1:0.1", "--t-max", "3",
+                    "--output", str(path)]) == 2
+        assert solved == [0.0]
+        written = str(tmp_path / "missing" / "x_00.csv")
+        assert capsys.readouterr().err == (
+            f"error: cannot write {written!r}: No such file or directory\n")
 
     def test_sweep_requires_output(self, capsys):
         assert run(["commensurate-solve", "--surface", "sphere",

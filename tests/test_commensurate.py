@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 import sys
 from dataclasses import replace
 
 import jet_route
 import numpy as np
 import pytest
-from reference_routes import finite_diff, sphere_reference_curve
+from reference_routes import finite_diff, recharted, sphere_reference_curve
 
 from affinemetrics import expr
 from affinemetrics.commensurate import (
@@ -205,6 +207,31 @@ def _node_bits(node):
     u, v, X, a = node
     return [x.hex() for x in (*u, *v, *sum((j.coeffs for j in X), ()),
                               *sum(map(tuple, a), ()))]
+
+
+class TestKernelCache:
+    """A ParamCurve's bound kernel is not copied with it: an unpickled,
+    deep-copied or replaced curve binds its own at its first node, its
+    shape being recorded, and its nodes are the original's bit for
+    bit."""
+
+    def test_copies_bind_their_kernel_afresh(self, monkeypatch):
+        monkeypatch.setattr(expr, "RECORD_AFTER", 1)
+        pc = ParamCurve.from_strings(SPHERE, "0.3 + 0.2*t",
+                                     "0.1 - 0.5*t + t^2", -0.1, 0.1)
+        want = _node_bits(pc.sample(0.05))
+        kernel = pc._kernels[3]
+        assert callable(kernel)
+        copies = [pickle.loads(pickle.dumps(pc)), copy.deepcopy(pc),
+                  replace(pc)]
+        for other in copies:
+            assert other == pc and other._kernels == {}
+            assert type(other._kernels) is expr.KernelCache
+        for other in copies:
+            assert _node_bits(other.sample(0.05)) == want
+            assert callable(other._kernels[3])
+            assert other._kernels[3] is not kernel
+        assert pc._kernels[3] is kernel
 
 
 class TestResidual:
@@ -870,6 +897,79 @@ class TestEquiaffineTraces:
         for t in np.linspace(0.0, t_end, 50).tolist():
             here, moved = (trace.state_at(t) for trace in traces)
             assert max(abs(p - q) for p, q in zip(here, moved)) <= 1e-12
+
+
+class TestChartChangeTraces:
+    """A trace does not depend on the chart.  Chart B is the linear chart
+    u = 1.3 s + 0.4 w + 0.1, v = -0.2 s + 0.9 w - 0.2 (recharted), and
+    psi its inverse.  With e = (cos theta0, sin theta0) and e_perp =
+    (-sin theta0, cos theta0), chart B's trace starts at psi(u0, v0) with
+    theta_B = atan2(p1) and omega_B = (p1 x p2) / |p1|^3, where p1 = D psi e
+    and p2 = omega0 D psi e_perp (D^2 psi = 0).  Its parameter tau is the
+    chart-B parameter length of trace A, dtau/dt = |D psi (cos theta, sin
+    theta)| along it, integrated by quad_adaptive on trace A's dense
+    output.  The two traces end at the same point of space: the distance
+    falls with the tolerance and stays within MARGIN times the figures of
+    ROADMAP item 5 (measured: at most 1.7 times, helicoid at 1e-6).  No
+    chart of B enters the theta'' right-hand side of A."""
+
+    # D psi = (D phi)^-1, with D phi = ((1.3, 0.4), (-0.2, 0.9)), det 1.25
+    DPSI = ((0.9 / 1.25, -0.4 / 1.25), (0.2 / 1.25, 1.3 / 1.25))
+    RTOLS = (1e-6, 1e-8, 1e-10)
+    MARGIN = 4.0
+
+    @classmethod
+    def _dpsi(cls, x, y):
+        (a, b), (c, d) = cls.DPSI
+        return a * x + b * y, c * x + d * y
+
+    @classmethod
+    def _mapped_start(cls, u0, v0, theta0, omega0):
+        """(s0, w0, theta_B, omega_B): the start in chart B."""
+        s0, w0 = cls._dpsi(u0 - 0.1, v0 + 0.2)
+        p1 = cls._dpsi(math.cos(theta0), math.sin(theta0))
+        p2 = [omega0 * x for x in cls._dpsi(-math.sin(theta0),
+                                            math.cos(theta0))]
+        return (s0, w0, math.atan2(p1[1], p1[0]),
+                (p1[0] * p2[1] - p1[1] * p2[0]) / math.hypot(*p1) ** 3)
+
+    @pytest.mark.parametrize("name, start, t_max, table", [
+        ("helicoid", (1.0, 0.0, 0.3, -1.0), 2.0, (1.7e-8, 1.8e-10, 7.2e-13)),
+        ("hyperboloid", (0.0, 0.5, -1.0, -1.0), 2.0,
+         (2.2e-8, 3.0e-10, 3.3e-12)),
+        ("sphere", (0.1, 0.1, 0.3, 0.5), 1.0, (1.5e-7, 1.4e-9, 1.2e-11)),
+    ])
+    def test_traces_agree_across_charts(self, name, start, t_max, table):
+        surface = CATALOG[name]
+        moved = recharted(surface, "1.3*u + 0.4*v + 0.1",
+                          "-0.2*u + 0.9*v - 0.2",
+                          ((-50.0, 50.0), (-50.0, 50.0)))
+        start_b = self._mapped_start(*start)
+        errors = []
+        for rtol in self.RTOLS:
+            trace = integrate_commensurate(CommensurateIVP(
+                surface, *start, t_span=(0.0, t_max), rel_tol=rtol,
+                abs_tol=rtol / 100))
+
+            def speed(t):
+                theta = trace.state_at(t)[2]
+                return math.hypot(*self._dpsi(math.cos(theta),
+                                              math.sin(theta)))
+
+            tau = quad_adaptive(speed, 0.0, t_max, rel_tol=1e-14,
+                                abs_tol=1e-15).value
+            other = integrate_commensurate(CommensurateIVP(
+                moved, *start_b, t_span=(0.0, tau), rel_tol=rtol,
+                abs_tol=rtol / 100))
+            assert trace.termination == other.termination == "completed"
+            a, b = trace.nodes[-1], other.nodes[-1]
+            assert (a.t, b.t) == (t_max, tau)
+            errors.append(math.dist((a.x, a.y, a.z), (b.x, b.y, b.z)))
+        for error, figure in zip(errors, table):
+            assert error <= self.MARGIN * figure, (errors, table)
+        # a tolerance 100 times tighter gains at least a factor 10
+        for coarse, fine in zip(errors, errors[1:]):
+            assert fine <= coarse / 10.0, errors
 
 
 class TestConditionEquivalence:

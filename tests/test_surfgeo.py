@@ -1,6 +1,10 @@
+import contextlib
+import io
+import json
 import math
 import pickle
 import random
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +14,7 @@ from reference_routes import (check_reparam_covariance, normal_curvature,
                               recorded)
 
 from affinemetrics import identities as idn
-from affinemetrics import expr, surfgeo, tape
+from affinemetrics import cli, expr, surfgeo, tape
 from affinemetrics.errors import (
     AffineMetricsError,
     DegenerateSurfacePoint,
@@ -18,7 +22,7 @@ from affinemetrics.errors import (
     SingularJacobian,
     UnsupportedOrder,
 )
-from affinemetrics.expr import BinOp, Call, Const, Neg, Var, eval_ast
+from affinemetrics.expr import BinOp, Call, Const, Neg, Var, eval_ast, pretty
 from affinemetrics.identities import (
     equiaffine_invariance_suite,
     reparam_law_suite,
@@ -32,7 +36,6 @@ from affinemetrics.surfgeo import (
     QuadForm,
     SurfaceDef,
     affine_first_fundamental,
-    classify_from_jets,
     fundamental_forms_euclid,
     gauss_curvature,
     lmn_from_jets,
@@ -53,7 +56,23 @@ def _lmn(surface, u, v):
 
 
 def _classify(surface, u, v):
-    return classify_from_jets(surface_jets(surface, u, v, 2))
+    """surface-info's class of the point: its "classification", or
+    "degenerate" where it exits 3 with DegenerateSurfacePoint.  A surface
+    outside the catalog is passed as its printed components."""
+    if CATALOG.get(surface.name) is surface:
+        source = ["--surface", surface.name]
+    else:
+        source = ["--surface-expr",
+                  ";".join(pretty(c) for c in surface.components),
+                  "--domain", f"{surface.u_min!r}:{surface.u_max!r},"
+                              f"{surface.v_min!r}:{surface.v_max!r}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["surface-info", *source, "--at", f"{u!r},{v!r}"])
+    if code == 3 and "DegenerateSurfacePoint" in err.getvalue():
+        return "degenerate"
+    assert code == 0, err.getvalue()
+    return json.loads(out.getvalue())["classification"]
 
 
 def _record(surface, order):
@@ -249,11 +268,11 @@ class TestApplyAndNormalCurvature:
 
 class TestClassification:
     def test_catalog_kinds(self):
-        assert _classify(SPHERE, 0.0, 0.0).kind == "elliptic"
-        assert _classify(PARABOLOID, 0.5, 1.0).kind == "elliptic"
-        assert _classify(HELICOID, 1.0, 0.0).kind == "hyperbolic"
-        assert _classify(HYP_PAR, 0.0, 0.0).kind == "hyperbolic"
-        assert _classify(PLANE, 0.0, 0.0).kind == "degenerate"
+        assert _classify(SPHERE, 0.0, 0.0) == "elliptic"
+        assert _classify(PARABOLOID, 0.5, 1.0) == "elliptic"
+        assert _classify(HELICOID, 1.0, 0.0) == "hyperbolic"
+        assert _classify(HYP_PAR, 0.0, 0.0) == "hyperbolic"
+        assert _classify(PLANE, 0.0, 0.0) == "degenerate"
 
     def test_margin_reported(self):
         # the plane's ln - m^2 is 0, inside the positive threshold it is
@@ -261,15 +280,14 @@ class TestClassification:
         l, m, n, eps, _ = surfgeo._lmn_and_threshold(
             *surfgeo._partials(surface_jets(PLANE, 0.0, 0.0, 2)))
         assert l * n - m * m == 0.0 and eps > 0.0
-        assert _classify(PLANE, 0.0, 0.0).kind == "degenerate"
+        assert _classify(PLANE, 0.0, 0.0) == "degenerate"
 
     def test_invariant_under_parameter_swap(self):
         for surface, (u, v) in [(SPHERE, (0.4, 0.2)),
                                 (HELICOID, (1.0, 0.5)),
                                 (HYP_PAR, (0.3, -0.7))]:
             swapped = _swapped(surface)
-            assert _classify(surface, u, v).kind \
-                == _classify(swapped, v, u).kind
+            assert _classify(surface, u, v) == _classify(swapped, v, u)
 
     def test_invariant_under_equiaffine_maps(self):
         from affinemetrics.identities import random_sl3, transformed_surface
@@ -278,8 +296,7 @@ class TestClassification:
                                 (HELICOID, (1.0, 0.5))]:
             moved = transformed_surface(surface, random_sl3(rng),
                                         rng.uniform(-1, 1, 3))
-            assert _classify(surface, u, v).kind \
-                == _classify(moved, u, v).kind
+            assert _classify(surface, u, v) == _classify(moved, u, v)
 
 
 class TestReparamCovariance:
@@ -432,6 +449,7 @@ class TestRecordedKernel:
         # a moved, copied or unpickled surface binds its kernels afresh, at
         # its first evaluation once its shape has been recorded
         assert replace(surface)._kernels == {}
+        assert deepcopy(surface)._kernels == {}
         copy = pickle.loads(pickle.dumps(surface))
         assert copy == surface and copy._kernels == {}
         assert _bits(j.coeffs for j in surface_jets(copy, 0.1, 0.2, 3)) == \
