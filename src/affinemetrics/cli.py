@@ -278,12 +278,10 @@ def _parse_sweep(text):
 # surface-info
 
 def _cmd_surface_info(args):
-    from .jets import cross3
     from .surfgeo import (
         _partials,
         form_from_partials,
         forms_from_partials,
-        gauss_from_forms,
         surface_jets,
     )
 
@@ -291,11 +289,9 @@ def _cmd_surface_info(args):
     u, v = args.at
     partials = _partials(surface_jets(surface, u, v, 2))
     # the Euclidean forms first: an irregular point is IrregularPoint
-    first, second, _ = forms_from_partials(*partials, cross3(*partials[:2]),
-                                           u, v)
-    K = gauss_from_forms(first, second)
+    first, second, _, K = forms_from_partials(*partials, u, v)
     # raises DegenerateSurfacePoint, so the sign of ln - m^2 is the class
-    a, b, c, disc, flipped, _, (l, m, n) = form_from_partials(*partials)
+    a, b, c, disc, flipped, (l, m, n) = form_from_partials(*partials)
     fields = [
         ("u", u), ("v", v),
         ("E", first.a), ("F", first.b), ("G", first.c),

@@ -40,10 +40,13 @@ from .errors import (
 from .expr import KernelCache, eval_ast, jet_rows, parse_expression
 from .jets import (
     MAX_ORDER_1,
+    ZERO_RTOL,
     Jet1,
     _check_order,
     compose_columns,
     cross3,
+    cross3_is_zero,
+    cross3_terms,
     det3,
     dot3,
 )
@@ -62,8 +65,7 @@ from .surfgeo import (
     _partials,
     form_from_jets,
     form_from_partials,
-    forms_from_jets,
-    gauss_from_forms,
+    forms_from_partials,
     surface_jets,
 )
 
@@ -74,9 +76,6 @@ __all__ = [
     "solve_theta_dd", "integrate_commensurate", "run_family",
     "BREAKDOWN_SEEDS",
 ]
-
-#: relative threshold below which form(a') counts as asymptotic/degenerate
-EPS_FORM = 1e-12
 
 
 class _EmbeddedCurve:
@@ -227,23 +226,19 @@ class NodeTable(_EmbeddedCurve):
 # ---------------------------------------------------------------------------
 # induced arc length
 
-def _form_threshold(form, du, dv):
-    mag = abs(form.a) + 2.0 * abs(form.b) + abs(form.c)
-    return EPS_FORM * max(1.0, mag) * max(1.0, du * du + dv * dv)
-
-
 def _sigma_integrand(form, du, dv, orientation):
-    """(sqrt(orientation * form(du, dv)), degenerate).  Within the
-    threshold of zero the value is 0 and ``degenerate`` is set (asymptotic
-    directions measure zero length); below the negative threshold
-    NegativeForm is raised, carrying form(du, dv) and ``orientation``."""
-    q = form.apply(du, dv)
-    oriented = orientation * q
-    eps = _form_threshold(form, du, dv)
-    if oriented < -eps:
-        raise NegativeForm(q, orientation)
-    if oriented <= eps:
+    """(sqrt(orientation * form(du, dv)), degenerate).  Where form(du, dv)
+    is zero against its terms the value is 0 and ``degenerate`` is set
+    (asymptotic directions measure zero length); a value of the other sign
+    raises NegativeForm, carrying form(du, dv) and ``orientation``."""
+    # the terms of QuadForm.apply, and their sum, bit for bit
+    qa, qb, qc = form.a * du * du, 2.0 * form.b * du * dv, form.c * dv * dv
+    q = qa + qb + qc
+    if abs(q) <= ZERO_RTOL * (abs(qa) + abs(qb) + abs(qc)):
         return 0.0, True
+    oriented = orientation * q
+    if oriented < 0.0:
+        raise NegativeForm(q, orientation)
     return math.sqrt(oriented), False
 
 
@@ -550,7 +545,7 @@ def commensurate_residual(surface, state):
     # warn, not raise
     node = _path_node(surface, *_theta_path(float(u), float(v), theta,
                                             float(omega), float(omega_dot)))
-    a, b, c, _, _, _, _ = form_from_partials(*_partials(node[2]))
+    a, b, c, _, _, _ = form_from_partials(*_partials(node[2]))
     return _node_residual(node, QuadForm(a, b, c))
 
 
@@ -568,20 +563,24 @@ def _parts_from_jets(X, theta, omega):
     coefficient D = det[a', a'', w] of theta''; ``q``, the raw form value
     form(a'); and ``gm``, |ln - m^2|^(1/4), the chart scale of q.
 
-    |D| = |q| gm, so D vanishes only on the asymptotic cone, and
-    _cone_ratio is the one measure of how near the cone a state lies."""
+    |D| = |q| gm, so D vanishes only on the asymptotic cone, ``denom`` is
+    0.0 where q is zero against its terms, and _cone_ratio is the one
+    measure of how near the cone a state lies."""
     # the path at theta'' = 0, whose values u and v no column reads
     (_, c, u2, u3), (_, s, v2, v3) = _theta_path(0.0, 0.0, theta, omega)
     d1, d2, d3 = compose_columns(X, c, u2, u3, s, v2, v3)
     xu, xv, xuu, xuv, xvv = _partials(X)
-    a, b, cc, disc, _, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
+    a, b, cc, disc, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
     # w = -s X_u + c X_v, the column that theta'' multiplies in a'''
     w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
          -s * xu[2] + c * xv[2])
-    q = a * c * c + 2.0 * b * c * s + cc * s * s
+    qa, qb, qc = a * c * c, 2.0 * b * c * s, cc * s * s
+    q = qa + qb + qc
     return {
         "residual0": det3(d1, d2, d3) - q ** 3,
-        "denom": det3(d1, d2, w),
+        "denom": (det3(d1, d2, w)
+                  if abs(q) > ZERO_RTOL * (abs(qa) + abs(qb) + abs(qc))
+                  else 0.0),
         "q": q,
         "gm": abs(disc) ** 0.25,
     }
@@ -589,8 +588,8 @@ def _parts_from_jets(X, theta, omega):
 
 def _cone_ratio(parts):
     """q / gm of _condition_parts: form(a') free of the chart's scale,
-    equiaffine-invariant, and zero exactly on the asymptotic cone."""
-    return parts["q"] / max(parts["gm"], 1e-300)
+    equiaffine-invariant, and zero exactly on the asymptotic cone (gm > 0)."""
+    return parts["q"] / parts["gm"]
 
 
 def solve_theta_dd(surface, u, v, theta, omega):
@@ -599,7 +598,7 @@ def solve_theta_dd(surface, u, v, theta, omega):
     The residual is affine in theta'': residual = D * theta'' + R with
     D = det[a', a'', -sin(theta) X_u + cos(theta) X_v].  |D| = |q| gm, so
     D vanishes only on the asymptotic cone: raises SingularDenominator
-    where |q| / gm is at most EPS_FORM.
+    where q = form(a') is zero against its terms.
     """
     return _theta_dd(_condition_parts(surface, u, v, theta, omega),
                      u, v, theta)
@@ -607,10 +606,10 @@ def solve_theta_dd(surface, u, v, theta, omega):
 
 def _theta_dd(parts, u, v, theta):
     """solve_theta_dd from the _condition_parts of the state."""
-    if abs(_cone_ratio(parts)) <= EPS_FORM:
+    if not parts["denom"]:
         raise SingularDenominator(
-            f"theta'' coefficient {parts['denom']!r} is singular at "
-            f"(u, v, theta) = ({u!r}, {v!r}, {theta!r}): the direction is "
+            f"theta'' coefficient is zero at (u, v, theta) = ({u!r}, {v!r}, "
+            f"{theta!r}): form(a') = {parts['q']!r}, the direction is "
             f"asymptotic")
     return -parts["residual0"] / parts["denom"]
 
@@ -793,7 +792,8 @@ def _condition_check(node):
     cross = cross3(d1, d2)
     cross_sq = dot3(cross, cross)
     degenerate = False
-    if cross_sq <= 1e-24 * max(speed, 1e-300) ** 2 * max(dot3(d2, d2), 1e-300):
+    # or an underflowing |a' x a''|^2, which kappa and tau divide by
+    if cross3_is_zero(cross, cross3_terms(d1, d2)) or not cross_sq:
         lhs = 0.0          # kappa = 0: both kappa and tau are degenerate
         degenerate = True
     else:
@@ -801,11 +801,10 @@ def _condition_check(node):
         tau = det3(d1, d2, d3) / cross_sq
         lhs = kappa_sq * tau
 
-    first, second, _ = forms_from_jets(X, u[0], v[0])
+    first, second, _, K = forms_from_partials(*_partials(X), u[0], v[0])
     du, dv = u[1], v[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
-    K = gauss_from_forms(first, second)
     form = form_from_jets(X)
     rhs = (abs(K) ** (-0.25) * k_n * form.orientation_sign) ** 3
     return ConditionCheck(lhs, rhs, degenerate), form

@@ -27,7 +27,14 @@ from .errors import (
     NonpositiveTorsion,
     ZeroSpeed,
 )
-from .jets import cross3, det3
+from .jets import (
+    ZERO_RTOL,
+    cross3,
+    cross3_is_zero,
+    cross3_terms,
+    det3,
+    det3_terms,
+)
 from .numerics import quad_adaptive
 
 __all__ = [
@@ -35,18 +42,14 @@ __all__ = [
     "euclidean_frenet", "frenet_from_jets", "affine_integrand_via_euclidean",
 ]
 
-#: relative determinant-degeneracy threshold (scaled by |a'||a''||a'''|)
-EPS_DEGENERATE = 1e-12
-
 
 @dataclass(frozen=True)
 class FrenetData:
     """Euclidean frame and invariants at one parameter value.
 
     ``e1``, ``e2`` and ``e3`` are numpy arrays of three floats.  ``tau``
-    is None when det[a', a'', a'''] is below the degeneracy threshold (the
-    torsion of a numerically planar configuration carries no
-    information)."""
+    is None when det[a', a'', a'''] is zero against its terms (the torsion
+    of a numerically planar configuration carries no information)."""
 
     e1: object
     e2: object
@@ -75,26 +78,17 @@ def _columns(jets):
     return tuple([tuple([j.coeffs[k] for j in jets]) for k in (1, 2, 3)])
 
 
-def _det_and_scale(d1, d2, d3):
-    """det[a', a'', a'''] and the scale max(1, |a'| |a''| |a'''|) of its
-    degeneracy threshold, from the columns a', a'', a'''.  Each norm is a
-    math.hypot, so it stays finite; a product past the float range is inf,
-    and then every determinant counts as degenerate."""
-    det = det3(d1, d2, d3)
-    scale = max(1.0, math.hypot(*d1) * math.hypot(*d2) * math.hypot(*d3))
-    return det, scale
-
-
 def _alpha_integrand(d1, d2, d3, mirror):
     """(|det|^(1/6), det, degenerate) on the columns a', a'', a''' of a
     curve, with det = det[a', a'', a'''] negated when ``mirror``.
-    ``degenerate`` is set when |det| is within the scale-aware threshold;
-    past it, a negative det raises NegativeOrientation carrying it.  Every
-    route to the equiaffine integrand decides here."""
-    det, scale = _det_and_scale(d1, d2, d3)
+    ``degenerate`` is set when det is zero against its six terms (a term
+    past the float range makes every det zero); otherwise a negative det
+    raises NegativeOrientation carrying it.  Every route to the equiaffine
+    integrand decides here."""
+    det = det3(d1, d2, d3)
     if mirror:
         det = -det
-    if abs(det) <= EPS_DEGENERATE * scale:
+    if abs(det) <= ZERO_RTOL * det3_terms(cross3_terms(d1, d2), d3):
         return abs(det) ** (1.0 / 6.0), det, True
     if det < 0.0:
         raise NegativeOrientation(det)
@@ -104,8 +98,8 @@ def _alpha_integrand(d1, d2, d3, mirror):
 def affine_integrand(curve, t, mirror=False):
     """Sixth root of det[a', a'', a'''] at t.
 
-    Raises DegenerateCurve when the determinant is below the scale-aware
-    threshold and NegativeOrientation (carrying the raw determinant) when
+    Raises DegenerateCurve when the determinant is zero against its terms
+    and NegativeOrientation (carrying the raw determinant) when
     it is negative.  ``mirror=True`` evaluates the reflected curve instead,
     whose determinant has the opposite sign.
     """
@@ -121,9 +115,9 @@ def affine_arclength(curve, t0, t1, rel_tol=1e-10, abs_tol=1e-12,
     """Equiaffine arc length between t0 and t1 by adaptive quadrature.
 
     Isolated zeros of the determinant are integrable (the integrand is
-    continuous there); nodes within the degeneracy threshold only set the
-    ``degenerate`` flag on the result.  A sign change beyond the threshold
-    still raises NegativeOrientation.
+    continuous there); nodes where it is zero only set the ``degenerate``
+    flag on the result.  A nonzero determinant of the other sign still
+    raises NegativeOrientation.
     """
     if t0 == t1:
         return ArcLength(0.0, 0.0, 0, False)
@@ -162,16 +156,19 @@ def frenet_from_jets(jets, t):
 def _frenet_invariants(d1, d2, d3, t):
     """(speed, kappa, tau) of frenet_from_jets from the columns a', a'',
     a''' at t, with its checks but not its frame."""
-    det, scale = _det_and_scale(d1, d2, d3)
     v = _norm(d1)
     if v <= 1e-300:
         raise ZeroSpeed(f"|a'(t)| = 0 at t = {t!r}")
-    cross_norm = _norm(cross3(d1, d2))
-    if cross_norm <= 1e-12 * v * max(_norm(d2), 1e-300):
+    cross, terms = cross3(d1, d2), cross3_terms(d1, d2)
+    cross_norm = _norm(cross)
+    # an underflowing |a' x a''| would be divided by
+    if cross3_is_zero(cross, terms) or not cross_norm:
         raise EuclideanDegenerate(
             f"a' and a'' are parallel at t = {t!r}; frame undefined")
     kappa = cross_norm / v ** 3
-    tau = det / cross_norm ** 2 if abs(det) > EPS_DEGENERATE * scale else None
+    det = det3(d1, d2, d3)
+    tau = (det / cross_norm ** 2
+           if abs(det) > ZERO_RTOL * det3_terms(terms, d3) else None)
     return v, kappa, tau
 
 

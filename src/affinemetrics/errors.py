@@ -57,7 +57,7 @@ class UnsupportedOrder(AffineMetricsError):
 # curve geometry
 
 class DegenerateCurve(AffineMetricsError):
-    """det[a', a'', a'''] vanishes (within the scale-aware threshold)."""
+    """det[a', a'', a'''] is zero against its six terms (jets.ZERO_RTOL)."""
 
 
 class NegativeOrientation(AffineMetricsError):
@@ -90,8 +90,8 @@ class IrregularPoint(AffineMetricsError):
 
 
 class DegenerateSurfacePoint(AffineMetricsError):
-    """ln - m^2 vanishes (within threshold): the affine fundamental form
-    is undefined at this point."""
+    """ln - m^2 is zero against its terms (jets.ZERO_RTOL): the affine
+    fundamental form is undefined at this point."""
 
 
 class SingularJacobian(AffineMetricsError):
@@ -124,9 +124,9 @@ class NegativeForm(AffineMetricsError):
 class SingularDenominator(AffineMetricsError):
     """The coefficient multiplying theta'' in the curve condition vanished,
     so theta'' cannot be solved for.  The coefficient's size is |q| gm, so
-    this happens only on an asymptotic direction: where |q| / gm is at most
-    commensurate.EPS_FORM.  No solve ends with it: the solver's
-    AsymptoticProximity events watch the same ratio."""
+    this happens only on an asymptotic direction: where q = form(a') is
+    zero against its terms (jets.ZERO_RTOL).  No solve ends with it: the
+    solver's AsymptoticProximity events watch the ratio |q| / gm."""
 
 
 class InvalidIVP(AffineMetricsError):

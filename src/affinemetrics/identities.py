@@ -55,7 +55,6 @@ from .surfgeo import (
     affine_first_fundamental,
     form_from_partials,
     forms_from_partials,
-    gauss_from_forms,
     surface_jets,
 )
 
@@ -278,8 +277,8 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
     random curves with positive torsion."""
     worst = 0.0
     for _ in range(samples):
-        # the draw holds tau > 0, so the determinant is positive and past
-        # the degeneracy threshold: neither route can raise here
+        # the draw holds tau > 0, so the determinant is positive and
+        # nonzero against its terms: neither route can raise here
         _, _, jets, (speed, kappa, tau) = _draw_curve(rng)
         direct = _alpha_integrand(*_columns(jets), False)[0]
         euclid = (kappa ** 2 * tau) ** (1.0 / 6.0) * speed
@@ -290,8 +289,8 @@ def integrand_routes_suite(rng, samples, tolerance=1e-8):
 
 class _Point(NamedTuple):
     """A sample point with its raw form (l, m, n) as a tuple, its affine
-    form and its Euclidean first and second forms, all from one
-    evaluation of its order-2 surface jets."""
+    form, its Euclidean first and second forms and its Gauss curvature,
+    all from one evaluation of its order-2 surface jets."""
 
     u: float
     v: float
@@ -299,6 +298,7 @@ class _Point(NamedTuple):
     form: AffineForm
     first: QuadForm
     second: QuadForm
+    K: float
 
 
 def _regular_nondegenerate_points(surface, rng, count):
@@ -334,12 +334,12 @@ def _regular_point(surface, u, v):
             f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
     partials = _partials(jets)
     try:
-        a, b, c, disc, flipped, cross, lmn = form_from_partials(*partials)
-        first, second, _ = forms_from_partials(*partials, cross, u, v)
+        a, b, c, disc, flipped, lmn = form_from_partials(*partials)
+        first, second, _, K = forms_from_partials(*partials, u, v)
     except AffineMetricsError:
         return None
     form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
-    return _Point(u, v, lmn, form, first, second)
+    return _Point(u, v, lmn, form, first, second, K)
 
 
 def lmn_route_suite(surface, rng, samples, tolerance=1e-10):
@@ -364,7 +364,7 @@ def form_routes_suite(surface, rng, samples, tolerance=1e-9):
     worst = 0.0
     points = _regular_nondegenerate_points(surface, rng, samples)
     for p in points:
-        factor = abs(gauss_from_forms(p.first, p.second)) ** (-0.25)
+        factor = abs(p.K) ** (-0.25)
         expected = np.array(p.second.coefficients()) * factor
         got = np.array(p.form.coefficients())
         sign = -1.0 if float(expected @ got) < 0.0 else 1.0
@@ -520,8 +520,7 @@ def reference_form_suite(surface, reference, rng, samples, tolerance=1e-9):
             worst = _worse(worst, *(abs(x - y) / scale for x, y in
                                     zip(p.lmn, exp)))
         if "gauss" in forms:
-            K = gauss_from_forms(p.first, p.second)
             exp = forms["gauss"](u, v)
-            worst = _worse(worst, abs(K - exp) / max(abs(exp), 1.0))
+            worst = _worse(worst, abs(p.K - exp) / max(abs(exp), 1.0))
     return IdentityReport(f"reference-forms-{reference}", worst, tolerance,
                           len(points), len(points))

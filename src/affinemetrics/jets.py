@@ -46,6 +46,10 @@ derivatives at f's value come from one closed-form table per function
 :func:`compose_columns` gives the derivatives of a(t) = X(u(t), v(t))
 up to order 3 by the chain rule, written out term by term on floats;
 :func:`compose_curve_in_surface` gives them as Jet1s.
+
+Every "is this zero?" of the package is one rule, which no diagonal SL(3)
+map or uniform scale moves: a value summed from products is zero when
+|value| <= ZERO_RTOL times the products' magnitudes summed (Higham 2002).
 """
 
 from __future__ import annotations
@@ -56,11 +60,13 @@ import types
 from .errors import DomainError, OrderMismatch, UnsupportedOrder
 
 __all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "compose_columns",
-           "power_int", "dot3", "cross3", "det3", "MAX_ORDER_1",
-           "MAX_ORDER_2"]
+           "power_int", "dot3", "cross3", "det3", "det3_terms", "ZERO_RTOL",
+           "cross3_terms", "cross3_is_zero", "MAX_ORDER_1", "MAX_ORDER_2"]
 
 MAX_ORDER_1 = 3
 MAX_ORDER_2 = 3
+#: |value| <= ZERO_RTOL * (the magnitudes of its terms summed) is zero
+ZERO_RTOL = 1e-12
 
 _BINOM = tuple(tuple(math.comb(k, j) for j in range(k + 1))
                for k in range(MAX_ORDER_1 + 1))
@@ -578,3 +584,26 @@ def det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def cross3_terms(a, b):
+    """Per component of cross3(a, b), the magnitudes of its two products
+    summed."""
+    return (abs(a[1] * b[2]) + abs(a[2] * b[1]),
+            abs(a[2] * b[0]) + abs(a[0] * b[2]),
+            abs(a[0] * b[1]) + abs(a[1] * b[0]))
+
+
+def det3_terms(ab_terms, c):
+    """The magnitudes of the six products of det3(a, b, c) summed, from
+    ab_terms = cross3_terms(a, b), since det[a, b, c] = c . (a x b)."""
+    t0, t1, t2 = ab_terms
+    return abs(c[0]) * t0 + abs(c[1]) * t1 + abs(c[2]) * t2
+
+
+def cross3_is_zero(cross, terms):
+    """Whether every component of a cross product is zero against its
+    cross3_terms."""
+    return (abs(cross[0]) <= ZERO_RTOL * terms[0]
+            and abs(cross[1]) <= ZERO_RTOL * terms[1]
+            and abs(cross[2]) <= ZERO_RTOL * terms[2])

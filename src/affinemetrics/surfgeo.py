@@ -3,7 +3,7 @@
 Determinant route: l, m, n are det[X_u X_v X_uu], det[X_u X_v X_uv],
 det[X_u X_v X_vv]; the affine fundamental form is |ln - m^2|^(-1/4) times
 (l, m, n).  Euclidean route: E, F, G and e, f, g with the cross-product
-normal, Gauss curvature (eg - f^2)/(EG - F^2).  The two routes are tied
+normal, Gauss curvature (eg - f^2)/|X_u x X_v|^2.  The two routes are tied
 together by l = e sqrt(EG - F^2) (and so on) and by the identity
 I_aff = |K|^(-1/4) II_Euc, which the test suite checks at random points.
 
@@ -27,20 +27,26 @@ from .errors import (
     SingularJacobian,
 )
 from .expr import KernelCache, eval_ast, jet_rows, parse_expression
-from .jets import MAX_ORDER_2, Jet2, _check_order, cross3, det3, dot3
+from .jets import (
+    MAX_ORDER_2,
+    ZERO_RTOL,
+    Jet2,
+    _check_order,
+    cross3,
+    cross3_is_zero,
+    cross3_terms,
+    det3,
+    det3_terms,
+    dot3,
+)
 
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "surface_jets",
     "fundamental_forms_euclid", "gauss_curvature",
-    "affine_first_fundamental", "forms_from_jets", "lmn_from_jets",
-    "gauss_from_forms", "form_from_jets", "form_from_partials",
+    "affine_first_fundamental", "lmn_from_jets",
+    "form_from_jets", "form_from_partials",
     "forms_from_partials", "CATALOG",
 ]
-
-#: relative threshold on ln - m^2, scaled by EG - F^2
-EPS_CLASSIFY = 1e-10
-#: relative threshold on |X_u x X_v|^2 for regularity
-EPS_REGULAR = 1e-24
 
 @dataclass(frozen=True)
 class SurfaceDef:
@@ -146,88 +152,81 @@ def fundamental_forms_euclid(surface, u, v):
     The normal is X_u x X_v normalized, a tuple of three floats; e, f, g
     are the dot products of the second partials with it.
     """
-    return forms_from_jets(surface_jets(surface, u, v, 2), u, v)
+    return forms_from_partials(*_partials(surface_jets(surface, u, v, 2)),
+                               u, v)[:3]
 
 
-def forms_from_jets(jets, u, v):
-    """fundamental_forms_euclid from already-evaluated surface jets (order
-    >= 2) at (u, v); the point is used only in the IrregularPoint message."""
-    xu, xv, xuu, xuv, xvv = _partials(jets)
-    return forms_from_partials(xu, xv, xuu, xuv, xvv, cross3(xu, xv), u, v)
-
-
-def forms_from_partials(xu, xv, xuu, xuv, xvv, cross, u, v):
-    """forms_from_jets from the first and second partials and their
-    X_u x X_v, which form_from_partials also gives."""
+def forms_from_partials(xu, xv, xuu, xuv, xvv, u, v):
+    """(first form, second form, unit normal, K) from the first and second
+    partials, with K = (eg - f^2)/|X_u x X_v|^2 by Lagrange's identity.
+    IrregularPoint names (u, v) where X_u x X_v is zero or its square
+    underflows."""
+    cross = cross3(xu, xv)
     cross_sq = dot3(cross, cross)
-    E, F, G = dot3(xu, xu), dot3(xu, xv), dot3(xv, xv)
-    if cross_sq <= EPS_REGULAR * max(E * G, 1e-300):
+    if cross3_is_zero(cross, cross3_terms(xu, xv)) or not cross_sq:
         raise IrregularPoint(f"X_u x X_v vanishes at ({u!r}, {v!r})")
     norm = math.sqrt(cross_sq)
     normal = tuple(c / norm for c in cross)
     second = QuadForm(dot3(xuu, normal), dot3(xuv, normal),
                       dot3(xvv, normal))
-    return QuadForm(E, F, G), second, normal
+    first = QuadForm(dot3(xu, xu), dot3(xu, xv), dot3(xv, xv))
+    return first, second, normal, second.det / cross_sq
 
 
 def lmn_from_jets(jets):
     """The raw determinant form (l, m, n) as a QuadForm, from
     already-evaluated surface jets (order >= 2)."""
-    return QuadForm(*_lmn_and_threshold(*_partials(jets))[:3])
+    return QuadForm(*_lmn(*_partials(jets)))
 
 
-def _lmn_and_threshold(xu, xv, xuu, xuv, xvv):
-    """l, m, n, the bound below which |ln - m^2| counts as degenerate,
-    EPS_CLASSIFY * |X_u x X_v|^2 = EPS_CLASSIFY * (EG - F^2), and
-    X_u x X_v, from the first and second partials."""
-    cross = cross3(xu, xv)
-    return (det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv),
-            EPS_CLASSIFY * dot3(cross, cross), cross)
+def _lmn(xu, xv, xuu, xuv, xvv):
+    """l, m, n: det[X_u, X_v, X_uu], det[X_u, X_v, X_uv] and
+    det[X_u, X_v, X_vv], from the first and second partials."""
+    return det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv)
 
 
 def gauss_curvature(surface, u, v):
-    first, second, _ = fundamental_forms_euclid(surface, u, v)
-    return gauss_from_forms(first, second)
-
-
-def gauss_from_forms(first, second):
-    """Gauss curvature (eg - f^2)/(EG - F^2) from the two Euclidean forms."""
-    return second.det / first.det
+    return forms_from_partials(*_partials(surface_jets(surface, u, v, 2)),
+                               u, v)[3]
 
 
 def form_from_jets(jets):
     """Affine fundamental form from already-evaluated surface jets
     (order >= 2); see affine_first_fundamental."""
-    a, b, c, disc, flipped, _, _ = form_from_partials(*_partials(jets))
+    a, b, c, disc, flipped, _ = form_from_partials(*_partials(jets))
     return AffineForm(a, b, c, discriminant=disc, flipped=flipped)
 
 
 def form_from_partials(xu, xv, xuu, xuv, xvv):
-    """(a, b, c, ln - m^2, flipped, X_u x X_v, (l, m, n)): the affine
+    """(a, b, c, ln - m^2, flipped, (l, m, n)): the affine
     fundamental form's coefficients from the first and second partials,
     as plain floats, and the raw form (l, m, n) they scale; the one place
     where DegenerateSurfacePoint is raised and a negative-definite form is
-    flipped (see affine_first_fundamental)."""
-    l, m, n, eps, cross = _lmn_and_threshold(xu, xv, xuu, xuv, xvv)
+    flipped (see affine_first_fundamental).  ln - m^2 is zero against
+    T(l)|n| + |l|T(n) + 2T(m)|m|, T the det3_terms, sharing X_u x X_v's."""
+    ct = cross3_terms(xu, xv)
+    l, m, n = _lmn(xu, xv, xuu, xuv, xvv)
     disc = l * n - m * m
-    if abs(disc) <= eps:
+    terms = (det3_terms(ct, xuu) * abs(n) + abs(l) * det3_terms(ct, xvv)
+             + 2.0 * det3_terms(ct, xuv) * abs(m))
+    if abs(disc) <= ZERO_RTOL * terms:
         raise DegenerateSurfacePoint(
-            f"ln - m^2 = {disc!r} is within {eps!r} of zero")
+            f"ln - m^2 = {disc!r} is zero against its terms {terms!r}")
     scale = abs(disc) ** (-0.25)
     a, b, c = scale * l, scale * m, scale * n
     flipped = disc > 0.0 and a < 0.0
     if flipped:
         a, b, c = -a, -b, -c
     # + 0.0 normalizes negative zeros out of the coefficients
-    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, cross, (l, m, n)
+    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, (l, m, n)
 
 
 def affine_first_fundamental(surface, u, v):
     """The affine fundamental form |ln - m^2|^(-1/4) (l, m, n).
 
-    Raises DegenerateSurfacePoint when |ln - m^2| is below the
-    (EG - F^2)-scaled threshold.  A negative-definite result is flipped to
-    its positive representative; see the module docstring.
+    Raises DegenerateSurfacePoint where ln - m^2 is zero (see
+    form_from_partials).  A negative-definite result is flipped to its
+    positive representative; see the module docstring.
     """
     return form_from_jets(surface_jets(surface, u, v, 2))
 
@@ -243,8 +242,7 @@ def _reparam_discriminant(surface, u, v, jacobian):
     except (TypeError, ValueError):
         raise ValueError("jacobian must be 2x2") from None
     jdet = j00 * j11 - j01 * j10
-    if abs(jdet) <= 1e-12 * max(
-            1.0, max(abs(j00), abs(j01), abs(j10), abs(j11)) ** 2):
+    if abs(jdet) <= ZERO_RTOL * (abs(j00 * j11) + abs(j01 * j10)):
         raise SingularJacobian(f"jacobian determinant {jdet!r} is singular")
     rows = jet_rows(surface._kernels, surface.components, "reparam", 2,
                     (float(u), float(v), j00, j01, j10, j11))

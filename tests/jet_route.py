@@ -28,11 +28,18 @@ from affinemetrics.commensurate import (
     solve_theta_dd,
 )
 from affinemetrics.errors import DomainError
-from affinemetrics.jets import Jet1, cross3, det3, dot3
+from affinemetrics.jets import (
+    Jet1,
+    cross3,
+    cross3_is_zero,
+    cross3_terms,
+    det3,
+    dot3,
+)
 from affinemetrics.surfgeo import (
+    _partials,
     form_from_jets,
-    forms_from_jets,
-    gauss_from_forms,
+    forms_from_partials,
     surface_jets,
 )
 
@@ -107,7 +114,7 @@ def condition_check(node):
     cross = cross3(d1, d2)
     cross_sq = dot3(cross, cross)
     degenerate = False
-    if cross_sq <= 1e-24 * max(speed, 1e-300) ** 2 * max(dot3(d2, d2), 1e-300):
+    if cross3_is_zero(cross, cross3_terms(d1, d2)) or not cross_sq:
         lhs = 0.0
         degenerate = True
     else:
@@ -115,11 +122,10 @@ def condition_check(node):
         tau = det3(d1, d2, d3) / cross_sq
         lhs = kappa_sq * tau
 
-    first, second, _ = forms_from_jets(X, u, v)
+    first, second, _, K = forms_from_partials(*_partials(X), u, v)
     du, dv = u_jet.coeffs[1], v_jet.coeffs[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
-    K = gauss_from_forms(first, second)
     sigma = form_from_jets(X).orientation_sign
     rhs = (abs(K) ** (-0.25) * k_n * sigma) ** 3
     return ConditionCheck(lhs, rhs, degenerate)

@@ -203,13 +203,12 @@ def one_point_at_a_time(surface, rng, count, margin=0.02):
                 f"surface jets not finite at (u, v) = ({u!r}, {v!r})")
         partials = _partials(jets)
         try:
-            a, b, c, disc, flipped, cross, lmn = form_from_partials(
-                *partials)
-            first, second, _ = forms_from_partials(*partials, cross, u, v)
+            a, b, c, disc, flipped, lmn = form_from_partials(*partials)
+            first, second, _, K = forms_from_partials(*partials, u, v)
         except AffineMetricsError:
             continue
         form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
-        points.append(idn._Point(u, v, lmn, form, first, second))
+        points.append(idn._Point(u, v, lmn, form, first, second, K))
     return points
 
 

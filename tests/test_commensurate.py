@@ -39,6 +39,7 @@ from affinemetrics.errors import (
     UnsupportedOrder,
 )
 from affinemetrics.jets import (
+    ZERO_RTOL,
     Jet1,
     compose_curve_in_surface,
     det3,
@@ -272,13 +273,15 @@ class TestResidual:
             solve_theta_dd(HYP_PAR, 0.0, 0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("theta, singular", [
-        (1e-13, True), (-1e-13, True), (1e-11, False), (-1e-11, False)])
+        (0.0, True), (-0.0, True), (1e-13, False), (-1e-13, False),
+        (1e-11, False), (-1e-11, False)])
     @pytest.mark.parametrize("stretch", [None, (1e4, 1e-4, 1.0)],
                              ids=["catalog", "stretched"])
     def test_singular_band_is_equiaffine(self, theta, singular, stretch):
-        # on z = u v at the origin |q| / gm = |sin 2 theta|: within
-        # EPS_FORM = 1e-12 of the cone theta'' is singular, and an SL(3)
-        # map moves neither that band nor theta'' outside it
+        # on z = u v at the origin q = 2 m cos(theta) sin(theta) is one
+        # product, so it is zero against its terms only where it is 0: at
+        # theta = 0 theta'' is singular, an SL(3) map does not move that,
+        # and theta'' next to it agrees
         from affinemetrics.identities import transformed_surface
 
         surface = HYP_PAR if stretch is None else transformed_surface(
@@ -324,9 +327,11 @@ def _jet1_route_parts(X, u, v, theta, omega):
     w = tuple(-s * x + c * y for x, y in zip(xu, xv))
     form = form_from_jets(X)
     q = form.apply(c, s)
+    q_terms = (abs(form.a * c * c) + abs(2.0 * form.b * c * s)
+               + abs(form.c * s * s))
     return {
         "residual0": det3(d1, d2, d3) - q ** 3,
-        "denom": det3(d1, d2, w),
+        "denom": det3(d1, d2, w) if abs(q) > ZERO_RTOL * q_terms else 0.0,
         "q": q,
         "gm": abs(form.discriminant) ** 0.25,
     }

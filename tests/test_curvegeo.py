@@ -11,9 +11,7 @@ from reference_routes import (
 
 from affinemetrics import identities as idn
 from affinemetrics.curvegeo import (
-    EPS_DEGENERATE,
     _columns,
-    _det_and_scale,
     _frenet_invariants,
     affine_arclength,
     affine_integrand,
@@ -36,7 +34,14 @@ from affinemetrics.identities import (
     random_sl3,
     transformed_surface,
 )
-from affinemetrics.jets import cross3
+from affinemetrics.jets import (
+    ZERO_RTOL,
+    cross3,
+    cross3_is_zero,
+    cross3_terms,
+    det3,
+    det3_terms,
+)
 
 SIXTH_ROOT_12 = 1.5130857494229016          # 12^(1/6)
 SPIRAL_AFFINE_LENGTH = 3.0894412799902687   # int_0^1 (6 pi^4 + s^2 pi^6)^(1/6),
@@ -154,17 +159,18 @@ def frenet_by_linalg_norm(jets, t):
     """frenet_from_jets as written with np.linalg.norm before its split:
     (e1, e2, e3, speed, kappa, tau), the reference of the split route."""
     d1, d2, d3 = _columns(jets)
-    det, scale = _det_and_scale(d1, d2, d3)
+    det, terms = det3(d1, d2, d3), cross3_terms(d1, d2)
+    tau_terms = det3_terms(terms, d3)
     d1, d2 = np.array(d1), np.array(d2)
     v = float(np.linalg.norm(d1))
     if v <= 1e-300:
         raise ZeroSpeed(f"|a'(t)| = 0 at t = {t!r}")
     cross = np.array(cross3(d1, d2))
     cross_norm = float(np.linalg.norm(cross))
-    if cross_norm <= 1e-12 * v * max(float(np.linalg.norm(d2)), 1e-300):
+    if cross3_is_zero(cross, terms) or not cross_norm:
         raise EuclideanDegenerate("frame undefined")
     kappa = cross_norm / v ** 3
-    tau = det / cross_norm ** 2 if abs(det) > EPS_DEGENERATE * scale else None
+    tau = det / cross_norm ** 2 if abs(det) > ZERO_RTOL * tau_terms else None
     e1 = d1 / v
     e2_raw = d2 - float(np.dot(d2, e1)) * e1
     e2 = e2_raw / np.linalg.norm(e2_raw)

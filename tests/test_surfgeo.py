@@ -275,11 +275,12 @@ class TestClassification:
         assert _classify(PLANE, 0.0, 0.0) == "degenerate"
 
     def test_margin_reported(self):
-        # the plane's ln - m^2 is 0, inside the positive threshold it is
-        # classified against
-        l, m, n, eps, _ = surfgeo._lmn_and_threshold(
-            *surfgeo._partials(surface_jets(PLANE, 0.0, 0.0, 2)))
-        assert l * n - m * m == 0.0 and eps > 0.0
+        # the plane's ln - m^2 and its terms are both 0, and 0 is zero
+        # against 0
+        partials = surfgeo._partials(surface_jets(PLANE, 0.0, 0.0, 2))
+        with pytest.raises(DegenerateSurfacePoint,
+                           match=r"= 0\.0 is zero against its terms 0\.0$"):
+            surfgeo.form_from_partials(*partials)
         assert _classify(PLANE, 0.0, 0.0) == "degenerate"
 
     def test_invariant_under_parameter_swap(self):
@@ -297,6 +298,23 @@ class TestClassification:
             moved = transformed_surface(surface, random_sl3(rng),
                                         rng.uniform(-1, 1, 3))
             assert _classify(surface, u, v) == _classify(moved, u, v)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_grid_keeps_its_class_under_stretches_and_scales(self, name):
+        # no Euclidean scale decides a class: two stretching diagonal
+        # SL(3) maps and the uniform scales 1e-6 and 1e6 keep each point's
+        from affinemetrics.identities import transformed_surface
+        surface = CATALOG[name]
+        moved = [transformed_surface(surface, np.diag(d), (0.0, 0.0, 0.0))
+                 for d in ((1e5, 1e-5, 1.0), (1.0, 1e-5, 1e5),
+                           (1e-6, 1e-6, 1e-6), (1e6, 1e6, 1e6))]
+        for i in (1, 2, 3):
+            for j in (1, 2, 3):
+                u = surface.u_min + (surface.u_max - surface.u_min) * i / 4
+                v = surface.v_min + (surface.v_max - surface.v_min) * j / 4
+                want = _classify(surface, u, v)
+                assert [_classify(m, u, v) for m in moved] == [want] * 4, (
+                    u, v)
 
 
 class TestReparamCovariance:
@@ -661,12 +679,20 @@ class TestReparamKernel:
             bound = surface._kernels.get("reparam")
             assert callable(bound) == (record_after == 1)
             for jac in ([[1.0, 2.0], [2.0, 4.0]], [[0.0, -0.0], [0.0, 1.0]],
-                        [[-0.0, 1.0], [0.0, -0.0]], [[1e-7, 0.0], [0.0, 1e-7]]):
+                        [[-0.0, 1.0], [0.0, -0.0]]):
                 with pytest.raises(SingularJacobian) as err:
                     surfgeo._reparam_discriminant(surface, 0.5, 0.5, jac)
                 jdet = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
                 assert str(err.value) == (
                     f"jacobian determinant {jdet!r} is singular")
+            # a small Jacobian is not a singular one: 1e-7 I is regular
+            # and obeys the fourth-power law
+            disc, jdet = surfgeo._reparam_discriminant(
+                surface, 0.5, 0.5, [[1e-7, 0.0], [0.0, 1e-7]])
+            want = surfgeo.lmn_from_jets(
+                surface_jets(surface, 0.5, 0.5, 2)).det * jdet ** 4
+            assert jdet == 1e-7 * 1e-7
+            assert disc == pytest.approx(want, rel=1e-9, abs=0.0)
             for jac in ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [1.0, 2.0],
                         np.ones((2, 2, 1)), np.eye(3), 3.0):
                 with pytest.raises(ValueError, match="jacobian must be 2x2"):
