@@ -16,10 +16,11 @@ atomically (temp file + rename).
 
 This module loads only the standard library and ``errors``, which main
 needs to map exceptions to exit codes.  Each handler imports the modules
-it computes with when it runs, numpy only where it builds arrays
-(arclen-compare's sample grid, check-identities' generators): --help and
-a usage error load no computation module, and each command loads only
-what it runs, which keeps a fresh process's start short.
+it computes with when it runs, numpy only where it builds arrays or
+multiplies matrices (arclen-compare's sample grid and the DCT-I product of
+its Chebyshev fits, check-identities' generators): --help and a usage
+error load no computation module, and each command loads only what it
+runs, which keeps a fresh process's start short.
 """
 
 from __future__ import annotations
@@ -209,11 +210,17 @@ def _parse_pair(sep):
 
 def _t_range(text):
     """argparse type of --t-range 'a:b': finite ends whose width b - a is
-    finite too, since the sample grid and the quadratures divide it."""
+    finite too, since the sample grid and the quadratures divide it, and
+    whose half width 0.5*(b - a), by which the Chebyshev interpolant
+    divides, is not zero unless a = b (it underflows for b - a = +-5e-324,
+    the smallest subnormal)."""
     t0, t1 = _parse_pair(":")(text)
     if not math.isfinite(t1 - t0):
         raise argparse.ArgumentTypeError(
             f"bad range {text!r}: the width b - a is not finite")
+    if 0.5 * (t1 - t0) == 0.0 and t0 != t1:
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}: the half width (b - a)/2 underflows to 0")
     return t0, t1
 
 

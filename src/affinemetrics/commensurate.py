@@ -103,10 +103,12 @@ class _EmbeddedCurve:
                       for comp, d in zip(X, zip(*columns))])
 
     def form_direction(self, t):
-        """(form, u', v') at t: the affine fundamental form at (u(t), v(t))
-        and the parameter direction, read off the node."""
+        """(a, b, c, u', v') at t, floats: the coefficients of the affine
+        fundamental form at (u(t), v(t)) and the parameter direction, read
+        off the node."""
         u, v, X, _ = self.sample(t)
-        return form_from_jets(X), u[1], v[1]
+        a, b, c = form_from_partials(*_partials(X))[:3]
+        return a, b, c, u[1], v[1]
 
 
 def _path_node(surface, u, v):
@@ -226,13 +228,14 @@ class NodeTable(_EmbeddedCurve):
 # ---------------------------------------------------------------------------
 # induced arc length
 
-def _sigma_integrand(form, du, dv, orientation):
-    """(sqrt(orientation * form(du, dv)), degenerate).  Where form(du, dv)
-    is zero against its terms the value is 0 and ``degenerate`` is set
-    (asymptotic directions measure zero length); a value of the other sign
-    raises NegativeForm, carrying form(du, dv) and ``orientation``."""
+def _sigma_integrand(a, b, c, du, dv, orientation):
+    """(sqrt(orientation * form(du, dv)), degenerate) for the form with
+    coefficients (a, b, c).  Where form(du, dv) is zero against its terms
+    the value is 0 and ``degenerate`` is set (asymptotic directions
+    measure zero length); a value of the other sign raises NegativeForm,
+    carrying form(du, dv) and ``orientation``."""
     # the terms of QuadForm.apply, and their sum, bit for bit
-    qa, qb, qc = form.a * du * du, 2.0 * form.b * du * dv, form.c * dv * dv
+    qa, qb, qc = a * du * du, 2.0 * b * du * dv, c * dv * dv
     q = qa + qb + qc
     if abs(q) <= ZERO_RTOL * (abs(qa) + abs(qb) + abs(qc)):
         return 0.0, True
@@ -244,15 +247,16 @@ def _sigma_integrand(form, du, dv, orientation):
 
 def _probe_orientation(pc, ts, nodes):
     """The sign of form(a') of largest magnitude at the nodes ``ts``;
-    nodes whose geometry fails are skipped.  The evaluations that succeed
-    are kept in the dict ``nodes``."""
+    nodes whose geometry fails are skipped.  The (a, b, c, u', v') that
+    succeed are kept in the dict ``nodes``."""
     best = 0.0
     for t in ts:
         try:
             node = nodes[t] = pc.form_direction(t)
         except AffineMetricsError:
             continue
-        q = node[0].apply(node[1], node[2])
+        a, b, c, du, dv = node
+        q = a * du * du + 2.0 * b * du * dv + c * dv * dv   # QuadForm.apply
         if abs(q) > abs(best):
             best = q
     return -1.0 if best < 0.0 else 1.0
@@ -326,7 +330,7 @@ def _sampled(evaluate):
 
 
 def _strict_sigma(node, orientation):
-    """The induced integrand at a (form, u', v') node; NaN where it is
+    """The induced integrand at an (a, b, c, u', v') node; NaN where it is
     degenerate or off the ``orientation`` branch."""
     try:
         value, degenerate = _sigma_integrand(*node, orientation)
@@ -393,7 +397,7 @@ def running_arclengths(pc, ts, tol=1e-10, auto_orient=False):
     ts = [float(t) for t in ts]
     a, b = ts[0], ts[-1]
     nodes = NodeTable(pc)
-    grid = [float(t) for t in cheb_points(a, b, 9)] if a != b else [a]
+    grid = cheb_points(a, b, 9) if a != b else [a]
     # the equiaffine side samples first, so that the induced side reads
     # its nodes, and its sign branch, from the table
     mirror, alpha_degenerate = _alpha_branch(nodes, grid, auto_orient)

@@ -8,9 +8,12 @@ with its 4th-order continuous extension, which serves dense output and
 event location; a stiffness estimate on every accepted step reports
 problems that an explicit method handles poorly.
 
-Only the Chebyshev block works on numpy arrays, and each of its functions
-imports numpy itself; everything else runs on floats and tuples, so
-importing this module does not load numpy.
+Everything runs on floats, lists and tuples except three calls of the
+Chebyshev block, which import numpy themselves: the DCT-I product with a
+cached cosine matrix (BLAS's summation order sets the coefficients'
+bits), the one-time builds of that matrix and of each grid size's unit
+points, and Clenshaw's recurrence past CLENSHAW_FLOAT_POINTS points.
+Importing this module does not load numpy.
 """
 
 from __future__ import annotations
@@ -166,16 +169,29 @@ class ChebResult:
         return abs(self.fitted[i] - value) <= tol * self.scale
 
 
+# n -> the n Chebyshev-Lobatto points of [-1, 1], ascending, as floats:
+# one list per grid size asked for, six for cheb_cumulative (9 ... 257)
+_UNIT_POINTS = {}
+
+
 def cheb_points(a, b, n):
-    """The n Chebyshev-Lobatto points of [a, b], from a to b, ends exact.
+    """The n Chebyshev-Lobatto points of [a, b], from a to b, ends exact,
+    as a list of floats.
 
-    For n = 2^k + 1 the grids nest bit for bit: the n-point grid is every
-    other point of the (2n - 1)-point grid."""
-    import numpy as np
+    Each point is 0.5*(a + b) + 0.5*(b - a)*x for the unit point x =
+    sin(pi*k/(2m)), k = -m, -m + 2, ..., m, with m = n - 1.  For n = 2^k +
+    1 the grids nest bit for bit: the n-point grid is every other point of
+    the (2n - 1)-point grid."""
+    x = _UNIT_POINTS.get(n)
+    if x is None:
+        import numpy as np
 
-    m = n - 1
-    t = 0.5 * (a + b) + 0.5 * (b - a) * np.sin(
-        np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+        m = n - 1
+        x = _UNIT_POINTS[n] = np.sin(
+            np.pi * np.arange(-m, m + 1, 2) / (2 * m)).tolist()
+    a, b = float(a), float(b)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    t = [mid + half * p for p in x]
     t[0], t[-1] = a, b
     return t
 
@@ -186,20 +202,33 @@ _DCT = {}
 
 
 def _cheb_coefficients(values):
-    """Coefficients c_0..c_m of the interpolant through ``values`` at the
-    ascending Lobatto points: a DCT-I of the descending values."""
+    """Coefficients c_0..c_m of the interpolant through the list
+    ``values`` at the ascending Lobatto points, as a list of floats: a
+    DCT-I of the descending values.  Only the product with the cosine
+    matrix, whose BLAS summation order sets the bits, and its scaling run
+    on numpy; a product past the float range gives inf or NaN silently."""
     import numpy as np
 
     m = len(values) - 1
-    w = values[::-1].copy()
-    w[[0, -1]] *= 0.5
+    w = values[::-1]
+    w[0] *= 0.5
+    w[-1] *= 0.5
     matrix = _DCT.get(m)
     if matrix is None:
         jk = np.outer(np.arange(m + 1), np.arange(m + 1)) % (2 * m)
         matrix = _DCT[m] = np.cos(np.pi * jk / m)
-    c = (matrix @ w) * (2.0 / m)
-    c[[0, -1]] *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = ((matrix @ np.array(w)) * (2.0 / m)).tolist()
+    c[0] *= 0.5
+    c[-1] *= 0.5
     return c
+
+
+def _abs_max(xs):
+    """max |x| over xs, NaN if any x is NaN, as numpy's max gives: the
+    builtin max skips a NaN that does not come first."""
+    top = max(map(abs, xs))
+    return top if all(x == x for x in xs) else math.nan
 
 
 #: most points at which _clenshaw runs on Python floats: a numpy pass pays
@@ -213,7 +242,8 @@ def _clenshaw(c, xs):
     of floats.  Each x runs the recurrence b_k = c_k + 2 x b_(k+1) -
     b_(k+2) in the same float operations in the same order, on Python
     floats up to CLENSHAW_FLOAT_POINTS points and over one numpy array of
-    them beyond, so every value is the same either way, bit for bit."""
+    them beyond, so every value is the same either way, bit for bit.
+    2.0 * x * b is (2.0 * x) * b, so 2x is taken once per x."""
     rest = c[:0:-1]
     if len(xs) > CLENSHAW_FLOAT_POINTS:
         import numpy as np
@@ -221,16 +251,27 @@ def _clenshaw(c, xs):
         x = np.array(xs)
         b1 = b2 = np.zeros_like(x)
         with np.errstate(over="ignore", invalid="ignore"):
+            x2 = 2.0 * x
             for ck in rest:
-                b1, b2 = ck + 2.0 * x * b1 - b2, b1
+                b1, b2 = ck + x2 * b1 - b2, b1
             return (c[0] + x * b1 - b2).tolist()
     out = []
     for x in xs:
+        x2 = 2.0 * x
         b1 = b2 = 0.0
         for ck in rest:
-            b1, b2 = ck + 2.0 * x * b1 - b2, b1
+            b1, b2 = ck + x2 * b1 - b2, b1
         out.append(c[0] + x * b1 - b2)
     return out
+
+
+def _antiderivative(c):
+    """Coefficients C_0..C_(m+1) of an antiderivative of sum c_k T_k:
+    C_k = (c_(k-1) - c_(k+1)) / (2k), with c_0 counted twice and c_k = 0
+    past m; C_0 = 0, the constant that F(x) - F(x(a)) fixes."""
+    d = [2.0 * c[0], *c[1:], 0.0, 0.0]
+    return [0.0] + [(p - q) / (2.0 * k)
+                    for k, (p, q) in enumerate(zip(d, d[2:]), 1)]
 
 
 def cheb_cumulative(f, a, b, ts, tol):
@@ -239,46 +280,39 @@ def cheb_cumulative(f, a, b, ts, tol):
 
     f is sampled at 9, 17, 33, ... Lobatto points, each grid reusing the
     values of the one before, until the last three coefficients are at
-    most tol * max|f|.  Reversed ranges give negated integrals.
+    most tol * max|f|.  Reversed ranges give negated integrals.  The
+    half width 0.5*(b - a) must not underflow to zero unless a == b: the
+    map of each t to [-1, 1] divides by it.
     """
-    import numpy as np
-
     if a == b:
         return ChebResult([0.0] * len(ts), 0.0, 0)
     n = 9
-    values = np.array([f(float(t)) for t in cheb_points(a, b, n)])
+    values = [f(t) for t in cheb_points(a, b, n)]
     while True:
-        if not np.isfinite(values).all():
+        if not all(map(math.isfinite, values)):
             return ChebResult(None, math.inf, n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            c = _cheb_coefficients(values)
-        tail = float(np.abs(c[-3:]).max())
-        scale = float(np.abs(values).max())
+        c = _cheb_coefficients(values)
+        tail = _abs_max(c[-3:])
+        scale = max(map(abs, values))
         if tail <= tol * scale:
             break
         if n >= CHEB_MAX_POINTS:
             return ChebResult(None, tail * abs(b - a), n)
         n = 2 * n - 1
-        grown = np.empty(n)
+        grown = [0.0] * n
         grown[0::2] = values
-        grown[1::2] = [f(float(t)) for t in cheb_points(a, b, n)[1::2]]
+        grown[1::2] = [f(t) for t in cheb_points(a, b, n)[1::2]]
         values = grown
-    # antiderivative coefficients C_k = (c_{k-1} - c_{k+1}) / (2k), with c_0
-    # counted twice; F(x) - F(x(a)) fixes the constant
-    d = np.concatenate([c, [0.0, 0.0]])
-    d[0] *= 2.0
-    C = np.concatenate([[0.0],
-                        (d[:-2] - d[2:]) / (2.0 * np.arange(1, n + 1))])
     a, b = float(a), float(b)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     x = [(float(t) - mid) / half for t in (a, *ts)]
-    F = _clenshaw(C.tolist(), x)
+    F = _clenshaw(_antiderivative(c), x)
     integrals = [half * (f - F[0]) for f in F[1:]]
     if not all(map(math.isfinite, integrals)):
         return ChebResult(None, math.inf, n)
     return ChebResult(integrals, tail * abs(b - a), n,
-                      _clenshaw(c.tolist(), x[1:]), scale)
+                      _clenshaw(c, x[1:]), scale)
 
 
 # ---------------------------------------------------------------------------

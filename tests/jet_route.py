@@ -149,7 +149,8 @@ class JetRouteCurve:
 
     def form_direction(self, t):
         u, v, X, _ = curve_node(self.curve, t)
-        return form_from_jets(X), u.coeffs[1], v.coeffs[1]
+        return (*form_from_jets(X).coefficients(), u.coeffs[1],
+                v.coeffs[1])
 
 
 def refuse_jet_route(patch, *others):

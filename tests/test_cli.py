@@ -213,6 +213,28 @@ class TestExitContract:
         assert f"argument --t-range: bad range {t_range!r}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("t_range", ["0:5e-324", "5e-324:0",
+                                         "5e-324:1e-323", "-5e-324:0"])
+    def test_underflowing_half_width_is_a_usage_error(self, capsys,
+                                                      t_range):
+        # a width of one subnormal ulp halves to 0, by which the Chebyshev
+        # fit divides: it ended in ZeroDivisionError, exit 1
+        with pytest.raises(SystemExit) as exc:
+            run(["arclen-compare", "--surface", "sphere", "--curve",
+                 "8*t;t", "--t-range", t_range, "--samples", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --t-range: bad range {t_range!r}" in err
+        assert "underflows" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("t_range", ["0:1e-323", "1e-323:0"])
+    def test_two_subnormal_ulps_wide_runs(self, capsys, t_range):
+        # the narrowest range whose half width does not underflow
+        assert run(["arclen-compare", "--surface", "sphere", "--curve",
+                    "8*t;t", "--t-range", t_range, "--samples", "3"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 3
+
     @pytest.mark.parametrize("command", ["surface-info", "arclen-compare",
                                          "commensurate-solve", "sweep"])
     @pytest.mark.parametrize("target", ["missing", "directory"])

@@ -134,11 +134,13 @@ class TestNodeTable:
             jets = table.curve_jets(t, 3)
             assert [j.coeffs for j in jets] \
                 == [j.coeffs for j in jet_route.curve_node(pc, t)[3]]
-            # the form read off the order-3 entry is the order-2 one
-            form, du, dv = table.form_direction(t)
+            # the form read off the order-3 entry is the order-2 one, its
+            # coefficients as floats
+            *form, du, dv = table.form_direction(t)
             u, v = pc.param_jets(t, 1)
-            assert form == affine_first_fundamental(pc.surface, u.value,
-                                                    v.value)
+            assert tuple(form) == affine_first_fundamental(
+                pc.surface, u.value, v.value).coefficients()
+            assert all(type(x) is float for x in (*form, du, dv))
             assert (du, dv) == (u.coeffs[1], v.coeffs[1])
             assert table.form_direction(t) == pc.form_direction(t)
         table.clear()

@@ -14,6 +14,7 @@ from affinemetrics.errors import (
 )
 from affinemetrics.numerics import (
     CHEB_MAX_POINTS,
+    ChebResult,
     OdeEvent,
     OdeOptions,
     cheb_cumulative,
@@ -202,10 +203,12 @@ class TestChebyshevKernels:
         for values in self._arrays(rng, n):
             with np.errstate(over="ignore", invalid="ignore"):
                 want = _rebuilt_cheb_coefficients(values)
-                # the first call may build the matrix, the second reads it
-                for _ in range(2):
-                    got = _cheb_coefficients(values)
-                    assert self._bits(got) == self._bits(want)
+            # the first call may build the matrix, the second reads it;
+            # a list goes in and a list of floats comes out
+            for _ in range(2):
+                got = _cheb_coefficients(values.tolist())
+                assert all(type(value) is float for value in got)
+                assert self._bits(got) == self._bits(want)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_clenshaw_on_floats_and_on_arrays(self, n):
@@ -225,6 +228,129 @@ class TestChebyshevKernels:
                 got = _clenshaw(c.tolist(), xs[:m].tolist())
                 assert all(type(value) is float for value in got)
                 assert self._bits(got) == self._bits(want)
+
+
+def _numpy_cheb_points(a, b, n):
+    """The Lobatto grid as one numpy expression over the whole array."""
+    m = n - 1
+    t = 0.5 * (a + b) + 0.5 * (b - a) * np.sin(
+        np.pi * np.arange(-m, m + 1, 2) / (2 * m))
+    t[0], t[-1] = a, b
+    return t
+
+
+def _numpy_antiderivative(c):
+    """The antiderivative coefficients by array slices."""
+    d = np.concatenate([c, [0.0, 0.0]])
+    d[0] *= 2.0
+    k = np.arange(1, len(c) + 1)
+    return np.concatenate([[0.0], (d[:-2] - d[2:]) / (2.0 * k)])
+
+
+def _numpy_cheb_cumulative(f, a, b, ts, tol):
+    """cheb_cumulative with every step on numpy arrays: the grids, the
+    finiteness test, the tail and scale by numpy's max (which propagates
+    a NaN), the grid growth, the antiderivative and the map to [-1, 1]."""
+    n = 9
+    values = np.array([f(float(t)) for t in _numpy_cheb_points(a, b, n)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            if not np.isfinite(values).all():
+                return ChebResult(None, math.inf, n)
+            c = _rebuilt_cheb_coefficients(values)
+            tail = float(np.abs(c[-3:]).max())
+            scale = float(np.abs(values).max())
+            if tail <= tol * scale:
+                break
+            if n >= CHEB_MAX_POINTS:
+                return ChebResult(None, tail * abs(b - a), n)
+            n = 2 * n - 1
+            grown = np.empty(n)
+            grown[0::2] = values
+            grown[1::2] = [f(float(t))
+                           for t in _numpy_cheb_points(a, b, n)[1::2]]
+            values = grown
+        half = 0.5 * (b - a)
+        x = (np.array([a, *ts]) - 0.5 * (a + b)) / half
+        F = _numpy_clenshaw(_numpy_antiderivative(c), x)
+        integrals = half * (F[1:] - F[0])
+        if not np.isfinite(integrals).all():
+            return ChebResult(None, math.inf, n)
+        return ChebResult(integrals.tolist(), tail * abs(b - a), n,
+                          _numpy_clenshaw(c, x[1:]).tolist(), scale)
+
+
+class TestChebyshevFloatLayer:
+    """The Chebyshev layer on Python floats gives what the numpy formulas
+    it replaced give, bit for bit: the grids, the antiderivative and whole
+    fits, a fit whose DCT overflows to NaN included."""
+
+    _bits = staticmethod(TestChebyshevKernels._bits)
+
+    ULP = math.ulp(1.0)
+    RANGES = [(0.1, 0.7), (0.7, 0.1), (-3.5, -1.25), (-1.25, -3.5),
+              (-2.0, 1e-3), (1.0, 1.0 + ULP), (1.0 + ULP, 1.0),
+              (-0.3, math.nextafter(-0.3, 0.0)), (0.0, 5e-324)]
+
+    def test_points_at_every_size(self):
+        for n in range(9, CHEB_MAX_POINTS + 1):
+            for a, b in self.RANGES:
+                got = cheb_points(a, b, n)
+                assert all(type(t) is float for t in got)
+                assert self._bits(got) == \
+                    self._bits(_numpy_cheb_points(a, b, n)), (n, a, b)
+
+    @pytest.mark.parametrize("n", TestChebyshevKernels.SIZES)
+    def test_antiderivative(self, n):
+        from affinemetrics.numerics import _antiderivative
+
+        rng = np.random.default_rng(2000 + n)
+        for c in TestChebyshevKernels._arrays(rng, n):
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _numpy_antiderivative(c)
+            got = _antiderivative(c.tolist())
+            assert all(type(value) is float for value in got)
+            assert self._bits(got) == self._bits(want)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (math.exp, 0.0, 1.0),
+        (math.cos, 1.0, 0.0),
+        (lambda t: math.sqrt(1.0 + 64.0 * math.cos(t) ** 2), -0.5, 2.0),
+        (lambda t: 1.0 / (1.0 + 25.0 * t * t), -1.0, 1.0),
+        (lambda t: abs(t - 0.3) ** (1.0 / 3.0), 0.0, 1.0),
+        (lambda t: math.nan if t == 0.5 else 1.0, 0.0, 1.0),
+        (lambda t: 1e300 * math.exp(t), 0.0, 1.0),
+    ], ids=["exp", "reversed-cos", "helix", "runge", "kink", "nan",
+            "huge"])
+    def test_fits(self, f, a, b):
+        ts = np.linspace(a, b, 60).tolist()
+        self._check_fit(f, a, b, ts, 1e-10)
+
+    def test_nan_coefficient_ends_at_the_finest_grid(self):
+        # values near 1e308 are finite, but the DCT's sums overflow: on
+        # the 17-point grid the last three coefficients hold a finite one
+        # first and a NaN after it, which numpy's max propagates and the
+        # builtin max would skip, ending the fit there as converged
+        def f(t):
+            return 1.79e308 * math.cos(3.0 * t)
+
+        got = self._check_fit(f, 0.0, 1.0, [0.5, 1.0], 1e-10)
+        assert got.values is None
+        assert got.points == CHEB_MAX_POINTS
+        assert math.isnan(got.error_estimate)
+
+    def _check_fit(self, f, a, b, ts, tol):
+        got = cheb_cumulative(f, a, b, ts, tol)
+        want = _numpy_cheb_cumulative(f, a, b, ts, tol)
+        for field in ("values", "fitted"):
+            g, w = getattr(got, field), getattr(want, field)
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert self._bits(g) == self._bits(w)
+        assert self._bits([got.error_estimate, got.scale]) == \
+            self._bits([want.error_estimate, want.scale])
+        assert got.points == want.points
+        return got
 
 
 class TestOdeSolve:

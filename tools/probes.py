@@ -5,7 +5,8 @@ Each probe is one ``affinemetrics`` command line that no benchmark item
 runs: frames stretched by a diagonal SL(3) map, surfaces scaled by 1e-6, a
 near-irregular point, degenerate surfaces under every command, a parabolic
 line, a curve whose induced side takes the GK15 fallback, a reversed
-range, an unwritable sweep and a slow creep toward a pole.  Each runs as
+range, a range one subnormal wide, an unwritable sweep and a slow creep
+toward a pole.  Each runs as
 ``python -m affinemetrics`` in a fresh process, in a fresh temporary
 directory, with the ``src`` of ``--root`` on its path (default: the
 checkout holding this script); nothing under the root is written.
@@ -84,6 +85,9 @@ PROBES = {
     "reversed-range": ["arclen-compare", "--surface", "sphere",
                        "--curve", "t;t", "--t-range", "1:0",
                        "--samples", "3"],
+    "subnormal-range": ["arclen-compare", "--surface", "sphere",
+                        "--curve", "8*t;t", "--t-range", "0:5e-324",
+                        "--samples", "3"],
     "unwritable-sweep": [
         "commensurate-solve", "--surface", "sphere", "--at", "0.1,0.1",
         "--theta0", "0.3", "--omega0", "0:1:0.1", "--t-max", "3",
