@@ -96,14 +96,20 @@ def _fmt(x):
 
 
 def _write_atomic(path, text):
-    """Write ``text`` to ``path`` by a temp file beside it and a rename; a
-    path that cannot be written (a missing directory, a directory) is a
-    config error."""
+    """Write ``text`` to ``path`` by a temp file beside it and a rename, in
+    the replaced file's mode or open()'s (0o666 less the umask); a path that
+    cannot be written (a missing directory, a directory) is a config error."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = None
     try:
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", newline="") as handle:
+            os.fchmod(fd, mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -263,8 +269,8 @@ def _int_in_range(minimum, maximum=None):
 
 
 def _parse_sweep(text):
-    """argparse type of a float, or 'start:stop:step' meaning an inclusive
-    sweep."""
+    """argparse type of a float, or 'start:stop:step': the seeds start + k
+    step up to stop, a step count 1e-9 short of whole counting as whole."""
     parts = [_finite_float(x) for x in text.split(":")]
     if len(parts) == 1:
         return parts
@@ -273,8 +279,8 @@ def _parse_sweep(text):
             f"bad sweep {text!r}, expected 'x' or 'a:b:step' with step > 0 "
             "and b >= a")
     start, stop, step = parts
-    span = (stop - start) / step            # inf past the float range
-    count = math.floor(span + 0.5) + 1 if math.isfinite(span) else math.inf
+    span = (stop - start) / step * (1.0 + 1e-9)     # inf past the floats
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_SWEEP_SEEDS:
         raise argparse.ArgumentTypeError(
             f"sweep {text!r} asks for more than {MAX_SWEEP_SEEDS} seeds")

@@ -7,15 +7,15 @@ functions with pinned seeds and tolerances.
 
 Random curves are drawn as coefficients, never written out, parsed or
 built as expression trees.  The integrand suite reads each sample's
-order-3 jets off one straight-line kernel on those coefficients,
-bit-identical to evaluating the curve's expression trees over jets, and
-shares them between both routes and the sample filter.  The condition
-suite's quadratic parameter paths are coefficients too, their
-derivatives at t = 0 read off a kernel of their own; only the moved
-surfaces of the invariance suite are expression trees; their jets, like
-those of the reparametrization walks, come from eval_ast or its recorded
-walk (surfgeo), never from the jets' chain rule that the two suites
-check.
+order-3 jets off one straight-line kernel bound to those coefficients,
+and shares them between both routes and the sample filter; the
+condition suite's quadratic paths read their derivatives at t = 0 off a
+kernel of their own.  tape records both at import from eval_ast's walks
+of template trees over variable coefficients: the jets are the trees'
+own, bit for bit.  Only the moved surfaces of the invariance suite are
+expression trees; their jets, like those of the reparametrization walks,
+come from eval_ast or its recorded walk (surfgeo), never from the jets'
+chain rule that the two suites check.
 
 The generators are numpy's.  Every uniform draw is a scaled rng.random
 draw (_uniform), bit for bit what rng.uniform gives for the same bounds;
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial, reduce
 from typing import NamedTuple
 
 from .commensurate import (
@@ -45,8 +46,8 @@ from .curvegeo import (
     _norm,
 )
 from .errors import AffineMetricsError, NonFiniteValue
-from .expr import BinOp, Const
-from .jets import _PRODUCT1, Jet1, _phi
+from .expr import BinOp, Call, Const, Var
+from .jets import Jet1
 from .surfgeo import (
     AffineForm,
     QuadForm,
@@ -57,6 +58,7 @@ from .surfgeo import (
     forms_from_partials,
     surface_jets,
 )
+from .tape import _compile
 
 __all__ = [
     "IdentityReport", "random_sl3", "random_invertible_2x2",
@@ -157,9 +159,6 @@ def random_points(surface, rng, count, margin=0.02):
     return list(zip(us, vs))
 
 
-_product = _PRODUCT1[3]
-
-
 def _component_coeffs(units):
     """The nine coefficients (c0, ..., c4, a, b, f, g) of one component
     "(c0) + (c1)*t^1 + ... + (c4)*t^4 + (a)*sin((f)*t) + (b)*cos((g)*t)"
@@ -168,36 +167,41 @@ def _component_coeffs(units):
     return (*_scaled(units[:7], -2.0, 2.0), *_scaled(units[7:], 0.5, 2.5))
 
 
+_T = Var("t")
+
+
+def _plus(*trees):
+    """The left-associated tree the parser makes of "a + b + ..."."""
+    return reduce(partial(BinOp, "+"), trees)
+
+
+def _times(k, tree):
+    """The tree of "(c<k>)*tree"."""
+    return BinOp("*", Var(f"c{k}"), tree)
+
+
+def _component(k):
+    """One curve component's tree, over c<k> to c<k+8> in that order."""
+    powers = [_times(k + j, BinOp("^", _T, Const(float(j))))
+              for j in range(1, 5)]
+    return _plus(Var(f"c{k}"), *powers,
+                 _times(k + 5, Call("sin", _times(k + 7, _T))),
+                 _times(k + 6, Call("cos", _times(k + 8, _T))))
+
+
+# make(c0, ..., c26) and make(c0, c1, c2) -> kernel(t) -> the jet rows of
+# the curve and of the path "(c0) + (c1)*t + (c2)*t^2", recorded at import
+_CURVE = _compile([_component(k) for k in (0, 9, 18)], 3, Jet1, 27)
+_PATH = _compile([_plus(Var("c0"), _times(1, _T),
+                        _times(2, BinOp("^", _T, Const(2.0))))], 3, Jet1, 3)
+
+
 def _poly_trig_jets(components, t):
     """The order-3 Jet1s at t of the curve whose components have these
     coefficients: what eval_ast gives on their trees over Jet1.seed(t, 3),
-    by the same float operations in the same order.  There t^k is
-    square-and-multiply on the seed (t^2 = t t, t^3 = t^2 t, t^4 = t^2
-    t^2), a constant times a jet scales each coefficient, the leading
-    constant adds to the value, the terms add coefficientwise from the
-    left, and sin and cos take Jet1's chain rule."""
-    seed = (t, 1.0, 0.0, 0.0)
-    t2 = _product(seed, seed)
-    powers = (t2, _product(t2, seed), _product(t2, t2))
-    jets = []
-    for c0, c1, *poly, amp_s, amp_c, freq_s, freq_c in components:
-        d0, d1, d2, d3 = t * c1 + c0, 1.0 * c1, 0.0 * c1, 0.0 * c1
-        for (q0, q1, q2, q3), c in zip(powers, poly):
-            d0 = d0 + q0 * c
-            d1 = d1 + q1 * c
-            d2 = d2 + q2 * c
-            d3 = d3 + q3 * c
-        for name, amp, freq in (("sin", amp_s, freq_s),
-                                ("cos", amp_c, freq_c)):
-            # the chain rule on (freq t), whose jet is the seed times freq
-            f1, f2, f3 = 1.0 * freq, 0.0 * freq, 0.0 * freq
-            p0, p1, p2, p3 = _phi(name, t * freq)
-            d0 = d0 + p0 * amp
-            d1 = d1 + p1 * f1 * amp
-            d2 = d2 + (p2 * f1 * f1 + p1 * f2) * amp
-            d3 = d3 + (p3 * f1 * f1 * f1 + 3.0 * p2 * f1 * f2 + p1 * f3) * amp
-        jets.append(Jet1._make(3, (d0, d1, d2, d3)))
-    return tuple(jets)
+    bit for bit, off the curve kernel bound to them."""
+    x, y, z = components
+    return tuple([Jet1._make(3, row) for row in _CURVE(*x, *y, *z)(t)])
 
 
 def _reflected(components, jets):
@@ -245,14 +249,10 @@ def _draw_curve(rng, max_tries=50):
 def transformed_surface(surface, matrix, shift):
     """A surface (or a curve) under X -> A X + b, applied at the expression
     level, so that it runs through the identical evaluation pipeline."""
-    comps = []
-    for i in range(3):
-        acc = None
-        for j, comp in enumerate(surface.components):
-            term = BinOp("*", Const(float(matrix[i][j])), comp)
-            acc = term if acc is None else BinOp("+", acc, term)
-        comps.append(BinOp("+", acc, Const(float(shift[i]))))
-    return replace(surface, components=tuple(comps))
+    return replace(surface, components=tuple(
+        _plus(*[BinOp("*", Const(float(a)), comp)
+                for a, comp in zip(row, surface.components)], Const(float(b)))
+        for row, b in zip(matrix, shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -429,19 +429,11 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
                           len(points), len(points))
 
 
-# the jet of t^2 at t = 0: the seed times itself, as eval_ast squares it
-_SQUARE_AT_0 = _product((0.0, 1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0))
-
-
 def _quadratic_path(c0, c1, c2):
     """(p, p', p'', p''') at t = 0 of p = "(c0) + (c1)*t + (c2)*t^2": the
     coefficients eval_ast gives on the parsed tree of that expression
-    over Jet1.seed(0.0, 3), by the same float operations in the same
-    order.  There c1 t scales the seed, c0 adds to its value, c2 t^2
-    scales the seed's square, and the two terms add coefficientwise."""
-    s0, s1, s2, s3 = _SQUARE_AT_0
-    return ((0.0 * c1 + c0) + s0 * c2, 1.0 * c1 + s1 * c2,
-            0.0 * c1 + s2 * c2, 0.0 * c1 + s3 * c2)
+    over Jet1.seed(0.0, 3), bit for bit, off the path kernel."""
+    return _PATH(c0, c1, c2)(0.0)[0]
 
 
 def condition_routes_suite(surface, rng, samples, tolerance=1e-8):

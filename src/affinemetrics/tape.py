@@ -23,7 +23,8 @@ kernels of a shape are made by one factory, make(c0, c1, ...) -> kernel,
 which binds the constants as closure cells.  This module only records:
 expr's kernel table decides when a shape is recorded and keeps its
 factory (expr.bound_kernel), so the curves of an arclen-compare command
-and the next one's, which differ only in their numbers, record once.
+and the next one's, which differ only in their numbers, record once;
+identities records its curves' and paths' shapes at import (_compile).
 
 Only folds that are exact in IEEE arithmetic are made (see ``_Tape``).
 A tree whose evaluation branches on a value that only the run time knows
@@ -32,8 +33,8 @@ folds might not hold or an elementary function fails: it returns None,
 or raises what the function raised, and expr.jet_rows evaluates again
 with ``eval_ast``, which reports it.  expr imports this module
 at the first recording, when the trees of one shape have been evaluated
-expr.RECORD_AFTER times, so a command that evaluates a surface or a path
-only a few times never loads it.
+expr.RECORD_AFTER times, so a command other than check-identities that
+evaluates a surface or a path only a few times never loads it.
 """
 
 from __future__ import annotations

@@ -398,6 +398,21 @@ class TestExitContract:
         assert len(seeds) == cli.MAX_SWEEP_SEEDS
         assert seeds[0] == 0.0 and seeds[-1] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("sweep, count", [
+        ("0:1:0.4", 3), ("-1:1:0.75", 3), ("0:0.25:0.1", 3),
+        ("0:1:0.1", 11), ("0:0.3:0.1", 4), ("2:2:1", 1),
+        ("-0.125:0.375:0.25", 3), ("0:0.5:0.25", 3), ("0.125:0.625:0.25", 3),
+    ])
+    def test_sweep_stops_at_its_bound(self, sweep, count):
+        # the count was rounded to the nearest whole number of steps, so
+        # 0:1:0.4 ended at 1.2; a quotient a rounding error short of a
+        # whole number (0.3 / 0.1 = 2.9999999999999996) still reaches it
+        from affinemetrics import cli
+        start, stop, step = map(float, sweep.split(":"))
+        seeds = cli._parse_sweep(sweep)
+        assert seeds == [start + k * step for k in range(count)]
+        assert seeds[-1] == pytest.approx(stop) or seeds[-1] < stop
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_derivatives_raise_no_warning(self, capsys):
         # the degeneracy scale of det[a', a'', a'''] overflowed in numpy's
@@ -1010,6 +1025,15 @@ class TestCommensurateSolve:
         files = sorted(p.name for p in tmp_path.iterdir())
         assert files == [f"fam_{k:02d}.csv" for k in range(5)]
 
+    def test_sweep_writes_no_seed_past_its_bound(self, tmp_path, capsys):
+        assert run([*SOLVE, "--omega0", "0:1:0.4", "--t-max", "0.1",
+                    "--output", str(tmp_path / "fam.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"fam_{k:02d}.csv" for k in range(3)]
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "seed omega0=0", "seed omega0=0.4", "seed omega0=0.8"]
+
     def test_sweep_writes_each_file_when_its_seed_is_solved(
             self, tmp_path, capsys, monkeypatch):
         from affinemetrics import commensurate
@@ -1140,6 +1164,50 @@ class TestCommensurateSolve:
                    if flag not in ("-h", "--help")]
         assert sorted(documented) == sorted(options)
         assert len(documented) == len(set(documented))
+
+
+class TestOutputFileMode:
+    """Output files get the permission bits open() would give them: a new
+    file 0o666 less the umask, a replaced file its own bits.  The temp file
+    renamed into place was left 0o600."""
+
+    INFO = ["surface-info", "--surface", "sphere", "--at", "0.1,0.2",
+            "--format", "json"]
+
+    @pytest.fixture
+    def umask(self):
+        """Sets the process umask for one test and restores it after."""
+        saved = os.umask(0o022)
+        yield os.umask
+        os.umask(saved)
+
+    @pytest.mark.parametrize("mask", [0o022, 0o002, 0o077], ids=oct)
+    def test_new_file_gets_the_umask_mode(self, tmp_path, capsys, umask,
+                                          mask):
+        umask(mask)
+        out = tmp_path / "out.json"
+        assert run([*self.INFO, "--output", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == 0o666 & ~mask
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o664], ids=oct)
+    def test_replaced_file_keeps_its_mode(self, tmp_path, capsys, umask,
+                                          mode):
+        umask(0o077)
+        out = tmp_path / "out.json"
+        out.write_text("old\n")
+        out.chmod(mode)
+        assert run([*self.INFO, "--output", str(out)]) == 0
+        assert out.stat().st_mode & 0o777 == mode
+        assert out.read_text().startswith("{")
+
+    def test_sweep_files_get_the_umask_mode(self, tmp_path, capsys, umask):
+        umask(0o022)
+        assert run([*SOLVE, "--omega0", "0:1:0.5", "--t-max", "0.1",
+                    "--output", str(tmp_path / "fam.csv")]) == 0
+        assert sorted((p.name, p.stat().st_mode & 0o777)
+                      for p in tmp_path.iterdir()) == [
+            (f"fam_{k:02d}.csv", 0o644) for k in range(3)]
 
 
 class TestCheckIdentities:

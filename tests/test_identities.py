@@ -139,10 +139,17 @@ class TestCurveKernel:
     def test_kernel_jets_equal_tree_evaluation(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(100):
-            components = tuple(ref.draw_component(rng) for _ in range(3))
+            components = [list(ref.draw_component(rng)) for _ in range(3)]
+            # each coefficient is +0.0 a quarter of the time, -0.0 another
+            picks = rng.integers(0, 4, size=(3, 9)).tolist()
+            for coeffs, row in zip(components, picks):
+                for k, pick in enumerate(row):
+                    if pick < 2:
+                        coeffs[k] = (0.0, -0.0)[pick]
+            components = tuple(map(tuple, components))
             trees = [ref.component_tree(c) for c in components]
             drawn = float(rng.uniform(-1.0, 1.0))
-            for t in (drawn, -drawn, 0.0, -1.4, 1.3):
+            for t in (drawn, -drawn, 0.0, -0.0, -1.4, 1.3):
                 seed_jet = {"t": Jet1.seed(t, 3)}
                 assert (coefficient_reprs(idn._poly_trig_jets(components, t))
                         == coefficient_reprs(eval_ast(tree, seed_jet)
