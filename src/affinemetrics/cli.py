@@ -183,6 +183,9 @@ def _surface_from_args(args):
         return SurfaceDef.from_strings(exprs, domain)
     if args.surface is None:
         raise ExprError("a surface is required (--surface or --surface-expr)")
+    if args.domain is not None:
+        raise ExprError("--domain applies to --surface-expr only; a catalog "
+                        "--surface has its own domain")
     try:
         return CATALOG[args.surface]
     except KeyError:

@@ -672,9 +672,11 @@ def integrate_commensurate(ivp):
     """Integrate the curve-condition system from the given initial data.
 
     The trace ends at the first of: the time span completing, the tangent
-    direction entering the asymptotic threshold (where the theta''
-    coefficient also vanishes), the path leaving the surface domain, or
-    the stepper failing.  Starting on an asymptotic direction raises
+    direction reaching the band |q| / gm <= eps_asym around the
+    asymptotic cone (where the theta'' coefficient vanishes), the path
+    leaving the surface domain, or the stepper failing.  An asymptotic
+    stop lies on the band's edge, where |q| / gm = eps_asym, even when the
+    last step jumps across the cone.  Starting inside the band raises
     InvalidIVP.
     """
     surface = ivp.surface
@@ -687,8 +689,8 @@ def integrate_commensurate(ivp):
             f"initial direction theta0 = {ivp.theta0!r} is asymptotic: "
             f"form value {parts0['q']!r}")
 
-    # one geometry evaluation per state: the events at an accepted node
-    # reuse the right-hand side's last stage, which is taken there
+    # one geometry evaluation per state: the asymptotic event at an
+    # accepted node reuses the right-hand side's last stage, taken there
     # (the solver passes each state as a tuple of floats)
     y0 = (float(ivp.u0), float(ivp.v0), theta0, float(ivp.omega0))
     last = [y0, parts0]
@@ -707,39 +709,32 @@ def integrate_commensurate(ivp):
             return _NAN4
         return math.cos(theta), math.sin(theta), omega, omega_dot
 
-    def guarded(func):
-        def g(t, y):
-            try:
-                return func(parts_at(y))
-            except AffineMetricsError:
-                return math.nan
-        return g
+    # q / gm is continuous and starts outside the band |q| / gm <=
+    # eps_asym, so a trace enters the band through its edge on the start's
+    # side: side * q / gm - eps_asym equals |q| / gm - eps_asym up to that
+    # edge and falls through zero there, also in a step that jumps across
+    # the cone inside the band
+    side = math.copysign(1.0, _cone_ratio(parts0))
 
-    def g_asym(parts):
-        return abs(_cone_ratio(parts)) - ivp.eps_asym
+    def g_asym(t, y):
+        try:
+            return side * _cone_ratio(parts_at(y)) - ivp.eps_asym
+        except AffineMetricsError:
+            return math.nan
 
     def g_domain(t, y):
         return min(y[0] - surface.u_min, surface.u_max - y[0],
                    y[1] - surface.v_min, surface.v_max - y[1])
 
-    # the second event reads the signed ratio: a zero crossing means the
-    # tangent passed straight through the asymptotic cone, where |q| / gm <
-    # eps_asym holds however thin the dip is
-    events = (
-        OdeEvent(guarded(g_asym), direction=-1, name="AsymptoticProximity"),
-        OdeEvent(guarded(_cone_ratio), direction=0,
-                 name="AsymptoticProximity"),
-        OdeEvent(g_domain, direction=-1, name="DomainExit"),
-    )
+    events = (OdeEvent(g_asym, name="AsymptoticProximity"),
+              OdeEvent(g_domain, name="DomainExit"))
     opts = OdeOptions(rel_tol=ivp.rel_tol, abs_tol=ivp.abs_tol,
                       max_steps=ivp.max_steps, method=ivp.method,
                       events=events)
 
-    termination = "completed"
     try:
         result = ode_solve(rhs, y0, ivp.t_span, opts)
-        if result.status == "event":
-            termination = result.event_name
+        termination = result.event_name or "completed"
     except (StepFailure, MaxSteps) as exc:
         result = exc.trace
         termination = "StepFailure"

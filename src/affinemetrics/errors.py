@@ -126,7 +126,8 @@ class SingularDenominator(AffineMetricsError):
     so theta'' cannot be solved for.  The coefficient's size is |q| gm, so
     this happens only on an asymptotic direction: where q = form(a') is
     zero against its terms (jets.ZERO_RTOL).  No solve ends with it: the
-    solver's AsymptoticProximity events watch the ratio |q| / gm."""
+    solver's AsymptoticProximity event stops a trace where the ratio
+    |q| / gm reaches eps_asym."""
 
 
 class InvalidIVP(AffineMetricsError):

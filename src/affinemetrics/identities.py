@@ -189,11 +189,13 @@ def _component(k):
                  _times(k + 6, Call("cos", _times(k + 8, _T))))
 
 
-# make(c0, ..., c26) and make(c0, c1, c2) -> kernel(t) -> the jet rows of
-# the curve and of the path "(c0) + (c1)*t + (c2)*t^2", recorded at import
+# make(c0, ..., c26) and make(c0, ..., c5) -> kernel(t) -> the jet rows of
+# the curve and of a sample's two paths "(c<k>) + (c<k+1>)*t +
+# (c<k+2>)*t^2", k = 0 and 3, recorded at import
 _CURVE = _compile([_component(k) for k in (0, 9, 18)], 3, Jet1, 27)
-_PATH = _compile([_plus(Var("c0"), _times(1, _T),
-                        _times(2, BinOp("^", _T, Const(2.0))))], 3, Jet1, 3)
+_PATHS = _compile([_plus(Var(f"c{k}"), _times(k + 1, _T),
+                         _times(k + 2, BinOp("^", _T, Const(2.0))))
+                   for k in (0, 3)], 3, Jet1, 6)
 
 
 def _poly_trig_jets(components, t):
@@ -429,11 +431,13 @@ def reparam_law_suite(surface, rng, samples, tolerance=1e-9):
                           len(points), len(points))
 
 
-def _quadratic_path(c0, c1, c2):
-    """(p, p', p'', p''') at t = 0 of p = "(c0) + (c1)*t + (c2)*t^2": the
-    coefficients eval_ast gives on the parsed tree of that expression
-    over Jet1.seed(0.0, 3), bit for bit, off the path kernel."""
-    return _PATH(c0, c1, c2)(0.0)[0]
+def _quadratic_paths(*coeffs):
+    """The rows (p, p', p'', p''') at t = 0 of p = "(c0) + (c1)*t +
+    (c2)*t^2" and of q = "(c3) + (c4)*t + (c5)*t^2", for coeffs = c0, ...,
+    c5: the coefficients eval_ast gives on the parsed tree of each
+    expression over Jet1.seed(0.0, 3), bit for bit, off one binding of the
+    paths' kernel."""
+    return _PATHS(*coeffs)(0.0)
 
 
 def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
@@ -452,8 +456,8 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
         # c2u t^2, v + c1v t + c2v t^2) and one affine form serve the
         # residual, the Euclidean route and the speed
         try:
-            node = _path_node(surface, _quadratic_path(u, c1u, c2u),
-                              _quadratic_path(v, c1v, c2v))
+            node = _path_node(surface, *_quadratic_paths(u, c1u, c2u,
+                                                         v, c1v, c2v))
             check, form = _condition_check(node)
             residual = _node_residual(node, form)
         except AffineMetricsError:

@@ -320,13 +320,12 @@ def cheb_cumulative(f, a, b, ts, tol):
 
 @dataclass
 class OdeEvent:
-    """Scalar event g(t, y); a root of g terminates the solve.
-
-    direction: +1 triggers only on - to + crossings, -1 only on + to -,
-    0 on any sign change.
+    """Scalar event g(t, y), positive where the solve may go on: it fires
+    where g falls from > 0 to <= 0 across an accepted step, and the first
+    such root terminates the solve.  A rise through zero, or a NaN at
+    either end of the step, fires nothing.
     """
     func: object
-    direction: int = 0
     name: str = ""
 
 
@@ -358,16 +357,15 @@ class OdeResult:
     of f, the starting step's included; ``stiff_steps`` counts the
     accepted steps whose stiffness estimate h*|lambda| exceeded
     ``STIFF_THRESHOLD``; ``event_evals`` counts the calls of event
-    functions that locating sign changes made, the step ends' values
-    excluded (0 when no event crossed).
+    functions that locating their roots made, the step ends' values
+    excluded (0 when no event fired).  ``event_name`` names the event
+    that ended the trace at ``ts[-1]``, None when the span completed.
     """
     ts: list = field(default_factory=list)
     ys: list = field(default_factory=list)
     fs: list = field(default_factory=list)
     dense: list = field(default_factory=list)
-    status: str = "completed"          # completed | event
     event_name: str | None = None
-    t_event: float | None = None
     n_steps: int = 0
     n_rhs: int = 0
     stiff_steps: int = 0
@@ -549,9 +547,10 @@ def ode_solve(f, y0, t_span, opts=None):
     shorter than the underflow bound is one step.  Each accepted step
     keeps its 4th-order continuous extension, which serves
     ``OdeResult.interpolate``, event location and the state at an event.
-    Events are detected by sign change across each accepted step and
-    located by Brent's method on the continuous extension to a bracket of
-    1e-10 in t; the first one ends the trace.  Steps whose stiffness
+    An event fires where its g falls through zero across an accepted step
+    (see ``OdeEvent``) and is located by Brent's method on the continuous
+    extension to a bracket of 1e-10 in t; the first root ends the trace.
+    Steps whose stiffness
     estimate exceeds ``STIFF_THRESHOLD`` are counted in ``stiff_steps``
     and change nothing else.  Raises StepFailure on step-size underflow
     and MaxSteps on budget exhaustion; both carry the partial OdeResult in
@@ -616,7 +615,7 @@ def ode_solve(f, y0, t_span, opts=None):
         g_new = [ev.func(t_new, y_new) for ev in opts.events]
         hit = None
         for i, ev in enumerate(opts.events):
-            if _crossed(g_now[i], g_new[i], ev.direction):
+            if g_now[i] > 0.0 >= g_new[i]:
                 t_hit, evals = _locate_event(ev.func, t, g_now[i], t_new,
                                              g_new[i], dense)
                 result.event_evals += evals
@@ -629,9 +628,7 @@ def ode_solve(f, y0, t_span, opts=None):
             result.ys.append(y_hit)
             result.fs.append(rhs(t_hit, y_hit))
             result.dense.append(dense)
-            result.status = "event"
             result.event_name = opts.events[i].name
-            result.t_event = t_hit
             return result
 
         result.ts.append(t_new)
@@ -654,16 +651,6 @@ def ode_solve(f, y0, t_span, opts=None):
         h *= fac
 
     return result
-
-
-def _crossed(g0, g1, direction):
-    if g0 == 0.0 and g1 == 0.0:
-        return False
-    if direction >= 1:
-        return g0 < 0.0 <= g1
-    if direction <= -1:
-        return g0 > 0.0 >= g1
-    return (g0 < 0.0 <= g1) or (g0 > 0.0 >= g1)
 
 
 def _locate_event(g, t0, g0, t1, g1, dense, tol=1e-10):

@@ -345,6 +345,25 @@ class TestExitContract:
         assert err.startswith(f"error: bad domain {domain!r}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, domain, args", [
+        ("surface-info", "garbage", ["--at", "1,1"]),
+        ("arclen-compare", "nan:1,0:1",
+         ["--curve", "t;0.2*t", "--t-range", "0:1"]),
+        ("commensurate-solve", "0:1,0:1",
+         ["--at", "0.1,0.1", "--theta0", "0.3"]),
+        ("check-identities", "-1:1,-1:1", ["--samples", "2"])])
+    def test_domain_with_a_catalog_surface_is_a_config_error(
+            self, capsys, command, domain, args):
+        # --domain was parsed only for --surface-expr: with a catalog
+        # surface it was ignored, malformed or not, and the command ran on
+        # the catalog's own box
+        assert run([command, "--surface", "sphere", "--domain", domain,
+                    *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --domain applies to --surface-expr "
+                              "only")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("sweep", ["-1e308:1e308:1e-300", "0:1e10:1e-5",
                                        "0:1:0.0001"])
     def test_oversized_sweep_is_a_usage_error(self, capsys, monkeypatch,

@@ -45,7 +45,7 @@ from affinemetrics.jets import (
     det3,
     dot3,
 )
-from affinemetrics.numerics import quad_adaptive
+from affinemetrics.numerics import _dense_eval, quad_adaptive
 from affinemetrics.surfgeo import (
     CATALOG,
     SurfaceDef,
@@ -561,6 +561,29 @@ class TestIntegration:
         trace = integrate_commensurate(ivp)
         assert trace.termination in ("completed", "AsymptoticProximity",
                                      "DomainExit", "StepFailure")
+
+    def test_step_across_the_cone_stops_on_the_band_edge(self):
+        # the last step of this helicoid start jumps across the whole band
+        # |q| / gm <= eps_asym and past the cone, so |q| / gm - eps_asym is
+        # positive at both of its ends; the stop still lies on the band's
+        # edge on the starting side, where the benchmark's stored reference
+        # for this start has it (0.03467564242751), and not at the cone
+        # (t = 0.0347074682)
+        ivp = CommensurateIVP(CATALOG["helicoid"], 1.571968, -2.068135,
+                              1.627626, omega0=-1.706295, t_span=(0.0, 0.1))
+        trace = integrate_commensurate(ivp)
+        assert trace.termination == "AsymptoticProximity"
+        assert trace.t_stop == pytest.approx(0.0346756424, abs=1e-9)
+
+        def ratio(y):
+            parts = _condition_parts(ivp.surface, *y)
+            return parts["q"] / parts["gm"]
+
+        result = trace.ode_result
+        h, rows = result.dense[-1]
+        start, end = ratio(result.ys[-2]), ratio(_dense_eval(rows, 1.0))
+        assert start > ivp.eps_asym and end < -ivp.eps_asym
+        assert ratio(result.ys[-1]) == pytest.approx(ivp.eps_asym, rel=1e-9)
 
     def test_domain_exit_event(self):
         # a straight parameter path from the box edge leaves quickly

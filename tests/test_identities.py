@@ -384,17 +384,21 @@ class TestQuadraticKernel:
         rng = np.random.default_rng(11)
         seed_jet = {"t": Jet1.seed(0.0, 3)}
         for _ in range(500):
+            # the two paths of one sample: (u, c1u, c2u) and (v, c1v, c2v)
             coeffs = [float(rng.uniform(-12.0, 12.0)),
+                      *rng.uniform(-1.0, 1.0, size=2).tolist(),
+                      float(rng.uniform(-12.0, 12.0)),
                       *rng.uniform(-1.0, 1.0, size=2).tolist()]
             # each coefficient is +0.0 a quarter of the time, -0.0 another
-            for k, pick in enumerate(rng.integers(0, 4, size=3).tolist()):
+            for k, pick in enumerate(rng.integers(0, 4, size=6).tolist()):
                 if pick < 2:
                     coeffs[k] = (0.0, -0.0)[pick]
-            kernel = idn._quadratic_path(*coeffs)
-            tree = eval_ast(ref.quadratic(*coeffs), seed_jet)
-            assert tree.order == 3
-            assert (coefficient_reprs([Jet1(kernel)])
-                    == coefficient_reprs([tree]))
+            rows = idn._quadratic_paths(*coeffs)
+            trees = [eval_ast(ref.quadratic(*coeffs[k:k + 3]), seed_jet)
+                     for k in (0, 3)]
+            assert [tree.order for tree in trees] == [3, 3]
+            assert (coefficient_reprs([Jet1(row) for row in rows])
+                    == coefficient_reprs(trees))
 
     @pytest.mark.parametrize("name", ["sphere", "helicoid", "hyperboloid"])
     def test_condition_suite_builds_no_tree(self, monkeypatch, name):

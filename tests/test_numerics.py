@@ -381,45 +381,47 @@ class TestOdeSolve:
         assert errors[2] <= 10.0 * errors[1]
 
     def test_terminal_event_location(self):
-        ev = OdeEvent(lambda t, y: y[0] - 0.5, direction=0, name="crossing")
+        ev = OdeEvent(lambda t, y: 0.5 - y[0], name="crossing")
         res = ode_solve(lambda t, y: np.array([1.0]), [0.0], (0.0, 1.0),
                         OdeOptions(events=(ev,)))
-        assert res.status == "event"
         assert res.event_name == "crossing"
-        assert res.t_event == pytest.approx(0.5, abs=1e-10)
+        assert res.ts[-1] == pytest.approx(0.5, abs=1e-10)
 
     def test_event_direction_filter(self):
-        # y = sin crosses zero downward only at pi on (0.5, 4); an
-        # upward-only event must ignore it
-        up = OdeEvent(lambda t, y: y[0], direction=1, name="up")
+        # y = sin crosses zero downward only at pi on (0.5, 4); an event
+        # fires only where its g falls through zero, so g = -y, which rises
+        # there, is ignored and g = y is located
+        up = OdeEvent(lambda t, y: -y[0], name="up")
         opts = dict(rel_tol=1e-10, abs_tol=1e-12)
         res = ode_solve(lambda t, y: np.array([math.cos(t)]),
                         [math.sin(0.5)], (0.5, 4.0),
                         OdeOptions(events=(up,), **opts))
-        assert res.status == "completed"
-        down = OdeEvent(lambda t, y: y[0], direction=-1, name="down")
+        assert res.event_name is None
+        assert res.ts[-1] == 4.0
+        down = OdeEvent(lambda t, y: y[0], name="down")
         res = ode_solve(lambda t, y: np.array([math.cos(t)]),
                         [math.sin(0.5)], (0.5, 4.0),
                         OdeOptions(events=(down,), **opts))
-        assert res.status == "event"
-        assert res.t_event == pytest.approx(math.pi, abs=1e-8)
+        assert res.event_name == "down"
+        assert res.ts[-1] == pytest.approx(math.pi, abs=1e-8)
 
     @pytest.mark.parametrize("direction, status", [(1, "completed"),
                                                    (-1, "event")])
     def test_event_evals_counts_the_location_calls(self, direction, status):
         # the event function runs at t0, at the end of each accepted step
         # (a crossing step cut at the event included) and, only where it
-        # crossed, event_evals times to locate the root
+        # fell through zero, event_evals times to locate the root; g =
+        # -direction * y falls where y = sin crosses zero in ``direction``,
+        # which here it does only downward
         calls = []
 
         def g(t, y):
             calls.append(t)
-            return y[0]
+            return -direction * y[0]
 
         res = ode_solve(lambda t, y: (math.cos(t),), [math.sin(0.5)],
-                        (0.5, 4.0),
-                        OdeOptions(events=(OdeEvent(g, direction),)))
-        assert res.status == status
+                        (0.5, 4.0), OdeOptions(events=(OdeEvent(g),)))
+        assert (res.event_name is None) == (status == "completed")
         assert len(calls) == 1 + res.steps_accepted + res.event_evals
         if status == "completed":
             assert res.event_evals == 0
@@ -427,6 +429,55 @@ class TestOdeSolve:
             max_iter = inspect.signature(
                 find_root_bracketed).parameters["max_iter"].default
             assert 1 <= res.event_evals <= max_iter
+
+    @staticmethod
+    def _longest_step(t_end):
+        """(a, b): the longest accepted step of y' = 1 from y(0) = 0 over
+        (0, t_end) at the default options; events change no step before
+        the one they end."""
+        ts = ode_solve(lambda t, y: (1.0,), [0.0], (0.0, t_end)).ts
+        return max(zip(ts, ts[1:]), key=lambda step: step[1] - step[0])
+
+    def test_earlier_of_two_events_in_one_step_ends_the_solve(self):
+        # y = t, so g_r = r - y falls through zero at t = r; both roots lie
+        # inside one accepted step, and the later one is listed first
+        a, b = self._longest_step(1.0)
+        early, late = a + 0.3 * (b - a), a + 0.6 * (b - a)
+        calls = {"early": 0, "late": 0}
+
+        def event(name, root):
+            def g(t, y):
+                calls[name] += 1
+                return root - y[0]
+            return OdeEvent(g, name=name)
+
+        res = ode_solve(lambda t, y: (1.0,), [0.0], (0.0, 1.0),
+                        OdeOptions(events=(event("late", late),
+                                           event("early", early))))
+        assert res.event_name == "early"
+        assert res.ts[-1] == pytest.approx(early, abs=1e-10)
+        assert res.ts[-2] == a
+        # each event ran at t0 and at each step's end, and both were
+        # located in the step that holds their roots
+        located = [n - 1 - res.steps_accepted for n in calls.values()]
+        assert min(located) >= 1
+        assert res.event_evals == sum(located)
+
+    def test_event_that_falls_far_below_zero_in_one_step_is_located(self):
+        # the cone jump in miniature: g = q - eps for q = r - y, and the
+        # step that holds the root takes q from above eps to far below
+        # -eps; g is positive at the step's start and far below zero at its
+        # end, and the root q = eps is located, not skipped
+        a, b = self._longest_step(1.0)
+        root = 0.5 * (a + b)
+        eps = 1e-6 * (b - a)
+        ev = OdeEvent(lambda t, y: (root - y[0]) - eps, name="band")
+        res = ode_solve(lambda t, y: (1.0,), [0.0], (0.0, 1.0),
+                        OdeOptions(events=(ev,)))
+        assert (root - a) - eps > 0.0 and (root - b) - eps < -1e5 * eps
+        assert res.event_name == "band"
+        assert res.ts[-2] == a
+        assert res.ts[-1] == pytest.approx(root - eps, abs=1e-10)
 
     def test_max_steps_carries_trace(self):
         with pytest.raises(MaxSteps) as err:
@@ -470,7 +521,7 @@ class TestOdeSolve:
 
     def test_span_below_the_underflow_bound_is_one_step(self):
         res = ode_solve(lambda t, y: (1.0,), [0.0], (0.0, 1e-15))
-        assert res.status == "completed"
+        assert res.event_name is None
         assert res.ts == [0.0, 1e-15]
         assert res.ys[-1][0] == pytest.approx(1e-15, rel=1e-12)
 

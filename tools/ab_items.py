@@ -4,11 +4,12 @@ Builds the items of one workload of ``perfbench/workloads.py`` for each
 seed (without their reference values), then times them in each checkout.
 A run gives each checkout one fresh ``spawn`` process, which runs every
 item through ``affinemetrics.cli.main`` ``--rounds`` times, each round in
-a fresh temporary directory, and keeps each item's fastest time; the sum
-of those minima is the checkout's reading, and this checkout's reading
-over the parent's is the run's ratio.  Runs alternate which checkout goes
-first.  Prints each run's two sums and its ratio, then the median ratio
-and the spread of the ratios, lowest to highest:
+a fresh temporary directory (``item_runner.passes``), and keeps each
+item's fastest time; the sum of those minima is the checkout's reading,
+and this checkout's reading over the parent's is the run's ratio.  Runs
+alternate which checkout goes first.  Prints each run's two sums and its
+ratio, then the median ratio and the spread of the ratios, lowest to
+highest:
 
     python tools/ab_items.py --root ../parent --workload arclen --seeds 40
     python tools/ab_items.py --root ../parent --workload solve \\
@@ -22,51 +23,25 @@ under either checkout is written.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import math
 import multiprocessing
-import os
 import statistics
 import sys
-import tempfile
-import time
 from pathlib import Path
 
+sys.dont_write_bytecode = True          # leave the checkout as it is
+import item_runner  # noqa: E402  (a sibling: after the line above)
+
 HERE = Path(__file__).resolve().parents[1]
-
-
-def _item_seconds(main, argv):
-    """Wall seconds of one in-process run of ``argv``, whatever its
-    outcome."""
-    out, err = io.StringIO(), io.StringIO()
-    start = time.perf_counter()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            main(list(argv))
-    except (SystemExit, Exception):     # every outcome is timed alike
-        pass
-    return time.perf_counter() - start
 
 
 def item_minima(src, items, rounds):
     """Each item's fastest wall seconds over ``rounds`` passes over
     ``items``, with the package under ``src``; called in a fresh process,
     which nothing has evaluated in."""
-    sys.path.insert(0, src)
-    sys.dont_write_bytecode = True          # leave the checkout as it is
-    from affinemetrics.cli import main
-
     best = [math.inf] * len(items)
-    here = os.getcwd()
-    for _ in range(rounds):
-        with tempfile.TemporaryDirectory() as directory:
-            os.chdir(directory)
-            try:
-                for k, argv in enumerate(items):
-                    best[k] = min(best[k], _item_seconds(main, argv))
-            finally:
-                os.chdir(here)
+    for k, _, run in item_runner.passes(src, items, rounds):
+        best[k] = min(best[k], run.seconds)
     return best
 
 
@@ -106,7 +81,6 @@ def build_items(workload, seeds):
     """The argv of every item of ``workload`` for each seed, in order,
     built by this checkout's perfbench and package."""
     sys.path[:0] = [str(HERE / "src"), str(HERE / "perfbench")]
-    sys.dont_write_bytecode = True
     import workloads
 
     return [item["argv"] for seed in seeds

@@ -4,11 +4,11 @@ Builds the items of each workload of ``perfbench/workloads.py`` for each
 seed (without their reference values), then runs one seed's items of one
 workload at a time through ``affinemetrics.cli.main`` in a fresh
 process, as the benchmark's worker does: two passes, each in a fresh
-directory, so the second runs on the kernels the first recorded.  Each
-item adds to its workload's digest: its argv, its exit code (or the type
-and message of the exception it raised), its stdout and stderr, and the
-name and bytes of every file it left, which are removed before the next
-item runs.
+directory (``item_runner.passes``), so the second runs on the kernels
+the first recorded.  Each item adds to its workload's digest: its argv,
+its exit code (or the type and message of the exception it raised), its
+stdout and stderr, and the name and bytes of every file it left, which
+are removed before the next item runs.
 
 Prints one SHA-256 digest per workload, with the number of item runs
 whose exit code is not the one the item expects, and one digest over all
@@ -25,30 +25,16 @@ output is byte-identical between them:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
-import io
 import multiprocessing
-import os
 import sys
-import tempfile
 from pathlib import Path
+
+sys.dont_write_bytecode = True          # leave the checkout as it is
+import item_runner  # noqa: E402  (a sibling: after the line above)
 
 #: passes over one seed's items in one process
 PASSES = 2
-
-
-def _run_item(main, argv):
-    """(exit code or exception, stdout, stderr) of one in-process run."""
-    out, err = io.StringIO(), io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            outcome = main(list(argv))
-    except SystemExit as exc:
-        outcome = exc.code
-    except Exception as exc:        # a traceback's paths name the checkout
-        outcome = f"{type(exc).__name__}: {exc}"
-    return repr(outcome), out.getvalue(), err.getvalue()
 
 
 def _left_files(directory):
@@ -72,25 +58,15 @@ def seed_digest(src, items):
     code), and the runs whose exit code is not the item's), with the
     package under ``src``; called in a fresh process, which nothing has
     evaluated in."""
-    sys.path.insert(0, src)
-    sys.dont_write_bytecode = True          # leave the checkout as it is
-    from affinemetrics.cli import main
-
     digest = hashlib.sha256()
     unexpected = 0
-    here = os.getcwd()
-    for _ in range(PASSES):
-        with tempfile.TemporaryDirectory() as directory:
-            os.chdir(directory)
-            try:
-                for argv, code in items:
-                    outcome, out, err = _run_item(main, argv)
-                    unexpected += outcome != repr(code)
-                    _update(digest, repr(argv), outcome, out, err)
-                    for name, data in _left_files(directory):
-                        _update(digest, name, data)
-            finally:
-                os.chdir(here)
+    for k, directory, run in item_runner.passes(
+            src, [argv for argv, _ in items], PASSES):
+        argv, code = items[k]
+        unexpected += run.outcome != repr(code)
+        _update(digest, repr(argv), run.outcome, run.out, run.err)
+        for name, data in _left_files(directory):
+            _update(digest, name, data)
     return digest.hexdigest(), unexpected
 
 
@@ -102,7 +78,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    sys.dont_write_bytecode = True
     import workloads
 
     fresh = multiprocessing.get_context("spawn")
