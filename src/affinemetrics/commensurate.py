@@ -42,13 +42,14 @@ from .jets import (
     MAX_ORDER_1,
     ZERO_RTOL,
     Jet1,
+    Jet2,
     _check_order,
-    compose_columns,
     cross3,
     cross3_is_zero,
     cross3_terms,
     det3,
     dot3,
+    float_node,
 )
 from .numerics import (
     ChebResult,
@@ -61,10 +62,10 @@ from .numerics import (
     quad_adaptive,
 )
 from .surfgeo import (
-    QuadForm,
+    AffineForm,
     _partials,
-    form_from_jets,
-    form_from_partials,
+    _require_domain,
+    form_from_lmn,
     forms_from_partials,
     surface_jets,
 )
@@ -83,12 +84,13 @@ class _EmbeddedCurve:
     ``surface``, ``param_jets`` and ``sample``.
 
     Every consumer reads one node per t, on floats: ``sample`` gives
-    (u, v, X, a), the parameter path u = (u, u', u'', u''') and v alike,
-    the order-3 surface jets X at (u(t), v(t)) and the columns
-    a = (a', a'', a''') of the curve.  ``columns``, ``curve_jets`` and
-    ``form_direction`` read it at every order: the lower coefficients of
-    order-3 jets are computed by the same float operations as those of a
-    lower order."""
+    (u, v, X, a, form), the parameter path u = (u, u', u'', u''') and v
+    alike, the order-3 surface jets X at (u(t), v(t)), and the columns
+    a = (a', a'', a''') of the curve and the raw affine form ``form`` that
+    jets.float_node gives on X's coefficient rows.  ``columns``,
+    ``curve_jets`` and ``form_direction`` read it at every order: the
+    lower coefficients of order-3 jets are computed by the same float
+    operations as those of a lower order."""
 
     def columns(self, t):
         """The columns a', a'', a''' of the node at t."""
@@ -98,27 +100,29 @@ class _EmbeddedCurve:
         """Jets of the embedded curve X(u(t), v(t)) up to ``order``: the
         node's columns wrapped in Jet1s."""
         _check_order(order, MAX_ORDER_1, "curve_jets")
-        _, _, X, columns = self.sample(t)
+        _, _, X, columns, _ = self.sample(t)
         return tuple([Jet1._make(order, (comp.coeffs[0],) + d[:order])
                       for comp, d in zip(X, zip(*columns))])
 
     def form_direction(self, t):
         """(a, b, c, u', v') at t, floats: the coefficients of the affine
         fundamental form at (u(t), v(t)) and the parameter direction, read
-        off the node."""
-        u, v, X, _ = self.sample(t)
-        a, b, c = form_from_partials(*_partials(X))[:3]
+        off the node: its raw form, decided by form_from_lmn."""
+        u, v, _, _, form = self.sample(t)
+        a, b, c = form_from_lmn(form)[:3]
         return a, b, c, u[1], v[1]
 
 
 def _path_node(surface, u, v):
-    """The float node (u, v, X, a) of a curve in ``surface`` whose
+    """The float node (u, v, X, a, form) of a curve in ``surface`` whose
     parameter path is u = (u, u', u'', u''') and v alike: X holds the
-    order-3 surface jets at (u, v) and a the columns."""
+    order-3 surface jets at (u, v), and a the columns and ``form`` the raw
+    affine form of float_node."""
     u0, u1, u2, u3 = u
     v0, v1, v2, v3 = v
     X = surface_jets(surface, u0, v0, 3)
-    return u, v, X, compose_columns(X, u1, u2, u3, v1, v2, v3)
+    *a, form = float_node([x.coeffs for x in X], u1, u2, u3, v1, v2, v3)
+    return u, v, X, a, form
 
 
 @dataclass(frozen=True)
@@ -185,11 +189,14 @@ class TraceCurve(_EmbeddedCurve):
         raises DomainExit outside the surface's domain."""
         u, v, theta, omega = self.trace.state_at(t)
         X = surface_jets(self.surface, u, v, 3)
+        rows = [x.coeffs for x in X]
         if omega_dot is None:
-            omega_dot = _theta_dd(_parts_from_jets(X, theta, omega),
-                                  u, v, theta)
+            omega_dot = _theta_dd(
+                _condition_parts(self.surface, u, v, theta, omega, rows),
+                u, v, theta)
         u, v = _theta_path(u, v, theta, omega, omega_dot)
-        return u, v, X, compose_columns(X, *u[1:], *v[1:])
+        *a, form = float_node(rows, *u[1:], *v[1:])
+        return u, v, X, a, form
 
 
 class NodeTable(_EmbeddedCurve):
@@ -523,66 +530,69 @@ def _theta_path(u, v, theta, omega, omega_dot=0.0):
         u'' = -omega sin,  u''' = -omega_dot sin - omega^2 cos
         v'' =  omega cos,  v''' =  omega_dot cos - omega^2 sin
 
-    Every theta-state reads its path here: a TraceCurve's node,
-    commensurate_residual's and the solver's _parts_from_jets.
+    A TraceCurve's node and commensurate_residual read their path here;
+    _condition_parts writes out its case theta'' = 0.
     """
     c, s = _direction(theta)
     return ((u, c, -omega * s, -omega_dot * s - omega * omega * c),
             (v, s, omega * c, omega_dot * c - omega * omega * s))
 
 
-def _node_residual(node, form):
-    """det[a', a'', a'''] - [form(a')]^3 at a float node, with the affine
-    form at its point."""
-    u, v, _, a = node
-    return det3(*a) - form.apply(u[1], v[1]) ** 3
-
-
 def commensurate_residual(surface, state):
     """Residual of the curve condition for a theta-parametrized state
-    (u, v, theta, theta', theta''): _node_residual at the state's node,
-    which _theta_path and _path_node build as a TraceCurve builds its
-    own, and the affine form's coefficients in a QuadForm: the solve,
-    which calls this at every node, builds no AffineForm."""
+    (u, v, theta, theta', theta''), read off float_node on the surface's
+    rows and _theta_path's path: the solve calls this at every node, and
+    it builds no jet and no form object.  DomainExit outside the domain
+    box, unless the path fails first."""
     u, v, theta, omega, omega_dot = state
     # floats: the identity suites pass numpy scalars, whose overflow would
     # warn, not raise
-    node = _path_node(surface, *_theta_path(float(u), float(v), theta,
-                                            float(omega), float(omega_dot)))
-    a, b, c, _, _, _ = form_from_partials(*_partials(node[2]))
-    return _node_residual(node, QuadForm(a, b, c))
+    u, v = float(u), float(v)
+    (_, c, u2, u3), (_, s, v2, v3) = _theta_path(u, v, theta, float(omega),
+                                                 float(omega_dot))
+    _require_domain(surface, u, v)
+    d1, d2, d3, form = float_node(
+        jet_rows(surface._kernels, surface.components, Jet2, 3, (u, v)),
+        c, u2, u3, s, v2, v3)
+    a, b, cc = form_from_lmn(form)[:3]
+    # the form's value as QuadForm.apply computes it
+    return det3(d1, d2, d3) - (a * c * c + 2.0 * b * c * s + cc * s * s) ** 3
 
 
-def _condition_parts(surface, u, v, theta, omega):
+def _condition_parts(surface, u, v, theta, omega, rows=None):
     """Split the residual as R + D * theta'' and return the geometry needed
-    by the solver and its events, from one evaluation of the order-3
-    surface jets; _parts_from_jets lists the keys."""
-    return _parts_from_jets(surface_jets(surface, u, v, 3, check_domain=False),
-                            theta, omega)
-
-
-def _parts_from_jets(X, theta, omega):
-    """_condition_parts from already-evaluated order-3 surface jets: a dict
-    of ``residual0``, the residual at theta'' = 0; ``denom``, the
-    coefficient D = det[a', a'', w] of theta''; ``q``, the raw form value
-    form(a'); and ``gm``, |ln - m^2|^(1/4), the chart scale of q.
+    by the solver and its events: a dict of ``residual0``, the residual at
+    theta'' = 0; ``denom``, the coefficient D = det[a', a'', w] of
+    theta''; ``q``, the raw form value form(a'); and ``gm``,
+    |ln - m^2|^(1/4), the chart scale of q.  One float_node on the
+    surface's order-3 rows at (u, v): ``rows``, or else evaluated here
+    with no check of the domain box.
 
     |D| = |q| gm, so D vanishes only on the asymptotic cone, ``denom`` is
     0.0 where q is zero against its terms, and _cone_ratio is the one
     measure of how near the cone a state lies."""
-    # the path at theta'' = 0, whose values u and v no column reads
-    (_, c, u2, u3), (_, s, v2, v3) = _theta_path(0.0, 0.0, theta, omega)
-    d1, d2, d3 = compose_columns(X, c, u2, u3, s, v2, v3)
-    xu, xv, xuu, xuv, xvv = _partials(X)
-    a, b, cc, disc, _, _ = form_from_partials(xu, xv, xuu, xuv, xvv)
+    if rows is None:
+        rows = jet_rows(surface._kernels, surface.components, Jet2, 3,
+                        (float(u), float(v)))
+    c, s = _direction(theta)
+    # _theta_path's path at theta'' = 0; no column reads its values u, v
+    (d10, d11, d12), (d20, d21, d22), (d30, d31, d32), form = float_node(
+        rows, c, -omega * s, -0.0 * s - omega * omega * c,
+        s, omega * c, 0.0 * c - omega * omega * s)
+    a, b, cc, disc, _, _ = form_from_lmn(form)
+    x, y, z = rows
     # w = -s X_u + c X_v, the column that theta'' multiplies in a'''
-    w = (-s * xu[0] + c * xv[0], -s * xu[1] + c * xv[1],
-         -s * xu[2] + c * xv[2])
+    w0, w1, w2 = (-s * x[1] + c * x[2], -s * y[1] + c * y[2],
+                  -s * z[1] + c * z[2])
     qa, qb, qc = a * c * c, 2.0 * b * c * s, cc * s * s
     q = qa + qb + qc
+    # det[a', a'', a'''] and det[a', a'', w] as det3 computes them
     return {
-        "residual0": det3(d1, d2, d3) - q ** 3,
-        "denom": (det3(d1, d2, w)
+        "residual0": (d10 * (d21 * d32 - d22 * d31)
+                      - d11 * (d20 * d32 - d22 * d30)
+                      + d12 * (d20 * d31 - d21 * d30)) - q ** 3,
+        "denom": (d10 * (d21 * w2 - d22 * w1) - d11 * (d20 * w2 - d22 * w0)
+                  + d12 * (d20 * w1 - d21 * w0)
                   if abs(q) > ZERO_RTOL * (abs(qa) + abs(qb) + abs(qc))
                   else 0.0),
         "q": q,
@@ -779,13 +789,13 @@ class ConditionCheck:
 
 
 def _condition_check(node):
-    """(ConditionCheck, the affine form) at a float node (u, v, X, a):
+    """(ConditionCheck, the affine form) at a float node (u, v, X, a, form):
     both sides of the Euclidean-invariant curve condition.  lhs = kappa^2
     tau of the embedded curve; rhs is the cube of |K|^(-1/4) times the
     normal curvature in the curve direction, with the normal aligned to
     the orientation of the affine fundamental form (the ``flipped`` flag
     of the chart)."""
-    u, v, X, (d1, d2, d3) = node
+    u, v, X, (d1, d2, d3), raw = node
 
     speed = math.hypot(*d1)
     cross = cross3(d1, d2)
@@ -804,7 +814,8 @@ def _condition_check(node):
     du, dv = u[1], v[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
-    form = form_from_jets(X)
+    a, b, c, disc, flipped, _ = form_from_lmn(raw)
+    form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
     rhs = (abs(K) ** (-0.25) * k_n * form.orientation_sign) ** 3
     return ConditionCheck(lhs, rhs, degenerate), form
 

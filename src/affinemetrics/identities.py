@@ -35,7 +35,6 @@ from typing import NamedTuple
 
 from .commensurate import (
     _condition_check,
-    _node_residual,
     _path_node,
     commensurate_residual,
 )
@@ -47,7 +46,7 @@ from .curvegeo import (
 )
 from .errors import AffineMetricsError, NonFiniteValue
 from .expr import BinOp, Call, Const, Var
-from .jets import Jet1
+from .jets import Jet1, det3
 from .surfgeo import (
     AffineForm,
     QuadForm,
@@ -459,7 +458,8 @@ def condition_routes_suite(surface, rng, samples, tolerance=1e-8):
             node = _path_node(surface, *_quadratic_paths(u, c1u, c2u,
                                                          v, c1v, c2v))
             check, form = _condition_check(node)
-            residual = _node_residual(node, form)
+            residual = (det3(*node[3])
+                        - form.apply(node[0][1], node[1][1]) ** 3)
         except AffineMetricsError:
             continue
         if check.degenerate:

@@ -43,9 +43,10 @@ g''' = phi''' f'^3 + 3 phi'' f' f'' + phi' f'''.  phi and its first three
 derivatives at f's value come from one closed-form table per function
 (``_PHI``), which reports a math overflow or domain error as DomainError.
 
-:func:`compose_columns` gives the derivatives of a(t) = X(u(t), v(t))
-up to order 3 by the chain rule, written out term by term on floats;
-:func:`compose_curve_in_surface` gives them as Jet1s.
+:func:`float_node` gives the derivatives of a(t) = X(u(t), v(t)) up to
+order 3 by the chain rule, term by term on the surface's coefficient rows,
+with the affine form's arithmetic (:func:`lmn_terms`) on the partials;
+:func:`compose_curve_in_surface` gives the derivatives as Jet1s.
 
 Every "is this zero?" of the package is one rule, which no diagonal SL(3)
 map or uniform scale moves: a value summed from products is zero when
@@ -59,9 +60,10 @@ import types
 
 from .errors import DomainError, OrderMismatch, UnsupportedOrder
 
-__all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "compose_columns",
-           "power_int", "dot3", "cross3", "det3", "det3_terms", "ZERO_RTOL",
-           "cross3_terms", "cross3_is_zero", "MAX_ORDER_1", "MAX_ORDER_2"]
+__all__ = ["Jet1", "Jet2", "compose_curve_in_surface", "float_node",
+           "lmn_terms", "power_int", "dot3", "cross3", "det3", "det3_terms",
+           "ZERO_RTOL", "cross3_terms", "cross3_is_zero", "MAX_ORDER_1",
+           "MAX_ORDER_2"]
 
 MAX_ORDER_1 = 3
 MAX_ORDER_2 = 3
@@ -509,44 +511,71 @@ class Jet2(_Jet):
 # ---------------------------------------------------------------------------
 # composition and small vector helpers
 
-def compose_columns(surface_jets, u1, u2, u3, v1, v2, v3, order=3):
-    """The columns a', ..., a^(order) of a(t) = X(u(t), v(t)), each a list
-    of three floats, from Jet2 components of X at (u(t), v(t)) and the
-    derivatives of u and v there, by the chain rule up to order 3:
+def float_node(rows, u1, u2, u3, v1, v2, v3):
+    """(a', a'', a''', form) of a(t) = X(u(t), v(t)), floats: the columns,
+    each a 3-tuple, by the chain rule up to order 3,
 
         a'   = X_u u' + X_v v'
         a''  = X_uu u'^2 + 2 X_uv u'v' + X_vv v'^2 + X_u u'' + X_v v''
         a''' = X_uuu u'^3 + 3 X_uuv u'^2 v' + 3 X_uvv u'v'^2 + X_vvv v'^3
                + 3 (X_uu u'u'' + X_uv (u'v'' + u''v') + X_vv v'v'')
-               + X_u u''' + X_v v'''
+               + X_u u''' + X_v v''',
 
-    This is the one chain rule of a curve in a surface: the solver and
-    every node of such a curve read it on floats, and the public
-    compose_curve_in_surface wraps it in Jet1s.  Derivatives past
-    ``order`` are not read.
-    """
+    from the order-3 coefficient rows of X's components (the graded
+    layout of Jet2) and the derivatives of u and v; ``form`` is lmn_terms
+    of the partials.  The one chain rule of a curve in a surface.  No
+    column reads a derivative past its order: zeros may stand in."""
+    ((_, xu, xv, xuu, xuv, xvv, xuuu, xuuv, xuvv, xvvv),
+     (_, yu, yv, yuu, yuv, yvv, yuuu, yuuv, yuvv, yvvv),
+     (_, zu, zv, zuu, zuv, zvv, zuuu, zuuv, zuvv, zvvv)) = rows
     uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
-    d1, d2, d3 = [], [], []
-    for comp in surface_jets:
-        # graded layout: X, X_u, X_v, X_uu, X_uv, X_vv, X_uuu, X_uuv, ...
-        x = comp.coeffs
-        d1.append(x[1] * u1 + x[2] * v1)
-        if order >= 2:
-            d2.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
-                      + x[1] * u2 + x[2] * v2)
-        if order >= 3:
-            d3.append(x[6] * uu * u1 + 3.0 * x[7] * uu * v1
-                      + 3.0 * x[8] * u1 * vv + x[9] * vv * v1
-                      + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
-                               + x[5] * v1 * v2)
-                      + x[1] * u3 + x[2] * v3)
-    return (d1, d2, d3)[:order]
+    mixed = u1 * v2 + u2 * v1
+    return ((xu * u1 + xv * v1, yu * u1 + yv * v1, zu * u1 + zv * v1),
+            (xuu * uu + 2.0 * xuv * uv + xvv * vv + xu * u2 + xv * v2,
+             yuu * uu + 2.0 * yuv * uv + yvv * vv + yu * u2 + yv * v2,
+             zuu * uu + 2.0 * zuv * uv + zvv * vv + zu * u2 + zv * v2),
+            (xuuu * uu * u1 + 3.0 * xuuv * uu * v1 + 3.0 * xuvv * u1 * vv
+             + xvvv * vv * v1
+             + 3.0 * (xuu * u1 * u2 + xuv * mixed + xvv * v1 * v2)
+             + xu * u3 + xv * v3,
+             yuuu * uu * u1 + 3.0 * yuuv * uu * v1 + 3.0 * yuvv * u1 * vv
+             + yvvv * vv * v1
+             + 3.0 * (yuu * u1 * u2 + yuv * mixed + yvv * v1 * v2)
+             + yu * u3 + yv * v3,
+             zuuu * uu * u1 + 3.0 * zuuv * uu * v1 + 3.0 * zuvv * u1 * vv
+             + zvvv * vv * v1
+             + 3.0 * (zuu * u1 * u2 + zuv * mixed + zvv * v1 * v2)
+             + zu * u3 + zv * v3),
+            lmn_terms(xu, yu, zu, xv, yv, zv, xuu, yuu, zuu,
+                      xuv, yuv, zuv, xvv, yvv, zvv))
+
+
+def lmn_terms(xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv,
+              xvv, yvv, zvv):
+    """(l, m, n, ln - m^2, terms) from the first and second partials as
+    fifteen floats: l = det[X_u, X_v, X_uu], m and n alike with X_uv and
+    X_vv, as det3 computes them, and the magnitudes ln - m^2 is summed
+    from, T(l)|n| + |l|T(n) + 2T(m)|m|, T the det3_terms over X_u x X_v's
+    cross3_terms.  The one copy of the form's arithmetic."""
+    t0 = abs(yu * zv) + abs(zu * yv)
+    t1 = abs(zu * xv) + abs(xu * zv)
+    t2 = abs(xu * yv) + abs(yu * xv)
+    l = (xu * (yv * zuu - zv * yuu) - yu * (xv * zuu - zv * xuu)
+         + zu * (xv * yuu - yv * xuu))
+    m = (xu * (yv * zuv - zv * yuv) - yu * (xv * zuv - zv * xuv)
+         + zu * (xv * yuv - yv * xuv))
+    n = (xu * (yv * zvv - zv * yvv) - yu * (xv * zvv - zv * xvv)
+         + zu * (xv * yvv - yv * xvv))
+    return l, m, n, l * n - m * m, (
+        (abs(xuu) * t0 + abs(yuu) * t1 + abs(zuu) * t2) * abs(n)
+        + abs(l) * (abs(xvv) * t0 + abs(yvv) * t1 + abs(zvv) * t2)
+        + 2.0 * (abs(xuv) * t0 + abs(yuv) * t1 + abs(zuv) * t2) * abs(m))
 
 
 def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
     """Jets of a(t) = X(u(t), v(t)) from Jet2 components of X and Jet1
     components of u, v: each component's value X(u, v) followed by its
-    entries of compose_columns.
+    entries of the columns of float_node.
 
     ``surface_jets`` is a 3-tuple of Jet2 expanded at (u_jet.value,
     v_jet.value).  The output order defaults to the largest the inputs
@@ -564,7 +593,8 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
     pad = (0.0,) * (3 - order)
     u1, u2, u3 = u_jet.coeffs[1:order + 1] + pad
     v1, v2, v3 = v_jet.coeffs[1:order + 1] + pad
-    columns = compose_columns(surface_jets, u1, u2, u3, v1, v2, v3, order)
+    rows = [c.coeffs + (0.0,) * (10 - len(c.coeffs)) for c in surface_jets]
+    columns = float_node(rows, u1, u2, u3, v1, v2, v3)[:order]
     return tuple([Jet1._make(order, (comp.coeffs[0],) + d)
                   for comp, d in zip(surface_jets, zip(*columns))])
 

@@ -35,16 +35,15 @@ from .jets import (
     cross3,
     cross3_is_zero,
     cross3_terms,
-    det3,
-    det3_terms,
     dot3,
+    lmn_terms,
 )
 
 __all__ = [
     "SurfaceDef", "QuadForm", "AffineForm", "surface_jets",
     "fundamental_forms_euclid", "gauss_curvature",
     "affine_first_fundamental", "lmn_from_jets",
-    "form_from_jets", "form_from_partials",
+    "form_from_jets", "form_from_partials", "form_from_lmn",
     "forms_from_partials", "CATALOG",
 ]
 
@@ -129,13 +128,19 @@ def surface_jets(surface, u, v, order, check_domain=True):
     bit for bit the same.
     """
     _check_order(order, MAX_ORDER_2, "surface_jets")
-    if check_domain and not surface.contains(u, v):
-        raise DomainExit(
-            f"(u, v) = ({u!r}, {v!r}) outside "
-            f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
+    if check_domain:
+        _require_domain(surface, u, v)
     x, y, z = jet_rows(surface._kernels, surface.components, Jet2, order,
                        (float(u), float(v)))
     return Jet2._make(order, x), Jet2._make(order, y), Jet2._make(order, z)
+
+
+def _require_domain(surface, u, v):
+    """Raise DomainExit unless (u, v) lies in the surface's parameter box."""
+    if not surface.contains(u, v):
+        raise DomainExit(
+            f"(u, v) = ({u!r}, {v!r}) outside "
+            f"[{surface.u_min}, {surface.u_max}] x [{surface.v_min}, {surface.v_max}]")
 
 
 def _partials(jets):
@@ -176,13 +181,7 @@ def forms_from_partials(xu, xv, xuu, xuv, xvv, u, v):
 def lmn_from_jets(jets):
     """The raw determinant form (l, m, n) as a QuadForm, from
     already-evaluated surface jets (order >= 2)."""
-    return QuadForm(*_lmn(*_partials(jets)))
-
-
-def _lmn(xu, xv, xuu, xuv, xvv):
-    """l, m, n: det[X_u, X_v, X_uu], det[X_u, X_v, X_uv] and
-    det[X_u, X_v, X_vv], from the first and second partials."""
-    return det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv)
+    return QuadForm(*lmn_terms(*sum(_partials(jets), ()))[:3])
 
 
 def gauss_curvature(surface, u, v):
@@ -198,17 +197,17 @@ def form_from_jets(jets):
 
 
 def form_from_partials(xu, xv, xuu, xuv, xvv):
-    """(a, b, c, ln - m^2, flipped, (l, m, n)): the affine
-    fundamental form's coefficients from the first and second partials,
-    as plain floats, and the raw form (l, m, n) they scale; the one place
-    where DegenerateSurfacePoint is raised and a negative-definite form is
-    flipped (see affine_first_fundamental).  ln - m^2 is zero against
-    T(l)|n| + |l|T(n) + 2T(m)|m|, T the det3_terms, sharing X_u x X_v's."""
-    ct = cross3_terms(xu, xv)
-    l, m, n = _lmn(xu, xv, xuu, xuv, xvv)
-    disc = l * n - m * m
-    terms = (det3_terms(ct, xuu) * abs(n) + abs(l) * det3_terms(ct, xvv)
-             + 2.0 * det3_terms(ct, xuv) * abs(m))
+    """form_from_lmn of the first and second partials, each a 3-tuple."""
+    return form_from_lmn(lmn_terms(*xu, *xv, *xuu, *xuv, *xvv))
+
+
+def form_from_lmn(raw):
+    """(a, b, c, ln - m^2, flipped, (l, m, n)) from raw = (l, m, n,
+    ln - m^2, terms) of jets.lmn_terms: the one place where the form is
+    decided, DegenerateSurfacePoint where ln - m^2 is zero against its
+    terms, else the scale |ln - m^2|^(-1/4) and the flip of a
+    negative-definite form (see affine_first_fundamental)."""
+    l, m, n, disc, terms = raw
     if abs(disc) <= ZERO_RTOL * terms:
         raise DegenerateSurfacePoint(
             f"ln - m^2 = {disc!r} is zero against its terms {terms!r}")

@@ -9,6 +9,13 @@ path as Jet1s, ``surface_jets``, and the curve jets that
 condition and the Euclidean condition check off that node, as the package
 once did.  Tests hold the two routes equal bit for bit.
 
+``loop_columns``, ``det3_lmn_terms`` and ``det3_form`` are the chain rule,
+the form's arithmetic and the form as the package wrote them before
+jets.float_node: a loop over the components, and det3 with its term sums.
+``reference_parts`` and ``reference_residual`` build a theta-state's
+solver values and residual from them.  Tests hold the package's float
+node to them bit for bit.
+
 The route calls compose_curve_in_surface through the ``jets`` module, so
 the tests' counters see it; ``refuse_jet_route`` makes that function fail
 the test under every name the package binds it to, so a test can show
@@ -27,13 +34,15 @@ from affinemetrics.commensurate import (
     TraceCurve,
     solve_theta_dd,
 )
-from affinemetrics.errors import DomainError
+from affinemetrics.errors import DegenerateSurfacePoint, DomainError
 from affinemetrics.jets import (
+    ZERO_RTOL,
     Jet1,
     cross3,
     cross3_is_zero,
     cross3_terms,
     det3,
+    det3_terms,
     dot3,
 )
 from affinemetrics.surfgeo import (
@@ -89,10 +98,93 @@ def curve_node(curve, t, order=3):
 
 
 def as_float_node(node):
-    """An order-3 Jet node as the package's float node (u, v, X, a)."""
+    """An order-3 Jet node as the package's float node (u, v, X, a,
+    form), its raw form by det3_lmn_terms."""
     u, v, X, a = node
     return (u.coeffs, v.coeffs, X,
-            tuple([[comp.coeffs[k] for comp in a] for k in (1, 2, 3)]))
+            tuple([[comp.coeffs[k] for comp in a] for k in (1, 2, 3)]),
+            det3_lmn_terms(*_partials(X)))
+
+
+def loop_columns(rows, u1, u2, u3, v1, v2, v3):
+    """The columns a', a'' and a''' of a(t) = X(u(t), v(t)), each a list
+    of three floats, by the chain rule in a loop over the coefficient
+    rows of X's components."""
+    uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
+    d1, d2, d3 = [], [], []
+    for x in rows:
+        d1.append(x[1] * u1 + x[2] * v1)
+        d2.append(x[3] * uu + 2.0 * x[4] * uv + x[5] * vv
+                  + x[1] * u2 + x[2] * v2)
+        d3.append(x[6] * uu * u1 + 3.0 * x[7] * uu * v1
+                  + 3.0 * x[8] * u1 * vv + x[9] * vv * v1
+                  + 3.0 * (x[3] * u1 * u2 + x[4] * (u1 * v2 + u2 * v1)
+                           + x[5] * v1 * v2)
+                  + x[1] * u3 + x[2] * v3)
+    return d1, d2, d3
+
+
+def det3_lmn_terms(xu, xv, xuu, xuv, xvv):
+    """(l, m, n, ln - m^2, terms) from the first and second partials, each
+    a 3-tuple, by det3, cross3_terms and det3_terms."""
+    ct = cross3_terms(xu, xv)
+    l, m, n = det3(xu, xv, xuu), det3(xu, xv, xuv), det3(xu, xv, xvv)
+    terms = (det3_terms(ct, xuu) * abs(n) + abs(l) * det3_terms(ct, xvv)
+             + 2.0 * det3_terms(ct, xuv) * abs(m))
+    return l, m, n, l * n - m * m, terms
+
+
+def det3_form(xu, xv, xuu, xuv, xvv):
+    """form_from_partials as the package wrote it before lmn_terms: (a, b,
+    c, ln - m^2, flipped, (l, m, n)) from det3_lmn_terms, its zero test,
+    its scale |ln - m^2|^(-1/4) and the flip of a negative-definite
+    form."""
+    l, m, n, disc, terms = det3_lmn_terms(xu, xv, xuu, xuv, xvv)
+    if abs(disc) <= ZERO_RTOL * terms:
+        raise DegenerateSurfacePoint(
+            f"ln - m^2 = {disc!r} is zero against its terms {terms!r}")
+    scale = abs(disc) ** (-0.25)
+    a, b, c = scale * l, scale * m, scale * n
+    flipped = disc > 0.0 and a < 0.0
+    if flipped:
+        a, b, c = -a, -b, -c
+    return a + 0.0, b + 0.0, c + 0.0, disc, flipped, (l, m, n)
+
+
+def reference_parts(surface, u, v, theta, omega):
+    """The solver's _condition_parts at a theta-state by loop_columns and
+    det3_form on the order-3 surface jets, with no check of the domain."""
+    X = surface_jets(surface, u, v, 3, check_domain=False)
+    u_jet, v_jet = theta_jets(u, v, theta, omega)
+    c, s = u_jet.coeffs[1], v_jet.coeffs[1]
+    d1, d2, d3 = loop_columns([x.coeffs for x in X], *u_jet.coeffs[1:],
+                              *v_jet.coeffs[1:])
+    xu, xv, xuu, xuv, xvv = _partials(X)
+    a, b, cc, disc, _, _ = det3_form(xu, xv, xuu, xuv, xvv)
+    w = tuple(-s * p + c * q for p, q in zip(xu, xv))
+    qa, qb, qc = a * c * c, 2.0 * b * c * s, cc * s * s
+    q = qa + qb + qc
+    return {
+        "residual0": det3(d1, d2, d3) - q ** 3,
+        "denom": (det3(d1, d2, w)
+                  if abs(q) > ZERO_RTOL * (abs(qa) + abs(qb) + abs(qc))
+                  else 0.0),
+        "q": q,
+        "gm": abs(disc) ** 0.25,
+    }
+
+
+def reference_residual(surface, state):
+    """commensurate_residual at a theta-state (u, v, theta, omega,
+    omega_dot) by theta_jets, surface_jets, loop_columns and det3_form."""
+    u_jet, v_jet = theta_jets(*state)
+    X = surface_jets(surface, u_jet.value, v_jet.value, 3)
+    d1, d2, d3 = loop_columns([x.coeffs for x in X], *u_jet.coeffs[1:],
+                              *v_jet.coeffs[1:])
+    a, b, c = det3_form(*_partials(X))[:3]
+    du, dv = u_jet.coeffs[1], v_jet.coeffs[1]
+    return det3(d1, d2, d3) - (a * du * du + 2.0 * b * du * dv
+                               + c * dv * dv) ** 3
 
 
 def residual(node):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from reference_routes import finite_diff, recharted, sphere_reference_curve
 
-from affinemetrics import expr
+from affinemetrics import expr, surfgeo
 from affinemetrics.commensurate import (
     BREAKDOWN_SEEDS,
     CommensurateIVP,
@@ -18,7 +18,6 @@ from affinemetrics.commensurate import (
     TraceCurve,
     _condition_check,
     _condition_parts,
-    _node_residual,
     _path_node,
     _sigma_integrand,
     commensurate_residual,
@@ -41,9 +40,11 @@ from affinemetrics.errors import (
 from affinemetrics.jets import (
     ZERO_RTOL,
     Jet1,
+    Jet2,
     compose_curve_in_surface,
     det3,
     dot3,
+    float_node,
 )
 from affinemetrics.numerics import _dense_eval, quad_adaptive
 from affinemetrics.surfgeo import (
@@ -87,7 +88,7 @@ def _residual_general(surface, u, v, derivs):
     (u, v)."""
     u1, v1, u2, v2, u3, v3 = derivs
     node = _path_node(surface, (u, u1, u2, u3), (v, v1, v2, v3))
-    return _node_residual(node, form_from_jets(node[2]))
+    return det3(*node[3]) - form_from_jets(node[2]).apply(u1, v1) ** 3
 
 
 class TestInducedArcLength:
@@ -206,10 +207,10 @@ class TestNodeTable:
 
 
 def _node_bits(node):
-    """A float node (u, v, X, a) by IEEE bits."""
-    u, v, X, a = node
+    """A float node (u, v, X, a, form) by IEEE bits."""
+    u, v, X, a, form = node
     return [x.hex() for x in (*u, *v, *sum((j.coeffs for j in X), ()),
-                              *sum(map(tuple, a), ()))]
+                              *sum(map(tuple, a), ()), *form)]
 
 
 class TestKernelCache:
@@ -436,6 +437,7 @@ class TestStateGeometry:
         compose = record_calls(monkeypatch, compose_curve_in_surface)
         forms = record_calls(monkeypatch, form_from_jets)
         jet_calls = record_calls(monkeypatch, surface_jets)
+        row_calls = record_calls(monkeypatch, expr.jet_rows)
         builds = []
         monkeypatch.setattr(Jet1, "__init__", _counting(builds, Jet1.__init__))
         monkeypatch.setattr(Jet1, "_like", _counting(builds, Jet1._like))
@@ -444,18 +446,151 @@ class TestStateGeometry:
         trace = integrate_commensurate(CommensurateIVP(
             SPHERE, 0.1, 0.1, 0.3, omega0=0.5, t_span=(0.0, 1.0)))
         assert trace.termination == "completed"
-        assert compose == forms == builds == []
-        # one order-3 evaluation per right-hand side (260) and per node
-        # (44), as many as the Jet1 route made
+        assert compose == forms == builds == jet_calls == []
+        # one evaluation of the order-3 coefficient rows per right-hand
+        # side (260) and per node (44), as many as the Jet1 route made
         evaluations = trace.ode_result.n_rhs + len(trace.nodes)
         assert evaluations == 304
-        assert [args[3] for args in jet_calls] == [3] * evaluations
+        assert [args[2:4] for args in row_calls] == [(Jet2, 3)] * evaluations
         # the counters see a trace curve's Jet1 wrappers, and the Jet route
         TraceCurve(trace).curve_jets(0.5, 3)
         assert compose == []
         assert len(builds) == 3
         jet_route.trace_node(trace, 0.5)
         assert len(compose) == 1
+
+
+INLINE = SurfaceDef.from_strings(
+    "u^2/3 + v^2/5 - 2.5*u*v; u^3/(1 + v^2) + 0.5; exp(0.3*u)*sin(v)^2 - u/7",
+    ((-2.0, 2.0), (-2.0, 2.0)))
+NODE_SURFACES = [*CATALOG.values(), QUOTIENT, INLINE]
+NODE_IDS = [*CATALOG, "quotient", "inline"]
+
+
+def _bits(outcome):
+    """An _outcome by IEEE bits: a float's hex, a dict's values' hex, or
+    the exception class; nan compares equal to nan."""
+    if isinstance(outcome, dict):
+        return {key: value.hex() for key, value in outcome.items()}
+    return outcome if isinstance(outcome, type) else outcome.hex()
+
+
+def _node_states(surface, rng, count):
+    """``count`` random theta-states inside the domain, then the edge
+    cases at one of its points: theta = +-0 and +-inf, omega = +-0 and
+    1e160, where omega^2 overflows."""
+    def point():
+        return (float(rng.uniform(surface.u_min, surface.u_max)),
+                float(rng.uniform(surface.v_min, surface.v_max)))
+
+    states = [(*point(), *rng.uniform(-4.0, 4.0, size=3).tolist())
+              for _ in range(count)]
+    u, v = point()
+    for theta in (0.0, -0.0, math.inf, -math.inf, 0.7):
+        for omega in (0.0, -0.0, 1e160, -1.3):
+            states.append((u, v, theta, omega, 0.4))
+    return states
+
+
+class TestThetaStateNode:
+    """The theta-state node, float_node on a surface's coefficient rows,
+    gives the solver's values and the residual bit for bit as
+    tests/jet_route.py's loop over the components and det3 route does,
+    and fails where it fails with the same exception class."""
+
+    @pytest.mark.parametrize("surface", NODE_SURFACES, ids=NODE_IDS)
+    def test_equals_the_reference_route(self, surface):
+        rng = np.random.default_rng(29)
+        kinds = set()
+        for state in _node_states(surface, rng, 40):
+            parts = _outcome(_condition_parts, surface, *state[:4])
+            assert _bits(parts) == _bits(_outcome(
+                jet_route.reference_parts, surface, *state[:4]))
+            residual = _outcome(commensurate_residual, surface, state)
+            assert _bits(residual) == _bits(_outcome(
+                jet_route.reference_residual, surface, state))
+            kinds.add(_kind(parts))
+        if surface is CATALOG["plane"]:
+            assert kinds == {DomainError, DegenerateSurfacePoint}
+        else:
+            assert kinds == {DomainError, dict}
+
+    def test_edge_cases(self):
+        u, v = 0.3, 0.2
+        assert _outcome(_condition_parts, SPHERE, u, v, math.inf,
+                        0.5) is DomainError
+        assert _outcome(commensurate_residual, SPHERE,
+                        (u, v, -math.inf, 0.5, 0.0)) is DomainError
+        overflowed = _condition_parts(SPHERE, u, v, 0.7, 1e160)
+        assert math.isnan(overflowed["residual0"])
+        assert math.isfinite(overflowed["q"])
+
+    def test_only_the_residual_checks_the_domain(self):
+        # the solver's states may step just past the box, where its exit
+        # event then lies; the residual of a node refuses them
+        state = (0.1, 5.0, 0.3, 0.5, 0.6)
+        assert _outcome(commensurate_residual, SPHERE, state) is DomainExit
+        parts = _condition_parts(SPHERE, *state[:4])
+        assert _bits(parts) == _bits(jet_route.reference_parts(
+            SPHERE, *state[:4]))
+
+    @pytest.mark.parametrize("surface", NODE_SURFACES, ids=NODE_IDS)
+    def test_float_node_is_the_loop_and_det3(self, surface):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            u = float(rng.uniform(surface.u_min, surface.u_max))
+            v = float(rng.uniform(surface.v_min, surface.v_max))
+            X = surface_jets(surface, u, v, 3)
+            rows = [x.coeffs for x in X]
+            path = rng.uniform(-3.0, 3.0, size=6).tolist()
+            d1, d2, d3, form = float_node(rows, *path)
+            want = jet_route.loop_columns(rows, *path)
+            assert [list(map(_bits, d)) for d in (d1, d2, d3)] \
+                == [list(map(_bits, d)) for d in want]
+            want = jet_route.det3_lmn_terms(*surfgeo._partials(X))
+            assert list(map(_bits, form)) == list(map(_bits, want))
+
+    @pytest.mark.parametrize("surface", NODE_SURFACES, ids=NODE_IDS)
+    def test_form_from_partials_keeps_its_bits(self, surface):
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            u = float(rng.uniform(surface.u_min, surface.u_max))
+            v = float(rng.uniform(surface.v_min, surface.v_max))
+            partials = surfgeo._partials(surface_jets(surface, u, v, 2))
+            got = _outcome(surfgeo.form_from_partials, *partials)
+            want = _outcome(jet_route.det3_form, *partials)
+            assert _form_bits(got) == _form_bits(want)
+
+    @pytest.mark.parametrize("name, at, bits, flipped", [
+        ("sphere", (0.3, 0.2),
+         ["0x1.ebcaa73edd17cp-1", "0x1.0534ed31dc5fep-57",
+          "0x1.0000000000000p+0", "0x1.d8617efbc0488p-1",
+          "-0x1.e1fd0ff2ba0a0p-1", "-0x1.0000000000000p-57",
+          "-0x1.f5cb49577627ap-1"], True),
+        ("hyperboloid", (0.5, -0.7),
+         ["-0x1.7d70a3d70a3d7p+0", "-0x1.0000000000000p+0", "0x0.0p+0",
+          "-0x1.0000000000002p+0", "-0x1.7d70a3d70a3d8p+0",
+          "-0x1.0000000000001p+0", "0x0.0p+0"], False),
+        ("paraboloid", (0.4, 1.3),
+         ["0x1.31ec349cf5a37p+1", "0x0.0p+0", "0x1.6a09e667f3bcdp+0",
+          "0x1.6d94af4f0d848p+3", "-0x1.19374bc6a7efbp+2", "0x0.0p+0",
+          "-0x1.4cccccccccccep+1"], True),
+    ])
+    def test_form_bits_are_pinned(self, name, at, bits, flipped):
+        # (a, b, c, ln - m^2, l, m, n) as the package computed them before
+        # the form's arithmetic moved to jets.lmn_terms
+        a, b, c, disc, got_flipped, lmn = surfgeo.form_from_partials(
+            *surfgeo._partials(surface_jets(CATALOG[name], *at, 2)))
+        assert [x.hex() for x in (a, b, c, disc, *lmn)] == bits
+        assert got_flipped is flipped
+
+
+def _form_bits(outcome):
+    """A form_from_partials outcome by IEEE bits."""
+    if isinstance(outcome, type):
+        return outcome
+    *values, flipped, lmn = outcome
+    return [x.hex() for x in (*values, *lmn)], flipped
 
 
 def _jet_residual_general(surface, u, v, derivs):

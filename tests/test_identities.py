@@ -591,7 +591,7 @@ class TestEvaluationCounts:
         # the suites read l, m, n off the point, as the form's filter
         # computed them; only the reparametrized surface's lhs of the
         # fourth-power law takes its own
-        lmn_calls = record_calls(monkeypatch, surfgeo, "_lmn")
+        lmn_calls = record_calls(monkeypatch, surfgeo, "lmn_terms")
         draws = record_calls(monkeypatch, idn, "random_points")
         report = suite(surfgeo.CATALOG["hyperboloid"],
                        np.random.default_rng(5), 6)
