@@ -50,6 +50,7 @@ from .jets import (
     det3,
     dot3,
     float_node,
+    lmn_terms,
 )
 from .numerics import (
     ChebResult,
@@ -62,10 +63,10 @@ from .numerics import (
     quad_adaptive,
 )
 from .surfgeo import (
-    AffineForm,
     _partials,
     _require_domain,
     form_from_lmn,
+    form_from_jets,
     forms_from_partials,
     surface_jets,
 )
@@ -84,10 +85,10 @@ class _EmbeddedCurve:
     ``surface``, ``param_jets`` and ``sample``.
 
     Every consumer reads one node per t, on floats: ``sample`` gives
-    (u, v, X, a, form), the parameter path u = (u, u', u'', u''') and v
-    alike, the order-3 surface jets X at (u(t), v(t)), and the columns
-    a = (a', a'', a''') of the curve and the raw affine form ``form`` that
-    jets.float_node gives on X's coefficient rows.  ``columns``,
+    (u, v, X, a, partials), the parameter path u = (u, u', u'', u''') and
+    v alike, the order-3 surface jets X at (u(t), v(t)), and the columns
+    a = (a', a'', a''') of the curve and the fifteen first and second
+    partials that jets.float_node gives on X's coefficient rows.  ``columns``,
     ``curve_jets`` and ``form_direction`` read it at every order: the
     lower coefficients of order-3 jets are computed by the same float
     operations as those of a lower order."""
@@ -107,22 +108,20 @@ class _EmbeddedCurve:
     def form_direction(self, t):
         """(a, b, c, u', v') at t, floats: the coefficients of the affine
         fundamental form at (u(t), v(t)) and the parameter direction, read
-        off the node: its raw form, decided by form_from_lmn."""
-        u, v, _, _, form = self.sample(t)
-        a, b, c = form_from_lmn(form)[:3]
+        off the node: lmn_terms of its partials, decided by form_from_lmn."""
+        u, v, _, _, partials = self.sample(t)
+        a, b, c = form_from_lmn(lmn_terms(*partials))[:3]
         return a, b, c, u[1], v[1]
 
 
 def _path_node(surface, u, v):
-    """The float node (u, v, X, a, form) of a curve in ``surface`` whose
-    parameter path is u = (u, u', u'', u''') and v alike: X holds the
-    order-3 surface jets at (u, v), and a the columns and ``form`` the raw
-    affine form of float_node."""
-    u0, u1, u2, u3 = u
-    v0, v1, v2, v3 = v
-    X = surface_jets(surface, u0, v0, 3)
-    *a, form = float_node([x.coeffs for x in X], u1, u2, u3, v1, v2, v3)
-    return u, v, X, a, form
+    """The float node (u, v, X, a, partials) of a curve in ``surface``
+    whose parameter path is u = (u, u', u'', u''') and v alike: X holds
+    the order-3 surface jets at (u, v), and a the columns and
+    ``partials`` the partials of float_node."""
+    X = surface_jets(surface, u[0], v[0], 3)
+    return (u, v, X, *float_node((X[0].coeffs, X[1].coeffs, X[2].coeffs),
+                                 *u[1:], *v[1:]))
 
 
 @dataclass(frozen=True)
@@ -189,14 +188,13 @@ class TraceCurve(_EmbeddedCurve):
         raises DomainExit outside the surface's domain."""
         u, v, theta, omega = self.trace.state_at(t)
         X = surface_jets(self.surface, u, v, 3)
-        rows = [x.coeffs for x in X]
+        rows = (X[0].coeffs, X[1].coeffs, X[2].coeffs)
         if omega_dot is None:
             omega_dot = _theta_dd(
                 _condition_parts(self.surface, u, v, theta, omega, rows),
                 u, v, theta)
         u, v = _theta_path(u, v, theta, omega, omega_dot)
-        *a, form = float_node(rows, *u[1:], *v[1:])
-        return u, v, X, a, form
+        return (u, v, X, *float_node(rows, *u[1:], *v[1:]))
 
 
 class NodeTable(_EmbeddedCurve):
@@ -551,10 +549,10 @@ def commensurate_residual(surface, state):
     (_, c, u2, u3), (_, s, v2, v3) = _theta_path(u, v, theta, float(omega),
                                                  float(omega_dot))
     _require_domain(surface, u, v)
-    d1, d2, d3, form = float_node(
+    (d1, d2, d3), partials = float_node(
         jet_rows(surface._kernels, surface.components, Jet2, 3, (u, v)),
         c, u2, u3, s, v2, v3)
-    a, b, cc = form_from_lmn(form)[:3]
+    a, b, cc = form_from_lmn(lmn_terms(*partials))[:3]
     # the form's value as QuadForm.apply computes it
     return det3(d1, d2, d3) - (a * c * c + 2.0 * b * c * s + cc * s * s) ** 3
 
@@ -576,17 +574,19 @@ def _condition_parts(surface, u, v, theta, omega, rows=None):
                         (float(u), float(v)))
     c, s = _direction(theta)
     # _theta_path's path at theta'' = 0; no column reads its values u, v
-    (d10, d11, d12), (d20, d21, d22), (d30, d31, d32), form = float_node(
+    columns, partials = float_node(
         rows, c, -omega * s, -0.0 * s - omega * omega * c,
         s, omega * c, 0.0 * c - omega * omega * s)
-    a, b, cc, disc, _, _ = form_from_lmn(form)
+    (d10, d11, d12), (d20, d21, d22), (d30, d31, d32) = columns
+    a, b, cc, disc, _, _ = form_from_lmn(lmn_terms(*partials))
     x, y, z = rows
     # w = -s X_u + c X_v, the column that theta'' multiplies in a'''
     w0, w1, w2 = (-s * x[1] + c * x[2], -s * y[1] + c * y[2],
                   -s * z[1] + c * z[2])
     qa, qb, qc = a * c * c, 2.0 * b * c * s, cc * s * s
     q = qa + qb + qc
-    # det[a', a'', a'''] and det[a', a'', w] as det3 computes them
+    # det[a', a'', a'''] and det[a', a'', w] as det3 computes them, written
+    # out: two det3 calls cost about 3% of a state (tools/percall.py)
     return {
         "residual0": (d10 * (d21 * d32 - d22 * d31)
                       - d11 * (d20 * d32 - d22 * d30)
@@ -789,13 +789,13 @@ class ConditionCheck:
 
 
 def _condition_check(node):
-    """(ConditionCheck, the affine form) at a float node (u, v, X, a, form):
+    """(ConditionCheck, the affine form) at a float node (u, v, X, a, _):
     both sides of the Euclidean-invariant curve condition.  lhs = kappa^2
     tau of the embedded curve; rhs is the cube of |K|^(-1/4) times the
     normal curvature in the curve direction, with the normal aligned to
     the orientation of the affine fundamental form (the ``flipped`` flag
     of the chart)."""
-    u, v, X, (d1, d2, d3), raw = node
+    u, v, X, (d1, d2, d3), _ = node
 
     speed = math.hypot(*d1)
     cross = cross3(d1, d2)
@@ -814,8 +814,7 @@ def _condition_check(node):
     du, dv = u[1], v[1]
     i_val = first.apply(du, dv)
     k_n = second.apply(du, dv) / i_val
-    a, b, c, disc, flipped, _ = form_from_lmn(raw)
-    form = AffineForm(a, b, c, discriminant=disc, flipped=flipped)
+    form = form_from_jets(X)
     rhs = (abs(K) ** (-0.25) * k_n * form.orientation_sign) ** 3
     return ConditionCheck(lhs, rhs, degenerate), form
 

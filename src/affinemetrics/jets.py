@@ -45,8 +45,8 @@ derivatives at f's value come from one closed-form table per function
 
 :func:`float_node` gives the derivatives of a(t) = X(u(t), v(t)) up to
 order 3 by the chain rule, term by term on the surface's coefficient rows,
-with the affine form's arithmetic (:func:`lmn_terms`) on the partials;
-:func:`compose_curve_in_surface` gives the derivatives as Jet1s.
+and the partials that the affine form's arithmetic (:func:`lmn_terms`)
+reads; :func:`compose_curve_in_surface` gives the derivatives as Jet1s.
 
 Every "is this zero?" of the package is one rule, which no diagonal SL(3)
 map or uniform scale moves: a value summed from products is zero when
@@ -512,8 +512,8 @@ class Jet2(_Jet):
 # composition and small vector helpers
 
 def float_node(rows, u1, u2, u3, v1, v2, v3):
-    """(a', a'', a''', form) of a(t) = X(u(t), v(t)), floats: the columns,
-    each a 3-tuple, by the chain rule up to order 3,
+    """((a', a'', a'''), partials) of a(t) = X(u(t), v(t)), floats: the
+    columns, each a 3-tuple, by the chain rule up to order 3,
 
         a'   = X_u u' + X_v v'
         a''  = X_uu u'^2 + 2 X_uv u'v' + X_vv v'^2 + X_u u'' + X_v v''
@@ -522,32 +522,33 @@ def float_node(rows, u1, u2, u3, v1, v2, v3):
                + X_u u''' + X_v v''',
 
     from the order-3 coefficient rows of X's components (the graded
-    layout of Jet2) and the derivatives of u and v; ``form`` is lmn_terms
-    of the partials.  The one chain rule of a curve in a surface.  No
-    column reads a derivative past its order: zeros may stand in."""
+    layout of Jet2) and the derivatives of u and v; ``partials``, the
+    fifteen first and second partials, are lmn_terms' arguments.  The one
+    chain rule of a curve in a surface.  No column reads a derivative
+    past its order: zeros may stand in."""
     ((_, xu, xv, xuu, xuv, xvv, xuuu, xuuv, xuvv, xvvv),
      (_, yu, yv, yuu, yuv, yvv, yuuu, yuuv, yuvv, yvvv),
      (_, zu, zv, zuu, zuv, zvv, zuuu, zuuv, zuvv, zvvv)) = rows
     uu, uv, vv = u1 * u1, u1 * v1, v1 * v1
     mixed = u1 * v2 + u2 * v1
-    return ((xu * u1 + xv * v1, yu * u1 + yv * v1, zu * u1 + zv * v1),
-            (xuu * uu + 2.0 * xuv * uv + xvv * vv + xu * u2 + xv * v2,
-             yuu * uu + 2.0 * yuv * uv + yvv * vv + yu * u2 + yv * v2,
-             zuu * uu + 2.0 * zuv * uv + zvv * vv + zu * u2 + zv * v2),
-            (xuuu * uu * u1 + 3.0 * xuuv * uu * v1 + 3.0 * xuvv * u1 * vv
-             + xvvv * vv * v1
-             + 3.0 * (xuu * u1 * u2 + xuv * mixed + xvv * v1 * v2)
-             + xu * u3 + xv * v3,
-             yuuu * uu * u1 + 3.0 * yuuv * uu * v1 + 3.0 * yuvv * u1 * vv
-             + yvvv * vv * v1
-             + 3.0 * (yuu * u1 * u2 + yuv * mixed + yvv * v1 * v2)
-             + yu * u3 + yv * v3,
-             zuuu * uu * u1 + 3.0 * zuuv * uu * v1 + 3.0 * zuvv * u1 * vv
-             + zvvv * vv * v1
-             + 3.0 * (zuu * u1 * u2 + zuv * mixed + zvv * v1 * v2)
-             + zu * u3 + zv * v3),
-            lmn_terms(xu, yu, zu, xv, yv, zv, xuu, yuu, zuu,
-                      xuv, yuv, zuv, xvv, yvv, zvv))
+    return (((xu * u1 + xv * v1, yu * u1 + yv * v1, zu * u1 + zv * v1),
+             (xuu * uu + 2.0 * xuv * uv + xvv * vv + xu * u2 + xv * v2,
+              yuu * uu + 2.0 * yuv * uv + yvv * vv + yu * u2 + yv * v2,
+              zuu * uu + 2.0 * zuv * uv + zvv * vv + zu * u2 + zv * v2),
+             (xuuu * uu * u1 + 3.0 * xuuv * uu * v1 + 3.0 * xuvv * u1 * vv
+              + xvvv * vv * v1
+              + 3.0 * (xuu * u1 * u2 + xuv * mixed + xvv * v1 * v2)
+              + xu * u3 + xv * v3,
+              yuuu * uu * u1 + 3.0 * yuuv * uu * v1 + 3.0 * yuvv * u1 * vv
+              + yvvv * vv * v1
+              + 3.0 * (yuu * u1 * u2 + yuv * mixed + yvv * v1 * v2)
+              + yu * u3 + yv * v3,
+              zuuu * uu * u1 + 3.0 * zuuv * uu * v1 + 3.0 * zuvv * u1 * vv
+              + zvvv * vv * v1
+              + 3.0 * (zuu * u1 * u2 + zuv * mixed + zvv * v1 * v2)
+              + zu * u3 + zv * v3)),
+            (xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv,
+             xvv, yvv, zvv))
 
 
 def lmn_terms(xu, yu, zu, xv, yv, zv, xuu, yuu, zuu, xuv, yuv, zuv,
@@ -594,7 +595,7 @@ def compose_curve_in_surface(surface_jets, u_jet, v_jet, order=None):
     u1, u2, u3 = u_jet.coeffs[1:order + 1] + pad
     v1, v2, v3 = v_jet.coeffs[1:order + 1] + pad
     rows = [c.coeffs + (0.0,) * (10 - len(c.coeffs)) for c in surface_jets]
-    columns = float_node(rows, u1, u2, u3, v1, v2, v3)[:order]
+    columns = float_node(rows, u1, u2, u3, v1, v2, v3)[0][:order]
     return tuple([Jet1._make(order, (comp.coeffs[0],) + d)
                   for comp, d in zip(surface_jets, zip(*columns))])
 

@@ -99,11 +99,11 @@ def curve_node(curve, t, order=3):
 
 def as_float_node(node):
     """An order-3 Jet node as the package's float node (u, v, X, a,
-    form), its raw form by det3_lmn_terms."""
+    partials), its partials the fifteen floats of _partials."""
     u, v, X, a = node
     return (u.coeffs, v.coeffs, X,
             tuple([[comp.coeffs[k] for comp in a] for k in (1, 2, 3)]),
-            det3_lmn_terms(*_partials(X)))
+            sum(_partials(X), ()))
 
 
 def loop_columns(rows, u1, u2, u3, v1, v2, v3):

@@ -45,6 +45,7 @@ from affinemetrics.jets import (
     det3,
     dot3,
     float_node,
+    lmn_terms,
 )
 from affinemetrics.numerics import _dense_eval, quad_adaptive
 from affinemetrics.surfgeo import (
@@ -207,10 +208,10 @@ class TestNodeTable:
 
 
 def _node_bits(node):
-    """A float node (u, v, X, a, form) by IEEE bits."""
-    u, v, X, a, form = node
+    """A float node (u, v, X, a, partials) by IEEE bits."""
+    u, v, X, a, partials = node
     return [x.hex() for x in (*u, *v, *sum((j.coeffs for j in X), ()),
-                              *sum(map(tuple, a), ()), *form)]
+                              *sum(map(tuple, a), ()), *partials)]
 
 
 class TestKernelCache:
@@ -543,12 +544,13 @@ class TestThetaStateNode:
             X = surface_jets(surface, u, v, 3)
             rows = [x.coeffs for x in X]
             path = rng.uniform(-3.0, 3.0, size=6).tolist()
-            d1, d2, d3, form = float_node(rows, *path)
+            (d1, d2, d3), partials = float_node(rows, *path)
             want = jet_route.loop_columns(rows, *path)
             assert [list(map(_bits, d)) for d in (d1, d2, d3)] \
                 == [list(map(_bits, d)) for d in want]
             want = jet_route.det3_lmn_terms(*surfgeo._partials(X))
-            assert list(map(_bits, form)) == list(map(_bits, want))
+            assert list(map(_bits, lmn_terms(*partials))) \
+                == list(map(_bits, want))
 
     @pytest.mark.parametrize("surface", NODE_SURFACES, ids=NODE_IDS)
     def test_form_from_partials_keeps_its_bits(self, surface):

@@ -2,20 +2,18 @@
 
 Each layer is one function of the package called on fixed inputs: a few
 dozen states, points or parameter values drawn from a seeded generator
-inside a catalog surface's domain, cycled to ``--calls`` calls.  A run
-gives each checkout one fresh ``spawn`` process, which imports the
-package from the checkout's ``src`` with bytecode off, calls every layer
-once over its inputs (so that the kernels are recorded, as in a warm
-command), then times each layer as the fastest of ``--repeats`` loops
-over its calls.  Runs alternate which checkout goes first, and each
+inside a catalog surface's domain, cycled to CALLS calls.  A run gives
+each checkout one fresh ``spawn`` process, which imports the package
+from the checkout's ``src`` with bytecode off, calls every layer once
+over its inputs (so that the kernels are recorded, as in a warm
+command), then times each layer as the fastest of REPEATS loops over
+its calls.  RUNS runs alternate which checkout goes first, and each
 layer keeps its fastest time over the runs.  Prints one line per layer:
 microseconds per call in this checkout and in the parent, and their
 ratio; a layer that a checkout lacks prints ``-``.  A call that raises
 the package's own error counts as a call:
 
     python tools/percall.py --root ../parent
-    python tools/percall.py --root ../parent --runs 2 \\
-        --layers "_condition_parts[sphere]" "commensurate_residual[sphere]"
 
 ``--root`` names the parent checkout; the change is the checkout holding
 this script.  Nothing under either checkout is written.
@@ -38,6 +36,8 @@ CATALOG_NAMES = ("sphere", "helicoid", "paraboloid", "hyperbolic-paraboloid",
                  "hyperboloid", "plane")
 #: inputs per layer, cycled to the number of calls
 STATES = 64
+#: calls per timed loop, timed loops per process, alternating runs
+CALLS, REPEATS, RUNS = 2000, 7, 4
 
 
 def _states(surface, rng):
@@ -175,22 +175,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path, required=True,
                         help="the parent checkout")
-    parser.add_argument("--layers", nargs="+", choices=list(LAYERS),
-                        default=list(LAYERS), metavar="LAYER",
-                        help="layers to time (default: all)")
-    parser.add_argument("--calls", type=int, default=2000,
-                        help="calls per timed loop (default 2000)")
-    parser.add_argument("--repeats", type=int, default=7,
-                        help="timed loops per process (default 7)")
-    parser.add_argument("--runs", type=int, default=4,
-                        help="alternating runs (default 4)")
     args = parser.parse_args(argv)
-    if min(args.calls, args.repeats, args.runs) < 1:
-        parser.error("--calls, --repeats and --runs must be at least 1")
-    print(f"{args.calls} calls x {args.repeats} loops per process, "
-          f"{args.runs} runs, parent {args.root}", flush=True)
-    print(table(compare(HERE, args.root.resolve(), args.layers, args.calls,
-                        args.repeats, args.runs)))
+    print(f"{CALLS} calls x {REPEATS} loops per process, {RUNS} runs, "
+          f"parent {args.root}", flush=True)
+    print(table(compare(HERE, args.root.resolve(), list(LAYERS), CALLS,
+                        REPEATS, RUNS)))
 
 
 if __name__ == "__main__":
